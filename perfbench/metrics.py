@@ -1,12 +1,11 @@
 """Metric names, units and directions; BENCHMARK.json lists the same."""
 
-# end-to-end metrics: untraced runs only.  batch_best_ref is the sum,
-# over the kinds of op in a batch, of the fastest best-of-replicas time
-# of that kind, divided by the fastest reading of worker.probe() in the
-# run.  The raw seconds, medians, tail and throughput are printed but not
-# bounded (see BASELINE.md).
+# end-to-end metrics: untraced runs only.  batch_ref is the sum, over
+# the kinds of op in a batch, of the median time of that kind in probe
+# units (worker.SpeedSampler).  The raw seconds, medians, tail and
+# throughput are printed but not bounded (see BASELINE.md).
 END_TO_END = (
-    ("batch_best_ref", "probe", "lower"),
+    ("batch_ref", "probe", "lower"),
     ("setup_s", "s", "lower"),
     ("peak_rss_mb", "MB", "lower"),
 )

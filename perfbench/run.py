@@ -1,26 +1,34 @@
-"""chernweil benchmark: one workload per invocation.
+"""chernweil benchmark: one workload per invocation, or all four in turn.
 
-    python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
+    python3 perfbench/run.py --workload <name|all> --seed <n> --seconds <s> --trace <0|1>
 
 Run from the repository root.  Workloads (see workloads.py and
-BASELINE.md): chern2-simplex4, connection-sphere3, verify-all, cli-session.
+BASELINE.md): chern2-simplex4, connection-sphere3, verify-all,
+cli-session; with `all` the result names each metric
+<workload>.<metric>.
 
---trace 0 starts REPLICAS fresh worker processes side by side, one per
-CPU, on the same seed.  Each imports chernweil from ./src, builds its
-inputs, runs one warm-up batch (two for connection-sphere3) on seeds
-outside the timed set, then runs the same fixed number of timed batches
-(worker.BATCH_SECONDS).  Every op's exact result is checked in every
-replica.  Before each batch a worker times a fixed pure-Python probe.
+--trace 0 starts WORKERS fresh worker processes, one after another.
+Each imports chernweil from ./src, builds its inputs and runs its
+warm-up on seeds outside the timed set; that is its set-up.  The first
+then runs timed batches drawn from the seed for --seconds (at least
+worker.MIN_BATCHES); the others stop after set-up, so set-up is
+measured WORKERS times.  Every op's exact result is checked.  A worker
+reads the machine's speed every 25 ms by timing a fixed kernel in a
+signal handler (worker.SpeedSampler), and reports each op's time, and
+its set-up time, both in seconds and in probe units: the number of
+kernel runs it is worth at the speed the machine had while it ran.
 
-batch_best_ref, the bounded time metric, is the sum over op kinds of
-the fastest time of that kind (each op taken as the lower of its two
-replicas' readings), divided by the fastest probe reading of the run.
-This machine's CPUs slow down by up to 2x in spells of seconds and
-drift over minutes; the lower and fastest readings filter the spells and
-the probe cancels much of the drift (BASELINE.md has the measurements).
-The raw seconds, the median, the tail and the throughput are printed.
+batch_ref, the bounded time metric, is the sum over op kinds of the
+median probe-unit time of that kind.  On the shared 2-vCPU host of the
+baseline, CPUs slow down by up to 2x in spells of seconds and drift over
+minutes; over ten runs, raw batch times spread by 0.08-0.41 and
+batch_ref by 0.01-0.08 (BASELINE.md has the measurements).  setup_s is the median over the workers of the
+set-up time in probe units, scaled to seconds at the reference speed
+(worker.KERNEL_REF_S); peak_rss_mb is the timed worker's.  The raw
+seconds, the median, the tail and the throughput are printed but not
+bounded.
 
---trace 1 starts one worker that runs the same batches untraced, with
+--trace 1 starts one worker that runs fixed batches untraced, with
 spans around the library's entry points, and under cProfile, and
 reports the per-layer metrics (metrics.PER_LAYER).
 
@@ -38,6 +46,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -51,7 +60,7 @@ sys.path.insert(0, str(HERE))
 from metrics import END_TO_END, PER_LAYER  # noqa: E402
 
 WORKLOADS = ("chern2-simplex4", "connection-sphere3", "verify-all", "cli-session")
-REPLICAS = 2  # concurrent copies of an untraced run, one per CPU
+WORKERS = 3  # fresh workers per untraced run, one at a time: set-up is measured three times
 DEADLINE_S = 170.0
 
 # one BLAS/OpenMP thread, fixed string hashing; set for the workers only
@@ -100,25 +109,21 @@ def start(workload, seed, seconds, trace, oracle, workdir):
     return subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
-def collect(procs, deadline):
-    """Wait for every worker; kill the rest if one fails or the deadline passes."""
-    results = []
+def collect(proc, deadline):
+    """Wait for one worker and return its result; kill it if it fails or the deadline passes."""
     try:
-        for i, proc in enumerate(procs):
-            try:
-                out, err = proc.communicate(timeout=max(1.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                fail(f"worker {i} passed the {DEADLINE_S:.0f} s deadline")
-            lines = out.strip().splitlines()
-            if proc.returncode != 0 or not lines:
-                fail(f"worker {i} exited {proc.returncode}:\n{err[-3000:]}")
-            results.append(json.loads(lines[-1]))
+        try:
+            out, err = proc.communicate(timeout=max(1.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            fail(f"worker passed the {DEADLINE_S:.0f} s deadline")
+        lines = out.strip().splitlines()
+        if proc.returncode != 0 or not lines:
+            fail(f"worker exited {proc.returncode}:\n{err[-3000:]}")
+        return json.loads(lines[-1])
     finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait()
-    return results
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
 
 
 def tail(values):
@@ -131,26 +136,19 @@ def tail(values):
     return xs[n - 11], 100.0 * (n - 10) / n
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    args = ap.parse_args()
+def run_workload(workload, seed, seconds, trace):
+    """Run one workload, print its metrics, return its result object."""
     deadline = time.monotonic() + DEADLINE_S
-
-    if not (ROOT / "src" / "chernweil" / "__init__.py").is_file():
-        fail(f"no src/chernweil under {ROOT}; run from a full source checkout")
-    env = environment()
-    print(f"# perfbench workload={args.workload} seed={args.seed} seconds={args.seconds:g} trace={args.trace}")
-    print("# env " + json.dumps(env))
-
     work = HERE / ".work" / str(os.getpid())
     try:
-        n = 1 if args.trace else REPLICAS
-        procs = [start(args.workload, args.seed, args.seconds, args.trace, i == 0, work / str(i)) for i in range(n)]
-        results = collect(procs, deadline)
+        if trace:
+            results = [collect(start(workload, seed, seconds, 1, True, work / "0"), deadline)]
+        else:
+            # the first worker runs the timed batches, the others only set up
+            results = [
+                collect(start(workload, seed, seconds if i == 0 else 0, 0, i == 0, work / str(i)), deadline)
+                for i in range(WORKERS)
+            ]
     finally:
         shutil.rmtree(work, ignore_errors=True)
         if (HERE / ".work").is_dir() and not any((HERE / ".work").iterdir()):
@@ -169,31 +167,33 @@ def main():
         print(f"# oracle {'pass' if good else 'FAIL'}: {detail}")
     correct = failed == 0 and all(good for good, _ in oracles)
 
-    if args.trace:
+    if trace:
         values = results[0]["metrics"]
         units = {name: unit for name, unit, _ in PER_LAYER}
     else:
-        n = min(len(r["wall"]) for r in results)  # replicas ran the same ops in the same order
-        wall = [min(r["wall"][j] for r in results) for j in range(n)]
-        cpu = [min(r["cpu"][j] for r in results) for j in range(n)]
-        passed = sum(all(r["ok"][j] for r in results) for j in range(n))
-        best = {}
-        for j in range(n):
-            kind = results[0]["kinds"][j]
-            best[kind] = min(best.get(kind, wall[j]), wall[j])
-        probe_best = min(t for r in results for t in r["probes"])
+        timed = results[0]
+        wall, cpu = timed["wall"], timed["cpu"]
+        passed = sum(timed["ok"])
+        ref, raw = {}, {}
+        for kind, u, w in zip(timed["kinds"], timed["ref"], wall):
+            ref.setdefault(kind, []).append(u)
+            raw.setdefault(kind, []).append(w)
         values = {
-            "batch_best_ref": sum(best.values()) / probe_best,
+            "batch_ref": sum(statistics.median(v) for v in ref.values()),
             "setup_s": statistics.median(r["setup_s"] for r in results),
-            "peak_rss_mb": statistics.median(r["rss_mb"] for r in results),
+            "peak_rss_mb": timed["rss_mb"],
         }
         units = {name: unit for name, unit, _ in END_TO_END}
+        n = len(wall)
         tail_s, tail_pct = tail(wall)
-        print(f"# timed ops n={n} per replica, {len(results)} replicas, {len(best)} op kinds")
-        print(f"# setup_s per replica: {[round(r['setup_s'], 4) for r in results]}")
-        print(f"# best time per op kind: {json.dumps({k: round(v, 4) for k, v in best.items()})}")
-        print(f"batch_best_s {sum(best.values()):.6g} s")
-        print(f"probe_best_s {probe_best:.6g} s")
+        print(f"# timed ops n={n} in {timed['batches']} batches, {len(ref)} op kinds")
+        print(f"# setup_s per worker: {[round(r['setup_s'], 4) for r in results]}, "
+              f"as measured {[round(r['setup_wall_s'], 4) for r in results]} s")
+        print(f"# median probe units per op kind: {json.dumps({k: round(statistics.median(v), 1) for k, v in ref.items()})}")
+        print(f"# speed readings per worker: {[r['readings'] for r in results]}, "
+              f"median {[round(r['reading_p50_s'] * 1e3, 3) for r in results]} ms")
+        print(f"batch_s {sum(statistics.median(v) for v in raw.values()):.6g} s")
+        print(f"setup_wall_s {statistics.median(r['setup_wall_s'] for r in results):.6g} s")
         print(f"op_p50_s {statistics.median(wall):.6g} s")
         print(f"op_tail_s {tail_s:.6g} s (p{tail_pct:.1f}, {10 if n >= 20 else 0} of {n} samples beyond it)")
         print(f"op_cpu_p50_s {statistics.median(cpu):.6g} s")
@@ -202,12 +202,41 @@ def main():
         print(f"{name} {v:.6g} {units[name]}")
     print(f"fail_ratio {(failed + nonconforming) / attempted:.6g} "
           f"({nonconforming} known-nonconforming + {failed} failed of {attempted} ops)")
-    print(json.dumps({
+    return {
         "correct": correct,
         "attempted": attempted,
         "failed": failed,
         "metrics": {name: {"value": v, "unit": units[name]} for name, v in values.items()},
-    }))
+    }
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args()
+    # on SIGTERM, unwind through collect(), which kills and waits for the worker
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+    if not (ROOT / "src" / "chernweil" / "__init__.py").is_file():
+        fail(f"no src/chernweil under {ROOT}; run from a full source checkout")
+    print("# env " + json.dumps(environment()))
+    if args.workload != "all":
+        print(f"# perfbench workload={args.workload} seed={args.seed} seconds={args.seconds:g} trace={args.trace}")
+        print(json.dumps(run_workload(args.workload, args.seed, args.seconds, args.trace)))
+        return
+    # every workload in turn; the result names each metric <workload>.<metric>
+    total = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
+    for workload in WORKLOADS:
+        print(f"# perfbench workload={workload} seed={args.seed} seconds={args.seconds:g} trace={args.trace}")
+        r = run_workload(workload, args.seed, args.seconds, args.trace)
+        total["correct"] = total["correct"] and r["correct"]
+        total["attempted"] += r["attempted"]
+        total["failed"] += r["failed"]
+        total["metrics"].update({f"{workload}.{k}": v for k, v in r["metrics"].items()})
+    print(json.dumps(total))
 
 
 if __name__ == "__main__":

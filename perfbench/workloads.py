@@ -32,7 +32,8 @@ from chernweil.scalars import Scalar
 OK, NONCONFORMING = "ok", "nonconforming"
 
 # Each workload class has `name`, `seeded` (whether batch seeds derive from
-# --seed), `batch(seed) -> [Op]`, and optionally `oracle()` and `end_batch()`.
+# --seed), `batch(seed) -> [Op]`, and optionally `oracle()`, `end_batch()` and
+# `warmup(seed) -> [Op]` (the warm-up ops, when they are not a whole batch).
 
 
 class Op:
@@ -252,6 +253,11 @@ class VerifyAll:
     def batch(self, seed):
         s = str(seed % 100000)
         return [self._op(suite, len(checks), s) for suite, checks in cli.SUITES.items()]
+
+    def warmup(self, seed):
+        """One op: the bundles suite, which touches every layer but cw in
+        half a second; a whole batch would make set-up ten seconds long."""
+        return [self._op("bundles", len(cli.SUITES["bundles"]), str(seed))]
 
     @staticmethod
     def _op(suite, nchecks, seed):
