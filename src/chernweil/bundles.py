@@ -26,7 +26,7 @@ from math import factorial
 
 import numpy as np
 
-from .forms import AffineMap, FaceConsistencyError, PolyForm, bubble, random_poly, whitney_extend
+from .forms import AffineMap, FaceConsistencyError, PolyForm, bubble, form_on, random_poly, whitney_extend
 from .poly import Poly
 from .scalars import Scalar
 from .simplicial import (
@@ -451,11 +451,7 @@ class Connection:
         return self.forms[sid]
 
     def form_on(self, fs):
-        sid, word = fs
-        f = self.forms[sid]
-        if not word:
-            return f
-        return f.pullback(AffineMap.collapse(word, sid.dim + len(word)))
+        return form_on(self.forms, fs)
 
     def data_equal(self, other):
         return self.bundle.base == other.bundle.base and self.forms == other.forms
@@ -516,10 +512,7 @@ def gauge_prescription(P, D_forms, sid, i, order=6):
     From A_face = Ad_{phi^{-1}}(delta_i^* A) + phi^{-1} d phi:
         delta_i^* A = Ad_phi(A_face) - (d phi) phi^{-1}.
     """
-    tgt, word = P.base.face(sid, i)
-    f = D_forms[tgt]
-    if word:
-        f = f.pullback(AffineMap.collapse(word, sid.dim - 1))
+    f = form_on(D_forms, P.base.face(sid, i))
     phi = P.transitions[(sid, i)]
     if phi.is_identity():
         return f
@@ -574,15 +567,12 @@ def validate_connection(P, D, tol=1e-9, seed=0, samples=4):
             A = D.forms[sid]
             for i in range(d + 1):
                 actual = A.pullback(AffineMap.face(d, i))
-                tgt, word = X.face(sid, i)
-                face_form = D.forms[tgt]
-                if word:
-                    face_form = face_form.pullback(AffineMap.collapse(word, d - 1))
                 if exact:
                     want = gauge_prescription(P, D.forms, sid, i)
                     if actual != want:
                         failures.append(f"gauge compatibility fails at ({X.name(sid)}, {i})")
                     continue
+                face_form = form_on(D.forms, X.face(sid, i))
                 phi = P.transitions[(sid, i)]
                 local_worst = 0.0
                 for pt in _sample_points(d - 1, samples, seed):
@@ -770,10 +760,7 @@ def apply_gauge(P, gauges, D=None):
                 phi = P.transitions[(sid, i)]
                 fm = AffineMap.face(d, i)
                 h_here = gauges[sid].pullback(fm)
-                tgt, word = X.face(sid, i)
-                h_face = gauges[tgt]
-                if word:
-                    h_face = h_face.pullback(AffineMap.collapse(word, d - 1))
+                h_face = form_on(gauges, X.face(sid, i))
                 t = TransitionMap(P.algebra, d - 1, [-h_here])
                 t = t.compose(phi).compose(TransitionMap(P.algebra, d - 1, [h_face]))
                 transitions[(sid, i)] = t

@@ -50,13 +50,23 @@ class RunReport:
         return "\n".join(self.lines) + "\n"
 
 
+def _space_size(kind, arg):
+    try:
+        n = int(arg)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise UsageError(f"{kind} needs a nonnegative integer size, got {arg!r}")
+    return n
+
+
 def _parse_space(selector):
     if ":" in selector:
         kind, _, arg = selector.partition(":")
         if kind == "standard":
-            return sc.standard_simplex(int(arg))
+            return sc.standard_simplex(_space_size(kind, arg))
         if kind == "boundary-sphere":
-            return sc.boundary_sphere(int(arg))
+            return sc.boundary_sphere(_space_size(kind, arg))
         if kind == "clutch":
             return sc.two_disk_sphere()
     if selector == "two-disk":

@@ -25,6 +25,7 @@ import numpy as np
 
 from .bundles import Connection, LieValuedForm, pullback_bundle
 from .forms import AffineMap, PolyForm, SimplicialForm, check_simplicial_form, integrate_to_cochain
+from .linalg import sort_sign
 from .poly import Poly
 from .scalars import Scalar
 from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_cochain, word_epi
@@ -63,18 +64,6 @@ def _component_matrices(F):
     return comps
 
 
-def _sort_sign(seq):
-    """Sorted tuple and the sign of the sorting permutation (0 if repeats)."""
-    sign = 1
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                sign = -sign
-            elif seq[a] == seq[b]:
-                return None, 0
-    return tuple(sorted(seq)), sign
-
-
 def _cw_polyform_wedge(rho, F):
     """rho(F, .., F) with scalar parts wedged; one chart."""
     k = rho.arity
@@ -84,7 +73,7 @@ def _cw_polyform_wedge(rho, F):
     if not comps:
         return out
     for tup in itertools.product(sorted(comps), repeat=k):
-        K, sign = _sort_sign(sum(tup, ()))
+        K, sign = sort_sign(sum(tup, ()))
         if sign == 0:
             continue
         val = rho.eval([comps[I] for I in tup])

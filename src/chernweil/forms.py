@@ -20,6 +20,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
+from .linalg import PrecomputedSolver, sort_sign
 from .poly import Poly, bernstein_basis
 from .scalars import Scalar
 from .simplicial import (
@@ -35,20 +36,6 @@ class DegreeMismatchError(ValueError):
 
 class FaceConsistencyError(ValueError):
     pass
-
-
-def _merge_sign(I, J):
-    """Sorted merge of disjoint index tuples and the permutation sign."""
-    merged = I + J
-    sign = 1
-    # count inversions of the concatenation
-    for a in range(len(merged)):
-        for b in range(a + 1, len(merged)):
-            if merged[a] > merged[b]:
-                sign = -sign
-            elif merged[a] == merged[b]:
-                return None, 0
-    return tuple(sorted(merged)), sign
 
 
 class PolyForm:
@@ -145,7 +132,7 @@ class PolyForm:
         out = {}
         for I, p in self.comps.items():
             for J, q in other.comps.items():
-                K, sign = _merge_sign(I, J)
+                K, sign = sort_sign(I + J)
                 if sign == 0:
                     continue
                 s = out.get(K, Poly.zero(self.dim)) + (p * q).scale(Fraction(sign))
@@ -315,6 +302,18 @@ class BernsteinMap:
 # simplicial forms
 
 
+def form_on(forms_by_sid, fs):
+    """The form a formal simplex (sid, word) carries: forms_by_sid[sid]
+    pulled back along the degeneracy collapse s_word.  Works for any
+    per-simplex data with a ``pullback`` (forms, Lie-valued forms and
+    polynomials)."""
+    sid, word = fs
+    f = forms_by_sid[sid]
+    if not word:
+        return f
+    return f.pullback(AffineMap.collapse(word, sid.dim + len(word)))
+
+
 class SimplicialForm:
     """One PolyForm per nondegenerate simplex, compatible under faces."""
 
@@ -335,11 +334,7 @@ class SimplicialForm:
 
     def form_on(self, fs):
         """Value on a formal simplex: pullback along the collapse."""
-        sid, word = fs
-        f = self.forms[sid]
-        if not word:
-            return f
-        return f.pullback(AffineMap.collapse(word, sid.dim + len(word)))
+        return form_on(self.forms, fs)
 
     def d(self):
         return SimplicialForm(self.base, self.deg + 1, {s: f.d() for s, f in self.forms.items()})
@@ -515,8 +510,6 @@ def _facet_system(d, deg, D, facets):
     key = (d, deg, D, facets)
     if key in _FACET_SYSTEMS:
         return _FACET_SYSTEMS[key]
-    from .linalg import PrecomputedSolver
-
     comps = list(itertools.combinations(range(d), deg))
     tgt_comps = list(itertools.combinations(range(d - 1), deg))
     monos = _monomials_up_to(d, D)
@@ -594,13 +587,7 @@ def random_simplicial_form(X, deg, rng, degree=2):
             if d == 0:
                 forms[sid] = PolyForm(0, 0, {(): random_poly(rng, 0, 0)})
                 continue
-            prescriptions = {}
-            for i in range(d + 1):
-                tgt, word = X.face(sid, i)
-                f = forms[tgt]
-                if word:
-                    f = f.pullback(AffineMap.collapse(word, d - 1))
-                prescriptions[i] = f
+            prescriptions = {i: form_on(forms, X.face(sid, i)) for i in range(d + 1)}
             f = whitney_extend(d, deg, prescriptions)
             if deg <= d:
                 f = f + random_polyform(rng, d, deg, degree).mul_poly(bubble(d))

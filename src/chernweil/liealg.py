@@ -21,6 +21,7 @@ from math import factorial
 import numpy as np
 from scipy.linalg import expm
 
+from .linalg import row_reduce, solution_from_pivots, sort_sign
 from .scalars import TAU, Scalar
 
 
@@ -78,16 +79,10 @@ def _det(A):
         return A[0][0]
     total = None
     for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
         term = A[0][perm[0]]
         for i in range(1, n):
             term = term * A[i][perm[i]]
-        term = scale_value(term, Fraction(sign))
+        term = scale_value(term, Fraction(sort_sign(perm)[1]))
         total = term if total is None else total + term
     return total
 
@@ -177,35 +172,12 @@ def _basis_sun(n):
 
 def _scalar_solve(columns, rhs):
     """Solve sum_j x_j columns[j] = rhs exactly over tau-free Scalars."""
-    m = len(rhs)
     n = len(columns)
-    A = [[columns[j][i] for j in range(n)] for i in range(m)]
-    b = list(rhs)
-    r = 0
-    piv_cols = []
-    for c in range(n):
-        piv = next((i for i in range(r, m) if not A[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        b[r], b[piv] = b[piv], b[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        b[r] = b[r] / pv
-        for i in range(m):
-            if i != r and not A[i][c].is_zero():
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-                b[i] = b[i] - b[r] * f
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, m):
-        if not b[i].is_zero():
-            raise LieAlgebraError("matrix not in the span of the basis")
-    x = [Scalar.zero()] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = b[i]
-    return x
+    rows = [[col[i] for col in columns] + [b] for i, b in enumerate(rhs)]
+    pivots = row_reduce(rows, n)
+    if any(not row[n].is_zero() for row in rows[len(pivots):]):
+        raise LieAlgebraError("matrix not in the span of the basis")
+    return solution_from_pivots(pivots, [row[n] for row in rows], n)
 
 
 class LieData:

@@ -1,10 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Gaussian elimination with exact Fraction pivoting.  The right-hand side
-may carry Scalar entries (tau-Laurent values); only the matrix entries
-are pivoted on, so no Scalar division is ever needed.  Pivoting order is
-fixed (first nonzero in column order), which makes every solution
-deterministic: free variables are set to zero.
+Everything here rests on one kernel, ``row_reduce``: Gauss-Jordan
+elimination on the first ``ncols`` columns of a list of rows, in place.
+The pivot rule is fixed (columns in order, first nonzero entry at or
+below the current row), which makes every result deterministic: free
+variables are set to zero.  Columns past ``ncols`` are never pivoted
+on but receive the same row operations, so callers append what they
+want carried along:
+
+    rank                   [A]
+    solve_or_certify       [A | b | I]
+    PrecomputedSolver      [A | I]    (I becomes the transform for any b)
+    liealg._scalar_solve   [A | b]    (A of tau-free Gaussian rationals)
+
+b may hold Scalars (tau-Laurent values); only A is pivoted on, so a
+Scalar is only ever divided by a pivot of A.  After reduction the
+trailing identity block of a zero row of A is a vector y with
+y^T A = 0, the unsolvability certificate when y^T b != 0.
+
+``sort_sign`` gives the sign of a sorting permutation, for wedge
+products and determinants.
 """
 
 from __future__ import annotations
@@ -14,34 +29,55 @@ from fractions import Fraction
 from .scalars import Scalar
 
 
-def rank(matrix):
-    """Rank of a list-of-rows Fraction matrix."""
-    rows = [list(map(Fraction, r)) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+def row_reduce(rows, ncols):
+    """Gauss-Jordan on columns [0, ncols) of rows; returns the (row, col) pivots.
+
+    Entries may be Fractions or exact Scalars; the pivots must be
+    invertible under ``/``.
+    """
+    m = len(rows)
+    pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pv = rows[r][c]
         rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
+        for i in range(m):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append((r, c))
         r += 1
-        if r == len(rows):
-            break
-    return r
+    return pivots
+
+
+def _identity_row(i, m):
+    return [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+
+
+def rank(matrix):
+    """Rank of a list-of-rows Fraction matrix."""
+    rows = [list(map(Fraction, r)) for r in matrix]
+    return len(row_reduce(rows, len(rows[0]))) if rows else 0
 
 
 def nullity(matrix, ncols):
     if not matrix:
         return ncols
     return ncols - rank(matrix)
+
+
+def solution_from_pivots(pivots, values, n):
+    """x with x[col] = values[row] at each pivot and zero elsewhere."""
+    x = [Scalar.zero() for _ in range(n)]
+    for ri, ci in pivots:
+        x[ci] = values[ri]
+    return x
 
 
 def solve_or_certify(matrix, rhs):
@@ -54,54 +90,15 @@ def solve_or_certify(matrix, rhs):
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    rows = [list(map(Fraction, r)) for r in matrix]
-    b = [Scalar.coerce(x) for x in rhs]
-    # track row operations: trans[i] expresses current row i in original rows
-    trans = [[Fraction(1) if j == i else Fraction(0) for j in range(m)] for i in range(m)]
-
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        b[r], b[piv] = b[piv], b[r]
-        trans[r], trans[piv] = trans[piv], trans[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        b[r] = b[r] / pv
-        trans[r] = [x / pv for x in trans[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * bb for a, bb in zip(rows[i], rows[r])]
-                b[i] = b[i] - b[r] * f
-                trans[i] = [a - f * bb for a, bb in zip(trans[i], trans[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-
-    for i in range(r, m):
-        if not b[i].is_zero():
-            return "certificate", trans[i]
-
-    x = [Scalar.zero() for _ in range(n)]
-    for (ri, ci) in pivots:
-        x[ci] = b[ri]
-    return "solved", x
-
-
-def matvec(matrix, vec):
-    out = []
-    for row in matrix:
-        s = Scalar.zero()
-        for a, v in zip(row, vec):
-            if a:
-                s = s + Scalar.coerce(v) * Fraction(a)
-        out.append(s)
-    return out
+    rows = [
+        list(map(Fraction, a)) + [Scalar.coerce(b)] + _identity_row(i, m)
+        for i, (a, b) in enumerate(zip(matrix, rhs))
+    ]
+    pivots = row_reduce(rows, n)
+    for row in rows[len(pivots):]:
+        if not row[n].is_zero():
+            return "certificate", row[n + 1:]
+    return "solved", solution_from_pivots(pivots, [row[n] for row in rows], n)
 
 
 class PrecomputedSolver:
@@ -114,32 +111,11 @@ class PrecomputedSolver:
     def __init__(self, matrix):
         m = len(matrix)
         n = len(matrix[0]) if m else 0
-        rows = [list(map(Fraction, r)) for r in matrix]
-        trans = [[Fraction(1) if j == i else Fraction(0) for j in range(m)] for i in range(m)]
-        pivots = []
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            trans[r], trans[piv] = trans[piv], trans[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            trans[r] = [x / pv for x in trans[r]]
-            for i in range(m):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * bb for a, bb in zip(rows[i], rows[r])]
-                    trans[i] = [a - f * bb for a, bb in zip(trans[i], trans[r])]
-            pivots.append((r, c))
-            r += 1
-            if r == m:
-                break
+        rows = [list(map(Fraction, a)) + _identity_row(i, m) for i, a in enumerate(matrix)]
         self.m, self.n = m, n
-        self.rank = r
-        self.pivots = pivots
-        self.trans = trans
+        self.pivots = row_reduce(rows, n)
+        self.rank = len(self.pivots)
+        self.trans = [row[n:] for row in rows]
 
     def solve(self, rhs):
         b = [Scalar.coerce(x) for x in rhs]
@@ -153,7 +129,17 @@ class PrecomputedSolver:
         for i in range(self.rank, self.m):
             if not y[i].is_zero():
                 return "certificate", self.trans[i]
-        x = [Scalar.zero() for _ in range(self.n)]
-        for (ri, ci) in self.pivots:
-            x[ci] = y[ri]
-        return "solved", x
+        return "solved", solution_from_pivots(self.pivots, y, self.n)
+
+
+def sort_sign(seq):
+    """Sorted tuple and the sign of the sorting permutation, or (None, 0)
+    when seq repeats an entry."""
+    sign = 1
+    for a in range(len(seq)):
+        for b in range(a + 1, len(seq)):
+            if seq[a] > seq[b]:
+                sign = -sign
+            elif seq[a] == seq[b]:
+                return None, 0
+    return tuple(sorted(seq)), sign

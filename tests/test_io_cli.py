@@ -110,6 +110,11 @@ def test_cli_betti(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "betti: 1 0 0 1" in out
+    # size 0 is the smallest valid size of each family
+    assert main(["betti", "--space", "standard:0"]) == 0
+    assert "betti: 1\n" in capsys.readouterr().out
+    assert main(["betti", "--space", "boundary-sphere:0"]) == 0
+    assert "betti: 2\n" in capsys.readouterr().out
 
 
 def test_cli_chern_clutch(capsys):
@@ -172,6 +177,17 @@ def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as e:
         main(["not-a-command"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "space",
+    ["boundary-sphere:abc", "standard:abc", "standard:1.5", "standard:-1", "boundary-sphere:-1"],
+)
+def test_cli_bad_space_size(space, capsys):
+    assert main(["betti", "--space", space]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_cli_math_failure(tmp_path, capsys):
