@@ -60,6 +60,14 @@ def _space_size(kind, arg):
     return n
 
 
+def _clutch_n(arg):
+    """The winding number N of a clutch:N selector."""
+    try:
+        return int(arg)
+    except ValueError:
+        raise UsageError(f"clutch needs an integer winding number, got {arg!r}") from None
+
+
 def _parse_space(selector):
     if ":" in selector:
         kind, _, arg = selector.partition(":")
@@ -68,6 +76,7 @@ def _parse_space(selector):
         if kind == "boundary-sphere":
             return sc.boundary_sphere(_space_size(kind, arg))
         if kind == "clutch":
+            _clutch_n(arg)
             return sc.two_disk_sphere()
     if selector == "two-disk":
         return sc.two_disk_sphere()
@@ -84,6 +93,8 @@ def _scalar_str(v, mode):
 
 
 def cmd_betti(args, report):
+    if args.max_dim is not None and args.max_dim < 0:
+        raise UsageError(f"--max-dim must be a nonnegative integer, got {args.max_dim}")
     X = _parse_space(args.space)
     maxd = X.dim if args.max_dim is None else args.max_dim
     b = sc.betti_numbers(X, maxd)
@@ -96,7 +107,7 @@ def _load_bundle(args):
     """Returns (base, bundle, connection, name, expected winding or None)."""
     sel = args.bundle
     if sel.startswith("clutch:"):
-        n = int(sel.split(":")[1])
+        n = _clutch_n(sel.partition(":")[2])
         P, D = bn.clutch_bundle(n)
         if args.connection:
             D = cio.parse_connection(Path(args.connection).read_text(), P)
@@ -124,9 +135,9 @@ class MathError(Exception):
 
 def cmd_chern(args, report):
     X, P, D, name, winding = _load_bundle(args)
+    rho = la.invariant_polynomial_from_selector(P.algebra, args.poly)
     crep = bn.validate_connection(P, D, tol=args.tol, seed=args.seed)
     report.check("connection-valid", crep.ok, "exact" if crep.exact else f"sampled, worst {crep.worst:.2e}")
-    rho = la.invariant_polynomial_from_selector(P.algebra, args.poly)
     alpha = cw.cw_cochain(rho, D)
     closed = sc.coboundary(X, alpha).is_zero()
     cycles = []
@@ -341,7 +352,7 @@ def main(argv=None):
     report = RunReport(echo, args.seed, args.mode)
     try:
         report = COMMANDS[args.command](args, report)
-    except (UsageError, cio.ParseError, FileNotFoundError, sc.InvalidHornError) as e:
+    except (UsageError, cio.ParseError, FileNotFoundError, sc.InvalidHornError, la.SelectorError) as e:
         sys.stderr.write(f"error: {e}\n")
         return USAGE_ERROR
     except MathError as e:

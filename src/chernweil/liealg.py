@@ -29,6 +29,10 @@ class LieAlgebraError(ValueError):
     pass
 
 
+class SelectorError(ValueError):
+    """An invariant-polynomial selector that does not parse."""
+
+
 # ---------------------------------------------------------------------------
 # generic matrix helpers over duck-typed entries
 
@@ -526,20 +530,34 @@ def reznikov_pullback(k, order=32):
 
 
 def invariant_polynomial_from_selector(algebra, selector):
-    """Parse selectors like chern:2, symtrace:3, reznikov:2:order=32."""
-    parts = selector.split(":")
-    kind = parts[0]
+    """Parse selectors like chern:2, symtrace:3, reznikov:2:order=32.
+
+    A selector that does not parse, or whose degree is below 1, raises
+    SelectorError.
+    """
+    kind, _, rest = selector.partition(":")
+    if kind not in ("chern", "symtrace", "reznikov"):
+        raise SelectorError(f"unknown invariant polynomial selector {selector!r}")
+    args = rest.split(":")
+    k = _selector_int(selector, args[0])
+    if k < 1:
+        raise SelectorError(f"selector {selector!r} needs a degree >= 1")
     if kind == "chern":
-        return chern_polynomial(algebra, int(parts[1]))
+        return chern_polynomial(algebra, k)
     if kind == "symtrace":
-        return sym_trace_poly(algebra, int(parts[1]))
-    if kind == "reznikov":
-        order = 32
-        for p in parts[2:]:
-            if p.startswith("order="):
-                order = int(p[6:])
-        return reznikov_pullback(int(parts[1]), order)
-    raise ValueError(f"unknown invariant polynomial selector {selector!r}")
+        return sym_trace_poly(algebra, k)
+    order = 32
+    for p in args[1:]:
+        if p.startswith("order="):
+            order = _selector_int(selector, p[6:])
+    return reznikov_pullback(k, order)
+
+
+def _selector_int(selector, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise SelectorError(f"selector {selector!r} needs an integer, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

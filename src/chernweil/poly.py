@@ -8,9 +8,11 @@ tuples; zero coefficients are pruned eagerly so equality is structural.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import add
 
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
+
+_new = object.__new__
 
 
 def _monomial_key(exps):
@@ -69,12 +71,8 @@ class Poly:
             raise ValueError("polynomial dimension mismatch")
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, Scalar.zero()) + (c if sign > 0 else -c)
-            if s.is_zero():
-                t.pop(e, None)
-            else:
-                t[e] = s
-        return Poly(self.dim, t)
+            _accumulate(t, e, c if sign > 0 else -c)
+        return _poly(self.dim, t)
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -87,7 +85,7 @@ class Poly:
         return self._binop_add(other, -1)
 
     def __neg__(self):
-        return Poly(self.dim, {e: -c for e, c in self.terms.items()})
+        return _poly(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -95,23 +93,25 @@ class Poly:
         if self.dim != other.dim:
             raise ValueError("polynomial dimension mismatch")
         t = {}
+        terms2 = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, Scalar.zero()) + c1 * c2
-                if s.is_zero():
-                    t.pop(e, None)
-                else:
-                    t[e] = s
-        return Poly(self.dim, t)
+            for e2, c2 in terms2:
+                _accumulate(t, tuple(map(add, e1, e2)), c1 * c2)
+        return _poly(self.dim, t)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Scalar.coerce(c)
+        if type(c) is not Scalar:
+            c = Scalar.coerce(c)
         if c.is_zero():
             return Poly.zero(self.dim)
-        return Poly(self.dim, {e: cc * c for e, cc in self.terms.items()})
+        t = {}
+        for e, cc in self.terms.items():
+            p = cc * c
+            if not p.is_zero():
+                t[e] = p
+        return _poly(self.dim, t)
 
     def __pow__(self, n):
         out = Poly.const(self.dim, 1)
@@ -194,6 +194,29 @@ class Poly:
             )
             bits.append(f"{c!r}" + (f"*{mono}" if mono else ""))
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def _poly(dim, terms):
+    """A Poly over a fresh dict of tuple keys and nonzero Scalars (no checks)."""
+    p = _new(Poly)
+    p.dim = dim
+    p.terms = terms
+    return p
+
+
+def _accumulate(t, e, c):
+    """t[e] += c for a nonzero Scalar c, dropping the key when the sum is zero."""
+    c0 = t.get(e)
+    if c0 is None:
+        if c.fval is None:
+            t[e] = c
+            return
+        c0 = ZERO  # a float payload is normalised by adding it to zero
+    s = c0 + c
+    if s.is_zero():
+        t.pop(e, None)
+    else:
+        t[e] = s
 
 
 def bernstein_basis(dim, degree):

@@ -1,10 +1,12 @@
 """Exact scalar arithmetic with the circle constant kept symbolic.
 
 A Scalar is a Laurent polynomial in one formal symbol ``tau`` (standing
-for 2*pi) whose coefficients are Gaussian rationals a + b*i.  This is
-enough to carry the i/(2*pi) normalizations of Chern classes through
-every computation without rounding, so integrality statements can be
-tested with ``==``.
+for 2*pi) whose coefficients are Gaussian rationals (a + b*i)/d.  Each
+coefficient is three Python ints in lowest terms (d > 0 and
+gcd(a, b, d) == 1), so equal values have equal fields and arithmetic
+builds no Fraction.  This is enough to carry the i/(2*pi)
+normalizations of Chern classes through every computation without
+rounding, so integrality statements can be tested with ``==``.
 
 A Scalar may instead hold a float (complex) payload; any arithmetic that
 mixes exact and float operands promotes the result to float by
@@ -15,54 +17,102 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 
 TAU = 2.0 * math.pi
 
+_new = object.__new__
+
 
 class QI:
-    """Gaussian rational: re + im*i with Fraction parts."""
+    """Gaussian rational (a + b*i)/d with ints a, b, d in lowest terms."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        # both parts are in lowest terms, so over their least common
+        # denominator gcd(a, b, d) == 1 already
+        re, im = Fraction(re), Fraction(im)
+        d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        return QI(self.re + other.re, self.im + other.im)
+        d = self.d
+        if d == other.d:
+            a, b = self.a + other.a, self.b + other.b
+            if d == 1:
+                return _qi(a, b, 1)
+        else:
+            a = self.a * other.d + other.a * d
+            b = self.b * other.d + other.b * d
+            d *= other.d
+        return _reduced(a, b, d)
 
     def __sub__(self, other):
-        return QI(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _qi(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        return QI(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d
+        if d == 1:
+            return _qi(a, b, 1)
+        return _reduced(a, b, d)
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return QI(self.re / n, -self.im / n)
+        return _reduced(a * d, -b * d, n)
 
     def __eq__(self, other):
-        return isinstance(other, QI) and self.re == other.re and self.im == other.im
+        return isinstance(other, QI) and self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def to_complex(self):
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self.a / self.d) + 1j * complex(self.b / self.d)
 
     def __repr__(self):
         return f"QI({self.re}, {self.im})"
+
+
+def _qi(a, b, d):
+    """A QI from fields already in lowest terms (no checks)."""
+    q = _new(QI)
+    q.a = a
+    q.b = b
+    q.d = d
+    return q
+
+
+def _reduced(a, b, d):
+    """A QI for (a + b*i)/d with d > 0, brought to lowest terms."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _qi(a, b, d)
+    return _qi(a // g, b // g, d // g)
 
 
 class Scalar:
@@ -88,15 +138,15 @@ class Scalar:
 
     @staticmethod
     def zero():
-        return Scalar({})
+        return _scalar({})
 
     @staticmethod
     def one():
-        return Scalar({0: QI(1)})
+        return _scalar({0: _qi(1, 0, 1)})
 
     @staticmethod
     def of(re=0, im=0, tau_power=0):
-        return Scalar({tau_power: QI(Fraction(re), Fraction(im))})
+        return Scalar({tau_power: QI(re, im)})
 
     @staticmethod
     def from_rational(p, q=1):
@@ -104,11 +154,11 @@ class Scalar:
 
     @staticmethod
     def i():
-        return Scalar({0: QI(0, 1)})
+        return _scalar({0: _qi(0, 1, 1)})
 
     @staticmethod
     def tau(power=1):
-        return Scalar({power: QI(1)})
+        return _scalar({power: _qi(1, 0, 1)})
 
     @staticmethod
     def from_float(z):
@@ -118,8 +168,10 @@ class Scalar:
     def coerce(x):
         if isinstance(x, Scalar):
             return x
+        if type(x) is int:
+            return _scalar({0: _qi(x, 0, 1)} if x else {})
         if isinstance(x, (int, Fraction)):
-            return Scalar({0: QI(Fraction(x))})
+            return Scalar({0: QI(x)})
         if isinstance(x, (float, complex)):
             return Scalar(fval=complex(x))
         raise TypeError(f"cannot coerce {type(x)} to Scalar")
@@ -131,7 +183,7 @@ class Scalar:
         return self.fval is None
 
     def is_zero(self):
-        if self.is_exact:
+        if self.fval is None:
             return not self.terms
         return self.fval == 0
 
@@ -139,7 +191,7 @@ class Scalar:
         """True when exact, tau-free and real."""
         if not self.is_exact:
             return False
-        return all(k == 0 and c.im == 0 for k, c in self.terms.items())
+        return all(k == 0 and not c.b for k, c in self.terms.items())
 
     def rational_value(self):
         if not self.is_rational():
@@ -149,17 +201,19 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = Scalar.coerce(other)
-        if self.is_exact and other.is_exact:
-            t = dict(self.terms)
-            for k, c in other.terms.items():
-                s = t.get(k, QI()) + c
-                if s.is_zero():
-                    t.pop(k, None)
-                else:
-                    t[k] = s
-            return Scalar(t)
-        return Scalar(fval=self.to_complex() + other.to_complex())
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        t1, t2 = self.terms, other.terms
+        if t1 is None or t2 is None:
+            return Scalar(fval=self.to_complex() + other.to_complex())
+        if not t2:
+            return self
+        if not t1:
+            return other
+        t = dict(t1)
+        for k, c in t2.items():
+            _add_into(t, k, c)
+        return _scalar(t)
 
     __radd__ = __add__
 
@@ -170,24 +224,26 @@ class Scalar:
         return Scalar.coerce(other) + (-self)
 
     def __neg__(self):
-        if self.is_exact:
-            return Scalar({k: -c for k, c in self.terms.items()})
+        if self.fval is None:
+            return _scalar({k: -c for k, c in self.terms.items()})
         return Scalar(fval=-self.fval)
 
     def __mul__(self, other):
-        other = Scalar.coerce(other)
-        if self.is_exact and other.is_exact:
-            t = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    k = k1 + k2
-                    s = t.get(k, QI()) + c1 * c2
-                    if s.is_zero():
-                        t.pop(k, None)
-                    else:
-                        t[k] = s
-            return Scalar(t)
-        return Scalar(fval=self.to_complex() * other.to_complex())
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        t1, t2 = self.terms, other.terms
+        if t1 is None or t2 is None:
+            return Scalar(fval=self.to_complex() * other.to_complex())
+        if len(t1) == 1 and len(t2) == 1:
+            # a product of nonzero Gaussian rationals is nonzero
+            (k1, c1), = t1.items()
+            (k2, c2), = t2.items()
+            return _scalar({k1 + k2: c1 * c2})
+        t = {}
+        for k1, c1 in t1.items():
+            for k2, c2 in t2.items():
+                _add_into(t, k1 + k2, c1 * c2)
+        return _scalar(t)
 
     __rmul__ = __mul__
 
@@ -199,7 +255,7 @@ class Scalar:
             raise ValueError("exact division only by tau-monomials")
         (k, c), = other.terms.items()
         inv = c.inverse()
-        return Scalar({j - k: cj * inv for j, cj in self.terms.items()})
+        return _scalar({j - k: cj * inv for j, cj in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -210,25 +266,31 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        try:
-            other = Scalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        if self.is_exact and other.is_exact:
+        if type(other) is not Scalar:
+            try:
+                other = Scalar.coerce(other)
+            except TypeError:
+                return NotImplemented
+        if self.fval is None and other.fval is None:
             return self.terms == other.terms
         return self.to_complex() == other.to_complex()
 
     def __hash__(self):
-        if not self.is_exact:
-            return hash(self.fval)
-        return hash(frozenset(self.terms.items()))
+        # equality across exact and float scalars compares to_complex();
+        # a scalar too large for a float can only equal an exact one
+        try:
+            return hash(self.to_complex())
+        except OverflowError:
+            return hash(frozenset(self.terms.items()))
 
     # -- conversion ----------------------------------------------------
 
     def to_complex(self, tau=TAU):
         if not self.is_exact:
             return self.fval
-        return sum((c.to_complex() * tau**k for k, c in self.terms.items()), 0j)
+        t = self.terms
+        # summed in tau-power order, so equal scalars give equal floats
+        return sum((t[k].to_complex() * tau**k for k in sorted(t)), 0j)
 
     def abs_float(self):
         return abs(self.to_complex())
@@ -246,6 +308,27 @@ class Scalar:
                 s += f"*tau^{k}"
             bits.append(s)
         return "Scalar(" + " + ".join(bits) + ")"
+
+
+def _scalar(terms):
+    """An exact Scalar over a fresh dict with no zero coefficients (no checks)."""
+    s = _new(Scalar)
+    s.terms = terms
+    s.fval = None
+    return s
+
+
+def _add_into(t, k, c):
+    """t[k] += c for a nonzero QI c, dropping the key when the sum is zero."""
+    c0 = t.get(k)
+    if c0 is None:
+        t[k] = c
+        return
+    s = c0 + c
+    if s.a or s.b:
+        t[k] = s
+    else:
+        del t[k]
 
 
 ZERO = Scalar.zero()

@@ -128,3 +128,69 @@ def winding_of_samples(values):
     for a, b in zip(values, values[1:] + values[:1]):
         total += np.angle(b / a)
     return total / (2.0 * np.pi)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-rational tau-Laurent scalars as plain dicts: tau power -> (re, im)
+# with Fraction parts and no (0, 0) entries; polynomials as dicts
+# exponent tuple -> such a scalar.
+
+_GR_ZERO = (Fraction(0), Fraction(0))
+
+
+def gr_clean(x):
+    return {k: (re, im) for k, (re, im) in x.items() if re != 0 or im != 0}
+
+
+def gr_add(x, y):
+    out = dict(x)
+    for k, (re, im) in y.items():
+        r0, i0 = out.get(k, _GR_ZERO)
+        out[k] = (r0 + re, i0 + im)
+    return gr_clean(out)
+
+
+def gr_neg(x):
+    return {k: (-re, -im) for k, (re, im) in x.items()}
+
+
+def gr_mul(x, y):
+    out = {}
+    for k1, (a, b) in x.items():
+        for k2, (c, d) in y.items():
+            r0, i0 = out.get(k1 + k2, _GR_ZERO)
+            out[k1 + k2] = (r0 + a * c - b * d, i0 + a * d + b * c)
+    return gr_clean(out)
+
+
+def gr_monomial_inverse(x):
+    """1/x for a nonzero tau-monomial x."""
+    ((k, (a, b)),) = x.items()
+    n = a * a + b * b
+    return {-k: (a / n, -b / n)}
+
+
+def gr_to_complex(x, tau):
+    """Float value at tau, each part through float(Fraction), tau powers in order."""
+    total = 0j
+    for k in sorted(x):
+        re, im = x[k]
+        total += (complex(re) + 1j * complex(im)) * tau**k
+    return total
+
+
+def gr_poly_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = gr_add(out.get(e, {}), c)
+    return {e: c for e, c in out.items() if c}
+
+
+def gr_poly_mul(p, q):
+    """Term-by-term product: every pair of terms, exponents added."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = gr_add(out.get(e, {}), gr_mul(c1, c2))
+    return {e: c for e, c in out.items() if c}

@@ -1,0 +1,32 @@
+"""Exact, float-free CLI outputs pinned to files in tests/golden.
+
+The files were written by an earlier version of the program; any change
+to scalar arithmetic or serialisation that moves one byte fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from chernweil.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_generate_clutch_files(tmp_path, capsys):
+    assert main(["generate", "clutch", "--n", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name in ("space.txt", "bundle.txt", "connection.txt"):
+        assert (tmp_path / name).read_text() == (GOLDEN / f"clutch2_{name}").read_text(), name
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["chern", "--bundle", "clutch:2", "--poly", "chern:1"], "chern_clutch2_chern1.out"),
+        (["clutch", "--n", "3"], "clutch_n3.out"),
+    ],
+)
+def test_report_stdout(argv, golden, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

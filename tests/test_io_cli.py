@@ -181,13 +181,41 @@ def test_cli_usage_errors(capsys):
 
 @pytest.mark.parametrize(
     "space",
-    ["boundary-sphere:abc", "standard:abc", "standard:1.5", "standard:-1", "boundary-sphere:-1"],
+    ["boundary-sphere:abc", "standard:abc", "standard:1.5", "standard:-1", "boundary-sphere:-1",
+     "clutch:abc", "clutch:1.5"],
 )
 def test_cli_bad_space_size(space, capsys):
     assert main(["betti", "--space", space]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chern", "--bundle", "clutch:x"],
+        ["chern", "--bundle", "clutch:"],
+        ["betti", "--space", "boundary-sphere:1", "--max-dim", "-1"],
+        ["chern", "--bundle", "clutch:1", "--poly", "bogus:1"],
+        ["chern", "--bundle", "clutch:1", "--poly", "chern:x"],
+        ["chern", "--bundle", "clutch:1", "--poly", "symtrace:0"],
+    ],
+    ids=["chern-clutch-nonint", "chern-clutch-empty",
+         "betti-negative-max-dim", "poly-bogus", "poly-nonint", "poly-degree-0"],
+)
+def test_cli_bad_selector(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_cli_clutch_selectors_accept_integers(capsys):
+    assert main(["betti", "--space", "clutch:-3"]) == 0
+    assert "betti: 1 0 1" in capsys.readouterr().out
+    assert main(["chern", "--bundle", "clutch:-1", "--poly", "chern:1"]) == 0
+    assert "pairings=[-1]" in capsys.readouterr().out
 
 
 def test_cli_math_failure(tmp_path, capsys):

@@ -1,0 +1,138 @@
+"""The integer Gaussian-rational kernel against the dict-of-Fractions oracle.
+
+Coefficients are drawn from a small pool so that sums cancel often,
+which is where the gcd reduction and the pruning of zero terms matter.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chernweil.poly import Poly
+from chernweil.scalars import QI, TAU, Scalar
+from oracles import (
+    gr_add,
+    gr_monomial_inverse,
+    gr_mul,
+    gr_neg,
+    gr_poly_add,
+    gr_poly_mul,
+    gr_to_complex,
+)
+
+PARTS = st.sampled_from([Fraction(0)] * 4 + [Fraction(v, q) for v in (-4, -1, 1, 2, 3) for q in (1, 2, 3, 6)])
+PAIRS = st.tuples(PARTS, PARTS)
+MODELS = st.dictionaries(st.integers(-2, 2), PAIRS, max_size=3).map(
+    lambda x: {k: c for k, c in x.items() if c != (0, 0)}
+)
+MONOMIALS = st.tuples(st.integers(-2, 2), PAIRS.filter(lambda c: c != (0, 0))).map(lambda kc: {kc[0]: kc[1]})
+EXPONENTS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+POLY_MODELS = st.dictionaries(EXPONENTS, MODELS.filter(bool), max_size=4)
+
+
+def to_scalar(x):
+    return Scalar({k: QI(re, im) for k, (re, im) in x.items()})
+
+
+def model(s):
+    return {k: (c.re, c.im) for k, c in s.terms.items()}
+
+
+def to_poly(p):
+    return Poly(2, {e: to_scalar(c) for e, c in p.items()})
+
+
+def poly_model(p):
+    return {e: model(c) for e, c in p.terms.items()}
+
+
+def bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+def assert_canonical(s):
+    for c in s.terms.values():
+        assert c.d > 0 and gcd(c.a, c.b, c.d) == 1
+        assert c.a or c.b
+
+
+@settings(max_examples=200, deadline=None)
+@given(PARTS, PARTS)
+def test_qi_fields_and_float(re, im):
+    q = QI(re, im)
+    assert (q.re, q.im) == (re, im)
+    assert q.d > 0 and gcd(q.a, q.b, q.d) == 1
+    assert q.is_zero() == (re == 0 and im == 0)
+    assert bits(q.to_complex()) == bits(complex(re) + 1j * complex(im))
+
+
+@settings(max_examples=200, deadline=None)
+@given(MODELS, MODELS)
+def test_scalar_ring_ops_match_oracle(x, y):
+    a, b = to_scalar(x), to_scalar(y)
+    for got, want in [(a + b, gr_add(x, y)), (a - b, gr_add(x, gr_neg(y))), (-a, gr_neg(x)), (a * b, gr_mul(x, y))]:
+        assert model(got) == want
+        assert_canonical(got)
+    assert (a == b) == (x == y)
+    assert (a + b) - b == a
+    assert (a - a).is_zero() and not (a - a).terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(MODELS, MONOMIALS)
+def test_scalar_division_by_monomial_matches_oracle(x, m):
+    a, mono = to_scalar(x), to_scalar(m)
+    q = a / mono
+    assert model(q) == gr_mul(x, gr_monomial_inverse(m))
+    assert_canonical(q)
+    assert q * mono == a
+    ((k, c),) = mono.terms.items()
+    assert model(Scalar({0: c.inverse()})) == gr_monomial_inverse({0: m[k]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(MODELS)
+def test_scalar_rational_and_float_match_oracle(x):
+    s = to_scalar(x)
+    rational = all(k == 0 and im == 0 for k, (_re, im) in x.items())
+    assert s.is_rational() == rational
+    if rational:
+        assert s.rational_value() == x.get(0, (Fraction(0), Fraction(0)))[0]
+    assert bits(s.to_complex()) == bits(gr_to_complex(x, TAU))
+
+
+@settings(max_examples=150, deadline=None)
+@given(MODELS)
+def test_scalar_hash_follows_equality(x):
+    s = to_scalar(x)
+    reordered = Scalar(dict(reversed(list(s.terms.items()))))
+    assert reordered == s and hash(reordered) == hash(s)
+    f = Scalar.from_float(s.to_complex())
+    assert f == s and hash(f) == hash(s)
+
+
+def test_exact_and_float_scalars_hash_alike():
+    assert Scalar.one() == Scalar.from_float(1.0)
+    assert hash(Scalar.one()) == hash(Scalar.from_float(1.0))
+    assert len({Scalar.one(), Scalar.from_float(1.0)}) == 1
+    assert Scalar.tau() == Scalar.from_float(TAU)
+    assert hash(Scalar.tau()) == hash(Scalar.from_float(TAU))
+    assert len({Scalar.tau(), Scalar.from_float(TAU), Scalar.tau() * 1}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(POLY_MODELS, POLY_MODELS, MODELS)
+def test_poly_ops_match_term_by_term_oracle(p, q, c):
+    a, b = to_poly(p), to_poly(q)
+    assert poly_model(a * b) == gr_poly_mul(p, q)
+    assert poly_model(a + b) == gr_poly_add(p, q)
+    assert poly_model(a - b) == gr_poly_add(p, {e: gr_neg(s) for e, s in q.items()})
+    assert poly_model(a.scale(to_scalar(c))) == gr_poly_mul(p, {(0, 0): c} if c else {})
+    for r in (a * b, a + b, a - b, a.scale(to_scalar(c)), (a + b) - b):
+        assert all(s.terms for s in r.terms.values())
+        for s in r.terms.values():
+            assert_canonical(s)
+    assert (a + b) - b == a
+    assert (a - a).is_zero()
