@@ -750,7 +750,8 @@ def apply_gauge(P, gauges, D=None):
     gauges: dict sid -> LieValuedPoly on that simplex.  Transitions pick
     up exp(-h_sid o delta_i) phi exp(h_face); a supplied connection is
     transformed only for constant gauges (Ad by a constant matrix, which
-    leaves polynomial coefficients polynomial; floats may enter).
+    leaves polynomial coefficients polynomial).  The matrix is computed
+    in floats and each entry enters as its exact Gaussian rational.
     """
     X = P.base
     transitions = {}
@@ -785,7 +786,8 @@ def apply_gauge(P, gauges, D=None):
             for b in range(alg.dim):
                 c = R[a, b]
                 if abs(c) > 1e-15:
-                    f = f + D.forms[sid].coords[b].scale(Scalar.from_float(c))
+                    exact = Scalar.of(Fraction(c.real), Fraction(c.imag))
+                    f = f + D.forms[sid].coords[b].scale(exact)
             coords.append(f)
         forms[sid] = LieValuedForm(alg, sid.dim, 1, coords)
     return P2, Connection(P2, forms)

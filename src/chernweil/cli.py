@@ -134,23 +134,20 @@ class MathError(Exception):
 
 
 def cmd_chern(args, report):
+    if args.poly.partition(":")[0] == "reznikov":
+        raise UsageError("reznikov is a float quadrature functional; chern needs chern:k or symtrace:k")
     X, P, D, name, winding = _load_bundle(args)
     rho = la.invariant_polynomial_from_selector(P.algebra, args.poly)
     crep = bn.validate_connection(P, D, tol=args.tol, seed=args.seed)
     report.check("connection-valid", crep.ok, "exact" if crep.exact else f"sampled, worst {crep.worst:.2e}")
-    alpha = cw.cw_cochain(rho, D)
-    closed = sc.coboundary(X, alpha).is_zero()
-    cycles = []
-    if X == sc.two_disk_sphere():
-        cycles.append(sc.fundamental_cycle_two_disk(X))
-    pairings = [sc.pairing(alpha, z) for z in cycles]
-    rep = cw.ClassReport(args.poly, name, closed, pairings)
+    cycles = [sc.fundamental_cycle_two_disk(X)] if X == sc.two_disk_sphere() else []
+    rep = cw.class_report(rho, P, D, cycles, name, poly_name=args.poly)
     report.add(rep.machine_line())
-    report.check("cochain-closed", closed)
-    if winding is not None and pairings:
+    report.check("cochain-closed", rep.closed)
+    if winding is not None and rep.pairings:
         oracle = bn.clutch_winding(P)
-        ok = pairings[0] == oracle == Scalar.from_rational(winding)
-        report.check("winding-oracle-agreement", ok, f"pairing={_scalar_str(pairings[0], args.mode)}")
+        ok = rep.pairings[0] == oracle == Scalar.from_rational(winding)
+        report.check("winding-oracle-agreement", ok, f"pairing={_scalar_str(rep.pairings[0], args.mode)}")
     return report
 
 

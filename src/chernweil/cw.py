@@ -316,12 +316,16 @@ class ClassReport:
         )
 
 
-def class_report(rho, P, D, cycles, bundle_name="bundle"):
-    alpha = cw_cochain(rho, D)
-    closed = coboundary(P.base, alpha).is_zero()
-    pairings = [pairing(alpha, z) for z in cycles]
+def class_report(rho, P, D, cycles, bundle_name="bundle", poly_name=None):
+    """Characteristic cochain of (rho, D), its closedness and its pairings.
+
+    The form is built once and integrated.  For an abelian group it must
+    also be face compatible exactly, or the report says not closed.
+    """
     omega = cw_form(rho, D)
-    violations = check_simplicial_form(omega)
-    if violations and P.algebra.is_abelian:
+    alpha = integrate_to_cochain(omega)
+    closed = coboundary(P.base, alpha).is_zero()
+    if closed and P.algebra.is_abelian and check_simplicial_form(omega):
         closed = False
-    return ClassReport(rho.provenance, bundle_name, closed, pairings)
+    pairings = [pairing(alpha, z) for z in cycles]
+    return ClassReport(poly_name or rho.provenance, bundle_name, closed, pairings)

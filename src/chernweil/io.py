@@ -3,7 +3,7 @@
 Serialized scalars are sums of tau-monomials with Gaussian-rational
 coefficients; polynomials list terms in graded-lexicographic order, so
 serialization doubles as a canonical form (string equality iff value
-equality in exact mode).
+equality).
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ def _qi_str(c):
 
 
 def scalar_to_str(s):
-    if not s.is_exact:
-        return f"~({s.fval.real!r},{s.fval.imag!r})"
     if not s.terms:
         return "0"
     bits = []
@@ -68,19 +66,16 @@ def _parse_qi(text):
 
 def parse_scalar(text):
     text = text.strip()
-    if text.startswith("~(") and text.endswith(")"):
-        re_, im_ = text[2:-1].split(",")
-        return Scalar.from_float(complex(float(re_), float(im_)))
     if text == "0":
         return Scalar.zero()
     terms = {}
     for atom in text.split(" + "):
-        if "*tau^" in atom:
-            head, _, kpart = atom.partition("*tau^")
-            k = int(kpart)
-        else:
-            head, k = atom, 0
-        c = _parse_qi(head)
+        head, tau, kpart = atom.partition("*tau^")
+        try:
+            k = int(kpart) if tau else 0
+            c = _parse_qi(head)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad scalar {text!r}") from None
         terms[k] = terms.get(k, QI()) + c
     return Scalar(terms)
 

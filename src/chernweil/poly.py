@@ -2,7 +2,7 @@
 
 A Poly lives on Delta^d, embedded in R^d with coordinates x_1..x_d
 (indices 0-based internally).  Coefficients are Scalars, so arithmetic
-is exact in exact mode.  Terms are kept in a dict keyed by exponent
+is exact.  Terms are kept in a dict keyed by exponent
 tuples; zero coefficients are pruned eagerly so equality is structural.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .scalars import ZERO, Scalar
+from .scalars import Scalar
 
 _new = object.__new__
 
@@ -208,13 +208,11 @@ def _accumulate(t, e, c):
     """t[e] += c for a nonzero Scalar c, dropping the key when the sum is zero."""
     c0 = t.get(e)
     if c0 is None:
-        if c.fval is None:
-            t[e] = c
-            return
-        c0 = ZERO  # a float payload is normalised by adding it to zero
+        t[e] = c
+        return
     s = c0 + c
     if s.is_zero():
-        t.pop(e, None)
+        del t[e]
     else:
         t[e] = s
 

@@ -7,10 +7,8 @@ gcd(a, b, d) == 1), so equal values have equal fields and arithmetic
 builds no Fraction.  This is enough to carry the i/(2*pi)
 normalizations of Chern classes through every computation without
 rounding, so integrality statements can be tested with ``==``.
-
-A Scalar may instead hold a float (complex) payload; any arithmetic that
-mixes exact and float operands promotes the result to float by
-substituting tau = 2*pi.
+Floats are not Scalars: ``to_complex`` substitutes tau = 2*pi when a
+numeric value is wanted.
 """
 
 from __future__ import annotations
@@ -116,23 +114,12 @@ def _reduced(a, b, d):
 
 
 class Scalar:
-    """Exact tau-Laurent scalar, or a complex float in float mode."""
+    """Exact tau-Laurent scalar: a dict tau-exponent -> nonzero QI."""
 
-    __slots__ = ("terms", "fval")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, fval=None):
-        # terms: dict tau-exponent -> QI (exact mode);  fval: complex (float mode)
-        if fval is not None:
-            self.terms = None
-            self.fval = complex(fval)
-        else:
-            t = {}
-            if terms:
-                for k, c in terms.items():
-                    if not c.is_zero():
-                        t[k] = c
-            self.terms = t
-            self.fval = None
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero()} if terms else {}
 
     # -- constructors -------------------------------------------------
 
@@ -161,10 +148,6 @@ class Scalar:
         return _scalar({power: _qi(1, 0, 1)})
 
     @staticmethod
-    def from_float(z):
-        return Scalar(fval=complex(z))
-
-    @staticmethod
     def coerce(x):
         if isinstance(x, Scalar):
             return x
@@ -172,25 +155,15 @@ class Scalar:
             return _scalar({0: _qi(x, 0, 1)} if x else {})
         if isinstance(x, (int, Fraction)):
             return Scalar({0: QI(x)})
-        if isinstance(x, (float, complex)):
-            return Scalar(fval=complex(x))
         raise TypeError(f"cannot coerce {type(x)} to Scalar")
 
     # -- predicates ----------------------------------------------------
 
-    @property
-    def is_exact(self):
-        return self.fval is None
-
     def is_zero(self):
-        if self.fval is None:
-            return not self.terms
-        return self.fval == 0
+        return not self.terms
 
     def is_rational(self):
-        """True when exact, tau-free and real."""
-        if not self.is_exact:
-            return False
+        """True when tau-free and real."""
         return all(k == 0 and not c.b for k, c in self.terms.items())
 
     def rational_value(self):
@@ -204,8 +177,6 @@ class Scalar:
         if type(other) is not Scalar:
             other = Scalar.coerce(other)
         t1, t2 = self.terms, other.terms
-        if t1 is None or t2 is None:
-            return Scalar(fval=self.to_complex() + other.to_complex())
         if not t2:
             return self
         if not t1:
@@ -224,16 +195,12 @@ class Scalar:
         return Scalar.coerce(other) + (-self)
 
     def __neg__(self):
-        if self.fval is None:
-            return _scalar({k: -c for k, c in self.terms.items()})
-        return Scalar(fval=-self.fval)
+        return _scalar({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if type(other) is not Scalar:
             other = Scalar.coerce(other)
         t1, t2 = self.terms, other.terms
-        if t1 is None or t2 is None:
-            return Scalar(fval=self.to_complex() * other.to_complex())
         if len(t1) == 1 and len(t2) == 1:
             # a product of nonzero Gaussian rationals is nonzero
             (k1, c1), = t1.items()
@@ -249,8 +216,6 @@ class Scalar:
 
     def __truediv__(self, other):
         other = Scalar.coerce(other)
-        if not self.is_exact or not other.is_exact:
-            return Scalar(fval=self.to_complex() / other.to_complex())
         if len(other.terms) != 1:
             raise ValueError("exact division only by tau-monomials")
         (k, c), = other.terms.items()
@@ -271,23 +236,17 @@ class Scalar:
                 other = Scalar.coerce(other)
             except TypeError:
                 return NotImplemented
-        if self.fval is None and other.fval is None:
-            return self.terms == other.terms
-        return self.to_complex() == other.to_complex()
+        return self.terms == other.terms
 
     def __hash__(self):
-        # equality across exact and float scalars compares to_complex();
-        # a scalar too large for a float can only equal an exact one
-        try:
-            return hash(self.to_complex())
-        except OverflowError:
-            return hash(frozenset(self.terms.items()))
+        # a rational Scalar equals its Fraction (and int), so hashes like it
+        if self.is_rational():
+            return hash(self.rational_value())
+        return hash(frozenset(self.terms.items()))
 
     # -- conversion ----------------------------------------------------
 
     def to_complex(self, tau=TAU):
-        if not self.is_exact:
-            return self.fval
         t = self.terms
         # summed in tau-power order, so equal scalars give equal floats
         return sum((t[k].to_complex() * tau**k for k in sorted(t)), 0j)
@@ -296,8 +255,6 @@ class Scalar:
         return abs(self.to_complex())
 
     def __repr__(self):
-        if not self.is_exact:
-            return f"Scalar(~{self.fval})"
         if not self.terms:
             return "Scalar(0)"
         bits = []
@@ -311,10 +268,9 @@ class Scalar:
 
 
 def _scalar(terms):
-    """An exact Scalar over a fresh dict with no zero coefficients (no checks)."""
+    """A Scalar over a fresh dict with no zero coefficients (no checks)."""
     s = _new(Scalar)
     s.terms = terms
-    s.fval = None
     return s
 
 
@@ -330,7 +286,3 @@ def _add_into(t, k, c):
     else:
         del t[k]
 
-
-ZERO = Scalar.zero()
-ONE = Scalar.one()
-I = Scalar.i()

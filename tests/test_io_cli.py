@@ -27,12 +27,23 @@ def test_scalar_round_trip():
         Scalar.of(1, 0, -2) + Scalar.of(0, Fraction(1, 3)),
         Scalar.from_rational(-7, 3),
         Scalar.i(),
-        Scalar.from_float(1.5 - 0.25j),
+        Scalar.of(Fraction(3, 2), Fraction(-1, 4)),
+        # the exact value of a float, as apply_gauge's Ad matrix enters
+        Scalar.of(Fraction(0.1), Fraction(-2.5e-7), 1),
     ]
     for s in cases:
         text = cio.scalar_to_str(s)
         assert cio.parse_scalar(text) == s
         assert cio.scalar_to_str(cio.parse_scalar(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["~(1.5,-0.25)", "2*zzz^1", "1/0", "i", "abc", "1*tau^x", "1*tau^", "1 + (1+i)"],
+)
+def test_parse_scalar_rejects_malformed_tokens(text):
+    with pytest.raises(cio.ParseError):
+        cio.parse_scalar(text)
 
 
 def test_poly_round_trip():
@@ -200,9 +211,13 @@ def test_cli_bad_space_size(space, capsys):
         ["chern", "--bundle", "clutch:1", "--poly", "bogus:1"],
         ["chern", "--bundle", "clutch:1", "--poly", "chern:x"],
         ["chern", "--bundle", "clutch:1", "--poly", "symtrace:0"],
+        ["chern", "--bundle", "clutch:1", "--poly", "reznikov:2"],
+        ["chern", "--bundle", "clutch:1", "--poly", "reznikov:2:order=1"],
+        ["chern", "--bundle", "clutch:1", "--poly", "reznikov:2", "--mode", "float"],
     ],
     ids=["chern-clutch-nonint", "chern-clutch-empty",
-         "betti-negative-max-dim", "poly-bogus", "poly-nonint", "poly-degree-0"],
+         "betti-negative-max-dim", "poly-bogus", "poly-nonint", "poly-degree-0",
+         "poly-reznikov", "poly-reznikov-order-1", "poly-reznikov-float"],
 )
 def test_cli_bad_selector(argv, capsys):
     assert main(argv) == 2
@@ -216,6 +231,21 @@ def test_cli_clutch_selectors_accept_integers(capsys):
     assert "betti: 1 0 1" in capsys.readouterr().out
     assert main(["chern", "--bundle", "clutch:-1", "--poly", "chern:1"]) == 0
     assert "pairings=[-1]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("token", ["2*zzz^1", "~(1.5,-0.25)"])
+def test_cli_bad_scalar_token(token, tmp_path, capsys):
+    gen = tmp_path / "gen"
+    main(["clutch", "--n", "1", "--out", str(gen)])
+    capsys.readouterr()
+    text = (gen / "bundle.txt").read_text()
+    broken = text.replace("exp([0: 1*tau^1*x1])", f"exp([0: {token}*x1])")
+    assert broken != text
+    (gen / "broken.txt").write_text(broken)
+    assert main(["chern", "--bundle", str(gen / "broken.txt"), "--space", str(gen / "space.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_cli_math_failure(tmp_path, capsys):

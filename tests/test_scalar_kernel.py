@@ -104,22 +104,24 @@ def test_scalar_rational_and_float_match_oracle(x):
 
 
 @settings(max_examples=150, deadline=None)
-@given(MODELS)
-def test_scalar_hash_follows_equality(x):
+@given(MODELS, PARTS)
+def test_scalar_hash_follows_equality(x, r):
     s = to_scalar(x)
     reordered = Scalar(dict(reversed(list(s.terms.items()))))
     assert reordered == s and hash(reordered) == hash(s)
-    f = Scalar.from_float(s.to_complex())
-    assert f == s and hash(f) == hash(s)
+    for v in (s, Scalar.coerce(r)):
+        if v.is_rational():
+            assert v == v.rational_value() and hash(v) == hash(v.rational_value())
 
 
-def test_exact_and_float_scalars_hash_alike():
-    assert Scalar.one() == Scalar.from_float(1.0)
-    assert hash(Scalar.one()) == hash(Scalar.from_float(1.0))
-    assert len({Scalar.one(), Scalar.from_float(1.0)}) == 1
-    assert Scalar.tau() == Scalar.from_float(TAU)
-    assert hash(Scalar.tau()) == hash(Scalar.from_float(TAU))
-    assert len({Scalar.tau(), Scalar.from_float(TAU), Scalar.tau() * 1}) == 1
+def test_scalars_hash_like_ints_and_fractions():
+    assert Scalar.one() == 1 and hash(Scalar.one()) == hash(1)
+    assert len({Scalar.one(), 1, Fraction(1)}) == 1
+    half = Scalar.from_rational(1, 2)
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    third = Scalar.from_rational(1, 3)
+    assert third == Fraction(1, 3) and hash(third) == hash(Fraction(1, 3))
+    assert len({Scalar.tau(), Scalar.tau() * 1}) == 1
 
 
 @settings(max_examples=100, deadline=None)

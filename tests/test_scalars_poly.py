@@ -34,11 +34,18 @@ def test_scalar_rational_detection():
         Scalar.tau().rational_value()
 
 
-def test_scalar_float_promotion():
-    a = Scalar.tau()
-    f = Scalar.from_float(2.0)
-    assert not (a * f).is_exact
-    assert abs((a * f).to_complex() - 2 * TAU) < 1e-12
+def test_scalar_rejects_floats():
+    for op in (
+        lambda: Scalar.coerce(2.0),
+        lambda: Scalar.tau() * 2.0,
+        lambda: 2.0 * Scalar.tau(),
+        lambda: Scalar.one() + 1j,
+        lambda: Scalar.one() / 0.5,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert Scalar.tau() != TAU
+    assert Scalar.tau().to_complex() == TAU
 
 
 def test_scalar_division_restrictions():
