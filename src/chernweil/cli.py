@@ -104,7 +104,8 @@ def cmd_betti(args, report):
 
 
 def _load_bundle(args):
-    """Returns (base, bundle, connection, name, expected winding or None)."""
+    """Returns (base, bundle, connection, name, expected winding or None);
+    the connection is None for a bundle file given without one."""
     sel = args.bundle
     if sel.startswith("clutch:"):
         n = _clutch_n(sel.partition(":")[2])
@@ -119,10 +120,7 @@ def _load_bundle(args):
     rep = bn.validate_bundle(P, tol=args.tol, seed=args.seed)
     if not rep.ok:
         raise MathError("bundle validation failed: " + rep.failures[0], rep)
-    if args.connection:
-        D = cio.parse_connection(Path(args.connection).read_text(), P)
-    else:
-        D = bn.construct_connection(P)
+    D = cio.parse_connection(Path(args.connection).read_text(), P) if args.connection else None
     name = Path(sel).stem
     return X, P, D, name, None
 
@@ -138,9 +136,14 @@ def cmd_chern(args, report):
         raise UsageError("reznikov is a float quadrature functional; chern needs chern:k or symtrace:k")
     X, P, D, name, winding = _load_bundle(args)
     rho = la.invariant_polynomial_from_selector(P.algebra, args.poly)
+    cycles = [sc.fundamental_cycle_two_disk(X)] if X == sc.two_disk_sphere() else []
+    if cycles and 2 * rho.arity > X.dim:
+        # a class above the base dimension is zero, and pairs with no cycle
+        raise UsageError(f"{args.poly} has degree {2 * rho.arity}, above the base dimension {X.dim}")
+    if D is None:
+        D = bn.construct_connection(P)
     crep = bn.validate_connection(P, D, tol=args.tol, seed=args.seed)
     report.check("connection-valid", crep.ok, "exact" if crep.exact else f"sampled, worst {crep.worst:.2e}")
-    cycles = [sc.fundamental_cycle_two_disk(X)] if X == sc.two_disk_sphere() else []
     rep = cw.class_report(rho, P, D, cycles, name, poly_name=args.poly)
     report.add(rep.machine_line())
     report.check("cochain-closed", rep.closed)
@@ -196,7 +199,7 @@ def cmd_generate(args, report):
         report.check("bundle-valid", bn.validate_bundle(P).ok)
         _write_generated(outdir, P, None, report)
     elif args.kind == "horn-demo":
-        H = sc.horn(args.n, args.k)
+        H = _horn(args.n, args.k)
         P = bn.random_u1_bundle(H.space, random.Random(args.seed))
         filled, cmap = bn.horn_fill_bundle(H, P)
         back = bn.restrict_bundle_to_horn(filled, H, cmap)
@@ -213,11 +216,15 @@ def cmd_generate(args, report):
     return report
 
 
+def _horn(n, k):
+    """The horn of a horn command; a filler needs an interior, so n >= 2."""
+    if n < 2:
+        raise UsageError(f"horn filling needs --n >= 2, got {n}")
+    return sc.horn(n, k)
+
+
 def cmd_horn_fill(args, report):
-    try:
-        H = sc.horn(args.n, args.k)
-    except sc.InvalidHornError as e:
-        raise UsageError(str(e))
+    H = _horn(args.n, args.k)
     P = bn.random_u1_bundle(H.space, random.Random(args.seed))
     report.check("input-valid", bn.validate_bundle(P).ok)
     filled, cmap = bn.horn_fill_bundle(H, P)
@@ -240,6 +247,8 @@ def cmd_reznikov(args, report):
         raise UsageError("reznikov quadrature is float-only; pass --mode float")
     if args.order < 2:
         raise UsageError("quadrature order must be >= 2")
+    if args.k < 1:
+        raise UsageError(f"reznikov needs --k >= 1, got {args.k}")
     su2 = la.lie_algebra("su2")
     rng = np.random.default_rng(args.seed)
     rho = la.reznikov_pullback(args.k, args.order)

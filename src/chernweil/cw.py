@@ -7,11 +7,14 @@ wedging the scalar parts yields the characteristic form; integrating
 over every simplex gives a closed cochain whose class is independent of
 the connection and natural under pullback.
 
-Two constructions of the characteristic form coexist: the wedge
-contraction rho(F, .., F) used on the main path, and the brute-force
-alternating-sum-over-permutations formula used as an oracle.  Their
-ratio is a single combinatorial constant per arity, measured (never
-assumed) by calibrate_cw_constant.
+Two constructions of the characteristic form coexist.  The main path
+contracts the invariant polynomial's exact coefficient tensor
+T in Sym^k(g*) with the curvature's coordinate 2-forms,
+sum_a T[a] F^a1 ^ .. ^ F^ak, and skips cells of dimension below 2k,
+where a degree-2k form is zero.  The oracle is the brute-force
+alternating-sum-over-permutations formula on the curvature's component
+matrices.  Their ratio is a single combinatorial constant per arity,
+measured (never assumed) by calibrate_cw_constant.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 
 from .bundles import Connection, LieValuedForm, pullback_bundle
 from .forms import AffineMap, PolyForm, SimplicialForm, check_simplicial_form, integrate_to_cochain
-from .linalg import sort_sign
 from .poly import Poly
 from .scalars import Scalar
 from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_cochain, word_epi
@@ -36,9 +38,10 @@ def curvature_form(A):
     return A.d() + A.bracket_wedge(A).scale(Fraction(1, 2))
 
 
-def curvature(D):
-    """Per-simplex curvature of a connection; a dict sid -> LieValuedForm."""
-    return {sid: curvature_form(A) for sid, A in D.forms.items()}
+def curvature(D, min_dim=0):
+    """Per-simplex curvature of a connection; a dict sid -> LieValuedForm
+    over the simplices of dimension at least min_dim."""
+    return {sid: curvature_form(A) for sid, A in D.forms.items() if sid.dim >= min_dim}
 
 
 def bianchi_defect(D):
@@ -65,38 +68,41 @@ def _component_matrices(F):
 
 
 def _cw_polyform_wedge(rho, F):
-    """rho(F, .., F) with scalar parts wedged; one chart."""
+    """rho(F, .., F) with scalar parts wedged; one chart.
+
+    The contraction sum_a T[a] F^a1 ^ .. ^ F^ak of rho's coefficient
+    tensor with the curvature's coordinate 2-forms; the F^a commute, so
+    each sorted index tuple stands for all of its orderings.
+    """
     k = rho.arity
-    dim = F.dim
-    out = PolyForm.zero(dim, 2 * k)
-    comps = _component_matrices(F)
-    if not comps:
+    out = PolyForm.zero(F.dim, 2 * k)
+    if 2 * k > F.dim:
         return out
-    for tup in itertools.product(sorted(comps), repeat=k):
-        K, sign = sort_sign(sum(tup, ()))
-        if sign == 0:
-            continue
-        val = rho.eval([comps[I] for I in tup])
-        if isinstance(val, Poly) and val.is_zero():
-            continue
-        if not isinstance(val, Poly):
-            val = Poly.const(dim, val)
-        term = PolyForm(dim, 2 * k, {K: val.scale(Fraction(sign))})
-        out = out + term
+    for a, c in rho.tensor().items():
+        term = F.coords[a[0]]
+        for i in a[1:]:
+            term = term.wedge(F.coords[i])
+        out = out + term.scale(c)
     return out
 
 
 def cw_form(rho, D):
     """The degree-2k characteristic simplicial form of (rho, D).
 
-    Wedge fast path: rho applied to the curvature's component matrices,
-    scalar 2-forms wedged.  Closed and face compatible; zero in
-    overflow degrees rather than an error.
+    Main path: the coefficient tensor of rho contracted with the
+    curvature's coordinate 2-forms.  A degree-2k form vanishes on cells
+    of dimension below 2k, so the curvature is computed only on the
+    others.  Closed and face compatible; zero in overflow degrees rather
+    than an error.
     """
     X = D.bundle.base
-    Fs = curvature(D)
-    forms = {sid: _cw_polyform_wedge(rho, Fs[sid]) for sid in X.all_cells()}
-    return SimplicialForm(X, 2 * rho.arity, forms)
+    deg = 2 * rho.arity
+    Fs = curvature(D, min_dim=deg)
+    forms = {
+        sid: _cw_polyform_wedge(rho, Fs[sid]) if sid in Fs else PolyForm.zero(sid.dim, deg)
+        for sid in X.all_cells()
+    }
+    return SimplicialForm(X, deg, forms)
 
 
 def cw_form_permutation(rho, F):

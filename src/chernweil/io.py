@@ -52,26 +52,37 @@ def scalar_to_str(s):
     return " + ".join(bits)
 
 
-_QI_RE = re.compile(r"^\((-?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)i\)$")
+_INT = r"-?[0-9]+"
+_RAT = _INT + r"(?:/[0-9]+)?"
+_QI_RE = re.compile(rf"\(({_RAT})([+-][0-9]+(?:/[0-9]+)?)i\)")
+
+
+def _parse_rat(text):
+    """A rational numeral as _rat_str writes it, and no other spelling."""
+    if not re.fullmatch(_RAT, text):
+        raise ValueError(f"bad rational numeral {text!r}")
+    return Fraction(text)
 
 
 def _parse_qi(text):
-    m = _QI_RE.match(text)
+    m = _QI_RE.fullmatch(text)
     if m:
         return QI(Fraction(m.group(1)), Fraction(m.group(2)))
     if text.endswith("i"):
-        return QI(0, Fraction(text[:-1]))
-    return QI(Fraction(text))
+        return QI(0, _parse_rat(text[:-1]))
+    return QI(_parse_rat(text))
 
 
 def parse_scalar(text):
-    text = text.strip()
+    """Read a scalar in exactly the form scalar_to_str writes."""
     if text == "0":
         return Scalar.zero()
     terms = {}
     for atom in text.split(" + "):
         head, tau, kpart = atom.partition("*tau^")
         try:
+            if tau and not re.fullmatch(_INT, kpart):
+                raise ValueError(f"bad tau power {kpart!r}")
             k = int(kpart) if tau else 0
             c = _parse_qi(head)
         except (ValueError, ZeroDivisionError):

@@ -9,7 +9,8 @@ basis is the halved-Pauli one, e_a = -(i/2) sigma_a, normalized so that
 Invariant polynomials are symmetric multilinear functionals evaluated
 on matrices; the evaluators are written against generic ring entries so
 the same code runs on exact Scalars, floats, and polynomial-valued
-matrices (which is how the Chern-Weil form is assembled).
+matrices.  The Chern-Weil form is assembled from the exact coefficient
+tensor (InvariantPolynomial.tensor), which evaluates once on the basis.
 """
 
 from __future__ import annotations
@@ -93,8 +94,10 @@ def _det(A):
 
 def elementary_invariant(A, k):
     """Sum of the principal k x k minors (the degree-k coefficient of
-    the characteristic polynomial det(I + tA))."""
+    the characteristic polynomial det(I + tA)); the ring's zero for k > n."""
     n = len(A)
+    if k > n:
+        return A[0][0] * 0
     total = None
     for rows in itertools.combinations(range(n), k):
         minor = [[A[r][c] for c in rows] for r in rows]
@@ -390,6 +393,7 @@ class InvariantPolynomial:
         self._evaluator = evaluator
         self.provenance = provenance
         self.symmetric_multilinear = symmetric_multilinear
+        self._tensor = None
 
     def eval(self, args):
         if len(args) != self.arity:
@@ -406,6 +410,30 @@ class InvariantPolynomial:
 
     def eval_diag(self, x):
         return self.eval([x] * self.arity)
+
+    def tensor(self):
+        """The symmetric coefficient tensor, as an element of Sym^k(g*).
+
+        A dict from each sorted basis index tuple a1 <= .. <= ak to
+        multinomial(a) * rho(e_a1, .., e_ak), an exact Scalar, so that
+        rho(x, .., x) = sum_a T[a] x^a1 .. x^ak; zero entries are left
+        out.  Built once from the evaluator on the basis matrices; a
+        float functional raises TypeError.
+        """
+        if self._tensor is None:
+            basis = self.algebra.basis
+            k = self.arity
+            out = {}
+            for a in itertools.combinations_with_replacement(range(self.algebra.dim), k):
+                val = Scalar.coerce(self.eval([basis[i] for i in a]))
+                if val.is_zero():
+                    continue
+                mult = factorial(k)
+                for i in set(a):
+                    mult //= factorial(a.count(i))
+                out[a] = val * mult
+            self._tensor = out
+        return self._tensor
 
 
 def sym_trace_poly(algebra, k):

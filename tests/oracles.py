@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: ranks come from
 sympy, integrals from quadrature, pullbacks from sympy's symbolic
-differentiation, polarization from finite differences.
+differentiation, polarization from finite differences, characteristic
+forms from invariant polynomials evaluated on the curvature's matrices.
 """
 
 import itertools
@@ -128,6 +129,43 @@ def winding_of_samples(values):
     for a, b in zip(values, values[1:] + values[:1]):
         total += np.angle(b / a)
     return total / (2.0 * np.pi)
+
+
+def cw_matrix_contraction(rho, F):
+    """rho(F, .., F) with scalar parts wedged, by evaluating rho on the
+    curvature's component matrices: for every k-tuple of 2-form
+    components I_1..I_k, rho(F_I1, .., F_Ik) dx^I1 ^ .. ^ dx^Ik.
+
+    Each matrix of polynomials F_I is split by monomial into exact
+    Scalar matrices first, so rho is only ever evaluated on those (a
+    polarized functional cannot decompose a matrix of polynomials).
+    Independent of the coefficient tensor the library contracts.
+    """
+    from chernweil.cw import _component_matrices
+    from chernweil.forms import PolyForm
+    from chernweil.poly import Poly
+    from chernweil.scalars import Scalar
+
+    k, dim, n = rho.arity, F.dim, F.algebra.n
+    slots = []  # (2-form index, monomial, Scalar matrix)
+    for I, mat in _component_matrices(F).items():
+        by_monomial = {}
+        for r in range(n):
+            for c in range(n):
+                for e, v in mat[r][c].terms.items():
+                    by_monomial.setdefault(e, [[Scalar.zero()] * n for _ in range(n)])[r][c] = v
+        slots.extend((I, e, M) for e, M in by_monomial.items())
+    out = {}
+    for tup in itertools.product(slots, repeat=k):
+        idx = sum((I for I, _, _ in tup), ())
+        if len(set(idx)) < len(idx):
+            continue
+        inversions = sum(1 for i, j in itertools.combinations(range(len(idx)), 2) if idx[i] > idx[j])
+        val = Scalar.coerce(rho.eval([M for _, _, M in tup])) * (-1) ** inversions
+        e = tuple(sum(col) for col in zip(*(e for _, e, _ in tup)))
+        terms = out.setdefault(tuple(sorted(idx)), {})
+        terms[e] = terms.get(e, Scalar.zero()) + val
+    return PolyForm(dim, 2 * k, {K: Poly(dim, terms) for K, terms in out.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,143 @@
+"""The characteristic form by coefficient-tensor contraction, checked
+against rho evaluated on the curvature's component matrices."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chernweil.bundles import LieValuedForm, random_connection, trivial_bundle
+from chernweil.cw import _cw_polyform_wedge, curvature_form, cw_form
+from chernweil.forms import PolyForm, random_polyform
+from chernweil.liealg import (
+    InvariantPolynomial,
+    chern_polynomial,
+    invariant_polynomial_from_selector,
+    lie_algebra,
+    mat_trace,
+    polarize,
+    reznikov_pullback,
+    sym_trace_poly,
+)
+from chernweil.poly import Poly
+from chernweil.scalars import Scalar
+from chernweil.simplicial import boundary_sphere, standard_simplex
+from oracles import cw_matrix_contraction
+
+
+def _rhos():
+    out = []
+    for name in ("u1", "su2", "so3", "u2", "su3"):
+        alg = lie_algebra(name)
+        for k in (1, 2):
+            out.append(sym_trace_poly(alg, k))
+            if name != "so3":
+                out.append(chern_polynomial(alg, k))
+    su2 = lie_algebra("su2")
+    out.append(polarize(su2, lambda x: x[0] * x[0] + x[1] * x[1] + x[2] * x[2], 2))
+    u2 = lie_algebra("u2")
+    # tr(x) tr(y): Ad-invariant, symmetric, and not a symtrace or chern
+    out.append(InvariantPolynomial(u2, 2, lambda m: mat_trace(m[0]) * mat_trace(m[1]), "trace-product"))
+    return out
+
+
+RHOS = _rhos()
+
+COEFF = st.builds(Scalar.of, st.integers(-3, 3), st.integers(-2, 2), st.integers(-1, 1))
+
+
+@st.composite
+def rho_and_curvature(draw):
+    """A rho of arity k and a random Lie-valued 2-form on a 2k-dim chart,
+    each coordinate component a polynomial of degree <= 1."""
+    rho = draw(st.sampled_from(RHOS))
+    alg, dim = rho.algebra, 2 * rho.arity
+    monomials = [(0,) * dim] + [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    coords = []
+    for _ in range(alg.dim):
+        comps = {}
+        for I in [(i, j) for i in range(dim) for j in range(i + 1, dim)]:
+            chosen = draw(st.lists(st.sampled_from(monomials), max_size=2, unique=True))
+            comps[I] = Poly(dim, {e: draw(COEFF) for e in chosen})
+        coords.append(PolyForm(dim, 2, comps))
+    return rho, LieValuedForm(alg, dim, 2, coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho_and_curvature())
+def test_tensor_contraction_matches_matrix_oracle(case):
+    rho, F = case
+    assert _cw_polyform_wedge(rho, F) == cw_matrix_contraction(rho, F)
+
+
+def test_tensor_contraction_on_curvatures():
+    # every rho at least once, on the curvature of a random connection
+    rng = random.Random(5)
+    for rho in RHOS:
+        dim = 2 * rho.arity
+        A = LieValuedForm(rho.algebra, dim, 1, [random_polyform(rng, dim, 1, 1) for _ in range(rho.algebra.dim)])
+        F = curvature_form(A)
+        assert _cw_polyform_wedge(rho, F) == cw_matrix_contraction(rho, F)
+
+
+def test_tensor_entries():
+    su2, u1 = lie_algebra("su2"), lie_algebra("u1")
+    # tr(e_a e_b) = -delta_ab / 2 on the halved-Pauli basis
+    assert sym_trace_poly(su2, 2).tensor() == {(a, a): Scalar.from_rational(-1, 2) for a in range(3)}
+    assert sym_trace_poly(su2, 1).tensor() == {}
+    # the multinomial weight: (i)^3 on u1 counts each ordering once
+    assert sym_trace_poly(u1, 3).tensor() == {(0, 0, 0): Scalar.of(0, -1)}
+    rho = polarize(su2, lambda x: x[0] * x[1], 2)
+    assert rho.tensor() == {(0, 1): Scalar.one()}
+    assert rho.tensor() is rho.tensor()
+
+
+def test_tensor_rejects_float_functional():
+    with pytest.raises(TypeError):
+        reznikov_pullback(2, 8).tensor()
+
+
+def test_chern_above_matrix_size_is_zero():
+    u1, su2 = lie_algebra("u1"), lie_algebra("su2")
+    e = u1.basis[0]
+    assert chern_polynomial(u1, 2).eval([e, e]) == 0
+    x, y, z = su2.basis
+    assert chern_polynomial(su2, 3).eval([x, y, z]) == 0
+    assert chern_polynomial(u1, 2).tensor() == {}
+    assert chern_polynomial(su2, 3).tensor() == {}
+
+
+@pytest.mark.parametrize(
+    "space, group, selector",
+    [
+        (standard_simplex(3), "su2", "symtrace:2"),
+        (boundary_sphere(3), "u2", "chern:2"),
+        (standard_simplex(3), "u1", "chern:1"),
+    ],
+)
+def test_cw_form_zero_below_degree(space, group, selector):
+    alg = lie_algebra(group)
+    rho = invariant_polynomial_from_selector(alg, selector)
+    D = random_connection(trivial_bundle(space, alg), 7)
+    omega = cw_form(rho, D)
+    deg = 2 * rho.arity
+    for sid in space.all_cells():
+        form = omega.form(sid)
+        assert (form.dim, form.deg) == (sid.dim, deg)
+        if sid.dim < deg:
+            assert form == PolyForm.zero(sid.dim, deg)
+        else:
+            assert form == cw_matrix_contraction(rho, curvature_form(D.forms[sid]))
+
+
+def test_symtrace3_on_six_dim_chart_is_zero():
+    # the symmetrised trace of three su2 elements vanishes: the
+    # anticommutator of two is a multiple of the identity, and su2 is
+    # traceless, so the form is zero although the curvature is not
+    rng = random.Random(11)
+    su2 = lie_algebra("su2")
+    A = LieValuedForm(su2, 6, 1, [random_polyform(rng, 6, 1, 1) for _ in range(3)])
+    F = curvature_form(A)
+    assert not F.is_zero()
+    assert _cw_polyform_wedge(sym_trace_poly(su2, 3), F) == PolyForm.zero(6, 6)

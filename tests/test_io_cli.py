@@ -39,7 +39,10 @@ def test_scalar_round_trip():
 
 @pytest.mark.parametrize(
     "text",
-    ["~(1.5,-0.25)", "2*zzz^1", "1/0", "i", "abc", "1*tau^x", "1*tau^", "1 + (1+i)"],
+    ["~(1.5,-0.25)", "2*zzz^1", "1/0", "i", "abc", "1*tau^x", "1*tau^", "1 + (1+i)",
+     # numerals Fraction() reads but scalar_to_str never writes
+     "1.5", "1e3", "+3", "1_000", " 2", "2 ", "1.5i", "(1.5+2i)", "(1+2.5i)", "1*tau^+1", "1*tau^1_0",
+     "1/+2", "\u0662"],
 )
 def test_parse_scalar_rejects_malformed_tokens(text):
     with pytest.raises(cio.ParseError):
@@ -214,16 +217,43 @@ def test_cli_bad_space_size(space, capsys):
         ["chern", "--bundle", "clutch:1", "--poly", "reznikov:2"],
         ["chern", "--bundle", "clutch:1", "--poly", "reznikov:2:order=1"],
         ["chern", "--bundle", "clutch:1", "--poly", "reznikov:2", "--mode", "float"],
+        ["chern", "--bundle", "clutch:1", "--poly", "chern:7"],
+        ["chern", "--bundle", "clutch:1", "--poly", "symtrace:2"],
+        ["horn-fill", "--n", "1", "--k", "0"],
+        ["horn-fill", "--n", "0", "--k", "0"],
+        ["horn-fill", "--n", "-1", "--k", "0"],
+        ["reznikov", "--k", "0", "--mode", "float"],
+        ["reznikov", "--k", "-2", "--mode", "float"],
     ],
     ids=["chern-clutch-nonint", "chern-clutch-empty",
          "betti-negative-max-dim", "poly-bogus", "poly-nonint", "poly-degree-0",
-         "poly-reznikov", "poly-reznikov-order-1", "poly-reznikov-float"],
+         "poly-reznikov", "poly-reznikov-order-1", "poly-reznikov-float",
+         "poly-overflow-chern", "poly-overflow-symtrace", "horn-n1", "horn-n0", "horn-negative",
+         "reznikov-k0", "reznikov-negative"],
 )
 def test_cli_bad_selector(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_cli_horn_demo_bad_degree(tmp_path, capsys):
+    out = tmp_path / "h"
+    assert main(["generate", "horn-demo", "--n", "1", "--k", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert not out.exists()
+
+
+def test_cli_chern_degree_above_base_without_cycles(tmp_path, capsys):
+    # with no cycle to pair with, the class above the base dimension is
+    # reported as the zero cochain, as cw_form defines it
+    main(["generate", "trivial", "--space", "boundary-sphere:2", "--group", "su2", "--out", str(tmp_path)])
+    capsys.readouterr()
+    argv = ["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt")]
+    assert main(argv + ["--poly", "symtrace:2"]) == 0
+    assert "closed=yes pairings=[] witness=absent" in capsys.readouterr().out
 
 
 def test_cli_clutch_selectors_accept_integers(capsys):
