@@ -13,13 +13,12 @@ import random
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bundles as bn
 from . import cw
 from . import io as cio
 from . import liealg as la
 from . import simplicial as sc
+from .poly import Poly
 from .scalars import Scalar
 from .verify import SUITES, run_suite
 
@@ -132,8 +131,6 @@ class MathError(Exception):
 
 
 def cmd_chern(args, report):
-    if args.poly.partition(":")[0] == "reznikov":
-        raise UsageError("reznikov is a float quadrature functional; chern needs chern:k or symtrace:k")
     X, P, D, name, winding = _load_bundle(args)
     rho = la.invariant_polynomial_from_selector(P.algebra, args.poly)
     cycles = [sc.fundamental_cycle_two_disk(X)] if X == sc.two_disk_sphere() else []
@@ -188,13 +185,18 @@ def _write_generated(outdir, P, D, report):
 
 
 def cmd_generate(args, report):
+    if args.out is None:
+        raise UsageError("generate needs --out <dir>")
     outdir = Path(args.out)
     if args.kind == "clutch":
         P, D = bn.clutch_bundle(args.n)
         _write_generated(outdir, P, D, report)
     elif args.kind == "trivial":
         X = _parse_space(args.space)
-        alg = la.lie_algebra(args.group)
+        try:
+            alg = la.lie_algebra(args.group)
+        except la.LieAlgebraError as e:
+            raise UsageError(str(e)) from None
         P = bn.trivial_bundle(X, alg)
         report.check("bundle-valid", bn.validate_bundle(P).ok)
         _write_generated(outdir, P, None, report)
@@ -242,40 +244,28 @@ def cmd_horn_fill(args, report):
     return report
 
 
+def _diagonal(rho):
+    """rho(x, .., x) as a polynomial in the basis coordinates of x."""
+    dim = rho.algebra.dim
+    return Poly(dim, {tuple(a.count(i) for i in range(dim)): v for a, v in rho.tensor().items()})
+
+
 def cmd_reznikov(args, report):
     if args.mode == "exact":
-        raise UsageError("reznikov quadrature is float-only; pass --mode float")
-    if args.order < 2:
-        raise UsageError("quadrature order must be >= 2")
+        raise UsageError("reznikov requires --mode float")
     if args.k < 1:
         raise UsageError(f"reznikov needs --k >= 1, got {args.k}")
-    su2 = la.lie_algebra("su2")
-    rng = np.random.default_rng(args.seed)
-    rho = la.reznikov_pullback(args.k, args.order)
-    if args.k == 1:
-        worst = 0.0
-        for _ in range(args.probes):
-            m = su2.element_matrix_float(rng.uniform(-1, 1, 3))
-            worst = max(worst, abs(rho.eval([m])))
-        report.add(f"max |value|: {worst:.3e}")
-        report.check("vanishing", worst < 1e-10)
-    elif args.k == 2:
-        lam = []
-        for _ in range(args.probes):
-            m = su2.element_matrix_float(rng.uniform(-1, 1, 3))
-            lam.append(rho.eval([m, m]) / (m @ m).trace().real)
-        lam = np.array(lam)
-        spread = float((lam.max() - lam.min()) / abs(lam.mean()))
-        report.add(f"lambda: {lam.mean():.12f}")
-        report.add(f"relative spread: {spread:.3e}")
-        report.check("proportional-to-trace-form", spread < 1e-6)
-    else:
-        worst = 0.0
-        for _ in range(args.probes):
-            m = su2.element_matrix_float(rng.uniform(-1, 1, 3))
-            worst = max(worst, abs(rho.eval([m] * args.k)))
-        report.add(f"max |diagonal value|: {worst:.3e}")
-        report.check("odd-vanishing" if args.k % 2 else "evaluated", args.k % 2 == 0 or worst < 1e-10)
+    rez = _diagonal(la.reznikov_pullback(args.k))
+    if args.k % 2:
+        report.add(f"diagonal terms: {len(rez.terms)}")
+        report.check("vanishing" if args.k == 1 else "odd-vanishing", rez.is_zero())
+        return report
+    # rho(x, .., x) = lambda tr(x^2)^(k/2)
+    trace_power = _diagonal(la.sym_trace_poly(la.lie_algebra("su2"), 2)) ** (args.k // 2)
+    top = (args.k, 0, 0)
+    lam = rez.terms[top] / trace_power.terms[top]
+    report.add(f"lambda: {_scalar_str(lam, args.mode)}")
+    report.check("proportional-to-trace-form" if args.k == 2 else "evaluated", rez == trace_power * lam)
     return report
 
 
@@ -330,8 +320,6 @@ def build_parser():
 
     sp = sub.add_parser("reznikov", help="integrated-Hamiltonian functional on su2")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--order", type=int, default=32)
-    sp.add_argument("--probes", type=int, default=100)
     common(sp)
 
     sp = sub.add_parser("verify", help="run the invariant suites")

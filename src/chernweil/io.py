@@ -177,6 +177,8 @@ def _parse_comp(text):
     text = text.strip()
     if text == "-":
         return ()
+    if not re.fullmatch(r"[0-9]+(?:,[0-9]+)*", text):
+        raise ParseError(f"bad component {text!r}")
     return tuple(int(t) - 1 for t in text.split(","))
 
 
@@ -285,8 +287,28 @@ def _parse_lvp(text, algebra, dim):
     if body:
         for bit in _split_top(body, "; "):
             head, _, rest = bit.partition(":")
-            coords[int(head)] = parse_poly(rest, dim)
+            coords[_lie_index(head, algebra)] = parse_poly(rest, dim)
     return LieValuedPoly(algebra, dim, coords)
+
+
+def _lie_index(text, algebra):
+    """A Lie coordinate index, which must be below the algebra's dimension."""
+    if not re.fullmatch(r"[0-9]+", text) or int(text) >= algebra.dim:
+        raise ParseError(f"Lie coordinate {text!r} out of range for {algebra.name} (dimension {algebra.dim})")
+    return int(text)
+
+
+def _header(lines, kind):
+    """The group algebra named on the first line, `<kind> v1; group <name>`."""
+    from .liealg import LieAlgebraError, lie_algebra
+
+    m = re.match(rf"^{kind} v1; group (\w+)$", lines[0]) if lines else None
+    if not m:
+        raise ParseError(f"missing {kind} header")
+    try:
+        return lie_algebra(m.group(1))
+    except LieAlgebraError as e:
+        raise ParseError(str(e)) from None
 
 
 def bundle_to_str(P):
@@ -305,13 +327,10 @@ def bundle_to_str(P):
 
 
 def parse_bundle(text, base):
-    from .liealg import lie_algebra
-
+    """Read a bundle over base; a transition for a face the base does not
+    have, or one given twice, is a parse error."""
     lines = [l.rstrip() for l in text.strip().splitlines() if l.strip()]
-    m = re.match(r"^bundle v1; group (\w+)$", lines[0])
-    if not m:
-        raise ParseError("missing bundle header")
-    algebra = lie_algebra(m.group(1))
+    algebra = _header(lines, "bundle")
     transitions = {}
     for line in lines[1:]:
         m = re.match(r"^transition (\d+)\.(\d+)\.(\d+): (.*)$", line)
@@ -319,6 +338,10 @@ def parse_bundle(text, base):
             raise ParseError(f"bad transition line {line!r}")
         sid = SimplexId(int(m.group(1)), int(m.group(2)))
         i = int(m.group(3))
+        if (sid, i) not in base.faces:
+            raise ParseError(f"transition {sid.dim}.{sid.index}.{i} is not a face of the base")
+        if (sid, i) in transitions:
+            raise ParseError(f"transition {sid.dim}.{sid.index}.{i} given twice")
         body = m.group(4).strip()
         dim = sid.dim - 1
         if body == "id":
@@ -348,22 +371,29 @@ def connection_to_str(D):
 
 
 def parse_connection(text, bundle):
+    """Read a connection on bundle; a cell the base does not have, a Lie
+    coordinate or form component out of range, or a component given
+    twice, is a parse error."""
     lines = [l.rstrip() for l in text.strip().splitlines() if l.strip()]
-    m = re.match(r"^connection v1; group (\w+)$", lines[0])
-    if not m:
-        raise ParseError("missing connection header")
-    if m.group(1) != bundle.algebra.name:
-        raise ParseError("connection/bundle group mismatch")
     alg = bundle.algebra
+    if _header(lines, "connection").name != alg.name:
+        raise ParseError("connection/bundle group mismatch")
     comp_data = {}
     for line in lines[1:]:
         m = re.match(r"^A (\d+)\.(\d+) (\d+) ([-\d,]+): (.*)$", line)
         if not m:
             raise ParseError(f"bad connection line {line!r}")
         sid = SimplexId(int(m.group(1)), int(m.group(2)))
-        a = int(m.group(3))
+        if sid.dim > bundle.base.dim or sid.index >= bundle.base.counts[sid.dim]:
+            raise ParseError(f"simplex {sid.dim}.{sid.index} is not in the base")
+        a = _lie_index(m.group(3), alg)
         I = _parse_comp(m.group(4))
-        comp_data.setdefault(sid, {}).setdefault(a, {})[I] = parse_poly(m.group(5), sid.dim)
+        if len(I) != 1 or not 0 <= I[0] < sid.dim:
+            raise ParseError(f"component {m.group(4)!r} is not a 1-form component on a {sid.dim}-simplex")
+        comps = comp_data.setdefault(sid, {}).setdefault(a, {})
+        if I in comps:
+            raise ParseError(f"component {m.group(4)} of coordinate {a} on {sid.dim}.{sid.index} given twice")
+        comps[I] = parse_poly(m.group(5), sid.dim)
     forms = {}
     for sid in bundle.base.all_cells():
         coords = []

@@ -10,14 +10,15 @@ Invariant polynomials are symmetric multilinear functionals evaluated
 on matrices; the evaluators are written against generic ring entries so
 the same code runs on exact Scalars, floats, and polynomial-valued
 matrices.  The Chern-Weil form is assembled from the exact coefficient
-tensor (InvariantPolynomial.tensor), which evaluates once on the basis.
+tensor (InvariantPolynomial.tensor), which evaluates once on the basis,
+or, for the Reznikov functionals, comes from closed-form sphere moments.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 from scipy.linalg import expm
@@ -67,11 +68,11 @@ def mat_trace(A):
     return s
 
 
-def scale_value(v, frac):
-    """Multiply a duck-typed ring element by an exact rational."""
+def scale_value(v, c):
+    """Multiply a duck-typed ring element by an exact rational or Scalar."""
     if isinstance(v, (complex, float, int)):
-        return v * (frac.numerator / frac.denominator)
-    return v * frac
+        return v * (c.to_complex() if isinstance(c, Scalar) else c.numerator / c.denominator)
+    return v * c
 
 
 def mat_scale(A, frac):
@@ -246,9 +247,6 @@ class LieData:
                         out[c] = out[c] + xa * yb * s * Fraction(sgn)
         return out
 
-    def random_element(self, rng, scale=1.0):
-        return np.array([rng.uniform(-scale, scale) for _ in range(self.dim)])
-
     def element_matrix_float(self, coords):
         m = np.zeros((self.n, self.n), dtype=complex)
         for c, b in zip(coords, self.basis_float):
@@ -379,21 +377,31 @@ def ad_exp_series(x, y, t=1.0, order=6):
 # invariant polynomials
 
 
+def _multinomial(a):
+    """k! / prod(count(i)!) for a sorted index tuple a: how many ordered
+    tuples sort to a."""
+    out = factorial(len(a))
+    for i in set(a):
+        out //= factorial(a.count(i))
+    return out
+
+
 class InvariantPolynomial:
     """Symmetric multilinear Ad-invariant functional on the algebra.
 
     The evaluator receives a list of arity-many square matrices (entries
     may be Scalars, numbers, or polynomial ring elements) and returns a
-    single ring element.  LieElements are accepted and converted.
+    single ring element.  LieElements are accepted and converted.  A
+    functional whose coefficient tensor is known in closed form passes
+    it as `tensor`; otherwise it is built from the evaluator.
     """
 
-    def __init__(self, algebra, arity, evaluator, provenance, symmetric_multilinear=True):
+    def __init__(self, algebra, arity, evaluator, provenance, tensor=None):
         self.algebra = algebra
         self.arity = arity
         self._evaluator = evaluator
         self.provenance = provenance
-        self.symmetric_multilinear = symmetric_multilinear
-        self._tensor = None
+        self._tensor = tensor
 
     def eval(self, args):
         if len(args) != self.arity:
@@ -417,21 +425,16 @@ class InvariantPolynomial:
         A dict from each sorted basis index tuple a1 <= .. <= ak to
         multinomial(a) * rho(e_a1, .., e_ak), an exact Scalar, so that
         rho(x, .., x) = sum_a T[a] x^a1 .. x^ak; zero entries are left
-        out.  Built once from the evaluator on the basis matrices; a
-        float functional raises TypeError.
+        out.  Unless given at construction, built once from the
+        evaluator on the basis matrices.
         """
         if self._tensor is None:
             basis = self.algebra.basis
-            k = self.arity
             out = {}
-            for a in itertools.combinations_with_replacement(range(self.algebra.dim), k):
+            for a in itertools.combinations_with_replacement(range(self.algebra.dim), self.arity):
                 val = Scalar.coerce(self.eval([basis[i] for i in a]))
-                if val.is_zero():
-                    continue
-                mult = factorial(k)
-                for i in set(a):
-                    mult //= factorial(a.count(i))
-                out[a] = val * mult
+                if not val.is_zero():
+                    out[a] = val * _multinomial(a)
             self._tensor = out
         return self._tensor
 
@@ -522,8 +525,21 @@ def polarize(algebra, p, k):
     return InvariantPolynomial(algebra, k, evaluator, f"polarized:{k}")
 
 
-def reznikov_pullback(k, order=32):
-    """Integrated-Hamiltonian functional on su2, by quadrature on the sphere.
+def sphere_moment(alpha):
+    """E[x1^a1 x2^a2 x3^a3] for x uniform on the unit sphere S^2.
+
+    (a1-1)!! (a2-1)!! (a3-1)!! / (|a|+1)!! when every a_i is even, and 0
+    otherwise (Folland, "How to integrate a polynomial over a sphere",
+    Amer. Math. Monthly 108, 2001); (-1)!! = 0!! = 1.
+    """
+    if any(a % 2 for a in alpha):
+        return Fraction(0)
+    # n!! = prod(range(n, 0, -2)), the empty product for n <= 0
+    return Fraction(prod(prod(range(a - 1, 0, -2)) for a in alpha), prod(range(sum(alpha) + 1, 0, -2)))
+
+
+def reznikov_pullback(k):
+    """Integrated-Hamiltonian functional on su2, exactly.
 
     An su2 element with basis coordinates a generates the rotation of
     the unit sphere about the axis a; its normalized (mean-zero)
@@ -531,54 +547,74 @@ def reznikov_pullback(k, order=32):
 
         (xi_1,..,xi_k) -> int_{S^2} H_1 ... H_k  w
 
-    with the area form w normalized to total mass 1.  Product
-    Gauss-Legendre x uniform-angle quadrature; float only.
+    with the area form w normalized to total mass 1, that is the sum
+    over index tuples i of a_1[i_1] .. a_k[i_k] E[x_i1 .. x_ik], with
+    the moments from sphere_moment.  The coordinates are read through
+    the trace pairing a_j = -2 tr(m e_j), so any ring entries work.
     """
-    if order < 2:
-        raise ValueError("quadrature order must be >= 2")
+    if k < 1:
+        raise ValueError("reznikov arity must be >= 1")
     algebra = lie_algebra("su2")
-    z_nodes, z_weights = np.polynomial.legendre.leggauss(order)
-    m_phi = 2 * order
-    phi = 2.0 * np.pi * np.arange(m_phi) / m_phi
-    st = np.sqrt(1.0 - z_nodes**2)
-    X = np.outer(st, np.cos(phi))
-    Y = np.outer(st, np.sin(phi))
-    Z = np.repeat(z_nodes[:, None], m_phi, axis=1)
-    W = np.repeat(z_weights[:, None] / (2.0 * m_phi), m_phi, axis=1)
-    # total mass: sum W = 1 (Gauss weights sum to 2, angle average folded in)
+    n, dim = algebra.n, algebra.dim
+    # a_j = sum_{r,c} m[r][c] * pairing[j][(r, c)], pairing = -2 e_j^T
+    pairing = [
+        {(r, c): e[c][r] * -2 for r in range(n) for c in range(n) if not e[c][r].is_zero()}
+        for e in algebra.basis
+    ]
+    moments, tensor = {}, {}
+    for a in itertools.combinations_with_replacement(range(dim), k):
+        counts = tuple(a.count(i) for i in range(dim))
+        m = sphere_moment(counts)
+        if m:
+            moments[counts] = m
+            tensor[a] = Scalar.coerce(m * _multinomial(a))
 
     def evaluator(mats):
-        vals = np.ones_like(X)
-        for m in mats:
-            a = algebra.decompose_float(m).real
-            vals = vals * (a[0] * X + a[1] * Y + a[2] * Z)
-        return float(np.sum(W * vals))
+        coords = []
+        for mat in mats:
+            terms = [[scale_value(mat[r][c], w) for (r, c), w in weights.items()] for weights in pairing]
+            coords.append([sum(t[1:], t[0]) for t in terms])
+        total = mats[0][0][0] * 0
+        for idx in itertools.product(range(dim), repeat=k):
+            m = moments.get(tuple(idx.count(i) for i in range(dim)))
+            if m is None:
+                continue
+            prod = coords[0][idx[0]]
+            for j in range(1, k):
+                prod = prod * coords[j][idx[j]]
+            total = total + scale_value(prod, m)
+        return total
 
-    return InvariantPolynomial(algebra, k, evaluator, f"reznikov:{k}")
+    return InvariantPolynomial(algebra, k, evaluator, f"reznikov:{k}", tensor=tensor)
 
 
 def invariant_polynomial_from_selector(algebra, selector):
-    """Parse selectors like chern:2, symtrace:3, reznikov:2:order=32.
+    """Parse selectors like chern:2, symtrace:3, reznikov:2.
 
-    A selector that does not parse, or whose degree is below 1, raises
+    A selector that does not parse, whose degree is below 1, that has a
+    part after the degree, or that names a polynomial the algebra does
+    not carry (chern off u(n)/su(n), reznikov off su2) raises
     SelectorError.
     """
     kind, _, rest = selector.partition(":")
     if kind not in ("chern", "symtrace", "reznikov"):
         raise SelectorError(f"unknown invariant polynomial selector {selector!r}")
-    args = rest.split(":")
-    k = _selector_int(selector, args[0])
+    degree, extra, _ = rest.partition(":")
+    if extra:
+        raise SelectorError(f"selector {selector!r} takes nothing after the degree")
+    k = _selector_int(selector, degree)
     if k < 1:
         raise SelectorError(f"selector {selector!r} needs a degree >= 1")
     if kind == "chern":
-        return chern_polynomial(algebra, k)
+        try:
+            return chern_polynomial(algebra, k)
+        except LieAlgebraError as e:
+            raise SelectorError(str(e)) from None
     if kind == "symtrace":
         return sym_trace_poly(algebra, k)
-    order = 32
-    for p in args[1:]:
-        if p.startswith("order="):
-            order = _selector_int(selector, p[6:])
-    return reznikov_pullback(k, order)
+    if algebra.name != "su2":
+        raise SelectorError(f"reznikov is defined on su2, not on {algebra.name}")
+    return reznikov_pullback(k)
 
 
 def _selector_int(selector, text):
@@ -589,34 +625,48 @@ def _selector_int(selector, text):
 
 
 # ---------------------------------------------------------------------------
-# sampled validity checks
+# exact validity check
 
 
-def check_invariant_polynomial(rho, rng, samples=50, tol=1e-9, scale=1.0):
-    """Sampled symmetry, multilinearity and Ad-invariance report."""
-    alg = rho.algebra
-    k = rho.arity
-    worst = {"symmetry": 0.0, "multilinearity": 0.0, "ad_invariance": 0.0}
-    perms = list(itertools.permutations(range(k)))
-    if len(perms) > 6:
-        perms = perms[:6]
-    for _ in range(samples):
-        args = [alg.element_matrix_float(alg.random_element(rng, scale)) for _ in range(k)]
-        base = complex(rho.eval(args))
-        ref = max(1.0, abs(base))
-        for perm in perms:
-            v = complex(rho.eval([args[i] for i in perm]))
-            worst["symmetry"] = max(worst["symmetry"], abs(v - base) / ref)
-        # linearity probe in slot 0
-        s, t = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        extra = alg.element_matrix_float(alg.random_element(rng, scale))
-        lhs = complex(rho.eval([s * args[0] + t * extra] + args[1:]))
-        rhs = s * base + t * complex(rho.eval([extra] + args[1:]))
-        worst["multilinearity"] = max(worst["multilinearity"], abs(lhs - rhs) / ref)
-        g = expm(alg.element_matrix_float(alg.random_element(rng, scale)))
-        gi = np.linalg.inv(g)
-        conj = [g @ np.asarray(a) @ gi for a in args]
-        v = complex(rho.eval(conj))
-        worst["ad_invariance"] = max(worst["ad_invariance"], abs(v - base) / ref)
-    worst["pass"] = all(v <= tol for key, v in worst.items() if key != "pass")
-    return worst
+def check_invariant_polynomial(rho, rng):
+    """Exact Ad-invariance, symmetry and multilinearity of rho.
+
+    Ad-invariance of the coefficient tensor: sum_s S(.., [e_x, e_as], ..)
+    is zero for every basis element e_x and index tuple a, where S is the
+    full symmetric tensor.  For the connected groups here that is
+    invariance under the group.  Then rho.eval on three draws of random
+    rational arguments, in every slot order, must equal the contraction of S,
+    which holds only for a symmetric multilinear evaluator.  Returns
+    None when rho passes, else the first failure as text.
+    """
+    alg, k = rho.algebra, rho.arity
+    T = rho.tensor()
+
+    def S(idx):
+        a = tuple(sorted(idx))
+        return T[a] * Fraction(1, _multinomial(a)) if a in T else Scalar.zero()
+
+    unit = [[Scalar.one() if i == j else Scalar.zero() for i in range(alg.dim)] for j in range(alg.dim)]
+    for x in range(alg.dim):
+        ad = [alg.bracket_coords(unit[x], unit[b]) for b in range(alg.dim)]
+        for a in itertools.combinations_with_replacement(range(alg.dim), k):
+            total = Scalar.zero()
+            for s in range(k):
+                for c, coef in enumerate(ad[a[s]]):
+                    if not coef.is_zero():
+                        total = total + coef * S(a[:s] + (c,) + a[s + 1:])
+            if not total.is_zero():
+                return f"tensor not ad-invariant under e{x}: defect {total!r} at {a}"
+    for _ in range(3):
+        args = [[Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(alg.dim)] for _ in range(k)]
+        want = Scalar.zero()
+        for idx in itertools.product(range(alg.dim), repeat=k):
+            term = S(idx)
+            for j, i in enumerate(idx):
+                term = term * args[j][i]
+            want = want + term
+        for perm in itertools.permutations(range(k)):
+            got = rho.eval([alg.element(args[i]) for i in perm])
+            if got != want:
+                return f"eval in slot order {perm} is {got!r}, the tensor gives {want!r}"
+    return None

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import bundles as bn
 from . import cw
@@ -198,15 +199,17 @@ def check_whitney(seed):
 
 def check_lie_invariance(seed):
     su2 = la.lie_algebra("su2")
-    for name, rho in [
-        ("symtrace:2", la.sym_trace_poly(su2, 2)),
-        ("symtrace:3", la.sym_trace_poly(su2, 3)),
-        ("chern:2", la.chern_polynomial(su2, 2)),
+    for rho in [
+        la.sym_trace_poly(su2, 2),
+        la.sym_trace_poly(su2, 3),
+        la.chern_polynomial(su2, 2),
+        la.reznikov_pullback(2),
+        la.reznikov_pullback(4),
     ]:
-        rep = la.check_invariant_polynomial(rho, np.random.default_rng(seed), samples=60)
-        if not rep["pass"]:
-            return False, f"{name}: {rep}"
-    return True, "symtrace/chern Ad-invariant, symmetric, multilinear (sampled)"
+        bad = la.check_invariant_polynomial(rho, random.Random(seed))
+        if bad:
+            return False, f"{rho.provenance}: {bad}"
+    return True, "symtrace/chern/reznikov Ad-invariant, symmetric, multilinear, exactly"
 
 
 def check_polarize(seed):
@@ -226,24 +229,13 @@ def check_polarize(seed):
 
 
 def check_reznikov(seed):
-    su2 = la.lie_algebra("su2")
-    r1 = la.reznikov_pullback(1, 16)
-    r2 = la.reznikov_pullback(2, 16)
-    r3 = la.reznikov_pullback(3, 16)
-    rng = np.random.default_rng(seed)
-    lam = []
-    for _ in range(40):
-        m = su2.element_matrix_float(rng.uniform(-1, 1, 3))
-        if abs(r1.eval([m])) > 1e-10:
-            return False, "reznikov:1 does not vanish"
-        if abs(r3.eval([m, m, m])) > 1e-10:
-            return False, "reznikov:3 does not vanish on the diagonal"
-        tr = (m @ m).trace().real
-        lam.append(r2.eval([m, m]) / tr)
-    lam = np.array(lam)
-    spread = (lam.max() - lam.min()) / abs(lam.mean())
-    ok = spread < 1e-6
-    return ok, f"reznikov:2 proportional to trace form, lambda={lam.mean():.12f}, spread={spread:.1e}"
+    trace_form = la.sym_trace_poly(la.lie_algebra("su2"), 2).tensor()
+    if la.reznikov_pullback(2).tensor() != {a: v * Fraction(-2, 3) for a, v in trace_form.items()}:
+        return False, "reznikov:2 is not -2/3 times the trace form"
+    for k in (1, 3):
+        if la.reznikov_pullback(k).tensor():
+            return False, f"reznikov:{k} does not vanish"
+    return True, "reznikov:2 == -2/3 * trace form; reznikov:1 and reznikov:3 vanish, exactly"
 
 
 def check_ad_exp(seed):
@@ -255,9 +247,6 @@ def check_ad_exp(seed):
         x = su2.element([Fraction(rng.randrange(-2, 3), 16) for _ in range(3)])
         y = su2.element([Fraction(rng.randrange(-6, 7), 4) for _ in range(3)])
         t = rng.uniform(-1, 1)
-        g = la.exp_element(x.scale(Fraction(1)))
-        from scipy.linalg import expm
-
         gm = expm(t * x.matrix_float())
         lhs = su2.decompose_float(gm @ y.matrix_float() @ np.linalg.inv(gm))
         rhs = la.ad_exp_series(x, y, t, order=6)

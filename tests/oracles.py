@@ -123,6 +123,36 @@ def charpoly_coefficient_oracle(M, k):
     return total
 
 
+def reznikov_quadrature(k, order=32):
+    """The Reznikov functional (a_1..a_k) -> int_{S^2} <a_1,x>..<a_k,x>
+    on su2, by a product Gauss-Legendre x uniform-angle rule on the unit
+    sphere (area mass 1), as a float evaluator on complex matrices.
+    Exact for k < 2 * order.  Coordinates come from a least-squares
+    solve against the basis, not from the trace pairing.
+    """
+    from chernweil.liealg import lie_algebra
+
+    su2 = lie_algebra("su2")
+    z_nodes, z_weights = np.polynomial.legendre.leggauss(order)
+    m_phi = 2 * order
+    phi = 2.0 * np.pi * np.arange(m_phi) / m_phi
+    st = np.sqrt(1.0 - z_nodes**2)
+    X = np.outer(st, np.cos(phi))
+    Y = np.outer(st, np.sin(phi))
+    Z = np.repeat(z_nodes[:, None], m_phi, axis=1)
+    # Gauss weights sum to 2; the angle average is folded in
+    W = np.repeat(z_weights[:, None] / (2.0 * m_phi), m_phi, axis=1)
+
+    def evaluator(mats):
+        vals = np.ones_like(X)
+        for m in mats:
+            a = su2.decompose_float(m).real
+            vals = vals * (a[0] * X + a[1] * Y + a[2] * Z)
+        return float(np.sum(W * vals))
+
+    return evaluator
+
+
 def winding_of_samples(values):
     """Integer winding number of a discretely sampled loop in U(1)."""
     total = 0.0

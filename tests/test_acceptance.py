@@ -41,6 +41,8 @@ from chernweil.forms import (
 from chernweil.liealg import (
     chern_polynomial,
     lie_algebra,
+    mat_mul,
+    mat_trace,
     polarize,
     reznikov_pullback,
     sym_trace_poly,
@@ -235,25 +237,20 @@ def test_criterion_8_invariant_polynomials():
 
 def test_criterion_9_reznikov():
     t0 = time.time()
-    r1 = reznikov_pullback(1, 32)
-    r2 = reznikov_pullback(2, 32)
-    rng = np.random.default_rng(99)
+    r1 = reznikov_pullback(1)
+    r2 = reznikov_pullback(2)
+    rng = random.Random(99)
+    lam = Fraction(-2, 3)
     for _ in range(100):
-        m = su2.element_matrix_float(rng.uniform(-1, 1, 3))
-        assert abs(r1.eval([m])) < 1e-10
-    ratios = []
-    for _ in range(100):
-        m = su2.element_matrix_float(rng.uniform(-1, 1, 3))
-        ratios.append(r2.eval([m, m]) / (m @ m).trace().real)
-    ratios = np.array(ratios)
-    spread = float((ratios.max() - ratios.min()) / abs(ratios.mean()))
-    assert spread < 1e-6
+        x = su2.element([Fraction(rng.randrange(-8, 9), rng.randrange(1, 5)) for _ in range(3)])
+        assert r1.eval([x]) == 0
+        assert r2.eval([x, x]) == mat_trace(mat_mul(x.matrix(), x.matrix())) * lam
     elapsed = time.time() - t0
     assert elapsed < 30.0
     _report(
         9,
-        f"reznikov:1 vanishes (<1e-10); reznikov:2 = lambda * trace form with lambda={ratios.mean():.9f}, "
-        f"spread {spread:.1e} ({elapsed:.1f}s)",
+        f"reznikov:1 vanishes; reznikov:2 = lambda * trace form with lambda={lam}, exactly, "
+        f"on 100 rational probes ({elapsed:.1f}s)",
     )
 
 

@@ -2,6 +2,7 @@
 against rho evaluated on the curvature's component matrices."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from chernweil.liealg import (
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
 from chernweil.simplicial import boundary_sphere, standard_simplex
-from oracles import cw_matrix_contraction
+from oracles import cw_matrix_contraction, reznikov_quadrature
 
 
 def _rhos():
@@ -43,15 +44,18 @@ def _rhos():
 
 
 RHOS = _rhos()
+# cw_matrix_contraction's cost is cubic in the slots of a 6-dim chart at
+# arity 3, so reznikov:3 runs on the sparse hypothesis curvatures only
+REZNIKOV = [reznikov_pullback(k) for k in (1, 2, 3)]
 
 COEFF = st.builds(Scalar.of, st.integers(-3, 3), st.integers(-2, 2), st.integers(-1, 1))
 
 
 @st.composite
-def rho_and_curvature(draw):
+def rho_and_curvature(draw, rhos=RHOS):
     """A rho of arity k and a random Lie-valued 2-form on a 2k-dim chart,
     each coordinate component a polynomial of degree <= 1."""
-    rho = draw(st.sampled_from(RHOS))
+    rho = draw(st.sampled_from(rhos))
     alg, dim = rho.algebra, 2 * rho.arity
     monomials = [(0,) * dim] + [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
     coords = []
@@ -71,10 +75,24 @@ def test_tensor_contraction_matches_matrix_oracle(case):
     assert _cw_polyform_wedge(rho, F) == cw_matrix_contraction(rho, F)
 
 
+@settings(max_examples=20, deadline=None)
+@given(rho_and_curvature(REZNIKOV))
+def test_reznikov_contraction_matches_matrix_oracle(case):
+    rho, F = case
+    assert _cw_polyform_wedge(rho, F) == cw_matrix_contraction(rho, F)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rho_and_curvature([sym_trace_poly(lie_algebra("su2"), 2)]))
+def test_reznikov_two_form_is_minus_two_thirds_symtrace_two(case):
+    symtrace2, F = case
+    assert _cw_polyform_wedge(REZNIKOV[1], F) == _cw_polyform_wedge(symtrace2, F).scale(Fraction(-2, 3))
+
+
 def test_tensor_contraction_on_curvatures():
     # every rho at least once, on the curvature of a random connection
     rng = random.Random(5)
-    for rho in RHOS:
+    for rho in RHOS + REZNIKOV[:2]:
         dim = 2 * rho.arity
         A = LieValuedForm(rho.algebra, dim, 1, [random_polyform(rng, dim, 1, 1) for _ in range(rho.algebra.dim)])
         F = curvature_form(A)
@@ -94,8 +112,24 @@ def test_tensor_entries():
 
 
 def test_tensor_rejects_float_functional():
+    su2 = lie_algebra("su2")
     with pytest.raises(TypeError):
-        reznikov_pullback(2, 8).tensor()
+        InvariantPolynomial(su2, 2, reznikov_quadrature(2, 8), "quadrature").tensor()
+
+
+def test_reznikov_tensor_from_sphere_moments():
+    # T[a] = multinomial(a) E[x^count(a)]: (|x|^2)^2 / 5 at arity 4
+    su2 = lie_algebra("su2")
+    third = Scalar.from_rational(1, 3)
+    assert reznikov_pullback(2).tensor() == {(0, 0): third, (1, 1): third, (2, 2): third}
+    T4 = reznikov_pullback(4).tensor()
+    assert T4 == {
+        a: Scalar.from_rational(2 if len(set(a)) == 2 else 1, 5)
+        for a in [(0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2), (0, 0, 1, 1), (0, 0, 2, 2), (1, 1, 2, 2)]
+    }
+    # the tensor from the moments is the one the evaluator gives
+    fresh = InvariantPolynomial(su2, 4, reznikov_pullback(4).eval, "reznikov-evaluator")
+    assert fresh.tensor() == T4
 
 
 def test_chern_above_matrix_size_is_zero():

@@ -177,13 +177,52 @@ def test_cli_horn_fill(capsys):
 
 
 def test_cli_reznikov_modes(capsys):
-    rc = main(["reznikov", "--k", "2", "--order", "16", "--probes", "20", "--mode", "float"])
+    rc = main(["reznikov", "--k", "2", "--mode", "float"])
     out = capsys.readouterr().out
     assert rc == 0 and "PASS proportional-to-trace-form" in out
+    assert "lambda: (-0.6666666666666666+0j)\n" in out
+    rc = main(["reznikov", "--k", "4", "--mode", "float"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "lambda: (0.8+0j)\n" in out and "PASS evaluated" in out
+    rc = main(["reznikov", "--k", "3", "--mode", "float"])
+    assert rc == 0 and "PASS odd-vanishing" in capsys.readouterr().out
     rc = main(["reznikov", "--k", "2"])  # exact mode rejected
     assert rc == 2
-    rc = main(["reznikov", "--k", "2", "--order", "1", "--mode", "float"])
-    assert rc == 2
+    # --order and --probes are not flags
+    for flag in ("--order", "--probes"):
+        with pytest.raises(SystemExit) as e:
+            main(["reznikov", "--k", "2", flag, "16", "--mode", "float"])
+        assert e.value.code == 2
+
+
+def test_cli_chern_reznikov_on_su2_bundle(tmp_path, capsys):
+    main(["generate", "trivial", "--space", "boundary-sphere:2", "--group", "su2", "--out", str(tmp_path)])
+    capsys.readouterr()
+    argv = ["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt")]
+    for selector in ("reznikov:1", "reznikov:2"):
+        assert main(argv + ["--poly", selector]) == 0
+        assert f"class rho={selector} bundle=bundle: closed=yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["generate", "clutch", "--n", "1"], ["generate", "trivial"]],
+                         ids=["clutch", "trivial"])
+def test_cli_generate_without_out(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_cli_algebra_errors_are_usage_errors(tmp_path, capsys):
+    # an unknown group, and chern:K on a group with no Chern polynomial
+    assert main(["generate", "trivial", "--group", "su9", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["generate", "trivial", "--group", "so3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    argv = ["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt")]
+    assert main(argv + ["--poly", "chern:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert main(argv + ["--poly", "symtrace:1"]) == 0
 
 
 def test_cli_usage_errors(capsys):
@@ -217,6 +256,7 @@ def test_cli_bad_space_size(space, capsys):
         ["chern", "--bundle", "clutch:1", "--poly", "reznikov:2"],
         ["chern", "--bundle", "clutch:1", "--poly", "reznikov:2:order=1"],
         ["chern", "--bundle", "clutch:1", "--poly", "reznikov:2", "--mode", "float"],
+        ["chern", "--bundle", "clutch:1", "--poly", "chern:1:foo"],
         ["chern", "--bundle", "clutch:1", "--poly", "chern:7"],
         ["chern", "--bundle", "clutch:1", "--poly", "symtrace:2"],
         ["horn-fill", "--n", "1", "--k", "0"],
@@ -227,7 +267,7 @@ def test_cli_bad_space_size(space, capsys):
     ],
     ids=["chern-clutch-nonint", "chern-clutch-empty",
          "betti-negative-max-dim", "poly-bogus", "poly-nonint", "poly-degree-0",
-         "poly-reznikov", "poly-reznikov-order-1", "poly-reznikov-float",
+         "poly-reznikov", "poly-reznikov-order-1", "poly-reznikov-float", "poly-trailing-part",
          "poly-overflow-chern", "poly-overflow-symtrace", "horn-n1", "horn-n0", "horn-negative",
          "reznikov-k0", "reznikov-negative"],
 )
@@ -276,6 +316,56 @@ def test_cli_bad_scalar_token(token, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def _clutch_files(tmp_path):
+    main(["clutch", "--n", "1", "--out", str(tmp_path)])
+    return {n: (tmp_path / f"{n}.txt").read_text() for n in ("space", "bundle", "connection")}
+
+
+# each input names something the base or the group does not have
+BAD_INPUTS = {
+    "bundle-empty": ("bundle", lambda t: ""),
+    "bundle-bad-coordinate": ("bundle", lambda t: t.replace("exp([0:", "exp([7:")),
+    "bundle-wrong-base": ("space", lambda t: None),
+    "connection-empty": ("connection", lambda t: ""),
+    "connection-bad-coordinate": ("connection", lambda t: t.replace("A 2.1 0 ", "A 2.1 5 ")),
+    "connection-bad-cell": ("connection", lambda t: t.replace("A 2.1 0 ", "A 2.7 0 ")),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_cli_input_not_matching_base(case, tmp_path, capsys):
+    texts = _clutch_files(tmp_path)
+    capsys.readouterr()
+    which, edit = BAD_INPUTS[case]
+    broken = edit(texts[which])
+    assert broken != texts[which]
+    space = "standard:2" if broken is None else str(tmp_path / "space.txt")
+    if broken is not None:
+        (tmp_path / f"{which}.txt").write_text(broken)
+    argv = ["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", space,
+            "--connection", str(tmp_path / "connection.txt")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_parse_rejects_data_off_the_base():
+    P, D = clutch_bundle(1)
+    bt, ct = cio.bundle_to_str(P), cio.connection_to_str(D)
+    with pytest.raises(cio.ParseError):
+        cio.parse_bundle(bt, standard_simplex(2))
+    repeated = [line for line in bt.splitlines() if "exp(" in line][0].split(":")[0] + ": id\n"
+    for text in ("", bt.replace("exp([0:", "exp([1:"), bt.replace("exp([0:", "exp([x:"),
+                 bt.replace("group u1", "group u9"), bt + repeated):
+        with pytest.raises(cio.ParseError):
+            cio.parse_bundle(text, P.base)
+    for text in ("", ct.replace("A 2.1 0 ", "A 2.1 1 "), ct.replace("A 2.1 0 ", "A 3.0 0 "),
+                 ct.replace("A 2.1 0 1:", "A 2.1 0 3:"), ct.replace("A 2.1 0 1:", "A 2.1 0 1,,2:"),
+                 ct + ct.splitlines()[1] + "\n"):
+        with pytest.raises(cio.ParseError):
+            cio.parse_connection(text, P)
 
 
 def test_cli_math_failure(tmp_path, capsys):

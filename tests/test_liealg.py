@@ -4,25 +4,31 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernweil.liealg import (
     Ad,
+    InvariantPolynomial,
     LieAlgebraError,
+    SelectorError,
     ad_exp_series,
     bracket,
     chern_polynomial,
     check_invariant_polynomial,
     exp_element,
+    invariant_polynomial_from_selector,
     lie_algebra,
     mat_mul,
     mat_sub,
     mat_trace,
     polarize,
     reznikov_pullback,
+    sphere_moment,
     sym_trace_poly,
 )
 from chernweil.scalars import Scalar
-from oracles import charpoly_coefficient_oracle, finite_difference_polarization
+from oracles import charpoly_coefficient_oracle, finite_difference_polarization, reznikov_quadrature
 
 
 def test_u1_abelian():
@@ -156,10 +162,32 @@ def test_chern_unsupported_algebra():
 
 
 def test_invariance_sampled():
+    su2, so3, u2 = lie_algebra("su2"), lie_algebra("so3"), lie_algebra("u2")
+    for rho in [sym_trace_poly(su2, 2), sym_trace_poly(su2, 3), chern_polynomial(su2, 2),
+                sym_trace_poly(so3, 2), chern_polynomial(u2, 2)]:
+        assert check_invariant_polynomial(rho, random.Random(4)) is None, rho.provenance
+
+
+def test_invariance_check_rejects_noninvariant_tensor():
     su2 = lie_algebra("su2")
-    for rho in [sym_trace_poly(su2, 2), sym_trace_poly(su2, 3), chern_polynomial(su2, 2)]:
-        rep = check_invariant_polynomial(rho, np.random.default_rng(4), samples=100)
-        assert rep["pass"], rep
+    bad = check_invariant_polynomial(polarize(su2, lambda v: v[0] * v[0], 2), random.Random(0))
+    assert bad is not None and "ad-invariant" in bad
+
+
+def test_invariance_check_rejects_nonsymmetric_evaluator():
+    # tr(x y) + x_2 y_1: on sorted basis pairs it is the trace form, so
+    # the tensor is invariant, but the evaluator is not symmetric
+    su2 = lie_algebra("su2")
+    e1, e2 = su2.basis[0], su2.basis[1]
+
+    def evaluator(m):
+        pair = mat_trace(mat_mul(m[0], e2)) * mat_trace(mat_mul(m[1], e1)) * 4
+        return mat_trace(mat_mul(m[0], m[1])) + pair
+
+    rho = InvariantPolynomial(su2, 2, evaluator, "nonsymmetric")
+    assert rho.tensor() == sym_trace_poly(su2, 2).tensor()
+    bad = check_invariant_polynomial(rho, random.Random(0))
+    assert bad is not None and "slot order" in bad
 
 
 def test_polarize_square_of_linear():
@@ -218,8 +246,18 @@ def test_polarize_rejects_inhomogeneous():
         polarize(su2, lambda v: v[0] ** 2 + v[1], 2)
 
 
+def test_sphere_moments():
+    assert sphere_moment((2, 0, 0)) == Fraction(1, 3)
+    assert sphere_moment((4, 0, 0)) == Fraction(1, 5)
+    assert sphere_moment((2, 2, 0)) == Fraction(1, 15)
+    assert sphere_moment((2, 2, 2)) == Fraction(1, 105)
+    assert sphere_moment((0, 0, 0)) == 1
+    assert sphere_moment((1, 1, 0)) == sphere_moment((3, 0, 2)) == 0
+
+
 def test_reznikov_one_vanishes():
-    rho = reznikov_pullback(1, 32)
+    rho = reznikov_pullback(1)
+    assert rho.tensor() == {}
     su2 = lie_algebra("su2")
     rng = np.random.default_rng(8)
     for _ in range(100):
@@ -228,35 +266,48 @@ def test_reznikov_one_vanishes():
 
 
 def test_reznikov_two_proportional_to_trace_form():
-    rho = reznikov_pullback(2, 32)
+    rho = reznikov_pullback(2)
     su2 = lie_algebra("su2")
-    rng = np.random.default_rng(9)
-    ratios = []
-    for _ in range(100):
-        m = su2.element_matrix_float(rng.uniform(-1, 1, 3))
-        ratios.append(rho.eval([m, m]) / (m @ m).trace().real)
-    ratios = np.array(ratios)
-    spread = (ratios.max() - ratios.min()) / abs(ratios.mean())
-    assert spread < 1e-6
-    # measured constant for the documented normalization (area mass 1,
-    # H = height along the rotation axis): lambda = -2/3
-    assert abs(ratios.mean() - (-2.0 / 3.0)) < 1e-9
+    # the documented normalization (area mass 1, H = height along the
+    # rotation axis) gives lambda = -2/3, exactly
+    trace_form = sym_trace_poly(su2, 2).tensor()
+    assert rho.tensor() == {a: v * Fraction(-2, 3) for a, v in trace_form.items()}
+    rng = random.Random(9)
+    for _ in range(50):
+        x = su2.element([Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(3)])
+        assert rho.eval([x, x]) == mat_trace(mat_mul(x.matrix(), x.matrix())) * Fraction(-2, 3)
 
 
 def test_reznikov_two_quadrature_order_independence():
-    # independent cross-check: two quite different quadrature orders agree
+    # independent cross-check: the sphere quadrature at two quite
+    # different orders agrees with the exact functional
     su2 = lie_algebra("su2")
-    r_lo, r_hi = reznikov_pullback(2, 8), reznikov_pullback(2, 48)
+    rho = reznikov_pullback(2)
+    r_lo, r_hi = reznikov_quadrature(2, 8), reznikov_quadrature(2, 48)
     rng = np.random.default_rng(10)
     for _ in range(20):
         a = su2.element_matrix_float(rng.uniform(-1, 1, 3))
         b = su2.element_matrix_float(rng.uniform(-1, 1, 3))
-        assert abs(r_lo.eval([a, b]) - r_hi.eval([a, b])) < 1e-12
+        exact = rho.eval([a, b])
+        assert abs(r_lo([a, b]) - exact) < 1e-12 and abs(r_hi([a, b]) - exact) < 1e-12
+
+
+COORD = st.floats(-1, 1, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(st.lists(COORD, min_size=3, max_size=3), min_size=k, max_size=k)))
+def test_reznikov_matches_quadrature_oracle(coords):
+    su2 = lie_algebra("su2")
+    k = len(coords)
+    mats = [su2.element_matrix_float(c) for c in coords]
+    assert abs(reznikov_pullback(k).eval(mats) - reznikov_quadrature(k)(mats)) < 1e-12
 
 
 def test_reznikov_three_vanishes_by_antipodal_symmetry():
     # products of three linear height functions are odd under x -> -x
-    rho = reznikov_pullback(3, 32)
+    rho = reznikov_pullback(3)
+    assert rho.tensor() == {}
     su2 = lie_algebra("su2")
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -264,24 +315,36 @@ def test_reznikov_three_vanishes_by_antipodal_symmetry():
         assert abs(rho.eval(args)) < 1e-10
 
 
+def test_reznikov_exact_on_polynomial_entries():
+    # the evaluator reads coordinates through the trace pairing, so it
+    # runs on matrices of polynomials as symtrace and chern do
+    from chernweil.poly import Poly
+
+    su2 = lie_algebra("su2")
+    x = [[Poly.var(1, 0) * v for v in row] for row in su2.basis[0]]
+    assert reznikov_pullback(2).eval([x, x]) == Poly(1, {(2,): Scalar.from_rational(1, 3)})
+
+
 def test_reznikov_invariance():
-    rho = reznikov_pullback(2, 24)
-    rep = check_invariant_polynomial(rho, np.random.default_rng(12), samples=50)
-    assert rep["pass"], rep
+    for k in (2, 4):
+        assert check_invariant_polynomial(reznikov_pullback(k), random.Random(12)) is None
 
 
-def test_reznikov_order_too_low():
+def test_reznikov_degree_too_low():
     with pytest.raises(ValueError):
-        reznikov_pullback(2, 1)
+        reznikov_pullback(0)
 
 
 def test_selector_parsing():
-    from chernweil.liealg import invariant_polynomial_from_selector
-
     su2 = lie_algebra("su2")
     assert invariant_polynomial_from_selector(su2, "chern:2").arity == 2
     assert invariant_polynomial_from_selector(su2, "symtrace:3").arity == 3
-    r = invariant_polynomial_from_selector(su2, "reznikov:2:order=16")
-    assert r.arity == 2
+    assert invariant_polynomial_from_selector(su2, "reznikov:2").arity == 2
     with pytest.raises(ValueError):
         invariant_polynomial_from_selector(su2, "nope:1")
+    # nothing may follow the degree, and reznikov lives on su2 only
+    for selector in ("reznikov:2:order=16", "chern:2:foo", "symtrace:1:"):
+        with pytest.raises(SelectorError):
+            invariant_polynomial_from_selector(su2, selector)
+    with pytest.raises(SelectorError):
+        invariant_polynomial_from_selector(lie_algebra("u2"), "reznikov:2")
