@@ -26,7 +26,7 @@ from math import factorial
 
 import numpy as np
 
-from .forms import AffineMap, FaceConsistencyError, PolyForm, bubble, form_on, random_poly, whitney_extend
+from .forms import AffineMap, FaceConsistencyError, PolyForm, form_on, interior_noise, random_poly, whitney_extend
 from .poly import Poly
 from .scalars import Scalar
 from .simplicial import (
@@ -591,13 +591,15 @@ def validate_connection(P, D, tol=1e-9, seed=0, samples=4):
     return ConnectionReport(not failures, exact, worst, failures)
 
 
-def construct_connection(P, preset=None, rng=None, noise_degree=1):
+def construct_connection(P, preset=None, rng=None):
     """Skeletal-induction connection constructor.
 
     Dimension by dimension, each simplex's boundary data is forced by
     the gauge rule from already-assigned faces and extended to the
-    interior (whitney_extend per basis coordinate); an optional seeded
-    bubble-damped interior term randomizes the output without touching
+    interior (whitney_extend per basis coordinate, which copies the
+    facets' Whitney-Bernstein coefficients and solves nothing).  With a
+    seeded rng, random coefficients on the lowest-degree interior basis
+    functions (interior_noise) randomize the output without touching
     the boundary prescriptions.  Inconsistent prescriptions (impossible
     for valid bundles) surface as FaceConsistencyError with the simplex.
     """
@@ -626,14 +628,7 @@ def construct_connection(P, preset=None, rng=None, noise_degree=1):
                     raise FaceConsistencyError(f"simplex {X.name(sid)}: {e}") from e
             A = LieValuedForm(alg, d, 1, coords)
             if rng is not None:
-                noise = [
-                    PolyForm(
-                        d,
-                        1,
-                        {(j,): random_poly(rng, d, noise_degree) * bubble(d) for j in range(d)},
-                    )
-                    for _ in range(alg.dim)
-                ]
+                noise = [interior_noise(rng, d, 1) for _ in range(alg.dim)]
                 A = A + LieValuedForm(alg, d, 1, noise)
             forms[sid] = A
     return Connection(P, forms)

@@ -19,7 +19,7 @@ from . import io as cio
 from . import liealg as la
 from . import simplicial as sc
 from .poly import Poly
-from .scalars import Scalar
+from .scalars import Scalar, parse_int
 from .verify import SUITES, run_suite
 
 USAGE_ERROR, MATH_FAILURE = 2, 1
@@ -51,18 +51,15 @@ class RunReport:
 
 def _space_size(kind, arg):
     try:
-        n = int(arg)
+        return parse_int(arg, signed=False)
     except ValueError:
-        n = -1
-    if n < 0:
-        raise UsageError(f"{kind} needs a nonnegative integer size, got {arg!r}")
-    return n
+        raise UsageError(f"{kind} needs a nonnegative integer size, got {arg!r}") from None
 
 
 def _clutch_n(arg):
     """The winding number N of a clutch:N selector."""
     try:
-        return int(arg)
+        return parse_int(arg)
     except ValueError:
         raise UsageError(f"clutch needs an integer winding number, got {arg!r}") from None
 

@@ -12,16 +12,23 @@ applied termwise, so no quadrature enters the main path.
 A SimplicialForm assigns a PolyForm to every nondegenerate simplex of a
 base simplicial set, compatibly under face pullback; degenerate
 simplices implicitly carry the pullback along their collapse map.
+
+Boundary-prescribed extension (whitney_extend) works in the
+Whitney-Bernstein basis of Arnold-Falk-Winther, in which the pullback
+to a facet keeps a subset of the coefficients: facet data are converted
+to that basis by closed-form rewriting and copied to the simplex, with
+no linear solve.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import comb, factorial
 
-from .linalg import PrecomputedSolver, sort_sign
-from .poly import Poly, bernstein_basis
+from .linalg import sort_sign
+from .poly import Poly, _accumulate, _compositions, _poly, bernstein_basis
 from .scalars import Scalar
 from .simplicial import (
     Cochain,
@@ -103,9 +110,6 @@ class PolyForm:
 
     def scale(self, c):
         return PolyForm(self.dim, self.deg, {I: p.scale(c) for I, p in self.comps.items()})
-
-    def mul_poly(self, q):
-        return PolyForm(self.dim, self.deg, {I: p * q for I, p in self.comps.items()})
 
     def d(self):
         """Exterior derivative; d o d = 0 exactly."""
@@ -287,8 +291,6 @@ class BernsteinMap:
 
     @staticmethod
     def random(rng, source_dim, target_dim, degree, denominator=8):
-        from .poly import _compositions
-
         control = {}
         for a in _compositions(degree, source_dim + 1):
             weights = [Fraction(rng.randrange(denominator + 1)) for _ in range(target_dim + 1)]
@@ -422,16 +424,134 @@ def induced_form_on_standard_simplex(X, global_form):
 
 
 # ---------------------------------------------------------------------------
-# boundary-prescribed extension
+# boundary-prescribed extension in the Whitney-Bernstein basis
+#
+# On Delta^d write lam_0 = 1 - sum x and lam_v = x_v for the barycentric
+# coordinates.  The Whitney form of an increasing vertex tuple
+# s = (s_0, .., s_k) is
+#
+#     phi_s = sum_j (-1)^j lam_{s_j} dlam_{s_0} ^ .. (omit j) .. ^ dlam_{s_k},
+#
+# and the forms lam^a phi_s with |a| = r and a_v = 0 for v < min s are a
+# basis of P^-_{r+1} Lambda^k, a space holding every k-form of
+# polynomial degree r (Arnold-Falk-Winther, "Geometric decompositions
+# and local bases for spaces of finite element differential forms",
+# CMAME 198, 2009).  For k = 0 the Bernstein monomials lam^b, |b| = r,
+# serve instead.  Call [[a]] u s the support of a basis function.  On a
+# face missing a vertex of the support it pulls back to zero; on a face
+# holding the support it pulls back to the face's own basis function,
+# with the indices renumbered.  So the trace on facet i is the set of
+# coefficients whose support avoids i, and extending facet data copies
+# those coefficients, with zero on the rest.  Keys are pairs (a, s) over
+# the vertices of Delta^d, s = () for the Bernstein basis.
 
 
-def _monomials_up_to(dim, degree):
-    out = []
-    for total in range(degree + 1):
-        for e in itertools.product(range(total + 1), repeat=dim):
-            if sum(e) == total:
-                out.append(e)
+def _multinomial(parts):
+    out, total = 1, 0
+    for p in parts:
+        total += p
+        out *= comb(total, p)
     return out
+
+
+@cache
+def _facet_coeffs(d, i, k, r, J, mu):
+    """x^mu dx_J on facet i of Delta^d in the degree-r basis, keyed over Delta^d.
+
+    No solve: x^mu is homogenized with (sum lam)^(r - |mu|), dlam_J is
+    rewritten as sum_{a not in J} phi_{(a, J)}, and a term lam^b phi_s
+    with m = min [[b]] < min s is brought into the basis in one step by
+    lam_m phi_s = sum_j (-1)^j lam_{s_j} phi_{(m) u s - s_j}, which is
+    kappa(kappa(dlam_{(m) u s})) = 0 for the Koszul operator kappa.
+    Returns a tuple of (key, Scalar) pairs.
+    """
+    verts = [v for v in range(d + 1) if v != i]  # facet vertex j is verts[j]
+    Jv = tuple(verts[j + 1] for j in J)
+    out = {}
+
+    def add(b, s, c):
+        key = (b, s)
+        out[key] = out.get(key, 0) + c
+
+    for g in _compositions(r - sum(mu), d):
+        c = _multinomial(g)
+        b = [0] * (d + 1)
+        b[verts[0]] = g[0]
+        for j in range(1, d):
+            b[verts[j]] = g[j] + mu[j - 1]
+        if k == 0:
+            add(tuple(b), (), c)
+            continue
+        m = next((v for v in range(d + 1) if b[v]), d + 1)
+        for a in verts:
+            if a in Jv:
+                continue
+            s = tuple(sorted(Jv + (a,)))
+            sign = c if sum(1 for v in Jv if v < a) % 2 == 0 else -c
+            if m >= s[0]:
+                add(tuple(b), s, sign)
+                continue
+            for j, v in enumerate(s):
+                b2 = list(b)
+                b2[m] -= 1
+                b2[v] += 1
+                add(tuple(b2), (m,) + s[:j] + s[j + 1:], sign if j % 2 == 0 else -sign)
+    return tuple((key, Scalar.coerce(c)) for key, c in out.items() if c)
+
+
+def _lam_power(d, b):
+    """lam^b on Delta^d as a dict exponent -> int."""
+    out = {}
+    for g in _compositions(b[0], d + 1):
+        c = _multinomial(g) * (-1) ** (b[0] - g[0])
+        e = tuple(gl + bl for gl, bl in zip(g[1:], b[1:]))
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _dlam_wedge(d, t):
+    """dlam_{t_0} ^ .. ^ dlam_{t_k} for increasing t, as a dict I -> sign."""
+    if not t or t[0] != 0:
+        return {tuple(v - 1 for v in t): 1}
+    # dlam_0 = -sum_l dx_l
+    rest = tuple(v - 1 for v in t[1:])
+    return {
+        tuple(sorted(rest + (l,))): -1 if sum(1 for v in rest if v < l) % 2 == 0 else 1
+        for l in range(d)
+        if l not in rest
+    }
+
+
+@cache
+def _basis_form(d, a, s):
+    """lam^a phi_s (lam^a for s == ()) on Delta^d, as a tuple of
+    (I, tuple of (exponent, Scalar)) pairs."""
+    comps = {}
+    if not s:
+        comps[()] = _lam_power(d, a)
+    for j, v in enumerate(s):
+        b = list(a)
+        b[v] += 1
+        p = _lam_power(d, b)
+        for I, sign in _dlam_wedge(d, s[:j] + s[j + 1:]).items():
+            sign = sign if j % 2 == 0 else -sign
+            t = comps.setdefault(I, {})
+            for e, c in p.items():
+                t[e] = t.get(e, 0) + sign * c
+    return tuple(
+        (I, tuple((e, Scalar.coerce(c)) for e, c in t.items() if c)) for I, t in comps.items()
+    )
+
+
+def _from_basis(d, k, coeffs):
+    """The PolyForm sum c * (basis function key) over coeffs.items()."""
+    comps = {}
+    for key, c in coeffs.items():
+        for I, terms in _basis_form(d, *key):
+            t = comps.setdefault(I, {})
+            for e, m in terms:
+                _accumulate(t, e, c * m)
+    return PolyForm(d, k, {I: _poly(d, t) for I, t in comps.items()})
 
 
 def check_prescription_consistency(d, prescriptions):
@@ -439,7 +559,8 @@ def check_prescription_consistency(d, prescriptions):
 
     prescriptions: dict facet index -> PolyForm on Delta^{d-1}.  Uses
     the cosimplicial identity delta_i o delta_{j-1} = delta_j o delta_i
-    for i < j.
+    for i < j.  An oracle for the coefficient comparison in
+    whitney_extend, which reports the same pairs.
     """
     bad = []
     idx = sorted(prescriptions)
@@ -452,15 +573,17 @@ def check_prescription_consistency(d, prescriptions):
     return bad
 
 
-def whitney_extend(d, deg, prescriptions, extra_degree=0):
+def whitney_extend(d, deg, prescriptions):
     """Polynomial form on Delta^d with prescribed facet pullbacks.
 
     prescriptions maps facet indices to PolyForms on Delta^{d-1};
-    missing facets are unconstrained.  The data must agree exactly on
-    facet intersections.  The extension is found by an exact linear
-    solve over a monomial ansatz whose degree starts at the prescribed
-    degree and is bumped until the system is solvable; with fixed
-    variable ordering and pivoting the result is deterministic.
+    missing facets are unconstrained.  Each facet's data is written in
+    the Whitney-Bernstein basis of degree D, the highest polynomial
+    degree of the data (max(D, 1) for 0-forms), and its coefficients
+    are copied to Delta^d; all other coefficients are zero.  Nothing is
+    solved.  The result has polynomial degree at most D + 1.  Data that
+    disagree on a facet intersection disagree on a shared coefficient,
+    and raise FaceConsistencyError naming each such pair of facets.
     """
     prescriptions = {
         i: (f if isinstance(f, PolyForm) else PolyForm(d - 1, deg, f))
@@ -469,89 +592,73 @@ def whitney_extend(d, deg, prescriptions, extra_degree=0):
     for i, f in prescriptions.items():
         if f.dim != d - 1 or f.deg != deg:
             raise ValueError(f"prescription {i} has wrong shape")
-    bad = check_prescription_consistency(d, prescriptions)
-    if bad:
-        raise FaceConsistencyError(
-            "inconsistent facet data on intersections: "
-            + ", ".join(f"faces {i} and {j}" for i, j in bad)
-        )
     if deg > d - 1:
         # facet pullbacks of a deg > d-1 form vanish identically
         if any(not f.is_zero() for f in prescriptions.values()):
             raise FaceConsistencyError("nonzero prescription of overflow degree")
         return PolyForm.zero(d, deg)
 
-    facets = tuple(sorted(prescriptions))
-    if not facets:
-        return PolyForm.zero(d, deg)
-    base_degree = max(
-        [f.total_poly_degree() for f in prescriptions.values()] + [0]
-    ) + extra_degree
-    for D in range(base_degree, base_degree + 4):
-        unknowns, row_index, solver = _facet_system(d, deg, D, facets)
-        rhs = [Scalar.zero()] * len(row_index)
-        for (i, J, mu), r in row_index.items():
-            rhs[r] = prescriptions[i].component(J).terms.get(mu, Scalar.zero())
-        status, data = solver.solve(rhs)
-        if status == "solved":
-            out = {}
-            for (I, e), v in zip(unknowns, data):
-                if not v.is_zero():
-                    out.setdefault(I, {})[e] = v
-            return PolyForm(d, deg, {I: Poly(d, t) for I, t in out.items()})
-    raise RuntimeError("no polynomial extension found; ansatz degree exhausted")
-
-
-_FACET_SYSTEMS = {}
-
-
-def _facet_system(d, deg, D, facets):
-    """The (cached) linear system 'facet pullbacks of a degree-D ansatz'."""
-    key = (d, deg, D, facets)
-    if key in _FACET_SYSTEMS:
-        return _FACET_SYSTEMS[key]
-    comps = list(itertools.combinations(range(d), deg))
-    tgt_comps = list(itertools.combinations(range(d - 1), deg))
-    monos = _monomials_up_to(d, D)
-    target_monos = _monomials_up_to(d - 1, D)
-    unknowns = [(I, e) for I in comps for e in monos]
-    col_of = {u: c for c, u in enumerate(unknowns)}
-    row_index = {}
-    rows = []
+    D = max([f.total_poly_degree() for f in prescriptions.values()] + [0])
+    r = max(D, 1) if deg == 0 else D
+    facets = sorted(prescriptions)
+    lifted = {}
     for i in facets:
-        fm = AffineMap.face(d, i)
-        pulled = {}
-        for I in comps:
-            for e in monos:
-                basis_form = PolyForm(d, deg, {I: Poly(d, {e: Scalar.one()})})
-                pulled[(I, e)] = basis_form.pullback(fm)
-        for J in tgt_comps:
-            for mu in target_monos:
-                row = [Fraction(0)] * len(unknowns)
-                for u, pf in pulled.items():
-                    c = pf.component(J).terms.get(mu)
-                    if c is not None:
-                        row[col_of[u]] = c.rational_value()
-                row_index[(i, J, mu)] = len(rows)
-                rows.append(row)
-    solver = PrecomputedSolver(rows)
-    out = (unknowns, row_index, solver)
-    _FACET_SYSTEMS[key] = out
-    return out
+        c = {}
+        for J, p in prescriptions[i].comps.items():
+            for mu, v in p.terms.items():
+                for key, m in _facet_coeffs(d, i, deg, r, J, mu):
+                    _accumulate(c, key, v * m)
+        lifted[i] = c
+    bad = [
+        (i, j)
+        for a, i in enumerate(facets)
+        for j in facets[a + 1:]
+        if _trace(lifted[i], j) != _trace(lifted[j], i)
+    ]
+    if bad:
+        raise FaceConsistencyError(
+            "inconsistent facet data on intersections: "
+            + ", ".join(f"faces {i} and {j}" for i, j in bad)
+        )
+    coeffs = {}
+    for c in lifted.values():
+        coeffs.update(c)
+    return _from_basis(d, deg, coeffs)
 
 
-def bubble(dim):
-    """Product of all barycentric coordinates; vanishes on every facet."""
-    p = Poly.const(dim, 1)
-    for i in range(dim):
-        p = p - Poly.var(dim, i)
-    for i in range(dim):
-        p = p * Poly.var(dim, i)
-    return p
+def _trace(coeffs, v):
+    """The coefficients whose basis functions survive on the facet opposite v."""
+    return {(a, s): c for (a, s), c in coeffs.items() if not a[v] and v not in s}
+
+
+def interior_noise(rng, d, k):
+    """Seeded random k-form on Delta^d that pulls back to zero on every facet.
+
+    Random rationals on the lowest-degree interior basis functions
+    lam^a phi_s: s holds vertex 0 and a is 1 on the other vertices, so
+    |a| = d - k and the support is every vertex.
+    """
+    coeffs = {}
+    for t in itertools.combinations(range(1, d + 1), k):
+        s = (0,) + t
+        a = tuple(0 if v in s else 1 for v in range(d + 1))
+        num = rng.randrange(-6, 7)
+        if num:
+            coeffs[(a, s)] = Scalar.from_rational(num, rng.randrange(1, 6))
+    return _from_basis(d, k, coeffs)
 
 
 # ---------------------------------------------------------------------------
 # random generators (seeded, for property tests and the verify suite)
+
+
+def _monomials_up_to(dim, degree):
+    out = []
+    for total in range(degree + 1):
+        for e in itertools.product(range(total + 1), repeat=dim):
+            if sum(e) == total:
+                out.append(e)
+    return out
 
 
 def random_poly(rng, dim, degree, denominator=6):
@@ -571,12 +678,13 @@ def random_polyform(rng, dim, deg, degree=2):
     return PolyForm(dim, deg, comps)
 
 
-def random_simplicial_form(X, deg, rng, degree=2):
+def random_simplicial_form(X, deg, rng):
     """Seeded random compatible simplicial form, built skeletally.
 
-    Faces prescribe each cell's boundary data (via whitney_extend); a
-    random bubble-damped interior term keeps the result generic without
-    disturbing the facet pullbacks.
+    Faces prescribe each cell's boundary data (via whitney_extend); random
+    coefficients on the lowest-degree interior basis functions
+    (interior_noise) keep the result generic without disturbing the
+    facet pullbacks.
     """
     forms = {}
     for d in range(X.dim + 1):
@@ -588,8 +696,5 @@ def random_simplicial_form(X, deg, rng, degree=2):
                 forms[sid] = PolyForm(0, 0, {(): random_poly(rng, 0, 0)})
                 continue
             prescriptions = {i: form_on(forms, X.face(sid, i)) for i in range(d + 1)}
-            f = whitney_extend(d, deg, prescriptions)
-            if deg <= d:
-                f = f + random_polyform(rng, d, deg, degree).mul_poly(bubble(d))
-            forms[sid] = f
+            forms[sid] = whitney_extend(d, deg, prescriptions) + interior_noise(rng, d, deg)
     return SimplicialForm(X, deg, forms)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .bundles import BundleData, Connection, LieValuedForm, LieValuedPoly, TransitionMap
 from .forms import PolyForm
 from .poly import Poly
-from .scalars import QI, Scalar
+from .scalars import INT_NUMERAL, QI, Scalar, parse_int
 from .simplicial import SimplexId, SimplicialSet
 
 
@@ -52,8 +52,7 @@ def scalar_to_str(s):
     return " + ".join(bits)
 
 
-_INT = r"-?[0-9]+"
-_RAT = _INT + r"(?:/[0-9]+)?"
+_RAT = INT_NUMERAL + r"(?:/[0-9]+)?"
 _QI_RE = re.compile(rf"\(({_RAT})([+-][0-9]+(?:/[0-9]+)?)i\)")
 
 
@@ -81,9 +80,7 @@ def parse_scalar(text):
     for atom in text.split(" + "):
         head, tau, kpart = atom.partition("*tau^")
         try:
-            if tau and not re.fullmatch(_INT, kpart):
-                raise ValueError(f"bad tau power {kpart!r}")
-            k = int(kpart) if tau else 0
+            k = parse_int(kpart) if tau else 0
             c = _parse_qi(head)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad scalar {text!r}") from None

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .linalg import row_reduce, solution_from_pivots, sort_sign
-from .scalars import TAU, Scalar
+from .scalars import TAU, Scalar, parse_int
 
 
 class LieAlgebraError(ValueError):
@@ -619,7 +619,7 @@ def invariant_polynomial_from_selector(algebra, selector):
 
 def _selector_int(selector, text):
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError:
         raise SelectorError(f"selector {selector!r} needs an integer, got {text!r}") from None
 

@@ -14,10 +14,25 @@ numeric value is wanted.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
 TAU = 2.0 * math.pi
+
+# The integer numerals of the file formats and the command line: an
+# optional minus sign and ASCII digits, no '+', spaces or underscores.
+INT_NUMERAL = r"-?[0-9]+"
+SIZE_NUMERAL = r"[0-9]+"
+
+
+def parse_int(text, signed=True):
+    """The int a numeral spells (INT_NUMERAL, or SIZE_NUMERAL when not
+    signed); any other spelling raises ValueError, where int() would
+    take '+1', ' 1' or '1_0'."""
+    if not re.fullmatch(INT_NUMERAL if signed else SIZE_NUMERAL, text):
+        raise ValueError(f"bad integer numeral {text!r}")
+    return int(text)
 
 _new = object.__new__
 

@@ -174,7 +174,7 @@ def check_stokes(seed):
     for X in [sc.boundary_sphere(2), sc.two_disk_sphere()]:
         for _ in range(15):
             k = rng.randrange(0, 3)
-            om = fm.random_simplicial_form(X, k, rng, 1)
+            om = fm.random_simplicial_form(X, k, rng)
             lhs = fm.integrate_to_cochain(om.d())
             rhs = sc.coboundary(X, fm.integrate_to_cochain(om))
             if not (lhs - rhs).is_zero():
@@ -185,7 +185,7 @@ def check_stokes(seed):
 def check_whitney(seed):
     rng = random.Random(seed)
     for _ in range(10):
-        om = fm.random_simplicial_form(sc.boundary_sphere(2), 1, rng, 1)
+        om = fm.random_simplicial_form(sc.boundary_sphere(2), 1, rng)
         if fm.check_simplicial_form(om):
             return False, "random simplicial form incompatible"
         sid = sc.SimplexId(2, 0)

@@ -90,7 +90,7 @@ def test_criterion_2_integration_commutes_with_d():
     while count < 100:
         X = bases[count % 2]
         k = rng.randrange(0, 4)  # degrees <= 3
-        om = random_simplicial_form(X, k, rng, 1)
+        om = random_simplicial_form(X, k, rng)
         lhs = integrate_to_cochain(om.d())
         rhs = coboundary(X, integrate_to_cochain(om))
         assert (lhs - rhs).is_zero()

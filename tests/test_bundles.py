@@ -166,6 +166,14 @@ def test_random_connections_valid():
         assert validate_connection(Ps, random_connection(Ps, seed)).ok
 
 
+def test_random_connection_on_four_simplex():
+    # the headline cell: a whole su2 connection on Delta^4, exactly valid
+    P = trivial_bundle(standard_simplex(4), lie_algebra("su2"))
+    D = random_connection(P, 0)
+    rep = validate_connection(P, D)
+    assert rep.ok and rep.exact
+
+
 def test_gauge_prescription_inverts_rule():
     # delta_i^* A recovered from the face data reproduces the connection
     P, D = clutch_bundle(2)

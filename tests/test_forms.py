@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernweil.forms import (
     AffineMap,
@@ -11,11 +13,11 @@ from chernweil.forms import (
     FaceConsistencyError,
     PolyForm,
     SimplicialForm,
-    bubble,
     check_prescription_consistency,
     check_simplicial_form,
     induced_form_on_standard_simplex,
     integrate_to_cochain,
+    interior_noise,
     random_poly,
     random_polyform,
     random_simplicial_form,
@@ -207,7 +209,7 @@ def test_induced_form_coherence_under_polynomial_maps():
 def test_perturbed_form_fails_check():
     X = two_disk_sphere()
     rng = random.Random(9)
-    om = random_simplicial_form(X, 1, rng, 1)
+    om = random_simplicial_form(X, 1, rng)
     bad = dict(om.forms)
     sid = SimplexId(2, 1)
     bad[sid] = bad[sid] + PolyForm(2, 1, {(0,): Poly.const(2, 1)})
@@ -225,10 +227,10 @@ def test_global_ops():
     rng = random.Random(10)
     for _ in range(50):
         k = rng.randrange(0, 2)
-        om = random_simplicial_form(X, k, rng, 1)
+        om = random_simplicial_form(X, k, rng)
         assert check_simplicial_form(om) == []
         assert check_simplicial_form(om.d()) == []
-        other = random_simplicial_form(X, rng.randrange(0, 2 - k + 1), rng, 1)
+        other = random_simplicial_form(X, rng.randrange(0, 2 - k + 1), rng)
         assert check_simplicial_form(om.wedge(other)) == []
         assert om.d().d() == SimplicialForm.zero(X, k + 2)
 
@@ -237,14 +239,14 @@ def test_global_pullback_identity(tds):
     from chernweil.simplicial import SimplicialMap
 
     rng = random.Random(11)
-    om = random_simplicial_form(tds, 1, rng, 1)
+    om = random_simplicial_form(tds, 1, rng)
     assert om.pullback(SimplicialMap.identity(tds)) == om
 
 
 def test_integrate_to_cochain_point_evaluations():
     X = boundary_sphere(2)
     rng = random.Random(12)
-    om = random_simplicial_form(X, 0, rng, 1)
+    om = random_simplicial_form(X, 0, rng)
     c = integrate_to_cochain(om)
     for sid in X.cells(0):
         assert c.value(sid) == om.form(sid).component(()).eval([])
@@ -255,7 +257,7 @@ def test_integration_commutes_with_d():
     for X in [boundary_sphere(2), two_disk_sphere()]:
         for _ in range(25):
             k = rng.randrange(0, 3)
-            om = random_simplicial_form(X, k, rng, 1)
+            om = random_simplicial_form(X, k, rng)
             lhs = integrate_to_cochain(om.d())
             rhs = coboundary(X, integrate_to_cochain(om))
             assert (lhs - rhs).is_zero()
@@ -264,7 +266,7 @@ def test_integration_commutes_with_d():
 def test_exact_form_pairs_to_zero_on_cycle():
     X = two_disk_sphere()
     rng = random.Random(14)
-    eta = random_simplicial_form(X, 1, rng, 2)
+    eta = random_simplicial_form(X, 1, rng)
     om = eta.d()
     c = integrate_to_cochain(om)
     assert pairing(c, fundamental_cycle_two_disk(X)).is_zero()
@@ -318,11 +320,54 @@ def test_whitney_compatible_function_data():
             assert ext.pullback(AffineMap.face(2, i)) == pres[i]
 
 
-def test_bubble_vanishes_on_facets():
-    for d in [1, 2, 3]:
-        b = bubble(d)
-        for i in range(d + 1):
-            assert b.compose(AffineMap.face(d, i).coords(), source_dim=d - 1).is_zero()
+def test_interior_noise_vanishes_on_facets():
+    rng = random.Random(18)
+    for d in [1, 2, 3, 4]:
+        for k in range(d + 1):
+            noise = interior_noise(rng, d, k)
+            assert noise.dim == d and noise.deg == k
+            assert noise.total_poly_degree() <= d - k + 1
+            for i in range(d + 1):
+                assert noise.pullback(AffineMap.face(d, i)).is_zero()
+
+
+@st.composite
+def facet_data(draw):
+    """A global form's pullbacks to some facets of Delta^d, and one perturbation."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(0, d - 1))
+    degree = draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    glob = random_polyform(rng, d, k, degree)
+    facets = draw(st.sets(st.integers(0, d), min_size=1))
+    pres = {i: glob.pullback(AffineMap.face(d, i)) for i in facets}
+    i = draw(st.sampled_from(sorted(facets)))
+    perturbed = dict(pres)
+    perturbed[i] = pres[i] + random_polyform(rng, d - 1, k, draw(st.integers(0, 3)))
+    return d, k, pres, perturbed
+
+
+@settings(max_examples=80, deadline=None)
+@given(facet_data())
+def test_whitney_extend_copies_facet_data(case):
+    d, k, pres, perturbed = case
+    ext = whitney_extend(d, k, pres)
+    D = max(f.total_poly_degree() for f in pres.values())
+    assert ext.total_poly_degree() <= D + 1
+    for i, f in pres.items():
+        assert ext.pullback(AffineMap.face(d, i)) == f
+    # the coefficient comparison reports exactly the pairs the pullback oracle does
+    bad = check_prescription_consistency(d, perturbed)
+    if not bad:
+        ext = whitney_extend(d, k, perturbed)
+        for i, f in perturbed.items():
+            assert ext.pullback(AffineMap.face(d, i)) == f
+        return
+    with pytest.raises(FaceConsistencyError) as err:
+        whitney_extend(d, k, perturbed)
+    assert str(err.value) == "inconsistent facet data on intersections: " + ", ".join(
+        f"faces {i} and {j}" for i, j in bad
+    )
 
 
 def test_serialization_is_canonical_equality():

@@ -407,3 +407,20 @@ def test_cli_verify_all(capsys):
     assert "result: pass" in out
     assert "FAIL" not in out
     assert out.count("PASS") >= 25
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chern", "--bundle", "clutch:1", "--poly", "chern:+1"],
+        ["chern", "--bundle", "clutch:1", "--poly", "chern: 1"],
+        ["betti", "--space", "standard:+2"],
+        ["chern", "--bundle", "clutch: 1"],
+    ],
+    ids=["poly-plus", "poly-space", "space-plus", "clutch-space"],
+)
+def test_cli_rejects_noncanonical_numerals(argv, capsys):
+    # the command line reads integers by the file formats' numeral rule
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
