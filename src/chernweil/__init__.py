@@ -8,6 +8,7 @@ from .forms import (
     AffineMap,
     BernsteinMap,
     PolyForm,
+    PolyMap,
     SimplicialForm,
     check_simplicial_form,
     integrate_to_cochain,

@@ -790,8 +790,9 @@ def apply_gauge(P, gauges, D=None):
 
 def random_u1_bundle(X, rng, degree=2, windings=True):
     """Seeded random valid U(1) bundle: a gauge change of the trivial
-    bundle, plus integer windings on the face-0 transitions of 2-cells
-    (exp(i tau m t) is endpoint-trivial, so cocycles survive)."""
+    bundle, plus, on bases of dimension at most 2, integer windings on
+    the face-0 transitions of 2-cells (exp(i tau m t) is endpoint-trivial,
+    so the 2-cell cocycles survive; on a 3-cell they would not)."""
     from .liealg import lie_algebra
 
     alg = lie_algebra("u1")
@@ -800,7 +801,7 @@ def random_u1_bundle(X, rng, degree=2, windings=True):
         p = random_poly(rng, sid.dim, degree)
         gauges[sid] = LieValuedPoly(alg, sid.dim, [p])
     P, _ = apply_gauge(trivial_bundle(X, alg), gauges)
-    if windings:
+    if windings and X.dim <= 2:
         for sid in X.cells(2):
             m = rng.randrange(-2, 3)
             if m:

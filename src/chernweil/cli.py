@@ -226,6 +226,8 @@ def cmd_horn_fill(args, report):
     H = _horn(args.n, args.k)
     P = bn.random_u1_bundle(H.space, random.Random(args.seed))
     report.check("input-valid", bn.validate_bundle(P).ok)
+    if report.failed:
+        return report
     filled, cmap = bn.horn_fill_bundle(H, P)
     report.check("filler-valid", bn.validate_bundle(filled).ok)
     back = bn.restrict_bundle_to_horn(filled, H, cmap)

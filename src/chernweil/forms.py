@@ -9,6 +9,14 @@ top-degree form uses the Dirichlet monomial identity
 
 applied termwise, so no quadrature enters the main path.
 
+Pullback goes through map objects (PolyMap and its AffineMap and
+BernsteinMap), which are immutable.  Each map keeps a memo of the
+monomial forms x^e dx_I pulled back along it, so a form's pullback only
+scales and adds memo entries.  AffineMap.from_monotone returns one
+shared map per vertex map, so every face and collapse map of a given
+shape, and its memo, is built once per process
+(AffineMap.from_monotone.cache_info() and len(map.memo) report them).
+
 A SimplicialForm assigns a PolyForm to every nondegenerate simplex of a
 base simplicial set, compatibly under face pullback; degenerate
 simplices implicitly carry the pullback along their collapse map.
@@ -121,9 +129,9 @@ class PolyForm:
                 dp = p.diff(j)
                 if dp.is_zero():
                     continue
-                sign = (-1) ** sum(1 for i in I if i < j)
                 K = tuple(sorted(I + (j,)))
-                s = out.get(K, Poly.zero(self.dim)) + dp.scale(Fraction(sign))
+                prev = out.get(K, Poly.zero(self.dim))
+                s = prev - dp if sum(1 for i in I if i < j) % 2 else prev + dp
                 if s.is_zero():
                     out.pop(K, None)
                 else:
@@ -139,7 +147,8 @@ class PolyForm:
                 K, sign = sort_sign(I + J)
                 if sign == 0:
                     continue
-                s = out.get(K, Poly.zero(self.dim)) + (p * q).scale(Fraction(sign))
+                prev = out.get(K, Poly.zero(self.dim))
+                s = prev + p * q if sign > 0 else prev - p * q
                 if s.is_zero():
                     out.pop(K, None)
                 else:
@@ -147,25 +156,31 @@ class PolyForm:
         return PolyForm(self.dim, self.deg + other.deg, out)
 
     def pullback(self, phi):
-        """Pullback along a polynomial or affine map into Delta^dim."""
+        """Pullback along a polynomial or affine map into Delta^dim.
+
+        Each term c x^e dx_I adds c times the pullback of x^e dx_I,
+        which phi's memo holds after the first time it is needed.
+        """
         if phi.target_dim != self.dim:
             raise ValueError("pullback target dimension mismatch")
-        coords = phi.coords()
+        if not isinstance(phi, PolyMap):  # any object with coords(): memo for this call only
+            phi = PolyMap(phi.source_dim, phi.target_dim, phi.coords())
         src = phi.source_dim
         if self.deg > src:
             return PolyForm(src, self.deg, {})
-        dcoords = []
-        for c in coords:
-            dcoords.append(
-                PolyForm(src, 1, {(j,): c.diff(j) for j in range(src) if not c.diff(j).is_zero()})
-            )
-        out = PolyForm.zero(src, self.deg)
+        memo = phi.memo
+        out = {}
         for I, p in self.comps.items():
-            term = PolyForm.from_poly(p.compose(coords, source_dim=src))
-            for i in I:
-                term = term.wedge(dcoords[i])
-            out = out + term
-        return out
+            for e, c in p.terms.items():
+                pulled = memo.get((e, I))
+                if pulled is None:
+                    pulled = memo[(e, I)] = _pull_monomial(phi, e, I)
+                for J, e2, m in pulled:
+                    t = out.get(J)
+                    if t is None:
+                        t = out[J] = {}
+                    _accumulate(t, e2, c * m)
+        return PolyForm(src, self.deg, {J: _poly(src, t) for J, t in out.items()})
 
     def integrate_top(self):
         """Exact integral over Delta^dim of a top-degree form."""
@@ -202,35 +217,70 @@ class PolyForm:
 # maps into simplices
 
 
-class AffineMap:
-    """Affine map Delta^k -> Delta^d induced by a monotone vertex map."""
+class PolyMap:
+    """Polynomial map Delta^k -> Delta^d given by its coordinate polynomials.
+
+    Map objects are immutable.  Each keeps a memo of the monomial forms
+    x^e dx_I pulled back along it, so pulling back along the same map
+    again only multiplies and adds coefficients.
+    """
 
     def __init__(self, source_dim, target_dim, coord_polys):
         self.source_dim = source_dim
         self.target_dim = target_dim
-        self._coords = coord_polys
+        self._coords = tuple(coord_polys)
+        self.memo = {}
 
     def coords(self):
         return self._coords
 
-    @staticmethod
-    def from_monotone(m, target_dim):
-        k = len(m) - 1
-        # barycentric coordinates of the source
-        lam0 = Poly.const(k, 1)
-        for i in range(k):
-            lam0 = lam0 - Poly.var(k, i)
-        lams = [lam0] + [Poly.var(k, i) for i in range(k)]
-        coords = []
-        for target_coord in range(1, target_dim + 1):
-            p = Poly.zero(k)
-            for j, v in enumerate(m):
-                if v == target_coord:
-                    p = p + lams[j]
-            coords.append(p)
-        am = AffineMap(k, target_dim, coords)
-        am.vertex_map = tuple(m)
-        return am
+    def compose(self, inner):
+        """self o inner, by substituting inner's coordinates into self's."""
+        src = inner.source_dim
+        inner_coords = inner.coords()
+        return PolyMap(src, self.target_dim, [c.compose(inner_coords, source_dim=src) for c in self.coords()])
+
+
+def _pull_monomial(phi, e, I):
+    """x^e dx_I pulled back along phi, as a tuple of (J, e', Scalar):
+    compose, then wedge the differentials of the coordinates."""
+    src = phi.source_dim
+    coords = phi.coords()
+    term = PolyForm.from_poly(Poly(phi.target_dim, {e: 1}).compose(coords, source_dim=src))
+    for i in I:
+        term = term.wedge(PolyForm(src, 1, {(j,): coords[i].diff(j) for j in range(src)}))
+    return tuple((J, e2, c) for J, p in term.comps.items() for e2, c in p.terms.items())
+
+
+@cache
+def _affine_map(m, target_dim):
+    """The AffineMap of the monotone vertex map m (a tuple) into Delta^target_dim."""
+    k = len(m) - 1
+    # barycentric coordinates of the source
+    lam0 = Poly.const(k, 1)
+    for i in range(k):
+        lam0 = lam0 - Poly.var(k, i)
+    lams = [lam0] + [Poly.var(k, i) for i in range(k)]
+    coords = []
+    for target_coord in range(1, target_dim + 1):
+        p = Poly.zero(k)
+        for j, v in enumerate(m):
+            if v == target_coord:
+                p = p + lams[j]
+        coords.append(p)
+    am = AffineMap(k, target_dim, coords)
+    am.vertex_map = m
+    return am
+
+
+class AffineMap(PolyMap):
+    """Affine map Delta^k -> Delta^d induced by a monotone vertex map.
+
+    from_monotone(m, d) returns one shared instance per (m, d), m a
+    tuple, so its pullback memo serves every caller.
+    """
+
+    from_monotone = staticmethod(_affine_map)
 
     @staticmethod
     def face(d, i):
@@ -252,12 +302,13 @@ class AffineMap:
         return AffineMap.from_monotone(m, self.target_dim)
 
 
-class BernsteinMap:
+class BernsteinMap(PolyMap):
     """Polynomial map Delta^k -> Delta^d in Bernstein-Bezier form.
 
     Control points live in Delta^d, so the image is contained in
     Delta^d by convexity; validity is the syntactic check that each
     control point has nonnegative coordinates summing to at most 1.
+    The coordinate polynomials are built on first use.
     """
 
     def __init__(self, source_dim, target_dim, degree, control):
@@ -265,7 +316,8 @@ class BernsteinMap:
         self.target_dim = target_dim
         self.degree = degree
         self.control = {tuple(a): tuple(Fraction(x) for x in pt) for a, pt in control.items()}
-        self._coord_cache = None
+        self._coords = None
+        self.memo = {}
 
     def is_valid(self):
         for pt in self.control.values():
@@ -276,7 +328,7 @@ class BernsteinMap:
         return True
 
     def coords(self):
-        if self._coord_cache is None:
+        if self._coords is None:
             basis = bernstein_basis(self.source_dim, self.degree)
             coords = []
             for l in range(self.target_dim):
@@ -286,8 +338,8 @@ class BernsteinMap:
                     if c:
                         p = p + B.scale(c)
                 coords.append(p)
-            self._coord_cache = coords
-        return self._coord_cache
+            self._coords = tuple(coords)
+        return self._coords
 
     @staticmethod
     def random(rng, source_dim, target_dim, degree, denominator=8):

@@ -122,15 +122,7 @@ def check_pullback_functorial(seed):
         phi = fm.BernsteinMap.random(rng, 2, 3, 2)
         psi = fm.BernsteinMap.random(rng, 1, 2, 2)
         omega = fm.random_polyform(rng, 3, rng.choice([1, 2]), 1)
-        comp_coords = [c.compose(psi.coords(), source_dim=1) for c in phi.coords()]
-
-        class _Comp:
-            source_dim, target_dim = 1, 3
-
-            def coords(self):
-                return comp_coords
-
-        lhs = omega.pullback(_Comp())
+        lhs = omega.pullback(phi.compose(psi))
         rhs = omega.pullback(phi).pullback(psi)
         if lhs != rhs:
             return False, "(phi o psi)^* != psi^* o phi^*"

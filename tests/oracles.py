@@ -92,6 +92,27 @@ def sympy_pullback_one_form(comp_polys, coord_exprs, src_vars):
     return out
 
 
+def pullback_reference(form, phi):
+    """Pullback by whole-component substitution: each component p dx_I
+    becomes p(phi) dphi_i1 ^ .. ^ dphi_ik, with p composed by repeated
+    Poly multiplication and the 1-forms dphi_i wedged in turn; nothing
+    is memoised."""
+    from chernweil.forms import PolyForm
+
+    coords = phi.coords()
+    src = phi.source_dim
+    if form.deg > src:
+        return PolyForm(src, form.deg, {})
+    dcoords = [PolyForm(src, 1, {(j,): c.diff(j) for j in range(src)}) for c in coords]
+    out = PolyForm.zero(src, form.deg)
+    for I, p in form.comps.items():
+        term = PolyForm.from_poly(p.compose(coords, source_dim=src))
+        for i in I:
+            term = term.wedge(dcoords[i])
+        out = out + term
+    return out
+
+
 def finite_difference_polarization(p, k, dim, args, h=Fraction(1)):
     """Exact multilinear polarization by finite differences:
 

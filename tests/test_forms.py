@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chernweil.bundles import random_connection, trivial_bundle, validate_connection
 from chernweil.forms import (
     AffineMap,
     BernsteinMap,
@@ -23,6 +25,7 @@ from chernweil.forms import (
     random_simplicial_form,
     whitney_extend,
 )
+from chernweil.liealg import lie_algebra
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
 from chernweil.simplicial import (
@@ -34,7 +37,7 @@ from chernweil.simplicial import (
     standard_simplex,
     two_disk_sphere,
 )
-from oracles import integrate_form_oracle
+from oracles import integrate_form_oracle, pullback_reference
 
 
 def test_d_coordinate_example():
@@ -368,6 +371,80 @@ def test_whitney_extend_copies_facet_data(case):
     assert str(err.value) == "inconsistent facet data on intersections: " + ", ".join(
         f"faces {i} and {j}" for i, j in bad
     )
+
+
+def _gaussian_tau_scalar(draw):
+    """A sum over one or two tau-powers of Gaussian rationals with nonzero real part."""
+    fr = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    out = Scalar.zero()
+    for power in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2, unique=True)):
+        out = out + Scalar.of(draw(fr.filter(bool)), draw(fr), power)
+    return out
+
+
+@st.composite
+def form_and_map(draw):
+    """A form of any degree on Delta^d (d <= 4) with tau and Gaussian-rational
+    coefficients, and a map into Delta^d: injective or degenerate monotone,
+    or a random Bernstein map."""
+    d = draw(st.integers(0, 4))
+    k = draw(st.integers(0, d))
+    monos = [e for e in itertools.product(range(3), repeat=d) if sum(e) <= 2]
+    comps = {}
+    for I in itertools.combinations(range(d), k):
+        es = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        comps[I] = Poly(d, {e: _gaussian_tau_scalar(draw) for e in es})
+    form = PolyForm(d, k, comps)
+    kind = draw(st.sampled_from(["injective", "degenerate", "bernstein"]))
+    if kind == "injective":
+        m = tuple(sorted(draw(st.sets(st.integers(0, d), min_size=1))))
+    elif kind == "degenerate":
+        vals = draw(st.lists(st.integers(0, d), min_size=1, max_size=4))
+        m = tuple(sorted(vals + [draw(st.sampled_from(vals))]))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        phi = BernsteinMap.random(rng, draw(st.integers(0, 3)), d, draw(st.integers(1, 2)))
+        return form, phi
+    phi = AffineMap.from_monotone(m, d)
+    assert phi is AffineMap.from_monotone(m, d)
+    return form, phi
+
+
+@settings(max_examples=120, deadline=None)
+@given(form_and_map())
+def test_pullback_matches_reference(case):
+    form, phi = case
+    expected = pullback_reference(form, phi)
+    assert form.pullback(phi) == expected
+    # the second pullback is served from the map's memo
+    assert form.pullback(phi) == expected
+
+
+def test_affine_maps_shared_and_memoised(monkeypatch):
+    """Repeat validations of one connection build no maps and no memo entries."""
+    from chernweil import forms
+
+    P = trivial_bundle(boundary_sphere(2), lie_algebra("su2"))
+    D = random_connection(P, 3)
+    assert validate_connection(P, D).ok
+    maps = [
+        AffineMap.from_monotone(m, d)
+        for d in range(3)
+        for k in range(3)
+        for m in itertools.combinations_with_replacement(range(d + 1), k + 1)
+    ]
+    sizes = [len(phi.memo) for phi in maps]
+    assert sum(sizes) > 0
+    before = AffineMap.from_monotone.cache_info()
+    built = []
+    pull = forms._pull_monomial
+    monkeypatch.setattr(forms, "_pull_monomial", lambda *args: built.append(args) or pull(*args))
+    assert validate_connection(P, D).ok
+    assert not built
+    after = AffineMap.from_monotone.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert after.hits > before.hits
+    assert [len(phi.memo) for phi in maps] == sizes
 
 
 def test_serialization_is_canonical_equality():

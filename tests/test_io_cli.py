@@ -176,6 +176,66 @@ def test_cli_horn_fill(capsys):
     assert "PASS restriction-equality" in out and "PASS refill-stability" in out
 
 
+@pytest.mark.parametrize("k", range(5))
+def test_cli_horn_fill_four_simplex(k, capsys):
+    rc = main(["horn-fill", "--n", "4", "--k", str(k)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "PASS input-valid" in out and "PASS refill-stability" in out
+
+
+def test_cli_generate_horn_demo_four_simplex(tmp_path, capsys):
+    rc = main(["generate", "horn-demo", "--n", "4", "--k", "1", "--out", str(tmp_path / "h")])
+    assert rc == 0
+    assert "PASS filler-restriction" in capsys.readouterr().out
+
+
+def test_cli_horn_fill_stops_on_invalid_input(monkeypatch, capsys):
+    from chernweil import bundles
+
+    draw = bundles.random_u1_bundle
+
+    def broken(X, rng):
+        # a winding on one 2-cell's face-0 transition breaks a 3-cell cocycle
+        P = draw(X, rng)
+        sid = X.cells(2)[0]
+        tw = LieValuedPoly(P.algebra, 1, [Poly(1, {(1,): Scalar.of(1, 0, 1)})])
+        P.transitions[(sid, 0)] = bundles.TransitionMap.single(tw).compose(P.transitions[(sid, 0)])
+        return P
+
+    monkeypatch.setattr(bundles, "random_u1_bundle", broken)
+    rc = main(["horn-fill", "--n", "4", "--k", "0"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "FAIL input-valid" in captured.out and "filler-valid" not in captured.out
+    assert "Traceback" not in captured.err
+
+
+def _python_m(*argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import chernweil
+
+    src = str(Path(chernweil.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "chernweil", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_python_m_chernweil():
+    done = _python_m("betti", "--space", "standard:1")
+    assert done.returncode == 0 and "result: pass" in done.stdout
+    done = _python_m("betti", "--space", "nosuchspace")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
 def test_cli_reznikov_modes(capsys):
     rc = main(["reznikov", "--k", "2", "--mode", "float"])
     out = capsys.readouterr().out
