@@ -81,11 +81,11 @@ class LieValuedPoly:
         )
 
     def pullback(self, amap):
-        coords = amap.coords()
+        # as 0-forms, through the map's pullback memo
         return LieValuedPoly(
             self.algebra,
             amap.source_dim,
-            [p.compose(coords, source_dim=amap.source_dim) for p in self.coords],
+            [PolyForm.from_poly(p).pullback(amap).component(()) for p in self.coords],
         )
 
     def eval_matrix(self, point):
@@ -925,8 +925,8 @@ def _facet_mismatch_constant(pres_a, pres_b, ia, ib, domain_dim):
     Facet ia < ib of Delta^{domain_dim}: within facet ia's domain the
     intersection is its face (ib - 1); within facet ib's it is face ia.
     """
-    pa = [p.compose(AffineMap.face(domain_dim - 1, ib - 1).coords()) for p in pres_a.coords]
-    pb = [p.compose(AffineMap.face(domain_dim - 1, ia).coords()) for p in pres_b.coords]
+    pa = pres_a.pullback(AffineMap.face(domain_dim - 1, ib - 1)).coords
+    pb = pres_b.pullback(AffineMap.face(domain_dim - 1, ia)).coords
     consts = []
     for a, b in zip(pa, pb):
         diff = a - b

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -242,51 +243,67 @@ def naturality_check(f, P, rho, D):
 # quadrature oracle for the classical comparison
 
 
-def quadrature_integrate(form, order=12):
-    """Float integral of a top-degree form over Delta^d by a product
-    Gauss-Legendre rule under the Duffy (collapsed-coordinates) map.
-    Independent of the exact factorial-identity path."""
-    d = form.dim
-    if form.deg != d:
-        raise ValueError("quadrature oracle needs a top-degree form")
-    if d == 0:
-        return form.component(()).eval_complex([])
-    p = form.component(tuple(range(d)))
+@cache
+def _duffy_grid(order, d):
+    """Nodes (an (order^d, d) array) and weights (a list of w * jac) of
+    the product Gauss-Legendre rule on [0,1]^d under the Duffy map,
+    in itertools.product order."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights
-    total = 0.0 + 0.0j
+    points = []
+    wjac = []
     for idx in itertools.product(range(order), repeat=d):
-        u = [nodes[i] for i in idx]
         w = 1.0
         for i in idx:
             w *= weights[i]
         x = []
         remaining = 1.0
         jac = 1.0
-        for ui in u:
-            xi = ui * remaining
+        for i in idx:
+            xi = nodes[i] * remaining
             x.append(xi)
             jac *= remaining
             remaining -= xi
-        total += w * jac * p.eval_complex(x)
-    return total
+        points.append(x)
+        wjac.append(float(w * jac))
+    return np.array(points), wjac
 
 
-def classical_pairing_quadrature(rho, D, cycle, order=12):
-    """Quadrature evaluation of the characteristic pairing with a cycle."""
-    omega = cw_form(rho, D)
+def quadrature_integrate(form, order=12):
+    """Float integral of a top-degree form over Delta^d by a product
+    Gauss-Legendre rule under the Duffy (collapsed-coordinates) map.
+    Independent of the exact factorial-identity path.
+
+    The nodes and weights of each (order, d) are built once and cached;
+    the integrand is evaluated on all nodes at once (eval_complex_many)
+    and the terms w*jac*f(x) are added one by one in node order, so the
+    result equals the per-node loop of tests/oracles.integrate_form_oracle
+    bit for bit.  (np.sum would add pairwise and change the last bits.)"""
+    d = form.dim
+    if form.deg != d:
+        raise ValueError("quadrature oracle needs a top-degree form")
+    if d == 0:
+        return form.component(()).eval_complex([])
+    points, wjac = _duffy_grid(order, d)
+    vals = form.component(tuple(range(d))).eval_complex_many(points).tolist()
     total = 0.0 + 0.0j
-    for sid, c in cycle.coeffs.items():
-        total += float(c) * quadrature_integrate(omega.form(sid), order)
+    for wj, v in zip(wjac, vals):
+        total += wj * v
     return total
 
 
 def classical_agreement_check(P, D, rho, cycle, tol=1e-8, order=12):
-    """Simplicial pairing vs the independent global quadrature."""
-    alpha = cw_cochain(rho, D)
-    simplicial = pairing(alpha, cycle)
-    classical = classical_pairing_quadrature(rho, D, cycle, order)
+    """Simplicial pairing vs the independent global quadrature.
+
+    The characteristic form is built once and integrated both ways: the
+    exact cochain paired with the cycle, and the quadrature of its top
+    component on each cycle cell."""
+    omega = cw_form(rho, D)
+    simplicial = pairing(integrate_to_cochain(omega), cycle)
+    classical = 0.0 + 0.0j
+    for sid, c in cycle.coeffs.items():
+        classical += float(c) * quadrature_integrate(omega.form(sid), order)
     diff = abs(simplicial.to_complex() - classical)
     return VerdictReport(diff <= tol, f"|simplicial - classical| = {diff:.3e}"), simplicial, classical
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from operator import add
 
-from .scalars import Scalar
+import numpy as np
+
+from .scalars import TAU, Scalar
 
 _new = object.__new__
 
@@ -167,8 +169,6 @@ class Poly:
         return out
 
     def eval_complex(self, point, tau=None):
-        from .scalars import TAU
-
         t = TAU if tau is None else tau
         out = 0j
         for e, c in self.terms.items():
@@ -176,6 +176,25 @@ class Poly:
             for i, k in enumerate(e):
                 if k:
                     v *= complex(point[i]) ** k
+            out += v
+        return out
+
+    def eval_complex_many(self, points):
+        """eval_complex at each row of an (n, dim) float array, as a
+        complex array; entry j equals eval_complex(points[j]) bit for bit.
+
+        Each coefficient is converted once, and the arithmetic is
+        eval_complex's in the same order: complex integer powers (which
+        numpy computes by the same repeated squaring as Python), factors
+        multiplied in coordinate order, terms added in dict order.
+        """
+        cols = np.asarray(points, dtype=float).astype(complex).T
+        out = np.zeros(cols.shape[1], dtype=complex)
+        for e, c in self.terms.items():
+            v = np.full(cols.shape[1], c.to_complex())
+            for i, k in enumerate(e):
+                if k:
+                    v *= cols[i] ** k
             out += v
         return out
 

@@ -25,7 +25,7 @@ from chernweil.bundles import (
     validate_bundle,
     validate_connection,
 )
-from chernweil.forms import AffineMap
+from chernweil.forms import AffineMap, random_poly
 from chernweil.liealg import lie_algebra
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
@@ -130,6 +130,27 @@ def test_pullback_composition_data_equality(inclusion_of_north):
         lhs = pullback_bundle(inclusion_of_north.compose(f), P)
         rhs = pullback_bundle(f, pullback_bundle(inclusion_of_north, P))
         assert lhs.data_equal(rhs)
+
+
+def test_lie_valued_poly_pullback_memoised(monkeypatch):
+    """Pullback goes through the map's memo and equals substitution."""
+    from chernweil import forms
+
+    rng = random.Random(8)
+    su2 = lie_algebra("su2")
+    built = []
+    pull = forms._pull_monomial
+    monkeypatch.setattr(forms, "_pull_monomial", lambda *args: built.append(args) or pull(*args))
+    for m, d in [((0, 2), 2), ((0, 1, 1), 2), ((1, 2, 3), 3), ((0, 0, 2, 3), 3), ((2,), 2)]:
+        amap = AffineMap.from_monotone.__wrapped__(m, d)  # a fresh map with an empty memo
+        X = LieValuedPoly(su2, d, [random_poly(rng, d, 3) for _ in range(su2.dim)])
+        coords = amap.coords()
+        expected = [p.compose(coords, source_dim=amap.source_dim) for p in X.coords]
+        assert X.pullback(amap).coords == expected
+        assert built
+        built.clear()
+        assert X.pullback(amap).coords == expected
+        assert not built
 
 
 def test_pullback_through_degeneracy(collapse_map):

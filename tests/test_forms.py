@@ -2,12 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernweil.bundles import random_connection, trivial_bundle, validate_connection
+from chernweil.cw import quadrature_integrate
 from chernweil.forms import (
     AffineMap,
     BernsteinMap,
@@ -166,8 +168,6 @@ def test_integrate_degree_mismatch():
 
 def test_bernstein_validity_and_containment():
     rng = random.Random(6)
-    import numpy as np
-
     npr = np.random.default_rng(6)
     for _ in range(5):
         phi = BernsteinMap.random(rng, 2, 3, 3)
@@ -179,6 +179,30 @@ def test_bernstein_validity_and_containment():
             vals = [c.eval_complex(pt).real for c in coords]
             assert all(v >= -1e-12 for v in vals)
             assert sum(vals) <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bernstein_containment_draws_sequential_points(seed, monkeypatch):
+    """The verify check's batched draws are the points of 1000 single draws."""
+    from chernweil import verify
+
+    default_rng = np.random.default_rng
+    drawn = []
+
+    class Recorder:
+        def __init__(self, s):
+            self.gen = default_rng(s)
+
+        def dirichlet(self, alpha, size=None):
+            out = self.gen.dirichlet(alpha, size)
+            drawn.append(np.reshape(out, (-1, len(alpha))))
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", Recorder)
+    assert verify.check_bernstein_containment(seed)[0]
+    gen = default_rng(seed)
+    expected = np.array([gen.dirichlet(np.ones(3)) for _ in range(1000)])
+    assert np.array_equal(np.concatenate(drawn), expected)
 
 
 def test_induced_form_passes_check():
@@ -380,6 +404,31 @@ def _gaussian_tau_scalar(draw):
     for power in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2, unique=True)):
         out = out + Scalar.of(draw(fr.filter(bool)), draw(fr), power)
     return out
+
+
+@st.composite
+def top_form_and_points(draw):
+    """A top-degree form on Delta^d (d <= 3) whose one component has tau
+    and Gaussian-rational coefficients and exponents up to 12, and an
+    (n, d) array of float points."""
+    d = draw(st.integers(0, 3))
+    monos = [e for e in itertools.product(range(13), repeat=d) if sum(e) <= 12]
+    es = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    p = Poly(d, {e: _gaussian_tau_scalar(draw) for e in es})
+    rows = draw(st.lists(st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d), min_size=1, max_size=8))
+    return PolyForm(d, d, {tuple(range(d)): p}), np.array(rows, dtype=float).reshape(len(rows), d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(top_form_and_points(), st.integers(1, 10))
+def test_batched_float_paths_bit_identical(form_points, order):
+    """The batched evaluator and the cached-grid quadrature give exactly the
+    floats of the per-point evaluator and the per-node oracle loop."""
+    f, X = form_points
+    p = f.component(tuple(range(f.dim)))
+    vals = p.eval_complex_many(X)
+    assert all(vals[j] == p.eval_complex(list(X[j])) for j in range(len(X)))
+    assert quadrature_integrate(f, order) == integrate_form_oracle(f, order)
 
 
 @st.composite
