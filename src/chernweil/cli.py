@@ -113,7 +113,7 @@ def _load_bundle(args):
         raise UsageError("--space is required with a bundle file")
     X = _parse_space(args.space)
     P = cio.parse_bundle(Path(sel).read_text(), X)
-    rep = bn.validate_bundle(P, tol=args.tol, seed=args.seed)
+    rep = bn.validate_bundle(P, seed=args.seed)
     if not rep.ok:
         raise MathError("bundle validation failed: " + rep.failures[0], rep)
     D = cio.parse_connection(Path(args.connection).read_text(), P) if args.connection else None
@@ -136,7 +136,7 @@ def cmd_chern(args, report):
         raise UsageError(f"{args.poly} has degree {2 * rho.arity}, above the base dimension {X.dim}")
     if D is None:
         D = bn.construct_connection(P)
-    crep = bn.validate_connection(P, D, tol=args.tol, seed=args.seed)
+    crep = bn.validate_connection(P, D, seed=args.seed)
     report.check("connection-valid", crep.ok, "exact" if crep.exact else f"sampled, worst {crep.worst:.2e}")
     rep = cw.class_report(rho, P, D, cycles, name, poly_name=args.poly)
     report.add(rep.machine_line())
@@ -285,7 +285,6 @@ def build_parser():
     def common(sp):
         sp.add_argument("--mode", choices=["exact", "float"], default="exact")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("betti", help="rational betti numbers of a space")

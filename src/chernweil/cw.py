@@ -293,7 +293,7 @@ def quadrature_integrate(form, order=12):
     return total
 
 
-def classical_agreement_check(P, D, rho, cycle, tol=1e-8, order=12):
+def classical_agreement_check(P, D, rho, cycle):
     """Simplicial pairing vs the independent global quadrature.
 
     The characteristic form is built once and integrated both ways: the
@@ -303,9 +303,9 @@ def classical_agreement_check(P, D, rho, cycle, tol=1e-8, order=12):
     simplicial = pairing(integrate_to_cochain(omega), cycle)
     classical = 0.0 + 0.0j
     for sid, c in cycle.coeffs.items():
-        classical += float(c) * quadrature_integrate(omega.form(sid), order)
+        classical += float(c) * quadrature_integrate(omega.form(sid))
     diff = abs(simplicial.to_complex() - classical)
-    return VerdictReport(diff <= tol, f"|simplicial - classical| = {diff:.3e}"), simplicial, classical
+    return VerdictReport(diff <= 1e-8, f"|simplicial - classical| = {diff:.3e}"), simplicial, classical
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import factorial
 
-from .linalg import sort_sign
+from .linalg import multinomial, sort_sign
 from .poly import Poly, _accumulate, _compositions, _poly, bernstein_basis
 from .scalars import Scalar
 from .simplicial import (
@@ -199,10 +199,6 @@ class PolyForm:
             out = out + c * Fraction(num, factorial(self.dim + sum(e)))
         return out
 
-    def eval_at(self, point):
-        """Component values at a float point, as a dict I -> complex."""
-        return {I: p.eval_complex(point) for I, p in self.comps.items()}
-
     def total_poly_degree(self):
         return max((p.total_degree() for p in self.comps.values()), default=0)
 
@@ -342,10 +338,10 @@ class BernsteinMap(PolyMap):
         return self._coords
 
     @staticmethod
-    def random(rng, source_dim, target_dim, degree, denominator=8):
+    def random(rng, source_dim, target_dim, degree):
         control = {}
         for a in _compositions(degree, source_dim + 1):
-            weights = [Fraction(rng.randrange(denominator + 1)) for _ in range(target_dim + 1)]
+            weights = [Fraction(rng.randrange(9)) for _ in range(target_dim + 1)]
             total = sum(weights) or Fraction(1)
             pt = [w / total for w in weights[1:]]
             control[a] = pt
@@ -498,14 +494,6 @@ def induced_form_on_standard_simplex(X, global_form):
 # the vertices of Delta^d, s = () for the Bernstein basis.
 
 
-def _multinomial(parts):
-    out, total = 1, 0
-    for p in parts:
-        total += p
-        out *= comb(total, p)
-    return out
-
-
 @cache
 def _facet_coeffs(d, i, k, r, J, mu):
     """x^mu dx_J on facet i of Delta^d in the degree-r basis, keyed over Delta^d.
@@ -526,7 +514,7 @@ def _facet_coeffs(d, i, k, r, J, mu):
         out[key] = out.get(key, 0) + c
 
     for g in _compositions(r - sum(mu), d):
-        c = _multinomial(g)
+        c = multinomial(g)
         b = [0] * (d + 1)
         b[verts[0]] = g[0]
         for j in range(1, d):
@@ -555,7 +543,7 @@ def _lam_power(d, b):
     """lam^b on Delta^d as a dict exponent -> int."""
     out = {}
     for g in _compositions(b[0], d + 1):
-        c = _multinomial(g) * (-1) ** (b[0] - g[0])
+        c = multinomial(g) * (-1) ** (b[0] - g[0])
         e = tuple(gl + bl for gl, bl in zip(g[1:], b[1:]))
         out[e] = out.get(e, 0) + c
     return out
@@ -713,13 +701,13 @@ def _monomials_up_to(dim, degree):
     return out
 
 
-def random_poly(rng, dim, degree, denominator=6):
+def random_poly(rng, dim, degree):
     terms = {}
     for e in _monomials_up_to(dim, degree):
         if rng.randrange(2):
-            num = rng.randrange(-denominator, denominator + 1)
+            num = rng.randrange(-6, 7)
             if num:
-                terms[e] = Scalar.from_rational(num, rng.randrange(1, denominator))
+                terms[e] = Scalar.from_rational(num, rng.randrange(1, 6))
     return Poly(dim, terms)
 
 

@@ -325,7 +325,8 @@ def bundle_to_str(P):
 
 def parse_bundle(text, base):
     """Read a bundle over base; a transition for a face the base does not
-    have, or one given twice, is a parse error."""
+    have, one given twice, or a face of the base without one is a parse
+    error (bundle_to_str writes every face, identities as ``id``)."""
     lines = [l.rstrip() for l in text.strip().splitlines() if l.strip()]
     algebra = _header(lines, "bundle")
     transitions = {}
@@ -351,6 +352,11 @@ def parse_bundle(text, base):
                 factors.append(_parse_lvp(chunk[4:-1], algebra, dim))
             t = TransitionMap(algebra, dim, factors)
         transitions[(sid, i)] = t
+    for d in range(1, base.dim + 1):
+        for sid in base.cells(d):
+            for i in range(d + 1):
+                if (sid, i) not in transitions:
+                    raise ParseError(f"no transition for face {sid.dim}.{sid.index}.{i} of the base")
     return BundleData(base, algebra, transitions)
 
 

@@ -17,13 +17,14 @@ or, for the Reznikov functionals, comes from closed-form sphere moments.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
 import numpy as np
 from scipy.linalg import expm
 
-from .linalg import row_reduce, solution_from_pivots, sort_sign
+from .linalg import multinomial, row_reduce, solution_from_pivots, sort_sign
 from .scalars import TAU, Scalar, parse_int
 
 
@@ -73,10 +74,6 @@ def scale_value(v, c):
     if isinstance(v, (complex, float, int)):
         return v * (c.to_complex() if isinstance(c, Scalar) else c.numerator / c.denominator)
     return v * c
-
-
-def mat_scale(A, frac):
-    return [[scale_value(v, frac) for v in row] for row in A]
 
 
 def _det(A):
@@ -362,8 +359,6 @@ def bracket(x, y):
 def ad_exp_series(x, y, t=1.0, order=6):
     """Truncated e^{t ad_x} y (float coordinates)."""
     alg = x.algebra
-    acc = np.array([Scalar.coerce(c).to_complex() for c in y.coords])
-    term = acc.copy()
     xc = [Scalar.coerce(c) for c in x.coords]
     cur = [Scalar.coerce(c) for c in y.coords]
     out = np.array([c.to_complex() for c in cur])
@@ -375,15 +370,6 @@ def ad_exp_series(x, y, t=1.0, order=6):
 
 # ---------------------------------------------------------------------------
 # invariant polynomials
-
-
-def _multinomial(a):
-    """k! / prod(count(i)!) for a sorted index tuple a: how many ordered
-    tuples sort to a."""
-    out = factorial(len(a))
-    for i in set(a):
-        out //= factorial(a.count(i))
-    return out
 
 
 class InvariantPolynomial:
@@ -434,7 +420,7 @@ class InvariantPolynomial:
             for a in itertools.combinations_with_replacement(range(self.algebra.dim), self.arity):
                 val = Scalar.coerce(self.eval([basis[i] for i in a]))
                 if not val.is_zero():
-                    out[a] = val * _multinomial(a)
+                    out[a] = val * multinomial(Counter(a).values())
             self._tensor = out
         return self._tensor
 
@@ -567,7 +553,7 @@ def reznikov_pullback(k):
         m = sphere_moment(counts)
         if m:
             moments[counts] = m
-            tensor[a] = Scalar.coerce(m * _multinomial(a))
+            tensor[a] = Scalar.coerce(m * multinomial(Counter(a).values()))
 
     def evaluator(mats):
         coords = []
@@ -644,7 +630,7 @@ def check_invariant_polynomial(rho, rng):
 
     def S(idx):
         a = tuple(sorted(idx))
-        return T[a] * Fraction(1, _multinomial(a)) if a in T else Scalar.zero()
+        return T[a] * Fraction(1, multinomial(Counter(a).values())) if a in T else Scalar.zero()
 
     unit = [[Scalar.one() if i == j else Scalar.zero() for i in range(alg.dim)] for j in range(alg.dim)]
     for x in range(alg.dim):

@@ -19,12 +19,14 @@ trailing identity block of a zero row of A is a vector y with
 y^T A = 0, the unsolvability certificate when y^T b != 0.
 
 ``sort_sign`` gives the sign of a sorting permutation, for wedge
-products and determinants.
+products and determinants; ``multinomial`` counts the orderings of a
+multiset, for Bernstein coefficients and symmetric tensors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .scalars import Scalar
 
@@ -143,3 +145,12 @@ def sort_sign(seq):
             elif seq[a] == seq[b]:
                 return None, 0
     return tuple(sorted(seq)), sign
+
+
+def multinomial(parts):
+    """(sum parts)! / prod(p!) for nonnegative integers parts."""
+    out, total = 1, 0
+    for p in parts:
+        total += p
+        out *= comb(total, p)
+    return out

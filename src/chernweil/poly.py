@@ -12,7 +12,8 @@ from operator import add
 
 import numpy as np
 
-from .scalars import TAU, Scalar
+from .linalg import multinomial
+from .scalars import Scalar
 
 _new = object.__new__
 
@@ -168,11 +169,10 @@ class Poly:
             out = out + v
         return out
 
-    def eval_complex(self, point, tau=None):
-        t = TAU if tau is None else tau
+    def eval_complex(self, point):
         out = 0j
         for e, c in self.terms.items():
-            v = c.to_complex(t)
+            v = c.to_complex()
             for i, k in enumerate(e):
                 if k:
                     v *= complex(point[i]) ** k
@@ -243,8 +243,6 @@ def bernstein_basis(dim, degree):
     dim+1 entries summing to degree (the first entry belongs to the
     barycentric coordinate 1 - sum x_i).
     """
-    from math import factorial
-
     lam0 = Poly.const(dim, 1)
     for i in range(dim):
         lam0 = lam0 - Poly.var(dim, i)
@@ -252,10 +250,7 @@ def bernstein_basis(dim, degree):
 
     out = {}
     for alpha in _compositions(degree, dim + 1):
-        coef = factorial(degree)
-        for a in alpha:
-            coef //= factorial(a)
-        p = Poly.const(dim, coef)
+        p = Poly.const(dim, multinomial(alpha))
         for lam, a in zip(lams, alpha):
             for _ in range(a):
                 p = p * lam

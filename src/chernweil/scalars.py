@@ -261,13 +261,10 @@ class Scalar:
 
     # -- conversion ----------------------------------------------------
 
-    def to_complex(self, tau=TAU):
+    def to_complex(self):
         t = self.terms
         # summed in tau-power order, so equal scalars give equal floats
-        return sum((t[k].to_complex() * tau**k for k in sorted(t)), 0j)
-
-    def abs_float(self):
-        return abs(self.to_complex())
+        return sum((t[k].to_complex() * TAU**k for k in sorted(t)), 0j)
 
     def __repr__(self):
         if not self.terms:

@@ -45,11 +45,6 @@ class SimplexId:
 FormalSimplex = tuple
 
 
-def formal_dim(fs):
-    sid, word = fs
-    return sid.dim + len(word)
-
-
 def compose_degeneracy(j, word):
     """Normalized word of s_j composed with s_word (s_j applied last)."""
     if not word or j > word[0]:
@@ -89,23 +84,6 @@ def word_epi(word, top_dim):
                 v -= 1
         out.append(v)
     return tuple(out)
-
-
-def word_of_epi(epi):
-    """Degeneracy word (strictly decreasing) of a surjective monotone map."""
-    flats = {i for i in range(len(epi) - 1) if epi[i] == epi[i + 1]}
-    return tuple(sorted(flats, reverse=True))
-
-
-def epi_mono_factor(m):
-    """Factor a monotone map as injection-after-surjection.
-
-    Returns (epi, mono): m = mono o epi with mono given by its sorted
-    image values and epi by ranks within the image.
-    """
-    values = sorted(set(m))
-    ranks = {v: i for i, v in enumerate(values)}
-    return tuple(ranks[v] for v in m), tuple(values)
 
 
 def compose_monotone(outer, inner):
@@ -644,18 +622,9 @@ def is_coboundary(X, cochain):
     k = cochain.dim
     cells_k = X.cells(k)
     cells_low = X.cells(k - 1) if k >= 1 else []
-    matrix = []
-    rhs = []
-    for sid in cells_k:
-        row = [Fraction(0)] * len(cells_low)
-        if k >= 1:
-            for i in range(k + 1):
-                tgt, word = X.face(sid, i)
-                if word:
-                    continue
-                row[tgt.index] += (-1) ** i
-        matrix.append(row)
-        rhs.append(cochain.value(sid))
+    # the coboundary C^{k-1} -> C^k is the transpose of the boundary C_k -> C_{k-1}
+    matrix = list(zip(*boundary_operator(X, k))) if k >= 1 else [() for _ in cells_k]
+    rhs = [cochain.value(sid) for sid in cells_k]
     if not matrix:
         return "witness", Cochain(k - 1, {})
     status, data = solve_or_certify(matrix, rhs)

@@ -85,8 +85,6 @@ def check_homotopy_invariance(seed):
         return False, "product with interval changed betti numbers"
     # pullbacks of a closed cochain along homotopic maps differ by a coboundary
     rng = random.Random(seed)
-    z = sc.Cochain(2, {sid: Scalar.from_rational(rng.randrange(-3, 4)) for sid in P.cells(2)})
-    closed = z - z  # start from zero, then use an actual closed one below
     alpha = sc.Cochain(1, {sid: Scalar.from_rational(rng.randrange(-3, 4)) for sid in P.cells(1)})
     closed = sc.coboundary(P, alpha)  # exact, hence closed
     diff = sc.pullback_cochain(i0, closed) - sc.pullback_cochain(i1, closed)
@@ -276,7 +274,6 @@ def check_bundle_validation(seed):
 
 
 def check_connections(seed):
-    tds = sc.two_disk_sphere()
     P, D0 = bn.clutch_bundle(1)
     D1 = bn.random_connection(P, seed)
     if not bn.validate_connection(P, D1).ok:
@@ -407,11 +404,11 @@ def check_classical_agreement(seed):
     return True, "simplicial pairing matches the quadrature of the curvature integrand"
 
 
-def generic_curvature(alg, dim, rng, poly_degree=1):
+def generic_curvature(alg, dim, rng):
     """Random curvature with a nonvanishing top characteristic form."""
     for _ in range(50):
         A = bn.LieValuedForm(
-            alg, dim, 1, [fm.random_polyform(rng, dim, 1, poly_degree) for _ in range(alg.dim)]
+            alg, dim, 1, [fm.random_polyform(rng, dim, 1, 1) for _ in range(alg.dim)]
         )
         F = cw.curvature_form(A)
         if not F.is_zero():

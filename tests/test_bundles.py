@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chernweil.bundles import (
+    SAMPLE_TOL,
     BundleError,
     LieValuedPoly,
     TransitionMap,
@@ -193,6 +194,24 @@ def test_random_connection_on_four_simplex():
     D = random_connection(P, 0)
     rep = validate_connection(P, D)
     assert rep.ok and rep.exact
+
+
+@pytest.mark.parametrize("group", ["su2", "so3", "u2"])
+def test_nonabelian_gauge_rule_series(group):
+    # small non-constant gauges reach the truncated exp series of the gauge
+    # rule; the sampled float check bounds its truncation error
+    alg = lie_algebra(group)
+    X = boundary_sphere(2)
+    rng = random.Random(0)
+    gauges = {
+        s: LieValuedPoly(alg, s.dim, [random_poly(rng, s.dim, 1).scale(Fraction(1, 100)) for _ in range(alg.dim)])
+        for s in X.all_cells()
+    }
+    P, _ = apply_gauge(trivial_bundle(X, alg), gauges)
+    assert any(t.factors for t in P.transitions.values())
+    rep = validate_connection(P, construct_connection(P, rng=random.Random(5)))
+    assert rep.ok and not rep.exact
+    assert rep.worst < SAMPLE_TOL
 
 
 def test_gauge_prescription_inverts_rule():

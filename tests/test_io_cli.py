@@ -388,6 +388,7 @@ BAD_INPUTS = {
     "bundle-empty": ("bundle", lambda t: ""),
     "bundle-bad-coordinate": ("bundle", lambda t: t.replace("exp([0:", "exp([7:")),
     "bundle-wrong-base": ("space", lambda t: None),
+    "bundle-missing-transition": ("bundle", lambda t: "".join(l for l in t.splitlines(True) if "exp(" not in l)),
     "connection-empty": ("connection", lambda t: ""),
     "connection-bad-coordinate": ("connection", lambda t: t.replace("A 2.1 0 ", "A 2.1 5 ")),
     "connection-bad-cell": ("connection", lambda t: t.replace("A 2.1 0 ", "A 2.7 0 ")),
