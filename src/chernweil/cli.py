@@ -2,7 +2,7 @@
 
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed
 (first counterexample in the report), 2 usage or parse errors.  Reports
-are deterministic for a fixed (inputs, seed, mode): identical invocations
+are deterministic for a fixed (inputs, seed): identical invocations
 produce byte-identical output.
 """
 
@@ -82,12 +82,6 @@ def _parse_space(selector):
     return cio.parse_simplicial_set(path.read_text())
 
 
-def _scalar_str(v, mode):
-    if mode == "float":
-        return repr(v.to_complex())
-    return cio.scalar_to_str(v)
-
-
 def cmd_betti(args, report):
     if args.max_dim is not None and args.max_dim < 0:
         raise UsageError(f"--max-dim must be a nonnegative integer, got {args.max_dim}")
@@ -144,7 +138,7 @@ def cmd_chern(args, report):
     if winding is not None and rep.pairings:
         oracle = bn.clutch_winding(P)
         ok = rep.pairings[0] == oracle == Scalar.from_rational(winding)
-        report.check("winding-oracle-agreement", ok, f"pairing={_scalar_str(rep.pairings[0], args.mode)}")
+        report.check("winding-oracle-agreement", ok, f"pairing={cio.scalar_to_str(rep.pairings[0])}")
     return report
 
 
@@ -156,8 +150,8 @@ def cmd_clutch(args, report):
     rho = la.chern_polynomial(P.algebra, 1)
     alpha = cw.cw_cochain(rho, D)
     v = sc.pairing(alpha, sc.fundamental_cycle_two_disk(P.base))
-    report.add(f"winding: {_scalar_str(w, args.mode)}")
-    report.add(f"chern pairing: {_scalar_str(v, args.mode)}")
+    report.add(f"winding: {cio.scalar_to_str(w)}")
+    report.add(f"chern pairing: {cio.scalar_to_str(v)}")
     report.check("integrality", v == w == Scalar.from_rational(args.n))
     if args.out:
         _write_generated(Path(args.out), P, D, report)
@@ -254,16 +248,17 @@ def cmd_reznikov(args, report):
         raise UsageError("reznikov requires --mode float")
     if args.k < 1:
         raise UsageError(f"reznikov needs --k >= 1, got {args.k}")
-    rez = _diagonal(la.reznikov_pullback(args.k))
+    su2 = la.lie_algebra("su2")
+    rez = _diagonal(la.reznikov_pullback(su2, args.k))
     if args.k % 2:
         report.add(f"diagonal terms: {len(rez.terms)}")
         report.check("vanishing" if args.k == 1 else "odd-vanishing", rez.is_zero())
         return report
     # rho(x, .., x) = lambda tr(x^2)^(k/2)
-    trace_power = _diagonal(la.sym_trace_poly(la.lie_algebra("su2"), 2)) ** (args.k // 2)
+    trace_power = _diagonal(la.sym_trace_poly(su2, 2)) ** (args.k // 2)
     top = (args.k, 0, 0)
     lam = rez.terms[top] / trace_power.terms[top]
-    report.add(f"lambda: {_scalar_str(lam, args.mode)}")
+    report.add(f"lambda: {lam.to_complex()!r}")
     report.check("proportional-to-trace-form" if args.k == 2 else "evaluated", rez == trace_power * lam)
     return report
 
@@ -283,7 +278,6 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--mode", choices=["exact", "float"], default="exact")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
 
@@ -318,6 +312,8 @@ def build_parser():
 
     sp = sub.add_parser("reznikov", help="integrated-Hamiltonian functional on su2")
     sp.add_argument("--k", type=int, required=True)
+    # reznikov runs only with --mode float; every other report says mode: exact
+    sp.add_argument("--mode", choices=["exact", "float"], default="exact")
     common(sp)
 
     sp = sub.add_parser("verify", help="run the invariant suites")
@@ -341,7 +337,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     echo = " ".join(argv if argv is not None else sys.argv[1:])
-    report = RunReport(echo, args.seed, args.mode)
+    report = RunReport(echo, args.seed, getattr(args, "mode", "exact"))
     try:
         report = COMMANDS[args.command](args, report)
     except (UsageError, cio.ParseError, FileNotFoundError, sc.InvalidHornError, la.SelectorError) as e:

@@ -9,20 +9,23 @@ basis is the halved-Pauli one, e_a = -(i/2) sigma_a, normalized so that
 Invariant polynomials are symmetric multilinear functionals evaluated
 on matrices; the evaluators are written against generic ring entries so
 the same code runs on exact Scalars, floats, and polynomial-valued
-matrices.  The Chern-Weil form is assembled from the exact coefficient
-tensor (InvariantPolynomial.tensor), which evaluates once on the basis,
-or, for the Reznikov functionals, comes from closed-form sphere moments.
+matrices.  They are symmetrized traces, Chern polynomials, polarized
+polynomials, and the Reznikov functionals on su(n), n <= 4, which
+integrate products of Hamiltonians over CP^(n-1) through the exact
+moments of the unit sphere of C^n.  The Chern-Weil form is assembled
+from the exact coefficient tensor (InvariantPolynomial.tensor), which
+evaluates once on the basis.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
 import numpy as np
-from scipy.linalg import expm
 
 from .linalg import multinomial, row_reduce, solution_from_pivots, sort_sign
 from .scalars import TAU, Scalar, parse_int
@@ -188,12 +191,11 @@ def _scalar_solve(columns, rhs):
 class LieData:
     """A named matrix Lie algebra with exact basis and structure constants."""
 
-    def __init__(self, name, basis, group_checks):
+    def __init__(self, name, basis):
         self.name = name
         self.basis = basis
         self.dim = len(basis)
         self.n = len(basis[0])
-        self.group_checks = group_checks  # list of constraint names
         self.basis_float = [
             np.array([[v.to_complex() for v in row] for row in b]) for b in basis
         ]
@@ -292,80 +294,25 @@ def lie_algebra(name):
     if name in _REGISTRY:
         return _REGISTRY[name]
     if name == "u1":
-        data = LieData("u1", _basis_u1(), ["unitary"])
+        data = LieData("u1", _basis_u1())
     elif name == "su2":
-        data = LieData("su2", _basis_su2(), ["unitary", "special"])
+        data = LieData("su2", _basis_su2())
     elif name == "so3":
-        data = LieData("so3", _basis_so3(), ["real", "orthogonal", "special"])
+        data = LieData("so3", _basis_so3())
     elif name.startswith("su") and name[2:].isdigit() and 2 <= int(name[2:]) <= 4:
-        data = LieData(name, _basis_sun(int(name[2:])), ["unitary", "special"])
+        data = LieData(name, _basis_sun(int(name[2:])))
     elif name.startswith("u") and name[1:].isdigit() and 1 <= int(name[1:]) <= 4:
-        data = LieData(name, _basis_un(int(name[1:])), ["unitary"])
+        data = LieData(name, _basis_un(int(name[1:])))
     else:
         raise LieAlgebraError(f"unsupported algebra {name!r}")
     _REGISTRY[name] = data
     return data
 
 
-# ---------------------------------------------------------------------------
-# group-level operations (float)
-
-
-class GroupElement:
-    def __init__(self, algebra, matrix, log_coords=None):
-        self.algebra = algebra
-        self.matrix = np.asarray(matrix, dtype=complex)
-        self.log_coords = log_coords
-
-    def inverse(self):
-        return GroupElement(self.algebra, np.linalg.inv(self.matrix))
-
-    def constraint_violation(self):
-        m = self.matrix
-        v = 0.0
-        checks = self.algebra.group_checks
-        if "unitary" in checks or "orthogonal" in checks:
-            v = max(v, float(np.abs(m.conj().T @ m - np.eye(len(m))).max()))
-        if "special" in checks:
-            v = max(v, abs(np.linalg.det(m) - 1.0))
-        if "real" in checks:
-            v = max(v, float(np.abs(m.imag).max()))
-        return v
-
-
-def exp_element(x):
-    """Group exponential of a Lie element (float)."""
-    if isinstance(x, LieElement):
-        g = GroupElement(x.algebra, expm(x.matrix_float()), log_coords=x.coords)
-    else:
-        raise TypeError("exp_element expects a LieElement")
-    return g
-
-
-def Ad(g, x):
-    """Adjoint action; returns float coordinates in the algebra's basis."""
-    alg = g.algebra if isinstance(g, GroupElement) else x.algebra
-    gm = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=complex)
-    xm = x.matrix_float() if isinstance(x, LieElement) else np.asarray(x, dtype=complex)
-    return alg.decompose_float(gm @ xm @ np.linalg.inv(gm))
-
-
 def bracket(x, y):
     if x.algebra is not y.algebra:
         raise LieAlgebraError("bracket of elements from different algebras")
     return LieElement(x.algebra, x.algebra.bracket_coords(x.coords, y.coords))
-
-
-def ad_exp_series(x, y, t=1.0, order=6):
-    """Truncated e^{t ad_x} y (float coordinates)."""
-    alg = x.algebra
-    xc = [Scalar.coerce(c) for c in x.coords]
-    cur = [Scalar.coerce(c) for c in y.coords]
-    out = np.array([c.to_complex() for c in cur])
-    for m in range(1, order + 1):
-        cur = alg.bracket_coords(xc, cur)
-        out = out + (t**m / factorial(m)) * np.array([c.to_complex() for c in cur])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +324,15 @@ class InvariantPolynomial:
 
     The evaluator receives a list of arity-many square matrices (entries
     may be Scalars, numbers, or polynomial ring elements) and returns a
-    single ring element.  LieElements are accepted and converted.  A
-    functional whose coefficient tensor is known in closed form passes
-    it as `tensor`; otherwise it is built from the evaluator.
+    single ring element.  LieElements are accepted and converted.
     """
 
-    def __init__(self, algebra, arity, evaluator, provenance, tensor=None):
+    def __init__(self, algebra, arity, evaluator, provenance):
         self.algebra = algebra
         self.arity = arity
         self._evaluator = evaluator
         self.provenance = provenance
-        self._tensor = tensor
+        self._tensor = None
 
     def eval(self, args):
         if len(args) != self.arity:
@@ -411,8 +356,7 @@ class InvariantPolynomial:
         A dict from each sorted basis index tuple a1 <= .. <= ak to
         multinomial(a) * rho(e_a1, .., e_ak), an exact Scalar, so that
         rho(x, .., x) = sum_a T[a] x^a1 .. x^ak; zero entries are left
-        out.  Unless given at construction, built once from the
-        evaluator on the basis matrices.
+        out.  Built once from the evaluator on the basis matrices.
         """
         if self._tensor is None:
             basis = self.algebra.basis
@@ -511,67 +455,76 @@ def polarize(algebra, p, k):
     return InvariantPolynomial(algebra, k, evaluator, f"polarized:{k}")
 
 
-def sphere_moment(alpha):
-    """E[x1^a1 x2^a2 x3^a3] for x uniform on the unit sphere S^2.
+def monomial_moment(alpha):
+    """E[|z^alpha|^2] for z uniform on the unit sphere of C^n, n = len(alpha).
 
-    (a1-1)!! (a2-1)!! (a3-1)!! / (|a|+1)!! when every a_i is even, and 0
-    otherwise (Folland, "How to integrate a polynomial over a sphere",
-    Amer. Math. Monthly 108, 2001); (-1)!! = 0!! = 1.
+    alpha! (n-1)! / (n-1+|alpha|)! (Rudin, "Function Theory in the Unit
+    Ball of C^n", Prop. 1.4.9).
     """
-    if any(a % 2 for a in alpha):
-        return Fraction(0)
-    # n!! = prod(range(n, 0, -2)), the empty product for n <= 0
-    return Fraction(prod(prod(range(a - 1, 0, -2)) for a in alpha), prod(range(sum(alpha) + 1, 0, -2)))
+    n = len(alpha)
+    return Fraction(prod(map(factorial, alpha)) * factorial(n - 1), factorial(n - 1 + sum(alpha)))
 
 
-def reznikov_pullback(k):
-    """Integrated-Hamiltonian functional on su2, exactly.
+@functools.cache
+def _hamiltonian_moments(n, k):
+    """(2i)^k monomial_moment(alpha) for each alpha in N^n with |alpha| = k,
+    keyed by the code sum_i alpha_i (k+1)^i."""
+    base, i2k = k + 1, Scalar.of(0, 2) ** k
+    out = {}
+    for a in itertools.combinations_with_replacement(range(n), k):
+        alpha = [a.count(i) for i in range(n)]
+        out[sum(c * base**i for i, c in enumerate(alpha))] = i2k * monomial_moment(alpha)
+    return out
 
-    An su2 element with basis coordinates a generates the rotation of
-    the unit sphere about the axis a; its normalized (mean-zero)
-    Hamiltonian is H(x) = <a, x>.  The functional is
 
-        (xi_1,..,xi_k) -> int_{S^2} H_1 ... H_k  w
+def reznikov_pullback(algebra, k):
+    """Reznikov's integrated-Hamiltonian functional on su(n), exactly.
 
-    with the area form w normalized to total mass 1, that is the sum
-    over index tuples i of a_1[i_1] .. a_k[i_k] E[x_i1 .. x_ik], with
-    the moments from sphere_moment.  The coordinates are read through
-    the trace pairing a_j = -2 tr(m e_j), so any ring entries work.
+    X in su(n) generates a Hamiltonian flow on CP^(n-1) with mean-zero
+    Hamiltonian H_X([z]) = 2i z*Xz, |z| = 1.  The functional is
+
+        (X_1,..,X_k) -> int_{CP^(n-1)} H_1 ... H_k  w
+
+    with the Fubini-Study volume w normalized to mass 1, the pushforward
+    of the uniform measure on the unit sphere of C^n.  Expanding the
+    product, it is the sum over row and column tuples r, c in [n]^k of
+    prod_j 2i X_j[r_j][c_j] E[zbar^count(r) z^count(c)], and the
+    expectation vanishes unless count(r) == count(c).  The sum is
+    contracted slot by slot over the nonzero entries only, keyed by the
+    codes of the row and column counts so far, so any ring entries
+    work.  On su2 the Hopf map sends H_X to the height along the
+    rotation axis of X on S^2.
     """
     if k < 1:
         raise ValueError("reznikov arity must be >= 1")
-    algebra = lie_algebra("su2")
-    n, dim = algebra.n, algebra.dim
-    # a_j = sum_{r,c} m[r][c] * pairing[j][(r, c)], pairing = -2 e_j^T
-    pairing = [
-        {(r, c): e[c][r] * -2 for r in range(n) for c in range(n) if not e[c][r].is_zero()}
-        for e in algebra.basis
-    ]
-    moments, tensor = {}, {}
-    for a in itertools.combinations_with_replacement(range(dim), k):
-        counts = tuple(a.count(i) for i in range(dim))
-        m = sphere_moment(counts)
-        if m:
-            moments[counts] = m
-            tensor[a] = Scalar.coerce(m * multinomial(Counter(a).values()))
+    if not algebra.name.startswith("su"):
+        raise LieAlgebraError(f"reznikov is defined on su(n), not on {algebra.name}")
+    n, base = algebra.n, k + 1
+    moments = _hamiltonian_moments(n, k)
 
     def evaluator(mats):
-        coords = []
+        states = {(0, 0): 1}
         for mat in mats:
-            terms = [[scale_value(mat[r][c], w) for (r, c), w in weights.items()] for weights in pairing]
-            coords.append([sum(t[1:], t[0]) for t in terms])
+            entries = [
+                (base**r, base**c, v)
+                for r, row in enumerate(mat)
+                for c, v in enumerate(row)
+                if not (v == 0 if isinstance(v, (complex, float, int)) else v.is_zero())
+            ]
+            nxt = {}
+            for (rs, cs), acc in states.items():
+                for dr, dc, v in entries:
+                    key = (rs + dr, cs + dc)
+                    term = acc * v
+                    nxt[key] = nxt[key] + term if key in nxt else term
+            states = nxt
         total = mats[0][0][0] * 0
-        for idx in itertools.product(range(dim), repeat=k):
-            m = moments.get(tuple(idx.count(i) for i in range(dim)))
-            if m is None:
-                continue
-            prod = coords[0][idx[0]]
-            for j in range(1, k):
-                prod = prod * coords[j][idx[j]]
-            total = total + scale_value(prod, m)
+        for (rs, cs), acc in states.items():
+            if rs == cs:
+                total = total + scale_value(acc, moments[rs])
         return total
 
-    return InvariantPolynomial(algebra, k, evaluator, f"reznikov:{k}", tensor=tensor)
+    return InvariantPolynomial(algebra, k, evaluator, f"reznikov:{k}")
 
 
 def invariant_polynomial_from_selector(algebra, selector):
@@ -579,7 +532,7 @@ def invariant_polynomial_from_selector(algebra, selector):
 
     A selector that does not parse, whose degree is below 1, that has a
     part after the degree, or that names a polynomial the algebra does
-    not carry (chern off u(n)/su(n), reznikov off su2) raises
+    not carry (chern off u(n)/su(n), reznikov off su(n)) raises
     SelectorError.
     """
     kind, _, rest = selector.partition(":")
@@ -591,16 +544,12 @@ def invariant_polynomial_from_selector(algebra, selector):
     k = _selector_int(selector, degree)
     if k < 1:
         raise SelectorError(f"selector {selector!r} needs a degree >= 1")
-    if kind == "chern":
-        try:
-            return chern_polynomial(algebra, k)
-        except LieAlgebraError as e:
-            raise SelectorError(str(e)) from None
     if kind == "symtrace":
         return sym_trace_poly(algebra, k)
-    if algebra.name != "su2":
-        raise SelectorError(f"reznikov is defined on su2, not on {algebra.name}")
-    return reznikov_pullback(k)
+    try:
+        return chern_polynomial(algebra, k) if kind == "chern" else reznikov_pullback(algebra, k)
+    except LieAlgebraError as e:
+        raise SelectorError(str(e)) from None
 
 
 def _selector_int(selector, text):

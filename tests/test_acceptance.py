@@ -237,8 +237,8 @@ def test_criterion_8_invariant_polynomials():
 
 def test_criterion_9_reznikov():
     t0 = time.time()
-    r1 = reznikov_pullback(1)
-    r2 = reznikov_pullback(2)
+    r1 = reznikov_pullback(su2, 1)
+    r2 = reznikov_pullback(su2, 2)
     rng = random.Random(99)
     lam = Fraction(-2, 3)
     for _ in range(100):

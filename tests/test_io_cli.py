@@ -255,8 +255,9 @@ def test_cli_reznikov_modes(capsys):
         assert e.value.code == 2
 
 
-def test_cli_chern_reznikov_on_su2_bundle(tmp_path, capsys):
-    main(["generate", "trivial", "--space", "boundary-sphere:2", "--group", "su2", "--out", str(tmp_path)])
+@pytest.mark.parametrize("group", ["su2", "su3"])
+def test_cli_chern_reznikov_on_sun_bundle(group, tmp_path, capsys):
+    main(["generate", "trivial", "--space", "boundary-sphere:2", "--group", group, "--out", str(tmp_path)])
     capsys.readouterr()
     argv = ["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt")]
     for selector in ("reznikov:1", "reznikov:2"):
@@ -273,23 +274,30 @@ def test_cli_generate_without_out(argv, capsys):
 
 
 def test_cli_algebra_errors_are_usage_errors(tmp_path, capsys):
-    # an unknown group, and chern:K on a group with no Chern polynomial
+    # an unknown group, chern:K on a group with no Chern polynomial, and
+    # reznikov:K off su(n)
     assert main(["generate", "trivial", "--group", "su9", "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    assert main(["generate", "trivial", "--group", "so3", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    argv = ["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt")]
-    assert main(argv + ["--poly", "chern:1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error:")
-    assert main(argv + ["--poly", "symtrace:1"]) == 0
+    for group, selectors in (("so3", ["chern:1", "reznikov:1"]), ("u2", ["reznikov:1"])):
+        out = tmp_path / group
+        assert main(["generate", "trivial", "--group", group, "--out", str(out)]) == 0
+        capsys.readouterr()
+        argv = ["chern", "--bundle", str(out / "bundle.txt"), "--space", str(out / "space.txt")]
+        for selector in selectors:
+            assert main(argv + ["--poly", selector]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
+        assert main(argv + ["--poly", "symtrace:1"]) == 0
 
 
 def test_cli_usage_errors(capsys):
     assert main(["betti", "--space", "no-such-file"]) == 2
-    with pytest.raises(SystemExit) as e:
-        main(["not-a-command"])
-    assert e.value.code == 2
+    # argparse rejects an unknown command, and --mode off the reznikov command
+    for argv in (["not-a-command"], ["chern", "--bundle", "clutch:1", "--mode", "float"],
+                 ["clutch", "--n", "1", "--mode", "float"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -315,7 +323,6 @@ def test_cli_bad_space_size(space, capsys):
         ["chern", "--bundle", "clutch:1", "--poly", "symtrace:0"],
         ["chern", "--bundle", "clutch:1", "--poly", "reznikov:2"],
         ["chern", "--bundle", "clutch:1", "--poly", "reznikov:2:order=1"],
-        ["chern", "--bundle", "clutch:1", "--poly", "reznikov:2", "--mode", "float"],
         ["chern", "--bundle", "clutch:1", "--poly", "chern:1:foo"],
         ["chern", "--bundle", "clutch:1", "--poly", "chern:7"],
         ["chern", "--bundle", "clutch:1", "--poly", "symtrace:2"],
@@ -327,7 +334,7 @@ def test_cli_bad_space_size(space, capsys):
     ],
     ids=["chern-clutch-nonint", "chern-clutch-empty",
          "betti-negative-max-dim", "poly-bogus", "poly-nonint", "poly-degree-0",
-         "poly-reznikov", "poly-reznikov-order-1", "poly-reznikov-float", "poly-trailing-part",
+         "poly-reznikov", "poly-reznikov-order-1", "poly-trailing-part",
          "poly-overflow-chern", "poly-overflow-symtrace", "horn-n1", "horn-n0", "horn-negative",
          "reznikov-k0", "reznikov-negative"],
 )

@@ -4,30 +4,29 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernweil.liealg import (
-    Ad,
     InvariantPolynomial,
     LieAlgebraError,
     SelectorError,
-    ad_exp_series,
     bracket,
     chern_polynomial,
     check_invariant_polynomial,
-    exp_element,
     invariant_polynomial_from_selector,
     lie_algebra,
     mat_mul,
     mat_sub,
     mat_trace,
+    monomial_moment,
     polarize,
     reznikov_pullback,
-    sphere_moment,
     sym_trace_poly,
 )
 from chernweil.scalars import Scalar
+from chernweil.verify import ad_exp_coords
 from oracles import charpoly_coefficient_oracle, finite_difference_polarization, reznikov_quadrature
 
 
@@ -70,20 +69,23 @@ def test_jacobi_identity_on_basis():
             assert all((x + y + z).is_zero() for x, y, z in zip(j1, j2, j3))
 
 
-def test_ad_identity():
-    su2 = lie_algebra("su2")
-    x = su2.element([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)])
-    g = exp_element(su2.zero())
-    assert np.abs(Ad(g, x) - np.array([0.5, -1 / 3, 0.2])).max() < 1e-12
-
-
 def test_exp_lands_in_group():
     rng = np.random.default_rng(0)
-    for name in ["u1", "su2", "so3", "u3", "su4"]:
+    # every group here is unitary; the flags add det = 1 and real entries
+    for name, special, real in [
+        ("u1", False, False),
+        ("su2", True, False),
+        ("so3", True, True),
+        ("u3", False, False),
+        ("su4", True, False),
+    ]:
         alg = lie_algebra(name)
         for _ in range(5):
-            g = exp_element(alg.element([Fraction(int(v * 16), 16) for v in rng.uniform(-1, 1, alg.dim)]))
-            assert g.constraint_violation() < 1e-10
+            x = alg.element([Fraction(int(v * 16), 16) for v in rng.uniform(-1, 1, alg.dim)])
+            g = expm(x.matrix_float())
+            assert np.abs(g.conj().T @ g - np.eye(len(g))).max() < 1e-10
+            assert not special or abs(np.linalg.det(g) - 1.0) < 1e-10
+            assert not real or np.abs(g.imag).max() < 1e-10
 
 
 def test_ad_exp_series_consistency():
@@ -93,12 +95,10 @@ def test_ad_exp_series_consistency():
     for _ in range(50):
         x = su2.element([Fraction(rng.randrange(-2, 3), 16) for _ in range(3)])
         y = su2.element([Fraction(rng.randrange(-8, 9), 4) for _ in range(3)])
-        t = rng.uniform(-1, 1)
-        from scipy.linalg import expm
-
-        gm = expm(t * x.matrix_float())
+        t = Fraction(rng.uniform(-1, 1))
+        gm = expm(float(t) * x.matrix_float())
         want = su2.decompose_float(gm @ y.matrix_float() @ np.linalg.inv(gm))
-        got = ad_exp_series(x, y, t, order=6)
+        got = ad_exp_coords(x, y, t)
         worst = max(worst, float(np.abs(want - got).max()))
     assert worst < 1e-8
 
@@ -247,18 +247,19 @@ def test_polarize_rejects_inhomogeneous():
 
 
 def test_sphere_moments():
-    assert sphere_moment((2, 0, 0)) == Fraction(1, 3)
-    assert sphere_moment((4, 0, 0)) == Fraction(1, 5)
-    assert sphere_moment((2, 2, 0)) == Fraction(1, 15)
-    assert sphere_moment((2, 2, 2)) == Fraction(1, 105)
-    assert sphere_moment((0, 0, 0)) == 1
-    assert sphere_moment((1, 1, 0)) == sphere_moment((3, 0, 2)) == 0
+    # on the unit sphere of C^N
+    for N in (2, 3, 4):
+        rest = (0,) * (N - 2)
+        assert monomial_moment((0, 0) + rest) == 1
+        assert monomial_moment((1, 0) + rest) == Fraction(1, N)
+        assert monomial_moment((2, 0) + rest) == Fraction(2, N * (N + 1))
+        assert monomial_moment((1, 1) + rest) == Fraction(1, N * (N + 1))
 
 
 def test_reznikov_one_vanishes():
-    rho = reznikov_pullback(1)
-    assert rho.tensor() == {}
     su2 = lie_algebra("su2")
+    rho = reznikov_pullback(su2, 1)
+    assert rho.tensor() == {}
     rng = np.random.default_rng(8)
     for _ in range(100):
         m = su2.element_matrix_float(rng.uniform(-1, 1, 3))
@@ -266,23 +267,26 @@ def test_reznikov_one_vanishes():
 
 
 def test_reznikov_two_proportional_to_trace_form():
-    rho = reznikov_pullback(2)
-    su2 = lie_algebra("su2")
-    # the documented normalization (area mass 1, H = height along the
-    # rotation axis) gives lambda = -2/3, exactly
-    trace_form = sym_trace_poly(su2, 2).tensor()
-    assert rho.tensor() == {a: v * Fraction(-2, 3) for a, v in trace_form.items()}
+    # E[H_X^2] over CP^(N-1) is -4 tr(X^2) / (N(N+1)); on su2 the documented
+    # normalization (area mass 1, H = height along the rotation axis)
+    # gives lambda = -2/3, exactly
     rng = random.Random(9)
-    for _ in range(50):
-        x = su2.element([Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(3)])
-        assert rho.eval([x, x]) == mat_trace(mat_mul(x.matrix(), x.matrix())) * Fraction(-2, 3)
+    for name in ("su2", "su3", "su4"):
+        alg = lie_algebra(name)
+        lam = Fraction(-4, alg.n * (alg.n + 1))
+        rho = reznikov_pullback(alg, 2)
+        trace_form = sym_trace_poly(alg, 2).tensor()
+        assert rho.tensor() == {a: v * lam for a, v in trace_form.items()}
+        for _ in range(50):
+            x = alg.element([Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(alg.dim)])
+            assert rho.eval([x, x]) == mat_trace(mat_mul(x.matrix(), x.matrix())) * lam
 
 
 def test_reznikov_two_quadrature_order_independence():
     # independent cross-check: the sphere quadrature at two quite
     # different orders agrees with the exact functional
     su2 = lie_algebra("su2")
-    rho = reznikov_pullback(2)
+    rho = reznikov_pullback(su2, 2)
     r_lo, r_hi = reznikov_quadrature(2, 8), reznikov_quadrature(2, 48)
     rng = np.random.default_rng(10)
     for _ in range(20):
@@ -301,14 +305,14 @@ def test_reznikov_matches_quadrature_oracle(coords):
     su2 = lie_algebra("su2")
     k = len(coords)
     mats = [su2.element_matrix_float(c) for c in coords]
-    assert abs(reznikov_pullback(k).eval(mats) - reznikov_quadrature(k)(mats)) < 1e-12
+    assert abs(reznikov_pullback(su2, k).eval(mats) - reznikov_quadrature(k)(mats)) < 1e-12
 
 
 def test_reznikov_three_vanishes_by_antipodal_symmetry():
     # products of three linear height functions are odd under x -> -x
-    rho = reznikov_pullback(3)
-    assert rho.tensor() == {}
     su2 = lie_algebra("su2")
+    rho = reznikov_pullback(su2, 3)
+    assert rho.tensor() == {}
     rng = np.random.default_rng(11)
     for _ in range(50):
         args = [su2.element_matrix_float(rng.uniform(-1, 1, 3)) for _ in range(3)]
@@ -316,23 +320,23 @@ def test_reznikov_three_vanishes_by_antipodal_symmetry():
 
 
 def test_reznikov_exact_on_polynomial_entries():
-    # the evaluator reads coordinates through the trace pairing, so it
-    # runs on matrices of polynomials as symtrace and chern do
+    # the evaluator only multiplies and adds matrix entries, so it runs
+    # on matrices of polynomials as symtrace and chern do
     from chernweil.poly import Poly
 
     su2 = lie_algebra("su2")
     x = [[Poly.var(1, 0) * v for v in row] for row in su2.basis[0]]
-    assert reznikov_pullback(2).eval([x, x]) == Poly(1, {(2,): Scalar.from_rational(1, 3)})
+    assert reznikov_pullback(su2, 2).eval([x, x]) == Poly(1, {(2,): Scalar.from_rational(1, 3)})
 
 
 def test_reznikov_invariance():
-    for k in (2, 4):
-        assert check_invariant_polynomial(reznikov_pullback(k), random.Random(12)) is None
+    for name, k in [("su2", 2), ("su2", 4), ("su3", 2), ("su3", 3), ("su4", 2)]:
+        assert check_invariant_polynomial(reznikov_pullback(lie_algebra(name), k), random.Random(12)) is None
 
 
 def test_reznikov_degree_too_low():
     with pytest.raises(ValueError):
-        reznikov_pullback(0)
+        reznikov_pullback(lie_algebra("su2"), 0)
 
 
 def test_selector_parsing():
@@ -342,9 +346,12 @@ def test_selector_parsing():
     assert invariant_polynomial_from_selector(su2, "reznikov:2").arity == 2
     with pytest.raises(ValueError):
         invariant_polynomial_from_selector(su2, "nope:1")
-    # nothing may follow the degree, and reznikov lives on su2 only
+    # nothing may follow the degree, and reznikov lives on su(n) only
     for selector in ("reznikov:2:order=16", "chern:2:foo", "symtrace:1:"):
         with pytest.raises(SelectorError):
             invariant_polynomial_from_selector(su2, selector)
-    with pytest.raises(SelectorError):
-        invariant_polynomial_from_selector(lie_algebra("u2"), "reznikov:2")
+    for name in ("su3", "su4"):
+        assert invariant_polynomial_from_selector(lie_algebra(name), "reznikov:2").arity == 2
+    for name in ("u2", "so3"):
+        with pytest.raises(SelectorError):
+            invariant_polynomial_from_selector(lie_algebra(name), "reznikov:2")
