@@ -3,10 +3,11 @@
 Every nondegenerate simplex carries the chart Delta^d x G; a face map
 into a simplex is a bundle map (t, g) |-> (delta_i(t), phi(t) g) for a
 group-valued transition phi, stored as an ordered product of
-exponentials of Lie-algebra-valued polynomials.  Degenerate simplices
-implicitly carry the pullback of their core's chart along the collapse,
-with identity comparison maps, so the whole functor is determined by
-finitely much data.
+exponentials of g-valued 0-forms.  Transition logs, gauges, connections
+and curvatures are all one type, LieValuedForm, in degrees 0, 0, 1
+and 2.  Degenerate simplices implicitly carry the pullback of their
+core's chart along the collapse, with identity comparison maps, so the
+whole functor is determined by finitely much data.
 
 Connections are Lie-algebra-valued polynomial 1-forms per chart, tied
 together by the trivialized gauge rule
@@ -49,69 +50,13 @@ class BundleError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Lie-algebra-valued polynomials and forms (coordinates in a fixed basis)
-
-
-class LieValuedPoly:
-    """g-valued polynomial map on Delta^dim, in basis coordinates."""
-
-    __slots__ = ("algebra", "dim", "coords")
-
-    def __init__(self, algebra, dim, coords):
-        self.algebra = algebra
-        self.dim = dim
-        self.coords = list(coords)
-
-    @staticmethod
-    def zero(algebra, dim):
-        return LieValuedPoly(algebra, dim, [Poly.zero(dim)] * algebra.dim)
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.coords)
-
-    def __add__(self, other):
-        return LieValuedPoly(self.algebra, self.dim, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return LieValuedPoly(self.algebra, self.dim, [-a for a in self.coords])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieValuedPoly)
-            and self.algebra is other.algebra
-            and self.coords == other.coords
-        )
-
-    def pullback(self, amap):
-        # as 0-forms, through the map's pullback memo
-        return LieValuedPoly(
-            self.algebra,
-            amap.source_dim,
-            [PolyForm.from_poly(p).pullback(amap).component(()) for p in self.coords],
-        )
-
-    def eval_matrix(self, point):
-        c = [p.eval_complex(point) for p in self.coords]
-        return self.algebra.element_matrix_float(c)
-
-    def as_one_form_d(self):
-        """The 1-form d p of this 0-form."""
-        out = []
-        for p in self.coords:
-            comps = {}
-            for j in range(self.dim):
-                dp = p.diff(j)
-                if not dp.is_zero():
-                    comps[(j,)] = dp
-            out.append(PolyForm(self.dim, 1, comps))
-        return LieValuedForm(self.algebra, self.dim, 1, out)
+# Lie-algebra-valued forms (coordinates in a fixed basis)
 
 
 class LieValuedForm:
-    """g-valued polynomial differential form, one PolyForm per basis vector."""
+    """g-valued polynomial differential form, one PolyForm per basis vector.
+
+    Degree 0 holds the g-valued functions: transition logs and gauges."""
 
     __slots__ = ("algebra", "dim", "deg", "coords")
 
@@ -124,6 +69,11 @@ class LieValuedForm:
     @staticmethod
     def zero(algebra, dim, deg=1):
         return LieValuedForm(algebra, dim, deg, [PolyForm.zero(dim, deg)] * algebra.dim)
+
+    @staticmethod
+    def from_polys(algebra, polys):
+        """The 0-form with these basis coordinates."""
+        return LieValuedForm(algebra, polys[0].dim, 0, [PolyForm.from_poly(p) for p in polys])
 
     def is_zero(self):
         return all(f.is_zero() for f in self.coords)
@@ -187,23 +137,6 @@ class LieValuedForm:
                 out[I] = out[I] + v * self.algebra.basis_float[a]
         return out
 
-    def matrix_entries(self):
-        """Assemble the matrix of PolyForms (for invariant-polynomial input)."""
-        n = self.algebra.n
-        zero = PolyForm.zero(self.dim, self.deg)
-        mat = [[zero for _ in range(n)] for _ in range(n)]
-        for a, f in enumerate(self.coords):
-            if f.is_zero():
-                continue
-            basis = self.algebra.basis[a]
-            for r in range(n):
-                for c in range(n):
-                    v = basis[r][c]
-                    if not v.is_zero():
-                        mat[r] = list(mat[r])
-                        mat[r][c] = mat[r][c] + f.scale(v)
-        return mat
-
 
 # ---------------------------------------------------------------------------
 # transitions
@@ -254,7 +187,7 @@ class TransitionMap:
         """Sum of factor logs; exact group log for abelian algebras."""
         if not self.algebra.is_abelian:
             raise BundleError("log_total is only defined for abelian groups")
-        total = LieValuedPoly.zero(self.algebra, self.dim)
+        total = LieValuedForm.zero(self.algebra, self.dim, 0)
         for f in self.factors:
             total = total + f
         return total
@@ -264,7 +197,7 @@ class TransitionMap:
 
         g = np.eye(self.algebra.n, dtype=complex)
         for f in self.factors:
-            g = g @ expm(f.eval_matrix(point))
+            g = g @ expm(_matrix_at(f, point))
         return g
 
     def __eq__(self, other):
@@ -277,6 +210,12 @@ class TransitionMap:
 
     def __repr__(self):
         return f"TransitionMap({self.algebra.name}, dim={self.dim}, {len(self.factors)} factors)"
+
+
+def _matrix_at(p, point):
+    """A g-valued 0-form's float matrix at a point."""
+    n = p.algebra.n
+    return p.eval_matrix_coeffs(point).get((), np.zeros((n, n), dtype=complex))
 
 
 def _sample_points(dim, count, seed):
@@ -300,7 +239,8 @@ def transitions_equal(t1, t2, seed=0):
     alg = t1.algebra
     if alg.is_abelian:
         diff = t1.log_total() - t2.log_total()
-        for p in diff.coords:
+        for f in diff.coords:
+            p = f.component(())
             nonconst = {e: c for e, c in p.terms.items() if any(e)}
             if nonconst:
                 return False
@@ -462,14 +402,12 @@ def _exp_series(p, X, shift):
     """sum_{m <= SERIES_ORDER} ad_p^m(X) / (m + shift)!, or X on an abelian
     algebra.  shift 0 is Ad_{exp(p)} X = e^{ad_p} X; shift 1 is the
     differential of exp, (e^{ad_p} - 1)/ad_p applied to X."""
-    alg = p.algebra
-    if alg.is_abelian:
+    if p.algebra.is_abelian:
         return X
-    p0 = LieValuedForm(alg, p.dim, 0, [PolyForm.from_poly(c) for c in p.coords])
     out = X
     cur = X
     for m in range(1, SERIES_ORDER + 1):
-        cur = p0.bracket_wedge(cur)
+        cur = p.bracket_wedge(cur)
         out = out + cur.scale(Fraction(1, factorial(m + shift)))
     return out
 
@@ -483,7 +421,7 @@ def right_log_derivative(t):
     """
     out = LieValuedForm.zero(t.algebra, t.dim, 1)
     for r, p in enumerate(t.factors):
-        term = _exp_series(p, p.as_one_form_d(), 1)
+        term = _exp_series(p, p.d(), 1)
         for q in reversed(t.factors[:r]):
             term = _exp_series(q, term, 0)
         out = out + term
@@ -524,11 +462,10 @@ def _rld_numeric(t, pt):
     out = {}
     prefix = np.eye(n, dtype=complex)
     for p in t.factors:
-        pm = p.eval_matrix(pt)
+        pm = _matrix_at(p, pt)
+        dp = p.d().eval_matrix_coeffs(pt)
         for j in range(t.dim):
-            dpj = t.algebra.element_matrix_float(
-                [c.diff(j).eval_complex(pt) for c in p.coords]
-            )
+            dpj = dp.get((j,), np.zeros((n, n), dtype=complex))
             acc = dpj.copy()
             cur = dpj
             for m in range(1, 19):
@@ -693,7 +630,7 @@ def clutch_bundle(n):
     S = SimplexId(2, 1)
     # u1 coordinates multiply the basis matrix [[i]]: coordinate n*tau*t
     # is the matrix log i*n*tau*t
-    log = LieValuedPoly(alg, 1, [Poly(1, {(1,): Scalar.of(n, 0, 1)})])
+    log = LieValuedForm.from_polys(alg, [Poly(1, {(1,): Scalar.of(n, 0, 1)})])
     P.transitions[(S, 0)] = TransitionMap.single(log)
 
     x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
@@ -716,8 +653,8 @@ def clutch_winding(P):
     total = Scalar.zero()
     for i in range(3):
         # u1 basis coordinate = matrix log / i, so divide deltas by tau
-        cN = P.transitions[(N, i)].log_total().coords[0]
-        cS = P.transitions[(S, i)].log_total().coords[0]
+        cN = P.transitions[(N, i)].log_total().coords[0].component(())
+        cS = P.transitions[(S, i)].log_total().coords[0].component(())
         diff = cS - cN
         delta = diff.eval([1]) - diff.eval([0])
         total = total + delta * Fraction((-1) ** i)
@@ -731,11 +668,12 @@ def clutch_winding(P):
 def apply_gauge(P, gauges, D=None):
     """Change every chart by a gauge map exp(h_sid).
 
-    gauges: dict sid -> LieValuedPoly on that simplex.  Transitions pick
-    up exp(-h_sid o delta_i) phi exp(h_face); a supplied connection is
-    transformed only for constant gauges (Ad by a constant matrix, which
-    leaves polynomial coefficients polynomial).  The matrix is computed
-    in floats and each entry enters as its exact Gaussian rational.
+    gauges: dict sid -> g-valued 0-form on that simplex.  Transitions
+    pick up exp(-h_sid o delta_i) phi exp(h_face); a supplied connection
+    is transformed only for constant gauges (Ad by a constant matrix,
+    which leaves polynomial coefficients polynomial).  The matrix is
+    computed in floats and each entry enters as its exact Gaussian
+    rational.
     """
     X = P.base
     transitions = {}
@@ -758,9 +696,9 @@ def apply_gauge(P, gauges, D=None):
     forms = {}
     for sid in X.all_cells():
         h = gauges[sid]
-        if any(p.total_degree() > 0 for p in h.coords):
+        if not h.d().is_zero():
             raise BundleError("connection gauge transform implemented for constant gauges")
-        g = expm(h.eval_matrix([Fraction(0)] * sid.dim))
+        g = expm(_matrix_at(h, [Fraction(0)] * sid.dim))
         gi = np.linalg.inv(g)
         # matrix R of Ad_{g^{-1}} in the chosen basis
         R = np.array([alg.decompose_float(gi @ bf @ g) for bf in alg.basis_float]).T
@@ -788,13 +726,13 @@ def random_u1_bundle(X, rng, windings=True):
     gauges = {}
     for sid in X.all_cells():
         p = random_poly(rng, sid.dim, 2)
-        gauges[sid] = LieValuedPoly(alg, sid.dim, [p])
+        gauges[sid] = LieValuedForm.from_polys(alg, [p])
     P, _ = apply_gauge(trivial_bundle(X, alg), gauges)
     if windings and X.dim <= 2:
         for sid in X.cells(2):
             m = rng.randrange(-2, 3)
             if m:
-                tw = LieValuedPoly(alg, 1, [Poly(1, {(1,): Scalar.of(m, 0, 1)})])
+                tw = LieValuedForm.from_polys(alg, [Poly(1, {(1,): Scalar.of(m, 0, 1)})])
                 P.transitions[(sid, 0)] = TransitionMap.single(tw).compose(P.transitions[(sid, 0)])
     return P
 
@@ -856,18 +794,12 @@ def horn_fill_bundle(H, P):
             mism = _facet_mismatch_constant(
                 prescriptions[base_key], prescriptions[i], base_key, i, n - 1
             )
-            adjusted[i] = _shift_constant(prescriptions[i], mism)
-        coords = []
-        for a in range(alg.dim):
-            coords.append(
-                whitney_extend(
-                    n - 1,
-                    0,
-                    {i: PolyForm(n - 2, 0, {(): adjusted[i].coords[a]}) for i in keys},
-                )
-            )
-        log = LieValuedPoly(alg, n - 1, [f.component(()) for f in coords])
-        out.transitions[(top, j)] = TransitionMap(alg, n - 1, [log])
+            shift = LieValuedForm.from_polys(alg, [Poly.const(n - 2, v) for v in mism])
+            adjusted[i] = prescriptions[i] + shift
+        coords = [
+            whitney_extend(n - 1, 0, {i: adjusted[i].coords[a] for i in keys}) for a in range(alg.dim)
+        ]
+        out.transitions[(top, j)] = TransitionMap(alg, n - 1, [LieValuedForm(alg, n - 1, 0, coords)])
     out.transitions[(top, k)] = TransitionMap.identity(alg, n - 1)
 
     # the missing face's data is forced by the cocycle conditions with k
@@ -892,18 +824,12 @@ def _facet_mismatch_constant(pres_a, pres_b, ia, ib, domain_dim):
     pb = pres_b.pullback(AffineMap.face(domain_dim - 1, ia)).coords
     consts = []
     for a, b in zip(pa, pb):
-        diff = a - b
+        diff = (a - b).component(())
         nonconst = {e: c for e, c in diff.terms.items() if any(e)}
         if nonconst:
             raise BundleError("horn prescriptions differ by a nonconstant; input invalid")
         consts.append(diff.terms.get((0,) * diff.dim, Scalar.zero()))
     return consts
-
-
-def _shift_constant(p, consts):
-    return LieValuedPoly(
-        p.algebra, p.dim, [c + Poly.const(p.dim, v) for c, v in zip(p.coords, consts)]
-    )
 
 
 def restrict_bundle_to_horn(filled, H, cell_map):

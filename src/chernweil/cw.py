@@ -27,8 +27,9 @@ from math import factorial
 
 import numpy as np
 
-from .bundles import Connection, LieValuedForm, pullback_bundle
+from .bundles import Connection, pullback_bundle
 from .forms import AffineMap, PolyForm, SimplicialForm, check_simplicial_form, integrate_to_cochain
+from .linalg import sort_sign
 from .poly import Poly
 from .scalars import Scalar
 from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_cochain, word_epi
@@ -55,16 +56,19 @@ def bianchi_defect(D):
 
 
 def _component_matrices(F):
-    """Decompose a matrix-valued form into {index tuple: matrix of Polys}."""
-    mat = F.matrix_entries()
-    n = len(mat)
+    """Decompose a g-valued form into {index tuple: matrix of Polys}, the
+    sum of its coordinate forms times the algebra's basis matrices."""
+    n = F.algebra.n
     comps = {}
-    for r in range(n):
-        for c in range(n):
-            for I, p in mat[r][c].comps.items():
-                if I not in comps:
-                    comps[I] = [[Poly.zero(F.dim) for _ in range(n)] for _ in range(n)]
-                comps[I][r][c] = p
+    for f, basis in zip(F.coords, F.algebra.basis):
+        for I, p in f.comps.items():
+            if I not in comps:
+                comps[I] = [[Poly.zero(F.dim) for _ in range(n)] for _ in range(n)]
+            mat = comps[I]
+            for r in range(n):
+                for c in range(n):
+                    if not basis[r][c].is_zero():
+                        mat[r][c] = mat[r][c] + p.scale(basis[r][c])
     return comps
 
 
@@ -126,11 +130,7 @@ def cw_form_permutation(rho, F):
         # so evaluations are memoized on the canonicalized pair multiset
         memo = {}
         for eta in itertools.permutations(range(2 * k)):
-            sign = 1
-            for a in range(2 * k):
-                for b in range(a + 1, 2 * k):
-                    if eta[a] > eta[b]:
-                        sign = -sign
+            _, sign = sort_sign(eta)
             pairs = []
             ok = True
             for s in range(k):
@@ -320,8 +320,6 @@ class ClassReport:
     bundle_name: str
     closed: bool
     pairings: list = field(default_factory=list)
-    witness_present: bool = False
-    calibration: object = None
 
     def machine_line(self):
         vals = []
@@ -332,10 +330,9 @@ class ClassReport:
                 vals.append(repr(v.to_complex()))
             else:
                 vals.append(repr(v))
-        w = "present" if self.witness_present else "absent"
         return (
             f"class rho={self.poly_name} bundle={self.bundle_name}: "
-            f"closed={'yes' if self.closed else 'no'} pairings=[{', '.join(vals)}] witness={w}"
+            f"closed={'yes' if self.closed else 'no'} pairings=[{', '.join(vals)}] witness=absent"
         )
 
 

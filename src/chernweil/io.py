@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .bundles import BundleData, Connection, LieValuedForm, LieValuedPoly, TransitionMap
+from .bundles import BundleData, Connection, LieValuedForm, TransitionMap
 from .forms import PolyForm
 from .poly import Poly
 from .scalars import INT_NUMERAL, QI, Scalar, parse_int
@@ -269,9 +269,9 @@ def parse_simplicial_set(text):
 
 def _lvp_to_str(p):
     bits = []
-    for a, poly in enumerate(p.coords):
-        if not poly.is_zero():
-            bits.append(f"{a}: {poly_to_str(poly)}")
+    for a, f in enumerate(p.coords):
+        if not f.is_zero():
+            bits.append(f"{a}: {poly_to_str(f.component(()))}")
     return "[" + "; ".join(bits) + "]"
 
 
@@ -285,7 +285,7 @@ def _parse_lvp(text, algebra, dim):
         for bit in _split_top(body, "; "):
             head, _, rest = bit.partition(":")
             coords[_lie_index(head, algebra)] = parse_poly(rest, dim)
-    return LieValuedPoly(algebra, dim, coords)
+    return LieValuedForm.from_polys(algebra, coords)
 
 
 def _lie_index(text, algebra):

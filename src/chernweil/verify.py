@@ -232,8 +232,8 @@ def ad_exp_coords(x, y, t):
     """e^{t ad_x} y by bundles._exp_series, the gauge rule's kernel, as float
     coordinates; t is an exact rational."""
     alg = x.algebra
-    p = bn.LieValuedPoly(alg, 0, [Poly.const(0, c * t) for c in x.coords])
-    y0 = bn.LieValuedForm(alg, 0, 0, [fm.PolyForm.from_poly(Poly.const(0, c)) for c in y.coords])
+    p = bn.LieValuedForm.from_polys(alg, [Poly.const(0, c * t) for c in x.coords])
+    y0 = bn.LieValuedForm.from_polys(alg, [Poly.const(0, c) for c in y.coords])
     return np.array([f.component(()).eval(()).to_complex() for f in bn._exp_series(p, y0, 0).coords])
 
 
@@ -274,7 +274,7 @@ def check_bundle_validation(seed):
     # perturb one transition; the validator must locate a failure
     bad = P.copy()
     key = (sc.SimplexId(2, 0), 1)
-    tw = bn.LieValuedPoly(P.algebra, 1, [Poly(1, {(1,): Scalar.from_rational(1, 3)})])
+    tw = bn.LieValuedForm.from_polys(P.algebra, [Poly(1, {(1,): Scalar.from_rational(1, 3)})])
     bad.transitions[key] = bn.TransitionMap.single(tw).compose(bad.transitions[key])
     rep = bn.validate_bundle(bad)
     if rep.ok:
@@ -454,8 +454,8 @@ def check_gauge_independence(seed):
     before = cw.cw_cochain(rho, D)
     rng = random.Random(seed + 1)
     gauges = {
-        sid: bn.LieValuedPoly(
-            u2, sid.dim, [Poly.const(sid.dim, Scalar.from_rational(rng.randrange(-4, 5), 8)) for _ in range(4)]
+        sid: bn.LieValuedForm.from_polys(
+            u2, [Poly.const(sid.dim, Scalar.from_rational(rng.randrange(-4, 5), 8)) for _ in range(4)]
         )
         for sid in bs.all_cells()
     }

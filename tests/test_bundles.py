@@ -7,7 +7,7 @@ import pytest
 from chernweil.bundles import (
     SAMPLE_TOL,
     BundleError,
-    LieValuedPoly,
+    LieValuedForm,
     TransitionMap,
     apply_gauge,
     clutch_bundle,
@@ -64,7 +64,7 @@ def test_perturbed_transition_located():
     assert validate_bundle(P).ok
     bad = P.copy()
     key = (V(2, 0), 1)
-    tw = LieValuedPoly(P.algebra, 1, [Poly(1, {(1,): Scalar.from_rational(1, 3)})])
+    tw = LieValuedForm.from_polys(P.algebra, [Poly(1, {(1,): Scalar.from_rational(1, 3)})])
     bad.transitions[key] = TransitionMap.single(tw).compose(bad.transitions[key])
     rep = validate_bundle(bad)
     assert not rep.ok
@@ -134,7 +134,8 @@ def test_pullback_composition_data_equality(inclusion_of_north):
 
 
 def test_lie_valued_poly_pullback_memoised(monkeypatch):
-    """Pullback goes through the map's memo and equals substitution."""
+    """A g-valued 0-form's pullback goes through the map's memo and
+    equals substitution in each coordinate polynomial."""
     from chernweil import forms
 
     rng = random.Random(8)
@@ -144,13 +145,13 @@ def test_lie_valued_poly_pullback_memoised(monkeypatch):
     monkeypatch.setattr(forms, "_pull_monomial", lambda *args: built.append(args) or pull(*args))
     for m, d in [((0, 2), 2), ((0, 1, 1), 2), ((1, 2, 3), 3), ((0, 0, 2, 3), 3), ((2,), 2)]:
         amap = AffineMap.from_monotone.__wrapped__(m, d)  # a fresh map with an empty memo
-        X = LieValuedPoly(su2, d, [random_poly(rng, d, 3) for _ in range(su2.dim)])
+        X = LieValuedForm.from_polys(su2, [random_poly(rng, d, 3) for _ in range(su2.dim)])
         coords = amap.coords()
-        expected = [p.compose(coords, source_dim=amap.source_dim) for p in X.coords]
-        assert X.pullback(amap).coords == expected
+        expected = [f.component(()).compose(coords, source_dim=amap.source_dim) for f in X.coords]
+        assert [f.component(()) for f in X.pullback(amap).coords] == expected
         assert built
         built.clear()
-        assert X.pullback(amap).coords == expected
+        assert [f.component(()) for f in X.pullback(amap).coords] == expected
         assert not built
 
 
@@ -204,7 +205,7 @@ def test_nonabelian_gauge_rule_series(group):
     X = boundary_sphere(2)
     rng = random.Random(0)
     gauges = {
-        s: LieValuedPoly(alg, s.dim, [random_poly(rng, s.dim, 1).scale(Fraction(1, 100)) for _ in range(alg.dim)])
+        s: LieValuedForm.from_polys(alg, [random_poly(rng, s.dim, 1).scale(Fraction(1, 100)) for _ in range(alg.dim)])
         for s in X.all_cells()
     }
     P, _ = apply_gauge(trivial_bundle(X, alg), gauges)
@@ -290,7 +291,7 @@ def test_curvature_gauge_covariance():
     D0 = random_connection(P0, 5)
     rng = random.Random(6)
     gauges = {
-        s: LieValuedPoly(su2, s.dim, [Poly.const(s.dim, Scalar.from_rational(rng.randrange(-3, 4), 8)) for _ in range(3)])
+        s: LieValuedForm.from_polys(su2, [Poly.const(s.dim, Scalar.from_rational(rng.randrange(-3, 4), 8)) for _ in range(3)])
         for s in bs.all_cells()
     }
     P, D = apply_gauge(P0, gauges, D0)
@@ -352,7 +353,7 @@ def test_construct_connection_propagates_simplex_on_bad_data():
     X = standard_simplex(3)
     bad = trivial_bundle(X, lie_algebra("u1"))
     top = V(3, 0)
-    tw = LieValuedPoly(bad.algebra, 2, [Poly(2, {(2, 0): Scalar.tau()})])
+    tw = LieValuedForm.from_polys(bad.algebra, [Poly(2, {(2, 0): Scalar.tau()})])
     bad.transitions[(top, 0)] = TransitionMap.single(tw)
     with pytest.raises(FaceConsistencyError) as e:
         construct_connection(bad)
@@ -361,8 +362,8 @@ def test_construct_connection_propagates_simplex_on_bad_data():
 
 def test_transitions_equal_mod_tau():
     u1 = lie_algebra("u1")
-    p = LieValuedPoly(u1, 1, [Poly(1, {(1,): Scalar.from_rational(1, 2)})])
-    q = LieValuedPoly(u1, 1, [Poly(1, {(1,): Scalar.from_rational(1, 2)}) + Poly.const(1, Scalar.tau())])
+    p = LieValuedForm.from_polys(u1, [Poly(1, {(1,): Scalar.from_rational(1, 2)})])
+    q = LieValuedForm.from_polys(u1, [Poly(1, {(1,): Scalar.from_rational(1, 2)}) + Poly.const(1, Scalar.tau())])
     assert transitions_equal(TransitionMap.single(p), TransitionMap.single(q))
-    r = LieValuedPoly(u1, 1, [Poly(1, {(1,): Scalar.from_rational(1, 2)}) + Poly.const(1, Scalar.tau() * Fraction(1, 2))])
+    r = LieValuedForm.from_polys(u1, [Poly(1, {(1,): Scalar.from_rational(1, 2)}) + Poly.const(1, Scalar.tau() * Fraction(1, 2))])
     assert not transitions_equal(TransitionMap.single(p), TransitionMap.single(r))

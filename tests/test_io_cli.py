@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernweil import io as cio
-from chernweil.bundles import LieValuedPoly, apply_gauge, clutch_bundle, trivial_bundle
+from chernweil.bundles import LieValuedForm, apply_gauge, clutch_bundle, construct_connection, trivial_bundle
 from chernweil.cli import main
 from chernweil.forms import random_poly, random_polyform
 from chernweil.liealg import lie_algebra
@@ -93,19 +96,51 @@ def test_bundle_connection_round_trips():
     assert cio.connection_to_str(D2) == ct
 
 
-def test_multifactor_bundle_round_trip():
-    bs = boundary_sphere(2)
-    su2 = lie_algebra("su2")
-    rng = random.Random(2)
-    gauges = {
-        s: LieValuedPoly(su2, s.dim, [random_poly(rng, s.dim, 1) for _ in range(3)])
-        for s in bs.all_cells()
-    }
-    P, _ = apply_gauge(trivial_bundle(bs, su2), gauges)
+GAUGE_BASES = [boundary_sphere(1), boundary_sphere(2), standard_simplex(2), standard_simplex(3)]
+# a Gaussian rational times tau^-1, tau^0 or tau^1
+GAUGE_COEFF = st.builds(
+    Scalar.of,
+    st.fractions(-2, 2, max_denominator=4),
+    st.fractions(-2, 2, max_denominator=4),
+    st.integers(-1, 1),
+)
+
+
+@st.composite
+def gauged_bundles(draw):
+    """A gauge change of a trivial bundle, so each transition is
+    exp(-h o delta_i) exp(h_face).  Each cell's gauge h points along one
+    basis direction, with a polynomial of degree <= 2 and at most two
+    terms; denser gauges make construct_connection's series grow to
+    megabytes of text."""
+    alg = lie_algebra(draw(st.sampled_from(["u1", "su2", "u2", "so3", "su3"])))
+    X = draw(st.sampled_from(GAUGE_BASES))
+    gauges = {}
+    for s in X.all_cells():
+        monomials = [e for e in itertools.product(range(3), repeat=s.dim) if sum(e) <= 2]
+        chosen = draw(st.lists(st.sampled_from(monomials), max_size=2, unique=True))
+        polys = [Poly.zero(s.dim)] * alg.dim
+        polys[draw(st.integers(0, alg.dim - 1))] = Poly(s.dim, {e: draw(GAUGE_COEFF) for e in chosen})
+        gauges[s] = LieValuedForm.from_polys(alg, polys)
+    return apply_gauge(trivial_bundle(X, alg), gauges)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(gauged_bundles())
+def test_multifactor_bundle_round_trip(P):
     text = cio.bundle_to_str(P)
-    P2 = cio.parse_bundle(text, bs)
+    P2 = cio.parse_bundle(text, P.base)
     assert P2.transitions == P.transitions
     assert cio.bundle_to_str(P2) == text
+    if P.base.dim == 3 and not P.algebra.is_abelian:
+        # the truncated gauge series leaves a nonabelian 3-cell's facet
+        # prescriptions unequal, and construct_connection refuses them
+        return
+    D = construct_connection(P)
+    ct = cio.connection_to_str(D)
+    D2 = cio.parse_connection(ct, P2)
+    assert D2.forms == D.forms
+    assert cio.connection_to_str(D2) == ct
 
 
 def test_parse_errors():
@@ -199,7 +234,7 @@ def test_cli_horn_fill_stops_on_invalid_input(monkeypatch, capsys):
         # a winding on one 2-cell's face-0 transition breaks a 3-cell cocycle
         P = draw(X, rng)
         sid = X.cells(2)[0]
-        tw = LieValuedPoly(P.algebra, 1, [Poly(1, {(1,): Scalar.of(1, 0, 1)})])
+        tw = LieValuedForm.from_polys(P.algebra, [Poly(1, {(1,): Scalar.of(1, 0, 1)})])
         P.transitions[(sid, 0)] = bundles.TransitionMap.single(tw).compose(P.transitions[(sid, 0)])
         return P
 
