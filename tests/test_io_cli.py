@@ -109,30 +109,43 @@ GAUGE_COEFF = st.builds(
 @st.composite
 def gauged_bundles(draw):
     """A gauge change of a trivial bundle, so each transition is
-    exp(-h o delta_i) exp(h_face).  Each cell's gauge h points along one
-    basis direction, with a polynomial of degree <= 2 and at most two
-    terms; denser gauges make construct_connection's series grow to
-    megabytes of text."""
+    exp(-h o delta_i) exp(h_face), and a flag saying whether every
+    cell's gauge points along one basis direction.  Each gauge
+    coordinate is a polynomial of degree <= 2 with at most two terms.
+    Gauges along several directions give factors with several
+    coordinates; construct_connection's series on those grows to
+    megabytes of text, so only single-direction bundles get a
+    connection."""
     alg = lie_algebra(draw(st.sampled_from(["u1", "su2", "u2", "so3", "su3"])))
     X = draw(st.sampled_from(GAUGE_BASES))
+    single = draw(st.booleans())
+    directions = st.integers(0, alg.dim - 1)
     gauges = {}
     for s in X.all_cells():
         monomials = [e for e in itertools.product(range(3), repeat=s.dim) if sum(e) <= 2]
-        chosen = draw(st.lists(st.sampled_from(monomials), max_size=2, unique=True))
+        chosen_dirs = {draw(directions)} if single else draw(st.sets(directions, min_size=1))
         polys = [Poly.zero(s.dim)] * alg.dim
-        polys[draw(st.integers(0, alg.dim - 1))] = Poly(s.dim, {e: draw(GAUGE_COEFF) for e in chosen})
+        for a in chosen_dirs:
+            chosen = draw(st.lists(st.sampled_from(monomials), max_size=2, unique=True))
+            polys[a] = Poly(s.dim, {e: draw(GAUGE_COEFF) for e in chosen})
         gauges[s] = LieValuedForm.from_polys(alg, polys)
-    return apply_gauge(trivial_bundle(X, alg), gauges)[0]
+    return apply_gauge(trivial_bundle(X, alg), gauges)[0], single
 
 
-@settings(max_examples=40, deadline=None)
-@given(gauged_bundles())
-def test_multifactor_bundle_round_trip(P):
+def assert_bundle_round_trips(P):
     text = cio.bundle_to_str(P)
     P2 = cio.parse_bundle(text, P.base)
     assert P2.transitions == P.transitions
     assert cio.bundle_to_str(P2) == text
-    if P.base.dim == 3 and not P.algebra.is_abelian:
+    return P2
+
+
+@settings(max_examples=40, deadline=None)
+@given(gauged_bundles())
+def test_multifactor_bundle_round_trip(case):
+    P, single = case
+    P2 = assert_bundle_round_trips(P)
+    if not single or (P.base.dim == 3 and not P.algebra.is_abelian):
         # the truncated gauge series leaves a nonabelian 3-cell's facet
         # prescriptions unequal, and construct_connection refuses them
         return
@@ -141,6 +154,21 @@ def test_multifactor_bundle_round_trip(P):
     D2 = cio.parse_connection(ct, P2)
     assert D2.forms == D.forms
     assert cio.connection_to_str(D2) == ct
+
+
+def test_dense_su2_gauge_round_trip():
+    """su2 gauges with random degree-1 polynomials in all three
+    coordinates, so every transition factor has three coordinates."""
+    bs = boundary_sphere(2)
+    su2 = lie_algebra("su2")
+    rng = random.Random(2)
+    gauges = {
+        s: LieValuedForm.from_polys(su2, [random_poly(rng, s.dim, 1) for _ in range(3)])
+        for s in bs.all_cells()
+    }
+    P, _ = apply_gauge(trivial_bundle(bs, su2), gauges)
+    assert "; 2: " in cio.bundle_to_str(P)
+    assert_bundle_round_trips(P)
 
 
 def test_parse_errors():
