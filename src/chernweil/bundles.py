@@ -28,7 +28,16 @@ from math import factorial
 
 import numpy as np
 
-from .forms import AffineMap, FaceConsistencyError, PolyForm, form_on, interior_noise, random_poly, whitney_extend
+from .forms import (
+    AffineMap,
+    FaceConsistencyError,
+    PolyForm,
+    _form_from_acc,
+    form_on,
+    interior_noise,
+    random_poly,
+    whitney_extend,
+)
 from .poly import Poly
 from .scalars import Scalar
 from .simplicial import (
@@ -107,7 +116,7 @@ class LieValuedForm:
     def bracket_wedge(self, other):
         """[A ^ B] via the structure constants; degree adds."""
         alg = self.algebra
-        out = [PolyForm.zero(self.dim, self.deg + other.deg) for _ in range(alg.dim)]
+        acc = [{} for _ in range(alg.dim)]
         for a in range(alg.dim):
             fa = self.coords[a]
             if fa.is_zero():
@@ -119,12 +128,12 @@ class LieValuedForm:
                 if fb.is_zero():
                     continue
                 coeffs = alg.structure[(a, b)] if a < b else alg.structure[(b, a)]
-                sgn = Fraction(1 if a < b else -1)
-                w = fa.wedge(fb)
+                sgn = 1 if a < b else -1
                 for c, s in enumerate(coeffs):
                     if not s.is_zero():
-                        out[c] = out[c] + w.scale(s * sgn)
-        return LieValuedForm(alg, self.dim, self.deg + other.deg, out)
+                        fa.scale(s * sgn)._wedge_into(acc[c], fb)
+        deg = self.deg + other.deg
+        return LieValuedForm(alg, self.dim, deg, [_form_from_acc(self.dim, deg, t) for t in acc])
 
     def eval_matrix_coeffs(self, point):
         """Evaluate each form component to a float matrix at a point."""
@@ -671,9 +680,10 @@ def apply_gauge(P, gauges, D=None):
     gauges: dict sid -> g-valued 0-form on that simplex.  Transitions
     pick up exp(-h_sid o delta_i) phi exp(h_face); a supplied connection
     is transformed only for constant gauges (Ad by a constant matrix,
-    which leaves polynomial coefficients polynomial).  The matrix is
-    computed in floats and each entry enters as its exact Gaussian
-    rational.
+    which leaves polynomial coefficients polynomial).  For an abelian
+    algebra Ad is the identity and the connection forms are kept as
+    they are; otherwise the matrix is computed in floats and each entry
+    enters as its exact Gaussian rational.
     """
     X = P.base
     transitions = {}
@@ -693,11 +703,15 @@ def apply_gauge(P, gauges, D=None):
     from scipy.linalg import expm
 
     alg = P.algebra
+    abelian = alg.is_abelian
     forms = {}
     for sid in X.all_cells():
         h = gauges[sid]
         if not h.d().is_zero():
             raise BundleError("connection gauge transform implemented for constant gauges")
+        if abelian:
+            forms[sid] = D.forms[sid]
+            continue
         g = expm(_matrix_at(h, [Fraction(0)] * sid.dim))
         gi = np.linalg.inv(g)
         # matrix R of Ad_{g^{-1}} in the chosen basis

@@ -36,7 +36,7 @@ from functools import cache
 from math import factorial
 
 from .linalg import multinomial, sort_sign
-from .poly import Poly, _accumulate, _compositions, _poly, bernstein_basis
+from .poly import Poly, _accumulate, _compositions, _fields, _from_acc, _mac, _mul_into, _poly, bernstein_basis
 from .scalars import Scalar
 from .simplicial import (
     Cochain,
@@ -139,21 +139,25 @@ class PolyForm:
         return PolyForm(self.dim, self.deg + 1, out)
 
     def wedge(self, other):
+        acc = {}
+        self._wedge_into(acc, other)
+        return _form_from_acc(self.dim, self.deg + other.deg, acc)
+
+    def _wedge_into(self, acc, other):
+        """Add self ^ other into an accumulator I -> (poly accumulator),
+        which _form_from_acc turns into a PolyForm; every p*q of one
+        output component goes into the same accumulator."""
         if self.dim != other.dim:
             raise ValueError("wedge dimension mismatch")
-        out = {}
         for I, p in self.comps.items():
             for J, q in other.comps.items():
                 K, sign = sort_sign(I + J)
                 if sign == 0:
                     continue
-                prev = out.get(K, Poly.zero(self.dim))
-                s = prev + p * q if sign > 0 else prev - p * q
-                if s.is_zero():
-                    out.pop(K, None)
-                else:
-                    out[K] = s
-        return PolyForm(self.dim, self.deg + other.deg, out)
+                t = acc.get(K)
+                if t is None:
+                    t = acc[K] = {}
+                _mul_into(t, p.terms, q.terms, sign)
 
     def pullback(self, phi):
         """Pullback along a polynomial or affine map into Delta^dim.
@@ -169,18 +173,22 @@ class PolyForm:
         if self.deg > src:
             return PolyForm(src, self.deg, {})
         memo = phi.memo
-        out = {}
+        acc = {}
         for I, p in self.comps.items():
             for e, c in p.terms.items():
                 pulled = memo.get((e, I))
                 if pulled is None:
                     pulled = memo[(e, I)] = _pull_monomial(phi, e, I)
+                xs = _fields(c)
                 for J, e2, m in pulled:
-                    t = out.get(J)
+                    tJ = acc.get(J)
+                    if tJ is None:
+                        tJ = acc[J] = {}
+                    t = tJ.get(e2)
                     if t is None:
-                        t = out[J] = {}
-                    _accumulate(t, e2, c * m)
-        return PolyForm(src, self.deg, {J: _poly(src, t) for J, t in out.items()})
+                        t = tJ[e2] = {}
+                    _mac(t, xs, m)
+        return _form_from_acc(src, self.deg, acc)
 
     def integrate_top(self):
         """Exact integral over Delta^dim of a top-degree form."""
@@ -238,14 +246,26 @@ class PolyMap:
 
 
 def _pull_monomial(phi, e, I):
-    """x^e dx_I pulled back along phi, as a tuple of (J, e', Scalar):
-    compose, then wedge the differentials of the coordinates."""
+    """x^e dx_I pulled back along phi, as a tuple of (J, e', fields of
+    the coefficient): compose, then wedge the differentials of the
+    coordinates."""
     src = phi.source_dim
     coords = phi.coords()
     term = PolyForm.from_poly(Poly(phi.target_dim, {e: 1}).compose(coords, source_dim=src))
     for i in I:
         term = term.wedge(PolyForm(src, 1, {(j,): coords[i].diff(j) for j in range(src)}))
-    return tuple((J, e2, c) for J, p in term.comps.items() for e2, c in p.terms.items())
+    return tuple((J, e2, _fields(c)) for J, p in term.comps.items() for e2, c in p.terms.items())
+
+
+def _form_from_acc(dim, deg, acc):
+    """The PolyForm of an accumulator dict I -> (poly accumulator), with
+    zero components dropped."""
+    comps = {}
+    for I, t in acc.items():
+        terms = _from_acc(t)
+        if terms:
+            comps[I] = _poly(dim, terms)
+    return PolyForm(dim, deg, comps)
 
 
 @cache

@@ -4,16 +4,27 @@ A Poly lives on Delta^d, embedded in R^d with coordinates x_1..x_d
 (indices 0-based internally).  Coefficients are Scalars, so arithmetic
 is exact.  Terms are kept in a dict keyed by exponent
 tuples; zero coefficients are pruned eagerly so equality is structural.
+
+Products go through one integer multiply-accumulate kernel, shared by
+Poly.__mul__, PolyForm.wedge (and so LieValuedForm.bracket_wedge) and
+PolyForm.pullback: every product c1*c2 of Gaussian-rational fields is
+added, unreduced, into an accumulator dict
+exponent -> {tau power: (a, b, d)}, with denominators combined by their
+lcm, and each output coefficient is brought to lowest terms by one gcd
+at the end (_from_acc), zero sums dropped.  No Scalar or QI is built
+per term pair.  Sums into a running total (Poly.__add__) keep the
+dict-copy route.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from operator import add
 
 import numpy as np
 
 from .linalg import multinomial
-from .scalars import Scalar
+from .scalars import Scalar, _reduced, _scalar
 
 _new = object.__new__
 
@@ -95,12 +106,9 @@ class Poly:
             return self.scale(other)
         if self.dim != other.dim:
             raise ValueError("polynomial dimension mismatch")
-        t = {}
-        terms2 = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in terms2:
-                _accumulate(t, tuple(map(add, e1, e2)), c1 * c2)
-        return _poly(self.dim, t)
+        acc = {}
+        _mul_into(acc, self.terms, other.terms)
+        return _poly(self.dim, _from_acc(acc))
 
     __rmul__ = __mul__
 
@@ -234,6 +242,56 @@ def _accumulate(t, e, c):
         del t[e]
     else:
         t[e] = s
+
+
+def _fields(c, sign=1):
+    """The terms of sign * c, for a Scalar c and sign = 1 or -1, as
+    (tau power, a, b, d) int tuples."""
+    return [(k, sign * q.a, sign * q.b, q.d) for k, q in c.terms.items()]
+
+
+def _mac(t, xs, ys):
+    """t[k1 + k2] += x * y for all (k1, x) in xs and (k2, y) in ys, on
+    unreduced int fields (a, b, d) with d > 0."""
+    for k1, a1, b1, d1 in xs:
+        for k2, a2, b2, d2 in ys:
+            k = k1 + k2
+            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            old = t.get(k)
+            if old is None:
+                t[k] = (a, b, d)
+                continue
+            a0, b0, d0 = old
+            if d0 == d:
+                t[k] = (a0 + a, b0 + b, d)
+            else:
+                g = gcd(d0, d)
+                m0, m = d // g, d0 // g
+                t[k] = (a0 * m0 + a * m, b0 * m0 + b * m, d0 * m0)
+
+
+def _mul_into(acc, terms1, terms2, sign=1):
+    """acc += sign * (terms1 * terms2) for two exponent -> Scalar dicts."""
+    ys = [(e2, _fields(c2)) for e2, c2 in terms2.items()]
+    for e1, c1 in terms1.items():
+        xs = _fields(c1, sign)
+        for e2, y in ys:
+            e = tuple(map(add, e1, e2))
+            t = acc.get(e)
+            if t is None:
+                t = acc[e] = {}
+            _mac(t, xs, y)
+
+
+def _from_acc(acc):
+    """The exponent -> Scalar terms of an accumulator, each coefficient
+    in lowest terms, zero coefficients and empty Scalars dropped."""
+    out = {}
+    for e, t in acc.items():
+        s = {k: _reduced(a, b, d) for k, (a, b, d) in t.items() if a or b}
+        if s:
+            out[e] = _scalar(s)
+    return out
 
 
 def bernstein_basis(dim, degree):

@@ -283,3 +283,87 @@ def gr_poly_mul(p, q):
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = gr_add(out.get(e, {}), gr_mul(c1, c2))
     return {e: c for e, c in out.items() if c}
+
+
+# Forms as dicts: strictly increasing index tuple -> polynomial dict as
+# above, with no empty components.
+
+
+def gr_form_add(f, g):
+    out = dict(f)
+    for I, p in g.items():
+        out[I] = gr_poly_add(out.get(I, {}), p)
+    return {I: p for I, p in out.items() if p}
+
+
+def gr_wedge(f, g):
+    """Term-by-term wedge; the sign of each index concatenation is its
+    inversion count, counted here."""
+    out = {}
+    for I, p in f.items():
+        for J, q in g.items():
+            idx = I + J
+            if len(set(idx)) < len(idx):
+                continue
+            inversions = sum(1 for a, b in itertools.combinations(idx, 2) if a > b)
+            pq = gr_poly_mul(p, q)
+            if inversions % 2:
+                pq = {e: gr_neg(c) for e, c in pq.items()}
+            out = gr_form_add(out, {tuple(sorted(idx)): pq})
+    return out
+
+
+def gr_affine_coords(m, target_dim):
+    """The target coordinates of the affine map of the monotone vertex
+    map m, as polynomial dicts in the source coordinates y_1..y_k:
+    x_i is the sum of the source barycentric coordinates of the
+    vertices sent to i, where lam_0 = 1 - sum y and lam_j = y_j."""
+    k = len(m) - 1
+    one = {0: (Fraction(1), Fraction(0))}
+    minus_one = {0: (Fraction(-1), Fraction(0))}
+
+    def unit(l):
+        return tuple(int(a == l) for a in range(k))
+
+    lams = [gr_poly_add({(0,) * k: one}, {unit(l): minus_one for l in range(k)})]
+    lams += [{unit(l): one} for l in range(k)]
+    coords = []
+    for i in range(1, target_dim + 1):
+        x = {}
+        for j, v in enumerate(m):
+            if v == i:
+                x = gr_poly_add(x, lams[j])
+        coords.append(x)
+    return coords
+
+
+def gr_pullback_monotone(form, m, target_dim):
+    """Pullback along the affine map of the monotone vertex map m: each
+    x^e dx_I becomes x(y)^e dx_i1(y) ^ .. ^ dx_ik(y), with x(y)^e a
+    product of gr_poly_mul and each dx_i(y) the constant 1-form of the
+    linear part of the affine coordinate x_i."""
+    k = len(m) - 1
+    coords = gr_affine_coords(m, target_dim)
+    const = (0,) * k
+    dcoords = []
+    for x in coords:
+        dx = {}
+        for l in range(k):
+            c = x.get(tuple(int(a == l) for a in range(k)))
+            if c:
+                dx[(l,)] = {const: c}
+        dcoords.append(dx)
+    out = {}
+    for I, p in form.items():
+        composed = {}
+        for e, c in p.items():
+            t = {const: c}
+            for i, n in enumerate(e):
+                for _ in range(n):
+                    t = gr_poly_mul(t, coords[i])
+            composed = gr_poly_add(composed, t)
+        term = {(): composed} if composed else {}
+        for i in I:
+            term = gr_wedge(term, dcoords[i])
+        out = gr_form_add(out, term)
+    return out

@@ -367,3 +367,19 @@ def test_transitions_equal_mod_tau():
     assert transitions_equal(TransitionMap.single(p), TransitionMap.single(q))
     r = LieValuedForm.from_polys(u1, [Poly(1, {(1,): Scalar.from_rational(1, 2)}) + Poly.const(1, Scalar.tau() * Fraction(1, 2))])
     assert not transitions_equal(TransitionMap.single(p), TransitionMap.single(r))
+
+
+@pytest.mark.parametrize("X", [boundary_sphere(2), two_disk_sphere()], ids=["boundary_sphere2", "two_disk"])
+def test_constant_u1_gauge_keeps_connection_exactly(X):
+    """Ad is the identity on u1, so a constant gauge leaves the connection
+    forms unchanged; a float Ad matrix scaled some of them by 1 - 2^-53."""
+    u1 = lie_algebra("u1")
+    P = trivial_bundle(X, u1)
+    D = random_connection(P, 0)
+    for n in (-7, -5, -2, -1, 1, 2, 5, 7):
+        h = Scalar.from_rational(n, 8)
+        gauges = {s: LieValuedForm.from_polys(u1, [Poly.const(s.dim, h)]) for s in X.all_cells()}
+        P2, D2 = apply_gauge(P, gauges, D)
+        assert D2.forms == D.forms
+        report = validate_connection(P2, D2)
+        assert report.ok and report.exact

@@ -1,4 +1,7 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from chernweil.bundles import (
     Connection,
@@ -26,11 +29,24 @@ from chernweil.cw import (
     pullback_connection,
     quadrature_integrate,
 )
-from chernweil.forms import PolyForm, check_simplicial_form, random_polyform
-from chernweil.liealg import InvariantPolynomial, chern_polynomial, lie_algebra, sym_trace_poly
+from chernweil.forms import (
+    PolyForm,
+    _monomials_up_to,
+    check_simplicial_form,
+    induced_form_on_standard_simplex,
+    random_polyform,
+)
+from chernweil.liealg import (
+    InvariantPolynomial,
+    chern_polynomial,
+    invariant_polynomial_from_selector,
+    lie_algebra,
+    sym_trace_poly,
+)
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
 from chernweil.simplicial import (
+    SimplexId,
     SimplicialMap,
     boundary_sphere,
     coboundary,
@@ -293,3 +309,42 @@ def test_quadrature_matches_exact_integral():
     for _ in range(10):
         f = random_polyform(rng, 2, 2, 3)
         assert abs(quadrature_integrate(f, 10) - f.integrate_top().to_complex()) < 1e-10
+
+
+def _degree_one_global_connection(rng, P):
+    """A g-valued 1-form on Delta^4 whose coefficients have two terms of
+    degree <= 1 each (numerators and denominators in 1..5), pulled back
+    to every face."""
+    X, alg = P.base, P.algebra
+    monos = _monomials_up_to(4, 1)
+
+    def coefficient():
+        terms = {}
+        for e in rng.sample(monos, 2):
+            terms[e] = Scalar.from_rational(rng.choice((-1, 1)) * rng.randrange(1, 6), rng.randrange(1, 6))
+        return Poly(4, terms)
+
+    per_coord = [
+        induced_form_on_standard_simplex(X, PolyForm(4, 1, {(j,): coefficient() for j in range(4)}))
+        for _ in range(alg.dim)
+    ]
+    return Connection(P, {s: LieValuedForm(alg, s.dim, 1, [f.form(s) for f in per_coord]) for s in X.all_cells()})
+
+
+@pytest.mark.parametrize(
+    "group, selector, seed, value",
+    [
+        ("su2", "symtrace:2", 7, Scalar.from_rational(-3124949, 2880000)),
+        ("u2", "chern:2", 7, Scalar.of(Fraction(-403607, 60000), tau_power=-2)),
+        ("su2", "symtrace:2", 2021, Scalar.from_rational(74017, 432000)),
+        ("u2", "chern:2", 2021, Scalar.of(Fraction(523811, 486000), tau_power=-2)),
+    ],
+)
+def test_second_chern_top_cell_values_pinned(group, selector, seed, value):
+    """Exact top-cell values of degree-4 characteristic cochains on
+    standard_simplex(4), recorded before the integer product kernel."""
+    alg = lie_algebra(group)
+    P = trivial_bundle(standard_simplex(4), alg)
+    D = _degree_one_global_connection(random.Random(seed), P)
+    alpha = cw_cochain(invariant_polynomial_from_selector(alg, selector), D)
+    assert alpha.value(SimplexId(4, 0)) == value

@@ -4,12 +4,14 @@ Coefficients are drawn from a small pool so that sums cancel often,
 which is where the gcd reduction and the pruning of zero terms matter.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chernweil.forms import AffineMap, PolyForm
 from chernweil.poly import Poly
 from chernweil.scalars import QI, TAU, Scalar
 from oracles import (
@@ -19,7 +21,9 @@ from oracles import (
     gr_neg,
     gr_poly_add,
     gr_poly_mul,
+    gr_pullback_monotone,
     gr_to_complex,
+    gr_wedge,
 )
 
 PARTS = st.sampled_from([Fraction(0)] * 4 + [Fraction(v, q) for v in (-4, -1, 1, 2, 3) for q in (1, 2, 3, 6)])
@@ -138,3 +142,77 @@ def test_poly_ops_match_term_by_term_oracle(p, q, c):
             assert_canonical(s)
     assert (a + b) - b == a
     assert (a - a).is_zero()
+
+
+# Forms: a few components whose coefficients share the small pools
+# above, so the products of one output component cancel often.
+
+
+def poly_models(dim):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * dim), MODELS.filter(bool), max_size=3)
+
+
+@st.composite
+def form_models(draw, dim, deg):
+    idx = list(itertools.combinations(range(dim), deg))
+    comps = draw(st.dictionaries(st.sampled_from(idx), poly_models(dim), max_size=3))
+    return {I: p for I, p in comps.items() if p}
+
+
+def to_form(dim, deg, f):
+    return PolyForm(dim, deg, {I: Poly(dim, {e: to_scalar(c) for e, c in p.items()}) for I, p in f.items()})
+
+
+def form_model(F):
+    return {I: poly_model(p) for I, p in F.comps.items()}
+
+
+def assert_canonical_form(F):
+    for p in F.comps.values():
+        assert p.terms  # no zero component
+        for s in p.terms.values():
+            assert s.terms  # no empty Scalar
+            assert_canonical(s)
+
+
+@st.composite
+def wedge_cases(draw):
+    dim = draw(st.integers(1, 3))
+    p = draw(st.integers(0, dim))
+    q = draw(st.integers(0, dim))
+    return dim, p, q, draw(form_models(dim, p)), draw(form_models(dim, q))
+
+
+ONE = {0: (Fraction(1), Fraction(0))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(wedge_cases())
+@example((2, 1, 1, {(1,): {(0, 0): ONE}}, {(0,): {(0, 0): ONE}}))  # dx2 ^ dx1 = -dx1 ^ dx2
+def test_wedge_matches_oracle(case):
+    dim, p, q, f, g = case
+    got = to_form(dim, p, f).wedge(to_form(dim, q, g))
+    assert (got.dim, got.deg) == (dim, p + q)
+    assert form_model(got) == gr_wedge(f, g)
+    assert_canonical_form(got)
+
+
+@st.composite
+def pullback_cases(draw):
+    """A form on Delta^d and a monotone vertex map [k] -> [d]: faces,
+    collapses and their composites."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3))
+    m = tuple(sorted(draw(st.lists(st.integers(0, d), min_size=k + 1, max_size=k + 1))))
+    deg = draw(st.integers(0, d))
+    return d, deg, m, draw(form_models(d, deg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pullback_cases())
+def test_pullback_along_monotone_map_matches_oracle(case):
+    d, deg, m, f = case
+    got = to_form(d, deg, f).pullback(AffineMap.from_monotone(m, d))
+    assert (got.dim, got.deg) == (len(m) - 1, deg)
+    assert form_model(got) == gr_pullback_monotone(f, m, d)
+    assert_canonical_form(got)
