@@ -36,8 +36,8 @@ from functools import cache
 from math import factorial
 
 from .linalg import multinomial, sort_sign
-from .poly import Poly, _accumulate, _compositions, _fields, _from_acc, _mac, _mul_into, _poly, bernstein_basis
-from .scalars import Scalar
+from .poly import Poly, _compositions, _from_acc, _mul_into, _poly, bernstein_basis
+from .scalars import Scalar, _mac
 from .simplicial import (
     Cochain,
     mono_skip,
@@ -179,7 +179,7 @@ class PolyForm:
                 pulled = memo.get((e, I))
                 if pulled is None:
                     pulled = memo[(e, I)] = _pull_monomial(phi, e, I)
-                xs = _fields(c)
+                xs = c.terms.items()
                 for J, e2, m in pulled:
                     tJ = acc.get(J)
                     if tJ is None:
@@ -246,15 +246,15 @@ class PolyMap:
 
 
 def _pull_monomial(phi, e, I):
-    """x^e dx_I pulled back along phi, as a tuple of (J, e', fields of
-    the coefficient): compose, then wedge the differentials of the
-    coordinates."""
+    """x^e dx_I pulled back along phi, as a tuple of (J, e', terms of
+    the coefficient as (tau power, triple) pairs): compose, then wedge
+    the differentials of the coordinates."""
     src = phi.source_dim
     coords = phi.coords()
     term = PolyForm.from_poly(Poly(phi.target_dim, {e: 1}).compose(coords, source_dim=src))
     for i in I:
         term = term.wedge(PolyForm(src, 1, {(j,): coords[i].diff(j) for j in range(src)}))
-    return tuple((J, e2, _fields(c)) for J, p in term.comps.items() for e2, c in p.terms.items())
+    return tuple((J, e2, tuple(c.terms.items())) for J, p in term.comps.items() for e2, c in p.terms.items())
 
 
 def _form_from_acc(dim, deg, acc):
@@ -523,7 +523,7 @@ def _facet_coeffs(d, i, k, r, J, mu):
     with m = min [[b]] < min s is brought into the basis in one step by
     lam_m phi_s = sum_j (-1)^j lam_{s_j} phi_{(m) u s - s_j}, which is
     kappa(kappa(dlam_{(m) u s})) = 0 for the Koszul operator kappa.
-    Returns a tuple of (key, Scalar) pairs.
+    Returns a tuple of (key, terms) pairs (see _mac_terms).
     """
     verts = [v for v in range(d + 1) if v != i]  # facet vertex j is verts[j]
     Jv = tuple(verts[j + 1] for j in J)
@@ -556,7 +556,12 @@ def _facet_coeffs(d, i, k, r, J, mu):
                 b2[m] -= 1
                 b2[v] += 1
                 add(tuple(b2), (m,) + s[:j] + s[j + 1:], sign if j % 2 == 0 else -sign)
-    return tuple((key, Scalar.coerce(c)) for key, c in out.items() if c)
+    return tuple((key, _mac_terms(c)) for key, c in out.items() if c)
+
+
+def _mac_terms(c):
+    """The terms of the int c as the (tau power, triple) pairs _mac reads."""
+    return tuple(Scalar.coerce(c).terms.items())
 
 
 def _lam_power(d, b):
@@ -585,7 +590,7 @@ def _dlam_wedge(d, t):
 @cache
 def _basis_form(d, a, s):
     """lam^a phi_s (lam^a for s == ()) on Delta^d, as a tuple of
-    (I, tuple of (exponent, Scalar)) pairs."""
+    (I, tuple of (exponent, terms)) pairs (see _mac_terms)."""
     comps = {}
     if not s:
         comps[()] = _lam_power(d, a)
@@ -599,19 +604,20 @@ def _basis_form(d, a, s):
             for e, c in p.items():
                 t[e] = t.get(e, 0) + sign * c
     return tuple(
-        (I, tuple((e, Scalar.coerce(c)) for e, c in t.items() if c)) for I, t in comps.items()
+        (I, tuple((e, _mac_terms(c)) for e, c in t.items() if c)) for I, t in comps.items()
     )
 
 
 def _from_basis(d, k, coeffs):
     """The PolyForm sum c * (basis function key) over coeffs.items()."""
-    comps = {}
+    acc = {}
     for key, c in coeffs.items():
+        xs = c.terms.items()
         for I, terms in _basis_form(d, *key):
-            t = comps.setdefault(I, {})
+            tI = acc.setdefault(I, {})
             for e, m in terms:
-                _accumulate(t, e, c * m)
-    return PolyForm(d, k, {I: _poly(d, t) for I, t in comps.items()})
+                _mac(tI.setdefault(e, {}), xs, m)
+    return _form_from_acc(d, k, acc)
 
 
 def check_prescription_consistency(d, prescriptions):
@@ -663,12 +669,13 @@ def whitney_extend(d, deg, prescriptions):
     facets = sorted(prescriptions)
     lifted = {}
     for i in facets:
-        c = {}
+        acc = {}
         for J, p in prescriptions[i].comps.items():
             for mu, v in p.terms.items():
+                xs = v.terms.items()
                 for key, m in _facet_coeffs(d, i, deg, r, J, mu):
-                    _accumulate(c, key, v * m)
-        lifted[i] = c
+                    _mac(acc.setdefault(key, {}), xs, m)
+        lifted[i] = _from_acc(acc)
     bad = [
         (i, j)
         for a, i in enumerate(facets)

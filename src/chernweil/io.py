@@ -9,12 +9,12 @@ equality).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import gcd
 
 from .bundles import BundleData, Connection, LieValuedForm, TransitionMap
 from .forms import PolyForm
 from .poly import Poly
-from .scalars import INT_NUMERAL, QI, Scalar, parse_int
+from .scalars import Scalar
 from .simplicial import SimplexId, SimplicialSet
 
 
@@ -26,66 +26,78 @@ class ParseError(ValueError):
 # scalars
 
 
-def _rat_str(q):
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+def _rat_str(n, d):
+    """n/d in lowest terms, without '/1'."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return f"{n}/{d}" if d != 1 else str(n)
 
 
-def _qi_str(c):
-    if c.im == 0:
-        return _rat_str(c.re)
-    if c.re == 0:
-        return _rat_str(c.im) + "i"
-    im = _rat_str(c.im)
-    sign = "+" if not im.startswith("-") else ""
-    return f"({_rat_str(c.re)}{sign}{im}i)"
+def _coeff_str(c):
+    a, b, d = c
+    if not b:
+        return _rat_str(a, d)
+    if not a:
+        return _rat_str(b, d) + "i"
+    sign = "+" if b > 0 else ""
+    return f"({_rat_str(a, d)}{sign}{_rat_str(b, d)}i)"
 
 
 def scalar_to_str(s):
     if not s.terms:
         return "0"
     bits = []
-    for k in sorted(s.terms):
-        atom = _qi_str(s.terms[k])
+    for k, c in sorted(s.terms.items()):
+        atom = _coeff_str(c)
         if k != 0:
             atom += f"*tau^{k}"
         bits.append(atom)
     return " + ".join(bits)
 
 
-_RAT = INT_NUMERAL + r"(?:/[0-9]+)?"
-_QI_RE = re.compile(rf"\(({_RAT})([+-][0-9]+(?:/[0-9]+)?)i\)")
+# A positive rational numeral as _rat_str writes it: no leading zeros
+# and no '/1'.  An atom of scalar_to_str is a nonzero real part, an
+# imaginary part or both in parentheses, then '*tau^k' unless k == 0.
+_NUM = r"[1-9][0-9]*(?:/[1-9][0-9]*)?"
+_ATOM_RE = re.compile(rf"(?:(-?{_NUM})(i?)|\((-?{_NUM})([+-]{_NUM})i\))(?:\*tau\^(-?[1-9][0-9]*))?")
 
 
 def _parse_rat(text):
-    """A rational numeral as _rat_str writes it, and no other spelling."""
-    if not re.fullmatch(_RAT, text):
-        raise ValueError(f"bad rational numeral {text!r}")
-    return Fraction(text)
+    """(n, d) for a signed _NUM numeral in lowest terms; ValueError otherwise."""
+    n, slash, d = text.partition("/")
+    n, d = int(n), int(d) if slash else 1
+    if slash and (d == 1 or gcd(n, d) != 1):
+        raise ValueError(f"rational {text!r} not in lowest terms")
+    return n, d
 
 
-def _parse_qi(text):
-    m = _QI_RE.fullmatch(text)
-    if m:
-        return QI(Fraction(m.group(1)), Fraction(m.group(2)))
-    if text.endswith("i"):
-        return QI(0, _parse_rat(text[:-1]))
-    return QI(_parse_rat(text))
+def _parse_atom(atom):
+    """(tau power, triple) for one atom of scalar_to_str; ValueError otherwise."""
+    m = _ATOM_RE.fullmatch(atom)
+    if m is None:
+        raise ValueError(f"bad atom {atom!r}")
+    k = int(m[5]) if m[5] else 0
+    if m[1]:
+        n, d = _parse_rat(m[1])
+        return k, ((0, n, d) if m[2] else (n, 0, d))
+    (a, q1), (b, q2) = _parse_rat(m[3]), _parse_rat(m[4])
+    return k, (a * q2, b * q1, q1 * q2)
 
 
 def parse_scalar(text):
-    """Read a scalar in exactly the form scalar_to_str writes."""
+    """Read a scalar written by scalar_to_str; any other text, such as
+    unreduced or zero parts, a repeated or unsorted tau power, or
+    '*tau^0', raises ParseError."""
     if text == "0":
         return Scalar.zero()
-    terms = {}
-    for atom in text.split(" + "):
-        head, tau, kpart = atom.partition("*tau^")
-        try:
-            k = parse_int(kpart) if tau else 0
-            c = _parse_qi(head)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad scalar {text!r}") from None
-        terms[k] = terms.get(k, QI()) + c
-    return Scalar(terms)
+    try:
+        # int() also refuses numerals of more than 4300 digits
+        atoms = [_parse_atom(atom) for atom in text.split(" + ")]
+    except ValueError:
+        raise ParseError(f"bad scalar {text!r}") from None
+    if any(k1 >= k2 for (k1, _), (k2, _) in zip(atoms, atoms[1:])):
+        raise ParseError(f"bad scalar {text!r}: tau powers not increasing")
+    return Scalar(dict(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -128,37 +140,50 @@ def _split_top(text, sep=" + "):
     return parts
 
 
-_VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_VAR_RE = re.compile(r"x([1-9][0-9]*)(?:\^([2-9]|[1-9][0-9]+))?")
 
 
 def parse_poly(text, dim):
-    text = text.strip()
+    """Read a polynomial on Delta^dim written by poly_to_str; any other
+    text, such as a missing or zero coefficient, braces around a
+    one-term coefficient, unsorted variables or terms, or '^1', raises
+    ParseError."""
     if text == "0":
         return Poly.zero(dim)
     terms = {}
+    last = None
     for term in _split_top(text):
-        if term.startswith("{"):
-            close = term.index("}")
-            coef = parse_scalar(term[1:close])
-            rest = term[close + 1:]
-            tokens = [t for t in rest.split("*") if t]
-        else:
-            tokens = term.split("*")
-            coef_tokens = []
-            while tokens and not _VAR_RE.match(tokens[0]):
-                coef_tokens.append(tokens.pop(0))
-            coef = parse_scalar("*".join(coef_tokens)) if coef_tokens else Scalar.one()
+        # scalar text holds no 'x', so the coefficient ends at the first '*x'
+        cs, x, mono = term.partition("*x")
+        if cs.startswith("{"):
+            if not cs.endswith("}") or " + " not in cs:
+                raise ParseError(f"bad polynomial coefficient {cs!r}")
+            cs = cs[1:-1]
+        coef = parse_scalar(cs)
+        if coef.is_zero():
+            raise ParseError(f"zero coefficient in polynomial term {term!r}")
         e = [0] * dim
-        for t in tokens:
-            m = _VAR_RE.match(t)
+        prev = -1
+        for t in ("x" + mono).split("*") if x else ():
+            m = _VAR_RE.fullmatch(t)
             if not m:
                 raise ParseError(f"bad monomial token {t!r}")
-            i = int(m.group(1)) - 1
-            if not 0 <= i < dim:
+            try:
+                i, k = int(m[1]) - 1, int(m[2] or 1)
+            except ValueError:  # more than the 4300 digits int() reads
+                raise ParseError(f"bad monomial token {t!r}") from None
+            if i >= dim:
                 raise ParseError(f"variable x{i+1} out of range for dim {dim}")
-            e[i] += int(m.group(2) or 1)
+            if i <= prev:
+                raise ParseError(f"variables not increasing in polynomial term {term!r}")
+            prev = i
+            e[i] = k
         key = tuple(e)
-        terms[key] = terms.get(key, Scalar.zero()) + coef
+        order = (sum(key), key)
+        if last is not None and order <= last:
+            raise ParseError(f"polynomial terms not in graded-lexicographic order at {term!r}")
+        last = order
+        terms[key] = coef
     return Poly(dim, terms)
 
 
@@ -196,7 +221,7 @@ def parse_polyform(text):
     for line in lines[1:]:
         if not line.startswith("comp "):
             raise ParseError(f"bad form line {line!r}")
-        head, _, body = line[5:].partition(":")
+        head, _, body = line[5:].partition(": ")
         comps[_parse_comp(head)] = parse_poly(body, dim)
     return PolyForm(dim, deg, comps)
 
@@ -283,7 +308,7 @@ def _parse_lvp(text, algebra, dim):
     body = text[1:-1].strip()
     if body:
         for bit in _split_top(body, "; "):
-            head, _, rest = bit.partition(":")
+            head, _, rest = bit.partition(": ")
             coords[_lie_index(head, algebra)] = parse_poly(rest, dim)
     return LieValuedForm.from_polys(algebra, coords)
 

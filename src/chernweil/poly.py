@@ -5,26 +5,24 @@ A Poly lives on Delta^d, embedded in R^d with coordinates x_1..x_d
 is exact.  Terms are kept in a dict keyed by exponent
 tuples; zero coefficients are pruned eagerly so equality is structural.
 
-Products go through one integer multiply-accumulate kernel, shared by
-Poly.__mul__, PolyForm.wedge (and so LieValuedForm.bracket_wedge) and
-PolyForm.pullback: every product c1*c2 of Gaussian-rational fields is
-added, unreduced, into an accumulator dict
-exponent -> {tau power: (a, b, d)}, with denominators combined by their
-lcm, and each output coefficient is brought to lowest terms by one gcd
-at the end (_from_acc), zero sums dropped.  No Scalar or QI is built
-per term pair.  Sums into a running total (Poly.__add__) keep the
-dict-copy route.
+Products go through one multiply-accumulate kernel, shared by
+Poly.__mul__, PolyForm.wedge (and so LieValuedForm.bracket_wedge),
+PolyForm.pullback and the Whitney-Bernstein extension in forms: every
+product c1*c2 of two coefficients' int triples is added, unreduced, by
+scalars._mac into an accumulator dict exponent -> {tau power: (a, b, d)},
+and each output coefficient is brought to lowest terms once at the end
+(_from_acc), zero sums dropped.  No Scalar is built per term pair.
+Sums into a running total (Poly.__add__) add Scalars.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from operator import add
 
 import numpy as np
 
 from .linalg import multinomial
-from .scalars import Scalar, _reduced, _scalar
+from .scalars import Scalar, _from_mac, _mac
 
 _new = object.__new__
 
@@ -85,7 +83,15 @@ class Poly:
             raise ValueError("polynomial dimension mismatch")
         t = dict(self.terms)
         for e, c in other.terms.items():
-            _accumulate(t, e, c if sign > 0 else -c)
+            if sign < 0:
+                c = -c
+            c0 = t.get(e)
+            if c0 is not None:
+                c = c0 + c
+                if not c.terms:
+                    del t[e]
+                    continue
+            t[e] = c
         return _poly(self.dim, t)
 
     def __add__(self, other):
@@ -125,6 +131,8 @@ class Poly:
         return _poly(self.dim, t)
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative powers not supported")
         out = Poly.const(self.dim, 1)
         for _ in range(n):
             out = out * self
@@ -231,50 +239,11 @@ def _poly(dim, terms):
     return p
 
 
-def _accumulate(t, e, c):
-    """t[e] += c for a nonzero Scalar c, dropping the key when the sum is zero."""
-    c0 = t.get(e)
-    if c0 is None:
-        t[e] = c
-        return
-    s = c0 + c
-    if s.is_zero():
-        del t[e]
-    else:
-        t[e] = s
-
-
-def _fields(c, sign=1):
-    """The terms of sign * c, for a Scalar c and sign = 1 or -1, as
-    (tau power, a, b, d) int tuples."""
-    return [(k, sign * q.a, sign * q.b, q.d) for k, q in c.terms.items()]
-
-
-def _mac(t, xs, ys):
-    """t[k1 + k2] += x * y for all (k1, x) in xs and (k2, y) in ys, on
-    unreduced int fields (a, b, d) with d > 0."""
-    for k1, a1, b1, d1 in xs:
-        for k2, a2, b2, d2 in ys:
-            k = k1 + k2
-            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
-            old = t.get(k)
-            if old is None:
-                t[k] = (a, b, d)
-                continue
-            a0, b0, d0 = old
-            if d0 == d:
-                t[k] = (a0 + a, b0 + b, d)
-            else:
-                g = gcd(d0, d)
-                m0, m = d // g, d0 // g
-                t[k] = (a0 * m0 + a * m, b0 * m0 + b * m, d0 * m0)
-
-
 def _mul_into(acc, terms1, terms2, sign=1):
     """acc += sign * (terms1 * terms2) for two exponent -> Scalar dicts."""
-    ys = [(e2, _fields(c2)) for e2, c2 in terms2.items()]
+    ys = [(e2, (c2 if sign > 0 else -c2).terms.items()) for e2, c2 in terms2.items()]
     for e1, c1 in terms1.items():
-        xs = _fields(c1, sign)
+        xs = c1.terms.items()
         for e2, y in ys:
             e = tuple(map(add, e1, e2))
             t = acc.get(e)
@@ -284,13 +253,13 @@ def _mul_into(acc, terms1, terms2, sign=1):
 
 
 def _from_acc(acc):
-    """The exponent -> Scalar terms of an accumulator, each coefficient
-    in lowest terms, zero coefficients and empty Scalars dropped."""
+    """The key -> Scalar terms of a dict of _mac accumulators, each
+    coefficient in lowest terms, zero coefficients dropped."""
     out = {}
     for e, t in acc.items():
-        s = {k: _reduced(a, b, d) for k, (a, b, d) in t.items() if a or b}
-        if s:
-            out[e] = _scalar(s)
+        s = _from_mac(t)
+        if s.terms:
+            out[e] = s
     return out
 
 

@@ -1,12 +1,15 @@
 """Exact scalar arithmetic with the circle constant kept symbolic.
 
 A Scalar is a Laurent polynomial in one formal symbol ``tau`` (standing
-for 2*pi) whose coefficients are Gaussian rationals (a + b*i)/d.  Each
-coefficient is three Python ints in lowest terms (d > 0 and
-gcd(a, b, d) == 1), so equal values have equal fields and arithmetic
-builds no Fraction.  This is enough to carry the i/(2*pi)
-normalizations of Chern classes through every computation without
-rounding, so integrality statements can be tested with ``==``.
+for 2*pi) whose coefficients are Gaussian rationals.  Its ``terms`` map
+each tau power to a triple of Python ints (a, b, d) meaning
+(a + b*i)/d, in lowest terms (d > 0 and gcd(a, b, d) == 1) and nonzero,
+so equal values have equal terms.  This module alone knows that layout:
+``_mac`` is the one Gaussian-rational multiply-accumulate (on unreduced
+triples) and ``_reduced`` the one reduction to lowest terms; the
+polynomial and form kernels call them.  This is enough to carry the
+i/(2*pi) normalizations of Chern classes through every computation
+without rounding, so integrality statements can be tested with ``==``.
 Floats are not Scalars: ``to_complex`` substitutes tau = 2*pi when a
 numeric value is wanted.
 """
@@ -37,104 +40,23 @@ def parse_int(text, signed=True):
 _new = object.__new__
 
 
-class QI:
-    """Gaussian rational (a + b*i)/d with ints a, b, d in lowest terms."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            self.a, self.b, self.d = re, im, 1
-            return
-        # both parts are in lowest terms, so over their least common
-        # denominator gcd(a, b, d) == 1 already
-        re, im = Fraction(re), Fraction(im)
-        d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
-        self.a = re.numerator * (d // re.denominator)
-        self.b = im.numerator * (d // im.denominator)
-        self.d = d
-
-    @property
-    def re(self):
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self):
-        return Fraction(self.b, self.d)
-
-    def __add__(self, other):
-        d = self.d
-        if d == other.d:
-            a, b = self.a + other.a, self.b + other.b
-            if d == 1:
-                return _qi(a, b, 1)
-        else:
-            a = self.a * other.d + other.a * d
-            b = self.b * other.d + other.b * d
-            d *= other.d
-        return _reduced(a, b, d)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return _qi(-self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d
-        if d == 1:
-            return _qi(a, b, 1)
-        return _reduced(a, b, d)
-
-    def inverse(self):
-        a, b, d = self.a, self.b, self.d
-        n = a * a + b * b
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return _reduced(a * d, -b * d, n)
-
-    def __eq__(self, other):
-        return isinstance(other, QI) and self.a == other.a and self.b == other.b and self.d == other.d
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
-
-    def is_zero(self):
-        return not self.a and not self.b
-
-    def to_complex(self):
-        # int / int is correctly rounded, as float(Fraction) is
-        return complex(self.a / self.d) + 1j * complex(self.b / self.d)
-
-    def __repr__(self):
-        return f"QI({self.re}, {self.im})"
-
-
-def _qi(a, b, d):
-    """A QI from fields already in lowest terms (no checks)."""
-    q = _new(QI)
-    q.a = a
-    q.b = b
-    q.d = d
-    return q
-
-
-def _reduced(a, b, d):
-    """A QI for (a + b*i)/d with d > 0, brought to lowest terms."""
-    g = gcd(a, b, d)
-    if g == 1:
-        return _qi(a, b, d)
-    return _qi(a // g, b // g, d // g)
-
-
 class Scalar:
-    """Exact tau-Laurent scalar: a dict tau-exponent -> nonzero QI."""
+    """Exact tau-Laurent scalar: a dict tau power -> nonzero (a, b, d)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()} if terms else {}
+        """A Scalar from a dict tau power -> int triple (a, b, d), d != 0;
+        each triple is brought to lowest terms and zeros are dropped."""
+        t = {}
+        for k, (a, b, d) in (terms or {}).items():
+            if not d:
+                raise ZeroDivisionError("Gaussian rational with denominator 0")
+            if d < 0:
+                a, b, d = -a, -b, -d
+            if a or b:
+                t[k] = _reduced(a, b, d)
+        self.terms = t
 
     # -- constructors -------------------------------------------------
 
@@ -144,32 +66,36 @@ class Scalar:
 
     @staticmethod
     def one():
-        return _scalar({0: _qi(1, 0, 1)})
+        return _scalar({0: (1, 0, 1)})
 
     @staticmethod
     def of(re=0, im=0, tau_power=0):
-        return Scalar({tau_power: QI(re, im)})
+        """re + im*i times tau^tau_power, for ints, Fractions or floats."""
+        if type(re) is not int or type(im) is not int:
+            re, im = Fraction(re), Fraction(im)
+        q1, q2 = re.denominator, im.denominator
+        return Scalar({tau_power: (re.numerator * q2, im.numerator * q1, q1 * q2)})
 
     @staticmethod
     def from_rational(p, q=1):
-        return Scalar({0: QI(Fraction(p, q))})
+        return Scalar.coerce(Fraction(p, q))
 
     @staticmethod
     def i():
-        return _scalar({0: _qi(0, 1, 1)})
+        return _scalar({0: (0, 1, 1)})
 
     @staticmethod
     def tau(power=1):
-        return _scalar({power: _qi(1, 0, 1)})
+        return _scalar({power: (1, 0, 1)})
 
     @staticmethod
     def coerce(x):
         if isinstance(x, Scalar):
             return x
         if type(x) is int:
-            return _scalar({0: _qi(x, 0, 1)} if x else {})
+            return _scalar({0: (x, 0, 1)} if x else {})
         if isinstance(x, (int, Fraction)):
-            return Scalar({0: QI(x)})
+            return Scalar({0: (x.numerator, 0, x.denominator)})
         raise TypeError(f"cannot coerce {type(x)} to Scalar")
 
     # -- predicates ----------------------------------------------------
@@ -179,12 +105,13 @@ class Scalar:
 
     def is_rational(self):
         """True when tau-free and real."""
-        return all(k == 0 and not c.b for k, c in self.terms.items())
+        return all(k == 0 and not c[1] for k, c in self.terms.items())
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self!r}")
-        return self.terms.get(0, QI()).re
+        a, _, d = self.terms.get(0, (0, 0, 1))
+        return Fraction(a, d)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -198,7 +125,19 @@ class Scalar:
             return other
         t = dict(t1)
         for k, c in t2.items():
-            _add_into(t, k, c)
+            c0 = t.get(k)
+            if c0 is None:
+                t[k] = c
+                continue
+            (a0, b0, d0), (a, b, d) = c0, c
+            if d0 == d:
+                a, b = a0 + a, b0 + b
+            else:
+                a, b, d = a0 * d + a * d0, b0 * d + b * d0, d0 * d
+            if a or b:
+                t[k] = _reduced(a, b, d)
+            else:
+                del t[k]
         return _scalar(t)
 
     __radd__ = __add__
@@ -210,22 +149,14 @@ class Scalar:
         return Scalar.coerce(other) + (-self)
 
     def __neg__(self):
-        return _scalar({k: -c for k, c in self.terms.items()})
+        return _scalar({k: (-a, -b, d) for k, (a, b, d) in self.terms.items()})
 
     def __mul__(self, other):
         if type(other) is not Scalar:
             other = Scalar.coerce(other)
-        t1, t2 = self.terms, other.terms
-        if len(t1) == 1 and len(t2) == 1:
-            # a product of nonzero Gaussian rationals is nonzero
-            (k1, c1), = t1.items()
-            (k2, c2), = t2.items()
-            return _scalar({k1 + k2: c1 * c2})
         t = {}
-        for k1, c1 in t1.items():
-            for k2, c2 in t2.items():
-                _add_into(t, k1 + k2, c1 * c2)
-        return _scalar(t)
+        _mac(t, self.terms.items(), other.terms.items())
+        return _from_mac(t)
 
     __rmul__ = __mul__
 
@@ -233,9 +164,11 @@ class Scalar:
         other = Scalar.coerce(other)
         if len(other.terms) != 1:
             raise ValueError("exact division only by tau-monomials")
-        (k, c), = other.terms.items()
-        inv = c.inverse()
-        return _scalar({j - k: cj * inv for j, cj in self.terms.items()})
+        (k, (a, b, d)), = other.terms.items()
+        # 1/((a + b*i)/d) = (a*d - b*d*i)/(a^2 + b^2), nonzero
+        t = {}
+        _mac(t, self.terms.items(), ((-k, (a * d, -b * d, a * a + b * b)),))
+        return _from_mac(t)
 
     def __pow__(self, n):
         if n < 0:
@@ -262,17 +195,20 @@ class Scalar:
     # -- conversion ----------------------------------------------------
 
     def to_complex(self):
-        t = self.terms
-        # summed in tau-power order, so equal scalars give equal floats
-        return sum((t[k].to_complex() * TAU**k for k in sorted(t)), 0j)
+        # summed in tau-power order, so equal scalars give equal floats;
+        # int / int is correctly rounded, as float(Fraction) is
+        return sum(
+            ((complex(a / d) + 1j * complex(b / d)) * TAU**k for k, (a, b, d) in sorted(self.terms.items())),
+            0j,
+        )
 
     def __repr__(self):
         if not self.terms:
             return "Scalar(0)"
         bits = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            s = f"{c.re}" if c.im == 0 else (f"{c.im}i" if c.re == 0 else f"({c.re}+{c.im}i)")
+        for k, (a, b, d) in sorted(self.terms.items()):
+            re, im = Fraction(a, d), Fraction(b, d)
+            s = f"{re}" if im == 0 else (f"{im}i" if re == 0 else f"({re}+{im}i)")
             if k:
                 s += f"*tau^{k}"
             bits.append(s)
@@ -280,21 +216,42 @@ class Scalar:
 
 
 def _scalar(terms):
-    """A Scalar over a fresh dict with no zero coefficients (no checks)."""
+    """A Scalar over a fresh dict of nonzero lowest-terms triples (no checks)."""
     s = _new(Scalar)
     s.terms = terms
     return s
 
 
-def _add_into(t, k, c):
-    """t[k] += c for a nonzero QI c, dropping the key when the sum is zero."""
-    c0 = t.get(k)
-    if c0 is None:
-        t[k] = c
-        return
-    s = c0 + c
-    if s.a or s.b:
-        t[k] = s
-    else:
-        del t[k]
+def _reduced(a, b, d):
+    """The triple (a, b, d), d > 0, brought to lowest terms."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return a, b, d
+    return a // g, b // g, d // g
 
+
+def _mac(t, xs, ys):
+    """t[k1 + k2] += x * y for all (k1, x) in xs and (k2, y) in ys, on
+    unreduced int triples (a, b, d) with d > 0; denominators are
+    combined by their lcm."""
+    for k1, (a1, b1, d1) in xs:
+        for k2, (a2, b2, d2) in ys:
+            k = k1 + k2
+            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            old = t.get(k)
+            if old is None:
+                t[k] = (a, b, d)
+                continue
+            a0, b0, d0 = old
+            if d0 == d:
+                t[k] = (a0 + a, b0 + b, d)
+            else:
+                g = gcd(d0, d)
+                m0, m = d // g, d0 // g
+                t[k] = (a0 * m0 + a * m, b0 * m0 + b * m, d0 * m0)
+
+
+def _from_mac(t):
+    """The Scalar of a _mac accumulator: each triple in lowest terms,
+    zero sums dropped."""
+    return _scalar({k: _reduced(a, b, d) for k, (a, b, d) in t.items() if a or b})

@@ -20,6 +20,7 @@ from chernweil.simplicial import (
     standard_simplex,
     two_disk_sphere,
 )
+from test_scalar_kernel import MODELS, form_models, poly_models, to_form, to_scalar
 
 
 def test_scalar_round_trip():
@@ -45,11 +46,61 @@ def test_scalar_round_trip():
     ["~(1.5,-0.25)", "2*zzz^1", "1/0", "i", "abc", "1*tau^x", "1*tau^", "1 + (1+i)",
      # numerals Fraction() reads but scalar_to_str never writes
      "1.5", "1e3", "+3", "1_000", " 2", "2 ", "1.5i", "(1.5+2i)", "(1+2.5i)", "1*tau^+1", "1*tau^1_0",
-     "1/+2", "\u0662"],
+     "1/+2", "\u0662",
+     # values scalar_to_str writes in another spelling
+     "1 + 2", "2/4", "-0", "(1+0i)", "1*tau^0", "0*tau^1", "1*tau^1 + 1",
+     "0i", "(0+1i)", "(2/4+1i)", "1/1", "01", "1/02", "1*tau^01", "1*tau^-0", "1*tau^1 + 2*tau^1",
+     # numerals longer than int() reads
+     pytest.param("1" * 5000, id="long-numeral"), pytest.param("1*tau^" + "1" * 5000, id="long-tau-power")],
 )
 def test_parse_scalar_rejects_malformed_tokens(text):
     with pytest.raises(cio.ParseError):
         cio.parse_scalar(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1 + 1", "1*x1 + 1*x1", "x1", "1*x1^1", "1*x1*x1", "1*x2*x1", "1*x1 + 1", "1*x1 + 1*x2",
+     "{1}*x1", "{1 + 1*tau^1}x1", "0*x1", " 1", "1 ", "1*x3", "1*x0", "1*x1^02", "1*x1*", "1 +  1*x1",
+     pytest.param("1*x1^" + "9" * 5000, id="long-exponent")],
+)
+def test_parse_poly_rejects_noncanonical_text(text):
+    with pytest.raises(cio.ParseError):
+        cio.parse_poly(text, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MODELS)
+def test_scalar_text_round_trip_property(x):
+    s = to_scalar(x)
+    text = cio.scalar_to_str(s)
+    assert cio.parse_scalar(text) == s
+    assert cio.scalar_to_str(cio.parse_scalar(text)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda d: st.tuples(st.just(d), poly_models(d))))
+def test_poly_text_round_trip_property(case):
+    dim, model = case
+    p = Poly(dim, {e: to_scalar(c) for e, c in model.items()})
+    text = cio.poly_to_str(p)
+    assert cio.parse_poly(text, dim) == p
+    assert cio.poly_to_str(cio.parse_poly(text, dim)) == text
+
+
+@st.composite
+def text_forms(draw):
+    dim = draw(st.integers(0, 3))
+    deg = draw(st.integers(0, dim))
+    return to_form(dim, deg, draw(form_models(dim, deg)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text_forms())
+def test_polyform_text_round_trip_property(f):
+    text = cio.polyform_to_str(f)
+    assert cio.parse_polyform(text) == f
+    assert cio.polyform_to_str(cio.parse_polyform(text)) == text
 
 
 def test_poly_round_trip():
@@ -433,7 +484,11 @@ def test_cli_clutch_selectors_accept_integers(capsys):
     assert "pairings=[-1]" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("token", ["2*zzz^1", "~(1.5,-0.25)"])
+# a multi-term coefficient is braced, as poly_to_str writes one
+@pytest.mark.parametrize(
+    "token",
+    ["2*zzz^1", "~(1.5,-0.25)", "2/4", "-0", "(1+0i)", "1*tau^0", "0*tau^1", "{1 + 2}", "{1*tau^1 + 1}"],
+)
 def test_cli_bad_scalar_token(token, tmp_path, capsys):
     gen = tmp_path / "gen"
     main(["clutch", "--n", "1", "--out", str(gen)])

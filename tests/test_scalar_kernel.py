@@ -8,12 +8,13 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chernweil.forms import AffineMap, PolyForm
 from chernweil.poly import Poly
-from chernweil.scalars import QI, TAU, Scalar
+from chernweil.scalars import TAU, Scalar
 from oracles import (
     gr_add,
     gr_monomial_inverse,
@@ -37,11 +38,16 @@ POLY_MODELS = st.dictionaries(EXPONENTS, MODELS.filter(bool), max_size=4)
 
 
 def to_scalar(x):
-    return Scalar({k: QI(re, im) for k, (re, im) in x.items()})
+    # unreduced triples over the product of the denominators; the
+    # constructor brings them to lowest terms
+    return Scalar(
+        {k: (re.numerator * im.denominator, im.numerator * re.denominator, re.denominator * im.denominator)
+         for k, (re, im) in x.items()}
+    )
 
 
 def model(s):
-    return {k: (c.re, c.im) for k, c in s.terms.items()}
+    return {k: (Fraction(a, d), Fraction(b, d)) for k, (a, b, d) in s.terms.items()}
 
 
 def to_poly(p):
@@ -57,19 +63,28 @@ def bits(z):
 
 
 def assert_canonical(s):
-    for c in s.terms.values():
-        assert c.d > 0 and gcd(c.a, c.b, c.d) == 1
-        assert c.a or c.b
+    for a, b, d in s.terms.values():
+        assert type(a) is int and type(b) is int and type(d) is int
+        assert d > 0 and gcd(a, b, d) == 1
+        assert a or b
 
 
 @settings(max_examples=200, deadline=None)
-@given(PARTS, PARTS)
-def test_qi_fields_and_float(re, im):
-    q = QI(re, im)
-    assert (q.re, q.im) == (re, im)
-    assert q.d > 0 and gcd(q.a, q.b, q.d) == 1
-    assert q.is_zero() == (re == 0 and im == 0)
-    assert bits(q.to_complex()) == bits(complex(re) + 1j * complex(im))
+@given(PARTS, PARTS, st.integers(-2, 2))
+def test_scalar_of_fields_and_float(re, im, k):
+    s = Scalar.of(re, im, k)
+    assert model(s) == ({k: (re, im)} if re or im else {})
+    assert_canonical(s)
+    assert s.is_zero() == (re == 0 and im == 0)
+    assert bits(s.to_complex()) == bits((complex(re) + 1j * complex(im)) * TAU**k)
+
+
+def test_scalar_constructor_reduces_triples():
+    assert Scalar({0: (2, 4, 8)}).terms == {0: (1, 2, 4)}
+    assert Scalar({-1: (3, -6, -9), 0: (0, 0, 5), 2: (0, 7, 1)}).terms == {-1: (-1, 2, 3), 2: (0, 7, 1)}
+    assert Scalar({0: (2, 4, 8)}) == Scalar.of(Fraction(1, 4), Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        Scalar({0: (1, 0, 0)})
 
 
 @settings(max_examples=200, deadline=None)
@@ -93,7 +108,7 @@ def test_scalar_division_by_monomial_matches_oracle(x, m):
     assert_canonical(q)
     assert q * mono == a
     ((k, c),) = mono.terms.items()
-    assert model(Scalar({0: c.inverse()})) == gr_monomial_inverse({0: m[k]})
+    assert model(Scalar.one() / Scalar({0: c})) == gr_monomial_inverse({0: m[k]})
 
 
 @settings(max_examples=200, deadline=None)

@@ -72,6 +72,15 @@ def test_poly_compose_and_eval():
     assert abs(q.eval_complex([0.5]) - 3.125) < 1e-12
 
 
+def test_poly_negative_power_raises():
+    t = Poly.var(1, 0)
+    with pytest.raises(ValueError):
+        t ** -1
+    with pytest.raises(ValueError):
+        Scalar.tau() ** -1
+    assert t ** 0 == Poly.const(1, 1)
+
+
 def test_poly_compose_into_point():
     p = Poly.const(0, 7)
     q = p.compose([], source_dim=2)
