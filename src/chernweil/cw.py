@@ -116,42 +116,44 @@ def cw_form_permutation(rho, F):
         w(v_1,..,v_{2k}) = (1/(2k)!) sum_eta sign(eta)
                             rho(F(v_eta(1), v_eta(2)), ..),
 
-    evaluated on coordinate frames.  Brute force over all (2k)!
-    permutations; the oracle side of the calibration check.
+    evaluated on coordinate frames; the oracle side of the calibration
+    check.  rho is symmetric and each slot F(v_a, v_b) flips sign under
+    swapping its arguments, so a permutation's term is its sign times
+    rho on the sorted multiset of pairs (a < b) it forms.  All (2k)!
+    permutations are walked once and their integer signs summed per
+    pairing; rho is then evaluated once per pairing, on the curvature's
+    component matrices, and scaled by count / (2k)!.
     """
     k = rho.arity
     dim = F.dim
     comps = _component_matrices(F)
+    # signed count per pairing of the slot positions 0..2k-1; a frame K
+    # is increasing, so it maps sorted position pairs to sorted pairs
+    counts = {}
+    for eta in itertools.permutations(range(2 * k)):
+        _, sign = sort_sign(eta)
+        pairs = []
+        for s in range(k):
+            a, b = eta[2 * s], eta[2 * s + 1]
+            if a > b:
+                a, b = b, a
+                sign = -sign
+            pairs.append((a, b))
+        key = tuple(sorted(pairs))
+        counts[key] = counts.get(key, 0) + sign
 
+    n_perms = factorial(2 * k)
     out = {}
     for K in itertools.combinations(range(dim), 2 * k):
         total = Poly.zero(dim)
-        # rho is symmetric and each slot flips sign under argument swap,
-        # so evaluations are memoized on the canonicalized pair multiset
-        memo = {}
-        for eta in itertools.permutations(range(2 * k)):
-            _, sign = sort_sign(eta)
-            pairs = []
-            ok = True
-            for s in range(k):
-                a, b = K[eta[2 * s]], K[eta[2 * s + 1]]
-                if a > b:
-                    a, b = b, a
-                    sign = -sign
-                if (a, b) not in comps:
-                    ok = False
-                    break
-                pairs.append((a, b))
-            if not ok:
+        for key, count in counts.items():
+            pairs = [(K[a], K[b]) for a, b in key]
+            if any(p not in comps for p in pairs):
                 continue
-            key = tuple(sorted(pairs))
-            if key not in memo:
-                val = rho.eval([comps[p] for p in key])
-                if not isinstance(val, Poly):
-                    val = Poly.const(dim, val)
-                memo[key] = val
-            total = total + memo[key].scale(Fraction(sign))
-        total = total.scale(Fraction(1, factorial(2 * k)))
+            val = rho.eval([comps[p] for p in pairs])
+            if not isinstance(val, Poly):
+                val = Poly.const(dim, val)
+            total = total + val.scale(Fraction(count, n_perms))
         if not total.is_zero():
             out[K] = total
     return PolyForm(dim, 2 * k, out)

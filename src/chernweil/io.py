@@ -22,6 +22,16 @@ class ParseError(ValueError):
     pass
 
 
+def _size(text):
+    """int(text) for a numeral its caller matched with [0-9]+ (not \\d,
+    which also matches non-ASCII digits); a numeral of more than the 4300
+    digits int() reads is a ParseError, not a bare ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"numeral of {len(text)} digits is too long") from None
+
+
 # ---------------------------------------------------------------------------
 # scalars
 
@@ -168,10 +178,7 @@ def parse_poly(text, dim):
             m = _VAR_RE.fullmatch(t)
             if not m:
                 raise ParseError(f"bad monomial token {t!r}")
-            try:
-                i, k = int(m[1]) - 1, int(m[2] or 1)
-            except ValueError:  # more than the 4300 digits int() reads
-                raise ParseError(f"bad monomial token {t!r}") from None
+            i, k = _size(m[1]) - 1, _size(m[2] or "1")
             if i >= dim:
                 raise ParseError(f"variable x{i+1} out of range for dim {dim}")
             if i <= prev:
@@ -201,7 +208,7 @@ def _parse_comp(text):
         return ()
     if not re.fullmatch(r"[0-9]+(?:,[0-9]+)*", text):
         raise ParseError(f"bad component {text!r}")
-    return tuple(int(t) - 1 for t in text.split(","))
+    return tuple(_size(t) - 1 for t in text.split(","))
 
 
 def polyform_to_str(f):
@@ -213,10 +220,10 @@ def polyform_to_str(f):
 
 def parse_polyform(text):
     lines = [l for l in text.strip().splitlines() if l.strip()]
-    m = re.match(r"^form v1; dim (\d+); deg (\d+)$", lines[0])
+    m = re.match(r"^form v1; dim ([0-9]+); deg ([0-9]+)$", lines[0])
     if not m:
         raise ParseError("bad form header")
-    dim, deg = int(m.group(1)), int(m.group(2))
+    dim, deg = _size(m.group(1)), _size(m.group(2))
     comps = {}
     for line in lines[1:]:
         if not line.startswith("comp "):
@@ -246,14 +253,14 @@ def simplicial_set_to_str(X):
     return "\n".join(lines) + "\n"
 
 
-_SID_RE = re.compile(r"^(\d+)\.(\d+)$")
+_SID_RE = re.compile(r"^([0-9]+)\.([0-9]+)$")
 
 
 def _parse_sid(text):
     m = _SID_RE.match(text.strip())
     if not m:
         raise ParseError(f"bad simplex id {text!r}")
-    return SimplexId(int(m.group(1)), int(m.group(2)))
+    return SimplexId(_size(m.group(1)), _size(m.group(2)))
 
 
 def parse_simplicial_set(text):
@@ -265,17 +272,17 @@ def parse_simplicial_set(text):
     names = {}
     for line in lines[1:]:
         if line.startswith("dim "):
-            m = re.match(r"^dim (\d+): (\d+)$", line)
-            if not m or int(m.group(1)) != len(counts):
+            m = re.match(r"^dim ([0-9]+): ([0-9]+)$", line)
+            if not m or _size(m.group(1)) != len(counts):
                 raise ParseError(f"bad dim line {line!r}")
-            counts.append(int(m.group(2)))
+            counts.append(_size(m.group(2)))
         elif line.startswith("face "):
-            m = re.match(r"^face (\d+\.\d+) (\d+) -> (\d+\.\d+)((?: s\d+)*)$", line)
+            m = re.match(r"^face ([0-9]+\.[0-9]+) ([0-9]+) -> ([0-9]+\.[0-9]+)((?: s[0-9]+)*)$", line)
             if not m:
                 raise ParseError(f"bad face line {line!r}")
             sid = _parse_sid(m.group(1))
-            word = tuple(int(w[1:]) for w in m.group(4).split())
-            faces[(sid, int(m.group(2)))] = (_parse_sid(m.group(3)), word)
+            word = tuple(_size(w[1:]) for w in m.group(4).split())
+            faces[(sid, _size(m.group(2)))] = (_parse_sid(m.group(3)), word)
         elif line.startswith("name "):
             _, sidtext, label = line.split(" ", 2)
             names[_parse_sid(sidtext)] = label
@@ -315,9 +322,9 @@ def _parse_lvp(text, algebra, dim):
 
 def _lie_index(text, algebra):
     """A Lie coordinate index, which must be below the algebra's dimension."""
-    if not re.fullmatch(r"[0-9]+", text) or int(text) >= algebra.dim:
+    if not re.fullmatch(r"[0-9]+", text) or _size(text) >= algebra.dim:
         raise ParseError(f"Lie coordinate {text!r} out of range for {algebra.name} (dimension {algebra.dim})")
-    return int(text)
+    return _size(text)
 
 
 def _header(lines, kind):
@@ -356,11 +363,11 @@ def parse_bundle(text, base):
     algebra = _header(lines, "bundle")
     transitions = {}
     for line in lines[1:]:
-        m = re.match(r"^transition (\d+)\.(\d+)\.(\d+): (.*)$", line)
+        m = re.match(r"^transition ([0-9]+)\.([0-9]+)\.([0-9]+): (.*)$", line)
         if not m:
             raise ParseError(f"bad transition line {line!r}")
-        sid = SimplexId(int(m.group(1)), int(m.group(2)))
-        i = int(m.group(3))
+        sid = SimplexId(_size(m.group(1)), _size(m.group(2)))
+        i = _size(m.group(3))
         if (sid, i) not in base.faces:
             raise ParseError(f"transition {sid.dim}.{sid.index}.{i} is not a face of the base")
         if (sid, i) in transitions:
@@ -408,10 +415,10 @@ def parse_connection(text, bundle):
         raise ParseError("connection/bundle group mismatch")
     comp_data = {}
     for line in lines[1:]:
-        m = re.match(r"^A (\d+)\.(\d+) (\d+) ([-\d,]+): (.*)$", line)
+        m = re.match(r"^A ([0-9]+)\.([0-9]+) ([0-9]+) ([-0-9,]+): (.*)$", line)
         if not m:
             raise ParseError(f"bad connection line {line!r}")
-        sid = SimplexId(int(m.group(1)), int(m.group(2)))
+        sid = SimplexId(_size(m.group(1)), _size(m.group(2)))
         if sid.dim > bundle.base.dim or sid.index >= bundle.base.counts[sid.dim]:
             raise ParseError(f"simplex {sid.dim}.{sid.index} is not in the base")
         a = _lie_index(m.group(3), alg)

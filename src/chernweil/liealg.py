@@ -57,6 +57,17 @@ def mat_mul(A, B):
     return out
 
 
+def trace_mul(A, B):
+    """tr(A B) = sum_{r,c} A[r][c] B[c][r], without forming A B."""
+    n = len(A)
+    s = A[0][0] * B[0][0]
+    for r in range(n):
+        for c in range(n):
+            if r or c:
+                s = s + A[r][c] * B[c][r]
+    return s
+
+
 def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
@@ -370,19 +381,27 @@ class InvariantPolynomial:
 
 
 def sym_trace_poly(algebra, k):
-    """(x_1,..,x_k) -> (1/k!) sum_pi tr(x_{pi(1)} ... x_{pi(k)})."""
+    """(x_1,..,x_k) -> (1/k!) sum_pi tr(x_{pi(1)} ... x_{pi(k)}).
+
+    The trace is cyclic when the matrix entries commute (Scalars, Polys,
+    numbers), so the k rotations of an ordering share one trace: the
+    evaluator sums the (k-1)! orderings that start with x_1, scaled by
+    1/(k-1)!, and takes each last trace by trace_mul.
+    """
     if k < 1:
         raise ValueError("sym_trace arity must be >= 1")
 
     def evaluator(mats):
+        if k == 1:
+            return mat_trace(mats[0])
         total = None
-        for perm in itertools.permutations(range(k)):
-            prod = mats[perm[0]]
-            for i in perm[1:]:
+        for perm in itertools.permutations(range(1, k)):
+            prod = mats[0]
+            for i in perm[:-1]:
                 prod = mat_mul(prod, mats[i])
-            t = mat_trace(prod)
+            t = trace_mul(prod, mats[perm[-1]])
             total = t if total is None else total + t
-        return scale_value(total, Fraction(1, factorial(k)))
+        return scale_value(total, Fraction(1, factorial(k - 1)))
 
     return InvariantPolynomial(algebra, k, evaluator, f"symtrace:{k}")
 

@@ -6,8 +6,10 @@ differentiation, polarization from finite differences, characteristic
 forms from invariant polynomials evaluated on the curvature's matrices.
 """
 
+import functools
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import sympy
@@ -120,8 +122,6 @@ def finite_difference_polarization(p, k, dim, args, h=Fraction(1)):
 
     evaluated with Fraction arithmetic on coordinate vectors.
     """
-    from math import factorial
-
     total = Fraction(0)
     for size in range(1, k + 1):
         for subset in itertools.combinations(range(k), size):
@@ -283,6 +283,22 @@ def gr_poly_mul(p, q):
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = gr_add(out.get(e, {}), gr_mul(c1, c2))
     return {e: c for e, c in out.items() if c}
+
+
+def sym_trace_oracle(mats):
+    """(1/k!) sum over all k! orderings pi of tr(M_pi(1) .. M_pi(k)), every
+    product a full matrix product; the entries are polynomial dicts."""
+    k, n = len(mats), len(mats[0])
+    total = {}
+    for perm in itertools.permutations(range(k)):
+        prod = mats[perm[0]]
+        for i in perm[1:]:
+            prod = [[functools.reduce(gr_poly_add, (gr_poly_mul(prod[r][m], mats[i][m][c]) for m in range(n)), {})
+                     for c in range(n)] for r in range(n)]
+        for r in range(n):
+            total = gr_poly_add(total, prod[r][r])
+    inv = Fraction(1, factorial(k))
+    return {e: {t: (re * inv, im * inv) for t, (re, im) in c.items()} for e, c in total.items()}
 
 
 # Forms as dicts: strictly increasing index tuple -> polynomial dict as

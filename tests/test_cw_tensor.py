@@ -3,13 +3,14 @@ against rho evaluated on the curvature's component matrices."""
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernweil.bundles import LieValuedForm, random_connection, trivial_bundle
-from chernweil.cw import _cw_polyform_wedge, curvature_form, cw_form
+from chernweil.cw import _cw_polyform_wedge, curvature_form, cw_form, cw_form_permutation
 from chernweil.forms import PolyForm, random_polyform
 from chernweil.liealg import (
     InvariantPolynomial,
@@ -24,7 +25,8 @@ from chernweil.liealg import (
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
 from chernweil.simplicial import boundary_sphere, standard_simplex
-from oracles import cw_matrix_contraction, reznikov_quadrature
+from oracles import cw_matrix_contraction, reznikov_quadrature, sym_trace_oracle
+from test_scalar_kernel import MODELS, POLY_MODELS, model, poly_model, to_poly, to_scalar
 
 
 def _rhos():
@@ -76,6 +78,48 @@ def rho_and_curvature(draw, rhos=RHOS):
 def test_tensor_contraction_matches_matrix_oracle(case):
     rho, F = case
     assert _cw_polyform_wedge(rho, F) == cw_matrix_contraction(rho, F)
+
+
+# the polarized rho decomposes its arguments in the basis, which a matrix
+# of polynomials is not in, so the permutation sum runs on these only
+SYMTRACE_AND_CHERN = [rho for rho in RHOS if rho.provenance.split(":")[0] in ("symtrace", "chern")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho_and_curvature(SYMTRACE_AND_CHERN))
+def test_permutation_sum_matches_matrix_oracle(case):
+    # each term of the contraction, an ordered k-tuple of increasing
+    # index pairs, is 2^k of the (2k)! permutations (the order within
+    # each pair), and the permutation sum is divided by (2k)!
+    rho, F = case
+    k = rho.arity
+    assert cw_form_permutation(rho, F).scale(Fraction(factorial(2 * k), 2**k)) == cw_matrix_contraction(rho, F)
+
+
+def constant_model(x):
+    """A Scalar's oracle model as a constant polynomial on Delta^0."""
+    return {(): x} if x else {}
+
+
+@st.composite
+def sym_trace_cases(draw):
+    """k random n x n matrices, in no Lie algebra, with Scalar or Poly
+    entries, and their oracle models."""
+    k, n, scalar = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.booleans())
+    models = [[[draw(MODELS if scalar else POLY_MODELS) for _ in range(n)] for _ in range(n)] for _ in range(k)]
+    build = to_scalar if scalar else to_poly
+    mats = [[[build(x) for x in row] for row in M] for M in models]
+    if scalar:
+        models = [[[constant_model(x) for x in row] for row in M] for M in models]
+    return k, n, scalar, mats, models
+
+
+@settings(max_examples=80, deadline=None)
+@given(sym_trace_cases())
+def test_sym_trace_matches_all_orderings_oracle(case):
+    k, n, scalar, mats, models = case
+    got = sym_trace_poly(lie_algebra(f"u{n}"), k).eval(mats)
+    assert (constant_model(model(got)) if scalar else poly_model(got)) == sym_trace_oracle(models)
 
 
 @settings(max_examples=20, deadline=None)

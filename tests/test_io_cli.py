@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from chernweil import io as cio
 from chernweil.bundles import LieValuedForm, apply_gauge, clutch_bundle, construct_connection, trivial_bundle
 from chernweil.cli import main
-from chernweil.forms import random_poly, random_polyform
+from chernweil.forms import PolyForm, random_poly, random_polyform
 from chernweil.liealg import lie_algebra
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
@@ -552,6 +552,51 @@ def test_parse_rejects_data_off_the_base():
                  ct + ct.splitlines()[1] + "\n"):
         with pytest.raises(cio.ParseError):
             cio.parse_connection(text, P)
+
+
+# a numeral of more than the 4300 digits int() reads, and the fullwidth
+# form of a digit, which int() reads as that digit
+BAD_NUMERALS = {"oversize": lambda digit: "9" * 5000, "fullwidth": lambda digit: chr(0xFF10 + int(digit))}
+# (file, text before, a one-digit numeral, text after)
+NUMERAL_SITES = {
+    "space-count": ("space", "dim 0: ", "3", "\n"),
+    "space-face": ("space", "face 1.0 ", "0", " -> 0.1"),
+    "space-name": ("space", "name 0.", "0", " "),
+    "bundle-face": ("bundle", "transition 1.0.", "0", ":"),
+    "connection-cell": ("connection", "A 2.", "1", " 0 1:"),
+    "connection-coordinate": ("connection", "A 2.1 ", "0", " 1:"),
+    "connection-component": ("connection", "A 2.1 0 ", "1", ":"),
+}
+
+
+@pytest.mark.parametrize("numeral", list(BAD_NUMERALS))
+@pytest.mark.parametrize("site", list(NUMERAL_SITES))
+def test_cli_bad_numeral_in_file(site, numeral, tmp_path, capsys):
+    texts = _clutch_files(tmp_path)
+    capsys.readouterr()
+    which, before, digit, after = NUMERAL_SITES[site]
+    assert before + digit + after in texts[which]
+    bad = before + BAD_NUMERALS[numeral](digit) + after
+    (tmp_path / f"{which}.txt").write_text(texts[which].replace(before + digit + after, bad, 1))
+    argv = ["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt"),
+            "--connection", str(tmp_path / "connection.txt")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    if which == "space":
+        assert main(["betti", "--space", str(tmp_path / "space.txt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("numeral", list(BAD_NUMERALS))
+def test_parse_polyform_rejects_bad_numerals(numeral):
+    assert cio.parse_polyform("form v1; dim 2; deg 1\ncomp 1: 1\n") == PolyForm(2, 1, {(0,): Poly.const(2, 1)})
+    bad = BAD_NUMERALS[numeral]
+    for text in (f"form v1; dim {bad('2')}; deg 1\ncomp 1: 1\n", f"form v1; dim 2; deg {bad('1')}\ncomp 1: 1\n",
+                 f"form v1; dim 2; deg 1\ncomp {bad('1')}: 1\n"):
+        with pytest.raises(cio.ParseError):
+            cio.parse_polyform(text)
 
 
 def test_cli_math_failure(tmp_path, capsys):
