@@ -29,7 +29,7 @@ from .simplicial import (
     horn,
     is_coboundary,
     pairing,
-    product_with_interval,
+    product,
     standard_simplex,
     two_disk_sphere,
 )

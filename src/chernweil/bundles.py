@@ -43,9 +43,9 @@ from .scalars import Scalar
 from .simplicial import (
     SimplexId,
     compose_monotone,
-    interval_projection,
+    cylinder,
     mono_skip,
-    product_with_interval,
+    standard_simplex,
     word_epi,
 )
 
@@ -583,7 +583,6 @@ def random_connection(P, seed):
 class ConcordanceConnection:
     """A connection on pr^* P over X x Delta^1 restricting to the ends."""
 
-    product_base: object
     bundle: BundleData
     connection: Connection
     end0: object
@@ -603,15 +602,10 @@ class ConcordanceConnection:
 def concordance(P, D1, D2):
     """Connection on P x I restricting exactly to D1 and D2 at the ends."""
     X = P.base
-    prod, i0, i1 = product_with_interval(X)
-    pr = interval_projection(prod, X)
-    PP = pullback_bundle(pr, P)
-    preset = {}
-    for sid in X.all_cells():
-        preset[i0.assignment[sid][0]] = D1.forms[sid]
-        preset[i1.assignment[sid][0]] = D2.forms[sid]
-    D = construct_connection(PP, preset=preset)
-    return ConcordanceConnection(prod, PP, D, i0, i1)
+    prod, i0, i1 = cylinder(X)
+    PP = pullback_bundle(prod.pr_x, P)
+    preset = {end(sid)[0]: D.forms[sid] for end, D in ((i0, D1), (i1, D2)) for sid in X.all_cells()}
+    return ConcordanceConnection(PP, construct_connection(PP, preset=preset), i0, i1)
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +759,6 @@ def horn_fill_bundle(H, P):
     Restriction to the horn returns the input data unchanged.  Exact,
     abelian structure groups only.
     """
-    from .simplicial import standard_simplex
-
     if not P.algebra.is_abelian:
         raise BundleError("horn filling implemented for abelian structure groups")
     if P.base != H.space:

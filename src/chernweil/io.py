@@ -264,30 +264,44 @@ def _parse_sid(text):
 
 
 def parse_simplicial_set(text):
+    """Read a simplicial set; a line simplicial_set_to_str does not write,
+    a face or name of a cell the dim lines do not declare, a face index
+    above the cell's dimension, a line given twice, or a face of a
+    declared cell without a line is a parse error."""
     lines = [l.rstrip() for l in text.strip().splitlines() if l.strip()]
     if not lines or lines[0] != "simplicial-set v1":
         raise ParseError("missing simplicial-set header")
-    counts = []
-    faces = {}
-    names = {}
+    counts, faces, names = [], {}, {}
+
+    def declared(text):
+        sid = _parse_sid(text)
+        if sid.dim >= len(counts) or sid.index >= counts[sid.dim]:
+            raise ParseError(f"simplex {sid} is not declared by the dim lines")
+        return sid
+
     for line in lines[1:]:
-        if line.startswith("dim "):
-            m = re.match(r"^dim ([0-9]+): ([0-9]+)$", line)
-            if not m or _size(m.group(1)) != len(counts):
-                raise ParseError(f"bad dim line {line!r}")
-            counts.append(_size(m.group(2)))
-        elif line.startswith("face "):
-            m = re.match(r"^face ([0-9]+\.[0-9]+) ([0-9]+) -> ([0-9]+\.[0-9]+)((?: s[0-9]+)*)$", line)
-            if not m:
-                raise ParseError(f"bad face line {line!r}")
-            sid = _parse_sid(m.group(1))
-            word = tuple(_size(w[1:]) for w in m.group(4).split())
-            faces[(sid, _size(m.group(2)))] = (_parse_sid(m.group(3)), word)
-        elif line.startswith("name "):
-            _, sidtext, label = line.split(" ", 2)
-            names[_parse_sid(sidtext)] = label
+        if m := re.fullmatch(r"dim ([0-9]+): ([0-9]+)", line):
+            if _size(m[1]) != len(counts):
+                raise ParseError(f"dim line {line!r} out of order")
+            counts.append(_size(m[2]))
+        elif m := re.fullmatch(r"face ([0-9]+\.[0-9]+) ([0-9]+) -> ([0-9]+\.[0-9]+)((?: s[0-9]+)*)", line):
+            sid, i = declared(m[1]), _size(m[2])
+            if sid.dim == 0 or i > sid.dim:
+                raise ParseError(f"face {sid} {i} is not a face of a declared cell")
+            if (sid, i) in faces:
+                raise ParseError(f"face {sid} {i} given twice")
+            faces[(sid, i)] = (_parse_sid(m[3]), tuple(_size(w[1:]) for w in m[4].split()))
+        elif m := re.fullmatch(r"name ([0-9]+\.[0-9]+) (.+)", line):
+            sid = declared(m[1])
+            if sid in names:
+                raise ParseError(f"name of {sid} given twice")
+            names[sid] = m[2]
         else:
-            raise ParseError(f"unrecognized line {line!r}")
+            raise ParseError(f"bad line {line!r}")
+    # each face line names a distinct face of a declared cell, so equal
+    # numbers leave none missing; counted before validate lists the cells
+    if len(faces) != sum((d + 1) * c for d, c in enumerate(counts) if d):
+        raise ParseError(f"{len(faces)} face lines do not match the faces the dim lines declare")
     X = SimplicialSet(counts, faces, names)
     bad = X.validate()
     if bad:

@@ -240,6 +240,11 @@ class SimplicialMap:
     def identity(X):
         return SimplicialMap(X, X, {sid: (sid, ()) for sid in X.all_cells()})
 
+    @staticmethod
+    def constant(X, Y, v):
+        """X -> Y onto the vertex v of Y: s_{d-1} ... s_0 v on a d-cell."""
+        return SimplicialMap(X, Y, {sid: (v, tuple(range(sid.dim - 1, -1, -1))) for sid in X.all_cells()})
+
     def compose(self, other):
         """self o other (other applied first)."""
         if other.target != self.source:
@@ -357,94 +362,75 @@ def horn(n, k):
 
 
 # ---------------------------------------------------------------------------
-# product with the interval
+# products
 
 
-def _interval_simplices(m):
-    """All m-simplices of Delta^1 as monotone 0/1 tuples of length m+1."""
-    out = [(0,) * (m + 1), (1,) * (m + 1)]
-    for j in range(m):
-        out.append((0,) * (j + 1) + (1,) * (m - j))
-    return out
+def _formal_simplices(X, m):
+    """Every formal m-simplex s_I a of X, I as a strictly decreasing word."""
+    return [(a, I[::-1]) for a in X.all_cells() if a.dim <= m for I in itertools.combinations(range(m), m - a.dim)]
 
 
-def _tuple_ez(b):
-    return {i for i in range(len(b) - 1) if b[i] == b[i + 1]}
+def _formal_name(X, fs):
+    return X.name(fs[0]) + "".join(f"s{j}" for j in fs[1])
 
 
-def product_with_interval(X):
-    """The prism X x Delta^1 with its two end inclusions.
+def _pair_cell(cells, x, y):
+    """The pair (x, y) of formal simplices as s_w c with c a cell of the
+    product: strip the largest common degeneracy and recurse."""
+    common = set(x[1]) & set(y[1])
+    if not common:
+        return cells[(x, y)], ()
+    j = max(common)
+    c, w = _pair_cell(cells, strip_degeneracy(x, j), strip_degeneracy(y, j))
+    return c, compose_degeneracy(j, w)
 
-    Nondegenerate (m)-cells are pairs (a, b) with a a formal simplex of
-    X, b an m-simplex of Delta^1, and no common degeneracy; every
-    nondegenerate n-cell of X contributes n+1 nondegenerate (n+1)-cells
-    (the prism decomposition, ordered by the degeneracy position, which
-    fixes orientation signs deterministically).
+
+@dataclass
+class Product:
+    """X x Y with its two projections (May, *Simplicial Objects in
+    Algebraic Topology*, section 6).
+
+    The nondegenerate m-cells are the pairs (s_I a, s_J b) of formal
+    m-simplices with I and J disjoint; _cells maps each pair to its cell.
     """
-    cells_by_dim = {}
-    for m in range(X.dim + 2):
-        keys = []
-        # diagonal-type cells: nondegenerate a paired with any b
-        for a in X.cells(m):
-            for b in _interval_simplices(m):
-                keys.append(((a, ()), b))
-        # prism cells: s_j a' paired with the jump-at-j simplex
-        for a in X.cells(m - 1) if m >= 1 else []:
-            for j in range(m):
-                b = (0,) * (j + 1) + (1,) * (m - j)
-                keys.append(((a, (j,)), b))
-        cells_by_dim[m] = keys
 
-    index = {}
-    names = {}
-    counts = []
-    for m in range(X.dim + 2):
-        counts.append(len(cells_by_dim[m]))
-        for i, key in enumerate(cells_by_dim[m]):
-            sid = SimplexId(m, i)
-            index[key] = sid
-            (a, w), b = key
-            names[sid] = f"{X.name(a)}{''.join(f's{j}' for j in w)}x{''.join(map(str, b))}"
+    space: SimplicialSet
+    pr_x: SimplicialMap
+    pr_y: SimplicialMap
+    _cells: dict = field(repr=False)
 
-    def normalize_pair(fsX, b):
-        common = set(fsX[1]) & _tuple_ez(b)
-        if not common:
-            return (fsX, b), ()
-        j = max(common)
-        core, w = normalize_pair(strip_degeneracy(fsX, j), b[:j] + b[j + 1:])
-        return core, compose_degeneracy(j, w)
+    def pair(self, f, g):
+        """<f, g>: Z -> X x Y for maps f: Z -> X and g: Z -> Y."""
+        if f.source != g.source:
+            raise ValueError("pairing maps with different sources")
+        Z = f.source
+        return SimplicialMap(Z, self.space, {z: _pair_cell(self._cells, f(z), g(z)) for z in Z.all_cells()})
 
-    faces = {}
-    for m in range(1, X.dim + 2):
-        for key in cells_by_dim[m]:
-            sid = index[key]
-            fsX, b = key
-            for i in range(m + 1):
-                fX = X.face_of(fsX, i)
-                fb = b[:i] + b[i + 1:]
-                core, word = normalize_pair(fX, fb)
-                faces[(sid, i)] = (index[core], word)
 
+def product(X, Y):
+    """The product X x Y of simplicial sets with both projections."""
+    cells, counts = {}, []
+    for m in range(X.dim + Y.dim + 1):
+        fy = _formal_simplices(Y, m)
+        pairs = [(x, y) for x in _formal_simplices(X, m) for y in fy if not set(x[1]) & set(y[1])]
+        counts.append(len(pairs))
+        cells.update((xy, SimplexId(m, i)) for i, xy in enumerate(pairs))
+    faces = {
+        (c, i): _pair_cell(cells, X.face_of(x, i), Y.face_of(y, i))
+        for (x, y), c in cells.items() if c.dim for i in range(c.dim + 1)
+    }
+    names = {c: f"{_formal_name(X, x)}x{_formal_name(Y, y)}" for (x, y), c in cells.items()}
     P = SimplicialSet(counts, faces, names)
-    P._product_index = index
-
-    def end_map(eps):
-        assignment = {}
-        for a in X.all_cells():
-            b = (eps,) * (a.dim + 1)
-            assignment[a] = (index[((a, ()), b)], ())
-        return SimplicialMap(X, P, assignment)
-
-    return P, end_map(0), end_map(1)
+    pr_x, pr_y = (SimplicialMap(P, Z, {c: xy[k] for xy, c in cells.items()}) for k, Z in enumerate((X, Y)))
+    return Product(P, pr_x, pr_y, cells)
 
 
-def interval_projection(P, X):
-    """The projection X x Delta^1 -> X (requires P from product_with_interval)."""
-    assignment = {}
-    for key, sid in P._product_index.items():
-        fsX, _b = key
-        assignment[sid] = fsX
-    return SimplicialMap(P, X, assignment)
+def cylinder(X):
+    """X x Delta^1 with its end inclusions <id, const_0> and <id, const_1>."""
+    interval = standard_simplex(1)
+    prod = product(X, interval)
+    i0, i1 = (prod.pair(SimplicialMap.identity(X), SimplicialMap.constant(X, interval, SimplexId(0, e))) for e in (0, 1))
+    return prod, i0, i1
 
 
 # ---------------------------------------------------------------------------

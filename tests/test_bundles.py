@@ -248,7 +248,10 @@ def test_concordance_random_pair():
 def test_concordance_su2():
     Ps = trivial_bundle(boundary_sphere(2), lie_algebra("su2"))
     Da, Db = random_connection(Ps, 1), random_connection(Ps, 2)
+    assert any(Da.forms[s] != Db.forms[s] for s in Ps.base.all_cells())
     conc = concordance(Ps, Da, Db)
+    assert all(conc.restrict(conc.end0)[s] == Da.forms[s] for s in Ps.base.all_cells())
+    assert all(conc.restrict(conc.end1)[s] == Db.forms[s] for s in Ps.base.all_cells())
     rep = validate_connection(conc.bundle, conc.connection)
     assert rep.ok and rep.exact
 

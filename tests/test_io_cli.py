@@ -16,7 +16,7 @@ from chernweil.scalars import Scalar
 from chernweil.simplicial import (
     boundary_sphere,
     horn,
-    product_with_interval,
+    product,
     standard_simplex,
     two_disk_sphere,
 )
@@ -124,7 +124,8 @@ def test_space_round_trips():
         standard_simplex(3),
         boundary_sphere(2),
         two_disk_sphere(),
-        product_with_interval(two_disk_sphere())[0],
+        product(two_disk_sphere(), standard_simplex(1)).space,
+        product(two_disk_sphere(), two_disk_sphere()).space,
         horn(3, 0).space,
     ]
     for X in spaces:
@@ -132,6 +133,33 @@ def test_space_round_trips():
         X2 = cio.parse_simplicial_set(text)
         assert X2 == X and X2.names == X.names
         assert cio.simplicial_set_to_str(X2) == text
+
+
+# edits of standard_simplex(1)'s file that name a face or cell the dim
+# lines do not declare, repeat a line, or leave a face out
+SPACE_EDITS = {
+    "face-of-undeclared-cell": lambda t: t + "face 1.7 0 -> 0.0\n",
+    "face-index-above-dim": lambda t: t + "face 1.0 2 -> 0.0\n",
+    "face-of-vertex": lambda t: t + "face 0.0 0 -> 0.0\n",
+    "face-twice": lambda t: t + "face 1.0 0 -> 0.0\n",
+    "name-of-undeclared-cell": lambda t: t + "name 0.5 v\n",
+    "name-twice": lambda t: t + "name 0.0 v\n",
+    "name-without-label": lambda t: t + "name 0.0\n",
+    "face-missing": lambda t: t.replace("face 1.0 1 -> 0.0\n", ""),
+    # 10^11 declared edges and no face lines
+    "huge-count": lambda t: "simplicial-set v1\ndim 0: 3\ndim 1: 99999999999\n",
+}
+
+
+@pytest.mark.parametrize("case", list(SPACE_EDITS))
+def test_cli_space_not_matching_its_dims(case, tmp_path, capsys):
+    text = cio.simplicial_set_to_str(standard_simplex(1))
+    broken = SPACE_EDITS[case](text)
+    assert broken != text
+    (tmp_path / "space.txt").write_text(broken)
+    assert main(["betti", "--space", str(tmp_path / "space.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_bundle_connection_round_trips():
