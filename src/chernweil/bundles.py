@@ -309,27 +309,40 @@ def transition_of_morphism(P, m, sid):
     factorization); pure degeneracies contribute identity transitions
     because degenerate simplices carry pulled-back charts.
     """
-    hit = set(m)
-    missed = [v for v in range(sid.dim + 1) if v not in hit]
-    if not missed:
-        return TransitionMap.identity(P.algebra, len(m) - 1)
-    i = max(missed)
-    return _through_face(P, sid, i, tuple(v if v < i else v - 1 for v in m))
+    return _route(P, m, sid, {})
 
 
-def _through_face(P, sid, i, m):
+def _route(P, m, sid, memo):
+    """transition_of_morphism through memo, a dict (sid, m) -> TransitionMap
+    that stays valid while P.transitions does not change."""
+    key = (sid, m)
+    t = memo.get(key)
+    if t is None:
+        hit = set(m)
+        missed = [v for v in range(sid.dim + 1) if v not in hit]
+        if not missed:
+            t = TransitionMap.identity(P.algebra, len(m) - 1)
+        else:
+            i = max(missed)
+            t = _through_face(P, sid, i, tuple(v if v < i else v - 1 for v in m), memo)
+        memo[key] = t
+    return t
+
+
+def _through_face(P, sid, i, m, memo):
     """Face i's transition, then the route inside the face, over the
     monotone map m into the face's Delta^{d-1}."""
     d = sid.dim
     tgt, word = P.base.face(sid, i)
-    rest = transition_of_morphism(P, compose_monotone(word_epi(word, d - 1), m), tgt)
+    rest = _route(P, compose_monotone(word_epi(word, d - 1), m), tgt, memo)
     return P.transitions[(sid, i)].pullback(AffineMap.from_monotone(m, d - 1)).compose(rest)
 
 
-def _route_pair(P, sid, i, j):
+def _route_pair(P, sid, i, j, memo):
     """The two composite transitions into sid's chart over the face pair i<j."""
     d = sid.dim
-    return _through_face(P, sid, i, mono_skip(d - 1, {j - 1})), _through_face(P, sid, j, mono_skip(d - 1, {i}))
+    return (_through_face(P, sid, i, mono_skip(d - 1, {j - 1}), memo),
+            _through_face(P, sid, j, mono_skip(d - 1, {i}), memo))
 
 
 @dataclass
@@ -347,7 +360,12 @@ class BundleReport:
 
 
 def validate_bundle(P, seed=0):
-    """Cocycle/functoriality check on all composable face pairs."""
+    """Cocycle/functoriality check on all composable face pairs.
+
+    The composite transitions inside the faces recur across face pairs;
+    one route memo per call, keyed (simplex, monotone map), computes each
+    once.
+    """
     X = P.base
     exact = P.algebra.is_abelian
     failures = []
@@ -361,11 +379,12 @@ def validate_bundle(P, seed=0):
                     failures.append(f"transition ({sid}, {i}) has wrong domain")
     if failures:
         return BundleReport(False, exact, failures)
+    memo = {}
     for d in range(2, X.dim + 1):
         for sid in X.cells(d):
             for i in range(d + 1):
                 for j in range(i + 1, d + 1):
-                    psiA, psiB = _route_pair(P, sid, i, j)
+                    psiA, psiB = _route_pair(P, sid, i, j, memo)
                     if not transitions_equal(psiA, psiB, seed):
                         failures.append(f"cocycle fails on {X.name(sid)} faces ({i},{j})")
     return BundleReport(not failures, exact, failures)
@@ -375,14 +394,14 @@ def pullback_bundle(f, P):
     """f^* P: charts reindexed along f; equal data under composition."""
     if f.target != P.base:
         raise BundleError("pullback along a map into a different base")
-    transitions = {}
+    transitions, memo = {}, {}
     for d in range(1, f.source.dim + 1):
         for sid in f.source.cells(d):
             core, word = f.assignment[sid]
             epi = word_epi(word, d)
             for i in range(d + 1):
                 m = compose_monotone(epi, mono_skip(d, {i}))
-                transitions[(sid, i)] = transition_of_morphism(P, m, core)
+                transitions[(sid, i)] = _route(P, m, core, memo)
     return BundleData(f.source, P.algebra, transitions)
 
 
@@ -786,7 +805,7 @@ def horn_fill_bundle(H, P):
             # route equality over the cell omitting {i, j}: i < j here,
             # so gamma_j o (face i of its domain) must equal
             # route_i * (the route inside face j)^{-1}
-            psiA = _through_face(out, top, i, mono_skip(n - 1, {j - 1}))
+            psiA = _through_face(out, top, i, mono_skip(n - 1, {j - 1}), {})
             rest = transition_of_morphism(out, mono_skip(n - 1, {i}), delta.face(top, j)[0])
             prescriptions[i] = psiA.compose(rest.inverse()).log_total()
         if not prescriptions:
@@ -812,7 +831,7 @@ def horn_fill_bundle(H, P):
     # (gamma_k is the identity, so the route via k is f_k's own transition)
     for i in others:
         m_i = mono_skip(n - 1, {k - 1}) if i < k else mono_skip(n - 1, {k})
-        out.transitions[(fk, i if i < k else i - 1)] = _through_face(out, top, i, m_i)
+        out.transitions[(fk, i if i < k else i - 1)] = _through_face(out, top, i, m_i, {})
     rep = validate_bundle(out)
     if not rep.ok:
         raise BundleError("internal horn filler invariant violated: " + "; ".join(rep.failures))

@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -273,7 +274,10 @@ def cmd_verify(args, report):
     return report
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser; built once per process, since argparse
+    keeps no state between parse_args calls."""
     p = argparse.ArgumentParser(prog="chernweil", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -334,26 +338,27 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     echo = " ".join(argv if argv is not None else sys.argv[1:])
     report = RunReport(echo, args.seed, getattr(args, "mode", "exact"))
     try:
-        report = COMMANDS[args.command](args, report)
-    except (UsageError, cio.ParseError, FileNotFoundError, sc.InvalidHornError, la.SelectorError) as e:
+        if args.seed < 0:
+            # numpy's sampling generators take nonnegative seeds only
+            raise UsageError(f"--seed must be a nonnegative integer, got {args.seed}")
+        try:
+            report = COMMANDS[args.command](args, report)
+        except MathError as e:
+            report.check("validation", False, str(e))
+        text = report.finish()
+        # generate, clutch and horn-fill take --out as a directory of files
+        if args.out and args.command not in ("generate", "clutch", "horn-fill"):
+            Path(args.out).write_text(text)
+    except (UsageError, cio.ParseError, OSError, UnicodeDecodeError, sc.InvalidHornError, la.SelectorError) as e:
+        # OSError and UnicodeDecodeError: an input path that cannot be read
+        # as text, an --out that cannot be written
         sys.stderr.write(f"error: {e}\n")
         return USAGE_ERROR
-    except MathError as e:
-        report.check("validation", False, str(e))
-        text = report.finish()
-        sys.stdout.write(text)
-        if args.out and args.command != "generate":
-            Path(args.out).write_text(text)
-        return MATH_FAILURE
-    text = report.finish()
     sys.stdout.write(text)
-    if args.out and args.command not in ("generate", "clutch", "horn-fill"):
-        Path(args.out).write_text(text)
     return MATH_FAILURE if report.failed else 0
 
 

@@ -219,10 +219,7 @@ class LieData:
                 m = mat_sub(mat_mul(basis[a], basis[b]), mat_mul(basis[b], basis[a]))
                 flat = [m[r][c] for r in range(self.n) for c in range(self.n)]
                 self.structure[(a, b)] = _scalar_solve(self._flat, flat)
-
-    @property
-    def is_abelian(self):
-        return all(all(c.is_zero() for c in v) for v in self.structure.values())
+        self.is_abelian = all(all(c.is_zero() for c in v) for v in self.structure.values())
 
     def element(self, coords):
         return LieElement(self, [Scalar.coerce(c) for c in coords])

@@ -383,3 +383,70 @@ def gr_pullback_monotone(form, m, target_dim):
             term = gr_wedge(term, dcoords[i])
         out = gr_form_add(out, term)
     return out
+
+
+def route_reference(P, m, sid):
+    """The composite transition of the bundle P over the monotone map m
+    into sid's chart, recomputed on every call: peel the largest missed
+    vertex i, apply face i's transition, then recurse inside the face
+    through its degeneracy collapse."""
+    from chernweil.bundles import TransitionMap
+
+    missed = [v for v in range(sid.dim + 1) if v not in m]
+    if not missed:
+        return TransitionMap.identity(P.algebra, len(m) - 1)
+    i = max(missed)
+    return face_route_reference(P, sid, i, tuple(v - (v > i) for v in m))
+
+
+def face_route_reference(P, sid, i, m):
+    """Face i's transition of sid, then the route inside face i over m."""
+    from chernweil.forms import AffineMap
+    from chernweil.simplicial import word_epi
+
+    d = sid.dim
+    tgt, word = P.base.face(sid, i)
+    collapse = word_epi(word, d - 1)
+    rest = route_reference(P, tuple(collapse[v] for v in m), tgt)
+    return P.transitions[(sid, i)].pullback(AffineMap.from_monotone(m, d - 1)).compose(rest)
+
+
+def validate_bundle_reference(P, seed=0):
+    """validate_bundle's (ok, exact, failures), each face pair i < j of
+    each cell compared through its two routes, computed with no memo."""
+    from chernweil.bundles import transitions_equal
+
+    X = P.base
+    failures = []
+    for d in range(1, X.dim + 1):
+        for sid in X.cells(d):
+            for i in range(d + 1):
+                t = P.transitions.get((sid, i))
+                if t is None:
+                    failures.append(f"missing transition ({sid}, {i})")
+                elif t.dim != d - 1:
+                    failures.append(f"transition ({sid}, {i}) has wrong domain")
+    if not failures:
+        for d in range(2, X.dim + 1):
+            for sid in X.cells(d):
+                for i, j in itertools.combinations(range(d + 1), 2):
+                    # vertex j of sid is vertex j - 1 of face i; vertex i stays i in face j
+                    via_i = face_route_reference(P, sid, i, tuple(v for v in range(d) if v != j - 1))
+                    via_j = face_route_reference(P, sid, j, tuple(v for v in range(d) if v != i))
+                    if not transitions_equal(via_i, via_j, seed):
+                        failures.append(f"cocycle fails on {X.name(sid)} faces ({i},{j})")
+    return not failures, P.algebra.is_abelian, failures
+
+
+def pullback_bundle_reference(f, P):
+    """The transitions of f^* P, each routed with no memo."""
+    from chernweil.simplicial import word_epi
+
+    transitions = {}
+    for d in range(1, f.source.dim + 1):
+        for sid in f.source.cells(d):
+            core, word = f.assignment[sid]
+            epi = word_epi(word, d)
+            for i in range(d + 1):
+                transitions[(sid, i)] = route_reference(P, tuple(epi[v] for v in range(d + 1) if v != i), core)
+    return transitions

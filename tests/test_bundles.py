@@ -35,10 +35,11 @@ from chernweil.simplicial import (
     SimplicialMap,
     boundary_sphere,
     horn,
+    product,
     standard_simplex,
     two_disk_sphere,
 )
-from oracles import winding_of_samples
+from oracles import pullback_bundle_reference, validate_bundle_reference, winding_of_samples
 
 V = SimplexId
 
@@ -386,3 +387,72 @@ def test_constant_u1_gauge_keeps_connection_exactly(X):
         assert D2.forms == D.forms
         report = validate_connection(P2, D2)
         assert report.ok and report.exact
+
+
+def _assert_validates_as_reference(P, seed=0):
+    rep = validate_bundle(P, seed=seed)
+    assert (rep.ok, rep.exact, rep.failures) == validate_bundle_reference(P, seed)
+    return rep
+
+
+@pytest.mark.parametrize(
+    "X",
+    [boundary_sphere(3), horn(3, 0).space, horn(3, 2).space, horn(4, 1).space, horn(4, 4).space],
+    ids=["boundary_sphere3", "horn3_0", "horn3_2", "horn4_1", "horn4_4"],
+)
+def test_validate_bundle_route_memo_matches_reference(X):
+    """validate_bundle routes through one memo per call; the reports
+    equal those of routes recomputed for each face pair, on valid u1
+    bundles and on each with one transition twisted."""
+    rng = random.Random(X.dim * 100 + len(X.cells(X.dim)))
+    u1 = lie_algebra("u1")
+    for _ in range(2):
+        P = random_u1_bundle(X, rng)
+        assert _assert_validates_as_reference(P).ok
+        bad = P.copy()
+        sid = rng.choice(X.cells(X.dim))
+        key = (sid, rng.randrange(X.dim + 1))
+        tw = LieValuedForm.from_polys(u1, [Poly(X.dim - 1, {(1,) + (0,) * (X.dim - 2): Scalar.from_rational(1, 3)})])
+        bad.transitions[key] = TransitionMap.single(tw).compose(bad.transitions[key])
+        assert not _assert_validates_as_reference(bad).ok
+
+
+def test_validate_bundle_route_memo_failing_clutch_and_su2():
+    P, _ = clutch_bundle(2)
+    bad = P.copy()
+    key = (V(2, 1), 2)
+    tw = LieValuedForm.from_polys(P.algebra, [Poly(1, {(1,): Scalar.from_rational(1, 3)})])
+    bad.transitions[key] = TransitionMap.single(tw)
+    rep = _assert_validates_as_reference(bad)
+    assert not rep.ok and rep.exact and rep.failures
+    # a gauged su2 bundle is validated by sampling; twisting one transition breaks it
+    rng = random.Random(11)
+    su2 = lie_algebra("su2")
+    X = boundary_sphere(2)
+    gauges = {s: LieValuedForm.from_polys(su2, [random_poly(rng, s.dim, 1) for _ in range(su2.dim)])
+              for s in X.all_cells()}
+    P2, _ = apply_gauge(trivial_bundle(X, su2), gauges)
+    for seed in (0, 5):
+        rep = _assert_validates_as_reference(P2, seed)
+        assert rep.ok and not rep.exact
+    bad2 = P2.copy()
+    sid = X.cells(2)[0]
+    tw = LieValuedForm.from_polys(su2, [Poly.const(1, Scalar.from_rational(1, 3)), Poly.zero(1), Poly.zero(1)])
+    bad2.transitions[(sid, 0)] = TransitionMap.single(tw).compose(bad2.transitions[(sid, 0)])
+    rep = _assert_validates_as_reference(bad2, 3)
+    assert not rep.ok and not rep.exact
+
+
+def test_pullback_bundle_route_memo_matches_reference(inclusion_of_north, fold_map, swap_map, collapse_map):
+    tds = two_disk_sphere()
+    cyl = product(tds, standard_simplex(1))
+    cases = [
+        (inclusion_of_north, random_u1_bundle(tds, random.Random(4))),
+        (swap_map, random_u1_bundle(tds, random.Random(5))),
+        (fold_map, random_u1_bundle(standard_simplex(2), random.Random(6))),
+        (collapse_map, random_u1_bundle(standard_simplex(1), random.Random(7))),
+        (cyl.pr_x, clutch_bundle(3)[0]),
+        (cyl.pr_y, random_u1_bundle(standard_simplex(1), random.Random(8))),
+    ]
+    for f, P in cases:
+        assert pullback_bundle(f, P).transitions == pullback_bundle_reference(f, P)

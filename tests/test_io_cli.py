@@ -1,5 +1,8 @@
+import contextlib
+import io
 import itertools
 import random
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from chernweil import io as cio
 from chernweil.bundles import LieValuedForm, apply_gauge, clutch_bundle, construct_connection, trivial_bundle
-from chernweil.cli import main
+from chernweil.cli import build_parser, main
 from chernweil.forms import PolyForm, random_poly, random_polyform
 from chernweil.liealg import lie_algebra
 from chernweil.poly import Poly
@@ -683,3 +686,160 @@ def test_cli_rejects_noncanonical_numerals(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+def _call(argv):
+    """One in-process CLI call: (exit code, stdout, stderr).  An exception
+    other than argparse's SystemExit propagates, failing the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# argv with @ for a scratch directory holding a text file f, a directory d
+# and a file binary that is not UTF-8
+FILESYSTEM_ERRORS = {
+    "betti-space-dir": ["betti", "--space", "@/d"],
+    "chern-bundle-dir": ["chern", "--bundle", "@/d", "--space", "two-disk"],
+    "chern-connection-dir": ["chern", "--bundle", "clutch:1", "--connection", "@/d"],
+    "generate-out-file": ["generate", "clutch", "--n", "1", "--out", "@/f"],
+    "clutch-out-file": ["clutch", "--n", "1", "--out", "@/f"],
+    "horn-fill-out-file": ["horn-fill", "--n", "2", "--k", "0", "--out", "@/f"],
+    "chern-out-under-file": ["chern", "--bundle", "clutch:1", "--out", "@/f/x"],
+    "betti-out-dir": ["betti", "--space", "standard:1", "--out", "@/d"],
+    "betti-space-binary": ["betti", "--space", "@/binary"],
+    "chern-connection-binary": ["chern", "--bundle", "clutch:1", "--connection", "@/binary"],
+}
+
+
+@pytest.mark.parametrize("case", list(FILESYSTEM_ERRORS))
+def test_cli_filesystem_errors_are_usage_errors(case, tmp_path):
+    # an input path that cannot be read as text, or an --out that cannot
+    # be written, exits 2 with one error line and no report
+    (tmp_path / "f").write_text("x\n")
+    (tmp_path / "d").mkdir()
+    (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = _call([a.replace("@", str(tmp_path)) for a in FILESYSTEM_ERRORS[case]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "f").read_text() == "x\n" and not any((tmp_path / "d").iterdir())
+
+
+@pytest.mark.parametrize("command", [["betti", "--space", "standard:1"], ["horn-fill", "--n", "2", "--k", "0"],
+                                     ["verify", "--suite", "forms"]], ids=["betti", "horn-fill", "verify"])
+def test_cli_negative_seed_is_usage_error(command):
+    assert _call(command + ["--seed", "-1"])[:2] == (2, "")
+    assert _call(command + ["--seed", "0"])[0] == 0
+
+
+def test_cli_parser_reused_across_calls(tmp_path):
+    """Each call through the process's one parser reports exactly what
+    the same call through a freshly built parser reports, so no value
+    leaks from one call into the next."""
+    sequence = [
+        ["betti", "--space", "standard:1", "--max-dim"],  # argparse error
+        ["betti", "--space", "standard:-1"],  # UsageError
+        ["chern", "--bundle", "clutch:1", "--poly", "symtrace:1"],
+        ["chern", "--bundle", "clutch:1"],
+        ["generate", "trivial", "--group", "su2", "--out", str(tmp_path / "su2")],
+        ["generate", "trivial", "--out", str(tmp_path / "u1")],
+        ["clutch", "--n", "2", "--seed", "4"],
+        ["clutch", "--n", "1"],
+        ["--help"],
+    ]
+
+    def run(fresh):
+        for d in tmp_path.iterdir():
+            shutil.rmtree(d)
+        results = []
+        for argv in sequence:
+            if fresh:
+                build_parser.cache_clear()
+            results.append(_call(argv) + tuple(sorted((p.name, p.read_text()) for p in tmp_path.rglob("*.txt"))))
+        return results
+
+    build_parser.cache_clear()
+    reused = run(fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert reused == run(fresh=True)
+    assert reused[0][0] == 2 and reused[0][2].startswith("usage:")
+    assert reused[1][0] == 2 and reused[1][2].startswith("error:")
+    assert "class rho=symtrace:1 " in reused[2][1] and "class rho=chern:1 " in reused[3][1]
+    assert "group su2" in (tmp_path / "su2" / "bundle.txt").read_text()
+    assert "group u1" in (tmp_path / "u1" / "bundle.txt").read_text()
+    assert "seed: 4" in reused[6][1] and "seed: 0" in reused[7][1]
+    assert reused[8][0] == 0 and reused[8][1].startswith("usage: chernweil")
+
+
+# the fuzzer's argv vocabulary; @ is its scratch directory
+FUZZ_NUMERALS = ["-2", "-1", "0", "1", "2", "3", "x", "1.5", "", "+1", "1e3", "\uff11"]
+FUZZ_PATHS = ["@/missing.txt", "@/d", "@/f", "@/f/x", "@/binary", "@/c/space.txt", "@/c/bundle.txt",
+              "@/c/connection.txt", "@/t/space.txt", "@/t/bundle.txt"]
+FUZZ_OUTS = ["@/out/new", "@/out/file", "@/out/dir", "@/out/file/x", "@/out/a/b"]
+FUZZ_SELECTOR = st.sampled_from(["standard", "boundary-sphere", "clutch", "bogus", "two-disk"]).flatmap(
+    lambda kind: st.sampled_from(FUZZ_NUMERALS).map(lambda n: f"{kind}:{n}")) | st.sampled_from(["two-disk", "bogus"])
+FUZZ_VALUES = {
+    "--space": FUZZ_SELECTOR | st.sampled_from(FUZZ_PATHS),
+    "--bundle": FUZZ_SELECTOR | st.sampled_from(FUZZ_PATHS),
+    "--connection": st.sampled_from(FUZZ_PATHS),
+    "--poly": st.sampled_from(["chern", "symtrace", "reznikov", "bogus"]).flatmap(
+        lambda kind: st.sampled_from(FUZZ_NUMERALS).map(lambda n: f"{kind}:{n}")) | st.sampled_from(["chern:1:x", "chern"]),
+    "--group": st.sampled_from(["u1", "u2", "su2", "su3", "so3", "su9", "bogus", ""]),
+    "--suite": st.sampled_from(["all", "simplicial", "forms", "liealg", "bundles", "chernweil", "bogus", ""]),
+    "--mode": st.sampled_from(["exact", "float", "bogus"]),
+    "--out": st.sampled_from(FUZZ_OUTS),
+    "--bogus": st.sampled_from(["1"]),
+}
+FUZZ_FLAGS = {
+    "betti": ["--space", "--max-dim"],
+    "chern": ["--bundle", "--space", "--connection", "--poly"],
+    "clutch": ["--n"],
+    "generate": ["--n", "--k", "--space", "--group"],
+    "horn-fill": ["--n", "--k"],
+    "reznikov": ["--k", "--mode"],
+    "verify": ["--suite"],
+    "bogus": [],
+}
+
+
+@st.composite
+def fuzz_argvs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command]
+    if command == "generate" and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["clutch", "trivial", "horn-demo", "bogus"])))
+    flags = FUZZ_FLAGS[command] + ["--seed", "--out", "--mode", "--bogus", "--help"]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=5)):
+        argv.append(flag)
+        if flag != "--help" and draw(st.integers(0, 9)):  # now and then a flag without its value
+            argv.append(draw(FUZZ_VALUES.get(flag, st.sampled_from(FUZZ_NUMERALS))))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "f").write_text("x\n")
+    (d / "d").mkdir()
+    (d / "binary").write_bytes(b"\xff\xfe\x00")
+    assert main(["clutch", "--n", "1", "--out", str(d / "c")]) == 0
+    assert main(["generate", "trivial", "--group", "su2", "--out", str(d / "t")]) == 0
+    (d / "out" / "dir").mkdir(parents=True)
+    (d / "out" / "file").write_text("x\n")
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argvs())
+def test_cli_fuzz_exit_contract(fuzz_dir, argv):
+    code, out, err = _call([a.replace("@", str(fuzz_dir)) for a in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith(("error:", "usage:"))

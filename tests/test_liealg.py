@@ -37,6 +37,14 @@ def test_u1_abelian():
     assert all(c.is_zero() for c in bracket(x, y).coords)
 
 
+@pytest.mark.parametrize("name", ["u1", "su2", "so3", "su3", "su4", "u2", "u3", "u4"])
+def test_is_abelian_is_all_structure_constants_zero(name):
+    alg = lie_algebra(name)
+    zero = all(c.is_zero() for coeffs in alg.structure.values() for c in coeffs)
+    commute = all(np.allclose(a @ b, b @ a) for a in alg.basis_float for b in alg.basis_float)
+    assert alg.is_abelian == zero == commute == (name == "u1")
+
+
 def test_su2_bracket_matches_matrices():
     su2 = lie_algebra("su2")
     for a, b in itertools.product(range(3), repeat=2):
