@@ -121,17 +121,11 @@ class LieValuedForm:
             fa = self.coords[a]
             if fa.is_zero():
                 continue
-            for b in range(alg.dim):
-                if a == b:
-                    continue
-                fb = other.coords[b]
+            for b, fb in enumerate(other.coords):
                 if fb.is_zero():
                     continue
-                coeffs = alg.structure[(a, b)] if a < b else alg.structure[(b, a)]
-                sgn = 1 if a < b else -1
-                for c, s in enumerate(coeffs):
-                    if not s.is_zero():
-                        fa.scale(s * sgn)._wedge_into(acc[c], fb)
+                for c, s in alg.structure[a][b]:
+                    fa.scale(s)._wedge_into(acc[c], fb)
         deg = self.deg + other.deg
         return LieValuedForm(alg, self.dim, deg, [_form_from_acc(self.dim, deg, t) for t in acc])
 
@@ -293,11 +287,7 @@ class BundleData:
 
 
 def trivial_bundle(X, algebra):
-    transitions = {}
-    for d in range(1, X.dim + 1):
-        for sid in X.cells(d):
-            for i in range(d + 1):
-                transitions[(sid, i)] = TransitionMap.identity(algebra, d - 1)
+    transitions = {(sid, i): TransitionMap.identity(algebra, sid.dim - 1) for sid, i in X.faces}
     return BundleData(X, algebra, transitions)
 
 
@@ -369,14 +359,12 @@ def validate_bundle(P, seed=0):
     X = P.base
     exact = P.algebra.is_abelian
     failures = []
-    for d in range(1, X.dim + 1):
-        for sid in X.cells(d):
-            for i in range(d + 1):
-                t = P.transitions.get((sid, i))
-                if t is None:
-                    failures.append(f"missing transition ({sid}, {i})")
-                elif t.dim != d - 1:
-                    failures.append(f"transition ({sid}, {i}) has wrong domain")
+    for sid, i in X.faces:
+        t = P.transitions.get((sid, i))
+        if t is None:
+            failures.append(f"missing transition ({sid}, {i})")
+        elif t.dim != sid.dim - 1:
+            failures.append(f"transition ({sid}, {i}) has wrong domain")
     if failures:
         return BundleReport(False, exact, failures)
     memo = {}
@@ -395,13 +383,10 @@ def pullback_bundle(f, P):
     if f.target != P.base:
         raise BundleError("pullback along a map into a different base")
     transitions, memo = {}, {}
-    for d in range(1, f.source.dim + 1):
-        for sid in f.source.cells(d):
-            core, word = f.assignment[sid]
-            epi = word_epi(word, d)
-            for i in range(d + 1):
-                m = compose_monotone(epi, mono_skip(d, {i}))
-                transitions[(sid, i)] = _route(P, m, core, memo)
+    for sid, i in f.source.faces:
+        core, word = f.assignment[sid]
+        m = compose_monotone(word_epi(word, sid.dim), mono_skip(sid.dim, {i}))
+        transitions[(sid, i)] = _route(P, m, core, memo)
     return BundleData(f.source, P.algebra, transitions)
 
 
@@ -516,32 +501,30 @@ def validate_connection(P, D, seed=0):
     exact = P.algebra.is_abelian or all(t.is_identity() for t in P.transitions.values())
     failures = []
     worst = 0.0
-    for d in range(1, X.dim + 1):
-        for sid in X.cells(d):
-            A = D.forms[sid]
-            for i in range(d + 1):
-                actual = A.pullback(AffineMap.face(d, i))
-                if exact:
-                    want = gauge_prescription(P, D.forms, sid, i)
-                    if actual != want:
-                        failures.append(f"gauge compatibility fails at ({X.name(sid)}, {i})")
-                    continue
-                face_form = form_on(D.forms, X.face(sid, i))
-                phi = P.transitions[(sid, i)]
-                local_worst = 0.0
-                for pt in _sample_points(d - 1, 4, seed):
-                    fv = face_form.eval_matrix_coeffs(pt)
-                    av = actual.eval_matrix_coeffs(pt)
-                    rld, g = _rld_numeric(phi, pt)
-                    gi = np.linalg.inv(g)
-                    for j in range(d - 1):
-                        z = np.zeros((P.algebra.n, P.algebra.n), dtype=complex)
-                        lhs = fv.get((j,), z)
-                        rhs = gi @ (av.get((j,), z) + rld.get(j, z)) @ g
-                        local_worst = max(local_worst, float(np.abs(lhs - rhs).max()))
-                worst = max(worst, local_worst)
-                if local_worst > SAMPLE_TOL:
-                    failures.append(f"gauge compatibility fails at ({X.name(sid)}, {i})")
+    for sid, i in X.faces:
+        d = sid.dim
+        actual = D.forms[sid].pullback(AffineMap.face(d, i))
+        if exact:
+            want = gauge_prescription(P, D.forms, sid, i)
+            if actual != want:
+                failures.append(f"gauge compatibility fails at ({X.name(sid)}, {i})")
+            continue
+        face_form = form_on(D.forms, X.face(sid, i))
+        phi = P.transitions[(sid, i)]
+        local_worst = 0.0
+        for pt in _sample_points(d - 1, 4, seed):
+            fv = face_form.eval_matrix_coeffs(pt)
+            av = actual.eval_matrix_coeffs(pt)
+            rld, g = _rld_numeric(phi, pt)
+            gi = np.linalg.inv(g)
+            for j in range(d - 1):
+                z = np.zeros((P.algebra.n, P.algebra.n), dtype=complex)
+                lhs = fv.get((j,), z)
+                rhs = gi @ (av.get((j,), z) + rld.get(j, z)) @ g
+                local_worst = max(local_worst, float(np.abs(lhs - rhs).max()))
+        worst = max(worst, local_worst)
+        if local_worst > SAMPLE_TOL:
+            failures.append(f"gauge compatibility fails at ({X.name(sid)}, {i})")
     return ConnectionReport(not failures, exact, worst, failures)
 
 
@@ -700,16 +683,11 @@ def apply_gauge(P, gauges, D=None):
     """
     X = P.base
     transitions = {}
-    for d in range(1, X.dim + 1):
-        for sid in X.cells(d):
-            for i in range(d + 1):
-                phi = P.transitions[(sid, i)]
-                fm = AffineMap.face(d, i)
-                h_here = gauges[sid].pullback(fm)
-                h_face = form_on(gauges, X.face(sid, i))
-                t = TransitionMap(P.algebra, d - 1, [-h_here])
-                t = t.compose(phi).compose(TransitionMap(P.algebra, d - 1, [h_face]))
-                transitions[(sid, i)] = t
+    for (sid, i), face in X.faces.items():
+        h_here = gauges[sid].pullback(AffineMap.face(sid.dim, i))
+        h_face = form_on(gauges, face)
+        t = TransitionMap(P.algebra, sid.dim - 1, [-h_here]).compose(P.transitions[(sid, i)])
+        transitions[(sid, i)] = t.compose(TransitionMap(P.algebra, sid.dim - 1, [h_face]))
     P2 = BundleData(X, P.algebra, transitions)
     if D is None:
         return P2, None
@@ -859,8 +837,5 @@ def _facet_mismatch_constant(pres_a, pres_b, ia, ib, domain_dim):
 
 def restrict_bundle_to_horn(filled, H, cell_map):
     """Pull the filled bundle's data back to the horn's cells."""
-    transitions = {}
-    for sid in H.space.all_cells():
-        for i in range(sid.dim + 1) if sid.dim > 0 else []:
-            transitions[(sid, i)] = filled.transitions[(cell_map[sid], i)]
+    transitions = {(sid, i): filled.transitions[(cell_map[sid], i)] for sid, i in H.space.faces}
     return BundleData(H.space, filled.algebra, transitions)

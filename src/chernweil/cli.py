@@ -50,19 +50,30 @@ class RunReport:
         return "\n".join(self.lines) + "\n"
 
 
-def _space_size(kind, arg):
+def _read_int(text, need, signed=True):
+    """parse_int(text, signed); any other spelling is a UsageError
+    saying what needs the integer."""
     try:
-        return parse_int(arg, signed=False)
+        return parse_int(text, signed)
     except ValueError:
-        raise UsageError(f"{kind} needs a nonnegative integer size, got {arg!r}") from None
+        raise UsageError(f"{need}, got {text!r}") from None
+
+
+def _space_size(kind, arg):
+    return _read_int(arg, f"{kind} needs a nonnegative integer size", signed=False)
 
 
 def _clutch_n(arg):
     """The winding number N of a clutch:N selector."""
-    try:
-        return parse_int(arg)
-    except ValueError:
-        raise UsageError(f"clutch needs an integer winding number, got {arg!r}") from None
+    return _read_int(arg, "clutch needs an integer winding number")
+
+
+def _int_flag(flag, signed=True):
+    """The argparse type of an integer flag.  Its UsageError passes
+    through argparse, which turns only ValueError and TypeError into a
+    usage message, to main's exit 2."""
+    need = f"{flag} needs {'an' if signed else 'a nonnegative'} integer"
+    return functools.partial(_read_int, need=need, signed=signed)
 
 
 def _parse_space(selector):
@@ -84,8 +95,6 @@ def _parse_space(selector):
 
 
 def cmd_betti(args, report):
-    if args.max_dim is not None and args.max_dim < 0:
-        raise UsageError(f"--max-dim must be a nonnegative integer, got {args.max_dim}")
     X = _parse_space(args.space)
     maxd = X.dim if args.max_dim is None else args.max_dim
     b = sc.betti_numbers(X, maxd)
@@ -282,12 +291,13 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+        # numpy's sampling generators take nonnegative seeds only
+        sp.add_argument("--seed", type=_int_flag("--seed", signed=False), default=0)
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("betti", help="rational betti numbers of a space")
     sp.add_argument("--space", required=True)
-    sp.add_argument("--max-dim", type=int, default=None)
+    sp.add_argument("--max-dim", type=_int_flag("--max-dim", signed=False), default=None)
     common(sp)
 
     sp = sub.add_parser("chern", help="characteristic cochain of a bundle")
@@ -298,24 +308,24 @@ def build_parser():
     common(sp)
 
     sp = sub.add_parser("clutch", help="build clutch(n) and check integrality")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_int_flag("--n"), required=True)
     common(sp)
 
     sp = sub.add_parser("generate", help="write example inputs to files")
     sp.add_argument("kind", choices=["clutch", "trivial", "horn-demo"])
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--n", type=_int_flag("--n"), default=1)
+    sp.add_argument("--k", type=_int_flag("--k"), default=1)
     sp.add_argument("--space", default="boundary-sphere:2")
     sp.add_argument("--group", default="u1")
     common(sp)
 
     sp = sub.add_parser("horn-fill", help="fill a random horn bundle")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--n", type=_int_flag("--n"), required=True)
+    sp.add_argument("--k", type=_int_flag("--k"), required=True)
     common(sp)
 
     sp = sub.add_parser("reznikov", help="integrated-Hamiltonian functional on su2")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_int_flag("--k"), required=True)
     # reznikov runs only with --mode float; every other report says mode: exact
     sp.add_argument("--mode", choices=["exact", "float"], default="exact")
     common(sp)
@@ -338,13 +348,10 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     echo = " ".join(argv if argv is not None else sys.argv[1:])
-    report = RunReport(echo, args.seed, getattr(args, "mode", "exact"))
     try:
-        if args.seed < 0:
-            # numpy's sampling generators take nonnegative seeds only
-            raise UsageError(f"--seed must be a nonnegative integer, got {args.seed}")
+        args = build_parser().parse_args(argv)
+        report = RunReport(echo, args.seed, getattr(args, "mode", "exact"))
         try:
             report = COMMANDS[args.command](args, report)
         except MathError as e:

@@ -28,11 +28,11 @@ from math import factorial
 import numpy as np
 
 from .bundles import Connection, pullback_bundle
-from .forms import AffineMap, PolyForm, SimplicialForm, check_simplicial_form, integrate_to_cochain
+from .forms import PolyForm, SimplicialForm, check_simplicial_form, integrate_to_cochain
 from .linalg import sort_sign
 from .poly import Poly
 from .scalars import Scalar
-from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_cochain, word_epi
+from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_cochain
 
 
 def curvature_form(A):
@@ -192,11 +192,7 @@ def cw_cochain(rho, D):
 
 def pullback_connection(f, P, D):
     """The pullback connection on f^* P: (f^* D)_a = D_{f(a)} in charts."""
-    forms = {}
-    for sid in f.source.all_cells():
-        core, word = f.assignment[sid]
-        m = word_epi(word, sid.dim)
-        forms[sid] = D.forms[core].pullback(AffineMap.from_monotone(m, core.dim))
+    forms = {sid: D.form_on(f(sid)) for sid in f.source.all_cells()}
     return Connection(pullback_bundle(f, P), forms)
 
 

@@ -457,13 +457,9 @@ def check_simplicial_form(omega):
     """
     X = omega.base
     bad = []
-    for d in range(1, X.dim + 1):
-        for sid in X.cells(d):
-            for i in range(d + 1):
-                lhs = omega.form(sid).pullback(AffineMap.face(d, i))
-                rhs = omega.form_on(X.face(sid, i))
-                if lhs != rhs:
-                    bad.append((sid, i))
+    for (sid, i), face in X.faces.items():
+        if omega.form(sid).pullback(AffineMap.face(sid.dim, i)) != omega.form_on(face):
+            bad.append((sid, i))
     return bad
 
 

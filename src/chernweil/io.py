@@ -241,12 +241,9 @@ def simplicial_set_to_str(X):
     lines = ["simplicial-set v1"]
     for d, c in enumerate(X.counts):
         lines.append(f"dim {d}: {c}")
-    for d in range(1, X.dim + 1):
-        for sid in X.cells(d):
-            for i in range(d + 1):
-                tgt, word = X.faces[(sid, i)]
-                w = "".join(f" s{j}" for j in word)
-                lines.append(f"face {sid.dim}.{sid.index} {i} -> {tgt.dim}.{tgt.index}{w}")
+    for (sid, i), (tgt, word) in X.faces.items():
+        w = "".join(f" s{j}" for j in word)
+        lines.append(f"face {sid.dim}.{sid.index} {i} -> {tgt.dim}.{tgt.index}{w}")
     for sid in X.all_cells():
         if sid in X.names:
             lines.append(f"name {sid.dim}.{sid.index} {X.names[sid]}")
@@ -356,16 +353,10 @@ def _header(lines, kind):
 
 def bundle_to_str(P):
     lines = [f"bundle v1; group {P.algebra.name}"]
-    X = P.base
-    for d in range(1, X.dim + 1):
-        for sid in X.cells(d):
-            for i in range(d + 1):
-                t = P.transitions[(sid, i)]
-                if t.is_identity():
-                    body = "id"
-                else:
-                    body = " * ".join(f"exp({_lvp_to_str(f)})" for f in t.factors)
-                lines.append(f"transition {sid.dim}.{sid.index}.{i}: {body}")
+    for sid, i in P.base.faces:
+        t = P.transitions[(sid, i)]
+        body = "id" if t.is_identity() else " * ".join(f"exp({_lvp_to_str(f)})" for f in t.factors)
+        lines.append(f"transition {sid.dim}.{sid.index}.{i}: {body}")
     return "\n".join(lines) + "\n"
 
 
@@ -398,11 +389,9 @@ def parse_bundle(text, base):
                 factors.append(_parse_lvp(chunk[4:-1], algebra, dim))
             t = TransitionMap(algebra, dim, factors)
         transitions[(sid, i)] = t
-    for d in range(1, base.dim + 1):
-        for sid in base.cells(d):
-            for i in range(d + 1):
-                if (sid, i) not in transitions:
-                    raise ParseError(f"no transition for face {sid.dim}.{sid.index}.{i} of the base")
+    for sid, i in base.faces:
+        if (sid, i) not in transitions:
+            raise ParseError(f"no transition for face {sid.dim}.{sid.index}.{i} of the base")
     return BundleData(base, algebra, transitions)
 
 

@@ -130,8 +130,12 @@ def _zeros(n):
     return [[_S() for _ in range(n)] for _ in range(n)]
 
 
-def _basis_u1():
-    return [[[_S(0, 1)]]]
+def _matrix(n, entries):
+    """The n x n Scalar matrix with these (row, column) -> Scalar entries."""
+    m = _zeros(n)
+    for (r, c), v in entries.items():
+        m[r][c] = v
+    return m
 
 
 def _basis_su2():
@@ -150,43 +154,22 @@ def _basis_so3():
     return [L1, L2, L3]
 
 
-def _basis_un(n):
+def _off_diagonal(n):
+    """The off-diagonal block of the u(n) and su(n) bases: E_kl - E_lk
+    and i(E_kl + E_lk) for each k < l."""
     out = []
-    for k in range(n):
-        m = _zeros(n)
-        m[k][k] = _S(0, 1)
-        out.append(m)
-    for k in range(n):
-        for l in range(k + 1, n):
-            m = _zeros(n)
-            m[k][l] = _S(1)
-            m[l][k] = _S(-1)
-            out.append(m)
-            m = _zeros(n)
-            m[k][l] = _S(0, 1)
-            m[l][k] = _S(0, 1)
-            out.append(m)
+    for k, l in itertools.combinations(range(n), 2):
+        out.append(_matrix(n, {(k, l): _S(1), (l, k): _S(-1)}))
+        out.append(_matrix(n, {(k, l): _S(0, 1), (l, k): _S(0, 1)}))
     return out
+
+
+def _basis_un(n):
+    return [_matrix(n, {(k, k): _S(0, 1)}) for k in range(n)] + _off_diagonal(n)
 
 
 def _basis_sun(n):
-    out = []
-    for k in range(n - 1):
-        m = _zeros(n)
-        m[k][k] = _S(0, 1)
-        m[k + 1][k + 1] = _S(0, -1)
-        out.append(m)
-    for k in range(n):
-        for l in range(k + 1, n):
-            m = _zeros(n)
-            m[k][l] = _S(1)
-            m[l][k] = _S(-1)
-            out.append(m)
-            m = _zeros(n)
-            m[k][l] = _S(0, 1)
-            m[l][k] = _S(0, 1)
-            out.append(m)
-    return out
+    return [_matrix(n, {(k, k): _S(0, 1), (k + 1, k + 1): _S(0, -1)}) for k in range(n - 1)] + _off_diagonal(n)
 
 
 def _scalar_solve(columns, rhs):
@@ -200,7 +183,12 @@ def _scalar_solve(columns, rhs):
 
 
 class LieData:
-    """A named matrix Lie algebra with exact basis and structure constants."""
+    """A named matrix Lie algebra with exact basis and structure constants.
+
+    structure[a][b] is the tuple of the nonzero (c, s) with
+    [e_a, e_b] = sum s e_c, c increasing, for every ordered pair (a, b):
+    antisymmetric, and empty on the diagonal.
+    """
 
     def __init__(self, name, basis):
         self.name = name
@@ -213,13 +201,13 @@ class LieData:
         self._flat = [
             [b[r][c] for r in range(self.n) for c in range(self.n)] for b in basis
         ]
-        self.structure = {}
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                m = mat_sub(mat_mul(basis[a], basis[b]), mat_mul(basis[b], basis[a]))
-                flat = [m[r][c] for r in range(self.n) for c in range(self.n)]
-                self.structure[(a, b)] = _scalar_solve(self._flat, flat)
-        self.is_abelian = all(all(c.is_zero() for c in v) for v in self.structure.values())
+        self.structure = [[()] * self.dim for _ in range(self.dim)]
+        for a, b in itertools.combinations(range(self.dim), 2):
+            m = mat_sub(mat_mul(basis[a], basis[b]), mat_mul(basis[b], basis[a]))
+            coeffs = _scalar_solve(self._flat, [m[r][c] for r in range(self.n) for c in range(self.n)])
+            self.structure[a][b] = tuple((c, s) for c, s in enumerate(coeffs) if not s.is_zero())
+            self.structure[b][a] = tuple((c, -s) for c, s in self.structure[a][b])
+        self.is_abelian = not any(any(row) for row in self.structure)
 
     def element(self, coords):
         return LieElement(self, [Scalar.coerce(c) for c in coords])
@@ -239,19 +227,14 @@ class LieData:
 
     def bracket_coords(self, x, y):
         out = [Scalar.zero()] * self.dim
-        for a in range(self.dim):
-            xa = x[a]
+        for a, xa in enumerate(x):
             if xa.is_zero():
                 continue
-            for b in range(self.dim):
-                yb = y[b]
-                if yb.is_zero() or a == b:
+            for b, yb in enumerate(y):
+                if yb.is_zero():
                     continue
-                coeffs = self.structure[(a, b)] if a < b else self.structure[(b, a)]
-                sgn = 1 if a < b else -1
-                for c, s in enumerate(coeffs):
-                    if not s.is_zero():
-                        out[c] = out[c] + xa * yb * s * Fraction(sgn)
+                for c, s in self.structure[a][b]:
+                    out[c] = out[c] + xa * yb * s
         return out
 
     def element_matrix_float(self, coords):
@@ -294,27 +277,21 @@ class LieElement:
         return LieElement(self.algebra, [a * c for a in self.coords])
 
 
-_REGISTRY = {}
+# the supported algebras, by their one spelling each
+_BASES = {
+    "su2": _basis_su2,
+    "so3": _basis_so3,
+    **{f"su{n}": functools.partial(_basis_sun, n) for n in (3, 4)},
+    **{f"u{n}": functools.partial(_basis_un, n) for n in (1, 2, 3, 4)},
+}
 
 
+@functools.cache
 def lie_algebra(name):
     """Look up (and cache) one of the supported algebras by name."""
-    if name in _REGISTRY:
-        return _REGISTRY[name]
-    if name == "u1":
-        data = LieData("u1", _basis_u1())
-    elif name == "su2":
-        data = LieData("su2", _basis_su2())
-    elif name == "so3":
-        data = LieData("so3", _basis_so3())
-    elif name.startswith("su") and name[2:].isdigit() and 2 <= int(name[2:]) <= 4:
-        data = LieData(name, _basis_sun(int(name[2:])))
-    elif name.startswith("u") and name[1:].isdigit() and 1 <= int(name[1:]) <= 4:
-        data = LieData(name, _basis_un(int(name[1:])))
-    else:
+    if name not in _BASES:
         raise LieAlgebraError(f"unsupported algebra {name!r}")
-    _REGISTRY[name] = data
-    return data
+    return LieData(name, _BASES[name]())
 
 
 def bracket(x, y):
@@ -597,15 +574,12 @@ def check_invariant_polynomial(rho, rng):
         a = tuple(sorted(idx))
         return T[a] * Fraction(1, multinomial(Counter(a).values())) if a in T else Scalar.zero()
 
-    unit = [[Scalar.one() if i == j else Scalar.zero() for i in range(alg.dim)] for j in range(alg.dim)]
     for x in range(alg.dim):
-        ad = [alg.bracket_coords(unit[x], unit[b]) for b in range(alg.dim)]
         for a in itertools.combinations_with_replacement(range(alg.dim), k):
             total = Scalar.zero()
             for s in range(k):
-                for c, coef in enumerate(ad[a[s]]):
-                    if not coef.is_zero():
-                        total = total + coef * S(a[:s] + (c,) + a[s + 1:])
+                for c, coef in alg.structure[x][a[s]]:
+                    total = total + coef * S(a[:s] + (c,) + a[s + 1:])
             if not total.is_zero():
                 return f"tensor not ad-invariant under e{x}: defect {total!r} at {a}"
     for _ in range(3):

@@ -68,12 +68,6 @@ def rank(matrix):
     return len(row_reduce(rows, len(rows[0]))) if rows else 0
 
 
-def nullity(matrix, ncols):
-    if not matrix:
-        return ncols
-    return ncols - rank(matrix)
-
-
 def solution_from_pivots(pivots, values, n):
     """x with x[col] = values[row] at each pivot and zero elsewhere."""
     x = [Scalar.zero() for _ in range(n)]

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import nullity, rank, solve_or_certify
+from .linalg import rank, solve_or_certify
 from .scalars import Scalar
 
 
@@ -104,7 +104,8 @@ class SimplicialSet:
         counts[d] is the number of nondegenerate d-simplices.
     faces : dict
         (SimplexId, i) -> FormalSimplex, for every d > 0 simplex and
-        0 <= i <= d.
+        0 <= i <= d; iterating it walks the face maps by dimension,
+        index and i.
     names : dict
         optional human-readable labels, SimplexId -> str.
     """
@@ -113,7 +114,8 @@ class SimplicialSet:
         self.counts = list(counts)
         while self.counts and self.counts[-1] == 0:
             self.counts.pop()
-        self.faces = dict(faces)
+        # sorted once, so every walk over the face maps takes one order
+        self.faces = dict(sorted(faces.items()))
         self.names = dict(names or {})
 
     def __eq__(self, other):
@@ -227,13 +229,9 @@ class SimplicialMap:
                     bad.append(f"assignment for {sid} has wrong dimension")
         if bad:
             return bad
-        for d in range(1, self.source.dim + 1):
-            for sid in self.source.cells(d):
-                for i in range(d + 1):
-                    lhs = self.apply(self.source.face_of((sid, ()), i))
-                    rhs = self.target.face_of(self.apply((sid, ())), i)
-                    if lhs != rhs:
-                        bad.append(f"does not commute with d_{i} on {sid}")
+        for (sid, i), face in self.source.faces.items():
+            if self.apply(face) != self.target.face_of(self.apply((sid, ())), i):
+                bad.append(f"does not commute with d_{i} on {sid}")
         return bad
 
     @staticmethod
@@ -583,20 +581,12 @@ def boundary_operator(X, k):
 
 
 def betti_numbers(X, max_dim):
-    """Ranks of rational homology: dim ker d_k - rank d_{k+1}."""
-    out = []
-    for k in range(max_dim + 1):
-        nk = X.counts[k] if k <= X.dim else 0
-        if k == 0:
-            ker = nk
-        else:
-            ker = nullity(boundary_operator(X, k), nk) if nk else 0
-        if k + 1 <= X.dim and X.counts[k + 1]:
-            rk = rank(boundary_operator(X, k + 1))
-        else:
-            rk = 0
-        out.append(ker - rk)
-    return out
+    """Ranks of rational homology, b_k = n_k - r_k - r_{k+1} with n_k the
+    number of k-cells and r_k the rank of d_k; each boundary matrix that
+    is not empty is reduced once."""
+    n = [X.counts[k] if k <= X.dim else 0 for k in range(max_dim + 2)]
+    r = [0] + [rank(boundary_operator(X, k)) if n[k - 1] and n[k] else 0 for k in range(1, max_dim + 2)]
+    return [n[k] - r[k] - r[k + 1] for k in range(max_dim + 1)]
 
 
 def is_coboundary(X, cochain):

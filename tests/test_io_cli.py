@@ -138,6 +138,18 @@ def test_space_round_trips():
         assert cio.simplicial_set_to_str(X2) == text
 
 
+def test_space_with_shuffled_face_lines_writes_canonical_text():
+    X = product(two_disk_sphere(), standard_simplex(1)).space
+    text = cio.simplicial_set_to_str(X)
+    lines = text.splitlines(keepends=True)
+    faces = [l for l in lines if l.startswith("face ")]
+    random.Random(0).shuffle(faces)
+    shuffled = "".join([l for l in lines if l.startswith("dim ") or l.startswith("simplicial")] + faces
+                       + [l for l in lines if l.startswith("name ")])
+    assert shuffled != text
+    assert cio.simplicial_set_to_str(cio.parse_simplicial_set(shuffled)) == text
+
+
 # edits of standard_simplex(1)'s file that name a face or cell the dim
 # lines do not declare, repeat a line, or leave a face out
 SPACE_EDITS = {
@@ -678,14 +690,23 @@ def test_cli_verify_all(capsys):
         ["chern", "--bundle", "clutch:1", "--poly", "chern: 1"],
         ["betti", "--space", "standard:+2"],
         ["chern", "--bundle", "clutch: 1"],
+        ["clutch", "--n", "+2"],
+        ["clutch", "--n", "\uff11"],
+        ["verify", "--seed", " 1"],
+        ["betti", "--space", "standard:1", "--max-dim", "1_0"],
+        ["generate", "trivial", "--group", "su02", "--out", "g4"],
     ],
-    ids=["poly-plus", "poly-space", "space-plus", "clutch-space"],
+    ids=["poly-plus", "poly-space", "space-plus", "clutch-space", "n-plus", "n-fullwidth", "seed-space",
+         "max-dim-underscore", "group-leading-zero"],
 )
-def test_cli_rejects_noncanonical_numerals(argv, capsys):
-    # the command line reads integers by the file formats' numeral rule
+def test_cli_rejects_noncanonical_numerals(argv, capsys, tmp_path, monkeypatch):
+    # the command line reads integers, flags and selectors alike, and
+    # algebra names by the file formats' numeral rule
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+    assert not any(tmp_path.iterdir())
 
 
 def _call(argv):

@@ -37,25 +37,42 @@ def test_u1_abelian():
     assert all(c.is_zero() for c in bracket(x, y).coords)
 
 
-@pytest.mark.parametrize("name", ["u1", "su2", "so3", "su3", "su4", "u2", "u3", "u4"])
+ALGEBRAS = ["u1", "su2", "so3", "su3", "su4", "u2", "u3", "u4"]
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
 def test_is_abelian_is_all_structure_constants_zero(name):
     alg = lie_algebra(name)
-    zero = all(c.is_zero() for coeffs in alg.structure.values() for c in coeffs)
+    zero = not any(entry for row in alg.structure for entry in row)
     commute = all(np.allclose(a @ b, b @ a) for a in alg.basis_float for b in alg.basis_float)
     assert alg.is_abelian == zero == commute == (name == "u1")
 
 
-def test_su2_bracket_matches_matrices():
-    su2 = lie_algebra("su2")
-    for a, b in itertools.product(range(3), repeat=2):
-        ea = su2.element([1 if i == a else 0 for i in range(3)])
-        eb = su2.element([1 if i == b else 0 for i in range(3)])
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_bracket_matches_matrices(name):
+    # every ordered pair, a >= b included: the table's entries below the
+    # diagonal are the negated ones above it, and the diagonal is empty
+    alg = lie_algebra(name)
+    for a, b in itertools.product(range(alg.dim), repeat=2):
+        ea = alg.element([1 if i == a else 0 for i in range(alg.dim)])
+        eb = alg.element([1 if i == b else 0 for i in range(alg.dim)])
         lhs = bracket(ea, eb).matrix()
         rhs = mat_sub(mat_mul(ea.matrix(), eb.matrix()), mat_mul(eb.matrix(), ea.matrix()))
-        assert all(
-            (lhs[r][c] - rhs[r][c]).is_zero() for r in range(2) for c in range(2)
-        )
+        assert all((lhs[r][c] - rhs[r][c]).is_zero() for r in range(alg.n) for c in range(alg.n))
+        assert alg.structure[b][a] == tuple((c, -s) for c, s in alg.structure[a][b])
+        assert all(not s.is_zero() for _, s in alg.structure[a][b])
+    assert all(alg.structure[a][a] == () for a in range(alg.dim))
+
+
+@pytest.mark.parametrize("name", ["su02", "u01", "su\uff12", "u\u00b2", "su1", "su5", "u5", "u0", " su2", "SU2"])
+def test_lie_algebra_takes_one_spelling_per_name(name):
+    with pytest.raises(LieAlgebraError):
+        lie_algebra(name)
+
+
+def test_su2_bracket_matches_matrices():
     # documented normalization: [e1, e2] = e3
+    su2 = lie_algebra("su2")
     e1 = su2.element([1, 0, 0])
     e2 = su2.element([0, 1, 0])
     assert [Scalar.coerce(c) for c in bracket(e1, e2).coords] == [

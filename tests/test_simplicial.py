@@ -111,6 +111,21 @@ def test_rank_boundary_two_disk():
     assert rank_oracle(m) == 1
 
 
+def test_betti_reduces_each_boundary_once(monkeypatch):
+    # b_k = n_k - r_k - r_{k+1}: one rank per boundary matrix that is not
+    # empty, d_1 .. d_dim here, and none for the empty d_{dim+1}
+    import chernweil.linalg as linalg
+    import chernweil.simplicial as simplicial
+
+    calls = []
+    for module in (linalg, simplicial):
+        monkeypatch.setattr(module, "rank", lambda m: calls.append(m) or rank_oracle(m))
+    for X in (boundary_sphere(2), two_disk_sphere(), standard_simplex(3)):
+        calls.clear()
+        assert betti_numbers(X, X.dim + 1) == betti_oracle(X, X.dim) + [0]
+        assert len(calls) == X.dim
+
+
 def test_betti_against_oracle():
     for X, maxd in [(boundary_sphere(2), 2), (boundary_sphere(3), 3), (standard_simplex(4), 4)]:
         assert betti_numbers(X, maxd) == betti_oracle(X, maxd)
@@ -285,6 +300,20 @@ def test_homotopic_maps_cohomology(tds):
         status, w = is_coboundary(tds, diff)
         assert status == "witness"
         assert (coboundary(tds, w) - diff).is_zero()
+
+
+@pytest.mark.parametrize(
+    "X",
+    [standard_simplex(3), boundary_sphere(2), two_disk_sphere(), horn(3, 1).space, product(two_disk_sphere(),
+     standard_simplex(1)).space, cylinder(boundary_sphere(1))[0].space],
+    ids=["standard", "boundary-sphere", "two-disk", "horn", "product", "cylinder"],
+)
+def test_faces_walk_by_dimension_index_and_i(X):
+    from chernweil.simplicial import SimplicialSet
+
+    walk = [(sid, i) for d in range(1, X.dim + 1) for sid in X.cells(d) for i in range(d + 1)]
+    assert list(X.faces) == walk
+    assert list(SimplicialSet(X.counts, dict(reversed(X.faces.items()))).faces) == walk
 
 
 def test_validator_catches_broken_identity():
