@@ -45,7 +45,6 @@ from .simplicial import (
     compose_monotone,
     cylinder,
     mono_skip,
-    standard_simplex,
     word_epi,
 )
 
@@ -271,9 +270,6 @@ class BundleData:
         self.base = base
         self.algebra = algebra
         self.transitions = dict(transitions)
-
-    def transition(self, sid, i):
-        return self.transitions[(sid, i)]
 
     def data_equal(self, other):
         return (
@@ -720,7 +716,7 @@ def apply_gauge(P, gauges, D=None):
     return P2, Connection(P2, forms)
 
 
-def random_u1_bundle(X, rng, windings=True):
+def random_u1_bundle(X, rng):
     """Seeded random valid U(1) bundle: a gauge change of the trivial
     bundle, plus, on bases of dimension at most 2, integer windings on
     the face-0 transitions of 2-cells (exp(i tau m t) is endpoint-trivial,
@@ -733,7 +729,7 @@ def random_u1_bundle(X, rng, windings=True):
         p = random_poly(rng, sid.dim, 2)
         gauges[sid] = LieValuedForm.from_polys(alg, [p])
     P, _ = apply_gauge(trivial_bundle(X, alg), gauges)
-    if windings and X.dim <= 2:
+    if X.dim <= 2:
         for sid in X.cells(2):
             m = rng.randrange(-2, 3)
             if m:
@@ -753,8 +749,8 @@ def horn_fill_bundle(H, P):
     top cell get compensating gauge factors, the top transition over the
     missing face is the identity, and the missing face's own data is
     forced by the cocycle conditions (all twisting is pushed into it).
-    Restriction to the horn returns the input data unchanged.  Exact,
-    abelian structure groups only.
+    Pulling back along H.inclusion returns the input data unchanged.
+    Exact, abelian structure groups only.
     """
     if not P.algebra.is_abelian:
         raise BundleError("horn filling implemented for abelian structure groups")
@@ -766,14 +762,12 @@ def horn_fill_bundle(H, P):
 
     n, k = H.n, H.k
     alg = P.algebra
-    delta = standard_simplex(n)
-    full = tuple(range(n + 1))
-    cell_map = {sid: delta._subset_index[s] for sid, s in H.cell_subsets.items()}
-    top = delta._subset_index[full]
-    fk = delta._subset_index[full[:k] + full[k + 1:]]
+    delta = H.inclusion.target
+    top = delta.cells(n)[0]
+    fk = delta.face(top, k)[0]
     # routes into the horn's cells run through out, which holds P's
-    # transitions under cell_map and each gamma_i as it is chosen
-    out = BundleData(delta, alg, {(cell_map[sid], i): t for (sid, i), t in P.transitions.items()})
+    # transitions on the horn's image and each gamma_i as it is chosen
+    out = BundleData(delta, alg, {(H.inclusion(sid)[0], i): t for (sid, i), t in P.transitions.items()})
 
     # choose the compensating top transitions gamma_i (i != k)
     others = [i for i in range(n + 1) if i != k]
@@ -813,7 +807,7 @@ def horn_fill_bundle(H, P):
     rep = validate_bundle(out)
     if not rep.ok:
         raise BundleError("internal horn filler invariant violated: " + "; ".join(rep.failures))
-    return out, cell_map
+    return out
 
 
 def _facet_mismatch_constant(pres_a, pres_b, ia, ib, domain_dim):
@@ -833,9 +827,3 @@ def _facet_mismatch_constant(pres_a, pres_b, ia, ib, domain_dim):
             raise BundleError("horn prescriptions differ by a nonconstant; input invalid")
         consts.append(diff.terms.get((0,) * diff.dim, Scalar.zero()))
     return consts
-
-
-def restrict_bundle_to_horn(filled, H, cell_map):
-    """Pull the filled bundle's data back to the horn's cells."""
-    transitions = {(sid, i): filled.transitions[(cell_map[sid], i)] for sid, i in H.space.faces}
-    return BundleData(H.space, filled.algebra, transitions)

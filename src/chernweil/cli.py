@@ -204,8 +204,8 @@ def cmd_generate(args, report):
     elif args.kind == "horn-demo":
         H = _horn(args.n, args.k)
         P = bn.random_u1_bundle(H.space, random.Random(args.seed))
-        filled, cmap = bn.horn_fill_bundle(H, P)
-        back = bn.restrict_bundle_to_horn(filled, H, cmap)
+        filled = bn.horn_fill_bundle(H, P)
+        back = bn.pullback_bundle(H.inclusion, filled)
         report.check("filler-restriction", back.transitions == P.transitions)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "horn-space.txt").write_text(cio.simplicial_set_to_str(H.space))
@@ -232,12 +232,11 @@ def cmd_horn_fill(args, report):
     report.check("input-valid", bn.validate_bundle(P).ok)
     if report.failed:
         return report
-    filled, cmap = bn.horn_fill_bundle(H, P)
+    filled = bn.horn_fill_bundle(H, P)
     report.check("filler-valid", bn.validate_bundle(filled).ok)
-    back = bn.restrict_bundle_to_horn(filled, H, cmap)
+    back = bn.pullback_bundle(H.inclusion, filled)
     report.check("restriction-equality", back.transitions == P.transitions)
-    filled2, _ = bn.horn_fill_bundle(H, back)
-    back2 = bn.restrict_bundle_to_horn(filled2, H, cmap)
+    back2 = bn.pullback_bundle(H.inclusion, bn.horn_fill_bundle(H, back))
     report.check("refill-stability", back2.transitions == back.transitions)
     if args.out:
         outdir = Path(args.out)

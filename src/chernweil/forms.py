@@ -36,7 +36,7 @@ from functools import cache
 from math import factorial
 
 from .linalg import multinomial, sort_sign
-from .poly import Poly, _compositions, _from_acc, _mul_into, _poly, bernstein_basis
+from .poly import Poly, _compositions, _from_acc, _mul_into, _poly
 from .scalars import Scalar, _mac
 from .simplicial import (
     Cochain,
@@ -270,20 +270,12 @@ def _form_from_acc(dim, deg, acc):
 
 @cache
 def _affine_map(m, target_dim):
-    """The AffineMap of the monotone vertex map m (a tuple) into Delta^target_dim."""
+    """The AffineMap of the monotone vertex map m (a tuple) into
+    Delta^target_dim: target coordinate t is the sum of the source's
+    lam_j over the j with m[j] == t."""
     k = len(m) - 1
-    # barycentric coordinates of the source
-    lam0 = Poly.const(k, 1)
-    for i in range(k):
-        lam0 = lam0 - Poly.var(k, i)
-    lams = [lam0] + [Poly.var(k, i) for i in range(k)]
-    coords = []
-    for target_coord in range(1, target_dim + 1):
-        p = Poly.zero(k)
-        for j, v in enumerate(m):
-            if v == target_coord:
-                p = p + lams[j]
-        coords.append(p)
+    units = [tuple(int(i == j) for i in range(k + 1)) for j in range(k + 1)]
+    coords = [_lam_poly(k, {units[j]: 1 for j, v in enumerate(m) if v == t}) for t in range(1, target_dim + 1)]
     am = AffineMap(k, target_dim, coords)
     am.vertex_map = m
     return am
@@ -345,16 +337,10 @@ class BernsteinMap(PolyMap):
 
     def coords(self):
         if self._coords is None:
-            basis = bernstein_basis(self.source_dim, self.degree)
-            coords = []
-            for l in range(self.target_dim):
-                p = Poly.zero(self.source_dim)
-                for a, B in basis.items():
-                    c = self.control[a][l]
-                    if c:
-                        p = p + B.scale(c)
-                coords.append(p)
-            self._coords = tuple(coords)
+            self._coords = tuple(
+                _lam_poly(self.source_dim, {a: multinomial(a) * pt[l] for a, pt in self.control.items()})
+                for l in range(self.target_dim)
+            )
         return self._coords
 
     @staticmethod
@@ -568,6 +554,11 @@ def _lam_power(d, b):
         e = tuple(gl + bl for gl, bl in zip(g[1:], b[1:]))
         out[e] = out.get(e, 0) + c
     return out
+
+
+def _lam_poly(d, coeffs):
+    """The Poly sum c * lam^a over coeffs.items() on Delta^d."""
+    return _from_basis(d, 0, {(a, ()): Scalar.coerce(c) for a, c in coeffs.items() if c}).component(())
 
 
 def _dlam_wedge(d, t):

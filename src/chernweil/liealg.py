@@ -387,6 +387,22 @@ def _scale_by_inv_itau(v):
     return v * (Scalar.one() / Scalar.of(0, 1, 1))
 
 
+def _polarized(p, args, add):
+    """(1/k!) sum over nonempty S of (-1)^(k - |S|) p(sum of args in S),
+    k = len(args), sums taken with add: the symmetric multilinear form
+    whose diagonal is the degree-k homogeneous p."""
+    k = len(args)
+    total = None
+    for size in range(1, k + 1):
+        for subset in itertools.combinations(range(k), size):
+            x = args[subset[0]]
+            for i in subset[1:]:
+                x = add(x, args[i])
+            term = scale_value(p(x), Fraction((-1) ** (k - size)))
+            total = term if total is None else total + term
+    return scale_value(total, Fraction(1, factorial(k)))
+
+
 def chern_polynomial(algebra, k):
     """Polarized degree-k Chern polynomial on u(n)/su(n).
 
@@ -400,15 +416,7 @@ def chern_polynomial(algebra, k):
 
     def evaluator(mats):
         scaled = [[[_scale_by_inv_itau(v) for v in row] for row in m] for m in mats]
-        total = None
-        for size in range(1, k + 1):
-            for subset in itertools.combinations(range(k), size):
-                m = scaled[subset[0]]
-                for i in subset[1:]:
-                    m = mat_add(m, scaled[i])
-                term = scale_value(elementary_invariant(m, k), Fraction((-1) ** (k - size)))
-                total = term if total is None else total + term
-        return scale_value(total, Fraction(1, factorial(k)))
+        return _polarized(lambda m: elementary_invariant(m, k), scaled, mat_add)
 
     return InvariantPolynomial(algebra, k, evaluator, f"chern:{k}")
 
@@ -434,16 +442,8 @@ def polarize(algebra, p, k):
 
     def evaluator(mats):
         elems = [algebra.decompose(m) if not isinstance(m, LieElement) else m for m in mats]
-        coord_vectors = [e.coords for e in elems]
-        total = None
-        for size in range(1, k + 1):
-            for subset in itertools.combinations(range(k), size):
-                v = [Scalar.zero()] * algebra.dim
-                for i in subset:
-                    v = [a + b for a, b in zip(v, coord_vectors[i])]
-                term = scale_value(p(v), Fraction((-1) ** (k - size)))
-                total = term if total is None else total + term
-        return scale_value(total, Fraction(1, factorial(k)))
+        coord_vectors = [[Scalar.coerce(c) for c in e.coords] for e in elems]
+        return _polarized(p, coord_vectors, lambda v, w: [a + b for a, b in zip(v, w)])
 
     return InvariantPolynomial(algebra, k, evaluator, f"polarized:{k}")
 

@@ -21,7 +21,6 @@ from operator import add
 
 import numpy as np
 
-from .linalg import multinomial
 from .scalars import Scalar, _from_mac, _mac
 
 _new = object.__new__
@@ -260,28 +259,6 @@ def _from_acc(acc):
         s = _from_mac(t)
         if s.terms:
             out[e] = s
-    return out
-
-
-def bernstein_basis(dim, degree):
-    """All Bernstein polynomials of the given degree on Delta^dim.
-
-    Returns a dict multi-index -> Poly, where a multi-index alpha has
-    dim+1 entries summing to degree (the first entry belongs to the
-    barycentric coordinate 1 - sum x_i).
-    """
-    lam0 = Poly.const(dim, 1)
-    for i in range(dim):
-        lam0 = lam0 - Poly.var(dim, i)
-    lams = [lam0] + [Poly.var(dim, i) for i in range(dim)]
-
-    out = {}
-    for alpha in _compositions(degree, dim + 1):
-        p = Poly.const(dim, multinomial(alpha))
-        for lam, a in zip(lams, alpha):
-            for _ in range(a):
-                p = p * lam
-        out[alpha] = p
     return out
 
 

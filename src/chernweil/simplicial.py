@@ -166,6 +166,11 @@ class SimplicialSet:
         Returns a list of violation strings (empty iff valid).
         """
         bad = []
+        for sid, i in self.faces:
+            if not (0 <= sid.dim <= self.dim and 0 <= sid.index < self.counts[sid.dim]):
+                bad.append(f"face ({sid}, {i}) of undeclared cell {sid}")
+            elif sid.dim == 0 or not 0 <= i <= sid.dim:
+                bad.append(f"face ({sid}, {i}) out of range for a {sid.dim}-cell")
         for d in range(1, self.dim + 1):
             for sid in self.cells(d):
                 for i in range(d + 1):
@@ -328,35 +333,26 @@ class InvalidHornError(ValueError):
 
 @dataclass
 class HornPresentation:
-    """The horn Lambda^n_k as a simplicial set plus its inclusion data."""
+    """The horn Lambda^n_k as a simplicial set plus its inclusion into
+    standard_simplex(n)."""
 
     n: int
     k: int
     space: SimplicialSet
-    cell_subsets: dict = field(default_factory=dict)
-
-    def inclusion_into(self, delta):
-        """SimplicialMap from the horn into standard_simplex(n)."""
-        assignment = {}
-        for sid, s in self.cell_subsets.items():
-            assignment[sid] = (delta._subset_index[s], ())
-        return SimplicialMap(self.space, delta, assignment)
+    inclusion: SimplicialMap
 
 
 def horn(n, k):
     """All faces of Delta^n except the k'th, without the interior."""
     if not 0 <= k <= n:
         raise InvalidHornError(f"horn index {k} out of range for Delta^{n}")
+    delta = standard_simplex(n)
     full = tuple(range(n + 1))
     omit = full[:k] + full[k + 1:]
-    subs = []
-    for m in range(n + 1):
-        for s in itertools.combinations(range(n + 1), m + 1):
-            if s != full and s != omit:
-                subs.append(s)
+    subs = [s for s in delta._subset_index if s != full and s != omit]
     space = _from_subsets(n, subs)
-    cell_subsets = {sid: s for s, sid in space._subset_index.items()}
-    return HornPresentation(n, k, space, cell_subsets)
+    cells = {sid: (delta._subset_index[s], ()) for s, sid in space._subset_index.items()}
+    return HornPresentation(n, k, space, SimplicialMap(space, delta, cells))
 
 
 # ---------------------------------------------------------------------------

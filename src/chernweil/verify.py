@@ -317,10 +317,10 @@ def check_horn_filling(seed):
     for (n, k) in [(2, 1), (3, 0)]:
         H = sc.horn(n, k)
         P = bn.random_u1_bundle(H.space, rng)
-        filled, cmap = bn.horn_fill_bundle(H, P)
+        filled = bn.horn_fill_bundle(H, P)
         if not bn.validate_bundle(filled).ok:
             return False, f"filler over Lambda^{n}_{k} does not validate"
-        back = bn.restrict_bundle_to_horn(filled, H, cmap)
+        back = bn.pullback_bundle(H.inclusion, filled)
         if back.transitions != P.transitions:
             return False, f"filler restriction differs on Lambda^{n}_{k}"
     return True, "horn fillers restrict to their input data exactly"

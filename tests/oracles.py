@@ -4,6 +4,10 @@ These deliberately avoid the library's own code paths: ranks come from
 sympy, integrals from quadrature, pullbacks from sympy's symbolic
 differentiation, polarization from finite differences, characteristic
 forms from invariant polynomials evaluated on the curvature's matrices.
+Constructions the library now builds once are kept here in their older,
+separate form (horn restriction by vertex relabelling, Bernstein and
+affine coordinates as products of barycentric polynomials, the Chern
+and polarize loops written out), for the tests to compare against.
 """
 
 import functools
@@ -450,3 +454,118 @@ def pullback_bundle_reference(f, P):
             for i in range(d + 1):
                 transitions[(sid, i)] = route_reference(P, tuple(epi[v] for v in range(d + 1) if v != i), core)
     return transitions
+
+
+def horn_restriction_reference(filled, H):
+    """The transitions of a bundle over Delta^n relabelled onto the horn
+    H: each horn cell takes the data of the cell of Delta^n with the same
+    vertex tuple, both read from the cell names."""
+    by_name = {filled.base.name(sid): sid for sid in filled.base.all_cells()}
+    return {(sid, i): filled.transitions[(by_name[H.space.name(sid)], i)] for sid, i in H.space.faces}
+
+
+# ---------------------------------------------------------------------------
+# Barycentric polynomials as products of the lam_j, built by Poly arithmetic
+
+
+def barycentric_reference(dim):
+    """lam_0 = 1 - sum x_i, lam_j = x_j on Delta^dim."""
+    from chernweil.poly import Poly
+
+    lam0 = Poly.const(dim, 1)
+    for i in range(dim):
+        lam0 = lam0 - Poly.var(dim, i)
+    return [lam0] + [Poly.var(dim, i) for i in range(dim)]
+
+
+def bernstein_basis_reference(dim, degree):
+    """Every Bernstein polynomial multinomial(a) prod_j lam_j^a_j of the
+    given degree on Delta^dim, keyed by a."""
+    from chernweil.linalg import multinomial
+    from chernweil.poly import Poly
+
+    lams = barycentric_reference(dim)
+    out = {}
+    for a in itertools.product(range(degree + 1), repeat=dim + 1):
+        if sum(a) != degree:
+            continue
+        p = Poly.const(dim, multinomial(a))
+        for lam, e in zip(lams, a):
+            for _ in range(e):
+                p = p * lam
+        out[a] = p
+    return out
+
+
+def bernstein_coords_reference(phi):
+    """The coordinate polynomials of a BernsteinMap: sum_a c_a B_a."""
+    from chernweil.poly import Poly
+
+    coords = []
+    for l in range(phi.target_dim):
+        p = Poly.zero(phi.source_dim)
+        for a, B in bernstein_basis_reference(phi.source_dim, phi.degree).items():
+            p = p + B.scale(phi.control[a][l])
+        coords.append(p)
+    return coords
+
+
+def affine_coords_reference(m, target_dim):
+    """The coordinates of the affine map of the vertex map m: target
+    coordinate t is the sum of lam_j over the j with m[j] == t."""
+    from chernweil.poly import Poly
+
+    k = len(m) - 1
+    lams = barycentric_reference(k)
+    coords = []
+    for t in range(1, target_dim + 1):
+        p = Poly.zero(k)
+        for j, v in enumerate(m):
+            if v == t:
+                p = p + lams[j]
+        coords.append(p)
+    return coords
+
+
+# ---------------------------------------------------------------------------
+# Polarization loops written out per functional
+
+
+def chern_polynomial_reference(algebra, k):
+    """chern:k with its polarization loop written out over matrices."""
+    from chernweil.liealg import InvariantPolynomial, _scale_by_inv_itau, elementary_invariant, mat_add, scale_value
+
+    def evaluator(mats):
+        scaled = [[[_scale_by_inv_itau(v) for v in row] for row in m] for m in mats]
+        total = None
+        for size in range(1, k + 1):
+            for subset in itertools.combinations(range(k), size):
+                m = scaled[subset[0]]
+                for i in subset[1:]:
+                    m = mat_add(m, scaled[i])
+                term = scale_value(elementary_invariant(m, k), Fraction((-1) ** (k - size)))
+                total = term if total is None else total + term
+        return scale_value(total, Fraction(1, factorial(k)))
+
+    return InvariantPolynomial(algebra, k, evaluator, f"chern:{k}")
+
+
+def polarize_reference(algebra, p, k):
+    """polarize(algebra, p, k) with its polarization loop written out over
+    coordinate vectors, each sum started from the zero vector."""
+    from chernweil.liealg import InvariantPolynomial, LieElement, scale_value
+    from chernweil.scalars import Scalar
+
+    def evaluator(mats):
+        elems = [algebra.decompose(m) if not isinstance(m, LieElement) else m for m in mats]
+        total = None
+        for size in range(1, k + 1):
+            for subset in itertools.combinations(range(k), size):
+                v = [Scalar.zero()] * algebra.dim
+                for i in subset:
+                    v = [a + b for a, b in zip(v, elems[i].coords)]
+                term = scale_value(p(v), Fraction((-1) ** (k - size)))
+                total = term if total is None else total + term
+        return scale_value(total, Fraction(1, factorial(k)))
+
+    return InvariantPolynomial(algebra, k, evaluator, f"polarized:{k}")

@@ -16,9 +16,9 @@ from chernweil.bundles import (
     clutch_bundle,
     clutch_winding,
     horn_fill_bundle,
+    pullback_bundle,
     random_connection,
     random_u1_bundle,
-    restrict_bundle_to_horn,
     trivial_bundle,
     validate_bundle,
     validate_connection,
@@ -148,9 +148,9 @@ def test_criterion_5_horn_filling():
         for seed in range(10):
             P = random_u1_bundle(H.space, random.Random(1000 + 17 * seed + n))
             assert validate_bundle(P).ok
-            filled, cmap = horn_fill_bundle(H, P)
+            filled = horn_fill_bundle(H, P)
             assert validate_bundle(filled).ok
-            back = restrict_bundle_to_horn(filled, H, cmap)
+            back = pullback_bundle(H.inclusion, filled)
             assert back.transitions == P.transitions
             count += 1
     assert count == 20

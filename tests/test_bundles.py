@@ -19,7 +19,6 @@ from chernweil.bundles import (
     pullback_bundle,
     random_connection,
     random_u1_bundle,
-    restrict_bundle_to_horn,
     transition_of_morphism,
     transitions_equal,
     trivial_bundle,
@@ -39,7 +38,12 @@ from chernweil.simplicial import (
     standard_simplex,
     two_disk_sphere,
 )
-from oracles import pullback_bundle_reference, validate_bundle_reference, winding_of_samples
+from oracles import (
+    horn_restriction_reference,
+    pullback_bundle_reference,
+    validate_bundle_reference,
+    winding_of_samples,
+)
 
 V = SimplexId
 
@@ -158,7 +162,7 @@ def test_lie_valued_poly_pullback_memoised(monkeypatch):
 
 def test_pullback_through_degeneracy(collapse_map):
     d1 = standard_simplex(1)
-    P = random_u1_bundle(d1, random.Random(3), windings=False)
+    P = random_u1_bundle(d1, random.Random(3))
     pulled = pullback_bundle(collapse_map, P)
     assert validate_bundle(pulled).ok
 
@@ -262,19 +266,30 @@ def test_horn_fill_random(n, k):
     H = horn(n, k)
     P = random_u1_bundle(H.space, random.Random(37 + 10 * n + k))
     assert validate_bundle(P).ok
-    filled, cmap = horn_fill_bundle(H, P)
+    filled = horn_fill_bundle(H, P)
     assert validate_bundle(filled).ok
-    back = restrict_bundle_to_horn(filled, H, cmap)
+    back = pullback_bundle(H.inclusion, filled)
     assert back.transitions == P.transitions
-    filled2, _ = horn_fill_bundle(H, back)
-    back2 = restrict_bundle_to_horn(filled2, H, cmap)
+    filled2 = horn_fill_bundle(H, back)
+    back2 = pullback_bundle(H.inclusion, filled2)
     assert back2.transitions == back.transitions
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (2, 3, 4) for k in range(n + 1)])
+def test_horn_restriction_is_the_vertex_relabelling(n, k):
+    """Pulling a filler back along the horn's inclusion moves each
+    transition onto the horn cell with the same vertex tuple."""
+    H = horn(n, k)
+    P = random_u1_bundle(H.space, random.Random(100 * n + k))
+    filled = horn_fill_bundle(H, P)
+    back = pullback_bundle(H.inclusion, filled)
+    assert back.transitions == horn_restriction_reference(filled, H) == P.transitions
 
 
 def test_horn_fill_trivial_gives_trivial():
     H = horn(2, 1)
     P = trivial_bundle(H.space, lie_algebra("u1"))
-    filled, cmap = horn_fill_bundle(H, P)
+    filled = horn_fill_bundle(H, P)
     assert all(t.is_identity() for t in filled.transitions.values())
 
 

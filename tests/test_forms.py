@@ -39,7 +39,12 @@ from chernweil.simplicial import (
     standard_simplex,
     two_disk_sphere,
 )
-from oracles import integrate_form_oracle, pullback_reference
+from oracles import (
+    affine_coords_reference,
+    bernstein_coords_reference,
+    integrate_form_oracle,
+    pullback_reference,
+)
 
 
 def test_d_coordinate_example():
@@ -203,6 +208,22 @@ def test_bernstein_containment_draws_sequential_points(seed, monkeypatch):
     gen = default_rng(seed)
     expected = np.array([gen.dirichlet(np.ones(3)) for _ in range(1000)])
     assert np.array_equal(np.concatenate(drawn), expected)
+
+
+@pytest.mark.parametrize("source_dim", range(4))
+def test_bernstein_coords_match_the_product_basis(source_dim):
+    rng = random.Random(source_dim)
+    for degree in range(4):
+        for target_dim in range(4):
+            phi = BernsteinMap.random(rng, source_dim, target_dim, degree)
+            assert list(phi.coords()) == bernstein_coords_reference(phi)
+
+
+def test_affine_coords_match_the_barycentric_sums():
+    for d in range(4):
+        for k in range(4):
+            for m in itertools.combinations_with_replacement(range(d + 1), k + 1):
+                assert list(AffineMap.from_monotone(m, d).coords()) == affine_coords_reference(m, d)
 
 
 def test_induced_form_passes_check():

@@ -20,11 +20,22 @@ def test_generate_clutch_files(tmp_path, capsys):
         assert (tmp_path / name).read_text() == (GOLDEN / f"clutch2_{name}").read_text(), name
 
 
+def test_generate_horn_demo_files(tmp_path, monkeypatch, capsys):
+    # a relative --out, so the report's echo of it is the same in any cwd
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "horn-demo", "--n", "3", "--k", "1", "--seed", "3", "--out", "hd"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "horn_demo_n3k1_seed3.out").read_text()
+    for name in ("horn-space", "horn-bundle", "filled-space", "filled-bundle"):
+        golden = GOLDEN / f"horn_demo_n3k1_seed3_{name}.txt"
+        assert (tmp_path / "hd" / f"{name}.txt").read_text() == golden.read_text(), name
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [
         (["chern", "--bundle", "clutch:2", "--poly", "chern:1"], "chern_clutch2_chern1.out"),
         (["clutch", "--n", "3"], "clutch_n3.out"),
+        (["horn-fill", "--n", "3", "--k", "1", "--seed", "4"], "horn_fill_n3k1_seed4.out"),
     ],
 )
 def test_report_stdout(argv, golden, capsys):

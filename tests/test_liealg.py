@@ -27,7 +27,13 @@ from chernweil.liealg import (
 )
 from chernweil.scalars import Scalar
 from chernweil.verify import ad_exp_coords
-from oracles import charpoly_coefficient_oracle, finite_difference_polarization, reznikov_quadrature
+from oracles import (
+    charpoly_coefficient_oracle,
+    chern_polynomial_reference,
+    finite_difference_polarization,
+    polarize_reference,
+    reznikov_quadrature,
+)
 
 
 def test_u1_abelian():
@@ -380,3 +386,31 @@ def test_selector_parsing():
     for name in ("u2", "so3"):
         with pytest.raises(SelectorError):
             invariant_polynomial_from_selector(lie_algebra(name), "reznikov:2")
+
+
+def _lin(v):
+    return sum((i + 1) * x for i, x in enumerate(v))
+
+
+# homogeneous of degree k, and not invariant: the tensors compare the polarization alone
+_HOMOGENEOUS = {
+    1: _lin,
+    2: lambda v: _lin(v) * v[-1] + v[0] * v[0],
+    3: lambda v: (_lin(v) * v[-1] + v[0] * v[0]) * v[0],
+}
+# arity 3 on the 15- and 16-dim algebras takes seconds a tensor, so it stops at n = 3
+_POLARIZED_CASES = [(name, k) for name in ("u1", "u2", "u3", "u4", "su2", "su3", "su4") for k in (1, 2, 3)
+                    if not (k == 3 and name.endswith("4"))]
+
+
+@pytest.mark.parametrize("name,k", _POLARIZED_CASES)
+def test_chern_tensor_matches_the_written_out_polarization(name, k):
+    alg = lie_algebra(name)
+    assert chern_polynomial(alg, k).tensor() == chern_polynomial_reference(alg, k).tensor()
+
+
+@pytest.mark.parametrize("name,k", _POLARIZED_CASES)
+def test_polarize_tensor_matches_the_written_out_polarization(name, k):
+    alg = lie_algebra(name)
+    p = _HOMOGENEOUS[k]
+    assert polarize(alg, p, k).tensor() == polarize_reference(alg, p, k).tensor()

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from chernweil.poly import Poly, bernstein_basis
+from chernweil.forms import BernsteinMap
+from chernweil.poly import Poly, _compositions
 from chernweil.scalars import TAU, Scalar
 
 
@@ -88,11 +89,9 @@ def test_poly_compose_into_point():
 
 
 def test_bernstein_partition_of_unity():
+    # a map onto Delta^1 with every control point 1 has coordinate sum_a B_a
     for dim, deg in [(1, 2), (2, 3)]:
-        basis = bernstein_basis(dim, deg)
-        total = Poly.zero(dim)
-        for b in basis.values():
-            total = total + b
+        (total,) = BernsteinMap(dim, 1, deg, {a: (1,) for a in _compositions(deg, dim + 1)}).coords()
         assert total == Poly.const(dim, 1)
 
 

@@ -59,9 +59,16 @@ def test_two_disk_sphere():
     assert betti_numbers(X, 2) == betti_oracle(X, 2) == [1, 0, 1]
 
 
+def _horn_subsets(h):
+    """The vertex tuple of each horn cell's image in Delta^n, read from
+    the cell names of standard_simplex(n)."""
+    delta = h.inclusion.target
+    return [tuple(int(v) for v in delta.name(h.inclusion(sid)[0])) for sid in h.space.all_cells()]
+
+
 def test_horn_cells():
     h = horn(2, 1)
-    subsets = set(h.cell_subsets.values())
+    subsets = set(_horn_subsets(h))
     assert (0, 1) in subsets and (1, 2) in subsets
     assert (0, 2) not in subsets and (0, 1, 2) not in subsets
     assert horn(3, 0).space.counts == [4, 6, 3]
@@ -73,15 +80,15 @@ def test_horn_one_zero_single_vertex():
     # the k'th face is the one opposite vertex k, so Lambda^1_0 removes
     # the vertex {1} and keeps {0}
     h = horn(1, 0)
-    assert sorted(h.cell_subsets.values()) == [(0,)]
+    assert sorted(_horn_subsets(h)) == [(0,)]
     assert h.space.counts == [1]
 
 
 def test_horn_inclusion_valid():
     for n, k in [(2, 0), (2, 1), (3, 0), (3, 2)]:
         h = horn(n, k)
-        delta = standard_simplex(n)
-        assert h.inclusion_into(delta).validate() == []
+        assert h.inclusion.target == standard_simplex(n)
+        assert h.inclusion.validate() == []
 
 
 def test_boundary_squared_zero():
@@ -324,3 +331,16 @@ def test_validator_catches_broken_identity():
 
     bad = SimplicialSet(X.counts, faces)
     assert bad.validate() != []
+
+
+@pytest.mark.parametrize(
+    "key, problem",
+    [((SimplexId(2, 5), 0), "of undeclared cell 2.5"), ((SimplexId(1, 0), 2), "out of range for a 1-cell")],
+    ids=["undeclared-cell", "face-index-past-dimension"],
+)
+def test_validator_catches_faces_outside_the_cells(key, problem):
+    from chernweil.simplicial import SimplicialSet
+
+    X = standard_simplex(1)
+    bad = SimplicialSet(X.counts, {**X.faces, key: (SimplexId(0, 0), ())})
+    assert bad.validate() == [f"face ({key[0]}, {key[1]}) {problem}"]
