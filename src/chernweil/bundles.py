@@ -22,6 +22,7 @@ SERIES_ORDER = 6, and the checks are sampled against SAMPLE_TOL.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -114,17 +115,19 @@ class LieValuedForm:
 
     def bracket_wedge(self, other):
         """[A ^ B] via the structure constants; degree adds."""
+        return self._bracket_over(other, itertools.product(range(self.algebra.dim), repeat=2))
+
+    def _bracket_over(self, other, pairs):
+        """sum over the index pairs (a, b) of s^c_ab A^a ^ B^b e_c, each
+        structure constant applied in the kernel call of its product."""
         alg = self.algebra
         acc = [{} for _ in range(alg.dim)]
-        for a in range(alg.dim):
-            fa = self.coords[a]
-            if fa.is_zero():
+        for a, b in pairs:
+            fa, fb = self.coords[a], other.coords[b]
+            if fa.is_zero() or fb.is_zero():
                 continue
-            for b, fb in enumerate(other.coords):
-                if fb.is_zero():
-                    continue
-                for c, s in alg.structure[a][b]:
-                    fa.scale(s)._wedge_into(acc[c], fb)
+            for c, s in alg.structure[a][b]:
+                fa._wedge_into(acc[c], fb, s)
         deg = self.deg + other.deg
         return LieValuedForm(alg, self.dim, deg, [_form_from_acc(self.dim, deg, t) for t in acc])
 
@@ -321,7 +324,10 @@ def _through_face(P, sid, i, m, memo):
     d = sid.dim
     tgt, word = P.base.face(sid, i)
     rest = _route(P, compose_monotone(word_epi(word, d - 1), m), tgt, memo)
-    return P.transitions[(sid, i)].pullback(AffineMap.from_monotone(m, d - 1)).compose(rest)
+    t = P.transitions[(sid, i)]
+    if m != tuple(range(d)):
+        t = t.pullback(AffineMap.from_monotone(m, d - 1))
+    return t if rest.is_identity() else t.compose(rest)
 
 
 def _route_pair(P, sid, i, j, memo):

@@ -22,13 +22,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import factorial
 
 import numpy as np
 
 from .bundles import Connection, pullback_bundle
-from .forms import PolyForm, SimplicialForm, check_simplicial_form, integrate_to_cochain
+from .forms import PolyForm, SimplicialForm, _form_from_acc, check_simplicial_form, integrate_to_cochain
 from .linalg import sort_sign
 from .poly import Poly
 from .scalars import Scalar
@@ -36,8 +36,13 @@ from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_co
 
 
 def curvature_form(A):
-    """F = dA + A ^ A for one chart's connection form."""
-    return A.d() + A.bracket_wedge(A).scale(Fraction(1, 2))
+    """F = dA + A ^ A for one chart's connection 1-form.
+
+    In coordinates A ^ A is (1/2)[A ^ A], and the (a, b) and (b, a) terms
+    of [A ^ A] are equal (s^c_ba = -s^c_ab and A^b ^ A^a = -A^a ^ A^b),
+    so it is the sum over a < b of s^c_ab A^a ^ A^b, each product once.
+    """
+    return A.d() + A._bracket_over(A, itertools.combinations(range(A.algebra.dim), 2))
 
 
 def curvature(D, min_dim=0):
@@ -77,18 +82,21 @@ def _cw_polyform_wedge(rho, F):
 
     The contraction sum_a T[a] F^a1 ^ .. ^ F^ak of rho's coefficient
     tensor with the curvature's coordinate 2-forms; the F^a commute, so
-    each sorted index tuple stands for all of its orderings.
+    each sorted index tuple stands for all of its orderings.  The whole
+    sum fills one accumulator, T[a] applied in the kernel call of the
+    last factor; a square F^a ^ F^a takes each unordered pair of
+    components once (PolyForm._wedge_into).
     """
-    k = rho.arity
-    out = PolyForm.zero(F.dim, 2 * k)
-    if 2 * k > F.dim:
-        return out
+    k, dim = rho.arity, F.dim
+    if 2 * k > dim:
+        return PolyForm.zero(dim, 2 * k)
+    unit = PolyForm.from_poly(Poly.const(dim, 1))
+    acc = {}
     for a, c in rho.tensor().items():
-        term = F.coords[a[0]]
-        for i in a[1:]:
-            term = term.wedge(F.coords[i])
-        out = out + term.scale(c)
-    return out
+        *head, last = (F.coords[i] for i in a)
+        term = reduce(PolyForm.wedge, head[1:], head[0]) if head else unit
+        term._wedge_into(acc, last, c)
+    return _form_from_acc(dim, 2 * k, acc)
 
 
 def cw_form(rho, D):

@@ -143,21 +143,31 @@ class PolyForm:
         self._wedge_into(acc, other)
         return _form_from_acc(self.dim, self.deg + other.deg, acc)
 
-    def _wedge_into(self, acc, other):
-        """Add self ^ other into an accumulator I -> (poly accumulator),
-        which _form_from_acc turns into a PolyForm; every p*q of one
-        output component goes into the same accumulator."""
+    def _wedge_into(self, acc, other, coef=1):
+        """Add coef * (self ^ other) into an accumulator I -> (poly
+        accumulator), which _form_from_acc turns into a PolyForm; every
+        p*q of one output component goes into the same accumulator, and
+        coef (an int or a Scalar) is applied in the kernel call.
+
+        The square of an even-degree form (other is self) takes each
+        unordered pair of components once: dx_I ^ dx_J = dx_J ^ dx_I, so
+        the pair I != J counts twice."""
         if self.dim != other.dim:
             raise ValueError("wedge dimension mismatch")
-        for I, p in self.comps.items():
-            for J, q in other.comps.items():
+        square = other is self and self.deg % 2 == 0
+        signed = {1: coef, -1: -coef}
+        if square:
+            doubled = {1: 2 * coef, -1: -2 * coef}
+        comps = list(other.comps.items())
+        for n, (I, p) in enumerate(self.comps.items()):
+            for m, (J, q) in enumerate(comps[n:] if square else comps):
                 K, sign = sort_sign(I + J)
                 if sign == 0:
                     continue
                 t = acc.get(K)
                 if t is None:
                     t = acc[K] = {}
-                _mul_into(t, p.terms, q.terms, sign)
+                _mul_into(t, p.terms, q.terms, (doubled if square and m else signed)[sign])
 
     def pullback(self, phi):
         """Pullback along a polynomial or affine map into Delta^dim.

@@ -520,13 +520,16 @@ def reznikov_pullback(algebra, k):
     return InvariantPolynomial(algebra, k, evaluator, f"reznikov:{k}")
 
 
+@functools.cache
 def invariant_polynomial_from_selector(algebra, selector):
     """Parse selectors like chern:2, symtrace:3, reznikov:2.
 
     A selector that does not parse, whose degree is below 1, that has a
     part after the degree, or that names a polynomial the algebra does
     not carry (chern off u(n)/su(n), reznikov off su(n)) raises
-    SelectorError.
+    SelectorError.  Each (algebra, selector) builds its polynomial, and
+    so its coefficient tensor, once per process, as lie_algebra builds
+    each algebra once; a selector that raises is not cached.
     """
     kind, _, rest = selector.partition(":")
     if kind not in ("chern", "symtrace", "reznikov"):

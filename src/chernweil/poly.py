@@ -6,13 +6,16 @@ is exact.  Terms are kept in a dict keyed by exponent
 tuples; zero coefficients are pruned eagerly so equality is structural.
 
 Products go through one multiply-accumulate kernel, shared by
-Poly.__mul__, PolyForm.wedge (and so LieValuedForm.bracket_wedge),
-PolyForm.pullback and the Whitney-Bernstein extension in forms: every
-product c1*c2 of two coefficients' int triples is added, unreduced, by
-scalars._mac into an accumulator dict exponent -> {tau power: (a, b, d)},
-and each output coefficient is brought to lowest terms once at the end
-(_from_acc), zero sums dropped.  No Scalar is built per term pair.
-Sums into a running total (Poly.__add__) add Scalars.
+Poly.__mul__, PolyForm.wedge (and so LieValuedForm.bracket_wedge, the
+curvature and the characteristic forms of cw), PolyForm.pullback and
+the Whitney-Bernstein extension in forms: every product c1*c2 of two
+coefficients' int triples is added, unreduced, by scalars._mac into an
+accumulator dict exponent -> {tau power: (a, b, d)}, and each output
+coefficient is brought to lowest terms once at the end (_from_acc),
+zero sums dropped.  No Scalar is built per term pair.  The coefficient
+of a product (a wedge sign, a structure constant, a tensor entry) is
+folded into the same kernel call (_mul_into's coef), not applied by a
+Poly.scale.  Sums into a running total (Poly.__add__) add Scalars.
 """
 
 from __future__ import annotations
@@ -238,9 +241,21 @@ def _poly(dim, terms):
     return p
 
 
-def _mul_into(acc, terms1, terms2, sign=1):
-    """acc += sign * (terms1 * terms2) for two exponent -> Scalar dicts."""
-    ys = [(e2, (c2 if sign > 0 else -c2).terms.items()) for e2, c2 in terms2.items()]
+def _mul_into(acc, terms1, terms2, coef=1):
+    """acc += coef * (terms1 * terms2) for two exponent -> Scalar dicts.
+
+    coef is an int or a Scalar.  Unless it is 1 it is multiplied, by
+    _mac and unreduced, into each coefficient of terms2 once, before the
+    term pairs are walked."""
+    if coef == 1:
+        ys = [(e2, c2.terms.items()) for e2, c2 in terms2.items()]
+    else:
+        cs = Scalar.coerce(coef).terms.items()
+        ys = []
+        for e2, c2 in terms2.items():
+            y = {}
+            _mac(y, c2.terms.items(), cs)
+            ys.append((e2, y.items()))
     for e1, c1 in terms1.items():
         xs = c1.terms.items()
         for e2, y in ys:

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: ranks come from
 sympy, integrals from quadrature, pullbacks from sympy's symbolic
 differentiation, polarization from finite differences, characteristic
-forms from invariant polynomials evaluated on the curvature's matrices.
+forms from invariant polynomials evaluated on the curvature's matrices,
+the curvature itself from the matrix of the connection's 1-forms.
 Constructions the library now builds once are kept here in their older,
 separate form (horn restriction by vertex relabelling, Bernstein and
 affine coordinates as products of barycentric polynomials, the Chern
@@ -387,6 +388,102 @@ def gr_pullback_monotone(form, m, target_dim):
             term = gr_wedge(term, dcoords[i])
         out = gr_form_add(out, term)
     return out
+
+
+def gr_scalar(s):
+    """The dict model of a library Scalar."""
+    return {k: (Fraction(a, d), Fraction(b, d)) for k, (a, b, d) in s.terms.items()}
+
+
+def gr_form_scale(f, c, dim):
+    """The form dict f times the scalar dict c."""
+    const = {(0,) * dim: c} if c else {}
+    return {I: q for I, p in f.items() if (q := gr_poly_mul(p, const))}
+
+
+def gr_d(f, dim):
+    """Exterior derivative of a form dict: d(p dx_I) is the sum over j of
+    (dp/dx_j) dx_j ^ dx_I, its sign counted by gr_wedge."""
+    one = {(0,) * dim: {0: (Fraction(1), Fraction(0))}}
+    out = {}
+    for I, p in f.items():
+        for j in range(dim):
+            dp = {}
+            for e, c in p.items():
+                if e[j]:
+                    dp[e[:j] + (e[j] - 1,) + e[j + 1:]] = {k: (re * e[j], im * e[j]) for k, (re, im) in c.items()}
+            out = gr_form_add(out, gr_wedge({(j,): dp} if dp else {}, {I: one}))
+    return out
+
+
+@functools.cache
+def _coordinate_functionals(name):
+    """The matrix L with x = L m for every x in the algebra and its
+    matrix m flattened row by row: L = (B^H B)^{-1} B^H for the basis
+    matrices B as columns, solved in sympy, entries as scalar dicts."""
+    from chernweil.liealg import lie_algebra
+
+    alg = lie_algebra(name)
+    n = alg.n
+
+    def entry(s):
+        assert set(s.terms) <= {0}  # the bases are tau-free
+        a, b, d = s.terms.get(0, (0, 0, 1))
+        return sympy.Rational(a, d) + sympy.I * sympy.Rational(b, d)
+
+    B = sympy.Matrix(n * n, alg.dim, lambda j, c: entry(alg.basis[c][j // n][j % n]))
+    L = (B.H * B).inv() * B.H
+    out = []
+    for c in range(alg.dim):
+        row = []
+        for j in range(n * n):
+            re, im = sympy.expand(L[c, j]).as_real_imag()
+            row.append(gr_clean({0: (Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))}))
+        out.append(row)
+    return out
+
+
+def curvature_reference(A):
+    """F = dA + A ^ A of a Lie-valued 1-form by matrices: the matrix of
+    1-forms sum_a A^a e_a, d of each entry plus the matrix wedge square,
+    by gr_d and gr_wedge, decomposed in the basis by the coordinate
+    functionals.  No structure constant or bracket is used.  Raises if
+    the matrix does not lie in the algebra."""
+    from chernweil.bundles import LieValuedForm
+    from chernweil.forms import PolyForm
+    from chernweil.poly import Poly
+    from chernweil.scalars import Scalar
+
+    alg, dim, n = A.algebra, A.dim, A.algebra.n
+    basis = [[[gr_scalar(v) for v in row] for row in b] for b in alg.basis]
+
+    def combine(coords, r, c):
+        return functools.reduce(
+            gr_form_add, (gr_form_scale(f, basis[a][r][c], dim) for a, f in enumerate(coords)), {}
+        )
+
+    coords = [{I: {e: gr_scalar(v) for e, v in p.terms.items()} for I, p in f.comps.items()} for f in A.coords]
+    M = [[combine(coords, r, c) for c in range(n)] for r in range(n)]
+    F = [
+        [functools.reduce(gr_form_add, (gr_wedge(M[r][m], M[m][c]) for m in range(n)), gr_d(M[r][c], dim))
+         for c in range(n)]
+        for r in range(n)
+    ]
+    flat = [F[r][c] for r in range(n) for c in range(n)]
+    L = _coordinate_functionals(alg.name)
+    out = [
+        functools.reduce(gr_form_add, (gr_form_scale(flat[j], L[a][j], dim) for j in range(n * n)), {})
+        for a in range(alg.dim)
+    ]
+    if [[combine(out, r, c) for c in range(n)] for r in range(n)] != F:
+        raise AssertionError("dA + A ^ A is not in the algebra")
+
+    def to_scalar(x):
+        return sum((Scalar.of(re, im, k) for k, (re, im) in x.items()), Scalar.zero())
+
+    return LieValuedForm(alg, dim, 2, [
+        PolyForm(dim, 2, {I: Poly(dim, {e: to_scalar(x) for e, x in p.items()}) for I, p in f.items()}) for f in out
+    ])
 
 
 def route_reference(P, m, sid):

@@ -1,6 +1,7 @@
 """The characteristic form by coefficient-tensor contraction, checked
 against rho evaluated on the curvature's component matrices."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -25,7 +26,7 @@ from chernweil.liealg import (
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
 from chernweil.simplicial import boundary_sphere, standard_simplex
-from oracles import cw_matrix_contraction, reznikov_quadrature, sym_trace_oracle
+from oracles import curvature_reference, cw_matrix_contraction, reznikov_quadrature, sym_trace_oracle
 from test_scalar_kernel import MODELS, POLY_MODELS, model, poly_model, to_poly, to_scalar
 
 
@@ -71,6 +72,35 @@ def rho_and_curvature(draw, rhos=RHOS):
             comps[I] = Poly(dim, {e: draw(COEFF) for e in chosen})
         coords.append(PolyForm(dim, 2, comps))
     return rho, LieValuedForm(alg, dim, 2, coords)
+
+
+ALGEBRAS = ("u1", "su2", "so3", "u2", "su3", "u3", "su4", "u4")
+
+
+@st.composite
+def connection_forms(draw, name):
+    """A Lie-valued 1-form on Delta^2..Delta^4: each coordinate up to two
+    components, each a polynomial of degree <= 2 with up to two terms."""
+    alg, dim = lie_algebra(name), draw(st.integers(2, 4))
+    monomials = [e for e in itertools.product(range(3), repeat=dim) if sum(e) <= 2]
+    coords = []
+    for _ in range(alg.dim):
+        comps = {}
+        for i in draw(st.lists(st.integers(0, dim - 1), max_size=2, unique=True)):
+            chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=2, unique=True))
+            comps[(i,)] = Poly(dim, {e: draw(COEFF) for e in chosen})
+        coords.append(PolyForm(dim, 1, comps))
+    return LieValuedForm(alg, dim, 1, coords)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_curvature_matches_matrix_oracle(name, data):
+    # the sum over a < b of s^c_ab A^a ^ A^b against dA + A ^ A of the
+    # matrix of 1-forms, decomposed in the basis
+    A = data.draw(connection_forms(name))
+    assert curvature_form(A) == curvature_reference(A)
 
 
 @settings(max_examples=60, deadline=None)

@@ -388,6 +388,21 @@ def test_selector_parsing():
             invariant_polynomial_from_selector(lie_algebra(name), "reznikov:2")
 
 
+def test_selector_builds_each_polynomial_once():
+    u2 = lie_algebra("u2")
+    rho = invariant_polynomial_from_selector(u2, "chern:2")
+    assert invariant_polynomial_from_selector(u2, "chern:2") is rho
+    assert rho.tensor() is invariant_polynomial_from_selector(u2, "chern:2").tensor()
+    assert invariant_polynomial_from_selector(lie_algebra("su2"), "chern:2") is not rho
+    # a selector that raises is not cached: it raises again on every call
+    misses = invariant_polynomial_from_selector.cache_info().misses
+    for _ in range(3):
+        with pytest.raises(SelectorError):
+            invariant_polynomial_from_selector(u2, "reznikov:2")
+    info = invariant_polynomial_from_selector.cache_info()
+    assert info.misses == misses + 3 and invariant_polynomial_from_selector(u2, "chern:2") is rho
+
+
 def _lin(v):
     return sum((i + 1) * x for i, x in enumerate(v))
 

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chernweil.forms import AffineMap, PolyForm
+from chernweil.forms import AffineMap, PolyForm, _form_from_acc
 from chernweil.poly import Poly
 from chernweil.scalars import TAU, Scalar
 from oracles import (
     gr_add,
+    gr_form_scale,
     gr_monomial_inverse,
     gr_mul,
     gr_neg,
@@ -192,24 +193,51 @@ def assert_canonical_form(F):
 
 @st.composite
 def wedge_cases(draw):
-    dim = draw(st.integers(1, 3))
+    # up to Delta^4, where the square of a 2-form need not vanish
+    dim = draw(st.integers(1, 4))
     p = draw(st.integers(0, dim))
     q = draw(st.integers(0, dim))
     return dim, p, q, draw(form_models(dim, p)), draw(form_models(dim, q))
 
 
 ONE = {0: (Fraction(1), Fraction(0))}
+# a kernel coefficient: a tau-monomial with an imaginary part, plus any scalar
+COEFFICIENTS = st.tuples(st.integers(-2, 2).filter(bool), PARTS, PARTS.filter(bool), MODELS).map(
+    lambda x: gr_add({x[0]: (x[1], x[2])}, x[3])
+).filter(bool)
+
+
+def kernel_wedge(dim, deg, F, G, c):
+    """c * (F ^ G) with c applied in the kernel (_wedge_into)."""
+    acc = {}
+    F._wedge_into(acc, G, to_scalar(c))
+    return _form_from_acc(dim, deg, acc)
 
 
 @settings(max_examples=150, deadline=None)
-@given(wedge_cases())
-@example((2, 1, 1, {(1,): {(0, 0): ONE}}, {(0,): {(0, 0): ONE}}))  # dx2 ^ dx1 = -dx1 ^ dx2
-def test_wedge_matches_oracle(case):
+@given(wedge_cases(), COEFFICIENTS)
+@example((2, 1, 1, {(1,): {(0, 0): ONE}}, {(0,): {(0, 0): ONE}}), ONE)  # dx2 ^ dx1 = -dx1 ^ dx2
+@example((2, 0, 0, {(): {(0, 0): ONE, (1, 0): ONE}}, {}), {1: (Fraction(0), Fraction(1))})  # (1 + x1)^2
+@example((4, 2, 0, {(0, 1): {(0,) * 4: ONE}, (2, 3): {(0,) * 4: ONE}}, {}), ONE)  # 2 dx1^dx2^dx3^dx4
+def test_wedge_matches_oracle(case, c):
     dim, p, q, f, g = case
-    got = to_form(dim, p, f).wedge(to_form(dim, q, g))
-    assert (got.dim, got.deg) == (dim, p + q)
+    F, G = to_form(dim, p, f), to_form(dim, q, g)
+    got = F.wedge(G)
     assert form_model(got) == gr_wedge(f, g)
-    assert_canonical_form(got)
+    # a coefficient folded into the kernel call, once per term
+    scaled = kernel_wedge(dim, p + q, F, G, c)
+    assert form_model(scaled) == gr_form_scale(gr_wedge(f, g), c, dim)
+    for r in (got, scaled):
+        assert (r.dim, r.deg) == (dim, p + q)
+        assert_canonical_form(r)
+    if p % 2 == 0:
+        # the square of an even-degree form takes each unordered pair of
+        # components once, with and without a coefficient
+        square, scaled_square = F.wedge(F), kernel_wedge(dim, 2 * p, F, F, c)
+        assert form_model(square) == gr_wedge(f, f)
+        assert form_model(scaled_square) == gr_form_scale(gr_wedge(f, f), c, dim)
+        assert_canonical_form(square)
+        assert_canonical_form(scaled_square)
 
 
 @st.composite
