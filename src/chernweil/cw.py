@@ -30,8 +30,8 @@ import numpy as np
 from .bundles import Connection, pullback_bundle
 from .forms import PolyForm, SimplicialForm, _form_from_acc, check_simplicial_form, integrate_to_cochain
 from .linalg import sort_sign
-from .poly import Poly
-from .scalars import Scalar
+from .poly import Poly, _from_acc, _poly
+from .scalars import Scalar, _mac
 from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_cochain
 
 
@@ -62,19 +62,26 @@ def bianchi_defect(D):
 
 def _component_matrices(F):
     """Decompose a g-valued form into {index tuple: matrix of Polys}, the
-    sum of its coordinate forms times the algebra's basis matrices."""
+    sum of its coordinate forms times the algebra's basis matrices.
+
+    Each matrix entry is one accumulator exponent -> _mac accumulator,
+    reduced once at the end."""
     n = F.algebra.n
-    comps = {}
+    accs = {}
     for f, basis in zip(F.coords, F.algebra.basis):
+        entries = [(r, c, b.terms.items()) for r, row in enumerate(basis) for c, b in enumerate(row) if b.terms]
         for I, p in f.comps.items():
-            if I not in comps:
-                comps[I] = [[Poly.zero(F.dim) for _ in range(n)] for _ in range(n)]
-            mat = comps[I]
-            for r in range(n):
-                for c in range(n):
-                    if not basis[r][c].is_zero():
-                        mat[r][c] = mat[r][c] + p.scale(basis[r][c])
-    return comps
+            mat = accs.get(I)
+            if mat is None:
+                mat = accs[I] = [[{} for _ in range(n)] for _ in range(n)]
+            for r, c, ys in entries:
+                t = mat[r][c]
+                for e, x in p.terms.items():
+                    te = t.get(e)
+                    if te is None:
+                        te = t[e] = {}
+                    _mac(te, x.terms.items(), ys)
+    return {I: [[_poly(F.dim, _from_acc(t)) for t in row] for row in mat] for I, mat in accs.items()}
 
 
 def _cw_polyform_wedge(rho, F):

@@ -9,6 +9,12 @@ top-degree form uses the Dirichlet monomial identity
 
 applied termwise, so no quadrature enters the main path.
 
+PolyForm(...) validates its components and is for input from outside
+(parsers, user code).  Results canonical by construction (kernel output
+through _form_from_acc, sums, negations, d and scale) are built by the
+unchecked _form and are not checked again.  A wedge reads the merged
+index of each pair of components and its sign from the cache _merge.
+
 Pullback goes through map objects (PolyMap and its AffineMap and
 BernsteinMap), which are immutable.  Each map keeps a memo of the
 monomial forms x^e dx_I pulled back along it, so a form's pullback only
@@ -43,6 +49,9 @@ from .simplicial import (
     mono_skip,
     word_epi,
 )
+
+
+_new = object.__new__
 
 
 class DegreeMismatchError(ValueError):
@@ -103,21 +112,30 @@ class PolyForm:
             raise ValueError("form shape mismatch")
         c = dict(self.comps)
         for I, p in other.comps.items():
-            s = c.get(I, Poly.zero(self.dim)) + p
-            if s.is_zero():
-                c.pop(I, None)
-            else:
+            q = c.get(I)
+            if q is None:
+                c[I] = p
+                continue
+            s = q + p
+            if s.terms:
                 c[I] = s
-        return PolyForm(self.dim, self.deg, c)
+            else:
+                del c[I]
+        return _form(self.dim, self.deg, c)
 
     def __neg__(self):
-        return PolyForm(self.dim, self.deg, {I: -p for I, p in self.comps.items()})
+        return _form(self.dim, self.deg, {I: -p for I, p in self.comps.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return PolyForm(self.dim, self.deg, {I: p.scale(c) for I, p in self.comps.items()})
+        if type(c) is not Scalar:
+            c = Scalar.coerce(c)
+        if not c.terms:
+            return _form(self.dim, self.deg, {})
+        # a nonzero multiple of a nonzero Poly is nonzero
+        return _form(self.dim, self.deg, {I: p.scale(c) for I, p in self.comps.items()})
 
     def d(self):
         """Exterior derivative; d o d = 0 exactly."""
@@ -136,7 +154,7 @@ class PolyForm:
                     out.pop(K, None)
                 else:
                     out[K] = s
-        return PolyForm(self.dim, self.deg + 1, out)
+        return _form(self.dim, self.deg + 1, out)
 
     def wedge(self, other):
         acc = {}
@@ -161,7 +179,7 @@ class PolyForm:
         comps = list(other.comps.items())
         for n, (I, p) in enumerate(self.comps.items()):
             for m, (J, q) in enumerate(comps[n:] if square else comps):
-                K, sign = sort_sign(I + J)
+                K, sign = _merge(I, J)
                 if sign == 0:
                     continue
                 t = acc.get(K)
@@ -181,7 +199,7 @@ class PolyForm:
             phi = PolyMap(phi.source_dim, phi.target_dim, phi.coords())
         src = phi.source_dim
         if self.deg > src:
-            return PolyForm(src, self.deg, {})
+            return _form(src, self.deg, {})
         memo = phi.memo
         acc = {}
         for I, p in self.comps.items():
@@ -267,6 +285,23 @@ def _pull_monomial(phi, e, I):
     return tuple((J, e2, tuple(c.terms.items())) for J, p in term.comps.items() for e2, c in p.terms.items())
 
 
+def _form(dim, deg, comps):
+    """A PolyForm over a fresh dict of strictly increasing index tuples
+    and nonzero Polys on Delta^dim (no checks)."""
+    f = _new(PolyForm)
+    f.dim = dim
+    f.deg = deg
+    f.comps = comps
+    return f
+
+
+@cache
+def _merge(I, J):
+    """sort_sign(I + J) for two component index tuples: the sorted
+    index of dx_I ^ dx_J and its sign; (None, 0) when they share an index."""
+    return sort_sign(I + J)
+
+
 def _form_from_acc(dim, deg, acc):
     """The PolyForm of an accumulator dict I -> (poly accumulator), with
     zero components dropped."""
@@ -275,7 +310,7 @@ def _form_from_acc(dim, deg, acc):
         terms = _from_acc(t)
         if terms:
             comps[I] = _poly(dim, terms)
-    return PolyForm(dim, deg, comps)
+    return _form(dim, deg, comps)
 
 
 @cache

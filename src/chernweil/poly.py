@@ -16,6 +16,10 @@ zero sums dropped.  No Scalar is built per term pair.  The coefficient
 of a product (a wedge sign, a structure constant, a tensor entry) is
 folded into the same kernel call (_mul_into's coef), not applied by a
 Poly.scale.  Sums into a running total (Poly.__add__) add Scalars.
+
+Poly(...) validates its terms and is for input from outside; results
+canonical by construction (kernel output, sums, negations, scalings,
+derivatives) are built by the unchecked _poly.
 """
 
 from __future__ import annotations
@@ -151,7 +155,7 @@ class Poly:
             e2 = list(e)
             e2[i] -= 1
             t[tuple(e2)] = c * e[i]
-        return Poly(self.dim, t)
+        return _poly(self.dim, t)
 
     def compose(self, polys, source_dim=None):
         """Substitute polys[i] for x_{i+1}; all polys share one source dim.

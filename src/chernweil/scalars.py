@@ -6,8 +6,12 @@ each tau power to a triple of Python ints (a, b, d) meaning
 (a + b*i)/d, in lowest terms (d > 0 and gcd(a, b, d) == 1) and nonzero,
 so equal values have equal terms.  This module alone knows that layout:
 ``_mac`` is the one Gaussian-rational multiply-accumulate (on unreduced
-triples) and ``_reduced`` the one reduction to lowest terms; the
-polynomial and form kernels call them.  This is enough to carry the
+triples) and ``_reduced`` the one reduction to lowest terms (inlined in
+``_from_mac``'s loop); the polynomial and form kernels call them.
+``Scalar(...)`` validates and reduces what it is given and is for input
+from outside; results built in canonical form go through the unchecked
+``_scalar``.  A product of two single-term scalars is formed and reduced
+directly, without an accumulator.  This is enough to carry the
 i/(2*pi) normalizations of Chern classes through every computation
 without rounding, so integrality statements can be tested with ``==``.
 Floats are not Scalars: ``to_complex`` substitutes tau = 2*pi when a
@@ -154,8 +158,14 @@ class Scalar:
     def __mul__(self, other):
         if type(other) is not Scalar:
             other = Scalar.coerce(other)
+        t1, t2 = self.terms, other.terms
+        if len(t1) == 1 and len(t2) == 1:
+            # one product of nonzero Gaussian rationals, which is nonzero
+            (k1, (a1, b1, d1)), = t1.items()
+            (k2, (a2, b2, d2)), = t2.items()
+            return _scalar({k1 + k2: _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)})
         t = {}
-        _mac(t, self.terms.items(), other.terms.items())
+        _mac(t, t1.items(), t2.items())
         return _from_mac(t)
 
     __rmul__ = __mul__
@@ -253,5 +263,12 @@ def _mac(t, xs, ys):
 
 def _from_mac(t):
     """The Scalar of a _mac accumulator: each triple in lowest terms,
-    zero sums dropped."""
-    return _scalar({k: _reduced(a, b, d) for k, (a, b, d) in t.items() if a or b})
+    zero sums dropped (_reduced, inlined in the one loop)."""
+    out = {}
+    for k, (a, b, d) in t.items():
+        if a or b:
+            g = gcd(a, b, d)
+            out[k] = (a, b, d) if g == 1 else (a // g, b // g, d // g)
+    s = _new(Scalar)
+    s.terms = out
+    return s

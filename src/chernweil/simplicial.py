@@ -24,14 +24,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import rank, solve_or_certify
 from .scalars import Scalar
 
 
-@dataclass(frozen=True, order=True)
-class SimplexId:
-    """A nondegenerate simplex: its dimension and position in that dimension."""
+class SimplexId(NamedTuple):
+    """A nondegenerate simplex: its dimension and position in that dimension.
+
+    A named tuple, so it equals, hashes and sorts like its (dim, index)
+    pair, all in C.  The field ``index`` shadows the method
+    ``tuple.index``.
+    """
 
     dim: int
     index: int
@@ -117,6 +122,10 @@ class SimplicialSet:
         # sorted once, so every walk over the face maps takes one order
         self.faces = dict(sorted(faces.items()))
         self.names = dict(names or {})
+        # the tuples of cells(d) and all_cells(), built on first use: a
+        # space may declare more cells than could ever be listed
+        self._cells = {}
+        self._all_cells = None
 
     def __eq__(self, other):
         """Structural equality: same cells and face structure (names ignored)."""
@@ -133,13 +142,19 @@ class SimplicialSet:
         return len(self.counts) - 1
 
     def cells(self, d):
-        if d < 0 or d > self.dim:
-            return []
-        return [SimplexId(d, i) for i in range(self.counts[d])]
+        """The d-cells in index order, as a tuple built once per d."""
+        c = self._cells.get(d)
+        if c is None:
+            if d < 0 or d > self.dim:
+                return ()
+            c = self._cells[d] = tuple(SimplexId(d, i) for i in range(self.counts[d]))
+        return c
 
     def all_cells(self):
-        for d in range(self.dim + 1):
-            yield from self.cells(d)
+        """Every cell by dimension and index, as a tuple built once."""
+        if self._all_cells is None:
+            self._all_cells = tuple(itertools.chain.from_iterable(self.cells(d) for d in range(self.dim + 1)))
+        return self._all_cells
 
     def face(self, sid, i):
         return self.faces[(sid, i)]

@@ -13,6 +13,7 @@ and polarize loops written out), for the tests to compare against.
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from math import factorial
 
@@ -222,6 +223,80 @@ def cw_matrix_contraction(rho, F):
         terms = out.setdefault(tuple(sorted(idx)), {})
         terms[e] = terms.get(e, Scalar.zero()) + val
     return PolyForm(dim, 2 * k, {K: Poly(dim, terms) for K, terms in out.items()})
+
+
+# ---------------------------------------------------------------------------
+# The canonical layout that structural == relies on, checked from scratch
+
+
+def canonical_violations(x, where="x"):
+    """Every way a Scalar, Poly, PolyForm or LieValuedForm breaks the
+    canonical layout, as a list of strings (empty when canonical).
+
+    Scalar: int tau powers -> int triples (a, b, d) with d > 0,
+    gcd(a, b, d) == 1 and a or b nonzero.  Poly: exponent tuples of dim
+    nonnegative ints -> nonzero Scalars.  PolyForm: strictly increasing
+    deg-tuples of indices below dim -> nonzero Polys on Delta^dim.
+    LieValuedForm: one such PolyForm of its dim and deg per coordinate.
+    The library's unchecked constructors (_scalar, _poly, _form) trust
+    their callers to keep this layout.
+    """
+    from chernweil.bundles import LieValuedForm
+    from chernweil.forms import PolyForm
+    from chernweil.poly import Poly
+    from chernweil.scalars import Scalar
+
+    bad = []
+    if type(x) is LieValuedForm:
+        if len(x.coords) != x.algebra.dim:
+            bad.append(f"{where}: {len(x.coords)} coordinates for a {x.algebra.dim}-dim algebra")
+        for a, f in enumerate(x.coords):
+            w = f"{where}.coords[{a}]"
+            if type(f) is not PolyForm or (f.dim, f.deg) != (x.dim, x.deg):
+                bad.append(f"{w}: not a PolyForm of dim {x.dim} and degree {x.deg}")
+            else:
+                bad += canonical_violations(f, w)
+    elif type(x) is PolyForm:
+        for I, p in x.comps.items():
+            w = f"{where}[{I!r}]"
+            if not (type(I) is tuple and len(I) == x.deg and all(type(i) is int for i in I)
+                    and all(0 <= i < x.dim for i in I) and all(i < j for i, j in zip(I, I[1:]))):
+                bad.append(f"{w}: not a strictly increasing {x.deg}-tuple of indices below {x.dim}")
+            if type(p) is not Poly or p.dim != x.dim:
+                bad.append(f"{w}: not a Poly on Delta^{x.dim}")
+            elif not p.terms:
+                bad.append(f"{w}: zero Poly")
+            else:
+                bad += canonical_violations(p, w)
+    elif type(x) is Poly:
+        for e, c in x.terms.items():
+            w = f"{where}[{e!r}]"
+            if not (type(e) is tuple and len(e) == x.dim and all(type(k) is int and k >= 0 for k in e)):
+                bad.append(f"{w}: not an exponent tuple of length {x.dim}")
+            if type(c) is not Scalar:
+                bad.append(f"{w}: coefficient is not a Scalar")
+            elif not c.terms:
+                bad.append(f"{w}: zero coefficient")
+            else:
+                bad += canonical_violations(c, w)
+    elif type(x) is Scalar:
+        for k, t in x.terms.items():
+            w = f"{where}[tau^{k!r}]"
+            if type(k) is not int:
+                bad.append(f"{w}: tau power is not an int")
+            if not (type(t) is tuple and len(t) == 3 and all(type(v) is int for v in t)):
+                bad.append(f"{w}: {t!r} is not an int triple")
+                continue
+            a, b, d = t
+            if d <= 0:
+                bad.append(f"{w}: denominator {d} is not positive")
+            elif math.gcd(a, b, d) != 1:
+                bad.append(f"{w}: {t!r} is not in lowest terms")
+            if not (a or b):
+                bad.append(f"{w}: zero coefficient")
+    else:
+        raise TypeError(f"no canonical layout for {type(x).__name__}")
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chernweil.bundles import LieValuedForm, random_connection, trivial_bundle
+from chernweil.bundles import Connection, LieValuedForm, random_connection, trivial_bundle
 from chernweil.cw import _cw_polyform_wedge, curvature_form, cw_form, cw_form_permutation
-from chernweil.forms import PolyForm, random_polyform
+from chernweil.forms import AffineMap, PolyForm, random_polyform
 from chernweil.liealg import (
     InvariantPolynomial,
     chern_polynomial,
@@ -26,7 +26,13 @@ from chernweil.liealg import (
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
 from chernweil.simplicial import boundary_sphere, standard_simplex
-from oracles import curvature_reference, cw_matrix_contraction, reznikov_quadrature, sym_trace_oracle
+from oracles import (
+    canonical_violations,
+    curvature_reference,
+    cw_matrix_contraction,
+    reznikov_quadrature,
+    sym_trace_oracle,
+)
 from test_scalar_kernel import MODELS, POLY_MODELS, model, poly_model, to_poly, to_scalar
 
 
@@ -101,6 +107,27 @@ def test_curvature_matches_matrix_oracle(name, data):
     # matrix of 1-forms, decomposed in the basis
     A = data.draw(connection_forms(name))
     assert curvature_form(A) == curvature_reference(A)
+
+
+@pytest.mark.parametrize("name", ("su2", "u2"))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_lie_paths_build_canonical_values(name, data):
+    # the curvature, the brackets and the characteristic forms of the
+    # connection A induces on every cell of Delta^dim
+    A = data.draw(connection_forms(name))
+    alg, dim = A.algebra, A.dim
+    X = standard_simplex(dim)
+    D = Connection(
+        trivial_bundle(X, alg),
+        {sid: A.pullback(AffineMap.from_monotone(s, dim)) for s, sid in X._subset_index.items()},
+    )
+    F = curvature_form(A)
+    values = [F, A.bracket_wedge(A), A.bracket_wedge(F), A._bracket_over(F, [(0, alg.dim - 1)])]
+    for k in range(1, dim // 2 + 1):
+        values += cw_form(sym_trace_poly(alg, k), D).forms.values()
+    for v in values:
+        assert canonical_violations(v) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,17 +5,18 @@ which is where the gcd reduction and the pruning of zero terms matter.
 """
 
 import itertools
+import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chernweil.forms import AffineMap, PolyForm, _form_from_acc
+from chernweil.forms import AffineMap, BernsteinMap, PolyForm, _form_from_acc, interior_noise, whitney_extend
 from chernweil.poly import Poly
 from chernweil.scalars import TAU, Scalar
 from oracles import (
+    canonical_violations,
     gr_add,
     gr_form_scale,
     gr_monomial_inverse,
@@ -63,11 +64,8 @@ def bits(z):
     return (z.real.hex(), z.imag.hex())
 
 
-def assert_canonical(s):
-    for a, b, d in s.terms.values():
-        assert type(a) is int and type(b) is int and type(d) is int
-        assert d > 0 and gcd(a, b, d) == 1
-        assert a or b
+def assert_canonical(x):
+    assert canonical_violations(x) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,9 +151,7 @@ def test_poly_ops_match_term_by_term_oracle(p, q, c):
     assert poly_model(a - b) == gr_poly_add(p, {e: gr_neg(s) for e, s in q.items()})
     assert poly_model(a.scale(to_scalar(c))) == gr_poly_mul(p, {(0, 0): c} if c else {})
     for r in (a * b, a + b, a - b, a.scale(to_scalar(c)), (a + b) - b):
-        assert all(s.terms for s in r.terms.values())
-        for s in r.terms.values():
-            assert_canonical(s)
+        assert_canonical(r)
     assert (a + b) - b == a
     assert (a - a).is_zero()
 
@@ -181,14 +177,6 @@ def to_form(dim, deg, f):
 
 def form_model(F):
     return {I: poly_model(p) for I, p in F.comps.items()}
-
-
-def assert_canonical_form(F):
-    for p in F.comps.values():
-        assert p.terms  # no zero component
-        for s in p.terms.values():
-            assert s.terms  # no empty Scalar
-            assert_canonical(s)
 
 
 @st.composite
@@ -229,15 +217,15 @@ def test_wedge_matches_oracle(case, c):
     assert form_model(scaled) == gr_form_scale(gr_wedge(f, g), c, dim)
     for r in (got, scaled):
         assert (r.dim, r.deg) == (dim, p + q)
-        assert_canonical_form(r)
+        assert_canonical(r)
     if p % 2 == 0:
         # the square of an even-degree form takes each unordered pair of
         # components once, with and without a coefficient
         square, scaled_square = F.wedge(F), kernel_wedge(dim, 2 * p, F, F, c)
         assert form_model(square) == gr_wedge(f, f)
         assert form_model(scaled_square) == gr_form_scale(gr_wedge(f, f), c, dim)
-        assert_canonical_form(square)
-        assert_canonical_form(scaled_square)
+        assert_canonical(square)
+        assert_canonical(scaled_square)
 
 
 @st.composite
@@ -258,4 +246,49 @@ def test_pullback_along_monotone_map_matches_oracle(case):
     got = to_form(d, deg, f).pullback(AffineMap.from_monotone(m, d))
     assert (got.dim, got.deg) == (len(m) - 1, deg)
     assert form_model(got) == gr_pullback_monotone(f, m, d)
-    assert_canonical_form(got)
+    assert_canonical(got)
+
+
+@st.composite
+def trusted_cases(draw):
+    """Two forms of one shape and a third of any degree on Delta^1..Delta^4,
+    a monotone vertex map into the simplex and a seed for random maps."""
+    dim = draw(st.integers(1, 4))
+    p, q = draw(st.integers(0, dim)), draw(st.integers(0, dim))
+    m = tuple(sorted(draw(st.lists(st.integers(0, dim), min_size=1, max_size=4))))
+    forms = draw(form_models(dim, p)), draw(form_models(dim, p)), draw(form_models(dim, q))
+    return dim, p, q, *forms, m, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trusted_cases(), COEFFICIENTS)
+@example((2, 1, 1, {(0,): {(0, 0): ONE}}, {(0,): {(0, 0): {0: (Fraction(-1), Fraction(0))}}}, {}, (0,), 0), ONE)
+def test_trusted_paths_build_canonical_values(case, c):
+    # every result built by the unchecked constructors (_scalar, _poly,
+    # _form): sums that cancel, squares, scaling by zero, pullbacks along
+    # affine and Bernstein maps, the Whitney-Bernstein extension
+    dim, p, q, f, f2, g, m, seed = case
+    F, F2, G = to_form(dim, p, f), to_form(dim, p, f2), to_form(dim, q, g)
+    rng = random.Random(seed)
+    facets = {i: F.pullback(AffineMap.face(dim, i)) for i in range(dim + 1) if rng.randrange(2)}
+    outputs = [
+        F.wedge(G),
+        F.wedge(F),
+        kernel_wedge(dim, p + q, F, G, c),
+        kernel_wedge(dim, 2 * p, F, F, c),
+        F.d(),
+        F + F2,
+        F - F2,
+        F - F,
+        -F,
+        F.scale(to_scalar(c)),
+        F.scale(0),
+        F.scale(Scalar.zero()),
+        F.pullback(AffineMap.from_monotone(m, dim)),
+        F.pullback(BernsteinMap.random(rng, len(m) - 1, dim, rng.randrange(1, 3))),
+        whitney_extend(dim, p, facets),
+        interior_noise(rng, dim, p),
+    ]
+    for r in outputs:
+        assert_canonical(r)
+    assert (F - F).is_zero() and F.scale(0).is_zero()

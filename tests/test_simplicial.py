@@ -1,4 +1,6 @@
 import random
+import time
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -13,6 +15,7 @@ from chernweil.simplicial import (
     InvalidHornError,
     SimplexId,
     SimplicialMap,
+    SimplicialSet,
     betti_numbers,
     boundary_chain,
     boundary_operator,
@@ -321,6 +324,56 @@ def test_faces_walk_by_dimension_index_and_i(X):
     walk = [(sid, i) for d in range(1, X.dim + 1) for sid in X.cells(d) for i in range(d + 1)]
     assert list(X.faces) == walk
     assert list(SimplicialSet(X.counts, dict(reversed(X.faces.items()))).faces) == walk
+
+
+@dataclass(frozen=True, order=True)
+class _DataclassSimplexId:
+    """SimplexId as it was before it became a named tuple."""
+
+    dim: int
+    index: int
+
+    def __repr__(self):
+        return f"{self.dim}.{self.index}"
+
+
+CONTRACT_SPACES = (
+    [standard_simplex(n) for n in range(5)]
+    + [boundary_sphere(n) for n in (1, 2, 3)]
+    + [two_disk_sphere(), horn(2, 0).space, horn(3, 1).space, horn(4, 4).space]
+    + [product(standard_simplex(1), two_disk_sphere()).space, cylinder(boundary_sphere(1))[0].space]
+)
+
+
+@pytest.mark.parametrize("X", CONTRACT_SPACES)
+def test_simplex_ids_and_cells_keep_the_dataclass_contract(X):
+    # SimplexId is a named tuple: it equals its (dim, index) pair and
+    # hashes, prints and sorts as the frozen dataclass did, so dict and
+    # set orders and every report are unchanged.  Its field `index`
+    # shadows the method tuple.index.
+    old_cells = [SimplexId(d, i) for d in range(X.dim + 1) for i in range(X.counts[d])]
+    assert list(X.all_cells()) == old_cells
+    assert X.all_cells() is X.all_cells()
+    for d in range(-1, X.dim + 2):
+        assert X.cells(d) is X.cells(d)
+        assert list(X.cells(d)) == [c for c in old_cells if c.dim == d]
+    shuffled = old_cells[::-1]
+    random.Random(len(old_cells)).shuffle(shuffled)
+    old = {sid: _DataclassSimplexId(sid.dim, sid.index) for sid in old_cells}
+    assert [old[sid] for sid in sorted(shuffled)] == sorted(old[sid] for sid in shuffled)
+    for sid in old_cells:
+        assert sid == (sid.dim, sid.index) and sid.index == old[sid].index
+        assert hash(sid) == hash(old[sid]) == hash((sid.dim, sid.index))
+        assert repr(sid) == str(sid) == f"{sid}" == repr(old[sid])
+    assert list(X.faces) == sorted(X.faces, key=lambda k: (old[k[0]], k[1]))
+
+
+def test_cells_are_listed_on_first_use():
+    # a space may declare more cells than could ever be listed
+    start = time.perf_counter()
+    X = SimplicialSet([10**11], {})
+    assert time.perf_counter() - start < 0.5
+    assert X.counts == [10**11] and X.cells(1) == ()
 
 
 def test_validator_catches_broken_identity():
