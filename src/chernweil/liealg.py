@@ -27,7 +27,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .linalg import multinomial, row_reduce, solution_from_pivots, sort_sign
+from .linalg import PrecomputedSolver, multinomial, sort_sign
 from .scalars import TAU, Scalar, parse_int
 
 
@@ -172,22 +172,14 @@ def _basis_sun(n):
     return [_matrix(n, {(k, k): _S(0, 1), (k + 1, k + 1): _S(0, -1)}) for k in range(n - 1)] + _off_diagonal(n)
 
 
-def _scalar_solve(columns, rhs):
-    """Solve sum_j x_j columns[j] = rhs exactly over tau-free Scalars."""
-    n = len(columns)
-    rows = [[col[i] for col in columns] + [b] for i, b in enumerate(rhs)]
-    pivots = row_reduce(rows, n)
-    if any(not row[n].is_zero() for row in rows[len(pivots):]):
-        raise LieAlgebraError("matrix not in the span of the basis")
-    return solution_from_pivots(pivots, [row[n] for row in rows], n)
-
-
 class LieData:
     """A named matrix Lie algebra with exact basis and structure constants.
 
     structure[a][b] is the tuple of the nonzero (c, s) with
     [e_a, e_b] = sum s e_c, c increasing, for every ordered pair (a, b):
-    antisymmetric, and empty on the diagonal.
+    antisymmetric, and empty on the diagonal.  solver is the one
+    PrecomputedSolver over the flattened basis (a row per matrix entry,
+    a column per basis element); decompose and the table read through it.
     """
 
     def __init__(self, name, basis):
@@ -198,13 +190,11 @@ class LieData:
         self.basis_float = [
             np.array([[v.to_complex() for v in row] for row in b]) for b in basis
         ]
-        self._flat = [
-            [b[r][c] for r in range(self.n) for c in range(self.n)] for b in basis
-        ]
+        self.solver = PrecomputedSolver([[b[r][c] for b in basis] for r in range(self.n) for c in range(self.n)])
         self.structure = [[()] * self.dim for _ in range(self.dim)]
         for a, b in itertools.combinations(range(self.dim), 2):
             m = mat_sub(mat_mul(basis[a], basis[b]), mat_mul(basis[b], basis[a]))
-            coeffs = _scalar_solve(self._flat, [m[r][c] for r in range(self.n) for c in range(self.n)])
+            coeffs = self.decompose(m).coords
             self.structure[a][b] = tuple((c, s) for c, s in enumerate(coeffs) if not s.is_zero())
             self.structure[b][a] = tuple((c, -s) for c, s in self.structure[a][b])
         self.is_abelian = not any(any(row) for row in self.structure)
@@ -216,9 +206,18 @@ class LieData:
         return self.element([Scalar.zero()] * self.dim)
 
     def decompose(self, matrix):
-        """Exact coordinates of a Scalar matrix in the basis."""
-        flat = [matrix[r][c] for r in range(self.n) for c in range(self.n)]
-        return self.element(_scalar_solve(self._flat, flat))
+        """Exact coordinates of an n x n Scalar matrix in the basis, read
+        through the solver built once over the flattened basis.
+
+        Entries may be any Scalars (tau-Laurent Gaussian rationals).  The
+        u(n) bases span gl(n, C), so every such matrix decomposes there;
+        a matrix outside the complex span (the identity on su(n), a
+        symmetric matrix on so3) raises LieAlgebraError.
+        """
+        status, coords = self.solver.solve([v for row in matrix for v in row])
+        if status == "certificate":
+            raise LieAlgebraError("matrix not in the span of the basis")
+        return self.element(coords)
 
     def decompose_float(self, matrix):
         B = np.array([bf.flatten() for bf in self.basis_float]).T

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals and Gaussian rationals.
 
 Everything here rests on one kernel, ``row_reduce``: Gauss-Jordan
 elimination on the first ``ncols`` columns of a list of rows, in place.
@@ -8,15 +8,15 @@ variables are set to zero.  Columns past ``ncols`` are never pivoted
 on but receive the same row operations, so callers append what they
 want carried along:
 
-    rank                   [A]
-    solve_or_certify       [A | b | I]
-    PrecomputedSolver      [A | I]    (I becomes the transform for any b)
-    liealg._scalar_solve   [A | b]    (A of tau-free Gaussian rationals)
+    rank                [A]
+    PrecomputedSolver   [A | I]    (I becomes the transform T for any b;
+                                    solve_or_certify and LieData use it)
 
-b may hold Scalars (tau-Laurent values); only A is pivoted on, so a
-Scalar is only ever divided by a pivot of A.  After reduction the
-trailing identity block of a zero row of A is a vector y with
-y^T A = 0, the unsolvability certificate when y^T b != 0.
+A may hold Fractions or tau-free Gaussian-rational Scalars, so every
+pivot is invertible; b may hold any Scalars (tau-Laurent values) and
+only ever meets T.  After reduction the row of T beside a zero row of A
+is a vector y with y^T A = 0, the unsolvability certificate when
+y^T b != 0.
 
 ``sort_sign`` gives the sign of a sorting permutation, for wedge
 products and determinants; ``multinomial`` counts the orderings of a
@@ -58,56 +58,42 @@ def row_reduce(rows, ncols):
     return pivots
 
 
-def _identity_row(i, m):
-    return [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-
-
 def rank(matrix):
     """Rank of a list-of-rows Fraction matrix."""
     rows = [list(map(Fraction, r)) for r in matrix]
     return len(row_reduce(rows, len(rows[0]))) if rows else 0
 
 
-def solution_from_pivots(pivots, values, n):
-    """x with x[col] = values[row] at each pivot and zero elsewhere."""
-    x = [Scalar.zero() for _ in range(n)]
-    for ri, ci in pivots:
-        x[ci] = values[ri]
-    return x
-
-
 def solve_or_certify(matrix, rhs):
     """Solve A x = b exactly, or certify unsolvability.
 
-    A is a list of Fraction rows, b a list of Scalar (or Fraction)
-    entries.  Returns ("solved", x) with x a list of Scalars (free
-    variables zero), or ("certificate", y) where y is a list of
-    Fractions with y^T A = 0 and y^T b != 0.
+    A is a list of rows of Fractions (or ints) and tau-free Scalars, b
+    a list of Scalar (or Fraction) entries; this is
+    PrecomputedSolver(A).solve(b).
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    rows = [
-        list(map(Fraction, a)) + [Scalar.coerce(b)] + _identity_row(i, m)
-        for i, (a, b) in enumerate(zip(matrix, rhs))
-    ]
-    pivots = row_reduce(rows, n)
-    for row in rows[len(pivots):]:
-        if not row[n].is_zero():
-            return "certificate", row[n + 1:]
-    return "solved", solution_from_pivots(pivots, [row[n] for row in rows], n)
+    return PrecomputedSolver(matrix).solve(rhs)
 
 
 class PrecomputedSolver:
-    """Row-reduce a rational matrix once, then solve for many RHS vectors.
+    """Row-reduce a matrix once, then solve A x = b for many b.
 
-    Equivalent to solve_or_certify for every b, but the elimination runs
-    a single time; solving costs one transform-times-vector product.
+    Entries of A are Fractions (anything else that is not a Scalar is
+    coerced to one) or tau-free Gaussian-rational Scalars, such as the
+    flattened basis of a Lie algebra: square and invertible for u(n),
+    whose basis spans gl(n, C), and of rank n^2 - 1 for su(n).
+    solve(b) costs one transform-times-vector product and returns
+    ("solved", x) with x a list of Scalars (free variables zero), or
+    ("certificate", y) with y^T A = 0 and y^T b != 0; y is a list of
+    Fractions when A is.
     """
 
     def __init__(self, matrix):
         m = len(matrix)
         n = len(matrix[0]) if m else 0
-        rows = [list(map(Fraction, a)) + _identity_row(i, m) for i, a in enumerate(matrix)]
+        rows = [
+            [a if isinstance(a, Scalar) else Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(m)]
+            for i, row in enumerate(matrix)
+        ]
         self.m, self.n = m, n
         self.pivots = row_reduce(rows, n)
         self.rank = len(self.pivots)
@@ -116,16 +102,19 @@ class PrecomputedSolver:
     def solve(self, rhs):
         b = [Scalar.coerce(x) for x in rhs]
         y = []
-        for i in range(self.m):
+        for row in self.trans:
             s = Scalar.zero()
-            for j, t in enumerate(self.trans[i]):
-                if t:
-                    s = s + b[j] * t
+            for bj, t in zip(b, row):
+                if t != 0:
+                    s = s + bj * t
             y.append(s)
         for i in range(self.rank, self.m):
             if not y[i].is_zero():
                 return "certificate", self.trans[i]
-        return "solved", solution_from_pivots(self.pivots, y, self.n)
+        x = [Scalar.zero()] * self.n
+        for r, c in self.pivots:
+            x[c] = y[r]
+        return "solved", x
 
 
 def sort_sign(seq):

@@ -180,6 +180,9 @@ class Scalar:
         _mac(t, self.terms.items(), ((-k, (a * d, -b * d, a * a + b * b)),))
         return _from_mac(t)
 
+    def __rtruediv__(self, other):
+        return Scalar.coerce(other) / self
+
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers not supported; divide instead")

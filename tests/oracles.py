@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: ranks come from
-sympy, integrals from quadrature, pullbacks from sympy's symbolic
+sympy, exact solves from an [A | b | I] elimination written out here,
+integrals from quadrature, pullbacks from sympy's symbolic
 differentiation, polarization from finite differences, characteristic
 forms from invariant polynomials evaluated on the curvature's matrices,
 the curvature itself from the matrix of the connection's 1-forms.
@@ -21,11 +22,59 @@ import numpy as np
 import sympy
 
 
+def _sympy_number(x):
+    """An int, a Fraction or a tau-free Scalar as an exact sympy number."""
+    if not hasattr(x, "terms"):
+        return sympy.Rational(x)
+    assert set(x.terms) <= {0}, "tau-free entries only"
+    a, b, d = x.terms.get(0, (0, 0, 1))
+    return sympy.Rational(a, d) + sympy.I * sympy.Rational(b, d)
+
+
 def rank_oracle(matrix):
-    """Exact rank via sympy's row reduction."""
+    """Exact rank via sympy's row reduction, over the Gaussian rationals."""
     if not matrix or not matrix[0]:
         return 0
-    return sympy.Matrix([[sympy.Rational(x) for x in row] for row in matrix]).rank()
+    return sympy.Matrix([[_sympy_number(x) for x in row] for row in matrix]).rank()
+
+
+def solve_or_certify_reference(matrix, rhs):
+    """solve_or_certify by its older route: one Gauss-Jordan elimination
+    of [A | b | I] per system, written out here, for rational A.
+
+    The pivot rule is the library's (columns in order, first nonzero
+    entry at or below the current row), so the witness (free variables
+    zero) and the certificate (the identity block beside the first zero
+    row of A whose b entry is nonzero) are the exact values it returns.
+    """
+    from chernweil.scalars import Scalar
+
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    rows = [
+        list(map(Fraction, a)) + [Scalar.coerce(b)] + [Fraction(int(i == j)) for j in range(m)]
+        for i, (a, b) in enumerate(zip(matrix, rhs))
+    ]
+    pivot_cols = []
+    for c in range(n):
+        r = len(pivot_cols)
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+    for row in rows[len(pivot_cols):]:
+        if not row[n].is_zero():
+            return "certificate", row[n + 1:]
+    x = [Scalar.zero()] * n
+    for r, c in enumerate(pivot_cols):
+        x[c] = rows[r][n]
+    return "solved", x
 
 
 def betti_oracle(X, max_dim):

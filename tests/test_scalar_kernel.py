@@ -110,6 +110,19 @@ def test_scalar_division_by_monomial_matches_oracle(x, m):
     assert model(Scalar.one() / Scalar({0: c})) == gr_monomial_inverse({0: m[k]})
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(-5, 5), PARTS), MONOMIALS)
+def test_number_divided_by_monomial_matches_oracle(r, m):
+    """int / Scalar and Fraction / Scalar, as the solver's row operations
+    meet them, are exact Scalars; a non-monomial divisor still raises."""
+    q = r / to_scalar(m)
+    assert type(q) is Scalar
+    assert model(q) == gr_mul({0: (Fraction(r), Fraction(0))} if r else {}, gr_monomial_inverse(m))
+    assert_canonical(q)
+    with pytest.raises(ValueError):
+        r / (to_scalar(m) + Scalar.tau(3))
+
+
 @settings(max_examples=200, deadline=None)
 @given(MODELS)
 def test_scalar_rational_and_float_match_oracle(x):
