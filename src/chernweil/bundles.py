@@ -233,14 +233,21 @@ def _sample_points(dim, count, seed):
 
 
 def transitions_equal(t1, t2, seed=0):
-    """Group-level equality of two transition maps.
+    """Group-level equality of two transition maps, decided in order:
 
-    Abelian: exact; the logs must differ by a constant in i*tau*Z
-    (exp of such a constant is the identity).  Otherwise: sampled
-    matrix comparison at interior points.
+    1. identical factor lists: equal, exactly (the same product of
+       exponentials), with no log algebra or sampling;
+    2. abelian: exact; the logs must differ by a constant in i*tau*Z
+       (exp of such a constant is the identity);
+    3. otherwise: sampled matrix comparison at interior points.
+
+    Step 1 gives the verdict steps 2 and 3 would give: a zero log
+    difference, a zero sampled deviation.
     """
     if t1.algebra is not t2.algebra or t1.dim != t2.dim:
         return False
+    if t1.factors == t2.factors:
+        return True
     alg = t1.algebra
     if alg.is_abelian:
         diff = t1.log_total() - t2.log_total()
@@ -353,6 +360,10 @@ class BundleReport:
 
 def validate_bundle(P, seed=0):
     """Cocycle/functoriality check on all composable face pairs.
+
+    The report's exact flag names the algebra's comparison mode (exact
+    for abelian groups, sampled otherwise), whichever step of
+    transitions_equal decided each pair.
 
     The composite transitions inside the faces recur across face pairs;
     one route memo per call, keyed (simplex, monotone map), computes each
@@ -756,7 +767,9 @@ def horn_fill_bundle(H, P):
     missing face is the identity, and the missing face's own data is
     forced by the cocycle conditions (all twisting is pushed into it).
     Pulling back along H.inclusion returns the input data unchanged.
-    Exact, abelian structure groups only.
+    Exact, abelian structure groups only.  Validates both its input and
+    its output with validate_bundle and raises BundleError if either
+    fails, so a returned filler is a valid bundle over Delta^n.
     """
     if not P.algebra.is_abelian:
         raise BundleError("horn filling implemented for abelian structure groups")

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernweil.bundles import (
     SAMPLE_TOL,
@@ -41,6 +43,7 @@ from chernweil.simplicial import (
 from oracles import (
     horn_restriction_reference,
     pullback_bundle_reference,
+    transitions_equal_reference,
     validate_bundle_reference,
     winding_of_samples,
 )
@@ -386,6 +389,83 @@ def test_transitions_equal_mod_tau():
     assert transitions_equal(TransitionMap.single(p), TransitionMap.single(q))
     r = LieValuedForm.from_polys(u1, [Poly(1, {(1,): Scalar.from_rational(1, 2)}) + Poly.const(1, Scalar.tau() * Fraction(1, 2))])
     assert not transitions_equal(TransitionMap.single(p), TransitionMap.single(r))
+
+
+_SMALL_FRACTIONS = st.sampled_from([Fraction(n, d) for n in (-2, -1, 1, 2, 3) for d in (1, 2, 3)])
+
+
+@st.composite
+def _zero_form(draw, alg, dim):
+    """A g-valued 0-form on Delta^dim: each coordinate an affine
+    polynomial with up to two small rational coefficients."""
+    exps = [(0,) * dim] + [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    polys = []
+    for _ in range(alg.dim):
+        chosen = draw(st.lists(st.sampled_from(exps), max_size=2, unique=True))
+        polys.append(Poly(dim, {e: Scalar.from_rational(draw(_SMALL_FRACTIONS)) for e in chosen}))
+    return LieValuedForm.from_polys(alg, polys)
+
+
+@st.composite
+def _transition_pairs(draw):
+    """(t1, t2, kind): t2 is t1's factor list copied, shifted by a
+    constant in (tau/2)Z (u1 only), perturbed in one coefficient, or
+    reordered (nonabelian only)."""
+    name = draw(st.sampled_from(["u1", "su2", "u2", "so3"]))
+    alg = lie_algebra(name)
+    dim = draw(st.integers(1, 2))
+    factors = draw(st.lists(_zero_form(alg, dim), min_size=1, max_size=3))
+    kinds = ["identical", "perturbed"] + (["tau-shift"] if alg.is_abelian else ["reordered"])
+    kind = draw(st.sampled_from(kinds))
+    others = list(factors)
+    if kind == "tau-shift":
+        # exp of the u1 coordinate m*tau is the identity exactly when m is an integer
+        m = draw(st.sampled_from([Fraction(n, 2) for n in (-4, -3, -2, -1, 1, 2, 3, 4)]))
+        others.append(LieValuedForm.from_polys(alg, [Poly.const(dim, Scalar.tau() * m)]))
+    elif kind == "perturbed":
+        f = draw(st.integers(0, len(others) - 1))
+        a = draw(st.integers(0, alg.dim - 1))
+        e = draw(st.sampled_from([(0,) * dim, (1,) + (0,) * (dim - 1)]))
+        bump = Poly(dim, {e: Scalar.from_rational(draw(_SMALL_FRACTIONS))})
+        polys = [c.component(()) for c in others[f].coords]
+        polys[a] = polys[a] + bump
+        others[f] = LieValuedForm.from_polys(alg, polys)
+    elif kind == "reordered":
+        others = draw(st.permutations(others))
+    return TransitionMap(alg, dim, factors), TransitionMap(alg, dim, others), kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(_transition_pairs(), st.integers(0, 3))
+def test_transitions_equal_matches_reference(pair, seed):
+    """transitions_equal agrees with the comparison that takes no
+    shortcut on identical factor lists: exact logs mod i*tau*Z on u1,
+    7 sampled matrix products otherwise."""
+    t1, t2, kind = pair
+    got = transitions_equal(t1, t2, seed)
+    assert got == transitions_equal_reference(t1, t2, seed)
+    assert got == transitions_equal(t2, t1, seed)
+    if kind == "identical":
+        assert got
+
+
+def test_identical_nonabelian_transitions_compare_without_sampling(monkeypatch):
+    """Equal factor lists are equal before any matrix is sampled; a
+    reordered pair of noncommuting factors still goes to sampling."""
+    import chernweil.bundles as bn
+
+    su2 = lie_algebra("su2")
+    p = LieValuedForm.from_polys(su2, [Poly(1, {(1,): Scalar.one()}), Poly.zero(1), Poly.zero(1)])
+    q = LieValuedForm.from_polys(su2, [Poly.zero(1), Poly.const(1, 1), Poly.zero(1)])
+    t = TransitionMap(su2, 1, [p, q])
+    calls = []
+    real = bn._sample_points
+    monkeypatch.setattr(bn, "_sample_points", lambda *a: calls.append(a) or real(*a))
+    assert transitions_equal(t, TransitionMap(su2, 1, [p, q]))
+    assert transitions_equal(TransitionMap.identity(su2, 1), TransitionMap.identity(su2, 1))
+    assert not calls
+    assert not transitions_equal(t, TransitionMap(su2, 1, [q, p]))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("X", [boundary_sphere(2), two_disk_sphere()], ids=["boundary_sphere2", "two_disk"])

@@ -17,7 +17,9 @@ from chernweil.liealg import lie_algebra
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
 from chernweil.simplicial import (
+    _from_subsets,
     boundary_sphere,
+    cylinder,
     horn,
     product,
     standard_simplex,
@@ -132,10 +134,43 @@ def test_space_round_trips():
         horn(3, 0).space,
     ]
     for X in spaces:
-        text = cio.simplicial_set_to_str(X)
-        X2 = cio.parse_simplicial_set(text)
-        assert X2 == X and X2.names == X.names
-        assert cio.simplicial_set_to_str(X2) == text
+        _assert_space_round_trips(X)
+
+
+def _assert_space_round_trips(X):
+    text = cio.simplicial_set_to_str(X)
+    X2 = cio.parse_simplicial_set(text)
+    assert X2 == X and X2.names == X.names
+    assert cio.simplicial_set_to_str(X2) == text
+
+
+@st.composite
+def _subcomplexes(draw, n):
+    """A nonempty down-closed subcomplex of Delta^n, spanned by random
+    vertex sets and all their faces."""
+    vertex_sets = st.frozensets(st.integers(0, n), min_size=1)
+    tops = draw(st.lists(vertex_sets, min_size=1, max_size=4))
+    closed = {tuple(sorted(f)) for t in tops for m in range(1, len(t) + 1) for f in itertools.combinations(t, m)}
+    return _from_subsets(n, closed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subcomplexes(4))
+def test_random_subcomplex_round_trips(X):
+    _assert_space_round_trips(X)
+
+
+_SMALL_SPACES = st.one_of(
+    st.sampled_from([standard_simplex(0), standard_simplex(1), boundary_sphere(1), two_disk_sphere()]),
+    _subcomplexes(2),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_SMALL_SPACES, _SMALL_SPACES)
+def test_random_product_and_cylinder_round_trip(X, Y):
+    _assert_space_round_trips(product(X, Y).space)
+    _assert_space_round_trips(cylinder(X)[0].space)
 
 
 def test_space_with_shuffled_face_lines_writes_canonical_text():
@@ -296,6 +331,18 @@ def test_cli_chern_clutch(capsys):
     assert "PASS winding-oracle-agreement" in out
 
 
+@pytest.mark.parametrize("poly", ["chern:1", "symtrace:1"])
+@pytest.mark.parametrize("n", [-2, -1, 1, 2])
+def test_cli_chern_clutch_degree_one_polynomials(n, poly, capsys):
+    """A degree-1 rho pairs with clutch(n) to rho(e_0) * tau * n: n for
+    chern:1, n*i*tau for symtrace:1 (the u1 basis is [[i]])."""
+    rc = main(["chern", "--bundle", f"clutch:{n}", "--poly", poly])
+    out = capsys.readouterr().out
+    pairing = str(n) if poly == "chern:1" else f"{n}i*tau^1"
+    assert f"PASS winding-oracle-agreement: pairing={pairing}\n" in out
+    assert rc == 0 and out.endswith("result: pass\n")
+
+
 def test_cli_clutch_generate_and_consume(tmp_path, capsys):
     gen = tmp_path / "gen"
     rc = main(["clutch", "--n", "2", "--out", str(gen)])
@@ -331,6 +378,21 @@ def test_cli_horn_fill(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS restriction-equality" in out and "PASS refill-stability" in out
+
+
+def test_cli_horn_fill_validates_each_bundle_once(monkeypatch, capsys):
+    """input-valid, then horn_fill_bundle on the horn and on its filler
+    (input and output each), refill likewise: five validations; the
+    filler is not validated a second time for filler-valid."""
+    from chernweil import bundles
+
+    seen = []
+    validate = bundles.validate_bundle
+    monkeypatch.setattr(bundles, "validate_bundle", lambda P, seed=0: seen.append(P.base.dim) or validate(P, seed))
+    rc = main(["horn-fill", "--n", "3", "--k", "1", "--seed", "4"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "PASS filler-valid" in out
+    assert seen == [2, 2, 3, 2, 3]
 
 
 @pytest.mark.parametrize("k", range(5))
