@@ -29,6 +29,7 @@ import numpy as np
 
 from .bundles import Connection, pullback_bundle
 from .forms import PolyForm, SimplicialForm, _form_from_acc, check_simplicial_form, integrate_to_cochain
+from .io import scalar_to_str
 from .linalg import sort_sign
 from .poly import Poly, _from_acc, _poly
 from .scalars import Scalar, _mac
@@ -201,8 +202,18 @@ def calibrate_cw_constant(rho, F):
 
 
 def cw_cochain(rho, D):
-    """alpha = integral of the characteristic form; closed exactly."""
-    return integrate_to_cochain(cw_form(rho, D))
+    """alpha = integral of the characteristic form; closed exactly.
+
+    The cochain reads only the 2k-cells, so the form is built on those
+    alone: integrate_to_cochain(cw_form(rho, D)) without the cells
+    above degree 2k.
+    """
+    X = D.bundle.base
+    deg = 2 * rho.arity
+    return Cochain(deg, {
+        sid: _cw_polyform_wedge(rho, curvature_form(D.forms[sid])).integrate_top()
+        for sid in X.cells(deg) if sid in D.forms
+    })
 
 
 def pullback_connection(f, P, D):
@@ -335,14 +346,7 @@ class ClassReport:
     pairings: list = field(default_factory=list)
 
     def machine_line(self):
-        vals = []
-        for v in self.pairings:
-            if isinstance(v, Scalar) and v.is_rational():
-                vals.append(str(v.rational_value()))
-            elif isinstance(v, Scalar):
-                vals.append(repr(v.to_complex()))
-            else:
-                vals.append(repr(v))
+        vals = [str(v.rational_value()) if v.is_rational() else scalar_to_str(v) for v in self.pairings]
         return (
             f"class rho={self.poly_name} bundle={self.bundle_name}: "
             f"closed={'yes' if self.closed else 'no'} pairings=[{', '.join(vals)}] witness=absent"
@@ -352,13 +356,16 @@ class ClassReport:
 def class_report(rho, P, D, cycles, bundle_name="bundle", poly_name=None):
     """Characteristic cochain of (rho, D), its closedness and its pairings.
 
-    The form is built once and integrated.  For an abelian group it must
-    also be face compatible exactly, or the report says not closed.
+    For an abelian group the form must also be face compatible exactly,
+    or the report says not closed; only then is the whole form built
+    (once, and integrated).  Otherwise the cochain comes from cw_cochain.
     """
-    omega = cw_form(rho, D)
-    alpha = integrate_to_cochain(omega)
-    closed = coboundary(P.base, alpha).is_zero()
-    if closed and P.algebra.is_abelian and check_simplicial_form(omega):
-        closed = False
+    if P.algebra.is_abelian:
+        omega = cw_form(rho, D)
+        alpha = integrate_to_cochain(omega)
+        closed = coboundary(P.base, alpha).is_zero() and not check_simplicial_form(omega)
+    else:
+        alpha = cw_cochain(rho, D)
+        closed = coboundary(P.base, alpha).is_zero()
     pairings = [pairing(alpha, z) for z in cycles]
     return ClassReport(poly_name or rho.provenance, bundle_name, closed, pairings)

@@ -1,22 +1,27 @@
 """Exact linear algebra over the rationals and Gaussian rationals.
 
-Everything here rests on one kernel, ``row_reduce``: Gauss-Jordan
-elimination on the first ``ncols`` columns of a list of rows, in place.
-The pivot rule is fixed (columns in order, first nonzero entry at or
-below the current row), which makes every result deterministic: free
-variables are set to zero.  Columns past ``ncols`` are never pivoted
-on but receive the same row operations, so callers append what they
-want carried along:
+Two kernels, each with a fixed rule, so every result is deterministic.
 
-    rank                [A]
-    PrecomputedSolver   [A | I]    (I becomes the transform T for any b;
-                                    solve_or_certify and LieData use it)
+``row_reduce`` is Gauss-Jordan elimination on the first ``ncols``
+columns of a list of dense rows, in place (columns in order, first
+nonzero entry at or below the current row; free variables are set to
+zero).  Columns past ``ncols`` are never pivoted on but receive the
+same row operations.  Its one caller is ``PrecomputedSolver``, which
+reduces [A | I] once (I becomes the transform T for any b;
+``solve_or_certify`` and ``LieData`` use it).  A may hold Fractions or
+tau-free Gaussian-rational Scalars, so every pivot is invertible; b may
+hold any Scalars (tau-Laurent values) and only ever meets T.  After
+reduction the row of T beside a zero row of A is a vector y with
+y^T A = 0, the unsolvability certificate when y^T b != 0.
 
-A may hold Fractions or tau-free Gaussian-rational Scalars, so every
-pivot is invertible; b may hold any Scalars (tau-Laurent values) and
-only ever meets T.  After reduction the row of T beside a zero row of A
-is a vector y with y^T A = 0, the unsolvability certificate when
-y^T b != 0.
+``column_reduce`` is the standard persistence reduction
+(Zomorodian-Carlsson, Discrete Comput. Geom. 33, 2005) on sparse
+columns ``{row: entry}`` of exact ints or Fractions: each column in
+turn is reduced by the earlier pivot columns, keyed on its lowest
+(largest) nonzero row, until that row is new or the column is zero.
+It gives ``rank`` and, in ``simplicial``, Betti numbers (with
+clearing) and coboundary witnesses and certificates (with the column
+operations recorded).
 
 ``sort_sign`` gives the sign of a sorting permutation, for wedge
 products and determinants; ``multinomial`` counts the orderings of a
@@ -58,10 +63,59 @@ def row_reduce(rows, ncols):
     return pivots
 
 
+def _ratio(a, b):
+    """a / b exactly, for ints or Fractions."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    return Fraction(a, b)
+
+
+def _sub_multiple(col, f, other):
+    """col -= f * other, for sparse columns; zero entries are dropped."""
+    for r, v in other.items():
+        s = col.get(r, 0) - f * v
+        if s:
+            col[r] = s
+        else:
+            del col[r]
+
+
+def column_reduce(columns, skip=(), ops=None):
+    """Reduce sparse columns in place; returns {pivot row: column index}.
+
+    Column j is reduced by the earlier pivot columns, keyed on its
+    lowest (largest) nonzero row, until that row is new (a pivot) or the
+    column is zero.  The columns with an index in ``skip`` are left as
+    they are and take no pivot (clearing: they are known to reduce to
+    zero).  When ``ops`` is given, it is a list of columns, one per
+    input column (the identity to record V with R = D V), and receives
+    the same column operations.
+    """
+    pivots = {}
+    for j, col in enumerate(columns):
+        if j in skip:
+            continue
+        while col:
+            low = max(col)
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = j
+                break
+            piv = columns[p]
+            f = _ratio(col[low], piv[low])
+            _sub_multiple(col, f, piv)
+            if ops is not None:
+                _sub_multiple(ops[j], f, ops[p])
+    return pivots
+
+
 def rank(matrix):
-    """Rank of a list-of-rows Fraction matrix."""
-    rows = [list(map(Fraction, r)) for r in matrix]
-    return len(row_reduce(rows, len(rows[0]))) if rows else 0
+    """Rank of a list-of-rows Fraction matrix, by column_reduce."""
+    ncols = len(matrix[0]) if matrix else 0
+    columns = [{i: Fraction(row[j]) for i, row in enumerate(matrix) if row[j]} for j in range(ncols)]
+    return len(column_reduce(columns))
 
 
 def solve_or_certify(matrix, rhs):

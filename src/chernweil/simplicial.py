@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import rank, solve_or_certify
+from .linalg import column_reduce
 from .scalars import Scalar
 
 
@@ -576,27 +576,43 @@ def pullback_cochain(f, cochain):
 
 
 def boundary_operator(X, k):
-    """Matrix of the boundary C_k -> C_{k-1} on nondegenerate generators."""
+    """The boundary C_k -> C_{k-1} on nondegenerate generators, as sparse
+    integer columns: one {(k-1)-cell index: coefficient} per k-cell.
+
+    Built by one walk of X.faces; degenerate faces vanish in the
+    normalized complex, and coefficients that cancel are dropped.
+    """
     if k < 1:
         raise ValueError("boundary_operator needs k >= 1")
-    rows = X.counts[k - 1] if k - 1 <= X.dim else 0
-    cols = X.counts[k] if k <= X.dim else 0
-    M = [[Fraction(0)] * cols for _ in range(rows)]
-    for j, sid in enumerate(X.cells(k)):
-        for i in range(k + 1):
-            tgt, word = X.face(sid, i)
-            if word:
-                continue
-            M[tgt.index][j] += (-1) ** i
-    return M
+    columns = [{} for _ in X.cells(k)]
+    for (sid, i), (tgt, word) in X.faces.items():
+        if sid.dim != k or word:
+            continue
+        col = columns[sid.index]
+        s = col.get(tgt.index, 0) + (-1 if i & 1 else 1)
+        if s:
+            col[tgt.index] = s
+        else:
+            del col[tgt.index]
+    return columns
 
 
 def betti_numbers(X, max_dim):
     """Ranks of rational homology, b_k = n_k - r_k - r_{k+1} with n_k the
-    number of k-cells and r_k the rank of d_k; each boundary matrix that
-    is not empty is reduced once."""
+    number of k-cells and r_k the rank of d_k.
+
+    The boundaries are reduced from d_{max_dim+1} down to d_1 with
+    clearing (Chen-Kerber, "Persistent homology computation with a
+    twist", EuroCG 2011): a k-cell that is a pivot row of the reduced
+    d_{k+1} bounds a cycle, so its column of d_k reduces to zero and is
+    skipped.
+    """
     n = [X.counts[k] if k <= X.dim else 0 for k in range(max_dim + 2)]
-    r = [0] + [rank(boundary_operator(X, k)) if n[k - 1] and n[k] else 0 for k in range(1, max_dim + 2)]
+    r = [0] * (max_dim + 2)
+    cleared = {}
+    for k in range(max_dim + 1, 0, -1):
+        cleared = column_reduce(boundary_operator(X, k), skip=cleared) if n[k] else {}
+        r[k] = len(cleared)
     return [n[k] - r[k] - r[k + 1] for k in range(max_dim + 1)]
 
 
@@ -605,21 +621,40 @@ def is_coboundary(X, cochain):
 
     Returns ("witness", Cochain) or ("cycle", Chain); in the second case
     the chain z is a cycle with <cochain, z> != 0.
+
+    The boundary D = d_k is column reduced with its operations recorded,
+    R = D V.  db = c reads D^T b = c, that is R^T b = V^T c.  A zero
+    column of R has a cycle z = V e_j as its V-column, and <c, z> != 0
+    certifies failure.  Otherwise the rows of R^T are solved by back
+    substitution in the order of their pivot rows, with the rows that
+    are no pivot set to zero.
     """
     k = cochain.dim
     cells_k = X.cells(k)
-    cells_low = X.cells(k - 1) if k >= 1 else []
-    # the coboundary C^{k-1} -> C^k is the transpose of the boundary C_k -> C_{k-1}
-    matrix = list(zip(*boundary_operator(X, k))) if k >= 1 else [() for _ in cells_k]
-    rhs = [cochain.value(sid) for sid in cells_k]
-    if not matrix:
-        return "witness", Cochain(k - 1, {})
-    status, data = solve_or_certify(matrix, rhs)
-    if status == "solved":
-        witness = Cochain(k - 1, dict(zip(cells_low, data)))
-        return "witness", witness
-    cycle = Chain(k, {sid: y for sid, y in zip(cells_k, data) if y})
-    return "cycle", cycle
+    R = boundary_operator(X, k) if k >= 1 else [{} for _ in cells_k]
+    V = [{j: 1} for j in range(len(R))]
+    pivots = column_reduce(R, ops=V)
+    c = {sid.index: v for sid, v in cochain.values.items()}
+    rhs = []
+    for col, z in zip(R, V):
+        s = Scalar.zero()
+        for j, v in z.items():
+            cj = c.get(j)
+            if cj is not None:
+                s = s + cj * v
+        if not col and not s.is_zero():
+            return "cycle", Chain(k, {cells_k[j]: v for j, v in z.items()})
+        rhs.append(s)
+    b = {}
+    for i in sorted(pivots):
+        col = R[pivots[i]]
+        s = rhs[pivots[i]]
+        for r, v in col.items():
+            if r in b:  # the pivot rows before i; the other rows are zero
+                s = s - b[r] * v
+        b[i] = s / col[i]
+    cells_low = X.cells(k - 1)
+    return "witness", Cochain(k - 1, {cells_low[i]: v for i, v in b.items()})
 
 
 def fundamental_cycle_two_disk(X):

@@ -77,23 +77,43 @@ def solve_or_certify_reference(matrix, rhs):
     return "solved", x
 
 
-def betti_oracle(X, max_dim):
-    """Betti numbers from sympy ranks of the library's boundary matrices."""
-    from chernweil.simplicial import boundary_operator
+def boundary_matrix_oracle(X, k):
+    """The boundary C_k -> C_{k-1} as dense rows, written out from X.faces:
+    entry (tgt, sid) sums (-1)^i over the nondegenerate faces d_i sid = tgt."""
+    rows = [[0] * X.counts[k] for _ in range(X.counts[k - 1])]
+    for (sid, i), (tgt, word) in X.faces.items():
+        if sid.dim == k and not word:
+            rows[tgt.index][sid.index] += (-1) ** i
+    return rows
 
+
+def betti_oracle(X, max_dim):
+    """Betti numbers from sympy ranks of the dense boundary matrices."""
     out = []
     for k in range(max_dim + 1):
         nk = X.counts[k] if k <= X.dim else 0
         if k == 0:
             ker = nk
         else:
-            ker = nk - rank_oracle(boundary_operator(X, k))
+            ker = nk - rank_oracle(boundary_matrix_oracle(X, k))
         if k + 1 <= X.dim and X.counts[k + 1]:
-            img = rank_oracle(boundary_operator(X, k + 1))
+            img = rank_oracle(boundary_matrix_oracle(X, k + 1))
         else:
             img = 0
         out.append(ker - img)
     return out
+
+
+def is_coboundary_oracle(X, cochain):
+    """Whether a rational cochain c is a coboundary: c lies in the column
+    space of d_k^T iff appending it as a column keeps the sympy rank."""
+    k = cochain.dim
+    cells = X.cells(k)
+    if k == 0 or k > X.dim or not X.counts[k - 1]:
+        return all(cochain.value(sid).is_zero() for sid in cells)
+    dt = [list(col) for col in zip(*boundary_matrix_oracle(X, k))]
+    c = [cochain.value(sid).rational_value() for sid in cells]
+    return rank_oracle([row + [v] for row, v in zip(dt, c)]) == rank_oracle(dt)
 
 
 def simplex_quadrature(f, dim, order=10):

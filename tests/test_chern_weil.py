@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernweil.bundles import (
     Connection,
@@ -34,6 +36,7 @@ from chernweil.forms import (
     _monomials_up_to,
     check_simplicial_form,
     induced_form_on_standard_simplex,
+    integrate_to_cochain,
     random_polyform,
 )
 from chernweil.liealg import (
@@ -50,9 +53,11 @@ from chernweil.simplicial import (
     SimplicialMap,
     boundary_sphere,
     coboundary,
+    cylinder,
     fundamental_cycle_two_disk,
     is_coboundary,
     pairing,
+    product,
     standard_simplex,
     two_disk_sphere,
 )
@@ -312,23 +317,50 @@ def test_quadrature_matches_exact_integral():
 
 
 def _degree_one_global_connection(rng, P):
-    """A g-valued 1-form on Delta^4 whose coefficients have two terms of
-    degree <= 1 each (numerators and denominators in 1..5), pulled back
-    to every face."""
+    """A g-valued 1-form on Delta^n, n = P.base.dim, whose coefficients
+    have two terms of degree <= 1 each (numerators and denominators in
+    1..5), pulled back to every face."""
     X, alg = P.base, P.algebra
-    monos = _monomials_up_to(4, 1)
+    n = X.dim
+    monos = _monomials_up_to(n, 1)
 
     def coefficient():
         terms = {}
         for e in rng.sample(monos, 2):
             terms[e] = Scalar.from_rational(rng.choice((-1, 1)) * rng.randrange(1, 6), rng.randrange(1, 6))
-        return Poly(4, terms)
+        return Poly(n, terms)
 
     per_coord = [
-        induced_form_on_standard_simplex(X, PolyForm(4, 1, {(j,): coefficient() for j in range(4)}))
+        induced_form_on_standard_simplex(X, PolyForm(n, 1, {(j,): coefficient() for j in range(n)}))
         for _ in range(alg.dim)
     ]
     return Connection(P, {s: LieValuedForm(alg, s.dim, 1, [f.form(s) for f in per_coord]) for s in X.all_cells()})
+
+
+# (base, group, selector, connection): bases with cells above the degree
+# 2k of the class; "global" is a degree-1 form on Delta^n pulled back to
+# every face, "random" is random_connection
+_ABOVE_2K = [
+    (standard_simplex(3), "u2", "chern:1", "global"),
+    (standard_simplex(4), "u2", "chern:1", "global"),
+    (cylinder(boundary_sphere(2))[0].space, "u2", "chern:1", "random"),
+    (product(two_disk_sphere(), two_disk_sphere()).space, "u1", "chern:1", "random"),
+    (standard_simplex(5), "su2", "symtrace:2", "global"),
+]
+
+
+@pytest.mark.parametrize("case", _ABOVE_2K, ids=["simplex3", "simplex4", "cylinder", "sphere-squared", "simplex5"])
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**16))
+def test_cw_cochain_reads_only_the_2k_cells(case, seed):
+    """cw_cochain builds the characteristic form on the 2k-cells alone;
+    it equals the integral of the whole form."""
+    X, group, selector, kind = case
+    alg = lie_algebra(group)
+    P = trivial_bundle(X, alg)
+    D = _degree_one_global_connection(random.Random(seed), P) if kind == "global" else random_connection(P, seed)
+    rho = invariant_polynomial_from_selector(alg, selector)
+    assert cw_cochain(rho, D) == integrate_to_cochain(cw_form(rho, D))
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from chernweil.liealg import lie_algebra
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
 from chernweil.simplicial import (
-    _from_subsets,
     boundary_sphere,
     cylinder,
     horn,
@@ -25,6 +24,7 @@ from chernweil.simplicial import (
     standard_simplex,
     two_disk_sphere,
 )
+from strategies import subcomplexes
 from test_scalar_kernel import MODELS, form_models, poly_models, to_form, to_scalar
 
 
@@ -144,25 +144,15 @@ def _assert_space_round_trips(X):
     assert cio.simplicial_set_to_str(X2) == text
 
 
-@st.composite
-def _subcomplexes(draw, n):
-    """A nonempty down-closed subcomplex of Delta^n, spanned by random
-    vertex sets and all their faces."""
-    vertex_sets = st.frozensets(st.integers(0, n), min_size=1)
-    tops = draw(st.lists(vertex_sets, min_size=1, max_size=4))
-    closed = {tuple(sorted(f)) for t in tops for m in range(1, len(t) + 1) for f in itertools.combinations(t, m)}
-    return _from_subsets(n, closed)
-
-
 @settings(max_examples=60, deadline=None)
-@given(_subcomplexes(4))
+@given(subcomplexes(4))
 def test_random_subcomplex_round_trips(X):
     _assert_space_round_trips(X)
 
 
 _SMALL_SPACES = st.one_of(
     st.sampled_from([standard_simplex(0), standard_simplex(1), boundary_sphere(1), two_disk_sphere()]),
-    _subcomplexes(2),
+    subcomplexes(2),
 )
 
 
@@ -340,6 +330,7 @@ def test_cli_chern_clutch_degree_one_polynomials(n, poly, capsys):
     out = capsys.readouterr().out
     pairing = str(n) if poly == "chern:1" else f"{n}i*tau^1"
     assert f"PASS winding-oracle-agreement: pairing={pairing}\n" in out
+    assert f"closed=yes pairings=[{pairing}] witness=absent\n" in out
     assert rc == 0 and out.endswith("result: pass\n")
 
 

@@ -31,7 +31,9 @@ from chernweil.simplicial import (
     standard_simplex,
     two_disk_sphere,
 )
-from oracles import betti_oracle, rank_oracle
+from chernweil.linalg import column_reduce
+from oracles import betti_oracle, boundary_matrix_oracle, is_coboundary_oracle, rank_oracle
+from strategies import subcomplexes
 
 
 def test_standard_simplex_counts():
@@ -94,22 +96,34 @@ def test_horn_inclusion_valid():
         assert h.inclusion.validate() == []
 
 
+def _compose(low, high):
+    """The sparse columns of low o high, zero entries dropped."""
+    out = []
+    for col in high:
+        acc = {}
+        for m, v in col.items():
+            for r, w in low[m].items():
+                acc[r] = acc.get(r, 0) + v * w
+        out.append({r: v for r, v in acc.items() if v})
+    return out
+
+
+def _dense(columns, nrows):
+    return [[col.get(r, 0) for col in columns] for r in range(nrows)]
+
+
 def test_boundary_squared_zero():
     X = boundary_sphere(2)
     d2 = boundary_operator(X, 2)
     d1 = boundary_operator(X, 1)
-    prod = [
-        [sum(d1[r][m] * d2[m][c] for m in range(len(d2))) for c in range(len(d2[0]))]
-        for r in range(len(d1))
-    ]
-    assert all(v == 0 for row in prod for v in row)
+    assert len(d2) == 4 and len(d1) == 6
+    assert _compose(d1, d2) == [{}] * 4
 
 
 def test_boundary_of_edge():
     X = standard_simplex(1)
-    m = boundary_operator(X, 1)
     # single edge {01}: boundary = v1 - v0
-    assert [m[0][0], m[1][0]] == [-1, 1]
+    assert boundary_operator(X, 1) == [{0: -1, 1: 1}]
 
 
 def test_rank_boundary_two_disk():
@@ -117,23 +131,36 @@ def test_rank_boundary_two_disk():
     # equal and the rank is 1 (consistent with betti = (1, 0, 1))
     X = two_disk_sphere()
     m = boundary_operator(X, 2)
-    assert [row[0] for row in m] == [row[1] for row in m]
-    assert rank_oracle(m) == 1
+    assert m[0] == m[1] == {0: 1, 1: -1, 2: 1}
+    assert _dense(m, 3) == boundary_matrix_oracle(X, 2)
+    assert rank_oracle(boundary_matrix_oracle(X, 2)) == 1
+    assert len(column_reduce(m)) == 1 and m[1] == {}
 
 
 def test_betti_reduces_each_boundary_once(monkeypatch):
-    # b_k = n_k - r_k - r_{k+1}: one rank per boundary matrix that is not
-    # empty, d_1 .. d_dim here, and none for the empty d_{dim+1}
-    import chernweil.linalg as linalg
+    # b_k = n_k - r_k - r_{k+1}: one reduction per boundary that is not
+    # empty, d_dim down to d_1 here and none for the empty d_{dim+1};
+    # the columns of d_k skipped are the pivot rows of the reduced d_{k+1}
     import chernweil.simplicial as simplicial
 
     calls = []
-    for module in (linalg, simplicial):
-        monkeypatch.setattr(module, "rank", lambda m: calls.append(m) or rank_oracle(m))
-    for X in (boundary_sphere(2), two_disk_sphere(), standard_simplex(3)):
+
+    def recording(columns, skip=(), ops=None):
+        pivots = column_reduce(columns, skip, ops)
+        calls.append((len(columns), set(skip), set(pivots)))
+        return pivots
+
+    monkeypatch.setattr(simplicial, "column_reduce", recording)
+    for X in (boundary_sphere(2), two_disk_sphere(), standard_simplex(3), product(two_disk_sphere(),
+              two_disk_sphere()).space):
         calls.clear()
         assert betti_numbers(X, X.dim + 1) == betti_oracle(X, X.dim) + [0]
-        assert len(calls) == X.dim
+        assert [n for n, _, _ in calls] == X.counts[:0:-1]
+        assert calls[0][1] == set()
+        for (_, _, pivots), (_, skipped, _) in zip(calls, calls[1:]):
+            assert skipped == pivots
+        assert [len(p) for _, _, p in calls] == [rank_oracle(boundary_matrix_oracle(X, k))
+                                                 for k in range(X.dim, 0, -1)]
 
 
 def test_betti_against_oracle():
@@ -142,6 +169,54 @@ def test_betti_against_oracle():
     assert betti_numbers(boundary_sphere(2), 2) == [1, 0, 1]
     assert betti_numbers(boundary_sphere(3), 3) == [1, 0, 0, 1]
     assert betti_numbers(standard_simplex(4), 4) == [1, 0, 0, 0, 0]
+
+
+_FACTORS = st.one_of(
+    st.sampled_from([standard_simplex(1), boundary_sphere(1), two_disk_sphere(), horn(2, 1).space]),
+    subcomplexes(2),
+)
+# random down-closed subcomplexes of Delta^5, products and cylinders
+_SPACES = st.one_of(
+    subcomplexes(5),
+    st.builds(lambda X, Y: product(X, Y).space, _FACTORS, _FACTORS),
+    st.builds(lambda X: cylinder(X)[0].space, st.one_of(_FACTORS, subcomplexes(3))),
+)
+_VALUES = st.builds(Scalar.of, st.integers(-3, 3), st.integers(-2, 2), st.integers(-1, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SPACES)
+def test_sparse_boundary_and_betti_against_dense_oracle(X):
+    for k in range(1, X.dim + 1):
+        assert _dense(boundary_operator(X, k), X.counts[k - 1]) == boundary_matrix_oracle(X, k)
+    assert betti_numbers(X, X.dim) == betti_oracle(X, X.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SPACES, st.data())
+def test_is_coboundary_witness_and_certificate(X, data):
+    """A coboundary with tau and i in its values gets a witness, checked
+    by substitution; a random rational cochain gets the oracle's verdict,
+    with a witness or a cycle that pairs to nonzero."""
+    k = data.draw(st.integers(0, X.dim))
+
+    def cobounds(w, c):
+        # the only coboundary of degree 0 is zero, d of the empty (-1)-cochain
+        return w.dim == k - 1 and (coboundary(X, w) == c if k else c.is_zero() and w.is_zero())
+
+    b = Cochain(k - 1, {sid: data.draw(_VALUES) for sid in X.cells(k - 1)})
+    c = coboundary(X, b) if k else Cochain(0, {})
+    status, w = is_coboundary(X, c)
+    assert status == "witness" and cobounds(w, c)
+    c = Cochain(k, {sid: Scalar.from_rational(data.draw(st.integers(-2, 2))) for sid in X.cells(k)})
+    status, out = is_coboundary(X, c)
+    assert (status == "witness") == is_coboundary_oracle(X, c)
+    if status == "witness":
+        assert cobounds(out, c)
+    else:
+        assert status == "cycle" and out.dim == k
+        assert boundary_chain(X, out).is_zero()
+        assert not pairing(c, out).is_zero()
 
 
 def _random_cochain(X, k, rng):
@@ -202,6 +277,19 @@ def test_is_coboundary_dim0():
     status, z = is_coboundary(X, c)
     assert status == "cycle"
     assert not pairing(c, z).is_zero()
+
+
+def test_is_coboundary_without_lower_cells():
+    # the sphere as one 2-cell on one vertex, its faces all degenerate:
+    # d_2 has no rows, and the dual of the 2-cell pairs to 1 with it
+    v, top = SimplexId(0, 0), SimplexId(2, 0)
+    X = SimplicialSet([1, 0, 1], {(top, i): (v, (0,)) for i in range(3)})
+    assert X.validate() == []
+    assert betti_numbers(X, 2) == betti_oracle(X, 2) == [1, 0, 1]
+    c = Cochain(2, {top: Scalar.one()})
+    status, z = is_coboundary(X, c)
+    assert status == "cycle" and z == Chain(2, {top: 1})
+    assert boundary_chain(X, z).is_zero() and pairing(c, z) == Scalar.one()
 
 
 def _cylinder(X):
@@ -273,10 +361,9 @@ def test_product_against_counts_and_kunneth(X, Y):
         sum(cx[p] * cy[q] * comb(m, p) * comb(p, m - q) for p in range(len(cx)) for q in range(min(len(cy), m + 1)))
         for m in range(X.dim + Y.dim + 1)
     ]
-    # dense rational elimination is cubic in the cell count: the two
-    # larger products, boundary_sphere(2) times itself (240 4-cells) and
-    # times two_disk_sphere() (120), take 22 s and 4.4 s in the library's
-    # and the sympy rank together
+    # the oracle's dense sympy elimination is cubic in the cell count, so
+    # the two larger products, boundary_sphere(2) times itself (240
+    # 4-cells) and times two_disk_sphere() (120), are not compared with it
     if max(P.counts) <= 100:
         bx, by = betti_numbers(X, X.dim), betti_numbers(Y, Y.dim)
         kunneth = [sum(bx[p] * by[m - p] for p in range(len(bx)) if 0 <= m - p < len(by)) for m in range(P.dim + 1)]
