@@ -350,13 +350,6 @@ class BundleReport:
     exact: bool
     failures: list = field(default_factory=list)
 
-    def __str__(self):
-        head = "pass" if self.ok else "FAIL"
-        mode = "exact" if self.exact else "sampled"
-        lines = [f"bundle cocycle check: {head} ({mode})"]
-        lines += [f"  {f}" for f in self.failures]
-        return "\n".join(lines)
-
 
 def validate_bundle(P, seed=0):
     """Cocycle/functoriality check on all composable face pairs.

@@ -75,6 +75,8 @@ class PolyForm:
             I = tuple(I)
             if list(I) != sorted(set(I)):
                 raise ValueError(f"component index {I} not strictly increasing")
+            if len(I) != deg or (I and not 0 <= I[0] <= I[-1] < dim):
+                raise ValueError(f"component index {I} is not a degree-{deg} index on Delta^{dim}")
             if not isinstance(p, Poly):
                 p = Poly.const(dim, p)
             if not p.is_zero():

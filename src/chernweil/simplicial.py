@@ -176,29 +176,41 @@ class SimplicialSet:
         return self.names.get(sid, f"{sid.dim}.{sid.index}")
 
     def validate(self):
-        """Check reference integrity and the simplicial identities.
+        """Check the face table, then the simplicial identities.
+
+        One walk over faces checks each face's source, index, target and
+        word; names must label declared cells.  The face keys are
+        distinct, so completeness is a count and lists no cells.
 
         Returns a list of violation strings (empty iff valid).
         """
+        counts, top = self.counts, self.dim
+
+        def declared(sid):
+            return 0 <= sid.dim <= top and 0 <= sid.index < counts[sid.dim]
+
         bad = []
-        for sid, i in self.faces:
-            if not (0 <= sid.dim <= self.dim and 0 <= sid.index < self.counts[sid.dim]):
+        valid = 0
+        for (sid, i), (tgt, word) in self.faces.items():
+            if not declared(sid):
                 bad.append(f"face ({sid}, {i}) of undeclared cell {sid}")
-            elif sid.dim == 0 or not 0 <= i <= sid.dim:
+                continue
+            if sid.dim == 0 or not 0 <= i <= sid.dim:
                 bad.append(f"face ({sid}, {i}) out of range for a {sid.dim}-cell")
-        for d in range(1, self.dim + 1):
-            for sid in self.cells(d):
-                for i in range(d + 1):
-                    if (sid, i) not in self.faces:
-                        bad.append(f"missing face ({sid}, {i})")
-                        continue
-                    tgt, word = self.faces[(sid, i)]
-                    if tgt.dim + len(word) != d - 1:
-                        bad.append(f"face ({sid}, {i}) has wrong dimension")
-                    if tgt.dim > self.dim or tgt.index >= self.counts[tgt.dim]:
-                        bad.append(f"face ({sid}, {i}) references missing {tgt}")
-                    if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
-                        bad.append(f"face ({sid}, {i}) word {word} not normalized")
+                continue
+            valid += 1
+            if not declared(tgt):
+                bad.append(f"face ({sid}, {i}) references missing {tgt}")
+            if tgt.dim + len(word) != sid.dim - 1:
+                bad.append(f"face ({sid}, {i}) has wrong dimension")
+            if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
+                bad.append(f"face ({sid}, {i}) word {word} not normalized")
+            if any(not 0 <= j <= sid.dim - 2 for j in word):
+                bad.append(f"face ({sid}, {i}) word {word} has a degeneracy out of range")
+        bad += [f"name of undeclared cell {sid}" for sid in self.names if not declared(sid)]
+        expected = sum((d + 1) * c for d, c in enumerate(counts) if d)
+        if valid != expected:
+            bad.append(f"{valid} faces given where the counts declare {expected}")
         if bad:
             return bad
         for d in range(2, self.dim + 1):
@@ -521,20 +533,16 @@ class Cochain:
 
 
 def boundary_chain(X, chain):
-    if chain.dim == 0:
+    """The boundary of a chain, read from boundary_operator's columns."""
+    k = chain.dim
+    if k == 0:
         return Chain(-1, {})
+    columns, low = boundary_operator(X, k), X.cells(k - 1)
     out = {}
     for sid, c in chain.coeffs.items():
-        for i in range(sid.dim + 1):
-            tgt, word = X.face(sid, i)
-            if word:
-                continue  # degenerate faces vanish in the normalized complex
-            s = out.get(tgt, Fraction(0)) + c * (-1) ** i
-            if s:
-                out[tgt] = s
-            else:
-                out.pop(tgt, None)
-    return Chain(chain.dim - 1, out)
+        for r, v in columns[sid.index].items():
+            out[low[r]] = out.get(low[r], 0) + c * v
+    return Chain(k - 1, out)
 
 
 def pairing(cochain, chain):
@@ -547,19 +555,13 @@ def pairing(cochain, chain):
 
 
 def coboundary(X, cochain):
-    """(dc)(sigma) = c(boundary sigma) on the normalized complex."""
-    k = cochain.dim
-    out = {}
-    for sid in X.cells(k + 1):
-        v = Scalar.zero()
-        for i in range(k + 2):
-            tgt, word = X.face(sid, i)
-            if word:
-                continue
-            v = v + cochain.value(tgt) * Fraction((-1) ** i)
-        if not v.is_zero():
-            out[sid] = v
-    return Cochain(k + 1, out)
+    """(dc)(sigma) = c(boundary sigma), read from boundary_operator's columns."""
+    k, c = cochain.dim, cochain.values
+    low = X.cells(k)
+    return Cochain(k + 1, {
+        sid: sum((c[low[r]] * m for r, m in col.items() if low[r] in c), Scalar.zero())
+        for sid, col in zip(X.cells(k + 1), boundary_operator(X, k + 1))
+    })
 
 
 def pullback_cochain(f, cochain):

@@ -175,8 +175,11 @@ def test_space_with_shuffled_face_lines_writes_canonical_text():
     assert cio.simplicial_set_to_str(cio.parse_simplicial_set(shuffled)) == text
 
 
-# edits of standard_simplex(1)'s file that name a face or cell the dim
-# lines do not declare, repeat a line, or leave a face out
+# edits of standard_simplex(3)'s file that break a rule of the face
+# table: a face or name of a cell the dim lines do not declare, a line
+# given twice, a face left out, a face target that is undeclared, of the
+# wrong dimension or under an unnormalized word or one with a degeneracy
+# out of range, or a simplicial identity
 SPACE_EDITS = {
     "face-of-undeclared-cell": lambda t: t + "face 1.7 0 -> 0.0\n",
     "face-index-above-dim": lambda t: t + "face 1.0 2 -> 0.0\n",
@@ -188,18 +191,36 @@ SPACE_EDITS = {
     "face-missing": lambda t: t.replace("face 1.0 1 -> 0.0\n", ""),
     # 10^11 declared edges and no face lines
     "huge-count": lambda t: "simplicial-set v1\ndim 0: 3\ndim 1: 99999999999\n",
+    "undeclared-target": lambda t: t.replace("face 1.0 1 -> 0.0\n", "face 1.0 1 -> 0.9\n"),
+    "wrong-target-dimension": lambda t: t.replace("face 1.0 1 -> 0.0\n", "face 1.0 1 -> 1.0\n"),
+    "unnormalized-word": lambda t: t.replace("face 3.0 0 -> 2.3\n", "face 3.0 0 -> 0.3 s0 s1\n"),
+    # s_1 of a vertex: the identity check would look up a face of the vertex
+    "degeneracy-out-of-range": lambda t: t.replace("face 2.0 0 -> 1.3\n", "face 2.0 0 -> 0.1 s1\n"),
+    # d_0 and d_1 of the 2-cell 012 swapped
+    "simplicial-identity": lambda t: t.replace("face 2.0 0 -> 1.3\nface 2.0 1 -> 1.1\n",
+                                               "face 2.0 0 -> 1.1\nface 2.0 1 -> 1.3\n"),
 }
 
 
 @pytest.mark.parametrize("case", list(SPACE_EDITS))
 def test_cli_space_not_matching_its_dims(case, tmp_path, capsys):
-    text = cio.simplicial_set_to_str(standard_simplex(1))
+    text = cio.simplicial_set_to_str(standard_simplex(3))
     broken = SPACE_EDITS[case](text)
     assert broken != text
     (tmp_path / "space.txt").write_text(broken)
     assert main(["betti", "--space", str(tmp_path / "space.txt")]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_space_error_is_the_first_violation_and_a_count(tmp_path, capsys):
+    # three of the four 2-cells dropped: 9 faces and 3 names of undeclared
+    # cells, and 3 faces of the 3-cell that reference them
+    text = cio.simplicial_set_to_str(standard_simplex(3)).replace("dim 2: 4\n", "dim 2: 1\n")
+    (tmp_path / "space.txt").write_text(text)
+    assert main(["betti", "--space", str(tmp_path / "space.txt")]) == 2
+    assert capsys.readouterr().err == "error: face (2.1, 0) of undeclared cell 2.1 (and 14 more violations)\n"
 
 
 def test_bundle_connection_round_trips():
@@ -295,6 +316,19 @@ def test_parse_errors():
         cio.parse_simplicial_set("nonsense")
     with pytest.raises(cio.ParseError):
         cio.parse_polyform("form v2; bad")
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "form v1; dim 2; deg 1\ncomp 0: 1\n",
+    "form v1; dim 2; deg 1\ncomp 3: 1\n",
+    "form v1; dim 2; deg 1\ncomp 1,2: 1\n",
+    "form v1; dim 2; deg 2\ncomp 2,1: 1\n",
+    "form v1; dim 2; deg 1\ncomp 1: 1\ncomp 1: 2\n",
+], ids=["empty", "index-zero", "index-above-dim", "length-above-deg", "decreasing", "comp-twice"])
+def test_parse_polyform_rejects_components_off_its_header(text):
+    with pytest.raises(cio.ParseError):
+        cio.parse_polyform(text)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +452,20 @@ def test_cli_horn_fill_stops_on_invalid_input(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "FAIL input-valid" in captured.out and "filler-valid" not in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_cli_verify_reports_a_horn_filler_error(monkeypatch, capsys):
+    from chernweil import bundles
+
+    def refuse(H, P):
+        raise bundles.BundleError("filler does not validate")
+
+    monkeypatch.setattr(bundles, "horn_fill_bundle", refuse)
+    rc = main(["verify", "--suite", "bundles"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "FAIL horn-filling: no filler over Lambda^2_1: filler does not validate" in captured.out
     assert "Traceback" not in captured.err
 
 

@@ -193,6 +193,29 @@ def test_sparse_boundary_and_betti_against_dense_oracle(X):
 
 
 @settings(max_examples=40, deadline=None)
+@given(_SPACES, st.integers(0, 2**32))
+def test_boundary_chain_and_coboundary_against_dense_oracle(X, seed):
+    """boundary_chain is the oracle's dense d_k applied to the
+    coefficients, and coboundary its transpose applied to values that
+    carry tau and i; d of a top-degree cochain is zero."""
+    rng = random.Random(seed)
+    for k in range(1, X.dim + 1):
+        M = boundary_matrix_oracle(X, k)
+        low, high = X.cells(k - 1), X.cells(k)
+        z = [rng.randint(-3, 3) for _ in high]
+        expected = Chain(k - 1, {low[r]: sum(m * a for m, a in zip(row, z)) for r, row in enumerate(M)})
+        assert boundary_chain(X, Chain(k, dict(zip(high, z)))) == expected
+        c = [Scalar.of(rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(-1, 1)) for _ in low]
+        d = {sid: Scalar.zero() for sid in high}
+        for r, row in enumerate(M):
+            for j, m in enumerate(row):
+                d[high[j]] = d[high[j]] + c[r] * m
+        assert coboundary(X, Cochain(k - 1, dict(zip(low, c)))) == Cochain(k, d)
+    top = Cochain(X.dim, {sid: Scalar.one() for sid in X.cells(X.dim)})
+    assert coboundary(X, top) == Cochain(X.dim + 1, {})
+
+
+@settings(max_examples=40, deadline=None)
 @given(_SPACES, st.data())
 def test_is_coboundary_witness_and_certificate(X, data):
     """A coboundary with tau and i in its values gets a witness, checked
