@@ -16,8 +16,8 @@ together by the trivialized gauge rule
 
 For abelian groups (and for identity transitions) every check here is
 exact polynomial identity.  Otherwise Ad_phi and the differential of the
-exponential come from one exact series, _exp_series, truncated at order
-SERIES_ORDER = 6, and the checks are sampled against SAMPLE_TOL.
+exponential come from _exp_series, which stops at its first zero bracket
+or at order SERIES_ORDER = 6, and the checks are sampled against SAMPLE_TOL.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ class LieValuedForm:
         return all(f.is_zero() for f in self.coords)
 
     def __add__(self, other):
+        if self.algebra is not other.algebra:
+            raise ValueError(f"sum of {self.algebra.name} and {other.algebra.name} forms")
         return LieValuedForm(self.algebra, self.dim, self.deg, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
@@ -418,15 +420,14 @@ class Connection:
 
 
 def _exp_series(p, X, shift):
-    """sum_{m <= SERIES_ORDER} ad_p^m(X) / (m + shift)!, or X on an abelian
-    algebra.  shift 0 is Ad_{exp(p)} X = e^{ad_p} X; shift 1 is the
-    differential of exp, (e^{ad_p} - 1)/ad_p applied to X."""
-    if p.algebra.is_abelian:
-        return X
-    out = X
-    cur = X
+    """sum_{m <= SERIES_ORDER} ad_p^m(X) / (m + shift)!, exact when it stops
+    at a zero bracket.  shift 0 is Ad_{exp(p)} X = e^{ad_p} X; shift 1 is
+    the differential of exp, (e^{ad_p} - 1)/ad_p applied to X."""
+    out = cur = X
     for m in range(1, SERIES_ORDER + 1):
         cur = p.bracket_wedge(cur)
+        if cur.is_zero():
+            break
         out = out + cur.scale(Fraction(1, factorial(m + shift)))
     return out
 
@@ -434,9 +435,9 @@ def _exp_series(p, X, shift):
 def right_log_derivative(t):
     """(d phi) phi^{-1} for a product of exponentials, as a g-valued 1-form.
 
-    Exact for abelian algebras; otherwise each factor's series is
-    truncated at SERIES_ORDER (error O(|p|^7), which the sampled checks
-    bound).
+    Exact where each factor's series stops at a zero bracket (always on
+    an abelian algebra); otherwise the series is truncated at
+    SERIES_ORDER (error O(|p|^7), which the sampled checks bound).
     """
     out = LieValuedForm.zero(t.algebra, t.dim, 1)
     for r, p in enumerate(t.factors):
@@ -483,6 +484,7 @@ def _rld_numeric(t, pt):
     for p in t.factors:
         pm = _matrix_at(p, pt)
         dp = p.d().eval_matrix_coeffs(pt)
+        prefix_inv = np.linalg.inv(prefix)
         for j in range(t.dim):
             dpj = dp.get((j,), np.zeros((n, n), dtype=complex))
             acc = dpj.copy()
@@ -490,7 +492,7 @@ def _rld_numeric(t, pt):
             for m in range(1, 19):
                 cur = pm @ cur - cur @ pm
                 acc = acc + cur / float(factorial(m + 1))
-            term = prefix @ acc @ np.linalg.inv(prefix)
+            term = prefix @ acc @ prefix_inv
             out[j] = out.get(j, 0) + term
         prefix = prefix @ expm(pm)
     return out, prefix  # prefix is phi(pt)
@@ -543,8 +545,8 @@ def construct_connection(P, preset=None, rng=None):
     facets' Whitney-Bernstein coefficients and solves nothing).  With a
     seeded rng, random coefficients on the lowest-degree interior basis
     functions (interior_noise) randomize the output without touching
-    the boundary prescriptions.  Inconsistent prescriptions (impossible
-    for valid bundles) surface as FaceConsistencyError with the simplex.
+    the boundary prescriptions.  Inconsistent prescriptions (from a
+    truncated gauge series) surface as FaceConsistencyError with the simplex.
     """
     X = P.base
     alg = P.algebra

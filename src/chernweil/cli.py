@@ -19,6 +19,7 @@ from . import cw
 from . import io as cio
 from . import liealg as la
 from . import simplicial as sc
+from .forms import FaceConsistencyError
 from .poly import Poly
 from .scalars import Scalar, parse_int
 from .verify import SUITES, run_suite
@@ -27,6 +28,10 @@ USAGE_ERROR, MATH_FAILURE = 2, 1
 
 
 class UsageError(Exception):
+    pass
+
+
+class MathError(Exception):
     pass
 
 
@@ -119,16 +124,10 @@ def _load_bundle(args):
     P = cio.parse_bundle(Path(sel).read_text(), X)
     rep = bn.validate_bundle(P, seed=args.seed)
     if not rep.ok:
-        raise MathError("bundle validation failed: " + rep.failures[0], rep)
+        raise MathError("bundle validation failed: " + rep.failures[0])
     D = cio.parse_connection(Path(args.connection).read_text(), P) if args.connection else None
     name = Path(sel).stem
     return X, P, D, name, None
-
-
-class MathError(Exception):
-    def __init__(self, msg, payload=None):
-        super().__init__(msg)
-        self.payload = payload
 
 
 def cmd_chern(args, report):
@@ -168,24 +167,29 @@ def cmd_clutch(args, report):
     report.add(f"chern pairing: {cio.scalar_to_str(v)}")
     report.check("integrality", v == w == Scalar.from_rational(args.n))
     if args.out:
-        _write_generated(Path(args.out), P, D, report)
+        _write_generated(Path(args.out), [("", P, D)], report)
     return report
 
 
-def _write_generated(outdir, P, D, report):
+def _write_generated(outdir, groups, report):
+    """Write each (file prefix, bundle, connection or None) group's
+    space, bundle and connection files, and read every file back to the
+    same text (and the bundle to the same transitions)."""
     outdir.mkdir(parents=True, exist_ok=True)
-    space_text = cio.simplicial_set_to_str(P.base)
-    bundle_text = cio.bundle_to_str(P)
-    (outdir / "space.txt").write_text(space_text)
-    (outdir / "bundle.txt").write_text(bundle_text)
-    X2 = cio.parse_simplicial_set(space_text)
-    P2 = cio.parse_bundle(bundle_text, X2)
-    round_trip = P2.transitions == P.transitions and cio.bundle_to_str(P2) == bundle_text
-    if D is not None:
-        conn_text = cio.connection_to_str(D)
-        (outdir / "connection.txt").write_text(conn_text)
-        D2 = cio.parse_connection(conn_text, P2)
-        round_trip = round_trip and cio.connection_to_str(D2) == conn_text
+    round_trip = True
+    for prefix, P, D in groups:
+        texts = {"space": cio.simplicial_set_to_str(P.base), "bundle": cio.bundle_to_str(P)}
+        if D is not None:
+            texts["connection"] = cio.connection_to_str(D)
+        for kind, text in texts.items():
+            (outdir / f"{prefix}{kind}.txt").write_text(text)
+        back = {kind: (outdir / f"{prefix}{kind}.txt").read_text() for kind in texts}
+        X2 = cio.parse_simplicial_set(back["space"])
+        P2 = cio.parse_bundle(back["bundle"], X2)
+        again = {"space": cio.simplicial_set_to_str(X2), "bundle": cio.bundle_to_str(P2)}
+        if D is not None:
+            again["connection"] = cio.connection_to_str(cio.parse_connection(back["connection"], P2))
+        round_trip = round_trip and P2.transitions == P.transitions and again == texts
     report.check("serialization-roundtrip", round_trip, str(outdir))
 
 
@@ -195,7 +199,7 @@ def cmd_generate(args, report):
     outdir = Path(args.out)
     if args.kind == "clutch":
         P, D = bn.clutch_bundle(args.n)
-        _write_generated(outdir, P, D, report)
+        _write_generated(outdir, [("", P, D)], report)
     elif args.kind == "trivial":
         X = _parse_space(args.space)
         try:
@@ -204,20 +208,14 @@ def cmd_generate(args, report):
             raise UsageError(str(e)) from None
         P = bn.trivial_bundle(X, alg)
         report.check("bundle-valid", bn.validate_bundle(P).ok)
-        _write_generated(outdir, P, None, report)
+        _write_generated(outdir, [("", P, None)], report)
     elif args.kind == "horn-demo":
         H = _horn(args.n, args.k)
         P = bn.random_u1_bundle(H.space, random.Random(args.seed))
         filled = bn.horn_fill_bundle(H, P)
         back = bn.pullback_bundle(H.inclusion, filled)
         report.check("filler-restriction", back.transitions == P.transitions)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "horn-space.txt").write_text(cio.simplicial_set_to_str(H.space))
-        (outdir / "horn-bundle.txt").write_text(cio.bundle_to_str(P))
-        (outdir / "filled-space.txt").write_text(cio.simplicial_set_to_str(filled.base))
-        (outdir / "filled-bundle.txt").write_text(cio.bundle_to_str(filled))
-        ok = cio.parse_bundle((outdir / "filled-bundle.txt").read_text(), filled.base).transitions == filled.transitions
-        report.check("serialization-roundtrip", ok, str(outdir))
+        _write_generated(outdir, [("horn-", P, None), ("filled-", filled, None)], report)
     else:
         raise UsageError(f"unknown generate kind {args.kind!r}")
     return report
@@ -360,7 +358,7 @@ def main(argv=None):
         report = RunReport(echo, args.seed, getattr(args, "mode", "exact"))
         try:
             report = COMMANDS[args.command](args, report)
-        except MathError as e:
+        except (MathError, FaceConsistencyError) as e:
             report.check("validation", False, str(e))
         text = report.finish()
         # generate, clutch and horn-fill take --out as a directory of files

@@ -28,7 +28,7 @@ from math import factorial
 import numpy as np
 
 from .bundles import Connection, pullback_bundle
-from .forms import PolyForm, SimplicialForm, _form_from_acc, check_simplicial_form, integrate_to_cochain
+from .forms import PolyForm, SimplicialForm, _form_from_acc, integrate_to_cochain
 from .io import scalar_to_str
 from .linalg import sort_sign
 from .poly import Poly, _from_acc, _poly
@@ -356,16 +356,11 @@ class ClassReport:
 def class_report(rho, P, D, cycles, bundle_name="bundle", poly_name=None):
     """Characteristic cochain of (rho, D), its closedness and its pairings.
 
-    For an abelian group the form must also be face compatible exactly,
-    or the report says not closed; only then is the whole form built
-    (once, and integrated).  Otherwise the cochain comes from cw_cochain.
+    The cochain comes from cw_cochain for every group, and closed means
+    d alpha = 0.  Face compatibility of D is validate_connection's
+    verdict, which the chern command reports as connection-valid.
     """
-    if P.algebra.is_abelian:
-        omega = cw_form(rho, D)
-        alpha = integrate_to_cochain(omega)
-        closed = coboundary(P.base, alpha).is_zero() and not check_simplicial_form(omega)
-    else:
-        alpha = cw_cochain(rho, D)
-        closed = coboundary(P.base, alpha).is_zero()
+    alpha = cw_cochain(rho, D)
+    closed = coboundary(P.base, alpha).is_zero()
     pairings = [pairing(alpha, z) for z in cycles]
     return ClassReport(poly_name or rho.provenance, bundle_name, closed, pairings)

@@ -470,6 +470,8 @@ class Chain:
                 self.coeffs[sid] = c
 
     def __add__(self, other):
+        if self.dim != other.dim:
+            raise ValueError(f"sum of a {self.dim}-chain and a {other.dim}-chain")
         out = dict(self.coeffs)
         for sid, c in other.coeffs.items():
             s = out.get(sid, Fraction(0)) + c
@@ -507,6 +509,8 @@ class Cochain:
         return self.values.get(sid, Scalar.zero())
 
     def __add__(self, other):
+        if self.dim != other.dim:
+            raise ValueError(f"sum of a {self.dim}-cochain and a {other.dim}-cochain")
         out = dict(self.values)
         for sid, v in other.values.items():
             s = out.get(sid, Scalar.zero()) + v

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from math import factorial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from chernweil.bundles import (
     SAMPLE_TOL,
+    SERIES_ORDER,
     BundleError,
     LieValuedForm,
     TransitionMap,
@@ -17,6 +20,7 @@ from chernweil.bundles import (
     concordance,
     construct_connection,
     gauge_prescription,
+    _exp_series,
     horn_fill_bundle,
     pullback_bundle,
     random_connection,
@@ -27,7 +31,7 @@ from chernweil.bundles import (
     validate_bundle,
     validate_connection,
 )
-from chernweil.forms import AffineMap, random_poly
+from chernweil.forms import AffineMap, _monomials_up_to, random_poly
 from chernweil.liealg import lie_algebra
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
@@ -221,6 +225,63 @@ def test_nonabelian_gauge_rule_series(group):
     rep = validate_connection(P, construct_connection(P, rng=random.Random(5)))
     assert rep.ok and not rep.exact
     assert rep.worst < SAMPLE_TOL
+
+
+def _torus(alg):
+    """Coordinates of a basis of the diagonal torus of alg: i E_jj on
+    u(n), i (E_jj - E_j+1,j+1) on su(n)."""
+    n = alg.n
+    if alg.name.startswith("su"):
+        diagonals = [[int(r == j) - int(r == j + 1) for r in range(n)] for j in range(n - 1)]
+    else:
+        diagonals = [[int(r == j) for r in range(n)] for j in range(n)]
+    return [alg.decompose([[Scalar.of(0, d[r]) if r == c else Scalar.zero() for c in range(n)] for r in range(n)]).coords
+            for d in diagonals]
+
+
+@st.composite
+def torus_forms(draw, alg, dim):
+    """A torus-valued 0-form on Delta^dim: each torus direction times a
+    polynomial of degree <= 1 with small integer coefficients."""
+    monomials = _monomials_up_to(dim, 1)
+    coords = [Poly.zero(dim)] * alg.dim
+    for h in _torus(alg):
+        f = Poly(dim, {e: Scalar.from_rational(draw(st.integers(-3, 3))) for e in draw(st.sets(st.sampled_from(monomials)))})
+        coords = [c + f.scale(v) for c, v in zip(coords, h)]
+    return LieValuedForm.from_polys(alg, coords)
+
+
+@st.composite
+def commuting_series_data(draw):
+    alg = lie_algebra(draw(st.sampled_from(["u1", "su2", "su3", "u2"])))
+    dim = draw(st.integers(1, 2))
+    p, X = draw(torus_forms(alg, dim)), draw(torus_forms(alg, dim))
+    return p, X.d() if draw(st.booleans()) else X, draw(st.integers(0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(commuting_series_data())
+def test_exp_series_stops_at_the_first_zero_bracket(case):
+    """On commuting data the series equals its order-SERIES_ORDER sum
+    and brackets once: u(1), and the diagonal torus of su2, su3, u2."""
+    p, X, shift = case
+    full, cur = X, X
+    for m in range(1, SERIES_ORDER + 1):
+        cur = p.bracket_wedge(cur)
+        full = full + cur.scale(Fraction(1, factorial(m + shift)))
+    calls = []
+    bracket = LieValuedForm.bracket_wedge
+    with mock.patch.object(LieValuedForm, "bracket_wedge", lambda a, b: calls.append(1) or bracket(a, b)):
+        assert _exp_series(p, X, shift) == full
+    assert len(calls) == 1
+
+
+def test_lie_valued_form_sum_rejects_other_algebra_or_degree():
+    u1, su2 = lie_algebra("u1"), lie_algebra("su2")
+    with pytest.raises(ValueError):
+        LieValuedForm.zero(u1, 2, 1) + LieValuedForm.zero(su2, 2, 1)
+    with pytest.raises(ValueError):
+        LieValuedForm.zero(su2, 2, 1) - LieValuedForm.zero(su2, 2, 2)
 
 
 def test_gauge_prescription_inverts_rule():

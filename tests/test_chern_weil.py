@@ -12,6 +12,7 @@ from chernweil.bundles import (
     clutch_bundle,
     pullback_bundle,
     random_connection,
+    random_u1_bundle,
     trivial_bundle,
     validate_connection,
 )
@@ -307,6 +308,22 @@ def test_class_report():
     rep = class_report(chern_polynomial(u1, 1), P, D, [fundamental_cycle_two_disk(P.base)], "clutch(2)")
     line = rep.machine_line()
     assert line == "class rho=chern:1 bundle=clutch(2): closed=yes pairings=[2] witness=absent"
+
+
+@pytest.mark.parametrize("X", [boundary_sphere(2), two_disk_sphere(), standard_simplex(3)],
+                         ids=["sphere2", "two-disk", "simplex3"])
+def test_u1_characteristic_form_is_face_compatible(X):
+    """On twisted u1 bundles F = dA commutes with face pullback, so a
+    connection that validates has a simplicial characteristic form, and
+    cw_cochain is its integral: class_report needs no check of its own."""
+    for seed in range(3):
+        P = random_u1_bundle(X, random.Random(seed))
+        D = random_connection(P, seed)
+        assert validate_connection(P, D).ok
+        for rho in (chern_polynomial(u1, 1), sym_trace_poly(u1, 1)):
+            omega = cw_form(rho, D)
+            assert check_simplicial_form(omega) == []
+            assert cw_cochain(rho, D) == integrate_to_cochain(omega)
 
 
 def test_quadrature_matches_exact_integral():

@@ -4,6 +4,7 @@ import itertools
 import random
 import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -426,6 +427,58 @@ def test_cli_horn_fill_four_simplex(k, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS input-valid" in out and "PASS refill-stability" in out
+
+
+@pytest.mark.parametrize("name", ["horn-bundle.txt", "filled-bundle.txt"])
+def test_cli_generate_horn_demo_reads_every_file_back(name, tmp_path, monkeypatch, capsys):
+    """A bundle file that does not read back as written fails the
+    round-trip check, whichever of the demo's files it is."""
+    write = Path.write_text
+
+    def corrupting(path, text, *args, **kwargs):
+        if path.name == name:
+            changed = text.replace("transition 1.0.0: id", "transition 1.0.0: exp([0: 1/7])")
+            assert changed != text
+            text = changed
+        return write(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", corrupting)
+    out_dir = tmp_path / "h"
+    rc = main(["generate", "horn-demo", "--n", "2", "--k", "1", "--seed", "5", "--out", str(out_dir)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert f"FAIL serialization-roundtrip: {out_dir}" in out
+
+
+def _gauged_su2_files(tmp_path, X, seed):
+    """An su2 bundle over X gauged by degree-1 gauges, each cell's along
+    one basis direction and scaled by 1/16, written as space and bundle
+    files.  Larger gauges leave the truncated series' defect above the
+    sampled tolerance on boundary_sphere(2) too."""
+    rng = random.Random(seed)
+    su2 = lie_algebra("su2")
+    gauges = {}
+    for s in X.all_cells():
+        polys = [Poly.zero(s.dim)] * su2.dim
+        polys[rng.randrange(su2.dim)] = random_poly(rng, s.dim, 1).scale(Fraction(1, 16))
+        gauges[s] = LieValuedForm.from_polys(su2, polys)
+    P, _ = apply_gauge(trivial_bundle(X, su2), gauges)
+    (tmp_path / "space.txt").write_text(cio.simplicial_set_to_str(X))
+    (tmp_path / "bundle.txt").write_text(cio.bundle_to_str(P))
+    return ["--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt")]
+
+
+@pytest.mark.parametrize("n, rc, line", [
+    (2, 0, "PASS connection-valid: sampled, worst "),
+    # the truncated gauge series leaves two facet prescriptions unequal
+    (3, 1, "FAIL validation: simplex 0123: inconsistent facet data on intersections: faces 1 and 2\n"),
+])
+def test_cli_chern_builds_or_refuses_a_sampled_connection(n, rc, line, tmp_path, capsys):
+    argv = ["chern", "--poly", "symtrace:1"] + _gauged_su2_files(tmp_path, boundary_sphere(n), 5)
+    assert main(argv) == rc
+    captured = capsys.readouterr()
+    assert line in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_cli_generate_horn_demo_four_simplex(tmp_path, capsys):

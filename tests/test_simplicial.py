@@ -278,6 +278,12 @@ def test_is_coboundary_constructed_solvable():
         assert (coboundary(X, w) - c).is_zero()
 
 
+@pytest.mark.parametrize("kind", [Chain, Cochain])
+def test_sum_rejects_another_dimension(kind):
+    with pytest.raises(ValueError):
+        kind(1, {SimplexId(1, 0): 1}) + kind(2, {SimplexId(2, 0): 1})
+
+
 def test_is_coboundary_certificate():
     X = boundary_sphere(2)
     # dual of one 2-cell pairs to 1 with the fundamental cycle of S^2
