@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
-
 from .forms import (
     AffineMap,
     FaceConsistencyError,
@@ -135,6 +133,8 @@ class LieValuedForm:
 
     def eval_matrix_coeffs(self, point):
         """Evaluate each form component to a float matrix at a point."""
+        import numpy as np
+
         out = {}
         for a, f in enumerate(self.coords):
             for I, p in f.comps.items():
@@ -200,6 +200,7 @@ class TransitionMap:
         return total
 
     def evaluate(self, point):
+        import numpy as np
         from scipy.linalg import expm
 
         g = np.eye(self.algebra.n, dtype=complex)
@@ -221,11 +222,15 @@ class TransitionMap:
 
 def _matrix_at(p, point):
     """A g-valued 0-form's float matrix at a point."""
+    import numpy as np
+
     n = p.algebra.n
     return p.eval_matrix_coeffs(point).get((), np.zeros((n, n), dtype=complex))
 
 
 def _sample_points(dim, count, seed):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     pts = []
     for _ in range(count):
@@ -265,6 +270,8 @@ def transitions_equal(t1, t2, seed=0):
             if not q.is_rational() or q.rational_value().denominator != 1:
                 return False
         return True
+    import numpy as np
+
     for pt in _sample_points(t1.dim, 7, seed):
         if np.abs(t1.evaluate(pt) - t2.evaluate(pt)).max() > SAMPLE_TOL:
             return False
@@ -476,6 +483,7 @@ def _rld_numeric(t, pt):
 
     The float series runs to order 18, far past SERIES_ORDER, so the
     sampled check measures the exact series' truncation."""
+    import numpy as np
     from scipy.linalg import expm
 
     n = t.algebra.n
@@ -504,36 +512,45 @@ def validate_connection(P, D, seed=0):
     Exact polynomial identity when the algebra is abelian or all
     transitions are identity; otherwise sampled numerically against the
     defining formula A_face = Ad_{phi^{-1}}(delta_i^* A) + phi^{-1}dphi.
+    Each failure names its simplex and face, and a sampled one its defect.
     """
     X = P.base
     exact = P.algebra.is_abelian or all(t.is_identity() for t in P.transitions.values())
     failures = []
     worst = 0.0
     for sid, i in X.faces:
-        d = sid.dim
-        actual = D.forms[sid].pullback(AffineMap.face(d, i))
+        actual = D.forms[sid].pullback(AffineMap.face(sid.dim, i))
         if exact:
-            want = gauge_prescription(P, D.forms, sid, i)
-            if actual != want:
+            if actual != gauge_prescription(P, D.forms, sid, i):
                 failures.append(f"gauge compatibility fails at ({X.name(sid)}, {i})")
             continue
-        face_form = form_on(D.forms, X.face(sid, i))
-        phi = P.transitions[(sid, i)]
-        local_worst = 0.0
-        for pt in _sample_points(d - 1, 4, seed):
-            fv = face_form.eval_matrix_coeffs(pt)
-            av = actual.eval_matrix_coeffs(pt)
-            rld, g = _rld_numeric(phi, pt)
-            gi = np.linalg.inv(g)
-            for j in range(d - 1):
-                z = np.zeros((P.algebra.n, P.algebra.n), dtype=complex)
-                lhs = fv.get((j,), z)
-                rhs = gi @ (av.get((j,), z) + rld.get(j, z)) @ g
-                local_worst = max(local_worst, float(np.abs(lhs - rhs).max()))
-        worst = max(worst, local_worst)
-        if local_worst > SAMPLE_TOL:
-            failures.append(f"gauge compatibility fails at ({X.name(sid)}, {i})")
+        defect = _sampled_gauge_defect(P, D, sid, i, actual, seed)
+        worst = max(worst, defect)
+        if defect > SAMPLE_TOL:
+            failures.append(f"gauge compatibility fails at ({X.name(sid)}, {i}), defect {defect:.2e}")
     return ConnectionReport(not failures, exact, worst, failures)
+
+
+def _sampled_gauge_defect(P, D, sid, i, actual, seed):
+    """Largest entry of A_face - Ad_{phi^{-1}}(delta_i^* A) - phi^{-1}dphi
+    at sampled points of face i of sid; actual is delta_i^* A."""
+    import numpy as np
+
+    d = sid.dim
+    face_form = form_on(D.forms, P.base.face(sid, i))
+    phi = P.transitions[(sid, i)]
+    worst = 0.0
+    for pt in _sample_points(d - 1, 4, seed):
+        fv = face_form.eval_matrix_coeffs(pt)
+        av = actual.eval_matrix_coeffs(pt)
+        rld, g = _rld_numeric(phi, pt)
+        gi = np.linalg.inv(g)
+        for j in range(d - 1):
+            z = np.zeros((P.algebra.n, P.algebra.n), dtype=complex)
+            lhs = fv.get((j,), z)
+            rhs = gi @ (av.get((j,), z) + rld.get(j, z)) @ g
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
 
 
 def construct_connection(P, preset=None, rng=None):
@@ -699,19 +716,17 @@ def apply_gauge(P, gauges, D=None):
     P2 = BundleData(X, P.algebra, transitions)
     if D is None:
         return P2, None
+    if any(not gauges[sid].d().is_zero() for sid in X.all_cells()):
+        raise BundleError("connection gauge transform implemented for constant gauges")
+    alg = P.algebra
+    if alg.is_abelian:
+        return P2, Connection(P2, {sid: D.forms[sid] for sid in X.all_cells()})
+    import numpy as np
     from scipy.linalg import expm
 
-    alg = P.algebra
-    abelian = alg.is_abelian
     forms = {}
     for sid in X.all_cells():
-        h = gauges[sid]
-        if not h.d().is_zero():
-            raise BundleError("connection gauge transform implemented for constant gauges")
-        if abelian:
-            forms[sid] = D.forms[sid]
-            continue
-        g = expm(_matrix_at(h, [Fraction(0)] * sid.dim))
+        g = expm(_matrix_at(gauges[sid], [Fraction(0)] * sid.dim))
         gi = np.linalg.inv(g)
         # matrix R of Ad_{g^{-1}} in the chosen basis
         R = np.array([alg.decompose_float(gi @ bf @ g) for bf in alg.basis_float]).T

@@ -140,7 +140,11 @@ def cmd_chern(args, report):
     if D is None:
         D = bn.construct_connection(P)
     crep = bn.validate_connection(P, D, seed=args.seed)
-    report.check("connection-valid", crep.ok, "exact" if crep.exact else f"sampled, worst {crep.worst:.2e}")
+    detail = "exact" if crep.exact else f"sampled, worst {crep.worst:.2e}"
+    if crep.failures:
+        first, others = crep.failures[0], len(crep.failures) - 1
+        detail += f"; {first}" + (f" and {others} more" if others else "")
+    report.check("connection-valid", crep.ok, detail)
     rep = cw.class_report(rho, P, D, cycles, name, poly_name=args.poly)
     report.add(rep.machine_line())
     report.check("cochain-closed", rep.closed)

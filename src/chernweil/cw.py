@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import factorial
 
-import numpy as np
-
 from .bundles import Connection, pullback_bundle
 from .forms import PolyForm, SimplicialForm, _form_from_acc, integrate_to_cochain
 from .io import scalar_to_str
@@ -113,12 +111,12 @@ def cw_form(rho, D):
     Main path: the coefficient tensor of rho contracted with the
     curvature's coordinate 2-forms.  A degree-2k form vanishes on cells
     of dimension below 2k, so the curvature is computed only on the
-    others.  Closed and face compatible; zero in overflow degrees rather
-    than an error.
+    others, and on none when the tensor is zero.  Closed and face
+    compatible; zero in overflow degrees rather than an error.
     """
     X = D.bundle.base
     deg = 2 * rho.arity
-    Fs = curvature(D, min_dim=deg)
+    Fs = curvature(D, min_dim=deg) if rho.tensor() else {}
     forms = {
         sid: _cw_polyform_wedge(rho, Fs[sid]) if sid in Fs else PolyForm.zero(sid.dim, deg)
         for sid in X.all_cells()
@@ -206,10 +204,13 @@ def cw_cochain(rho, D):
 
     The cochain reads only the 2k-cells, so the form is built on those
     alone: integrate_to_cochain(cw_form(rho, D)) without the cells
-    above degree 2k.
+    above degree 2k.  A zero tensor gives the zero cochain with no
+    curvature computed.
     """
     X = D.bundle.base
     deg = 2 * rho.arity
+    if not rho.tensor():
+        return Cochain(deg)
     return Cochain(deg, {
         sid: _cw_polyform_wedge(rho, curvature_form(D.forms[sid])).integrate_top()
         for sid in X.cells(deg) if sid in D.forms
@@ -272,6 +273,8 @@ def _duffy_grid(order, d):
     """Nodes (an (order^d, d) array) and weights (a list of w * jac) of
     the product Gauss-Legendre rule on [0,1]^d under the Duffy map,
     in itertools.product order."""
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
-
-import numpy as np
 
 from .linalg import PrecomputedSolver, multinomial, sort_sign
 from .scalars import TAU, Scalar, parse_int
@@ -187,9 +186,6 @@ class LieData:
         self.basis = basis
         self.dim = len(basis)
         self.n = len(basis[0])
-        self.basis_float = [
-            np.array([[v.to_complex() for v in row] for row in b]) for b in basis
-        ]
         self.solver = PrecomputedSolver([[b[r][c] for b in basis] for r in range(self.n) for c in range(self.n)])
         self.structure = [[()] * self.dim for _ in range(self.dim)]
         for a, b in itertools.combinations(range(self.dim), 2):
@@ -219,7 +215,16 @@ class LieData:
             raise LieAlgebraError("matrix not in the span of the basis")
         return self.element(coords)
 
+    @functools.cached_property
+    def basis_float(self):
+        """The basis as complex numpy matrices, built on first float use."""
+        import numpy as np
+
+        return [np.array([[v.to_complex() for v in row] for row in b]) for b in self.basis]
+
     def decompose_float(self, matrix):
+        import numpy as np
+
         B = np.array([bf.flatten() for bf in self.basis_float]).T
         coords, *_ = np.linalg.lstsq(B, np.asarray(matrix, dtype=complex).flatten(), rcond=None)
         return coords
@@ -237,6 +242,8 @@ class LieData:
         return out
 
     def element_matrix_float(self, coords):
+        import numpy as np
+
         m = np.zeros((self.n, self.n), dtype=complex)
         for c, b in zip(coords, self.basis_float):
             m = m + complex(c) * b
@@ -321,11 +328,14 @@ class InvariantPolynomial:
     def eval(self, args):
         if len(args) != self.arity:
             raise ValueError(f"{self.provenance} has arity {self.arity}, got {len(args)}")
+        # an ndarray exists only once numpy is loaded, so look it up
+        # rather than import it
+        np = sys.modules.get("numpy")
         mats = []
         for a in args:
             if isinstance(a, LieElement):
                 mats.append(a.matrix())
-            elif isinstance(a, np.ndarray):
+            elif np is not None and isinstance(a, np.ndarray):
                 mats.append([[complex(v) for v in row] for row in a])
             else:
                 mats.append(a)

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from operator import add
 
-import numpy as np
-
 from .scalars import Scalar, _from_mac, _mac
 
 _new = object.__new__
@@ -210,6 +208,8 @@ class Poly:
         numpy computes by the same repeated squaring as Python), factors
         multiplied in coordinate order, terms added in dict order.
         """
+        import numpy as np
+
         cols = np.asarray(points, dtype=float).astype(complex).T
         out = np.zeros(cols.shape[1], dtype=complex)
         for e, c in self.terms.items():

@@ -10,9 +10,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
-from scipy.linalg import expm
-
 from . import bundles as bn
 from . import cw
 from . import forms as fm
@@ -147,6 +144,8 @@ def check_integration(seed):
 
 
 def check_bernstein_containment(seed):
+    import numpy as np
+
     rng = random.Random(seed)
     npr = np.random.default_rng(seed)
     for _ in range(5):
@@ -235,6 +234,8 @@ def check_reznikov(seed):
 def ad_exp_coords(x, y, t):
     """e^{t ad_x} y by bundles._exp_series, the gauge rule's kernel, as float
     coordinates; t is an exact rational."""
+    import numpy as np
+
     alg = x.algebra
     p = bn.LieValuedForm.from_polys(alg, [Poly.const(0, c * t) for c in x.coords])
     y0 = bn.LieValuedForm.from_polys(alg, [Poly.const(0, c) for c in y.coords])
@@ -242,6 +243,9 @@ def ad_exp_coords(x, y, t):
 
 
 def check_ad_exp(seed):
+    import numpy as np
+    from scipy.linalg import expm
+
     su2 = la.lie_algebra("su2")
     rng = random.Random(seed)
     worst = 0.0

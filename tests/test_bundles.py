@@ -31,7 +31,7 @@ from chernweil.bundles import (
     validate_bundle,
     validate_connection,
 )
-from chernweil.forms import AffineMap, _monomials_up_to, random_poly
+from chernweil.forms import AffineMap, PolyForm, _monomials_up_to, random_poly
 from chernweil.liealg import lie_algebra
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
@@ -225,6 +225,29 @@ def test_nonabelian_gauge_rule_series(group):
     rep = validate_connection(P, construct_connection(P, rng=random.Random(5)))
     assert rep.ok and not rep.exact
     assert rep.worst < SAMPLE_TOL
+
+
+def test_sampled_connection_failure_names_face_and_defect():
+    su2 = lie_algebra("su2")
+    X = boundary_sphere(2)
+    rng = random.Random(0)
+    gauges = {
+        s: LieValuedForm.from_polys(su2, [random_poly(rng, s.dim, 1).scale(Fraction(1, 100)) for _ in range(3)])
+        for s in X.all_cells()
+    }
+    P, _ = apply_gauge(trivial_bundle(X, su2), gauges)
+    D = construct_connection(P)
+    top = X.cells(2)[0]
+    # a constant dx1 term on one 2-cell breaks the faces where x1 varies, 0 and 2
+    bump = LieValuedForm(su2, 2, 1, [PolyForm(2, 1, {(0,): Poly.const(2, 1)})] + [PolyForm.zero(2, 1)] * 2)
+    D.forms[top] = D.forms[top] + bump
+    rep = validate_connection(P, D)
+    assert not rep.ok and not rep.exact and rep.worst > SAMPLE_TOL
+    assert [f.split(", defect ")[0] for f in rep.failures] == [
+        f"gauge compatibility fails at ({X.name(top)}, {i})" for i in (0, 2)
+    ]
+    defects = [float(f.split(", defect ")[1]) for f in rep.failures]
+    assert all(d > SAMPLE_TOL for d in defects) and max(defects) == float(f"{rep.worst:.2e}")
 
 
 def _torus(alg):

@@ -50,6 +50,7 @@ from chernweil.liealg import (
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
 from chernweil.simplicial import (
+    Cochain,
     SimplexId,
     SimplicialMap,
     boundary_sphere,
@@ -112,6 +113,28 @@ def test_cw_form_zero_polynomial():
     zero_rho = InvariantPolynomial(u1, 1, lambda mats: Poly.zero(mats[0][0][0].dim) if isinstance(mats[0][0][0], Poly) else 0, "zero")
     om = cw_form(zero_rho, D)
     assert all(f.is_zero() for f in om.forms.values())
+
+
+def test_zero_tensor_skips_the_curvature(monkeypatch):
+    """su2 is traceless, so symtrace:1 has no nonzero coefficient: the
+    characteristic cochain and form are the curvature path's zero values,
+    with no curvature computed."""
+    from chernweil import cw
+
+    X = boundary_sphere(2)
+    D = random_connection(trivial_bundle(X, su2), 0)
+    rho = sym_trace_poly(su2, 1)
+    assert rho.tensor() == {}
+    curv = curvature(D, min_dim=2)
+    want_forms = {sid: cw._cw_polyform_wedge(rho, curv[sid]) if sid in curv else PolyForm.zero(sid.dim, 2)
+                  for sid in X.all_cells()}
+    assert all(cw_form_permutation(rho, F).is_zero() for F in curv.values())
+    calls = []
+    real = cw.curvature_form
+    monkeypatch.setattr(cw, "curvature_form", lambda A: calls.append(A) or real(A))
+    assert cw_cochain(rho, D) == Cochain(2, {sid: f.integrate_top() for sid, f in want_forms.items() if sid.dim == 2})
+    assert cw_form(rho, D).forms == want_forms
+    assert calls == []
 
 
 def test_cw_cochain_trivial_zero():

@@ -547,6 +547,61 @@ def test_python_m_chernweil():
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
+# Runs in a fresh interpreter (the test process has numpy loaded): after
+# each import and each cli.main call, the exit code and which of numpy
+# and scipy are loaded, as JSON.
+_FLOAT_LIBRARIES_SCRIPT = """
+import contextlib, io, json, sys
+
+def loaded():
+    return [m for m in ("numpy", "scipy") if m in sys.modules]
+
+seen = []
+import chernweil
+seen.append(["import chernweil", None, loaded()])
+from chernweil import cli
+seen.append(["import chernweil.cli", None, loaded()])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    seen.append([" ".join(argv), rc, loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_float_libraries_load_only_on_float_paths(tmp_path):
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import chernweil
+
+    no_float = [
+        ["betti", "--space", "standard:3"],
+        ["chern", "--bundle", "clutch:1"],
+        ["generate", "trivial", "--group", "su2", "--out", str(tmp_path / "trivial")],
+        ["generate", "horn-demo", "--n", "3", "--k", "1", "--out", str(tmp_path / "horn")],
+        ["horn-fill", "--n", "3", "--k", "1"],
+        ["verify", "--suite", "simplicial"],
+        ["chern", "--bundle", "clutch:x"],  # a usage error, exit 2
+    ]
+    argvs = no_float + [["verify", "--suite", "liealg"]]
+    done = subprocess.run(
+        [sys.executable, "-c", _FLOAT_LIBRARIES_SCRIPT, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(chernweil.__file__).resolve().parents[1])},
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    want = [["import chernweil", None, []], ["import chernweil.cli", None, []]]
+    want += [[" ".join(argv), 2 if argv[-1] == "clutch:x" else 0, []] for argv in no_float]
+    # the float path still runs: ad-exp-series calls expm
+    want += [["verify --suite liealg", 0, ["numpy", "scipy"]]]
+    assert seen == want
+
+
 def test_cli_reznikov_modes(capsys):
     rc = main(["reznikov", "--k", "2", "--mode", "float"])
     out = capsys.readouterr().out
@@ -808,6 +863,19 @@ def test_cli_math_failure(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_cli_failing_connection_names_its_face(tmp_path, capsys):
+    """The clutch(1) connection file cut to its header and first A line
+    leaves A_S without its dx2 component; the FAIL line names the face."""
+    main(["generate", "clutch", "--n", "1", "--out", str(tmp_path)])
+    capsys.readouterr()
+    cut = tmp_path / "cut.txt"
+    cut.write_text("".join((tmp_path / "connection.txt").read_text().splitlines(keepends=True)[:2]))
+    assert main(["chern", "--bundle", "clutch:1", "--connection", str(cut)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL connection-valid: exact; gauge compatibility fails at (S, 0)\n" in out
+    assert "pairings=[1/2]" in out
 
 
 def test_cli_determinism(tmp_path, capsys):
