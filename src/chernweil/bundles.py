@@ -239,6 +239,13 @@ def _sample_points(dim, count, seed):
     return pts
 
 
+def _constant_value(p):
+    """The value of the polynomial p if it is constant, else None."""
+    if any(any(e) for e in p.terms):
+        return None
+    return p.terms.get((0,) * p.dim, Scalar.zero())
+
+
 def transitions_equal(t1, t2, seed=0):
     """Group-level equality of two transition maps, decided in order:
 
@@ -259,11 +266,9 @@ def transitions_equal(t1, t2, seed=0):
     if alg.is_abelian:
         diff = t1.log_total() - t2.log_total()
         for f in diff.coords:
-            p = f.component(())
-            nonconst = {e: c for e, c in p.terms.items() if any(e)}
-            if nonconst:
+            c = _constant_value(f.component(()))
+            if c is None:
                 return False
-            c = p.terms.get((0,) * p.dim, Scalar.zero())
             # u1 coordinates multiply the basis [[i]]: exp is the identity
             # exactly when the coordinate is an integer multiple of tau
             q = c / Scalar.tau()
@@ -416,14 +421,8 @@ class Connection:
         self.bundle = bundle
         self.forms = dict(forms)
 
-    def form(self, sid):
-        return self.forms[sid]
-
     def form_on(self, fs):
         return form_on(self.forms, fs)
-
-    def data_equal(self, other):
-        return self.bundle.base == other.bundle.base and self.forms == other.forms
 
 
 def _exp_series(p, X, shift):
@@ -848,11 +847,7 @@ def _facet_mismatch_constant(pres_a, pres_b, ia, ib, domain_dim):
     """
     pa = pres_a.pullback(AffineMap.face(domain_dim - 1, ib - 1)).coords
     pb = pres_b.pullback(AffineMap.face(domain_dim - 1, ia)).coords
-    consts = []
-    for a, b in zip(pa, pb):
-        diff = (a - b).component(())
-        nonconst = {e: c for e, c in diff.terms.items() if any(e)}
-        if nonconst:
-            raise BundleError("horn prescriptions differ by a nonconstant; input invalid")
-        consts.append(diff.terms.get((0,) * diff.dim, Scalar.zero()))
+    consts = [_constant_value((a - b).component(())) for a, b in zip(pa, pb)]
+    if any(c is None for c in consts):
+        raise BundleError("horn prescriptions differ by a nonconstant; input invalid")
     return consts

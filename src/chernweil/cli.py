@@ -115,6 +115,8 @@ def _load_bundle(args):
     if sel.startswith("clutch:"):
         n = _clutch_n(sel.partition(":")[2])
         P, D = bn.clutch_bundle(n)
+        if args.space is not None and _parse_space(args.space) != P.base:
+            raise UsageError(f"{sel} lives on the two-disk sphere; --space {args.space} is another base")
         if args.connection:
             D = cio.parse_connection(Path(args.connection).read_text(), P)
         return P.base, P, D, f"clutch({n})", n
@@ -164,9 +166,8 @@ def cmd_clutch(args, report):
     report.check("bundle-valid", bn.validate_bundle(P).ok)
     report.check("connection-valid", bn.validate_connection(P, D).ok)
     w = bn.clutch_winding(P)
-    rho = la.chern_polynomial(P.algebra, 1)
-    alpha = cw.cw_cochain(rho, D)
-    v = sc.pairing(alpha, sc.fundamental_cycle_two_disk(P.base))
+    rep = cw.class_report(la.chern_polynomial(P.algebra, 1), P, D, [sc.fundamental_cycle_two_disk(P.base)])
+    v = rep.pairings[0]
     report.add(f"winding: {cio.scalar_to_str(w)}")
     report.add(f"chern pairing: {cio.scalar_to_str(v)}")
     report.check("integrality", v == w == Scalar.from_rational(args.n))

@@ -114,14 +114,9 @@ def cw_form(rho, D):
     others, and on none when the tensor is zero.  Closed and face
     compatible; zero in overflow degrees rather than an error.
     """
-    X = D.bundle.base
     deg = 2 * rho.arity
     Fs = curvature(D, min_dim=deg) if rho.tensor() else {}
-    forms = {
-        sid: _cw_polyform_wedge(rho, Fs[sid]) if sid in Fs else PolyForm.zero(sid.dim, deg)
-        for sid in X.all_cells()
-    }
-    return SimplicialForm(X, deg, forms)
+    return SimplicialForm(D.bundle.base, deg, {sid: _cw_polyform_wedge(rho, F) for sid, F in Fs.items()})
 
 
 def cw_form_permutation(rho, F):
@@ -164,10 +159,7 @@ def cw_form_permutation(rho, F):
             pairs = [(K[a], K[b]) for a, b in key]
             if any(p not in comps for p in pairs):
                 continue
-            val = rho.eval([comps[p] for p in pairs])
-            if not isinstance(val, Poly):
-                val = Poly.const(dim, val)
-            total = total + val.scale(Fraction(count, n_perms))
+            total = total + rho.eval([comps[p] for p in pairs]).scale(Fraction(count, n_perms))
         if not total.is_zero():
             out[K] = total
     return PolyForm(dim, 2 * k, out)
@@ -181,19 +173,12 @@ def calibrate_cw_constant(rho, F):
     """
     wedge = _cw_polyform_wedge(rho, F)
     perm = cw_form_permutation(rho, F)
-    ratio = None
-    for I, p in perm.comps.items():
-        q = wedge.component(I)
-        for e, c in p.terms.items():
-            if c.is_zero():
-                continue
-            r = q.terms.get(e, Scalar.zero()) / c
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                raise ValueError("wedge and permutation forms are not proportional")
-    if ratio is None:
+    if perm.is_zero():
         raise ValueError("permutation form vanished; calibration needs a generic input")
+    # components and coefficients are stored nonzero: the first one fixes the ratio
+    I, p = next(iter(perm.comps.items()))
+    e, c = next(iter(p.terms.items()))
+    ratio = wedge.component(I).terms.get(e, Scalar.zero()) / c
     if perm.scale(ratio) != wedge:
         raise ValueError("wedge and permutation forms are not proportional")
     return ratio

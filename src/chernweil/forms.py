@@ -351,11 +351,6 @@ class AffineMap(PolyMap):
     def identity(d):
         return AffineMap.from_monotone(tuple(range(d + 1)), d)
 
-    def compose(self, inner):
-        """self o inner as an affine map (vertex maps compose)."""
-        m = tuple(self.vertex_map[v] for v in inner.vertex_map)
-        return AffineMap.from_monotone(m, self.target_dim)
-
 
 class BernsteinMap(PolyMap):
     """Polynomial map Delta^k -> Delta^d in Bernstein-Bezier form.
@@ -676,19 +671,16 @@ def check_prescription_consistency(d, prescriptions):
 def whitney_extend(d, deg, prescriptions):
     """Polynomial form on Delta^d with prescribed facet pullbacks.
 
-    prescriptions maps facet indices to PolyForms on Delta^{d-1};
-    missing facets are unconstrained.  Each facet's data is written in
-    the Whitney-Bernstein basis of degree D, the highest polynomial
-    degree of the data (max(D, 1) for 0-forms), and its coefficients
-    are copied to Delta^d; all other coefficients are zero.  Nothing is
-    solved.  The result has polynomial degree at most D + 1.  Data that
-    disagree on a facet intersection disagree on a shared coefficient,
-    and raise FaceConsistencyError naming each such pair of facets.
+    prescriptions maps facet indices to PolyForms on Delta^{d-1} of
+    degree deg (any other shape raises ValueError); missing facets are
+    unconstrained.  Each facet's data is written in the Whitney-Bernstein
+    basis of degree D, the highest polynomial degree of the data
+    (max(D, 1) for 0-forms), and its coefficients are copied to
+    Delta^d; all other coefficients are zero.  Nothing is solved.  The
+    result has polynomial degree at most D + 1.  Data that disagree on
+    a facet intersection disagree on a shared coefficient, and raise
+    FaceConsistencyError naming each such pair of facets.
     """
-    prescriptions = {
-        i: (f if isinstance(f, PolyForm) else PolyForm(d - 1, deg, f))
-        for i, f in prescriptions.items()
-    }
     for i, f in prescriptions.items():
         if f.dim != d - 1 or f.deg != deg:
             raise ValueError(f"prescription {i} has wrong shape")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -313,9 +312,11 @@ def bracket(x, y):
 class InvariantPolynomial:
     """Symmetric multilinear Ad-invariant functional on the algebra.
 
-    The evaluator receives a list of arity-many square matrices (entries
-    may be Scalars, numbers, or polynomial ring elements) and returns a
-    single ring element.  LieElements are accepted and converted.
+    eval takes arity-many arguments, each a LieElement or a square
+    matrix given as a list of rows (entries may be Scalars, numbers, or
+    polynomial ring elements; an ndarray goes in as M.tolist()).  The
+    evaluator receives them all as matrices and returns a single ring
+    element.
     """
 
     def __init__(self, algebra, arity, evaluator, provenance):
@@ -328,18 +329,7 @@ class InvariantPolynomial:
     def eval(self, args):
         if len(args) != self.arity:
             raise ValueError(f"{self.provenance} has arity {self.arity}, got {len(args)}")
-        # an ndarray exists only once numpy is loaded, so look it up
-        # rather than import it
-        np = sys.modules.get("numpy")
-        mats = []
-        for a in args:
-            if isinstance(a, LieElement):
-                mats.append(a.matrix())
-            elif np is not None and isinstance(a, np.ndarray):
-                mats.append([[complex(v) for v in row] for row in a])
-            else:
-                mats.append(a)
-        return self._evaluator(mats)
+        return self._evaluator([a.matrix() if isinstance(a, LieElement) else a for a in args])
 
     def eval_diag(self, x):
         return self.eval([x] * self.arity)
@@ -450,8 +440,7 @@ def polarize(algebra, p, k):
                 raise LieAlgebraError(f"polynomial is not homogeneous of degree {k}")
 
     def evaluator(mats):
-        elems = [algebra.decompose(m) if not isinstance(m, LieElement) else m for m in mats]
-        coord_vectors = [[Scalar.coerce(c) for c in e.coords] for e in elems]
+        coord_vectors = [[Scalar.coerce(c) for c in algebra.decompose(m).coords] for m in mats]
         return _polarized(p, coord_vectors, lambda v, w: [a + b for a, b in zip(v, w)])
 
     return InvariantPolynomial(algebra, k, evaluator, f"polarized:{k}")

@@ -355,10 +355,10 @@ def check_clutch_integrality(seed):
     c1 = la.chern_polynomial(u1, 1)
     for n in range(-5, 6):
         P, D = bn.clutch_bundle(n)
-        alpha = cw.cw_cochain(c1, D)
-        if not sc.coboundary(P.base, alpha).is_zero():
+        rep = cw.class_report(c1, P, D, [sc.fundamental_cycle_two_disk(P.base)])
+        if not rep.closed:
             return False, f"chern cochain not closed for clutch({n})"
-        v = sc.pairing(alpha, sc.fundamental_cycle_two_disk(P.base))
+        v = rep.pairings[0]
         if v != Scalar.from_rational(n):
             return False, f"pairing for clutch({n}) is {v!r}"
     return True, "chern:1 pairing equals the winding, exactly, for n in -5..5"

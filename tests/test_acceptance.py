@@ -215,12 +215,12 @@ def test_criterion_8_invariant_polynomials():
         worst = 0.0
         for _ in range(1000):
             args = [su2.element_matrix_float(rng.uniform(-1, 1, 3)) for _ in range(rho.arity)]
-            base = complex(rho.eval(args))
+            base = complex(rho.eval([a.tolist() for a in args]))
             from scipy.linalg import expm
 
             g = expm(su2.element_matrix_float(rng.uniform(-1, 1, 3)))
             gi = np.linalg.inv(g)
-            v = complex(rho.eval([g @ a @ gi for a in args]))
+            v = complex(rho.eval([(g @ a @ gi).tolist() for a in args]))
             worst = max(worst, abs(v - base) / (1.0 + abs(base)))
         assert worst <= 1e-9, (name, worst)
 

@@ -45,6 +45,8 @@ from chernweil.liealg import (
     chern_polynomial,
     invariant_polynomial_from_selector,
     lie_algebra,
+    mat_mul,
+    mat_trace,
     sym_trace_poly,
 )
 from chernweil.poly import Poly
@@ -63,6 +65,7 @@ from chernweil.simplicial import (
     standard_simplex,
     two_disk_sphere,
 )
+from chernweil.verify import generic_curvature
 
 u1 = lie_algebra("u1")
 su2 = lie_algebra("su2")
@@ -270,6 +273,25 @@ def test_calibration_constant_stable_and_exact():
             consts[2].add(calibrate_cw_constant(sym_trace_poly(su2, 2), F2))
     assert consts[1] == {Scalar.one()}
     assert consts[2] == {Scalar.from_rational(6)}
+
+
+def test_calibration_refuses_a_vanishing_permutation_form():
+    F = curvature_form(LieValuedForm.zero(su2, 4))
+    with pytest.raises(ValueError, match="permutation form vanished"):
+        calibrate_cw_constant(sym_trace_poly(su2, 2), F)
+
+
+def test_calibration_refuses_a_nonmultilinear_evaluator():
+    # the wedge path reads rho through its tensor on basis matrices, which
+    # only a multilinear rho determines; tr(m0 m1)^2 is quadratic in each slot
+    def evaluator(mats):
+        t = mat_trace(mat_mul(mats[0], mats[1]))
+        return t * t
+
+    rho = InvariantPolynomial(su2, 2, evaluator, "tr(m0 m1)^2")
+    F = generic_curvature(su2, 4, random.Random(0))
+    with pytest.raises(ValueError, match="not proportional"):
+        calibrate_cw_constant(rho, F)
 
 
 def test_permutation_formula_matches_wedge_up_to_constant():

@@ -353,6 +353,22 @@ def test_whitney_inconsistent_data_raises():
         whitney_extend(2, 0, pres)
 
 
+@pytest.mark.parametrize("bad", [PolyForm.zero(2, 0), PolyForm.zero(1, 1), PolyForm.zero(0, 0)])
+def test_whitney_rejects_prescription_of_wrong_shape(bad):
+    pres = {0: PolyForm(1, 0, {(): Poly.const(1, 1)}), 1: bad}
+    with pytest.raises(ValueError, match="prescription 1 has wrong shape"):
+        whitney_extend(2, 0, pres)
+
+
+def test_whitney_overflow_degree():
+    # a form on Delta^{d-1} of degree above d-1 has no components, so for
+    # d >= 1 every such prescription is zero and extends to zero
+    assert whitney_extend(2, 2, {0: PolyForm.zero(1, 2), 2: PolyForm.zero(1, 2)}) == PolyForm.zero(2, 2)
+    # Delta^0's facet is Delta^{-1}, where a degree-0 form may be a nonzero constant
+    with pytest.raises(FaceConsistencyError, match="nonzero prescription of overflow degree"):
+        whitney_extend(0, 0, {0: PolyForm(-1, 0, {(): Poly.const(-1, 1)})})
+
+
 def test_whitney_compatible_function_data():
     # random compatible 0-form data on the boundary of a triangle,
     # generated from a global polynomial

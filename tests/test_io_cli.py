@@ -385,6 +385,14 @@ def test_cli_clutch_generate_and_consume(tmp_path, capsys):
     assert "pairings=[2]" in out
 
 
+def test_cli_chern_clutch_accepts_its_own_space(tmp_path, capsys):
+    main(["generate", "clutch", "--n", "1", "--out", str(tmp_path)])
+    capsys.readouterr()
+    for space in ("two-disk", str(tmp_path / "space.txt")):
+        assert main(["chern", "--bundle", "clutch:1", "--space", space]) == 0
+        assert "pairings=[1]" in capsys.readouterr().out
+
+
 def test_cli_generate_trivial(tmp_path, capsys):
     rc = main(["generate", "trivial", "--space", "boundary-sphere:2", "--group", "su2", "--out", str(tmp_path / "t")])
     assert rc == 0
@@ -683,6 +691,7 @@ def test_cli_bad_space_size(space, capsys):
     [
         ["chern", "--bundle", "clutch:x"],
         ["chern", "--bundle", "clutch:"],
+        ["chern", "--bundle", "clutch:1", "--space", "standard:2"],
         ["betti", "--space", "boundary-sphere:1", "--max-dim", "-1"],
         ["chern", "--bundle", "clutch:1", "--poly", "bogus:1"],
         ["chern", "--bundle", "clutch:1", "--poly", "chern:x"],
@@ -698,7 +707,7 @@ def test_cli_bad_space_size(space, capsys):
         ["reznikov", "--k", "0", "--mode", "float"],
         ["reznikov", "--k", "-2", "--mode", "float"],
     ],
-    ids=["chern-clutch-nonint", "chern-clutch-empty",
+    ids=["chern-clutch-nonint", "chern-clutch-empty", "chern-clutch-other-space",
          "betti-negative-max-dim", "poly-bogus", "poly-nonint", "poly-degree-0",
          "poly-reznikov", "poly-reznikov-order-1", "poly-trailing-part",
          "poly-overflow-chern", "poly-overflow-symtrace", "horn-n1", "horn-n0", "horn-negative",

@@ -182,7 +182,7 @@ def test_chern_two_su2_against_charpoly_oracle():
 
     for _ in range(50):
         M = su2.element_matrix_float(rng.uniform(-1, 1, 3))
-        got = rho.eval([M, M])
+        got = rho.eval([M.tolist(), M.tolist()])
         want = charpoly_coefficient_oracle(M / (1j * TAU), 2)
         assert abs(got - want) < 1e-9
 
@@ -294,7 +294,7 @@ def test_reznikov_one_vanishes():
     rng = np.random.default_rng(8)
     for _ in range(100):
         m = su2.element_matrix_float(rng.uniform(-1, 1, 3))
-        assert abs(rho.eval([m])) < 1e-10
+        assert abs(rho.eval([m.tolist()])) < 1e-10
 
 
 def test_reznikov_two_proportional_to_trace_form():
@@ -323,7 +323,7 @@ def test_reznikov_two_quadrature_order_independence():
     for _ in range(20):
         a = su2.element_matrix_float(rng.uniform(-1, 1, 3))
         b = su2.element_matrix_float(rng.uniform(-1, 1, 3))
-        exact = rho.eval([a, b])
+        exact = rho.eval([a.tolist(), b.tolist()])
         assert abs(r_lo([a, b]) - exact) < 1e-12 and abs(r_hi([a, b]) - exact) < 1e-12
 
 
@@ -336,7 +336,7 @@ def test_reznikov_matches_quadrature_oracle(coords):
     su2 = lie_algebra("su2")
     k = len(coords)
     mats = [su2.element_matrix_float(c) for c in coords]
-    assert abs(reznikov_pullback(su2, k).eval(mats) - reznikov_quadrature(k)(mats)) < 1e-12
+    assert abs(reznikov_pullback(su2, k).eval([m.tolist() for m in mats]) - reznikov_quadrature(k)(mats)) < 1e-12
 
 
 def test_reznikov_three_vanishes_by_antipodal_symmetry():
@@ -347,7 +347,7 @@ def test_reznikov_three_vanishes_by_antipodal_symmetry():
     rng = np.random.default_rng(11)
     for _ in range(50):
         args = [su2.element_matrix_float(rng.uniform(-1, 1, 3)) for _ in range(3)]
-        assert abs(rho.eval(args)) < 1e-10
+        assert abs(rho.eval([a.tolist() for a in args])) < 1e-10
 
 
 def test_reznikov_exact_on_polynomial_entries():
