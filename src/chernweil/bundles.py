@@ -17,7 +17,8 @@ together by the trivialized gauge rule
 For abelian groups (and for identity transitions) every check here is
 exact polynomial identity.  Otherwise Ad_phi and the differential of the
 exponential come from _exp_series, which stops at its first zero bracket
-or at order SERIES_ORDER = 6, and the checks are sampled against SAMPLE_TOL.
+or at order SERIES_ORDER = 6, and the checks are sampled against SAMPLE_TOL,
+with phi and d phi from scipy's expm and expm_frechet at each point.
 """
 
 from __future__ import annotations
@@ -133,16 +134,9 @@ class LieValuedForm:
 
     def eval_matrix_coeffs(self, point):
         """Evaluate each form component to a float matrix at a point."""
-        import numpy as np
-
-        out = {}
-        for a, f in enumerate(self.coords):
-            for I, p in f.comps.items():
-                v = p.eval_complex(point)
-                if I not in out:
-                    out[I] = np.zeros((self.algebra.n, self.algebra.n), dtype=complex)
-                out[I] = out[I] + v * self.algebra.basis_float[a]
-        return out
+        indices = {I for f in self.coords for I in f.comps}
+        return {I: self.algebra.element_matrix_float([f.component(I).eval_complex(point) for f in self.coords])
+                for I in indices}
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +225,7 @@ def _matrix_at(p, point):
 def _sample_points(dim, count, seed):
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(count):
-        w = rng.dirichlet(np.ones(dim + 1))
-        pts.append(list(w[1:]))
-    return pts
+    return [list(w[1:]) for w in np.random.default_rng(seed).dirichlet(np.ones(dim + 1), size=count)]
 
 
 def _constant_value(p):
@@ -477,32 +466,30 @@ class ConnectionReport:
     failures: list = field(default_factory=list)
 
 
-def _rld_numeric(t, pt):
-    """(d phi) phi^{-1} at a point, per 1-form component index; numpy.
+def _values_and_partials(t, points):
+    """(pt, phi(pt), [d_j phi(pt) for each coordinate j]) at each point.
 
-    The float series runs to order 18, far past SERIES_ORDER, so the
-    sampled check measures the exact series' truncation."""
+    phi is the product of scipy expm values, as in TransitionMap.evaluate,
+    and each d_j phi follows from the product rule with expm_frechet, the
+    exact differential of expm to machine precision.  Each factor's d p
+    is taken once for all points, and a direction in which it has no
+    component costs no Frechet derivative."""
     import numpy as np
-    from scipy.linalg import expm
+    from scipy.linalg import expm, expm_frechet
 
     n = t.algebra.n
-    out = {}
-    prefix = np.eye(n, dtype=complex)
-    for p in t.factors:
-        pm = _matrix_at(p, pt)
-        dp = p.d().eval_matrix_coeffs(pt)
-        prefix_inv = np.linalg.inv(prefix)
-        for j in range(t.dim):
-            dpj = dp.get((j,), np.zeros((n, n), dtype=complex))
-            acc = dpj.copy()
-            cur = dpj
-            for m in range(1, 19):
-                cur = pm @ cur - cur @ pm
-                acc = acc + cur / float(factorial(m + 1))
-            term = prefix @ acc @ prefix_inv
-            out[j] = out.get(j, 0) + term
-        prefix = prefix @ expm(pm)
-    return out, prefix  # prefix is phi(pt)
+    dps = [p.d() for p in t.factors]
+    for pt in points:
+        g = np.eye(n, dtype=complex)
+        dg = [np.zeros((n, n), dtype=complex) for _ in range(t.dim)]
+        for p, dp in zip(t.factors, dps):
+            pm = _matrix_at(p, pt)
+            e = expm(pm)
+            dg = [x @ e for x in dg]
+            for (j,), dpj in dp.eval_matrix_coeffs(pt).items():
+                dg[j] = dg[j] + g @ expm_frechet(pm, dpj, compute_expm=False)
+            g = g @ e
+        yield pt, g, dg
 
 
 def validate_connection(P, D, seed=0):
@@ -531,24 +518,21 @@ def validate_connection(P, D, seed=0):
 
 
 def _sampled_gauge_defect(P, D, sid, i, actual, seed):
-    """Largest entry of A_face - Ad_{phi^{-1}}(delta_i^* A) - phi^{-1}dphi
+    """Largest entry of A_face - phi^{-1}(delta_i^* A)phi - phi^{-1}d phi
     at sampled points of face i of sid; actual is delta_i^* A."""
     import numpy as np
 
-    d = sid.dim
     face_form = form_on(D.forms, P.base.face(sid, i))
     phi = P.transitions[(sid, i)]
+    z = np.zeros((P.algebra.n, P.algebra.n), dtype=complex)
     worst = 0.0
-    for pt in _sample_points(d - 1, 4, seed):
+    for pt, g, dg in _values_and_partials(phi, _sample_points(phi.dim, 4, seed)):
         fv = face_form.eval_matrix_coeffs(pt)
         av = actual.eval_matrix_coeffs(pt)
-        rld, g = _rld_numeric(phi, pt)
         gi = np.linalg.inv(g)
-        for j in range(d - 1):
-            z = np.zeros((P.algebra.n, P.algebra.n), dtype=complex)
-            lhs = fv.get((j,), z)
-            rhs = gi @ (av.get((j,), z) + rld.get(j, z)) @ g
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+        for j, dgj in enumerate(dg):
+            rhs = gi @ (av.get((j,), z) @ g + dgj)
+            worst = max(worst, float(np.abs(fv.get((j,), z) - rhs).max()))
     return worst
 
 
@@ -721,11 +705,10 @@ def apply_gauge(P, gauges, D=None):
     if alg.is_abelian:
         return P2, Connection(P2, {sid: D.forms[sid] for sid in X.all_cells()})
     import numpy as np
-    from scipy.linalg import expm
 
     forms = {}
     for sid in X.all_cells():
-        g = expm(_matrix_at(gauges[sid], [Fraction(0)] * sid.dim))
+        g = TransitionMap.single(gauges[sid]).evaluate([Fraction(0)] * sid.dim)
         gi = np.linalg.inv(g)
         # matrix R of Ad_{g^{-1}} in the chosen basis
         R = np.array([alg.decompose_float(gi @ bf @ g) for bf in alg.basis_float]).T

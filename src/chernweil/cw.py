@@ -94,8 +94,6 @@ def _cw_polyform_wedge(rho, F):
     components once (PolyForm._wedge_into).
     """
     k, dim = rho.arity, F.dim
-    if 2 * k > dim:
-        return PolyForm.zero(dim, 2 * k)
     unit = PolyForm.from_poly(Poly.const(dim, 1))
     acc = {}
     for a, c in rho.tensor().items():

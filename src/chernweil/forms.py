@@ -446,19 +446,6 @@ class SimplicialForm:
             {s: f.wedge(other.forms[s]) for s, f in self.forms.items()},
         )
 
-    def __add__(self, other):
-        return SimplicialForm(
-            self.base, self.deg, {s: f + other.forms[s] for s, f in self.forms.items()}
-        )
-
-    def __sub__(self, other):
-        return SimplicialForm(
-            self.base, self.deg, {s: f - other.forms[s] for s, f in self.forms.items()}
-        )
-
-    def scale(self, c):
-        return SimplicialForm(self.base, self.deg, {s: f.scale(c) for s, f in self.forms.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialForm)

@@ -272,15 +272,6 @@ class LieElement:
     def matrix_float(self):
         return self.algebra.element_matrix_float([Scalar.coerce(c).to_complex() for c in self.coords])
 
-    def __add__(self, other):
-        return LieElement(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        return LieElement(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def scale(self, c):
-        return LieElement(self.algebra, [a * c for a in self.coords])
-
 
 # the supported algebras, by their one spelling each
 _BASES = {

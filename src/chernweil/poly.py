@@ -99,13 +99,9 @@ class Poly:
         return _poly(self.dim, t)
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.dim, other)
         return self._binop_add(other, +1)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.dim, other)
         return self._binop_add(other, -1)
 
     def __neg__(self):

@@ -21,6 +21,8 @@ from chernweil.bundles import (
     construct_connection,
     gauge_prescription,
     _exp_series,
+    _sample_points,
+    _values_and_partials,
     horn_fill_bundle,
     pullback_bundle,
     random_connection,
@@ -250,6 +252,52 @@ def test_sampled_connection_failure_names_face_and_defect():
     assert all(d > SAMPLE_TOL for d in defects) and max(defects) == float(f"{rep.worst:.2e}")
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("group", ["su2", "u2", "so3"])
+def test_values_and_partials_against_evaluate(group, dim):
+    """phi is TransitionMap.evaluate bit for bit, and each d_j phi is
+    the central difference of evaluate at step 1e-5 to 1e-7 relative."""
+    alg = lie_algebra(group)
+    rng = random.Random(dim)
+    factors = [
+        LieValuedForm.from_polys(alg, [random_poly(rng, dim, 2).scale(Fraction(1, 10)) for _ in range(alg.dim)])
+        for _ in range(2)
+    ]
+    t = TransitionMap(alg, dim, factors)
+    assert not any(f.d().is_zero() for f in t.factors)
+    h = 1e-5
+    for pt, g, dg in _values_and_partials(t, _sample_points(dim, 4, 0)):
+        assert np.array_equal(g, t.evaluate(pt))
+        assert len(dg) == dim
+        for j, dgj in enumerate(dg):
+            up, down = list(pt), list(pt)
+            up[j] += h
+            down[j] -= h
+            central = (t.evaluate(up) - t.evaluate(down)) / (2 * h)
+            assert np.abs(central - dgj).max() <= 1e-7 * np.abs(dgj).max()
+
+
+def test_values_and_partials_differentiate_only_where_a_factor_varies(monkeypatch):
+    """Constant factors give zero derivatives with no Frechet derivative;
+    a factor varying in x1 alone takes one per point."""
+    import scipy.linalg
+
+    calls = []
+    frechet = scipy.linalg.expm_frechet
+    monkeypatch.setattr(scipy.linalg, "expm_frechet", lambda *a, **k: calls.append(1) or frechet(*a, **k))
+    su2 = lie_algebra("su2")
+    const = LieValuedForm.from_polys(su2, [Poly.const(2, Fraction(1, 3)), Poly.zero(2), Poly.const(2, Fraction(-1, 5))])
+    t = TransitionMap(su2, 2, [const, const.scale(2)])
+    for _, g, dg in _values_and_partials(t, _sample_points(2, 4, 0)):
+        assert np.array_equal(g, t.evaluate([0, 0]))
+        assert all(not d.any() for d in dg)
+    assert not calls
+    x1 = LieValuedForm.from_polys(su2, [Poly.zero(2), Poly.var(2, 0).scale(Fraction(1, 10)), Poly.zero(2)])
+    for _, _, dg in _values_and_partials(TransitionMap(su2, 2, [const, x1]), _sample_points(2, 4, 0)):
+        assert dg[0].any() and not dg[1].any()
+    assert len(calls) == 4
+
+
 def _torus(alg):
     """Coordinates of a basis of the diagonal torus of alg: i E_jj on
     u(n), i (E_jj - E_j+1,j+1) on su(n)."""
@@ -475,6 +523,15 @@ def test_transitions_equal_mod_tau():
     assert not transitions_equal(TransitionMap.single(p), TransitionMap.single(r))
 
 
+def test_transitions_equal_refuses_other_algebra_or_dimension():
+    """Identity maps have equal (empty) factor lists; the algebra and
+    the dimension still have to agree."""
+    u1, su2 = lie_algebra("u1"), lie_algebra("su2")
+    assert transitions_equal(TransitionMap.identity(u1, 1), TransitionMap.identity(u1, 1))
+    assert not transitions_equal(TransitionMap.identity(u1, 1), TransitionMap.identity(su2, 1))
+    assert not transitions_equal(TransitionMap.identity(u1, 1), TransitionMap.identity(u1, 2))
+
+
 _SMALL_FRACTIONS = st.sampled_from([Fraction(n, d) for n in (-2, -1, 1, 2, 3) for d in (1, 2, 3)])
 
 
@@ -620,6 +677,20 @@ def test_validate_bundle_route_memo_failing_clutch_and_su2():
     bad2.transitions[(sid, 0)] = TransitionMap.single(tw).compose(bad2.transitions[(sid, 0)])
     rep = _assert_validates_as_reference(bad2, 3)
     assert not rep.ok and not rep.exact
+
+
+@pytest.mark.parametrize("group", ["u1", "su2"])
+def test_validate_bundle_stops_on_a_missing_or_misshapen_transition(group):
+    """Either defect is reported before any cocycle is routed, and
+    both are listed, in face order."""
+    alg = lie_algebra(group)
+    P = trivial_bundle(standard_simplex(2), alg)
+    top = V(2, 0)
+    del P.transitions[(top, 0)]
+    P.transitions[(top, 2)] = TransitionMap.identity(alg, 2)
+    rep = validate_bundle(P)
+    assert not rep.ok and rep.exact == alg.is_abelian
+    assert rep.failures == [f"missing transition ({top}, 0)", f"transition ({top}, 2) has wrong domain"]
 
 
 def test_pullback_bundle_route_memo_matches_reference(inclusion_of_north, fold_map, swap_map, collapse_map):

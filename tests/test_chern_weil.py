@@ -55,6 +55,7 @@ from chernweil.simplicial import (
     Cochain,
     SimplexId,
     SimplicialMap,
+    boundary_chain,
     boundary_sphere,
     coboundary,
     cylinder,
@@ -193,6 +194,19 @@ def test_connection_independence_negative_control():
     status, cert = is_coboundary(P2.base, diff)
     assert status == "cycle"
     assert not pairing(diff, cert).is_zero()
+
+
+def test_connection_independence_reports_the_cycle_certificate():
+    """Connections of two different bundles on one base: the difference
+    is no coboundary, and the report carries a cycle pairing to 1 with it."""
+    rho = chern_polynomial(u1, 1)
+    P2, D2 = clutch_bundle(2)
+    _, D3 = clutch_bundle(3)
+    rep = connection_independence(P2, D2, D3, rho)
+    assert not rep.ok and rep.witness is None
+    assert rep.detail == "difference pairs nontrivially with a cycle"
+    assert boundary_chain(P2.base, rep.certificate).is_zero()
+    assert pairing(cw_cochain(rho, D2) - cw_cochain(rho, D3), rep.certificate) == Scalar.one()
 
 
 def test_naturality_identity_and_inclusion(inclusion_of_north):

@@ -365,6 +365,32 @@ def test_cylinder_counts(X):
     assert _cylinder(X)[0].counts == [(m + 2) * c[m] + m * c[m - 1] for m in range(len(c))]
 
 
+def _point_sphere(n):
+    """Delta^n / its boundary: one vertex and one n-cell, each face of
+    which is the vertex, degenerated n - 1 times."""
+    top, vertex = SimplexId(n, 0), SimplexId(0, 0)
+    return SimplicialSet([1] + [0] * (n - 1) + [1], {(top, i): (vertex, tuple(range(n - 2, -1, -1))) for i in range(n + 1)})
+
+
+def test_point_circle_boundary_cancels():
+    S1 = _point_sphere(1)
+    assert S1.validate() == []
+    assert boundary_operator(S1, 1) == [{}]
+    assert betti_numbers(S1, 1) == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "n, counts, betti", [(1, [1, 3, 2], [1, 2, 1]), (2, [1, 0, 3, 6, 6], [1, 0, 2, 0, 1])], ids=["torus", "s2xs2"]
+)
+def test_point_sphere_squared(n, counts, betti):
+    """Faces of product cells with a common degeneracy in both factors."""
+    S = _point_sphere(n)
+    P = product(S, S).space
+    assert P.validate() == []
+    assert P.counts == counts
+    assert betti_numbers(P, P.dim) == betti_oracle(P, P.dim) == betti
+
+
 def test_sphere_squared():
     S2 = two_disk_sphere()
     P = product(S2, S2).space
@@ -374,7 +400,7 @@ def test_sphere_squared():
 
 
 PRODUCT_FACTORS = [standard_simplex(0), standard_simplex(1), standard_simplex(2), boundary_sphere(1),
-                   boundary_sphere(2), two_disk_sphere(), horn(2, 1).space]
+                   boundary_sphere(2), two_disk_sphere(), horn(2, 1).space, _point_sphere(1), _point_sphere(2)]
 
 
 @settings(max_examples=20, deadline=None)
@@ -401,7 +427,8 @@ def test_product_against_counts_and_kunneth(X, Y):
     assert prod.pair(prod.pr_x, prod.pr_y).assignment == SimplicialMap.identity(P).assignment
     v = SimplexId(0, 0)
     maps = [(prod.pr_x, prod.pr_y), (SimplicialMap.identity(X), SimplicialMap.constant(X, Y, v)),
-            (SimplicialMap.constant(Y, X, v), SimplicialMap.identity(Y))]
+            (SimplicialMap.constant(Y, X, v), SimplicialMap.identity(Y)),
+            (SimplicialMap.constant(X, X, v), SimplicialMap.constant(X, Y, v))]
     if X == Y:
         maps.append((SimplicialMap.identity(X), SimplicialMap.identity(X)))
     for f, g in maps:
