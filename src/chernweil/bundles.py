@@ -188,10 +188,8 @@ class TransitionMap:
         """Sum of factor logs; exact group log for abelian algebras."""
         if not self.algebra.is_abelian:
             raise BundleError("log_total is only defined for abelian groups")
-        total = LieValuedForm.zero(self.algebra, self.dim, 0)
-        for f in self.factors:
-            total = total + f
-        return total
+        # the constructor merges abelian factors into at most one
+        return self.factors[0] if self.factors else LieValuedForm.zero(self.algebra, self.dim, 0)
 
     def evaluate(self, point):
         import numpy as np
@@ -340,13 +338,6 @@ def _through_face(P, sid, i, m, memo):
     return t if rest.is_identity() else t.compose(rest)
 
 
-def _route_pair(P, sid, i, j, memo):
-    """The two composite transitions into sid's chart over the face pair i<j."""
-    d = sid.dim
-    return (_through_face(P, sid, i, mono_skip(d - 1, {j - 1}), memo),
-            _through_face(P, sid, j, mono_skip(d - 1, {i}), memo))
-
-
 @dataclass
 class BundleReport:
     ok: bool
@@ -381,7 +372,9 @@ def validate_bundle(P, seed=0):
         for sid in X.cells(d):
             for i in range(d + 1):
                 for j in range(i + 1, d + 1):
-                    psiA, psiB = _route_pair(P, sid, i, j, memo)
+                    # the two composite transitions into sid's chart over faces i < j
+                    psiA = _through_face(P, sid, i, mono_skip(d - 1, {j - 1}), memo)
+                    psiB = _through_face(P, sid, j, mono_skip(d - 1, {i}), memo)
                     if not transitions_equal(psiA, psiB, seed):
                         failures.append(f"cocycle fails on {X.name(sid)} faces ({i},{j})")
     return BundleReport(not failures, exact, failures)
@@ -409,9 +402,6 @@ class Connection:
     def __init__(self, bundle, forms):
         self.bundle = bundle
         self.forms = dict(forms)
-
-    def form_on(self, fs):
-        return form_on(self.forms, fs)
 
 
 def _exp_series(p, X, shift):
@@ -694,8 +684,8 @@ def apply_gauge(P, gauges, D=None):
     for (sid, i), face in X.faces.items():
         h_here = gauges[sid].pullback(AffineMap.face(sid.dim, i))
         h_face = form_on(gauges, face)
-        t = TransitionMap(P.algebra, sid.dim - 1, [-h_here]).compose(P.transitions[(sid, i)])
-        transitions[(sid, i)] = t.compose(TransitionMap(P.algebra, sid.dim - 1, [h_face]))
+        phi = P.transitions[(sid, i)]
+        transitions[(sid, i)] = TransitionMap(P.algebra, sid.dim - 1, [-h_here, *phi.factors, h_face])
     P2 = BundleData(X, P.algebra, transitions)
     if D is None:
         return P2, None

@@ -109,8 +109,8 @@ def cmd_betti(args, report):
 
 
 def _load_bundle(args):
-    """Returns (base, bundle, connection, name, expected winding or None);
-    the connection is None for a bundle file given without one."""
+    """Returns (bundle, connection, name, expected winding or None); the
+    connection is None for a bundle file given without one."""
     sel = args.bundle
     if sel.startswith("clutch:"):
         n = _clutch_n(sel.partition(":")[2])
@@ -119,7 +119,7 @@ def _load_bundle(args):
             raise UsageError(f"{sel} lives on the two-disk sphere; --space {args.space} is another base")
         if args.connection:
             D = cio.parse_connection(Path(args.connection).read_text(), P)
-        return P.base, P, D, f"clutch({n})", n
+        return P, D, f"clutch({n})", n
     if args.space is None:
         raise UsageError("--space is required with a bundle file")
     X = _parse_space(args.space)
@@ -129,11 +129,12 @@ def _load_bundle(args):
         raise MathError("bundle validation failed: " + rep.failures[0])
     D = cio.parse_connection(Path(args.connection).read_text(), P) if args.connection else None
     name = Path(sel).stem
-    return X, P, D, name, None
+    return P, D, name, None
 
 
 def cmd_chern(args, report):
-    X, P, D, name, winding = _load_bundle(args)
+    P, D, name, winding = _load_bundle(args)
+    X = P.base
     rho = la.invariant_polynomial_from_selector(P.algebra, args.poly)
     cycles = [sc.fundamental_cycle_two_disk(X)] if X == sc.two_disk_sphere() else []
     if cycles and 2 * rho.arity > X.dim:
@@ -147,7 +148,7 @@ def cmd_chern(args, report):
         first, others = crep.failures[0], len(crep.failures) - 1
         detail += f"; {first}" + (f" and {others} more" if others else "")
     report.check("connection-valid", crep.ok, detail)
-    rep = cw.class_report(rho, P, D, cycles, name, poly_name=args.poly)
+    rep = cw.class_report(rho, P, D, cycles, name)
     report.add(rep.machine_line())
     report.check("cochain-closed", rep.closed)
     if winding is not None and rep.pairings:
@@ -249,10 +250,7 @@ def cmd_horn_fill(args, report):
     back2 = bn.pullback_bundle(H.inclusion, bn.horn_fill_bundle(H, back))
     report.check("refill-stability", back2.transitions == back.transitions)
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "horn-bundle.txt").write_text(cio.bundle_to_str(P))
-        (outdir / "filled-bundle.txt").write_text(cio.bundle_to_str(filled))
+        _write_generated(Path(args.out), [("horn-", P, None), ("filled-", filled, None)], report)
     return report
 
 

@@ -26,7 +26,7 @@ from functools import cache, reduce
 from math import factorial
 
 from .bundles import Connection, pullback_bundle
-from .forms import PolyForm, SimplicialForm, _form_from_acc, integrate_to_cochain
+from .forms import PolyForm, SimplicialForm, _form_from_acc, form_on, integrate_to_cochain
 from .io import scalar_to_str
 from .linalg import sort_sign
 from .poly import Poly, _from_acc, _poly
@@ -202,7 +202,7 @@ def cw_cochain(rho, D):
 
 def pullback_connection(f, P, D):
     """The pullback connection on f^* P: (f^* D)_a = D_{f(a)} in charts."""
-    forms = {sid: D.form_on(f(sid)) for sid in f.source.all_cells()}
+    forms = {sid: form_on(D.forms, f(sid)) for sid in f.source.all_cells()}
     return Connection(pullback_bundle(f, P), forms)
 
 
@@ -293,8 +293,6 @@ def quadrature_integrate(form, order=12):
     d = form.dim
     if form.deg != d:
         raise ValueError("quadrature oracle needs a top-degree form")
-    if d == 0:
-        return form.component(()).eval_complex([])
     points, wjac = _duffy_grid(order, d)
     vals = form.component(tuple(range(d))).eval_complex_many(points).tolist()
     total = 0.0 + 0.0j
@@ -332,14 +330,14 @@ class ClassReport:
     pairings: list = field(default_factory=list)
 
     def machine_line(self):
-        vals = [str(v.rational_value()) if v.is_rational() else scalar_to_str(v) for v in self.pairings]
+        vals = [scalar_to_str(v) for v in self.pairings]
         return (
             f"class rho={self.poly_name} bundle={self.bundle_name}: "
             f"closed={'yes' if self.closed else 'no'} pairings=[{', '.join(vals)}] witness=absent"
         )
 
 
-def class_report(rho, P, D, cycles, bundle_name="bundle", poly_name=None):
+def class_report(rho, P, D, cycles, bundle_name="bundle"):
     """Characteristic cochain of (rho, D), its closedness and its pairings.
 
     The cochain comes from cw_cochain for every group, and closed means
@@ -349,4 +347,4 @@ def class_report(rho, P, D, cycles, bundle_name="bundle", poly_name=None):
     alpha = cw_cochain(rho, D)
     closed = coboundary(P.base, alpha).is_zero()
     pairings = [pairing(alpha, z) for z in cycles]
-    return ClassReport(poly_name or rho.provenance, bundle_name, closed, pairings)
+    return ClassReport(rho.provenance, bundle_name, closed, pairings)

@@ -226,8 +226,6 @@ class PolyForm:
             raise DegreeMismatchError(
                 f"integrate_top needs degree {self.dim}, got {self.deg}"
             )
-        if self.dim == 0:
-            return self.component(()).eval([])
         p = self.component(tuple(range(self.dim)))
         out = Scalar.zero()
         for e, c in p.terms.items():
@@ -430,10 +428,6 @@ class SimplicialForm:
     def form(self, sid):
         return self.forms[sid]
 
-    def form_on(self, fs):
-        """Value on a formal simplex: pullback along the collapse."""
-        return form_on(self.forms, fs)
-
     def d(self):
         return SimplicialForm(self.base, self.deg + 1, {s: f.d() for s, f in self.forms.items()})
 
@@ -460,7 +454,7 @@ class SimplicialForm:
             raise ValueError("pullback along a map into a different base")
         out = {}
         for sid in f.source.all_cells():
-            out[sid] = self.form_on(f.assignment[sid])
+            out[sid] = form_on(self.forms, f.assignment[sid])
         return SimplicialForm(f.source, self.deg, out)
 
 
@@ -473,7 +467,7 @@ def check_simplicial_form(omega):
     X = omega.base
     bad = []
     for (sid, i), face in X.faces.items():
-        if omega.form(sid).pullback(AffineMap.face(sid.dim, i)) != omega.form_on(face):
+        if omega.form(sid).pullback(AffineMap.face(sid.dim, i)) != form_on(omega.forms, face):
             bad.append((sid, i))
     return bad
 

@@ -90,8 +90,6 @@ def scale_value(v, c):
 
 def _det(A):
     n = len(A)
-    if n == 1:
-        return A[0][0]
     total = None
     for perm in itertools.permutations(range(n)):
         term = A[0][perm[0]]

@@ -27,16 +27,17 @@ from math import gcd
 
 TAU = 2.0 * math.pi
 
-# The integer numerals of the file formats and the command line: an
-# optional minus sign and ASCII digits, no '+', spaces or underscores.
-INT_NUMERAL = r"-?[0-9]+"
-SIZE_NUMERAL = r"[0-9]+"
+# The integer numerals of the command line and the polynomial
+# selectors: the one spelling str(int) writes, an optional minus sign
+# and ASCII digits with no leading zero; no '+', '-0', spaces or '_'.
+INT_NUMERAL = r"0|-?[1-9][0-9]*"
+SIZE_NUMERAL = r"0|[1-9][0-9]*"
 
 
 def parse_int(text, signed=True):
     """The int a numeral spells (INT_NUMERAL, or SIZE_NUMERAL when not
     signed); any other spelling raises ValueError, where int() would
-    take '+1', ' 1' or '1_0'."""
+    take '+1', ' 1', '01' or '1_0'."""
     if not re.fullmatch(INT_NUMERAL if signed else SIZE_NUMERAL, text):
         raise ValueError(f"bad integer numeral {text!r}")
     return int(text)

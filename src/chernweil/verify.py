@@ -22,21 +22,10 @@ from .scalars import Scalar
 def _maps_for_tests():
     tds = sc.two_disk_sphere()
     d2 = sc.standard_simplex(2)
-    V = sc.SimplexId
-    incl = sc.SimplicialMap(
-        d2,
-        tds,
-        {V(0, i): (V(0, i), ()) for i in range(3)}
-        | {V(1, i): (V(1, i), ()) for i in range(3)}
-        | {V(2, 0): (V(2, 0), ())},
-    )
-    fold = sc.SimplicialMap(
-        tds,
-        d2,
-        {V(0, i): (V(0, i), ()) for i in range(3)}
-        | {V(1, i): (V(1, i), ()) for i in range(3)}
-        | {V(2, 0): (V(2, 0), ()), V(2, 1): (V(2, 0), ())},
-    )
+    # the inclusion of the first disk, and the fold of both disks onto it
+    incl = sc.SimplicialMap(d2, tds, {s: (s, ()) for s in d2.all_cells()})
+    top = sc.SimplexId(2, 0)
+    fold = sc.SimplicialMap(tds, d2, {s: (top if s.dim == 2 else s, ()) for s in tds.all_cells()})
     return tds, d2, incl, fold
 
 
@@ -181,7 +170,7 @@ def check_whitney(seed):
         if fm.check_simplicial_form(om):
             return False, "random simplicial form incompatible"
         sid = sc.SimplexId(2, 0)
-        pres = {i: om.form_on(sc.boundary_sphere(2).face(sid, i)) for i in range(3)}
+        pres = {i: fm.form_on(om.forms, sc.boundary_sphere(2).face(sid, i)) for i in range(3)}
         ext = fm.whitney_extend(2, 1, pres)
         for i in range(3):
             if ext.pullback(fm.AffineMap.face(2, i)) != pres[i]:

@@ -17,6 +17,7 @@ from chernweil.bundles import (
     validate_connection,
 )
 from chernweil.cw import (
+    ClassReport,
     _component_matrices,
     bianchi_defect,
     calibrate_cw_constant,
@@ -367,6 +368,12 @@ def test_class_report():
     rep = class_report(chern_polynomial(u1, 1), P, D, [fundamental_cycle_two_disk(P.base)], "clutch(2)")
     line = rep.machine_line()
     assert line == "class rho=chern:1 bundle=clutch(2): closed=yes pairings=[2] witness=absent"
+
+
+def test_class_report_prints_rationals_and_laurent_pairings():
+    pairings = [Scalar.from_rational(1, 2), Scalar.from_rational(-3), Scalar.zero(), Scalar.of(0, 3, 1)]
+    line = ClassReport("symtrace:1", "b", True, pairings).machine_line()
+    assert line == "class rho=symtrace:1 bundle=b: closed=yes pairings=[1/2, -3, 0, 3i*tau^1] witness=absent"
 
 
 @pytest.mark.parametrize("X", [boundary_sphere(2), two_disk_sphere(), standard_simplex(3)],

@@ -156,6 +156,17 @@ def test_integrate_top_values():
     assert x1v.integrate_top() == Scalar.from_rational(1, 6)
 
 
+@pytest.mark.parametrize("c", [Scalar.of(3, -2), Scalar.from_rational(-5, 7), Scalar.zero(),
+                               Scalar.of(Fraction(1, 3), 2, -2) + Scalar.one()],
+                         ids=["gaussian", "rational", "zero", "laurent"])
+def test_integrals_on_the_point(c):
+    """Delta^0 is one point of volume 1: both integrals of a 0-form give
+    its constant, with no special case for dimension 0."""
+    f = PolyForm(0, 0, {(): Poly.const(0, c)})
+    assert f.integrate_top() == c
+    assert quadrature_integrate(f) == c.to_complex()
+
+
 def test_integrate_top_against_quadrature():
     rng = random.Random(5)
     for _ in range(100):

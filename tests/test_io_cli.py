@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernweil import io as cio
-from chernweil.bundles import LieValuedForm, apply_gauge, clutch_bundle, construct_connection, trivial_bundle
+from chernweil.bundles import (
+    LieValuedForm,
+    apply_gauge,
+    clutch_bundle,
+    construct_connection,
+    horn_fill_bundle,
+    random_u1_bundle,
+    trivial_bundle,
+)
 from chernweil.cli import build_parser, main
 from chernweil.forms import PolyForm, random_poly, random_polyform
 from chernweil.liealg import lie_algebra
@@ -427,6 +435,26 @@ def test_cli_horn_fill_validates_each_bundle_once(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 0 and "PASS filler-valid" in out
     assert seen == [2, 2, 3, 2, 3]
+
+
+def test_cli_horn_fill_out_writes_the_horn_demo_groups(tmp_path, capsys):
+    """horn-fill --out writes and reads back the horn- and filled- space
+    and bundle files, as generate horn-demo does, and chern reads each
+    pair."""
+    out_dir = tmp_path / "hf"
+    rc = main(["horn-fill", "--n", "3", "--k", "1", "--seed", "4", "--out", str(out_dir)])
+    assert rc == 0
+    assert f"PASS serialization-roundtrip: {out_dir}\n" in capsys.readouterr().out
+    names = ["filled-bundle.txt", "filled-space.txt", "horn-bundle.txt", "horn-space.txt"]
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+    H = horn(3, 1)
+    P = random_u1_bundle(H.space, random.Random(4))
+    assert (out_dir / "horn-bundle.txt").read_text() == cio.bundle_to_str(P)
+    assert (out_dir / "filled-bundle.txt").read_text() == cio.bundle_to_str(horn_fill_bundle(H, P))
+    for prefix in ("horn-", "filled-"):
+        files = [str(out_dir / f"{prefix}{kind}.txt") for kind in ("bundle", "space")]
+        assert main(["chern", "--bundle", files[0], "--space", files[1]]) == 0
+        assert "result: pass" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -926,9 +954,15 @@ def test_cli_verify_all(capsys):
         ["verify", "--seed", " 1"],
         ["betti", "--space", "standard:1", "--max-dim", "1_0"],
         ["generate", "trivial", "--group", "su02", "--out", "g4"],
+        ["clutch", "--n", "01"],
+        ["betti", "--space", "standard:007"],
+        ["chern", "--bundle", "clutch:1", "--poly", "chern:01"],
+        ["verify", "--seed", "00"],
+        ["clutch", "--n", "-0"],
     ],
     ids=["poly-plus", "poly-space", "space-plus", "clutch-space", "n-plus", "n-fullwidth", "seed-space",
-         "max-dim-underscore", "group-leading-zero"],
+         "max-dim-underscore", "group-leading-zero", "n-leading-zero", "space-leading-zeros",
+         "poly-leading-zero", "seed-leading-zero", "n-minus-zero"],
 )
 def test_cli_rejects_noncanonical_numerals(argv, capsys, tmp_path, monkeypatch):
     # the command line reads integers, flags and selectors alike, and
