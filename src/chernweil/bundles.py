@@ -18,7 +18,9 @@ For abelian groups (and for identity transitions) every check here is
 exact polynomial identity.  Otherwise Ad_phi and the differential of the
 exponential come from _exp_series, which stops at its first zero bracket
 or at order SERIES_ORDER = 6, and the checks are sampled against SAMPLE_TOL,
-with phi and d phi from scipy's expm and expm_frechet at each point.
+with phi and d phi at each point from exp_skew: one Hermitian
+eigendecomposition per factor gives its exponential and, through the
+Daleckii-Krein formula, the exponential's Frechet derivatives.
 """
 
 from __future__ import annotations
@@ -193,11 +195,10 @@ class TransitionMap:
 
     def evaluate(self, point):
         import numpy as np
-        from scipy.linalg import expm
 
         g = np.eye(self.algebra.n, dtype=complex)
         for f in self.factors:
-            g = g @ expm(_matrix_at(f, point))
+            g = g @ exp_skew(_matrix_at(f, point))[0]
         return g
 
     def __eq__(self, other):
@@ -210,6 +211,33 @@ class TransitionMap:
 
     def __repr__(self):
         return f"TransitionMap({self.algebra.name}, dim={self.dim}, {len(self.factors)} factors)"
+
+
+def exp_skew(a, directions=()):
+    """(exp(a), [L(a, e) for e in directions]) for a skew-Hermitian matrix
+    a, the float value of an element of a compact algebra with real
+    coordinates; L(a, e) is the Frechet derivative of exp at a in the
+    direction e.  One Hermitian eigendecomposition 1j*a = V diag(w) V^H
+    gives both (Higham, Functions of Matrices, SIAM 2008, ch. 3): with
+    lam = -1j*w, exp(a) = V diag(e^lam) V^H, and by the Daleckii-Krein
+    formula L(a, e) = V (Phi * (V^H e V)) V^H, where the divided
+    difference Phi_jk = (e^lam_j - e^lam_k) / (lam_j - lam_k) is written
+    e^lam_k e^(i theta/2) sinc(theta/2pi), theta = Im(lam_j - lam_k), which
+    stays accurate for equal and nearly equal eigenvalues.  A matrix that
+    is not skew-Hermitian is a ValueError."""
+    import numpy as np
+
+    if np.linalg.norm(a + a.conj().T) > 1e-12 * max(1.0, np.linalg.norm(a)):
+        raise ValueError("exp_skew needs a skew-Hermitian matrix")
+    w, v = np.linalg.eigh(1j * a)
+    e = np.exp(-1j * w)
+    vh = v.conj().T
+    derivs = []
+    if directions:
+        theta = w - w[:, None]
+        phi = e * np.exp(0.5j * theta) * np.sinc(theta / (2 * np.pi))
+        derivs = [v @ (phi * (vh @ d @ v)) @ vh for d in directions]
+    return (v * e) @ vh, derivs
 
 
 def _matrix_at(p, point):
@@ -459,13 +487,14 @@ class ConnectionReport:
 def _values_and_partials(t, points):
     """(pt, phi(pt), [d_j phi(pt) for each coordinate j]) at each point.
 
-    phi is the product of scipy expm values, as in TransitionMap.evaluate,
-    and each d_j phi follows from the product rule with expm_frechet, the
-    exact differential of expm to machine precision.  Each factor's d p
+    phi is the product of the factors' exponentials, as in
+    TransitionMap.evaluate, and each d_j phi follows by the product rule
+    from the Frechet derivative of each factor's exponential in the
+    direction d_j p, which exp_skew takes from the same eigendecomposition
+    as the exponential, exact to machine precision.  Each factor's d p
     is taken once for all points, and a direction in which it has no
-    component costs no Frechet derivative."""
+    component costs no derivative."""
     import numpy as np
-    from scipy.linalg import expm, expm_frechet
 
     n = t.algebra.n
     dps = [p.d() for p in t.factors]
@@ -473,11 +502,11 @@ def _values_and_partials(t, points):
         g = np.eye(n, dtype=complex)
         dg = [np.zeros((n, n), dtype=complex) for _ in range(t.dim)]
         for p, dp in zip(t.factors, dps):
-            pm = _matrix_at(p, pt)
-            e = expm(pm)
+            partials = dp.eval_matrix_coeffs(pt)
+            e, derivs = exp_skew(_matrix_at(p, pt), partials.values())
             dg = [x @ e for x in dg]
-            for (j,), dpj in dp.eval_matrix_coeffs(pt).items():
-                dg[j] = dg[j] + g @ expm_frechet(pm, dpj, compute_expm=False)
+            for (j,), dej in zip(partials, derivs):
+                dg[j] = dg[j] + g @ dej
             g = g @ e
         yield pt, g, dg
 

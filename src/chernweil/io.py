@@ -14,7 +14,7 @@ from math import gcd
 from .bundles import BundleData, Connection, LieValuedForm, TransitionMap
 from .forms import PolyForm
 from .poly import Poly
-from .scalars import Scalar
+from .scalars import SIZE_NUMERAL, Scalar
 from .simplicial import SimplexId, SimplicialSet
 
 
@@ -22,10 +22,15 @@ class ParseError(ValueError):
     pass
 
 
+# an index or size numeral, in the one spelling str(int) writes
+_N = rf"({SIZE_NUMERAL})"
+
+
 def _size(text):
-    """int(text) for a numeral its caller matched with [0-9]+ (not \\d,
-    which also matches non-ASCII digits); a numeral of more than the 4300
-    digits int() reads is a ParseError, not a bare ValueError."""
+    """int(text) for a numeral its caller matched with _N, ASCII digits
+    with no leading zero (not \\d, which also matches non-ASCII digits);
+    a numeral of more than the 4300 digits int() reads is a ParseError,
+    not a bare ValueError."""
     try:
         return int(text)
     except ValueError:
@@ -206,7 +211,7 @@ def _parse_comp(text):
     text = text.strip()
     if text == "-":
         return ()
-    if not re.fullmatch(r"[0-9]+(?:,[0-9]+)*", text):
+    if not re.fullmatch(rf"{_N}(?:,{_N})*", text):
         raise ParseError(f"bad component {text!r}")
     return tuple(_size(t) - 1 for t in text.split(","))
 
@@ -223,7 +228,7 @@ def parse_polyform(text):
     component given twice or out of range for the header's dim and deg,
     raises ParseError."""
     lines = [l for l in text.strip().splitlines() if l.strip()]
-    m = re.match(r"^form v1; dim ([0-9]+); deg ([0-9]+)$", lines[0]) if lines else None
+    m = re.match(rf"^form v1; dim {_N}; deg {_N}$", lines[0]) if lines else None
     if not m:
         raise ParseError("bad form header")
     dim, deg = _size(m.group(1)), _size(m.group(2))
@@ -259,9 +264,9 @@ def simplicial_set_to_str(X):
     return "\n".join(lines) + "\n"
 
 
-_FACE_RE = re.compile(r"face ([0-9]+)\.([0-9]+) ([0-9]+) -> ([0-9]+)\.([0-9]+)((?: s[0-9]+)*)")
-_NAME_RE = re.compile(r"name ([0-9]+)\.([0-9]+) (.+)")
-_DIM_RE = re.compile(r"dim ([0-9]+): ([0-9]+)")
+_FACE_RE = re.compile(rf"face {_N}\.{_N} {_N} -> {_N}\.{_N}((?: s{_N})*)")
+_NAME_RE = re.compile(rf"name {_N}\.{_N} (.+)")
+_DIM_RE = re.compile(rf"dim {_N}: {_N}")
 
 
 def parse_simplicial_set(text):
@@ -324,9 +329,14 @@ def _parse_lvp(text, algebra, dim):
     return LieValuedForm.from_polys(algebra, coords)
 
 
+def _is_real(p):
+    """Whether no coefficient of the polynomial p has an imaginary part."""
+    return not any(b for c in p.terms.values() for _, b, _ in c.terms.values())
+
+
 def _lie_index(text, algebra):
     """A Lie coordinate index, which must be below the algebra's dimension."""
-    if not re.fullmatch(r"[0-9]+", text) or _size(text) >= algebra.dim:
+    if not re.fullmatch(_N, text) or _size(text) >= algebra.dim:
         raise ParseError(f"Lie coordinate {text!r} out of range for {algebra.name} (dimension {algebra.dim})")
     return _size(text)
 
@@ -355,13 +365,16 @@ def bundle_to_str(P):
 
 def parse_bundle(text, base):
     """Read a bundle over base; a transition for a face the base does not
-    have, one given twice, or a face of the base without one is a parse
-    error (bundle_to_str writes every face, identities as ``id``)."""
+    have, one given twice, a face of the base without one (bundle_to_str
+    writes every face, identities as ``id``), or a factor with a
+    coordinate whose imaginary part is nonzero (its log is not in the
+    compact algebra, whose elements have real coordinates) is a parse
+    error."""
     lines = [l.rstrip() for l in text.strip().splitlines() if l.strip()]
     algebra = _header(lines, "bundle")
     transitions = {}
     for line in lines[1:]:
-        m = re.match(r"^transition ([0-9]+)\.([0-9]+)\.([0-9]+): (.*)$", line)
+        m = re.match(rf"^transition {_N}\.{_N}\.{_N}: (.*)$", line)
         if not m:
             raise ParseError(f"bad transition line {line!r}")
         sid = SimplexId(_size(m.group(1)), _size(m.group(2)))
@@ -379,7 +392,10 @@ def parse_bundle(text, base):
             for chunk in _split_top(body, " * "):
                 if not (chunk.startswith("exp(") and chunk.endswith(")")):
                     raise ParseError(f"bad factor {chunk!r}")
-                factors.append(_parse_lvp(chunk[4:-1], algebra, dim))
+                p = _parse_lvp(chunk[4:-1], algebra, dim)
+                if not all(_is_real(f.component(())) for f in p.coords):
+                    raise ParseError(f"transition {sid.dim}.{sid.index}.{i} has a coordinate with an imaginary part")
+                factors.append(p)
             t = TransitionMap(algebra, dim, factors)
         transitions[(sid, i)] = t
     for sid, i in base.faces:
@@ -411,7 +427,7 @@ def parse_connection(text, bundle):
         raise ParseError("connection/bundle group mismatch")
     comp_data = {}
     for line in lines[1:]:
-        m = re.match(r"^A ([0-9]+)\.([0-9]+) ([0-9]+) ([-0-9,]+): (.*)$", line)
+        m = re.match(rf"^A {_N}\.{_N} {_N} ([-0-9,]+): (.*)$", line)
         if not m:
             raise ParseError(f"bad connection line {line!r}")
         sid = SimplexId(_size(m.group(1)), _size(m.group(2)))

@@ -19,6 +19,7 @@ from chernweil.bundles import (
     clutch_winding,
     concordance,
     construct_connection,
+    exp_skew,
     gauge_prescription,
     _exp_series,
     _sample_points,
@@ -53,6 +54,7 @@ from oracles import (
     validate_bundle_reference,
     winding_of_samples,
 )
+from test_liealg import ALGEBRAS
 
 V = SimplexId
 
@@ -278,24 +280,87 @@ def test_values_and_partials_against_evaluate(group, dim):
 
 
 def test_values_and_partials_differentiate_only_where_a_factor_varies(monkeypatch):
-    """Constant factors give zero derivatives with no Frechet derivative;
-    a factor varying in x1 alone takes one per point."""
-    import scipy.linalg
+    """Constant factors take no Frechet direction; a factor varying in
+    x1 alone takes one per point."""
+    import chernweil.bundles as bn
 
     calls = []
-    frechet = scipy.linalg.expm_frechet
-    monkeypatch.setattr(scipy.linalg, "expm_frechet", lambda *a, **k: calls.append(1) or frechet(*a, **k))
+    inner = bn.exp_skew
+
+    def counting(a, directions=()):
+        directions = list(directions)
+        calls.append(len(directions))
+        return inner(a, directions)
+
+    monkeypatch.setattr(bn, "exp_skew", counting)
     su2 = lie_algebra("su2")
     const = LieValuedForm.from_polys(su2, [Poly.const(2, Fraction(1, 3)), Poly.zero(2), Poly.const(2, Fraction(-1, 5))])
     t = TransitionMap(su2, 2, [const, const.scale(2)])
     for _, g, dg in _values_and_partials(t, _sample_points(2, 4, 0)):
         assert np.array_equal(g, t.evaluate([0, 0]))
         assert all(not d.any() for d in dg)
-    assert not calls
+    assert calls and not any(calls)
+    calls.clear()
     x1 = LieValuedForm.from_polys(su2, [Poly.zero(2), Poly.var(2, 0).scale(Fraction(1, 10)), Poly.zero(2)])
     for _, _, dg in _values_and_partials(TransitionMap(su2, 2, [const, x1]), _sample_points(2, 4, 0)):
         assert dg[0].any() and not dg[1].any()
-    assert len(calls) == 4
+    assert calls == [0, 1] * 4
+
+
+def assert_exp_skew_matches_scipy(a, e):
+    """exp_skew against scipy's expm and expm_frechet, each within 1e-12
+    (relative to the derivative's size), and exp(a) unitary."""
+    from scipy.linalg import expm, expm_frechet
+
+    g, (de,) = exp_skew(a, [e])
+    assert np.abs(g - expm(a)).max() <= 1e-12
+    assert np.abs(g.conj().T @ g - np.eye(len(g))).max() <= 1e-12
+    assert np.abs(de - expm_frechet(a, e, compute_expm=False)).max() <= 1e-12 * max(1.0, np.abs(de).max())
+    alone, none = exp_skew(a)
+    assert np.array_equal(alone, g) and none == []
+
+
+@st.composite
+def skew_cases(draw):
+    """An element of an algebra at a scale from 1e-8 to 30, some of its
+    coordinates zero, and a direction in the same algebra."""
+    alg = lie_algebra(draw(st.sampled_from(ALGEBRAS)))
+    scale = 10 ** draw(st.floats(-8, np.log10(30)))
+    coords = draw(st.lists(st.one_of(st.just(0.0), st.floats(-1, 1)), min_size=alg.dim, max_size=alg.dim))
+    direction = draw(st.lists(st.floats(-1, 1), min_size=alg.dim, max_size=alg.dim))
+    return alg.element_matrix_float([scale * c for c in coords]), alg.element_matrix_float(direction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_cases())
+def test_exp_skew_against_scipy(case):
+    assert_exp_skew_matches_scipy(*case)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_exp_skew_on_repeated_eigenvalues(name):
+    """The zero matrix, and on u2 scalar elements i c I, have one
+    eigenvalue repeated n times, where the divided differences of exp
+    are its derivative."""
+    alg = lie_algebra(name)
+    rng = np.random.default_rng(0)
+    e = alg.element_matrix_float(rng.uniform(-1, 1, alg.dim))
+    assert_exp_skew_matches_scipy(np.zeros((alg.n, alg.n), dtype=complex), e)
+    if name == "u2":
+        for c in (1e-9, 0.5, -3.0, 30.0):
+            assert_exp_skew_matches_scipy(1j * c * np.eye(2), e)
+            assert_exp_skew_matches_scipy(1j * c * np.eye(2) + 1e-9 * alg.basis_float[1], e)
+
+
+def test_exp_skew_refuses_matrices_off_the_compact_algebras():
+    """A log with an imaginary coordinate is not skew-Hermitian."""
+    su2 = lie_algebra("su2")
+    with pytest.raises(ValueError):
+        exp_skew(su2.element_matrix_float([0.5, 1j / 3, 0]))
+    with pytest.raises(ValueError):
+        exp_skew(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError):
+        TransitionMap.single(LieValuedForm.from_polys(lie_algebra("u1"), [Poly.const(0, Scalar.i())])).evaluate([])
 
 
 def _torus(alg):

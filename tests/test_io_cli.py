@@ -246,13 +246,9 @@ def test_bundle_connection_round_trips():
 
 
 GAUGE_BASES = [boundary_sphere(1), boundary_sphere(2), standard_simplex(2), standard_simplex(3)]
-# a Gaussian rational times tau^-1, tau^0 or tau^1
-GAUGE_COEFF = st.builds(
-    Scalar.of,
-    st.fractions(-2, 2, max_denominator=4),
-    st.fractions(-2, 2, max_denominator=4),
-    st.integers(-1, 1),
-)
+# a rational times tau^-1, tau^0 or tau^1: elements of the compact
+# algebras have real coordinates
+GAUGE_COEFF = st.builds(Scalar.of, st.fractions(-2, 2, max_denominator=4), tau_power=st.integers(-1, 1))
 
 
 @st.composite
@@ -622,7 +618,19 @@ def test_float_libraries_load_only_on_float_paths(tmp_path):
         ["verify", "--suite", "simplicial"],
         ["chern", "--bundle", "clutch:x"],  # a usage error, exit 2
     ]
-    argvs = no_float + [["verify", "--suite", "liealg"]]
+    # a gauged su2 bundle, whose connection checks are sampled
+    su2, rng, gauges = lie_algebra("su2"), random.Random(5), {}
+    X = boundary_sphere(2)
+    for s in X.all_cells():
+        coords = [Poly.zero(s.dim)] * su2.dim
+        coords[rng.randrange(su2.dim)] = random_poly(rng, s.dim, 1).scale(Fraction(1, 16))
+        gauges[s] = LieValuedForm.from_polys(su2, coords)
+    (tmp_path / "space.txt").write_text(cio.simplicial_set_to_str(X))
+    (tmp_path / "bundle.txt").write_text(cio.bundle_to_str(apply_gauge(trivial_bundle(X, su2), gauges)[0]))
+    gauged = ["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt"),
+              "--poly", "symtrace:1"]
+    floats = [gauged, ["verify", "--suite", "liealg"], ["verify", "--suite", "chernweil"]]
+    argvs = no_float + floats
     done = subprocess.run(
         [sys.executable, "-c", _FLOAT_LIBRARIES_SCRIPT, json.dumps(argvs)],
         capture_output=True,
@@ -633,8 +641,8 @@ def test_float_libraries_load_only_on_float_paths(tmp_path):
     seen = json.loads(done.stdout)
     want = [["import chernweil", None, []], ["import chernweil.cli", None, []]]
     want += [[" ".join(argv), 2 if argv[-1] == "clutch:x" else 0, []] for argv in no_float]
-    # the float path still runs: ad-exp-series calls expm
-    want += [["verify --suite liealg", 0, ["numpy", "scipy"]]]
+    # the float paths load numpy alone
+    want += [[" ".join(argv), 0, ["numpy"]] for argv in floats]
     assert seen == want
 
 
@@ -803,6 +811,7 @@ BAD_INPUTS = {
     "bundle-bad-coordinate": ("bundle", lambda t: t.replace("exp([0:", "exp([7:")),
     "bundle-wrong-base": ("space", lambda t: None),
     "bundle-missing-transition": ("bundle", lambda t: "".join(l for l in t.splitlines(True) if "exp(" not in l)),
+    "bundle-imaginary-coordinate": ("bundle", lambda t: t.replace("exp([0: 1*tau^1*x1])", "exp([0: 1/3i*x1])")),
     "connection-empty": ("connection", lambda t: ""),
     "connection-bad-coordinate": ("connection", lambda t: t.replace("A 2.1 0 ", "A 2.1 5 ")),
     "connection-bad-cell": ("connection", lambda t: t.replace("A 2.1 0 ", "A 2.7 0 ")),
@@ -843,9 +852,13 @@ def test_parse_rejects_data_off_the_base():
             cio.parse_connection(text, P)
 
 
-# a numeral of more than the 4300 digits int() reads, and the fullwidth
-# form of a digit, which int() reads as that digit
-BAD_NUMERALS = {"oversize": lambda digit: "9" * 5000, "fullwidth": lambda digit: chr(0xFF10 + int(digit))}
+# a numeral of more than the 4300 digits int() reads, the fullwidth form
+# of a digit, which int() reads as that digit, and a leading zero
+BAD_NUMERALS = {
+    "oversize": lambda digit: "9" * 5000,
+    "fullwidth": lambda digit: chr(0xFF10 + int(digit)),
+    "leading-zero": lambda digit: "0" + digit,
+}
 # (file, text before, a one-digit numeral, text after)
 NUMERAL_SITES = {
     "space-count": ("space", "dim 0: ", "3", "\n"),

@@ -97,6 +97,14 @@ def test_kernel_against_oracle_and_substitution(system):
     assert solver.solve(b) == (status, data)
 
 
+def test_solver_on_the_empty_matrix():
+    """No rows and no columns: rank 0, and the empty system's solution
+    is the empty vector."""
+    solver = PrecomputedSolver([])
+    assert solver.rank == 0
+    assert solver.solve([]) == ("solved", [])
+
+
 @settings(max_examples=200, deadline=None)
 @given(systems(GAUSSIAN))
 @example(([[Scalar.one(), Scalar.i()], [Scalar.i(), -Scalar.one()]], [Fraction(1), Fraction(0)]))

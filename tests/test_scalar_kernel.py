@@ -6,6 +6,7 @@ which is where the gcd reduction and the pruning of zero terms matter.
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,42 @@ def test_scalars_hash_like_ints_and_fractions():
     third = Scalar.from_rational(1, 3)
     assert third == Fraction(1, 3) and hash(third) == hash(Fraction(1, 3))
     assert len({Scalar.tau(), Scalar.tau() * 1}) == 1
+
+
+_REPR_RAT = r"-?[0-9]+(?:/[0-9]+)?"
+_REPR_ATOM = re.compile(rf"(?:\(({_REPR_RAT})\+({_REPR_RAT})i\)|({_REPR_RAT})i|({_REPR_RAT}))(?:\*tau\^(-?[0-9]+))?")
+
+
+def _read_repr(text):
+    """The scalar a Scalar repr names, read by the grammar of its atoms:
+    a real part 'a', an imaginary part 'bi' or both '(a+bi)', then
+    '*tau^k' unless k == 0, joined by ' + ' inside 'Scalar(...)'."""
+    assert text.startswith("Scalar(") and text.endswith(")")
+    body = text[len("Scalar("):-1]
+    if body == "0":
+        return Scalar.zero()
+    total = Scalar.zero()
+    for atom in body.split(" + "):
+        m = _REPR_ATOM.fullmatch(atom)
+        assert m, atom
+        re_, im = (m[1], m[2]) if m[1] else (0, m[3]) if m[3] else (m[4], 0)
+        total = total + Scalar.of(Fraction(re_), Fraction(im), int(m[5] or 0))
+    return total
+
+
+def test_scalar_repr_names_its_value():
+    """Every Gaussian rational with parts in {-1, -1/2, 0, 1/2, 1} at each
+    of tau^-1, tau^0 and tau^1: reading the repr back gives the scalar,
+    so repr is injective there (a repr that drops a part equal to 1 is not)."""
+    parts = [Fraction(v, 2) for v in (-2, -1, 0, 1, 2)]
+    coeffs = list(itertools.product(parts, parts))
+    seen = set()
+    for cs in itertools.product(coeffs, repeat=3):
+        s = to_scalar({k: c for k, c in zip((-1, 0, 1), cs) if c != (0, 0)})
+        text = repr(s)
+        assert _read_repr(text) == s
+        seen.add(text)
+    assert len(seen) == len(coeffs) ** 3
 
 
 @settings(max_examples=100, deadline=None)
