@@ -118,21 +118,23 @@ class LieValuedForm:
 
     def bracket_wedge(self, other):
         """[A ^ B] via the structure constants; degree adds."""
-        return self._bracket_over(other, itertools.product(range(self.algebra.dim), repeat=2))
+        acc = [{} for _ in self.coords]
+        self._bracket_over(other, itertools.product(range(self.algebra.dim), repeat=2), acc)
+        deg = self.deg + other.deg
+        return LieValuedForm(self.algebra, self.dim, deg, [_form_from_acc(self.dim, deg, t) for t in acc])
 
-    def _bracket_over(self, other, pairs):
-        """sum over the index pairs (a, b) of s^c_ab A^a ^ B^b e_c, each
-        structure constant applied in the kernel call of its product."""
-        alg = self.algebra
-        acc = [{} for _ in range(alg.dim)]
+    def _bracket_over(self, other, pairs, acc):
+        """Add the sum over the index pairs (a, b) of s^c_ab A^a ^ B^b e_c
+        into acc, one form accumulator per coordinate c (see
+        PolyForm._wedge_into), each structure constant applied in the
+        kernel call of its product."""
+        structure = self.algebra.structure
         for a, b in pairs:
             fa, fb = self.coords[a], other.coords[b]
             if fa.is_zero() or fb.is_zero():
                 continue
-            for c, s in alg.structure[a][b]:
+            for c, s in structure[a][b]:
                 fa._wedge_into(acc[c], fb, s)
-        deg = self.deg + other.deg
-        return LieValuedForm(alg, self.dim, deg, [_form_from_acc(self.dim, deg, t) for t in acc])
 
     def eval_matrix_coeffs(self, point):
         """Evaluate each form component to a float matrix at a point."""
@@ -706,7 +708,9 @@ def apply_gauge(P, gauges, D=None):
     which leaves polynomial coefficients polynomial).  For an abelian
     algebra Ad is the identity and the connection forms are kept as
     they are; otherwise the matrix is computed in floats and each entry
-    enters as its exact Gaussian rational.
+    enters as its exact rational.  Every supported algebra is a real
+    form with a real basis, so the matrix is real: the imaginary parts
+    the float solve leaves are noise and are dropped.
     """
     X = P.base
     transitions = {}
@@ -730,15 +734,14 @@ def apply_gauge(P, gauges, D=None):
         g = TransitionMap.single(gauges[sid]).evaluate([Fraction(0)] * sid.dim)
         gi = np.linalg.inv(g)
         # matrix R of Ad_{g^{-1}} in the chosen basis
-        R = np.array([alg.decompose_float(gi @ bf @ g) for bf in alg.basis_float]).T
+        R = np.array([alg.decompose_float(gi @ bf @ g) for bf in alg.basis_float]).T.real
         coords = []
         for a in range(alg.dim):
             f = PolyForm.zero(sid.dim, 1)
             for b in range(alg.dim):
                 c = R[a, b]
                 if abs(c) > 1e-15:
-                    exact = Scalar.of(Fraction(c.real), Fraction(c.imag))
-                    f = f + D.forms[sid].coords[b].scale(exact)
+                    f = f + D.forms[sid].coords[b].scale(Fraction(c))
             coords.append(f)
         forms[sid] = LieValuedForm(alg, sid.dim, 1, coords)
     return P2, Connection(P2, forms)

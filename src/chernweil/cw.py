@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import factorial
 
-from .bundles import Connection, pullback_bundle
+from .bundles import Connection, LieValuedForm, pullback_bundle
 from .forms import PolyForm, SimplicialForm, _form_from_acc, form_on, integrate_to_cochain
 from .io import scalar_to_str
 from .linalg import sort_sign
@@ -40,8 +40,14 @@ def curvature_form(A):
     In coordinates A ^ A is (1/2)[A ^ A], and the (a, b) and (b, a) terms
     of [A ^ A] are equal (s^c_ba = -s^c_ab and A^b ^ A^a = -A^a ^ A^b),
     so it is the sum over a < b of s^c_ab A^a ^ A^b, each product once.
+    dA and that sum fill one form accumulator per coordinate, reduced
+    once.
     """
-    return A.d() + A._bracket_over(A, itertools.combinations(range(A.algebra.dim), 2))
+    acc = [{} for _ in A.coords]
+    for f, t in zip(A.coords, acc):
+        f._d_into(t)
+    A._bracket_over(A, itertools.combinations(range(A.algebra.dim), 2), acc)
+    return LieValuedForm(A.algebra, A.dim, 2, [_form_from_acc(A.dim, 2, t) for t in acc])
 
 
 def curvature(D, min_dim=0):

@@ -7,7 +7,11 @@ top-degree form uses the Dirichlet monomial identity
 
     int_{Delta^d} x^a dV = (prod a_i!) / (d + sum a_i)!
 
-applied termwise, so no quadrature enters the main path.
+applied termwise, so no quadrature enters the main path.  All four go
+through the multiply-accumulate kernel of poly: PolyForm.d
+(_d_into, which cw.curvature_form shares with the bracket) adds
+sign * e_j * c per term and integrate_top adds c * e! / (d + |e|)!
+into _mac accumulators, each reduced once.
 
 PolyForm(...) validates its components and is for input from outside
 (parsers, user code).  Results canonical by construction (kernel output
@@ -18,10 +22,13 @@ index of each pair of components and its sign from the cache _merge.
 Pullback goes through map objects (PolyMap and its AffineMap and
 BernsteinMap), which are immutable.  Each map keeps a memo of the
 monomial forms x^e dx_I pulled back along it, so a form's pullback only
-scales and adds memo entries.  AffineMap.from_monotone returns one
-shared map per vertex map, so every face and collapse map of a given
-shape, and its memo, is built once per process
-(AffineMap.from_monotone.cache_info() and len(map.memo) report them).
+scales and adds memo entries.  An entry with coefficient exactly 1 (a
+unit image, the shared _UNIT) copies the form's coefficient, the Scalar
+as it is, unless its output slot gets another contribution.
+AffineMap.from_monotone returns one shared map per vertex map, so every
+face and collapse map of a given shape, and its memo, is built once per
+process (AffineMap.from_monotone.cache_info() and len(map.memo) report
+them).
 
 A SimplicialForm assigns a PolyForm to every nondegenerate simplex of a
 base simplicial set, compatibly under face pullback; degenerate
@@ -43,7 +50,7 @@ from math import factorial
 
 from .linalg import multinomial, sort_sign
 from .poly import Poly, _compositions, _from_acc, _mul_into, _poly
-from .scalars import Scalar, _mac
+from .scalars import Scalar, _from_mac, _mac
 from .simplicial import (
     Cochain,
     mono_skip,
@@ -141,22 +148,31 @@ class PolyForm:
 
     def d(self):
         """Exterior derivative; d o d = 0 exactly."""
-        out = {}
+        acc = {}
+        self._d_into(acc)
+        return _form_from_acc(self.dim, self.deg + 1, acc)
+
+    def _d_into(self, acc):
+        """Add d(self) into an accumulator I -> (poly accumulator), as
+        _wedge_into does: the term c x^e dx_I gives sign * e_j * c
+        x^(e - 1_j) dx_K for dx_j ^ dx_I = sign dx_K, added by _mac."""
         for I, p in self.comps.items():
             for j in range(self.dim):
-                if j in I:
+                K, sign = _merge((j,), I)
+                if sign == 0:
                     continue
-                dp = p.diff(j)
-                if dp.is_zero():
-                    continue
-                K = tuple(sorted(I + (j,)))
-                prev = out.get(K, Poly.zero(self.dim))
-                s = prev - dp if sum(1 for i in I if i < j) % 2 else prev + dp
-                if s.is_zero():
-                    out.pop(K, None)
-                else:
-                    out[K] = s
-        return _form(self.dim, self.deg + 1, out)
+                for e, c in p.terms.items():
+                    k = e[j]
+                    if not k:
+                        continue
+                    tK = acc.get(K)
+                    if tK is None:
+                        tK = acc[K] = {}
+                    e2 = e[:j] + (k - 1,) + e[j + 1:]
+                    t = tK.get(e2)
+                    if t is None:
+                        t = tK[e2] = {}
+                    _mac(t, c.terms.items(), ((0, (sign * k, 0, 1)),))
 
     def wedge(self, other):
         acc = {}
@@ -193,7 +209,10 @@ class PolyForm:
         """Pullback along a polynomial or affine map into Delta^dim.
 
         Each term c x^e dx_I adds c times the pullback of x^e dx_I,
-        which phi's memo holds after the first time it is needed.
+        which phi's memo holds after the first time it is needed.  A
+        memo entry with coefficient exactly 1 (_UNIT) copies c, the
+        Scalar as it is, into an empty output slot; a slot that gets a
+        second contribution becomes a _mac accumulator.
         """
         if phi.target_dim != self.dim:
             raise ValueError("pullback target dimension mismatch")
@@ -216,24 +235,29 @@ class PolyForm:
                         tJ = acc[J] = {}
                     t = tJ.get(e2)
                     if t is None:
+                        if m is _UNIT:
+                            tJ[e2] = c
+                            continue
                         t = tJ[e2] = {}
+                    elif type(t) is Scalar:
+                        t = tJ[e2] = dict(t.terms)
                     _mac(t, xs, m)
         return _form_from_acc(src, self.deg, acc)
 
     def integrate_top(self):
-        """Exact integral over Delta^dim of a top-degree form."""
+        """Exact integral over Delta^dim of a top-degree form: each
+        c x^e adds c * e! / (dim + |e|)! into one _mac accumulator."""
         if self.deg != self.dim:
             raise DegreeMismatchError(
                 f"integrate_top needs degree {self.dim}, got {self.deg}"
             )
-        p = self.component(tuple(range(self.dim)))
-        out = Scalar.zero()
-        for e, c in p.terms.items():
+        t = {}
+        for e, c in self.component(tuple(range(self.dim))).terms.items():
             num = 1
             for a in e:
                 num *= factorial(a)
-            out = out + c * Fraction(num, factorial(self.dim + sum(e)))
-        return out
+            _mac(t, c.terms.items(), ((0, (num, 0, factorial(self.dim + sum(e)))),))
+        return _from_mac(t)
 
     def total_poly_degree(self):
         return max((p.total_degree() for p in self.comps.values()), default=0)
@@ -273,16 +297,26 @@ class PolyMap:
         return PolyMap(src, self.target_dim, [c.compose(inner_coords, source_dim=src) for c in self.coords()])
 
 
+# the terms of the coefficient 1, shared by every memo entry that has it
+_UNIT = ((0, (1, 0, 1)),)
+
+
 def _pull_monomial(phi, e, I):
     """x^e dx_I pulled back along phi, as a tuple of (J, e', terms of
-    the coefficient as (tau power, triple) pairs): compose, then wedge
-    the differentials of the coordinates."""
+    the coefficient as (tau power, triple) pairs, _UNIT itself for the
+    coefficient 1): compose, then wedge the differentials of the
+    coordinates."""
     src = phi.source_dim
     coords = phi.coords()
     term = PolyForm.from_poly(Poly(phi.target_dim, {e: 1}).compose(coords, source_dim=src))
     for i in I:
         term = term.wedge(PolyForm(src, 1, {(j,): coords[i].diff(j) for j in range(src)}))
-    return tuple((J, e2, tuple(c.terms.items())) for J, p in term.comps.items() for e2, c in p.terms.items())
+    out = []
+    for J, p in term.comps.items():
+        for e2, c in p.terms.items():
+            m = tuple(c.terms.items())
+            out.append((J, e2, _UNIT if m == _UNIT else m))
+    return tuple(out)
 
 
 def _form(dim, deg, comps):

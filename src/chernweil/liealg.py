@@ -262,9 +262,10 @@ class LieElement:
         out = _zeros(n)
         for c, b in zip(self.coords, self.algebra.basis):
             if not Scalar.coerce(c).is_zero():
-                for r in range(n):
-                    for s in range(n):
-                        out[r][s] = out[r][s] + b[r][s] * c
+                for r, row in enumerate(b):
+                    for s, x in enumerate(row):
+                        if x.terms:
+                            out[r][s] = out[r][s] + x * c
         return out
 
     def matrix_float(self):

@@ -7,15 +7,21 @@ tuples; zero coefficients are pruned eagerly so equality is structural.
 
 Products go through one multiply-accumulate kernel, shared by
 Poly.__mul__, PolyForm.wedge (and so LieValuedForm.bracket_wedge, the
-curvature and the characteristic forms of cw), PolyForm.pullback and
-the Whitney-Bernstein extension in forms: every product c1*c2 of two
-coefficients' int triples is added, unreduced, by scalars._mac into an
-accumulator dict exponent -> {tau power: (a, b, d)}, and each output
-coefficient is brought to lowest terms once at the end (_from_acc),
-zero sums dropped.  No Scalar is built per term pair.  The coefficient
-of a product (a wedge sign, a structure constant, a tensor entry) is
-folded into the same kernel call (_mul_into's coef), not applied by a
-Poly.scale.  Sums into a running total (Poly.__add__) add Scalars.
+curvature and the characteristic forms of cw), PolyForm.pullback,
+PolyForm.d, PolyForm.integrate_top and the Whitney-Bernstein extension
+in forms: every product c1*c2 of two coefficients' int triples is
+added, unreduced, by scalars._mac into an accumulator dict exponent ->
+{tau power: (a, b, d)}, and each output coefficient is brought to
+lowest terms once at the end (_from_acc), zero sums dropped.  No
+Scalar is built per term pair.  The coefficient of a product (a wedge
+sign, a structure constant, a tensor entry, a derivative's sign * e_j)
+is folded into the same kernel call (_mul_into's coef), not applied by
+a Poly.scale.  cw.curvature_form adds dA and the half bracket into one
+accumulator per Lie coordinate.  One slot may hold a Scalar instead of
+an accumulator: PolyForm.pullback copies a coefficient as it is into
+a slot where its monomial's image has coefficient 1 (a unit image) and
+that gets nothing else.  Sums into a running total (Poly.__add__) add
+Scalars.
 
 Poly(...) validates its terms and is for input from outside; results
 canonical by construction (kernel output, sums, negations, scalings,
@@ -268,9 +274,14 @@ def _mul_into(acc, terms1, terms2, coef=1):
 
 def _from_acc(acc):
     """The key -> Scalar terms of a dict of _mac accumulators, each
-    coefficient in lowest terms, zero coefficients dropped."""
+    coefficient in lowest terms, zero coefficients dropped.  A slot may
+    hold a nonzero Scalar instead (PolyForm.pullback's unit-image copy),
+    which is kept as it is."""
     out = {}
     for e, t in acc.items():
+        if type(t) is Scalar:
+            out[e] = t
+            continue
         s = _from_mac(t)
         if s.terms:
             out[e] = s

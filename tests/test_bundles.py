@@ -500,6 +500,26 @@ def test_horn_fill_rejects_nonabelian():
         horn_fill_bundle(H, P)
 
 
+@pytest.mark.parametrize("group", ["su2", "u2", "so3"])
+def test_constant_gauge_keeps_connection_coefficients_real(group):
+    """Ad of a constant gauge is a real matrix in the real basis of the
+    algebra, so the gauged connection's coefficients stay real: no
+    float noise enters as an imaginary part."""
+    alg = lie_algebra(group)
+    X = boundary_sphere(2)
+    P0 = trivial_bundle(X, alg)
+    D0 = random_connection(P0, 1)
+    rng = random.Random(1)
+    gauges = {
+        s: LieValuedForm.from_polys(alg, [Poly.const(s.dim, Scalar.from_rational(rng.randrange(-3, 4), 4)) for _ in range(alg.dim)])
+        for s in X.all_cells()
+    }
+    _, D = apply_gauge(P0, gauges, D0)
+    triples = [t for A in D.forms.values() for f in A.coords for p in f.comps.values()
+               for c in p.terms.values() for t in c.terms.values()]
+    assert triples and all(b == 0 for _, b, _ in triples)
+
+
 def test_curvature_gauge_covariance():
     # F_face = Ad_{phi^{-1}}(delta_i^* F) at sampled points
     from chernweil.cw import curvature

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chernweil.bundles import Connection, LieValuedForm, random_connection, trivial_bundle
 from chernweil.cw import _cw_polyform_wedge, curvature_form, cw_form, cw_form_permutation
-from chernweil.forms import AffineMap, PolyForm, random_polyform
+from chernweil.forms import AffineMap, PolyForm, _form_from_acc, random_polyform
 from chernweil.liealg import (
     InvariantPolynomial,
     chern_polynomial,
@@ -123,7 +123,10 @@ def test_lie_paths_build_canonical_values(name, data):
         {sid: A.pullback(AffineMap.from_monotone(s, dim)) for s, sid in X._subset_index.items()},
     )
     F = curvature_form(A)
-    values = [F, A.bracket_wedge(A), A.bracket_wedge(F), A._bracket_over(F, [(0, alg.dim - 1)])]
+    acc = [{} for _ in range(alg.dim)]
+    A._bracket_over(F, [(0, alg.dim - 1)], acc)
+    one_pair = LieValuedForm(alg, dim, 3, [_form_from_acc(dim, 3, t) for t in acc])
+    values = [F, A.bracket_wedge(A), A.bracket_wedge(F), one_pair]
     for k in range(1, dim // 2 + 1):
         values += cw_form(sym_trace_poly(alg, k), D).forms.values()
     for v in values:

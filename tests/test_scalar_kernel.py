@@ -10,6 +10,7 @@ import re
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from chernweil.scalars import TAU, Scalar
 from oracles import (
     canonical_violations,
     gr_add,
+    gr_d,
     gr_form_scale,
     gr_monomial_inverse,
     gr_mul,
@@ -289,13 +291,67 @@ def pullback_cases(draw):
     return d, deg, m, draw(form_models(d, deg))
 
 
+MINUS_ONE = {0: (Fraction(-1), Fraction(0))}
+
+
 @settings(max_examples=150, deadline=None)
 @given(pullback_cases())
+# on face 0 of Delta^2, x2 dx2 pulls back to y1 dy1 (a unit image, copied)
+# and x1 x2 dx2 to (y1 - y1^2) dy1: the copied slot takes a second term
+@example((2, 1, (1, 2), {(1,): {(0, 1): ONE, (1, 1): ONE}}))
+@example((2, 1, (1, 2), {(1,): {(0, 1): ONE, (1, 1): MINUS_ONE}}))  # and cancels
 def test_pullback_along_monotone_map_matches_oracle(case):
     d, deg, m, f = case
     got = to_form(d, deg, f).pullback(AffineMap.from_monotone(m, d))
     assert (got.dim, got.deg) == (len(m) - 1, deg)
     assert form_model(got) == gr_pullback_monotone(f, m, d)
+    assert_canonical(got)
+
+
+@st.composite
+def d_cases(draw):
+    dim = draw(st.integers(1, 4))
+    deg = draw(st.integers(0, dim))
+    return dim, deg, draw(form_models(dim, deg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d_cases())
+@example((2, 1, {(0,): {(0, 1): ONE}, (1,): {(1, 0): ONE}}))  # d(x2 dx1 + x1 dx2) = 0
+def test_d_matches_oracle(case):
+    dim, deg, f = case
+    got = to_form(dim, deg, f).d()
+    assert (got.dim, got.deg) == (dim, deg + 1)
+    assert form_model(got) == gr_d(f, dim)
+    assert_canonical(got)
+
+
+def sympy_scalar(x):
+    return sum((re + sympy.I * im) * sympy.Symbol("tau") ** k for k, (re, im) in x.items())
+
+
+@st.composite
+def top_form_cases(draw):
+    dim = draw(st.integers(1, 3))
+    return dim, draw(form_models(dim, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(top_form_cases())
+@example((1, {(0,): {(1,): {0: (Fraction(2), Fraction(0))}, (2,): {0: (Fraction(-3), Fraction(0))}}}))  # 2/2 - 3/3
+def test_integrate_top_matches_iterated_integral(case):
+    """integrate_top against sympy's iterated integral over
+    0 <= x_i <= 1 - x_1 - .. - x_(i-1)."""
+    dim, f = case
+    got = to_form(dim, dim, f).integrate_top()
+    xs = sympy.symbols(f"x1:{dim + 1}")
+    integrand = sum(
+        (sympy_scalar(c) * sympy.prod([x**a for x, a in zip(xs, e)]) for p in f.values() for e, c in p.items()),
+        sympy.Integer(0),
+    )
+    for i in reversed(range(dim)):
+        integrand = sympy.integrate(integrand, (xs[i], 0, 1 - sum(xs[:i])))
+    assert sympy.expand(integrand - sympy_scalar(model(got))) == 0
     assert_canonical(got)
 
 
