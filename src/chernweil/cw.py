@@ -56,15 +56,6 @@ def curvature(D, min_dim=0):
     return {sid: curvature_form(A) for sid, A in D.forms.items() if sid.dim >= min_dim}
 
 
-def bianchi_defect(D):
-    """dF + [A ^ F]; identically zero, returned for verification."""
-    out = {}
-    for sid, A in D.forms.items():
-        F = curvature_form(A)
-        out[sid] = F.d() + A.bracket_wedge(F)
-    return out
-
-
 def _component_matrices(F):
     """Decompose a g-valued form into {index tuple: matrix of Polys}, the
     sum of its coordinate forms times the algebra's basis matrices.

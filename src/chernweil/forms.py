@@ -216,8 +216,6 @@ class PolyForm:
         """
         if phi.target_dim != self.dim:
             raise ValueError("pullback target dimension mismatch")
-        if not isinstance(phi, PolyMap):  # any object with coords(): memo for this call only
-            phi = PolyMap(phi.source_dim, phi.target_dim, phi.coords())
         src = phi.source_dim
         if self.deg > src:
             return _form(src, self.deg, {})
@@ -662,25 +660,6 @@ def _from_basis(d, k, coeffs):
             for e, m in terms:
                 _mac(tI.setdefault(e, {}), xs, m)
     return _form_from_acc(d, k, acc)
-
-
-def check_prescription_consistency(d, prescriptions):
-    """Exact agreement of facet data on facet intersections.
-
-    prescriptions: dict facet index -> PolyForm on Delta^{d-1}.  Uses
-    the cosimplicial identity delta_i o delta_{j-1} = delta_j o delta_i
-    for i < j.  An oracle for the coefficient comparison in
-    whitney_extend, which reports the same pairs.
-    """
-    bad = []
-    idx = sorted(prescriptions)
-    for a, i in enumerate(idx):
-        for j in idx[a + 1:]:
-            lhs = prescriptions[i].pullback(AffineMap.face(d - 1, j - 1))
-            rhs = prescriptions[j].pullback(AffineMap.face(d - 1, i))
-            if lhs != rhs:
-                bad.append((i, j))
-    return bad
 
 
 def whitney_extend(d, deg, prescriptions):

@@ -3,7 +3,13 @@
 Serialized scalars are sums of tau-monomials with Gaussian-rational
 coefficients; polynomials list terms in graded-lexicographic order, so
 serialization doubles as a canonical form (string equality iff value
-equality).
+equality).  The writers alone decide that spelling: each reader parses
+the structure of a token, builds its value, and accepts the token only
+when the writer writes that value back as the same text; any other text
+is a ParseError.  Numerals are read by int() alone (never Fraction() or
+float()), so every reader is linear in its text and no value outgrows
+it; what int() reads but str() does not write, such as '+1', '1_0' or
+non-ASCII digits, fails the write-back.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from math import gcd
 from .bundles import BundleData, Connection, LieValuedForm, TransitionMap
 from .forms import PolyForm
 from .poly import Poly
-from .scalars import SIZE_NUMERAL, Scalar
+from .scalars import Scalar
 from .simplicial import SimplexId, SimplicialSet
 
 
@@ -22,19 +28,22 @@ class ParseError(ValueError):
     pass
 
 
-# an index or size numeral, in the one spelling str(int) writes
-_N = rf"({SIZE_NUMERAL})"
+# an index or size numeral: ASCII digits (not \d, which also matches
+# non-ASCII digits), read back by _size
+_N = r"([0-9]+)"
 
 
 def _size(text):
-    """int(text) for a numeral its caller matched with _N, ASCII digits
-    with no leading zero (not \\d, which also matches non-ASCII digits);
-    a numeral of more than the 4300 digits int() reads is a ParseError,
-    not a bare ValueError."""
+    """The nonnegative int that str(int) writes as text; any other text,
+    such as a leading zero or more than the 4300 digits int() reads, is
+    a ParseError."""
     try:
-        return int(text)
+        n = int(text)
+        if n >= 0 and str(n) == text:
+            return n
     except ValueError:
-        raise ParseError(f"numeral of {len(text)} digits is too long") from None
+        pass
+    raise ParseError(f"bad numeral {text[:20]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -70,49 +79,45 @@ def scalar_to_str(s):
     return " + ".join(bits)
 
 
-# A positive rational numeral as _rat_str writes it: no leading zeros
-# and no '/1'.  An atom of scalar_to_str is a nonzero real part, an
-# imaginary part or both in parentheses, then '*tau^k' unless k == 0.
-_NUM = r"[1-9][0-9]*(?:/[1-9][0-9]*)?"
-_ATOM_RE = re.compile(rf"(?:(-?{_NUM})(i?)|\((-?{_NUM})([+-]{_NUM})i\))(?:\*tau\^(-?[1-9][0-9]*))?")
-
-
-def _parse_rat(text):
-    """(n, d) for a signed _NUM numeral in lowest terms; ValueError otherwise."""
+def _read_rat(text):
+    """(n, d) for a numeral n or n/d."""
     n, slash, d = text.partition("/")
-    n, d = int(n), int(d) if slash else 1
-    if slash and (d == 1 or gcd(n, d) != 1):
-        raise ValueError(f"rational {text!r} not in lowest terms")
-    return n, d
+    return int(n), (int(d) if slash else 1)
 
 
-def _parse_atom(atom):
-    """(tau power, triple) for one atom of scalar_to_str; ValueError otherwise."""
-    m = _ATOM_RE.fullmatch(atom)
-    if m is None:
-        raise ValueError(f"bad atom {atom!r}")
-    k = int(m[5]) if m[5] else 0
-    if m[1]:
-        n, d = _parse_rat(m[1])
-        return k, ((0, n, d) if m[2] else (n, 0, d))
-    (a, q1), (b, q2) = _parse_rat(m[3]), _parse_rat(m[4])
+def _read_atom(atom):
+    """(tau power, triple) for one atom of scalar_to_str: a real part, an
+    imaginary part 'bi' or both '(a+bi)', then '*tau^k' unless k == 0."""
+    coeff, star, k = atom.partition("*tau^")
+    k = int(k) if star else 0
+    if coeff[:1] == "(":
+        # the imaginary part starts at the last sign
+        j = max(coeff.rfind("+"), coeff.rfind("-"))
+        (a, q1), (b, q2) = _read_rat(coeff[1:j]), _read_rat(coeff[j:].removeprefix("+").removesuffix("i)"))
+    elif coeff[-1:] == "i":
+        (a, q1), (b, q2) = (0, 1), _read_rat(coeff[:-1])
+    else:
+        (a, q1), (b, q2) = _read_rat(coeff), (0, 1)
     return k, (a * q2, b * q1, q1 * q2)
+
+
+def _read_scalar(text):
+    """The scalar of scalar_to_str's text, not written back; text without
+    its structure raises ValueError or ZeroDivisionError."""
+    return Scalar(dict(_read_atom(atom) for atom in text.split(" + ")))
 
 
 def parse_scalar(text):
     """Read a scalar written by scalar_to_str; any other text, such as
     unreduced or zero parts, a repeated or unsorted tau power, or
     '*tau^0', raises ParseError."""
-    if text == "0":
-        return Scalar.zero()
     try:
-        # int() also refuses numerals of more than 4300 digits
-        atoms = [_parse_atom(atom) for atom in text.split(" + ")]
-    except ValueError:
-        raise ParseError(f"bad scalar {text!r}") from None
-    if any(k1 >= k2 for (k1, _), (k2, _) in zip(atoms, atoms[1:])):
-        raise ParseError(f"bad scalar {text!r}: tau powers not increasing")
-    return Scalar(dict(atoms))
+        s = _read_scalar(text)
+        if scalar_to_str(s) == text:
+            return s
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ParseError(f"bad scalar {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,28 +139,29 @@ def poly_to_str(p):
     return " + ".join(bits)
 
 
-def _split_top(text, sep=" + "):
-    parts = []
-    depth = 0
-    cur = []
-    i = 0
-    while i < len(text):
-        if text[i] in "{(":
-            depth += 1
-        elif text[i] in "})":
-            depth -= 1
-        if depth == 0 and text.startswith(sep, i):
-            parts.append("".join(cur))
-            cur = []
-            i += len(sep)
-            continue
-        cur.append(text[i])
-        i += 1
-    parts.append("".join(cur))
-    return parts
-
-
-_VAR_RE = re.compile(r"x([1-9][0-9]*)(?:\^([2-9]|[1-9][0-9]+))?")
+def _read_poly(text, dim):
+    """The polynomial on Delta^dim of poly_to_str's text, not written
+    back; text without its structure raises ParseError."""
+    try:
+        terms, parts = {}, []
+        for bit in text.split(" + "):
+            parts.append(bit)
+            if parts[0][:1] == "{" and "}" not in bit:
+                continue  # inside a braced coefficient
+            # scalar text holds no 'x', so the coefficient ends at the first '*x'
+            cs, x, mono = " + ".join(parts).partition("*x")
+            parts = []
+            e = [0] * dim
+            for v in mono.split("*x") if x else ():
+                i, caret, k = v.partition("^")
+                i = int(i) - 1
+                if not 0 <= i < dim:
+                    raise ValueError("variable out of range")
+                e[i] = int(k) if caret else 1
+            terms[tuple(e)] = _read_scalar(cs.removeprefix("{").removesuffix("}"))
+        return Poly(dim, terms)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad polynomial {text!r}") from None
 
 
 def parse_poly(text, dim):
@@ -163,40 +169,10 @@ def parse_poly(text, dim):
     text, such as a missing or zero coefficient, braces around a
     one-term coefficient, unsorted variables or terms, or '^1', raises
     ParseError."""
-    if text == "0":
-        return Poly.zero(dim)
-    terms = {}
-    last = None
-    for term in _split_top(text):
-        # scalar text holds no 'x', so the coefficient ends at the first '*x'
-        cs, x, mono = term.partition("*x")
-        if cs.startswith("{"):
-            if not cs.endswith("}") or " + " not in cs:
-                raise ParseError(f"bad polynomial coefficient {cs!r}")
-            cs = cs[1:-1]
-        coef = parse_scalar(cs)
-        if coef.is_zero():
-            raise ParseError(f"zero coefficient in polynomial term {term!r}")
-        e = [0] * dim
-        prev = -1
-        for t in ("x" + mono).split("*") if x else ():
-            m = _VAR_RE.fullmatch(t)
-            if not m:
-                raise ParseError(f"bad monomial token {t!r}")
-            i, k = _size(m[1]) - 1, _size(m[2] or "1")
-            if i >= dim:
-                raise ParseError(f"variable x{i+1} out of range for dim {dim}")
-            if i <= prev:
-                raise ParseError(f"variables not increasing in polynomial term {term!r}")
-            prev = i
-            e[i] = k
-        key = tuple(e)
-        order = (sum(key), key)
-        if last is not None and order <= last:
-            raise ParseError(f"polynomial terms not in graded-lexicographic order at {term!r}")
-        last = order
-        terms[key] = coef
-    return Poly(dim, terms)
+    p = _read_poly(text, dim)
+    if poly_to_str(p) != text:
+        raise ParseError(f"bad polynomial {text!r}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +184,13 @@ def _comp_str(I):
 
 
 def _parse_comp(text):
-    text = text.strip()
-    if text == "-":
-        return ()
-    if not re.fullmatch(rf"{_N}(?:,{_N})*", text):
-        raise ParseError(f"bad component {text!r}")
-    return tuple(_size(t) - 1 for t in text.split(","))
+    try:
+        I = tuple(int(t) - 1 for t in text.split(",")) if text != "-" else ()
+        if _comp_str(I) == text:
+            return I
+    except ValueError:
+        pass
+    raise ParseError(f"bad component {text!r}")
 
 
 def polyform_to_str(f):
@@ -308,27 +285,6 @@ def parse_simplicial_set(text):
 # bundles and connections
 
 
-def _lvp_to_str(p):
-    bits = []
-    for a, f in enumerate(p.coords):
-        if not f.is_zero():
-            bits.append(f"{a}: {poly_to_str(f.component(()))}")
-    return "[" + "; ".join(bits) + "]"
-
-
-def _parse_lvp(text, algebra, dim):
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"bad lie-valued polynomial {text!r}")
-    coords = [Poly.zero(dim) for _ in range(algebra.dim)]
-    body = text[1:-1].strip()
-    if body:
-        for bit in _split_top(body, "; "):
-            head, _, rest = bit.partition(": ")
-            coords[_lie_index(head, algebra)] = parse_poly(rest, dim)
-    return LieValuedForm.from_polys(algebra, coords)
-
-
 def _is_real(p):
     """Whether no coefficient of the polynomial p has an imaginary part."""
     return not any(b for c in p.terms.values() for _, b, _ in c.terms.values())
@@ -336,9 +292,10 @@ def _is_real(p):
 
 def _lie_index(text, algebra):
     """A Lie coordinate index, which must be below the algebra's dimension."""
-    if not re.fullmatch(_N, text) or _size(text) >= algebra.dim:
+    a = _size(text)
+    if a >= algebra.dim:
         raise ParseError(f"Lie coordinate {text!r} out of range for {algebra.name} (dimension {algebra.dim})")
-    return _size(text)
+    return a
 
 
 def _header(lines, kind):
@@ -354,22 +311,31 @@ def _header(lines, kind):
         raise ParseError(str(e)) from None
 
 
+def _transition_str(t):
+    """'id', or each factor exp(p) as exp([a: coordinate; ...]) over the
+    nonzero coordinates, joined by ' * '."""
+    if t.is_identity():
+        return "id"
+    return " * ".join(
+        "exp([" + "; ".join(f"{a}: {poly_to_str(f.component(()))}" for a, f in enumerate(p.coords) if not f.is_zero()) + "])"
+        for p in t.factors
+    )
+
+
 def bundle_to_str(P):
     lines = [f"bundle v1; group {P.algebra.name}"]
     for sid, i in P.base.faces:
-        t = P.transitions[(sid, i)]
-        body = "id" if t.is_identity() else " * ".join(f"exp({_lvp_to_str(f)})" for f in t.factors)
-        lines.append(f"transition {sid.dim}.{sid.index}.{i}: {body}")
+        lines.append(f"transition {sid.dim}.{sid.index}.{i}: {_transition_str(P.transitions[(sid, i)])}")
     return "\n".join(lines) + "\n"
 
 
 def parse_bundle(text, base):
     """Read a bundle over base; a transition for a face the base does not
     have, one given twice, a face of the base without one (bundle_to_str
-    writes every face, identities as ``id``), or a factor with a
-    coordinate whose imaginary part is nonzero (its log is not in the
-    compact algebra, whose elements have real coordinates) is a parse
-    error."""
+    writes every face, identities as ``id``), a body that _transition_str
+    does not write back as the same text, or a factor with a coordinate
+    whose imaginary part is nonzero (its log is not in the compact
+    algebra, whose elements have real coordinates) is a parse error."""
     lines = [l.rstrip() for l in text.strip().splitlines() if l.strip()]
     algebra = _header(lines, "bundle")
     transitions = {}
@@ -383,20 +349,20 @@ def parse_bundle(text, base):
             raise ParseError(f"transition {sid.dim}.{sid.index}.{i} is not a face of the base")
         if (sid, i) in transitions:
             raise ParseError(f"transition {sid.dim}.{sid.index}.{i} given twice")
-        body = m.group(4).strip()
+        body = m.group(4)
         dim = sid.dim - 1
-        if body == "id":
-            t = TransitionMap.identity(algebra, dim)
-        else:
-            factors = []
-            for chunk in _split_top(body, " * "):
-                if not (chunk.startswith("exp(") and chunk.endswith(")")):
-                    raise ParseError(f"bad factor {chunk!r}")
-                p = _parse_lvp(chunk[4:-1], algebra, dim)
-                if not all(_is_real(f.component(())) for f in p.coords):
-                    raise ParseError(f"transition {sid.dim}.{sid.index}.{i} has a coordinate with an imaginary part")
-                factors.append(p)
-            t = TransitionMap(algebra, dim, factors)
+        factors = []
+        for chunk in body.split(" * ") if body != "id" else ():
+            coords = [Poly.zero(dim)] * algebra.dim
+            for bit in chunk.removeprefix("exp([").removesuffix("])").split("; "):
+                head, _, rest = bit.partition(": ")
+                coords[_lie_index(head, algebra)] = _read_poly(rest, dim)
+            if not all(_is_real(p) for p in coords):
+                raise ParseError(f"transition {sid.dim}.{sid.index}.{i} has a coordinate with an imaginary part")
+            factors.append(LieValuedForm.from_polys(algebra, coords))
+        t = TransitionMap(algebra, dim, factors)
+        if _transition_str(t) != body:
+            raise ParseError(f"transition {sid.dim}.{sid.index}.{i}: bad body {body!r}")
         transitions[(sid, i)] = t
     for sid, i in base.faces:
         if (sid, i) not in transitions:

@@ -21,26 +21,24 @@ numeric value is wanted.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from math import gcd
 
 TAU = 2.0 * math.pi
 
-# The integer numerals of the command line and the polynomial
-# selectors: the one spelling str(int) writes, an optional minus sign
-# and ASCII digits with no leading zero; no '+', '-0', spaces or '_'.
-INT_NUMERAL = r"0|-?[1-9][0-9]*"
-SIZE_NUMERAL = r"0|[1-9][0-9]*"
-
 
 def parse_int(text, signed=True):
-    """The int a numeral spells (INT_NUMERAL, or SIZE_NUMERAL when not
-    signed); any other spelling raises ValueError, where int() would
-    take '+1', ' 1', '01' or '1_0'."""
-    if not re.fullmatch(INT_NUMERAL if signed else SIZE_NUMERAL, text):
+    """The int that str(int) writes as text: the integer numerals of the
+    command line and the polynomial selectors, spelled as the file
+    formats spell theirs.  int() reads the text, and the int is returned
+    only when str() writes it back as the same text: '+1', ' 1', '01',
+    '-0', '1_0' or non-ASCII digits, which int() also reads, raise
+    ValueError, as does a negative numeral when not signed."""
+    n = int(text)
+    if str(n) != text or n < 0 and not signed:
         raise ValueError(f"bad integer numeral {text!r}")
-    return int(text)
+    return n
+
 
 _new = object.__new__
 

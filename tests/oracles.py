@@ -854,3 +854,35 @@ def polarize_reference(algebra, p, k):
         return scale_value(total, Fraction(1, factorial(k)))
 
     return InvariantPolynomial(algebra, k, evaluator, f"polarized:{k}")
+
+
+def check_prescription_consistency(d, prescriptions):
+    """Exact agreement of facet data on facet intersections.
+
+    prescriptions: dict facet index -> PolyForm on Delta^{d-1}.  Uses
+    the cosimplicial identity delta_i o delta_{j-1} = delta_j o delta_i
+    for i < j.  An oracle for the coefficient comparison in
+    whitney_extend, which reports the same pairs.
+    """
+    from chernweil.forms import AffineMap
+
+    bad = []
+    idx = sorted(prescriptions)
+    for a, i in enumerate(idx):
+        for j in idx[a + 1:]:
+            lhs = prescriptions[i].pullback(AffineMap.face(d - 1, j - 1))
+            rhs = prescriptions[j].pullback(AffineMap.face(d - 1, i))
+            if lhs != rhs:
+                bad.append((i, j))
+    return bad
+
+
+def bianchi_defect(D):
+    """dF + [A ^ F] on every simplex of the connection D; identically zero."""
+    from chernweil.cw import curvature_form
+
+    out = {}
+    for sid, A in D.forms.items():
+        F = curvature_form(A)
+        out[sid] = F.d() + A.bracket_wedge(F)
+    return out

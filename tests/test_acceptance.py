@@ -34,6 +34,7 @@ from chernweil.cw import (
 from chernweil.cw import _cw_polyform_wedge
 from chernweil.forms import (
     BernsteinMap,
+    PolyMap,
     integrate_to_cochain,
     random_polyform,
     random_simplicial_form,
@@ -172,16 +173,9 @@ def test_criterion_6_exterior_calculus_suite():
     for _ in range(100):
         phi = BernsteinMap.random(rng, 2, 3, 2)
         psi = BernsteinMap.random(rng, 1, 2, 2)
-        comp_coords = [c.compose(psi.coords(), source_dim=1) for c in phi.coords()]
-
-        class Comp:
-            source_dim, target_dim = 1, 3
-
-            def coords(self):
-                return comp_coords
-
+        comp = PolyMap(1, 3, [c.compose(psi.coords(), source_dim=1) for c in phi.coords()])
         om = random_polyform(rng, 3, 1, 1)
-        assert om.pullback(Comp()) == om.pullback(phi).pullback(psi)
+        assert om.pullback(comp) == om.pullback(phi).pullback(psi)
     for _ in range(100):
         A = LieValuedForm(su2, 2, 1, [random_polyform(rng, 2, 1, 2) for _ in range(3)])
         F = curvature_form(A)

@@ -19,7 +19,6 @@ from chernweil.bundles import (
 from chernweil.cw import (
     ClassReport,
     _component_matrices,
-    bianchi_defect,
     calibrate_cw_constant,
     class_report,
     classical_agreement_check,
@@ -68,6 +67,7 @@ from chernweil.simplicial import (
     two_disk_sphere,
 )
 from chernweil.verify import generic_curvature
+from oracles import bianchi_defect
 
 u1 = lie_algebra("u1")
 su2 = lie_algebra("su2")

@@ -16,8 +16,8 @@ from chernweil.forms import (
     DegreeMismatchError,
     FaceConsistencyError,
     PolyForm,
+    PolyMap,
     SimplicialForm,
-    check_prescription_consistency,
     check_simplicial_form,
     induced_form_on_standard_simplex,
     integrate_to_cochain,
@@ -42,6 +42,7 @@ from chernweil.simplicial import (
 from oracles import (
     affine_coords_reference,
     bernstein_coords_reference,
+    check_prescription_consistency,
     integrate_form_oracle,
     pullback_reference,
 )
@@ -135,16 +136,9 @@ def test_pullback_contravariant_functorial():
     for _ in range(20):
         phi = BernsteinMap.random(rng, 2, 3, 2)
         psi = BernsteinMap.random(rng, 1, 2, 2)
-        comp_coords = [c.compose(psi.coords(), source_dim=1) for c in phi.coords()]
-
-        class Comp:
-            source_dim, target_dim = 1, 3
-
-            def coords(self):
-                return comp_coords
-
+        comp = PolyMap(1, 3, [c.compose(psi.coords(), source_dim=1) for c in phi.coords()])
         omega = random_polyform(rng, 3, rng.choice([0, 1]), 2)
-        assert omega.pullback(Comp()) == omega.pullback(phi).pullback(psi)
+        assert omega.pullback(comp) == omega.pullback(phi).pullback(psi)
 
 
 def test_integrate_top_values():
@@ -254,15 +248,8 @@ def test_induced_form_coherence_under_polynomial_maps():
     for _ in range(10):
         sigma = BernsteinMap.random(rng, 1, 2, 2)
         tau = BernsteinMap.random(rng, 1, 1, 2)
-        comp_coords = [c.compose(tau.coords(), source_dim=1) for c in sigma.coords()]
-
-        class Comp:
-            source_dim, target_dim = 1, 2
-
-            def coords(self):
-                return comp_coords
-
-        assert glob.pullback(Comp()) == glob.pullback(sigma).pullback(tau)
+        comp = PolyMap(1, 2, [c.compose(tau.coords(), source_dim=1) for c in sigma.coords()])
+        assert glob.pullback(comp) == glob.pullback(sigma).pullback(tau)
 
 
 def test_perturbed_form_fails_check():

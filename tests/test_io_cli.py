@@ -65,7 +65,11 @@ def test_scalar_round_trip():
      "1 + 2", "2/4", "-0", "(1+0i)", "1*tau^0", "0*tau^1", "1*tau^1 + 1",
      "0i", "(0+1i)", "(2/4+1i)", "1/1", "01", "1/02", "1*tau^01", "1*tau^-0", "1*tau^1 + 2*tau^1",
      # numerals longer than int() reads
-     pytest.param("1" * 5000, id="long-numeral"), pytest.param("1*tau^" + "1" * 5000, id="long-tau-power")],
+     pytest.param("1" * 5000, id="long-numeral"), pytest.param("1*tau^" + "1" * 5000, id="long-tau-power"),
+     # float spellings, which the reader must not hand to Fraction() or float()
+     "1e5000", "1e2000000", "(1e3+1i)", "1.5e3*tau^1",
+     # one long atom, read in linear time
+     pytest.param("(" + "1+" * 100_000 + "1i)", id="long-atom")],
 )
 def test_parse_scalar_rejects_malformed_tokens(text):
     with pytest.raises(cio.ParseError):
@@ -100,6 +104,35 @@ def test_poly_text_round_trip_property(case):
     text = cio.poly_to_str(p)
     assert cio.parse_poly(text, dim) == p
     assert cio.poly_to_str(cio.parse_poly(text, dim)) == text
+
+
+# the characters and separators that scalar and polynomial text is made
+# of, and what int() reads beyond them ('_', a non-ASCII digit)
+TEXT_TOKENS = list("0123456789-+/i()*^x{} _\u0662") + ["*tau^", " + ", "*x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_edited_text_reads_back_or_raises(data):
+    """One insert, delete or replace in canonical scalar or polynomial
+    text: the reader raises ParseError or returns the value that the
+    writer writes as exactly that text."""
+    dim = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        read, write = cio.parse_scalar, cio.scalar_to_str
+        text = write(to_scalar(data.draw(MODELS)))
+    else:
+        read, write = (lambda t: cio.parse_poly(t, dim)), cio.poly_to_str
+        text = write(Poly(dim, {e: to_scalar(c) for e, c in data.draw(poly_models(dim)).items()}))
+    i = data.draw(st.integers(0, len(text)))
+    op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    token = data.draw(st.sampled_from(TEXT_TOKENS))
+    text = text[:i] + ("" if op == "delete" else token) + text[i + (op != "insert"):]
+    try:
+        value = read(text)
+    except cio.ParseError:
+        return
+    assert write(value) == text
 
 
 @st.composite
@@ -330,7 +363,10 @@ def test_parse_errors():
     "form v1; dim 2; deg 1\ncomp 1,2: 1\n",
     "form v1; dim 2; deg 2\ncomp 2,1: 1\n",
     "form v1; dim 2; deg 1\ncomp 1: 1\ncomp 1: 2\n",
-], ids=["empty", "index-zero", "index-above-dim", "length-above-deg", "decreasing", "comp-twice"])
+    "form v1; dim 2; deg 1\ncomp 1 : 1\n",
+    "form v1; dim 2; deg 1\ncomp  1: 1\n",
+], ids=["empty", "index-zero", "index-above-dim", "length-above-deg", "decreasing", "comp-twice",
+        "space-before-colon", "space-before-comp"])
 def test_parse_polyform_rejects_components_off_its_header(text):
     with pytest.raises(cio.ParseError):
         cio.parse_polyform(text)
@@ -841,8 +877,13 @@ def test_parse_rejects_data_off_the_base():
     with pytest.raises(cio.ParseError):
         cio.parse_bundle(bt, standard_simplex(2))
     repeated = [line for line in bt.splitlines() if "exp(" in line][0].split(":")[0] + ": id\n"
+    factor = "exp([0: 1*tau^1*x1])"
+    # transition bodies that read as some value but are not how bundle_to_str writes it
+    bodies = ["exp([0: 2*x1; 0: 1*tau^1*x1])", "exp([0: 0])", "exp([])", "exp([ 0: 1*tau^1*x1 ])",
+              "exp( [0: 1*tau^1*x1])", "exp([0: 2*x1]) * exp([0: 1*tau^1*x1])", " " + factor]
     for text in ("", bt.replace("exp([0:", "exp([1:"), bt.replace("exp([0:", "exp([x:"),
-                 bt.replace("group u1", "group u9"), bt + repeated):
+                 bt.replace("group u1", "group u9"), bt + repeated, *(bt.replace(factor, b) for b in bodies)):
+        assert text != bt
         with pytest.raises(cio.ParseError):
             cio.parse_bundle(text, P.base)
     for text in ("", ct.replace("A 2.1 0 ", "A 2.1 1 "), ct.replace("A 2.1 0 ", "A 3.0 0 "),
