@@ -34,9 +34,11 @@ from .forms import (
     AffineMap,
     FaceConsistencyError,
     PolyForm,
+    _extension_coeffs,
     _form_from_acc,
+    _from_basis,
+    _noise_coeffs,
     form_on,
-    interior_noise,
     random_poly,
     whitney_extend,
 )
@@ -562,12 +564,14 @@ def construct_connection(P, preset=None, rng=None):
 
     Dimension by dimension, each simplex's boundary data is forced by
     the gauge rule from already-assigned faces and extended to the
-    interior (whitney_extend per basis coordinate, which copies the
-    facets' Whitney-Bernstein coefficients and solves nothing).  With a
-    seeded rng, random coefficients on the lowest-degree interior basis
-    functions (interior_noise) randomize the output without touching
-    the boundary prescriptions.  Inconsistent prescriptions (from a
-    truncated gauge series) surface as FaceConsistencyError with the simplex.
+    interior (whitney_extend's coefficients per basis coordinate, which
+    copy the facets' Whitney-Bernstein coefficients and solve nothing).
+    With a seeded rng, random coefficients on the lowest-degree interior
+    basis functions (interior_noise's) randomize the output without
+    touching the boundary prescriptions; they join the extension's
+    coefficients, so each coordinate is expanded to monomials once.
+    Inconsistent prescriptions (from a truncated gauge series) surface
+    as FaceConsistencyError with the simplex.
     """
     X = P.base
     alg = P.algebra
@@ -584,19 +588,16 @@ def construct_connection(P, preset=None, rng=None):
             prescriptions = {}
             for i in range(d + 1):
                 prescriptions[i] = gauge_prescription(P, forms, sid, i)
-            coords = []
+            coeffs = []
             for a in range(alg.dim):
                 try:
-                    coords.append(
-                        whitney_extend(d, 1, {i: f.coords[a] for i, f in prescriptions.items()})
-                    )
+                    coeffs.append(_extension_coeffs(d, 1, {i: f.coords[a] for i, f in prescriptions.items()}))
                 except FaceConsistencyError as e:
                     raise FaceConsistencyError(f"simplex {X.name(sid)}: {e}") from e
-            A = LieValuedForm(alg, d, 1, coords)
             if rng is not None:
-                noise = [interior_noise(rng, d, 1) for _ in range(alg.dim)]
-                A = A + LieValuedForm(alg, d, 1, noise)
-            forms[sid] = A
+                for c in coeffs:
+                    c.update(_noise_coeffs(rng, d, 1))
+            forms[sid] = LieValuedForm(alg, d, 1, [_from_basis(d, 1, c) for c in coeffs])
     return Connection(P, forms)
 
 

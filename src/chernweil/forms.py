@@ -8,7 +8,7 @@ top-degree form uses the Dirichlet monomial identity
     int_{Delta^d} x^a dV = (prod a_i!) / (d + sum a_i)!
 
 applied termwise, so no quadrature enters the main path.  All four go
-through the multiply-accumulate kernel of poly: PolyForm.d
+through the multiply-accumulate kernel scalars._mac: PolyForm.d
 (_d_into, which cw.curvature_form shares with the bracket) adds
 sign * e_j * c per term and integrate_top adds c * e! / (d + |e|)!
 into _mac accumulators, each reduced once.
@@ -38,7 +38,10 @@ Boundary-prescribed extension (whitney_extend) works in the
 Whitney-Bernstein basis of Arnold-Falk-Winther, in which the pullback
 to a facet keeps a subset of the coefficients: facet data are converted
 to that basis by closed-form rewriting and copied to the simplex, with
-no linear solve.
+no linear solve.  Both transforms, facet data to coefficients
+(_facet_coeffs) and coefficients to monomials (_basis_form), are cached
+tables of small ints, and both are summed by the other kernel,
+scalars._mac_int, which adds plain ints over one common denominator.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from math import factorial
 
 from .linalg import multinomial, sort_sign
 from .poly import Poly, _compositions, _from_acc, _mul_into, _poly
-from .scalars import Scalar, _from_mac, _mac
+from .scalars import Scalar, _from_mac, _mac, _mac_int
 from .simplicial import (
     Cochain,
     mono_skip,
@@ -560,7 +563,7 @@ def _facet_coeffs(d, i, k, r, J, mu):
     with m = min [[b]] < min s is brought into the basis in one step by
     lam_m phi_s = sum_j (-1)^j lam_{s_j} phi_{(m) u s - s_j}, which is
     kappa(kappa(dlam_{(m) u s})) = 0 for the Koszul operator kappa.
-    Returns a tuple of (key, terms) pairs (see _mac_terms).
+    Returns a tuple of (key, int) pairs, the rows _mac_int reads.
     """
     verts = [v for v in range(d + 1) if v != i]  # facet vertex j is verts[j]
     Jv = tuple(verts[j + 1] for j in J)
@@ -593,12 +596,7 @@ def _facet_coeffs(d, i, k, r, J, mu):
                 b2[m] -= 1
                 b2[v] += 1
                 add(tuple(b2), (m,) + s[:j] + s[j + 1:], sign if j % 2 == 0 else -sign)
-    return tuple((key, _mac_terms(c)) for key, c in out.items() if c)
-
-
-def _mac_terms(c):
-    """The terms of the int c as the (tau power, triple) pairs _mac reads."""
-    return tuple(Scalar.coerce(c).terms.items())
+    return tuple((key, c) for key, c in out.items() if c)
 
 
 def _lam_power(d, b):
@@ -632,7 +630,7 @@ def _dlam_wedge(d, t):
 @cache
 def _basis_form(d, a, s):
     """lam^a phi_s (lam^a for s == ()) on Delta^d, as a tuple of
-    (I, tuple of (exponent, terms)) pairs (see _mac_terms)."""
+    ((I, exponent), int) pairs, the rows _mac_int reads."""
     comps = {}
     if not s:
         comps[()] = _lam_power(d, a)
@@ -645,21 +643,15 @@ def _basis_form(d, a, s):
             t = comps.setdefault(I, {})
             for e, c in p.items():
                 t[e] = t.get(e, 0) + sign * c
-    return tuple(
-        (I, tuple((e, _mac_terms(c)) for e, c in t.items() if c)) for I, t in comps.items()
-    )
+    return tuple(((I, e), c) for I, t in comps.items() for e, c in t.items() if c)
 
 
 def _from_basis(d, k, coeffs):
-    """The PolyForm sum c * (basis function key) over coeffs.items()."""
-    acc = {}
-    for key, c in coeffs.items():
-        xs = c.terms.items()
-        for I, terms in _basis_form(d, *key):
-            tI = acc.setdefault(I, {})
-            for e, m in terms:
-                _mac(tI.setdefault(e, {}), xs, m)
-    return _form_from_acc(d, k, acc)
+    """The PolyForm sum c * (basis function key) over coeffs.items(), by _mac_int."""
+    comps = {}
+    for (I, e), c in _mac_int((c, _basis_form(d, *key)) for key, c in coeffs.items()).items():
+        comps.setdefault(I, {})[e] = c
+    return _form(d, k, {I: _poly(d, t) for I, t in comps.items()})
 
 
 def whitney_extend(d, deg, prescriptions):
@@ -675,6 +667,13 @@ def whitney_extend(d, deg, prescriptions):
     a facet intersection disagree on a shared coefficient, and raise
     FaceConsistencyError naming each such pair of facets.
     """
+    return _from_basis(d, deg, _extension_coeffs(d, deg, prescriptions))
+
+
+def _extension_coeffs(d, deg, prescriptions):
+    """whitney_extend's result as basis coefficients, a fresh dict key ->
+    Scalar: each facet's data lifted by one _mac_int over its
+    _facet_coeffs rows, checked on every facet intersection, merged."""
     for i, f in prescriptions.items():
         if f.dim != d - 1 or f.deg != deg:
             raise ValueError(f"prescription {i} has wrong shape")
@@ -682,35 +681,22 @@ def whitney_extend(d, deg, prescriptions):
         # facet pullbacks of a deg > d-1 form vanish identically
         if any(not f.is_zero() for f in prescriptions.values()):
             raise FaceConsistencyError("nonzero prescription of overflow degree")
-        return PolyForm.zero(d, deg)
+        return {}
 
     D = max([f.total_poly_degree() for f in prescriptions.values()] + [0])
     r = max(D, 1) if deg == 0 else D
     facets = sorted(prescriptions)
     lifted = {}
     for i in facets:
-        acc = {}
-        for J, p in prescriptions[i].comps.items():
-            for mu, v in p.terms.items():
-                xs = v.terms.items()
-                for key, m in _facet_coeffs(d, i, deg, r, J, mu):
-                    _mac(acc.setdefault(key, {}), xs, m)
-        lifted[i] = _from_acc(acc)
-    bad = [
-        (i, j)
-        for a, i in enumerate(facets)
-        for j in facets[a + 1:]
-        if _trace(lifted[i], j) != _trace(lifted[j], i)
-    ]
+        terms = [(J, mu, v) for J, p in prescriptions[i].comps.items() for mu, v in p.terms.items()]
+        lifted[i] = _mac_int((v, _facet_coeffs(d, i, deg, r, J, mu)) for J, mu, v in terms)
+    bad = [(i, j) for a, i in enumerate(facets) for j in facets[a + 1:]
+           if _trace(lifted[i], j) != _trace(lifted[j], i)]
     if bad:
         raise FaceConsistencyError(
-            "inconsistent facet data on intersections: "
-            + ", ".join(f"faces {i} and {j}" for i, j in bad)
+            "inconsistent facet data on intersections: " + ", ".join(f"faces {i} and {j}" for i, j in bad)
         )
-    coeffs = {}
-    for c in lifted.values():
-        coeffs.update(c)
-    return _from_basis(d, deg, coeffs)
+    return {key: c for i in facets for key, c in lifted[i].items()}
 
 
 def _trace(coeffs, v):
@@ -725,6 +711,13 @@ def interior_noise(rng, d, k):
     lam^a phi_s: s holds vertex 0 and a is 1 on the other vertices, so
     |a| = d - k and the support is every vertex.
     """
+    return _from_basis(d, k, _noise_coeffs(rng, d, k))
+
+
+def _noise_coeffs(rng, d, k):
+    """interior_noise's basis coefficients, drawn in the same order.  Each
+    support is every vertex, and no key of _extension_coeffs has that
+    support, so the two dicts add by dict.update."""
     coeffs = {}
     for t in itertools.combinations(range(1, d + 1), k):
         s = (0,) + t
@@ -732,7 +725,7 @@ def interior_noise(rng, d, k):
         num = rng.randrange(-6, 7)
         if num:
             coeffs[(a, s)] = Scalar.from_rational(num, rng.randrange(1, 6))
-    return _from_basis(d, k, coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +761,11 @@ def random_polyform(rng, dim, deg, degree=2):
 def random_simplicial_form(X, deg, rng):
     """Seeded random compatible simplicial form, built skeletally.
 
-    Faces prescribe each cell's boundary data (via whitney_extend); random
-    coefficients on the lowest-degree interior basis functions
-    (interior_noise) keep the result generic without disturbing the
-    facet pullbacks.
+    Faces prescribe each cell's boundary data (whitney_extend's
+    coefficients); random coefficients on the lowest-degree interior
+    basis functions (interior_noise's) keep the result generic without
+    disturbing the facet pullbacks, and the cell's form is expanded
+    from both at once.
     """
     forms = {}
     for d in range(X.dim + 1):
@@ -783,5 +777,7 @@ def random_simplicial_form(X, deg, rng):
                 forms[sid] = PolyForm(0, 0, {(): random_poly(rng, 0, 0)})
                 continue
             prescriptions = {i: form_on(forms, X.face(sid, i)) for i in range(d + 1)}
-            forms[sid] = whitney_extend(d, deg, prescriptions) + interior_noise(rng, d, deg)
+            coeffs = _extension_coeffs(d, deg, prescriptions)
+            coeffs.update(_noise_coeffs(rng, d, deg))
+            forms[sid] = _from_basis(d, deg, coeffs)
     return SimplicialForm(X, deg, forms)

@@ -33,6 +33,21 @@ class ParseError(ValueError):
 _N = r"([0-9]+)"
 
 
+def _lines(text):
+    """The lines of text, laid out as the writers lay them out: each
+    ends in a newline, and none is blank or starts or ends with a space.
+    Any other layout is a ParseError naming the line."""
+    lines = text.split("\n")
+    if lines.pop():
+        raise ParseError(f"line {len(lines) + 1}: no newline at the end")
+    for n, line in enumerate(lines, 1):
+        if not line:
+            raise ParseError(f"line {n}: blank line")
+        if line.strip() != line:
+            raise ParseError(f"line {n}: space at the start or end of {line!r}")
+    return lines
+
+
 def _size(text):
     """The nonnegative int that str(int) writes as text; any other text,
     such as a leading zero or more than the 4300 digits int() reads, is
@@ -204,8 +219,8 @@ def parse_polyform(text):
     """Read a form written by polyform_to_str; a missing header, or a
     component given twice or out of range for the header's dim and deg,
     raises ParseError."""
-    lines = [l for l in text.strip().splitlines() if l.strip()]
-    m = re.match(rf"^form v1; dim {_N}; deg {_N}$", lines[0]) if lines else None
+    lines = _lines(text)
+    m = re.fullmatch(rf"form v1; dim {_N}; deg {_N}", lines[0]) if lines else None
     if not m:
         raise ParseError("bad form header")
     dim, deg = _size(m.group(1)), _size(m.group(2))
@@ -252,7 +267,7 @@ def parse_simplicial_set(text):
     after a face or name line, or a face or name line given twice is a
     parse error.  Every rule of the face table is SimplicialSet.validate's,
     and a space it finds violations in is a parse error too."""
-    lines = [l.rstrip() for l in text.strip().splitlines() if l.strip()]
+    lines = _lines(text)
     if not lines or lines[0] != "simplicial-set v1":
         raise ParseError("missing simplicial-set header")
     counts, faces, names = [], {}, {}
@@ -302,7 +317,7 @@ def _header(lines, kind):
     """The group algebra named on the first line, `<kind> v1; group <name>`."""
     from .liealg import LieAlgebraError, lie_algebra
 
-    m = re.match(rf"^{kind} v1; group (\w+)$", lines[0]) if lines else None
+    m = re.fullmatch(rf"{kind} v1; group (\w+)", lines[0]) if lines else None
     if not m:
         raise ParseError(f"missing {kind} header")
     try:
@@ -336,33 +351,37 @@ def parse_bundle(text, base):
     does not write back as the same text, or a factor with a coordinate
     whose imaginary part is nonzero (its log is not in the compact
     algebra, whose elements have real coordinates) is a parse error."""
-    lines = [l.rstrip() for l in text.strip().splitlines() if l.strip()]
+    lines = _lines(text)
     algebra = _header(lines, "bundle")
     transitions = {}
     for line in lines[1:]:
-        m = re.match(rf"^transition {_N}\.{_N}\.{_N}: (.*)$", line)
+        m = re.fullmatch(rf"transition {_N}\.{_N}\.{_N}: (.*)", line)
         if not m:
             raise ParseError(f"bad transition line {line!r}")
         sid = SimplexId(_size(m.group(1)), _size(m.group(2)))
         i = _size(m.group(3))
+        name = f"transition {sid.dim}.{sid.index}.{i}"
         if (sid, i) not in base.faces:
-            raise ParseError(f"transition {sid.dim}.{sid.index}.{i} is not a face of the base")
+            raise ParseError(f"{name} is not a face of the base")
         if (sid, i) in transitions:
-            raise ParseError(f"transition {sid.dim}.{sid.index}.{i} given twice")
+            raise ParseError(f"{name} given twice")
         body = m.group(4)
         dim = sid.dim - 1
         factors = []
-        for chunk in body.split(" * ") if body != "id" else ():
-            coords = [Poly.zero(dim)] * algebra.dim
-            for bit in chunk.removeprefix("exp([").removesuffix("])").split("; "):
-                head, _, rest = bit.partition(": ")
-                coords[_lie_index(head, algebra)] = _read_poly(rest, dim)
-            if not all(_is_real(p) for p in coords):
-                raise ParseError(f"transition {sid.dim}.{sid.index}.{i} has a coordinate with an imaginary part")
-            factors.append(LieValuedForm.from_polys(algebra, coords))
+        try:
+            for chunk in body.split(" * ") if body != "id" else ():
+                coords = [Poly.zero(dim)] * algebra.dim
+                for bit in chunk.removeprefix("exp([").removesuffix("])").split("; "):
+                    head, _, rest = bit.partition(": ")
+                    coords[_lie_index(head, algebra)] = _read_poly(rest, dim)
+                if not all(_is_real(p) for p in coords):
+                    raise ParseError("a coordinate has an imaginary part")
+                factors.append(LieValuedForm.from_polys(algebra, coords))
+        except ParseError as e:
+            raise ParseError(f"{name}: {e}") from None
         t = TransitionMap(algebra, dim, factors)
         if _transition_str(t) != body:
-            raise ParseError(f"transition {sid.dim}.{sid.index}.{i}: bad body {body!r}")
+            raise ParseError(f"{name}: bad body {body!r}")
         transitions[(sid, i)] = t
     for sid, i in base.faces:
         if (sid, i) not in transitions:
@@ -387,13 +406,13 @@ def parse_connection(text, bundle):
     """Read a connection on bundle; a cell the base does not have, a Lie
     coordinate or form component out of range, or a component given
     twice, is a parse error."""
-    lines = [l.rstrip() for l in text.strip().splitlines() if l.strip()]
+    lines = _lines(text)
     alg = bundle.algebra
     if _header(lines, "connection").name != alg.name:
         raise ParseError("connection/bundle group mismatch")
     comp_data = {}
     for line in lines[1:]:
-        m = re.match(rf"^A {_N}\.{_N} {_N} ([-0-9,]+): (.*)$", line)
+        m = re.fullmatch(rf"A {_N}\.{_N} {_N} ([-0-9,]+): (.*)", line)
         if not m:
             raise ParseError(f"bad connection line {line!r}")
         sid = SimplexId(_size(m.group(1)), _size(m.group(2)))

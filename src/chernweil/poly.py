@@ -5,11 +5,13 @@ A Poly lives on Delta^d, embedded in R^d with coordinates x_1..x_d
 is exact.  Terms are kept in a dict keyed by exponent
 tuples; zero coefficients are pruned eagerly so equality is structural.
 
-Products go through one multiply-accumulate kernel, shared by
-Poly.__mul__, PolyForm.wedge (and so LieValuedForm.bracket_wedge, the
-curvature and the characteristic forms of cw), PolyForm.pullback,
-PolyForm.d, PolyForm.integrate_top and the Whitney-Bernstein extension
-in forms: every product c1*c2 of two coefficients' int triples is
+Products of two coefficients go through the kernel scalars._mac,
+shared by Poly.__mul__, PolyForm.wedge (and so
+LieValuedForm.bracket_wedge, the curvature and the characteristic forms
+of cw), PolyForm.pullback, PolyForm.d and PolyForm.integrate_top; the
+Whitney-Bernstein transforms in forms, which multiply coefficients by
+small ints, go through the other kernel, scalars._mac_int.  Every
+product c1*c2 of two coefficients' int triples is
 added, unreduced, by scalars._mac into an accumulator dict exponent ->
 {tau power: (a, b, d)}, and each output coefficient is brought to
 lowest terms once at the end (_from_acc), zero sums dropped.  No

@@ -4,10 +4,15 @@ A Scalar is a Laurent polynomial in one formal symbol ``tau`` (standing
 for 2*pi) whose coefficients are Gaussian rationals.  Its ``terms`` map
 each tau power to a triple of Python ints (a, b, d) meaning
 (a + b*i)/d, in lowest terms (d > 0 and gcd(a, b, d) == 1) and nonzero,
-so equal values have equal terms.  This module alone knows that layout:
-``_mac`` is the one Gaussian-rational multiply-accumulate (on unreduced
-triples) and ``_reduced`` the one reduction to lowest terms (inlined in
-``_from_mac``'s loop); the polynomial and form kernels call them.
+so equal values have equal terms.  This module alone knows that layout.
+It has two multiply-accumulate kernels, which the polynomial and form
+code call: ``_mac`` adds products of two Gaussian rationals on
+unreduced triples, combining denominators by their lcm as they meet
+(products, wedges, pullbacks, d, integrals, curvature), and
+``_mac_int`` adds products of a Scalar and small ints, every numerator
+scaled first to the lcm of all the input denominators, so the sums are
+of plain ints (the Whitney-Bernstein transforms of forms).  ``_reduced``
+is the one reduction to lowest terms (inlined in ``_from_mac``'s loop).
 ``Scalar(...)`` validates and reduces what it is given and is for input
 from outside; results built in canonical form go through the unchecked
 ``_scalar``.  A product of two single-term scalars is formed and reduced
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 TAU = 2.0 * math.pi
 
@@ -274,3 +279,32 @@ def _from_mac(t):
     s = _new(Scalar)
     s.terms = out
     return s
+
+
+def _mac_int(rows):
+    """The dict key -> nonzero Scalar of sum c * m over the rows (c,
+    ((key, m), ...)) of a Scalar c and int multipliers m.  Every
+    numerator is scaled once to the lcm L of the input denominators, so
+    each real and each imaginary part of each tau power sums plain ints
+    in a dict of its own, and each output triple is reduced once, by
+    gcd(a, b, L); zero sums are dropped."""
+    rows = [(c.terms.items(), pairs) for c, pairs in rows]
+    L = lcm(*{d for xs, _ in rows for _, (_, _, d) in xs})
+    parts = {}
+    for xs, pairs in rows:
+        for k, (a, b, d) in xs:
+            f = L // d
+            for part, n in (((k, 0), a * f), ((k, 1), b * f)):
+                if n:
+                    t = parts.setdefault(part, {})
+                    get = t.get
+                    for key, m in pairs:
+                        t[key] = get(key, 0) + n * m
+    out = {}
+    for (k, im), t in parts.items():
+        for key, n in t.items():
+            if n:
+                out.setdefault(key, {}).setdefault(k, [0, 0])[im] = n
+    for key, t in out.items():
+        out[key] = _scalar({k: _reduced(a, b, L) for k, (a, b) in t.items()})
+    return out

@@ -8,8 +8,9 @@ forms from invariant polynomials evaluated on the curvature's matrices,
 the curvature itself from the matrix of the connection's 1-forms.
 Constructions the library now builds once are kept here in their older,
 separate form (horn restriction by vertex relabelling, Bernstein and
-affine coordinates as products of barycentric polynomials, the Chern
-and polarize loops written out), for the tests to compare against.
+affine coordinates and the Whitney-Bernstein basis as products of
+barycentric polynomials, the Chern and polarize loops written out), for
+the tests to compare against.
 """
 
 import functools
@@ -810,6 +811,89 @@ def affine_coords_reference(m, target_dim):
                 p = p + lams[j]
         coords.append(p)
     return coords
+
+
+# ---------------------------------------------------------------------------
+# Whitney-Bernstein basis functions from Poly and PolyForm arithmetic
+
+
+def whitney_basis_reference(d, a, s):
+    """lam^a phi_s on Delta^d (lam^a for s == ()), multiplied out:
+    lam_0 = 1 - sum x, lam_v = x_v, dlam_0 = -sum dx, dlam_v = dx_v, and
+    phi_s = sum_j (-1)^j lam_{s_j} dlam_{s_0} ^ .. (omit j) .. ^ dlam_{s_k}."""
+    from chernweil.forms import PolyForm
+    from chernweil.poly import Poly
+
+    lams = barycentric_reference(d)
+    dlams = [PolyForm.zero(d, 1)] + [PolyForm.dx(d, i) for i in range(d)]
+    for i in range(d):
+        dlams[0] = dlams[0] - PolyForm.dx(d, i)
+    mono = Poly.const(d, 1)
+    for lam, e in zip(lams, a):
+        mono = mono * lam**e
+    if not s:
+        return PolyForm.from_poly(mono)
+    out = PolyForm.zero(d, len(s) - 1)
+    for j, v in enumerate(s):
+        term = PolyForm.from_poly(mono * lams[v])
+        for u in s[:j] + s[j + 1:]:
+            term = term.wedge(dlams[u])
+        out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def whitney_keys_reference(d, k, r):
+    """The keys (a, s) of the degree-r basis of k-forms on Delta^d: the
+    Bernstein (b, ()) with |b| = r for k = 0, else every increasing
+    s of k + 1 vertices and |a| = r with a_v = 0 for v < min s."""
+    out = []
+    for s in itertools.combinations(range(d + 1), k + 1) if k else [()]:
+        for a in itertools.product(range(r + 1), repeat=d + 1):
+            if sum(a) == r and not any(a[:s[0]] if s else ()):
+                out.append((a, s))
+    return out
+
+
+def whitney_combination_reference(d, k, coeffs):
+    """sum c * lam^a phi_s over coeffs.items(), by PolyForm scale and add."""
+    from chernweil.forms import PolyForm
+
+    out = PolyForm.zero(d, k)
+    for key, c in coeffs.items():
+        out = out + whitney_basis_reference(d, *key).scale(c)
+    return out
+
+
+def whitney_extend_reference(d, k, prescriptions):
+    """whitney_extend by elimination: each facet's data is solved for in
+    the facet's degree-r basis (r as whitney_extend picks it) against
+    whitney_basis_reference on Delta^(d-1), the coefficients are renumbered
+    to the vertices of Delta^d, and their combination is multiplied out."""
+    D = max([f.total_poly_degree() for f in prescriptions.values()] + [0])
+    r = max(D, 1) if k == 0 else D
+    keys = whitney_keys_reference(d - 1, k, r) if k < d else []
+    cols = [{m: c.rational_value() for m, c in _flat_form(whitney_basis_reference(d - 1, *key)).items()}
+            for key in keys]
+    coeffs = {}
+    for i, f in prescriptions.items():
+        data = _flat_form(f)
+        slots = sorted(set(data).union(*cols))
+        status, x = solve_or_certify_reference([[col.get(m, 0) for col in cols] for m in slots],
+                                               [data.get(m, 0) for m in slots])
+        assert status == "solved", f"facet {i} data outside the degree-{r} basis"
+        verts = [v for v in range(d + 1) if v != i]
+        for (a, s), c in zip(keys, x):
+            if not c.is_zero():
+                lifted = [0] * (d + 1)
+                for j, v in enumerate(verts):
+                    lifted[v] = a[j]
+                coeffs[(tuple(lifted), tuple(verts[j] for j in s))] = c
+    return whitney_combination_reference(d, k, coeffs)
+
+
+def _flat_form(f):
+    """A PolyForm as a dict (component, exponent) -> coefficient."""
+    return {(I, e): c for I, p in f.comps.items() for e, c in p.terms.items()}
 
 
 # ---------------------------------------------------------------------------

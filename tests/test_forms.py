@@ -18,6 +18,7 @@ from chernweil.forms import (
     PolyForm,
     PolyMap,
     SimplicialForm,
+    _from_basis,
     check_simplicial_form,
     induced_form_on_standard_simplex,
     integrate_to_cochain,
@@ -45,7 +46,11 @@ from oracles import (
     check_prescription_consistency,
     integrate_form_oracle,
     pullback_reference,
+    whitney_combination_reference,
+    whitney_extend_reference,
+    whitney_keys_reference,
 )
+from test_scalar_kernel import MODELS, to_scalar
 
 
 def test_d_coordinate_example():
@@ -430,6 +435,26 @@ def test_whitney_extend_copies_facet_data(case):
     assert str(err.value) == "inconsistent facet data on intersections: " + ", ".join(
         f"faces {i} and {j}" for i, j in bad
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_basis_expansion_and_extension_match_the_oracle(data):
+    """_from_basis on random coefficients, and whitney_extend on the facet
+    data of a random form, against the basis functions multiplied out by
+    Poly and PolyForm arithmetic (and, for the extension, the facet
+    coefficients found by elimination); d <= 4, k <= 3."""
+    d = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, min(d, 3)))
+    keys = whitney_keys_reference(d, k, data.draw(st.integers(0, 2)))
+    chosen = data.draw(st.lists(st.sampled_from(keys), max_size=6, unique=True)) if keys else []
+    coeffs = {key: to_scalar(data.draw(MODELS)) for key in chosen}
+    assert _from_basis(d, k, coeffs) == whitney_combination_reference(d, k, coeffs)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    glob = random_polyform(rng, d, k, data.draw(st.integers(0, 2 if d < 4 else 1)))
+    facets = data.draw(st.sets(st.integers(0, d), min_size=1))
+    pres = {i: glob.pullback(AffineMap.face(d, i)) for i in facets}
+    assert whitney_extend(d, k, pres) == whitney_extend_reference(d, k, pres)
 
 
 def _gaussian_tau_scalar(draw):

@@ -893,6 +893,69 @@ def test_parse_rejects_data_off_the_base():
             cio.parse_connection(text, P)
 
 
+# structure errors inside a transition body of clutch(1): (body, message)
+BODY_ERRORS = {
+    "space-after-exp": ("exp( [0: 1*tau^1*x1])", "bad numeral 'exp( [0'"),
+    "empty-factor": ("exp([])", "bad polynomial ''"),
+}
+
+
+@pytest.mark.parametrize("case", list(BODY_ERRORS))
+def test_cli_transition_body_error_names_its_face(case, tmp_path, capsys):
+    texts = _clutch_files(tmp_path)
+    capsys.readouterr()
+    body, message = BODY_ERRORS[case]
+    line = "transition 2.1.0: exp([0: 1*tau^1*x1])\n"
+    assert line in texts["bundle"]
+    (tmp_path / "bundle.txt").write_text(texts["bundle"].replace(line, f"transition 2.1.0: {body}\n"))
+    assert main(["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: transition 2.1.0: {message}\n"
+
+
+# edits of the written layout: (edit of the text, number of the line
+# named, given the number n of lines of the text)
+LAYOUT_EDITS = {
+    "trailing-space": (lambda t: t.replace("\n", " \n", 1), lambda n: 1),
+    "leading-space": (lambda t: " " + t, lambda n: 1),
+    "blank-first": (lambda t: "\n" + t, lambda n: 1),
+    "blank-between": (lambda t: t.replace("\n", "\n\n", 1), lambda n: 2),
+    "blank-last": (lambda t: t + "\n", lambda n: n + 1),
+    "no-final-newline": (lambda t: t[:-1], lambda n: n),
+    "crlf": (lambda t: t.replace("\n", "\r\n"), lambda n: 1),
+}
+
+
+@pytest.mark.parametrize("edit", list(LAYOUT_EDITS))
+def test_readers_take_only_the_written_layout(edit):
+    P, D = clutch_bundle(1)
+    X = P.base
+    f = random_polyform(random.Random(0), 2, 1)
+    readers = {
+        cio.simplicial_set_to_str(X): cio.parse_simplicial_set,
+        cio.bundle_to_str(P): lambda t: cio.parse_bundle(t, X),
+        cio.connection_to_str(D): lambda t: cio.parse_connection(t, P),
+        cio.polyform_to_str(f): cio.parse_polyform,
+    }
+    change, line = LAYOUT_EDITS[edit]
+    for text, read in readers.items():
+        read(text)
+        n = line(text.count("\n"))
+        with pytest.raises(cio.ParseError, match=rf"^line {n}: "):
+            read(change(text))
+
+
+def test_cli_rejects_a_trailing_space_and_blank_lines(tmp_path, capsys):
+    texts = _clutch_files(tmp_path)
+    capsys.readouterr()
+    line = "transition 2.0.0: id\n"
+    assert line in texts["bundle"]
+    (tmp_path / "bundle.txt").write_text(texts["bundle"].replace(line, "transition 2.0.0: id \n") + "\n\n")
+    assert main(["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: line 8: space at the start or end of 'transition 2.0.0: id '\n"
+
+
 # a numeral of more than the 4300 digits int() reads, the fullwidth form
 # of a digit, which int() reads as that digit, and a leading zero
 BAD_NUMERALS = {

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chernweil.forms import AffineMap, BernsteinMap, PolyForm, _form_from_acc, interior_noise, whitney_extend
 from chernweil.poly import Poly
-from chernweil.scalars import TAU, Scalar
+from chernweil.scalars import TAU, Scalar, _mac_int
 from oracles import (
     canonical_violations,
     gr_add,
@@ -87,6 +87,36 @@ def test_scalar_constructor_reduces_triples():
     assert Scalar({0: (2, 4, 8)}) == Scalar.of(Fraction(1, 4), Fraction(1, 2))
     with pytest.raises(ZeroDivisionError):
         Scalar({0: (1, 0, 0)})
+
+
+# tau-Laurent Gaussian rationals with denominators up to 10^6, built
+# from unreduced triples; rows of int multipliers over a few keys
+WIDE_SCALARS = st.dictionaries(
+    st.integers(-2, 2), st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    max_size=3,
+).map(Scalar)
+INT_ROWS = st.lists(
+    st.tuples(WIDE_SCALARS, st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-4, 4)), max_size=4).map(tuple)),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(INT_ROWS, INT_ROWS)
+@example([(Scalar.of(Fraction(1, 3)), (("a", 2), ("b", 1)))], [(Scalar.of(Fraction(2, 3)), (("a", -1),))])
+def test_int_kernel_matches_scalar_sums(rows, more):
+    """_mac_int against the sum of c * m in plain Scalar arithmetic; the
+    rows, followed by their negation, cancel to nothing."""
+    cancelled = [(c, tuple((key, -m) for key, m in pairs)) for c, pairs in rows]
+    for case in (rows + more, rows + cancelled + more, rows + cancelled):
+        want = {}
+        for c, pairs in case:
+            for key, m in pairs:
+                want[key] = want.get(key, Scalar.zero()) + c * m
+        got = _mac_int(case)
+        assert got == {key: v for key, v in want.items() if not v.is_zero()}
+        for v in got.values():
+            assert_canonical(v)
 
 
 @settings(max_examples=200, deadline=None)
