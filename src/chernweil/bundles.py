@@ -34,10 +34,7 @@ from .forms import (
     AffineMap,
     FaceConsistencyError,
     PolyForm,
-    _extension_coeffs,
     _form_from_acc,
-    _from_basis,
-    _noise_coeffs,
     form_on,
     random_poly,
     whitney_extend,
@@ -564,14 +561,13 @@ def construct_connection(P, preset=None, rng=None):
 
     Dimension by dimension, each simplex's boundary data is forced by
     the gauge rule from already-assigned faces and extended to the
-    interior (whitney_extend's coefficients per basis coordinate, which
-    copy the facets' Whitney-Bernstein coefficients and solve nothing).
-    With a seeded rng, random coefficients on the lowest-degree interior
-    basis functions (interior_noise's) randomize the output without
-    touching the boundary prescriptions; they join the extension's
-    coefficients, so each coordinate is expanded to monomials once.
-    Inconsistent prescriptions (from a truncated gauge series) surface
-    as FaceConsistencyError with the simplex.
+    interior by one whitney_extend call per Lie coordinate, which copies
+    the facets' Whitney-Bernstein coefficients and solves nothing.  With
+    a seeded rng, whitney_extend also puts random coefficients on the
+    lowest-degree interior basis functions, which randomize the output
+    without touching the boundary prescriptions.  Inconsistent
+    prescriptions (from a truncated gauge series) surface as
+    FaceConsistencyError with the simplex.
     """
     X = P.base
     alg = P.algebra
@@ -588,16 +584,12 @@ def construct_connection(P, preset=None, rng=None):
             prescriptions = {}
             for i in range(d + 1):
                 prescriptions[i] = gauge_prescription(P, forms, sid, i)
-            coeffs = []
-            for a in range(alg.dim):
-                try:
-                    coeffs.append(_extension_coeffs(d, 1, {i: f.coords[a] for i, f in prescriptions.items()}))
-                except FaceConsistencyError as e:
-                    raise FaceConsistencyError(f"simplex {X.name(sid)}: {e}") from e
-            if rng is not None:
-                for c in coeffs:
-                    c.update(_noise_coeffs(rng, d, 1))
-            forms[sid] = LieValuedForm(alg, d, 1, [_from_basis(d, 1, c) for c in coeffs])
+            try:
+                coords = [whitney_extend(d, 1, {i: f.coords[a] for i, f in prescriptions.items()}, rng)
+                          for a in range(alg.dim)]
+            except FaceConsistencyError as e:
+                raise FaceConsistencyError(f"simplex {X.name(sid)}: {e}") from e
+            forms[sid] = LieValuedForm(alg, d, 1, coords)
     return Connection(P, forms)
 
 

@@ -38,7 +38,9 @@ Boundary-prescribed extension (whitney_extend) works in the
 Whitney-Bernstein basis of Arnold-Falk-Winther, in which the pullback
 to a facet keeps a subset of the coefficients: facet data are converted
 to that basis by closed-form rewriting and copied to the simplex, with
-no linear solve.  Both transforms, facet data to coefficients
+no linear solve.  Given an rng it adds seeded coefficients on interior
+basis functions, which vanish on every facet, for construct_connection
+and random_simplicial_form.  Both transforms, facet data to coefficients
 (_facet_coeffs) and coefficients to monomials (_basis_form), are cached
 tables of small ints, and both are summed by the other kernel,
 scalars._mac_int, which adds plain ints over one common denominator.
@@ -654,38 +656,42 @@ def _from_basis(d, k, coeffs):
     return _form(d, k, {I: _poly(d, t) for I, t in comps.items()})
 
 
-def whitney_extend(d, deg, prescriptions):
+def whitney_extend(d, deg, prescriptions, rng=None):
     """Polynomial form on Delta^d with prescribed facet pullbacks.
 
-    prescriptions maps facet indices to PolyForms on Delta^{d-1} of
-    degree deg (any other shape raises ValueError); missing facets are
-    unconstrained.  Each facet's data is written in the Whitney-Bernstein
-    basis of degree D, the highest polynomial degree of the data
-    (max(D, 1) for 0-forms), and its coefficients are copied to
-    Delta^d; all other coefficients are zero.  Nothing is solved.  The
-    result has polynomial degree at most D + 1.  Data that disagree on
-    a facet intersection disagree on a shared coefficient, and raise
-    FaceConsistencyError naming each such pair of facets.
+    prescriptions maps facet indices 0..d to PolyForms on Delta^{d-1} of
+    degree deg (any other index or shape, deg < 0 or d < 1 raises
+    ValueError); missing facets are unconstrained.  Each facet's data is
+    written in the Whitney-Bernstein basis of degree D, the highest
+    polynomial degree of the data (max(D, 1) for 0-forms), and its
+    coefficients are copied to Delta^d; all other coefficients are zero.
+    Nothing is solved.  The result has polynomial degree at most D + 1.
+    Data that disagree on a facet intersection disagree on a shared
+    coefficient, and raise FaceConsistencyError naming each such pair of
+    facets.
+
+    With a seeded rng, random rationals are also put on the lowest-degree
+    interior basis functions lam^a phi_s: s holds vertex 0 and a is 1 on
+    the other vertices, so |a| = d - deg and the support is every vertex.
+    No copied coefficient has that support, so the noise pulls back to
+    zero on every facet, and both sets of coefficients are expanded to
+    monomials in one pass.
     """
-    return _from_basis(d, deg, _extension_coeffs(d, deg, prescriptions))
-
-
-def _extension_coeffs(d, deg, prescriptions):
-    """whitney_extend's result as basis coefficients, a fresh dict key ->
-    Scalar: each facet's data lifted by one _mac_int over its
-    _facet_coeffs rows, checked on every facet intersection, merged."""
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
+    if deg < 0:
+        raise ValueError(f"deg must be nonnegative, got {deg}")
     for i, f in prescriptions.items():
+        if not 0 <= i <= d:
+            raise ValueError(f"prescriptions: facet index {i} is not in 0..{d}")
         if f.dim != d - 1 or f.deg != deg:
             raise ValueError(f"prescription {i} has wrong shape")
-    if deg > d - 1:
-        # facet pullbacks of a deg > d-1 form vanish identically
-        if any(not f.is_zero() for f in prescriptions.values()):
-            raise FaceConsistencyError("nonzero prescription of overflow degree")
-        return {}
 
-    D = max([f.total_poly_degree() for f in prescriptions.values()] + [0])
+    # a deg-form on Delta^(d-1) is zero for deg >= d (each edge of a
+    # connection): nothing to lift or compare
+    facets = sorted(prescriptions) if deg < d else []
+    D = max([prescriptions[i].total_poly_degree() for i in facets] + [0])
     r = max(D, 1) if deg == 0 else D
-    facets = sorted(prescriptions)
     lifted = {}
     for i in facets:
         terms = [(J, mu, v) for J, p in prescriptions[i].comps.items() for mu, v in p.terms.items()]
@@ -696,36 +702,20 @@ def _extension_coeffs(d, deg, prescriptions):
         raise FaceConsistencyError(
             "inconsistent facet data on intersections: " + ", ".join(f"faces {i} and {j}" for i, j in bad)
         )
-    return {key: c for i in facets for key, c in lifted[i].items()}
+    coeffs = {key: c for i in facets for key, c in lifted[i].items()}
+    if rng is not None:
+        for t in itertools.combinations(range(1, d + 1), deg):
+            s = (0,) + t
+            a = tuple(0 if v in s else 1 for v in range(d + 1))
+            num = rng.randrange(-6, 7)
+            if num:
+                coeffs[(a, s)] = Scalar.from_rational(num, rng.randrange(1, 6))
+    return _from_basis(d, deg, coeffs)
 
 
 def _trace(coeffs, v):
     """The coefficients whose basis functions survive on the facet opposite v."""
     return {(a, s): c for (a, s), c in coeffs.items() if not a[v] and v not in s}
-
-
-def interior_noise(rng, d, k):
-    """Seeded random k-form on Delta^d that pulls back to zero on every facet.
-
-    Random rationals on the lowest-degree interior basis functions
-    lam^a phi_s: s holds vertex 0 and a is 1 on the other vertices, so
-    |a| = d - k and the support is every vertex.
-    """
-    return _from_basis(d, k, _noise_coeffs(rng, d, k))
-
-
-def _noise_coeffs(rng, d, k):
-    """interior_noise's basis coefficients, drawn in the same order.  Each
-    support is every vertex, and no key of _extension_coeffs has that
-    support, so the two dicts add by dict.update."""
-    coeffs = {}
-    for t in itertools.combinations(range(1, d + 1), k):
-        s = (0,) + t
-        a = tuple(0 if v in s else 1 for v in range(d + 1))
-        num = rng.randrange(-6, 7)
-        if num:
-            coeffs[(a, s)] = Scalar.from_rational(num, rng.randrange(1, 6))
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -761,23 +751,19 @@ def random_polyform(rng, dim, deg, degree=2):
 def random_simplicial_form(X, deg, rng):
     """Seeded random compatible simplicial form, built skeletally.
 
-    Faces prescribe each cell's boundary data (whitney_extend's
-    coefficients); random coefficients on the lowest-degree interior
-    basis functions (interior_noise's) keep the result generic without
-    disturbing the facet pullbacks, and the cell's form is expanded
-    from both at once.
+    Each 0-cell gets a random constant (for deg 0; zero otherwise).  On
+    every higher cell whitney_extend copies the faces' data and, with
+    the rng, puts random coefficients on the lowest-degree interior
+    basis functions, which keep the result generic without disturbing
+    the facet pullbacks.  A cell of dimension below deg gets the zero
+    form and draws nothing.
     """
     forms = {}
     for d in range(X.dim + 1):
         for sid in X.cells(d):
-            if d < deg:
-                forms[sid] = PolyForm.zero(d, deg)
-                continue
             if d == 0:
-                forms[sid] = PolyForm(0, 0, {(): random_poly(rng, 0, 0)})
+                forms[sid] = PolyForm.from_poly(random_poly(rng, 0, 0)) if deg == 0 else PolyForm.zero(0, deg)
                 continue
             prescriptions = {i: form_on(forms, X.face(sid, i)) for i in range(d + 1)}
-            coeffs = _extension_coeffs(d, deg, prescriptions)
-            coeffs.update(_noise_coeffs(rng, d, deg))
-            forms[sid] = _from_basis(d, deg, coeffs)
+            forms[sid] = whitney_extend(d, deg, prescriptions, rng)
     return SimplicialForm(X, deg, forms)

@@ -22,7 +22,6 @@ from chernweil.forms import (
     check_simplicial_form,
     induced_form_on_standard_simplex,
     integrate_to_cochain,
-    interior_noise,
     random_poly,
     random_polyform,
     random_simplicial_form,
@@ -356,19 +355,36 @@ def test_whitney_inconsistent_data_raises():
         whitney_extend(2, 0, pres)
 
 
-@pytest.mark.parametrize("bad", [PolyForm.zero(2, 0), PolyForm.zero(1, 1), PolyForm.zero(0, 0)])
+ONE = PolyForm(1, 0, {(): Poly.const(1, 1)})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (2, 0, {0: ONE, 1: PolyForm.zero(2, 0)}, "prescription 1 has wrong shape"),
+        (2, 0, {0: ONE, 1: PolyForm.zero(1, 1)}, "prescription 1 has wrong shape"),
+        (2, 0, {0: ONE, 1: PolyForm.zero(0, 0)}, "prescription 1 has wrong shape"),
+        # an index outside 0..d names no facet of Delta^d
+        (2, 0, {3: ONE}, r"prescriptions: facet index 3 is not in 0\.\.2"),
+        (2, 0, {5: ONE}, r"prescriptions: facet index 5 is not in 0\.\.2"),
+        (2, 0, {0: ONE, -1: ONE}, r"prescriptions: facet index -1 is not in 0\.\.2"),
+        (2, -1, {}, "deg must be nonnegative, got -1"),
+        (0, 0, {}, "d must be at least 1, got 0"),
+        (-1, 0, {}, "d must be at least 1, got -1"),
+    ],
+)
 def test_whitney_rejects_prescription_of_wrong_shape(bad):
-    pres = {0: PolyForm(1, 0, {(): Poly.const(1, 1)}), 1: bad}
-    with pytest.raises(ValueError, match="prescription 1 has wrong shape"):
-        whitney_extend(2, 0, pres)
+    d, deg, pres, match = bad
+    with pytest.raises(ValueError, match=match):
+        whitney_extend(d, deg, pres)
 
 
 def test_whitney_overflow_degree():
     # a form on Delta^{d-1} of degree above d-1 has no components, so for
     # d >= 1 every such prescription is zero and extends to zero
     assert whitney_extend(2, 2, {0: PolyForm.zero(1, 2), 2: PolyForm.zero(1, 2)}) == PolyForm.zero(2, 2)
-    # Delta^0's facet is Delta^{-1}, where a degree-0 form may be a nonzero constant
-    with pytest.raises(FaceConsistencyError, match="nonzero prescription of overflow degree"):
+    # Delta^0 has no facets to extend from (its facet would be Delta^-1)
+    with pytest.raises(ValueError, match="d must be at least 1, got 0"):
         whitney_extend(0, 0, {0: PolyForm(-1, 0, {(): Poly.const(-1, 1)})})
 
 
@@ -391,7 +407,7 @@ def test_interior_noise_vanishes_on_facets():
     rng = random.Random(18)
     for d in [1, 2, 3, 4]:
         for k in range(d + 1):
-            noise = interior_noise(rng, d, k)
+            noise = whitney_extend(d, k, {}, rng)
             assert noise.dim == d and noise.deg == k
             assert noise.total_poly_degree() <= d - k + 1
             for i in range(d + 1):
@@ -455,6 +471,26 @@ def test_basis_expansion_and_extension_match_the_oracle(data):
     facets = data.draw(st.sets(st.integers(0, d), min_size=1))
     pres = {i: glob.pullback(AffineMap.face(d, i)) for i in facets}
     assert whitney_extend(d, k, pres) == whitney_extend_reference(d, k, pres)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_noise_adds_to_the_extension(data):
+    """The seeded interior coefficients sit on basis functions whose
+    support is every vertex, which no copied facet coefficient has, so
+    the seeded extension is the plain one plus the noise alone; facet
+    data drawn as in test_basis_expansion_and_extension_match_the_oracle,
+    d <= 4, k <= d."""
+    d = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, d))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    glob = random_polyform(rng, d, k, data.draw(st.integers(0, 2 if d < 4 else 1)))
+    facets = data.draw(st.sets(st.integers(0, d), min_size=1))
+    pres = {i: glob.pullback(AffineMap.face(d, i)) for i in facets}
+    s = data.draw(st.integers(0, 2**32))
+    assert whitney_extend(d, k, pres, random.Random(s)) == (
+        whitney_extend(d, k, pres) + whitney_extend(d, k, {}, random.Random(s))
+    )
 
 
 def _gaussian_tau_scalar(draw):

@@ -14,7 +14,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chernweil.forms import AffineMap, BernsteinMap, PolyForm, _form_from_acc, interior_noise, whitney_extend
+from chernweil.forms import AffineMap, BernsteinMap, PolyForm, _form_from_acc, whitney_extend
 from chernweil.poly import Poly
 from chernweil.scalars import TAU, Scalar, _mac_int
 from oracles import (
@@ -423,7 +423,8 @@ def test_trusted_paths_build_canonical_values(case, c):
         F.pullback(AffineMap.from_monotone(m, dim)),
         F.pullback(BernsteinMap.random(rng, len(m) - 1, dim, rng.randrange(1, 3))),
         whitney_extend(dim, p, facets),
-        interior_noise(rng, dim, p),
+        whitney_extend(dim, p, {}, rng),
+        whitney_extend(dim, p, facets, rng),
     ]
     for r in outputs:
         assert_canonical(r)
