@@ -116,7 +116,10 @@ class LieValuedForm:
         return LieValuedForm(self.algebra, amap.source_dim, self.deg, [f.pullback(amap) for f in self.coords])
 
     def bracket_wedge(self, other):
-        """[A ^ B] via the structure constants; degree adds."""
+        """[A ^ B] via the structure constants; degree adds.  On constant
+        0-forms over Delta^0 it is the bracket of g."""
+        if self.algebra is not other.algebra:
+            raise ValueError(f"bracket of {self.algebra.name} and {other.algebra.name} forms")
         acc = [{} for _ in self.coords]
         self._bracket_over(other, itertools.product(range(self.algebra.dim), repeat=2), acc)
         deg = self.deg + other.deg

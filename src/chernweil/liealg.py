@@ -1,10 +1,13 @@
 """Small matrix Lie algebras and Ad-invariant polynomials.
 
 Supported algebras: u1, su2, so3, and un / sun for n <= 4.  Basis
-matrices have Gaussian-rational entries, so brackets and invariant
-polynomial evaluations are exact whenever the inputs are.  The su2
-basis is the halved-Pauli one, e_a = -(i/2) sigma_a, normalized so that
-[e1, e2] = e3.
+matrices have Gaussian-rational entries, so the structure constants and
+invariant polynomial evaluations are exact whenever the inputs are.  The
+su2 basis is the halved-Pauli one, e_a = -(i/2) sigma_a, normalized so
+that [e1, e2] = e3.  A constant element of an algebra is its list of
+coordinates in the basis (LieData.decompose and element_matrix convert);
+brackets of g-valued data, constants included, are taken on
+bundles.LieValuedForm.
 
 Invariant polynomials are symmetric multilinear functionals evaluated
 on matrices; the evaluators are written against generic ring entries so
@@ -176,6 +179,8 @@ class LieData:
     antisymmetric, and empty on the diagonal.  solver is the one
     PrecomputedSolver over the flattened basis (a row per matrix entry,
     a column per basis element); decompose and the table read through it.
+    An element is a coordinate list: decompose maps a matrix to it, and
+    element_matrix (element_matrix_float) maps it back.
     """
 
     def __init__(self, name, basis):
@@ -187,20 +192,14 @@ class LieData:
         self.structure = [[()] * self.dim for _ in range(self.dim)]
         for a, b in itertools.combinations(range(self.dim), 2):
             m = mat_sub(mat_mul(basis[a], basis[b]), mat_mul(basis[b], basis[a]))
-            coeffs = self.decompose(m).coords
-            self.structure[a][b] = tuple((c, s) for c, s in enumerate(coeffs) if not s.is_zero())
+            self.structure[a][b] = tuple((c, s) for c, s in enumerate(self.decompose(m)) if not s.is_zero())
             self.structure[b][a] = tuple((c, -s) for c, s in self.structure[a][b])
         self.is_abelian = not any(any(row) for row in self.structure)
 
-    def element(self, coords):
-        return LieElement(self, [Scalar.coerce(c) for c in coords])
-
-    def zero(self):
-        return self.element([Scalar.zero()] * self.dim)
-
     def decompose(self, matrix):
-        """Exact coordinates of an n x n Scalar matrix in the basis, read
-        through the solver built once over the flattened basis.
+        """Exact coordinates of an n x n Scalar matrix in the basis, a list
+        of dim Scalars, read through the solver built once over the
+        flattened basis.
 
         Entries may be any Scalars (tau-Laurent Gaussian rationals).  The
         u(n) bases span gl(n, C), so every such matrix decomposes there;
@@ -210,7 +209,7 @@ class LieData:
         status, coords = self.solver.solve([v for row in matrix for v in row])
         if status == "certificate":
             raise LieAlgebraError("matrix not in the span of the basis")
-        return self.element(coords)
+        return coords
 
     @functools.cached_property
     def basis_float(self):
@@ -226,16 +225,17 @@ class LieData:
         coords, *_ = np.linalg.lstsq(B, np.asarray(matrix, dtype=complex).flatten(), rcond=None)
         return coords
 
-    def bracket_coords(self, x, y):
-        out = [Scalar.zero()] * self.dim
-        for a, xa in enumerate(x):
-            if xa.is_zero():
-                continue
-            for b, yb in enumerate(y):
-                if yb.is_zero():
-                    continue
-                for c, s in self.structure[a][b]:
-                    out[c] = out[c] + xa * yb * s
+    def element_matrix(self, coords):
+        """The Scalar matrix sum_a coords[a] e_a; coordinates may be any
+        exact numbers or Scalars."""
+        out = _zeros(self.n)
+        for c, b in zip(coords, self.basis):
+            c = Scalar.coerce(c)
+            if not c.is_zero():
+                for r, row in enumerate(b):
+                    for s, x in enumerate(row):
+                        if x.terms:
+                            out[r][s] = out[r][s] + x * c
         return out
 
     def element_matrix_float(self, coords):
@@ -248,28 +248,6 @@ class LieData:
 
     def __repr__(self):
         return f"LieData({self.name})"
-
-
-class LieElement:
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra, coords):
-        self.algebra = algebra
-        self.coords = list(coords)
-
-    def matrix(self):
-        n = self.algebra.n
-        out = _zeros(n)
-        for c, b in zip(self.coords, self.algebra.basis):
-            if not Scalar.coerce(c).is_zero():
-                for r, row in enumerate(b):
-                    for s, x in enumerate(row):
-                        if x.terms:
-                            out[r][s] = out[r][s] + x * c
-        return out
-
-    def matrix_float(self):
-        return self.algebra.element_matrix_float([Scalar.coerce(c).to_complex() for c in self.coords])
 
 
 # the supported algebras, by their one spelling each
@@ -289,12 +267,6 @@ def lie_algebra(name):
     return LieData(name, _BASES[name]())
 
 
-def bracket(x, y):
-    if x.algebra is not y.algebra:
-        raise LieAlgebraError("bracket of elements from different algebras")
-    return LieElement(x.algebra, x.algebra.bracket_coords(x.coords, y.coords))
-
-
 # ---------------------------------------------------------------------------
 # invariant polynomials
 
@@ -302,10 +274,11 @@ def bracket(x, y):
 class InvariantPolynomial:
     """Symmetric multilinear Ad-invariant functional on the algebra.
 
-    eval takes arity-many arguments, each a LieElement or a square
-    matrix given as a list of rows (entries may be Scalars, numbers, or
-    polynomial ring elements; an ndarray goes in as M.tolist()).  The
-    evaluator receives them all as matrices and returns a single ring
+    eval takes arity-many arguments, each an n x n matrix given as a
+    list of rows (entries may be Scalars, numbers, or polynomial ring
+    elements; an ndarray goes in as M.tolist(), and a coordinate list
+    as algebra.element_matrix(coords)).  Any other argument raises
+    ValueError naming its slot.  The evaluator returns a single ring
     element.
     """
 
@@ -319,7 +292,15 @@ class InvariantPolynomial:
     def eval(self, args):
         if len(args) != self.arity:
             raise ValueError(f"{self.provenance} has arity {self.arity}, got {len(args)}")
-        return self._evaluator([a.matrix() if isinstance(a, LieElement) else a for a in args])
+        n = self.algebra.n
+        for i, a in enumerate(args):
+            try:
+                square = len(a) == n and all(len(row) == n for row in a)
+            except TypeError:
+                square = False
+            if not square:
+                raise ValueError(f"{self.provenance}: slot {i} is not a {n} x {n} matrix")
+        return self._evaluator(args)
 
     def eval_diag(self, x):
         return self.eval([x] * self.arity)
@@ -430,7 +411,7 @@ def polarize(algebra, p, k):
                 raise LieAlgebraError(f"polynomial is not homogeneous of degree {k}")
 
     def evaluator(mats):
-        coord_vectors = [[Scalar.coerce(c) for c in algebra.decompose(m).coords] for m in mats]
+        coord_vectors = [algebra.decompose(m) for m in mats]
         return _polarized(p, coord_vectors, lambda v, w: [a + b for a, b in zip(v, w)])
 
     return InvariantPolynomial(algebra, k, evaluator, f"polarized:{k}")
@@ -582,7 +563,7 @@ def check_invariant_polynomial(rho, rng):
                 term = term * args[j][i]
             want = want + term
         for perm in itertools.permutations(range(k)):
-            got = rho.eval([alg.element(args[i]) for i in perm])
+            got = rho.eval([alg.element_matrix(args[i]) for i in perm])
             if got != want:
                 return f"eval in slot order {perm} is {got!r}, the tensor gives {want!r}"
     return None

@@ -536,19 +536,6 @@ class Cochain:
         return not self.values
 
 
-def boundary_chain(X, chain):
-    """The boundary of a chain, read from boundary_operator's columns."""
-    k = chain.dim
-    if k == 0:
-        return Chain(-1, {})
-    columns, low = boundary_operator(X, k), X.cells(k - 1)
-    out = {}
-    for sid, c in chain.coeffs.items():
-        for r, v in columns[sid.index].items():
-            out[low[r]] = out.get(low[r], 0) + c * v
-    return Chain(k - 1, out)
-
-
 def pairing(cochain, chain):
     if cochain.dim != chain.dim:
         raise ValueError("pairing dimension mismatch")

@@ -203,8 +203,7 @@ def check_polarize(seed):
     rng = random.Random(seed)
     for _ in range(20):
         coords = [Fraction(rng.randrange(-6, 7), 3) for _ in range(3)]
-        x = su2.element(coords)
-        if rho.eval_diag(x) != Scalar.coerce(p(coords)):
+        if rho.eval_diag(su2.element_matrix(coords)) != Scalar.coerce(p(coords)):
             return False, "polarize/diagonal round trip failed"
     return True, "polarize o diagonal is the identity, exactly"
 
@@ -220,14 +219,14 @@ def check_reznikov(seed):
     return True, "reznikov:2 == -2/3 * trace form; reznikov:1 and reznikov:3 vanish, exactly"
 
 
-def ad_exp_coords(x, y, t):
+def ad_exp_coords(alg, x, y, t):
     """e^{t ad_x} y by bundles._exp_series, the gauge rule's kernel, as float
-    coordinates; t is an exact rational."""
+    coordinates; x and y are exact coordinate lists on alg, t an exact
+    rational."""
     import numpy as np
 
-    alg = x.algebra
-    p = bn.LieValuedForm.from_polys(alg, [Poly.const(0, c * t) for c in x.coords])
-    y0 = bn.LieValuedForm.from_polys(alg, [Poly.const(0, c) for c in y.coords])
+    p = bn.LieValuedForm.from_polys(alg, [Poly.const(0, c * t) for c in x])
+    y0 = bn.LieValuedForm.from_polys(alg, [Poly.const(0, c) for c in y])
     return np.array([f.component(()).eval(()).to_complex() for f in bn._exp_series(p, y0, 0).coords])
 
 
@@ -239,12 +238,12 @@ def check_ad_exp(seed):
     worst = 0.0
     for _ in range(20):
         # probe scale keeps the order-7 truncation tail below the tolerance
-        x = su2.element([Fraction(rng.randrange(-2, 3), 16) for _ in range(3)])
-        y = su2.element([Fraction(rng.randrange(-6, 7), 4) for _ in range(3)])
+        x = [Fraction(rng.randrange(-2, 3), 16) for _ in range(3)]
+        y = [Fraction(rng.randrange(-6, 7), 4) for _ in range(3)]
         t = Fraction(rng.uniform(-1, 1))
-        gm = bn.exp_skew(float(t) * x.matrix_float())[0]
-        lhs = su2.decompose_float(gm @ y.matrix_float() @ np.linalg.inv(gm))
-        worst = max(worst, float(np.abs(lhs - ad_exp_coords(x, y, t)).max()))
+        gm = bn.exp_skew(float(t) * su2.element_matrix_float(x))[0]
+        lhs = su2.decompose_float(gm @ su2.element_matrix_float(y) @ np.linalg.inv(gm))
+        worst = max(worst, float(np.abs(lhs - ad_exp_coords(su2, x, y, t)).max()))
     ok = worst < 1e-8
     return ok, f"Ad(exp(tx)) vs order-6 series, worst {worst:.2e}"
 

@@ -88,6 +88,21 @@ def boundary_matrix_oracle(X, k):
     return rows
 
 
+def boundary_chain(X, chain):
+    """The boundary of a chain, read from boundary_operator's columns."""
+    from chernweil.simplicial import Chain, boundary_operator
+
+    k = chain.dim
+    if k == 0:
+        return Chain(-1, {})
+    columns, low = boundary_operator(X, k), X.cells(k - 1)
+    out = {}
+    for sid, c in chain.coeffs.items():
+        for r, v in columns[sid.index].items():
+            out[low[r]] = out.get(low[r], 0) + c * v
+    return Chain(k - 1, out)
+
+
 def betti_oracle(X, max_dim):
     """Betti numbers from sympy ranks of the dense boundary matrices."""
     out = []
@@ -922,17 +937,17 @@ def chern_polynomial_reference(algebra, k):
 def polarize_reference(algebra, p, k):
     """polarize(algebra, p, k) with its polarization loop written out over
     coordinate vectors, each sum started from the zero vector."""
-    from chernweil.liealg import InvariantPolynomial, LieElement, scale_value
+    from chernweil.liealg import InvariantPolynomial, scale_value
     from chernweil.scalars import Scalar
 
     def evaluator(mats):
-        elems = [algebra.decompose(m) if not isinstance(m, LieElement) else m for m in mats]
+        elems = [algebra.decompose(m) for m in mats]
         total = None
         for size in range(1, k + 1):
             for subset in itertools.combinations(range(k), size):
                 v = [Scalar.zero()] * algebra.dim
                 for i in subset:
-                    v = [a + b for a, b in zip(v, elems[i].coords)]
+                    v = [a + b for a, b in zip(v, elems[i])]
                 term = scale_value(p(v), Fraction((-1) ** (k - size)))
                 total = term if total is None else total + term
         return scale_value(total, Fraction(1, factorial(k)))

@@ -371,7 +371,7 @@ def _torus(alg):
         diagonals = [[int(r == j) - int(r == j + 1) for r in range(n)] for j in range(n - 1)]
     else:
         diagonals = [[int(r == j) for r in range(n)] for j in range(n)]
-    return [alg.decompose([[Scalar.of(0, d[r]) if r == c else Scalar.zero() for c in range(n)] for r in range(n)]).coords
+    return [alg.decompose([[Scalar.of(0, d[r]) if r == c else Scalar.zero() for c in range(n)] for r in range(n)])
             for d in diagonals]
 
 

@@ -55,7 +55,6 @@ from chernweil.simplicial import (
     Cochain,
     SimplexId,
     SimplicialMap,
-    boundary_chain,
     boundary_sphere,
     coboundary,
     cylinder,
@@ -67,7 +66,7 @@ from chernweil.simplicial import (
     two_disk_sphere,
 )
 from chernweil.verify import generic_curvature
-from oracles import bianchi_defect
+from oracles import bianchi_defect, boundary_chain
 
 u1 = lie_algebra("u1")
 su2 = lie_algebra("su2")

@@ -493,6 +493,23 @@ def test_noise_adds_to_the_extension(data):
     )
 
 
+@pytest.mark.parametrize("deg,compared", [(2, False), (1, True)])
+def test_whitney_compares_traces_only_where_facets_meet_in_deg_forms(deg, compared, monkeypatch):
+    """Two facets of Delta^3 meet in an edge, which carries no 2-form, so
+    with all four facets of a 2-form given no trace is taken; a 1-form's
+    traces are compared."""
+    from chernweil import forms
+
+    calls = []
+    trace = forms._trace
+    monkeypatch.setattr(forms, "_trace", lambda *args: calls.append(args) or trace(*args))
+    glob = random_polyform(random.Random(0), 3, deg, 2)
+    pres = {i: glob.pullback(AffineMap.face(3, i)) for i in range(4)}
+    ext = whitney_extend(3, deg, pres)
+    assert all(ext.pullback(AffineMap.face(3, i)) == f for i, f in pres.items())
+    assert (len(calls) > 0) == compared
+
+
 def _gaussian_tau_scalar(draw):
     """A sum over one or two tau-powers of Gaussian rationals with nonzero real part."""
     fr = st.fractions(min_value=-3, max_value=3, max_denominator=5)

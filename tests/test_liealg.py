@@ -8,11 +8,11 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chernweil.bundles import LieValuedForm
 from chernweil.liealg import (
     InvariantPolynomial,
     LieAlgebraError,
     SelectorError,
-    bracket,
     chern_polynomial,
     check_invariant_polynomial,
     invariant_polynomial_from_selector,
@@ -25,6 +25,7 @@ from chernweil.liealg import (
     reznikov_pullback,
     sym_trace_poly,
 )
+from chernweil.poly import Poly
 from chernweil.scalars import Scalar
 from chernweil.verify import ad_exp_coords
 from oracles import (
@@ -36,11 +37,21 @@ from oracles import (
 )
 
 
+def _bracket(alg, x, y):
+    """[x, y] of two coordinate lists, as bracket_wedge of the constant
+    0-forms on Delta^0 that carry them."""
+    X, Y = (LieValuedForm.from_polys(alg, [Poly.const(0, c) for c in v]) for v in (x, y))
+    return [f.component(()).eval(()) for f in X.bracket_wedge(Y).coords]
+
+
+def _unit(alg, a):
+    return [1 if i == a else 0 for i in range(alg.dim)]
+
+
 def test_u1_abelian():
     u1 = lie_algebra("u1")
     assert u1.is_abelian
-    x, y = u1.element([Fraction(2)]), u1.element([Fraction(-3, 2)])
-    assert all(c.is_zero() for c in bracket(x, y).coords)
+    assert all(c.is_zero() for c in _bracket(u1, [Fraction(2)], [Fraction(-3, 2)]))
 
 
 ALGEBRAS = ["u1", "su2", "so3", "su3", "su4", "u2", "u3", "u4"]
@@ -60,10 +71,9 @@ def test_bracket_matches_matrices(name):
     # diagonal are the negated ones above it, and the diagonal is empty
     alg = lie_algebra(name)
     for a, b in itertools.product(range(alg.dim), repeat=2):
-        ea = alg.element([1 if i == a else 0 for i in range(alg.dim)])
-        eb = alg.element([1 if i == b else 0 for i in range(alg.dim)])
-        lhs = bracket(ea, eb).matrix()
-        rhs = mat_sub(mat_mul(ea.matrix(), eb.matrix()), mat_mul(eb.matrix(), ea.matrix()))
+        ea, eb = alg.element_matrix(_unit(alg, a)), alg.element_matrix(_unit(alg, b))
+        lhs = alg.element_matrix(_bracket(alg, _unit(alg, a), _unit(alg, b)))
+        rhs = mat_sub(mat_mul(ea, eb), mat_mul(eb, ea))
         assert all((lhs[r][c] - rhs[r][c]).is_zero() for r in range(alg.n) for c in range(alg.n))
         assert alg.structure[b][a] == tuple((c, -s) for c, s in alg.structure[a][b])
         assert all(not s.is_zero() for _, s in alg.structure[a][b])
@@ -79,9 +89,7 @@ def test_lie_algebra_takes_one_spelling_per_name(name):
 def test_su2_bracket_matches_matrices():
     # documented normalization: [e1, e2] = e3
     su2 = lie_algebra("su2")
-    e1 = su2.element([1, 0, 0])
-    e2 = su2.element([0, 1, 0])
-    assert [Scalar.coerce(c) for c in bracket(e1, e2).coords] == [
+    assert _bracket(su2, [1, 0, 0], [0, 1, 0]) == [
         Scalar.zero(),
         Scalar.zero(),
         Scalar.one(),
@@ -92,11 +100,11 @@ def test_jacobi_identity_on_basis():
     for name in ["su2", "so3", "u2", "su3"]:
         alg = lie_algebra(name)
         d = alg.dim
-        basis = [[Scalar.one() if i == a else Scalar.zero() for i in range(d)] for a in range(d)]
+        basis = [_unit(alg, a) for a in range(d)]
         for a, b, c in itertools.product(range(d), repeat=3):
-            j1 = alg.bracket_coords(alg.bracket_coords(basis[a], basis[b]), basis[c])
-            j2 = alg.bracket_coords(alg.bracket_coords(basis[b], basis[c]), basis[a])
-            j3 = alg.bracket_coords(alg.bracket_coords(basis[c], basis[a]), basis[b])
+            j1 = _bracket(alg, _bracket(alg, basis[a], basis[b]), basis[c])
+            j2 = _bracket(alg, _bracket(alg, basis[b], basis[c]), basis[a])
+            j3 = _bracket(alg, _bracket(alg, basis[c], basis[a]), basis[b])
             assert all((x + y + z).is_zero() for x, y, z in zip(j1, j2, j3))
 
 
@@ -112,8 +120,8 @@ def test_exp_lands_in_group():
     ]:
         alg = lie_algebra(name)
         for _ in range(5):
-            x = alg.element([Fraction(int(v * 16), 16) for v in rng.uniform(-1, 1, alg.dim)])
-            g = expm(x.matrix_float())
+            x = [Fraction(int(v * 16), 16) for v in rng.uniform(-1, 1, alg.dim)]
+            g = expm(alg.element_matrix_float(x))
             assert np.abs(g.conj().T @ g - np.eye(len(g))).max() < 1e-10
             assert not special or abs(np.linalg.det(g) - 1.0) < 1e-10
             assert not real or np.abs(g.imag).max() < 1e-10
@@ -124,26 +132,27 @@ def test_ad_exp_series_consistency():
     rng = random.Random(0)
     worst = 0.0
     for _ in range(50):
-        x = su2.element([Fraction(rng.randrange(-2, 3), 16) for _ in range(3)])
-        y = su2.element([Fraction(rng.randrange(-8, 9), 4) for _ in range(3)])
+        x = [Fraction(rng.randrange(-2, 3), 16) for _ in range(3)]
+        y = [Fraction(rng.randrange(-8, 9), 4) for _ in range(3)]
         t = Fraction(rng.uniform(-1, 1))
-        gm = expm(float(t) * x.matrix_float())
-        want = su2.decompose_float(gm @ y.matrix_float() @ np.linalg.inv(gm))
-        got = ad_exp_coords(x, y, t)
+        gm = expm(float(t) * su2.element_matrix_float(x))
+        want = su2.decompose_float(gm @ su2.element_matrix_float(y) @ np.linalg.inv(gm))
+        got = ad_exp_coords(su2, x, y, t)
         worst = max(worst, float(np.abs(want - got).max()))
     assert worst < 1e-8
 
 
 def test_mixed_algebra_bracket_rejected():
-    with pytest.raises(LieAlgebraError):
-        bracket(lie_algebra("su2").zero(), lie_algebra("so3").zero())
+    su2, so3 = lie_algebra("su2"), lie_algebra("so3")
+    with pytest.raises(ValueError, match="su2 and so3"):
+        LieValuedForm.zero(su2, 0, 0).bracket_wedge(LieValuedForm.zero(so3, 0, 0))
 
 
 def test_sym_trace_u1():
     u1 = lie_algebra("u1")
     rho = sym_trace_poly(u1, 1)
     theta = Fraction(5, 7)
-    x = u1.element([theta])  # matrix i*theta
+    x = u1.element_matrix([theta])  # matrix i*theta
     assert rho.eval([x]) == Scalar.of(0, theta)
 
 
@@ -152,9 +161,9 @@ def test_sym_trace_su2_order_two():
     rho = sym_trace_poly(su2, 2)
     rng = random.Random(1)
     for _ in range(20):
-        x = su2.element([Fraction(rng.randrange(-6, 7), 4) for _ in range(3)])
-        y = su2.element([Fraction(rng.randrange(-6, 7), 4) for _ in range(3)])
-        assert rho.eval([x, y]) == mat_trace(mat_mul(x.matrix(), y.matrix()))
+        x = su2.element_matrix([Fraction(rng.randrange(-6, 7), 4) for _ in range(3)])
+        y = su2.element_matrix([Fraction(rng.randrange(-6, 7), 4) for _ in range(3)])
+        assert rho.eval([x, y]) == mat_trace(mat_mul(x, y))
 
 
 def test_chern_normalization_u1():
@@ -170,7 +179,7 @@ def test_chern_one_su2_traceless():
     rho = chern_polynomial(su2, 1)
     rng = random.Random(2)
     for _ in range(20):
-        x = su2.element([Fraction(rng.randrange(-6, 7), 4) for _ in range(3)])
+        x = su2.element_matrix([Fraction(rng.randrange(-6, 7), 4) for _ in range(3)])
         assert Scalar.coerce(rho.eval([x])).is_zero()
 
 
@@ -185,6 +194,28 @@ def test_chern_two_su2_against_charpoly_oracle():
         got = rho.eval([M.tolist(), M.tolist()])
         want = charpoly_coefficient_oracle(M / (1j * TAU), 2)
         assert abs(got - want) < 1e-9
+
+
+@pytest.mark.parametrize("name,selector", [("su2", "symtrace:2"), ("su2", "chern:2"), ("su2", "reznikov:2"),
+                                           ("u1", "chern:1"), ("so3", "symtrace:2"), ("su3", "reznikov:3")])
+def test_eval_takes_only_n_by_n_matrices(name, selector):
+    """A coordinate list, a non-square matrix and a square matrix of the
+    wrong size each raise ValueError naming the slot they fill."""
+    alg = lie_algebra(name)
+    rho = invariant_polynomial_from_selector(alg, selector)
+    n, good = alg.n, alg.basis[0]
+    wrong = [
+        [Fraction(i + 1) for i in range(alg.dim)],
+        [[Scalar.one()] * n for _ in range(n + 1)],
+        [[Scalar.one()] * (n + 1) for _ in range(n + 1)],
+    ]
+    for bad in wrong:
+        for slot in range(rho.arity):
+            args = [good] * rho.arity
+            args[slot] = bad
+            with pytest.raises(ValueError, match=f"^{selector}: slot {slot} is not a {n} x {n} matrix$"):
+                rho.eval(args)
+    rho.eval([good] * rho.arity)
 
 
 def test_chern_unsupported_algebra():
@@ -232,14 +263,14 @@ def test_polarize_square_of_linear():
     for _ in range(20):
         xc = [Fraction(rng.randrange(-5, 6), 3) for _ in range(3)]
         yc = [Fraction(rng.randrange(-5, 6), 3) for _ in range(3)]
-        got = rho.eval([su2.element(xc), su2.element(yc)])
+        got = rho.eval([su2.element_matrix(xc), su2.element_matrix(yc)])
         assert got == Scalar.coerce(q(xc) * q(yc))
 
 
 def test_polarize_arity_one_is_identity():
     su2 = lie_algebra("su2")
     rho = polarize(su2, lambda v: 3 * v[1] - v[0], 1)
-    x = su2.element([Fraction(1, 2), Fraction(2), Fraction(-1)])
+    x = su2.element_matrix([Fraction(1, 2), Fraction(2), Fraction(-1)])
     assert rho.eval([x]) == Scalar.coerce(Fraction(3) * 2 - Fraction(1, 2))
 
 
@@ -253,7 +284,7 @@ def test_polarize_monomial_against_finite_differences():
     rng = random.Random(6)
     for _ in range(20):
         args = [[Fraction(rng.randrange(-4, 5), 2) for _ in range(3)] for _ in range(3)]
-        got = rho.eval([su2.element(a) for a in args])
+        got = rho.eval([su2.element_matrix(a) for a in args])
         want = finite_difference_polarization(p, 3, 3, args)
         assert got == Scalar.coerce(want)
 
@@ -268,7 +299,7 @@ def test_polarize_diagonal_roundtrip_exact():
     rng = random.Random(7)
     for _ in range(100):
         coords = [Fraction(rng.randrange(-6, 7), 4) for _ in range(3)]
-        assert rho.eval_diag(su2.element(coords)) == Scalar.coerce(p(coords))
+        assert rho.eval_diag(su2.element_matrix(coords)) == Scalar.coerce(p(coords))
 
 
 def test_polarize_rejects_inhomogeneous():
@@ -309,8 +340,8 @@ def test_reznikov_two_proportional_to_trace_form():
         trace_form = sym_trace_poly(alg, 2).tensor()
         assert rho.tensor() == {a: v * lam for a, v in trace_form.items()}
         for _ in range(50):
-            x = alg.element([Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(alg.dim)])
-            assert rho.eval([x, x]) == mat_trace(mat_mul(x.matrix(), x.matrix())) * lam
+            x = alg.element_matrix([Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(alg.dim)])
+            assert rho.eval([x, x]) == mat_trace(mat_mul(x, x)) * lam
 
 
 def test_reznikov_two_quadrature_order_independence():

@@ -17,7 +17,6 @@ from chernweil.simplicial import (
     SimplicialMap,
     SimplicialSet,
     betti_numbers,
-    boundary_chain,
     boundary_operator,
     boundary_sphere,
     coboundary,
@@ -32,7 +31,7 @@ from chernweil.simplicial import (
     two_disk_sphere,
 )
 from chernweil.linalg import column_reduce
-from oracles import betti_oracle, boundary_matrix_oracle, is_coboundary_oracle, rank_oracle
+from oracles import betti_oracle, boundary_chain, boundary_matrix_oracle, is_coboundary_oracle, rank_oracle
 from strategies import subcomplexes
 
 
