@@ -36,14 +36,20 @@ simplices implicitly carry the pullback along their collapse map.
 
 Boundary-prescribed extension (whitney_extend) works in the
 Whitney-Bernstein basis of Arnold-Falk-Winther, in which the pullback
-to a facet keeps a subset of the coefficients: facet data are converted
-to that basis by closed-form rewriting and copied to the simplex, with
-no linear solve.  Given an rng it adds seeded coefficients on interior
-basis functions, which vanish on every facet, for construct_connection
-and random_simplicial_form.  Both transforms, facet data to coefficients
-(_facet_coeffs) and coefficients to monomials (_basis_form), are cached
-tables of small ints, and both are summed by the other kernel,
-scalars._mac_int, which adds plain ints over one common denominator.
+to a facet keeps a subset of the coefficients: facet data are written
+in that basis by closed-form rewriting (_facet_coeffs) and copied to the
+simplex, with no linear solve.  Facet data that agree on each facet
+intersection (compared by pullback) agree on every shared coefficient,
+so each coefficient is taken from the first given facet that holds it.
+A facet monomial's owned coefficients, already multiplied out into the
+simplex's monomials (_basis_form), are one cached table of small ints
+(_owned_table), and one call of the other kernel, scalars._mac_int,
+which adds plain ints over one common denominator, sums every facet
+term's table into the extension.  Given an rng it adds seeded
+coefficients on interior basis functions, which vanish on every facet,
+for construct_connection and random_simplicial_form, in the same call.
+The tables key monomials (I, exponent) by ints, interned once per
+process (_slot), so _mac_int hashes ints.
 """
 
 from __future__ import annotations
@@ -556,7 +562,6 @@ def induced_form_on_standard_simplex(X, global_form):
 # the vertices of Delta^d, s = () for the Bernstein basis.
 
 
-@cache
 def _facet_coeffs(d, i, k, r, J, mu):
     """x^mu dx_J on facet i of Delta^d in the degree-r basis, keyed over Delta^d.
 
@@ -565,7 +570,7 @@ def _facet_coeffs(d, i, k, r, J, mu):
     with m = min [[b]] < min s is brought into the basis in one step by
     lam_m phi_s = sum_j (-1)^j lam_{s_j} phi_{(m) u s - s_j}, which is
     kappa(kappa(dlam_{(m) u s})) = 0 for the Koszul operator kappa.
-    Returns a tuple of (key, int) pairs, the rows _mac_int reads.
+    Returns a tuple of (key, int) pairs, which _owned_table multiplies out.
     """
     verts = [v for v in range(d + 1) if v != i]  # facet vertex j is verts[j]
     Jv = tuple(verts[j + 1] for j in J)
@@ -629,10 +634,25 @@ def _dlam_wedge(d, t):
     }
 
 
+# monomial slots: each (I, exponent) of a form on some Delta^d, interned
+# as an int once per process, so the rows _mac_int sums are keyed by
+# ints; _slot_keys[n] is the (I, exponent) of slot n
+_slots = {}
+_slot_keys = []
+
+
+def _slot(I, e):
+    n = _slots.get((I, e))
+    if n is None:
+        n = _slots[(I, e)] = len(_slot_keys)
+        _slot_keys.append((I, e))
+    return n
+
+
 @cache
 def _basis_form(d, a, s):
     """lam^a phi_s (lam^a for s == ()) on Delta^d, as a tuple of
-    ((I, exponent), int) pairs, the rows _mac_int reads."""
+    (monomial slot, int) pairs, the rows _mac_int reads."""
     comps = {}
     if not s:
         comps[()] = _lam_power(d, a)
@@ -645,15 +665,36 @@ def _basis_form(d, a, s):
             t = comps.setdefault(I, {})
             for e, c in p.items():
                 t[e] = t.get(e, 0) + sign * c
-    return tuple(((I, e), c) for I, t in comps.items() for e, c in t.items() if c)
+    return tuple((_slot(I, e), c) for I, t in comps.items() for e, c in t.items() if c)
+
+
+@cache
+def _owned_table(d, i, k, r, J, mu, earlier):
+    """x^mu dx_J on facet i of Delta^d, as the Delta^d monomials of the
+    degree-r basis functions facet i owns: those in its trace that are
+    in the trace of no facet in earlier, the facets given before i.  A
+    tuple of (monomial slot, int) pairs, the rows _mac_int reads."""
+    out = {}
+    for (a, s), c in _facet_coeffs(d, i, k, r, J, mu):
+        if any(not a[g] and g not in s for g in earlier):
+            continue
+        for n, m in _basis_form(d, a, s):
+            out[n] = out.get(n, 0) + c * m
+    return tuple((n, c) for n, c in out.items() if c)
+
+
+def _form_of_slots(d, k, coeffs):
+    """The PolyForm of a dict monomial slot -> nonzero Scalar on Delta^d."""
+    comps = {}
+    for n, c in coeffs.items():
+        I, e = _slot_keys[n]
+        comps.setdefault(I, {})[e] = c
+    return _form(d, k, {I: _poly(d, t) for I, t in comps.items()})
 
 
 def _from_basis(d, k, coeffs):
     """The PolyForm sum c * (basis function key) over coeffs.items(), by _mac_int."""
-    comps = {}
-    for (I, e), c in _mac_int((c, _basis_form(d, *key)) for key, c in coeffs.items()).items():
-        comps.setdefault(I, {})[e] = c
-    return _form(d, k, {I: _poly(d, t) for I, t in comps.items()})
+    return _form_of_slots(d, k, _mac_int((c, _basis_form(d, *key)) for key, c in coeffs.items()))
 
 
 def whitney_extend(d, deg, prescriptions, rng=None):
@@ -666,16 +707,19 @@ def whitney_extend(d, deg, prescriptions, rng=None):
     polynomial degree of the data (max(D, 1) for 0-forms), and its
     coefficients are copied to Delta^d; all other coefficients are zero.
     Nothing is solved.  The result has polynomial degree at most D + 1.
-    Data that disagree on a facet intersection disagree on a shared
-    coefficient, and raise FaceConsistencyError naming each such pair of
-    facets.
+    Two facets' data whose pullbacks to the facets' common Delta^(d-2)
+    differ raise FaceConsistencyError naming each such pair of facets.
+    Data that agree there agree on every shared coefficient, so each
+    coefficient is copied from the first given facet whose trace holds
+    it: every term of every facet adds its cached table of the monomials
+    of the basis functions its facet owns (_owned_table), all in one
+    _mac_int pass.
 
     With a seeded rng, random rationals are also put on the lowest-degree
     interior basis functions lam^a phi_s: s holds vertex 0 and a is 1 on
     the other vertices, so |a| = d - deg and the support is every vertex.
     No copied coefficient has that support, so the noise pulls back to
-    zero on every facet, and both sets of coefficients are expanded to
-    monomials in one pass.
+    zero on every facet; its rows join the same pass.
     """
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
@@ -688,36 +732,30 @@ def whitney_extend(d, deg, prescriptions, rng=None):
             raise ValueError(f"prescription {i} has wrong shape")
 
     # a deg-form on Delta^(d-1) is zero for deg >= d (each edge of a
-    # connection): nothing to lift or compare
+    # connection): nothing to extend or compare
     facets = sorted(prescriptions) if deg < d else []
     D = max([prescriptions[i].total_poly_degree() for i in facets] + [0])
     r = max(D, 1) if deg == 0 else D
-    lifted = {}
-    for i in facets:
-        terms = [(J, mu, v) for J, p in prescriptions[i].comps.items() for mu, v in p.terms.items()]
-        lifted[i] = _mac_int((v, _facet_coeffs(d, i, deg, r, J, mu)) for J, mu, v in terms)
-    # two facets meet in Delta^(d-2), which carries no deg-form for
-    # deg >= d - 1: no pair can disagree there
+    # facets i < j meet in Delta^(d-2) by delta_i o delta_(j-1) = delta_j o
+    # delta_i; it carries no deg-form for deg >= d - 1, so no pair can
+    # disagree there
     bad = [(i, j) for a, i in enumerate(facets) for j in facets[a + 1:]
-           if deg < d - 1 and _trace(lifted[i], j) != _trace(lifted[j], i)]
+           if deg < d - 1 and prescriptions[i].pullback(AffineMap.face(d - 1, j - 1))
+           != prescriptions[j].pullback(AffineMap.face(d - 1, i))]
     if bad:
         raise FaceConsistencyError(
             "inconsistent facet data on intersections: " + ", ".join(f"faces {i} and {j}" for i, j in bad)
         )
-    coeffs = {key: c for i in facets for key, c in lifted[i].items()}
+    rows = [(v, _owned_table(d, i, deg, r, J, mu, tuple(facets[:n])))
+            for n, i in enumerate(facets) for J, p in prescriptions[i].comps.items() for mu, v in p.terms.items()]
     if rng is not None:
         for t in itertools.combinations(range(1, d + 1), deg):
             s = (0,) + t
             a = tuple(0 if v in s else 1 for v in range(d + 1))
             num = rng.randrange(-6, 7)
             if num:
-                coeffs[(a, s)] = Scalar.from_rational(num, rng.randrange(1, 6))
-    return _from_basis(d, deg, coeffs)
-
-
-def _trace(coeffs, v):
-    """The coefficients whose basis functions survive on the facet opposite v."""
-    return {(a, s): c for (a, s), c in coeffs.items() if not a[v] and v not in s}
+                rows.append((Scalar.from_rational(num, rng.randrange(1, 6)), _basis_form(d, a, s)))
+    return _form_of_slots(d, deg, _mac_int(rows))
 
 
 # ---------------------------------------------------------------------------

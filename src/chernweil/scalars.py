@@ -11,7 +11,8 @@ unreduced triples, combining denominators by their lcm as they meet
 (products, wedges, pullbacks, d, integrals, curvature), and
 ``_mac_int`` adds products of a Scalar and small ints, every numerator
 scaled first to the lcm of all the input denominators, so the sums are
-of plain ints (the Whitney-Bernstein transforms of forms).  ``_reduced``
+of plain ints (the Whitney-Bernstein extension of forms, once per call
+of it, over tables keyed by int monomial slots).  ``_reduced``
 is the one reduction to lowest terms (inlined in ``_from_mac``'s loop).
 ``Scalar(...)`` validates and reduces what it is given and is for input
 from outside; results built in canonical form go through the unchecked

@@ -879,17 +879,17 @@ def whitney_combination_reference(d, k, coeffs):
     return out
 
 
-def whitney_extend_reference(d, k, prescriptions):
-    """whitney_extend by elimination: each facet's data is solved for in
-    the facet's degree-r basis (r as whitney_extend picks it) against
-    whitney_basis_reference on Delta^(d-1), the coefficients are renumbered
-    to the vertices of Delta^d, and their combination is multiplied out."""
+def whitney_facet_coeffs_reference(d, k, prescriptions):
+    """Each facet's data solved for by elimination in the facet's degree-r
+    basis (r as whitney_extend picks it) against whitney_basis_reference
+    on Delta^(d-1): a dict facet index -> {key over Delta^d: nonzero
+    coefficient}, the keys renumbered to the vertices of Delta^d."""
     D = max([f.total_poly_degree() for f in prescriptions.values()] + [0])
     r = max(D, 1) if k == 0 else D
     keys = whitney_keys_reference(d - 1, k, r) if k < d else []
     cols = [{m: c.rational_value() for m, c in _flat_form(whitney_basis_reference(d - 1, *key)).items()}
             for key in keys]
-    coeffs = {}
+    out = {}
     for i, f in prescriptions.items():
         data = _flat_form(f)
         slots = sorted(set(data).union(*cols))
@@ -897,13 +897,38 @@ def whitney_extend_reference(d, k, prescriptions):
                                                [data.get(m, 0) for m in slots])
         assert status == "solved", f"facet {i} data outside the degree-{r} basis"
         verts = [v for v in range(d + 1) if v != i]
+        out[i] = {}
         for (a, s), c in zip(keys, x):
             if not c.is_zero():
                 lifted = [0] * (d + 1)
                 for j, v in enumerate(verts):
                     lifted[v] = a[j]
-                coeffs[(tuple(lifted), tuple(verts[j] for j in s))] = c
+                out[i][(tuple(lifted), tuple(verts[j] for j in s))] = c
+    return out
+
+
+def whitney_extend_reference(d, k, prescriptions):
+    """whitney_extend by elimination: the facets' coefficients
+    (whitney_facet_coeffs_reference) are combined and multiplied out."""
+    coeffs = {}
+    for lifted in whitney_facet_coeffs_reference(d, k, prescriptions).values():
+        coeffs.update(lifted)
     return whitney_combination_reference(d, k, coeffs)
+
+
+def check_coefficient_consistency(d, k, prescriptions):
+    """The pairs i < j of facets whose coefficients found by elimination
+    (whitney_facet_coeffs_reference) differ on a basis function whose
+    support avoids both i and j, the ones that survive on both facets.
+    An oracle for whitney_extend's consistency check that shares no step
+    with check_prescription_consistency."""
+    lifted = whitney_facet_coeffs_reference(d, k, prescriptions)
+
+    def shared(i, j):
+        return {(a, s): c for (a, s), c in lifted[i].items() if not a[j] and j not in s}
+
+    idx = sorted(prescriptions)
+    return [(i, j) for n, i in enumerate(idx) for j in idx[n + 1:] if shared(i, j) != shared(j, i)]
 
 
 def _flat_form(f):
@@ -960,8 +985,10 @@ def check_prescription_consistency(d, prescriptions):
 
     prescriptions: dict facet index -> PolyForm on Delta^{d-1}.  Uses
     the cosimplicial identity delta_i o delta_{j-1} = delta_j o delta_i
-    for i < j.  An oracle for the coefficient comparison in
-    whitney_extend, which reports the same pairs.
+    for i < j.  whitney_extend makes the same comparison, so
+    check_coefficient_consistency, which compares Whitney-Bernstein
+    coefficients instead, is the oracle that shares none of its steps;
+    all three report the same pairs.
     """
     from chernweil.forms import AffineMap
 

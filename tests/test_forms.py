@@ -42,6 +42,7 @@ from chernweil.simplicial import (
 from oracles import (
     affine_coords_reference,
     bernstein_coords_reference,
+    check_coefficient_consistency,
     check_prescription_consistency,
     integrate_form_oracle,
     pullback_reference,
@@ -439,8 +440,11 @@ def test_whitney_extend_copies_facet_data(case):
     assert ext.total_poly_degree() <= D + 1
     for i, f in pres.items():
         assert ext.pullback(AffineMap.face(d, i)) == f
-    # the coefficient comparison reports exactly the pairs the pullback oracle does
+    # the library reports exactly the pairs both oracles do: the pullbacks
+    # to each intersection, and the eliminated coefficients that survive
+    # on both facets
     bad = check_prescription_consistency(d, perturbed)
+    assert check_coefficient_consistency(d, k, perturbed) == bad
     if not bad:
         ext = whitney_extend(d, k, perturbed)
         for i, f in perturbed.items():
@@ -496,18 +500,37 @@ def test_noise_adds_to_the_extension(data):
 @pytest.mark.parametrize("deg,compared", [(2, False), (1, True)])
 def test_whitney_compares_traces_only_where_facets_meet_in_deg_forms(deg, compared, monkeypatch):
     """Two facets of Delta^3 meet in an edge, which carries no 2-form, so
-    with all four facets of a 2-form given no trace is taken; a 1-form's
-    traces are compared."""
-    from chernweil import forms
-
-    calls = []
-    trace = forms._trace
-    monkeypatch.setattr(forms, "_trace", lambda *args: calls.append(args) or trace(*args))
+    with all four facets of a 2-form given no pair is compared; a
+    1-form's facet data are compared by pulling them back to the edges."""
     glob = random_polyform(random.Random(0), 3, deg, 2)
     pres = {i: glob.pullback(AffineMap.face(3, i)) for i in range(4)}
+    calls = []
+    pullback = PolyForm.pullback
+    monkeypatch.setattr(PolyForm, "pullback", lambda f, phi: calls.append(phi) or pullback(f, phi))
     ext = whitney_extend(3, deg, pres)
+    monkeypatch.undo()
     assert all(ext.pullback(AffineMap.face(3, i)) == f for i, f in pres.items())
+    # every comparison pulls facet data on Delta^2 back to an edge
+    assert all(phi.target_dim == 2 and phi.source_dim == 1 for phi in calls)
     assert (len(calls) > 0) == compared
+
+
+@pytest.mark.parametrize("deg", [0, 1])
+def test_whitney_tables_depend_on_the_earlier_facets(deg):
+    """A coefficient is copied from the first given facet whose trace
+    holds it, so facet 1's cached tables with facet 0 given leave out
+    what facet 0 owns, and without it keep that: extending on Delta^3
+    with every facet given, then without facet 0 (the same degree r),
+    matches the elimination oracle both times."""
+    from chernweil import forms
+
+    forms._owned_table.cache_clear()
+    glob = random_polyform(random.Random(7), 3, deg, 2)
+    pres = {i: glob.pullback(AffineMap.face(3, i)) for i in range(4)}
+    rest = {i: pres[i] for i in (1, 2, 3)}
+    assert max(f.total_poly_degree() for f in pres.values()) == max(f.total_poly_degree() for f in rest.values())
+    assert whitney_extend(3, deg, pres) == whitney_extend_reference(3, deg, pres)
+    assert whitney_extend(3, deg, rest) == whitney_extend_reference(3, deg, rest)
 
 
 def _gaussian_tau_scalar(draw):
