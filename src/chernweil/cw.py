@@ -7,14 +7,20 @@ wedging the scalar parts yields the characteristic form; integrating
 over every simplex gives a closed cochain whose class is independent of
 the connection and natural under pullback.
 
-Two constructions of the characteristic form coexist.  The main path
-contracts the invariant polynomial's exact coefficient tensor
-T in Sym^k(g*) with the curvature's coordinate 2-forms,
-sum_a T[a] F^a1 ^ .. ^ F^ak, and skips cells of dimension below 2k,
-where a degree-2k form is zero.  The oracle is the brute-force
-alternating-sum-over-permutations formula on the curvature's component
-matrices.  Their ratio is a single combinatorial constant per arity,
-measured (never assumed) by calibrate_cw_constant.
+Three constructions coexist.  The cochain (cw_cochain) reads only the
+2k-cells and takes each one's value in one integer pass from the
+connection form (_top_cell_value): the curvature is built on int
+numerators over one denominator, the coefficient tensor
+T in Sym^k(g*) is contracted with it, and the last factor is fused with
+the Dirichlet integral, so neither the curvature form nor the top form
+is built.  The characteristic form itself (cw_form) contracts T with
+the curvature's coordinate 2-forms, sum_a T[a] F^a1 ^ .. ^ F^ak, on the
+cells of dimension 2k and above, where a degree-2k form can be nonzero;
+integrate_to_cochain(cw_form(rho, D)) is the cochain's oracle.  The
+form's own oracle is the brute-force alternating-sum-over-permutations
+formula on the curvature's component matrices.  The ratio of these two
+forms is a single combinatorial constant per arity, measured (never
+assumed) by calibrate_cw_constant.
 """
 
 from __future__ import annotations
@@ -24,13 +30,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
 from math import factorial
+from operator import mul
 
 from .bundles import Connection, LieValuedForm, pullback_bundle
-from .forms import PolyForm, SimplicialForm, _form_from_acc, form_on, integrate_to_cochain
+from .forms import PolyForm, SimplicialForm, _form_from_acc, _merge, form_on, integrate_to_cochain
 from .io import scalar_to_str
 from .linalg import sort_sign
 from .poly import Poly, _from_acc, _poly
-from .scalars import Scalar, _mac
+from .scalars import Scalar, _from_parts, _lower, _mac, _part_mul
 from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_cochain
 
 
@@ -179,20 +186,216 @@ def calibrate_cw_constant(rho, F):
     return ratio
 
 
+# ---------------------------------------------------------------------------
+# the fused top-cell pass
+#
+# A lowered polynomial is a dict part -> {packed exponent: int
+# numerator} over a denominator kept beside it, the parts being those of
+# scalars._lower; a lowered form is a dict component index -> lowered
+# polynomial.  A monomial x^e on Delta^d is packed into the one int
+# sum e_i << (w * i), with the field width w read from the degree bound
+# N of the cell, so the exponents of a product are one int add that
+# never carries into the next field.
+
+
+def _pack(e, w):
+    return sum(x << (w * i) for i, x in enumerate(e))
+
+
+@cache
+def _weights(d, N):
+    """W[e] = e! * (d + N)! / (d + |e|)! for the packed exponents e of
+    total degree at most N on Delta^d (N.bit_length()-bit fields), so
+    that the integral of x^e over Delta^d is W[e] / (d + N)!.  Each
+    entry is filled on first use and kept for the life of the process."""
+    w = N.bit_length()
+    mask = (1 << w) - 1
+    top = factorial(d + N)
+
+    class Weights(dict):
+        def __missing__(self, key):
+            e = [(key >> (w * i)) & mask for i in range(d)]
+            num = top // factorial(d + sum(e))
+            for x in e:
+                num *= factorial(x)
+            self[key] = num
+            return num
+
+    return Weights()
+
+
+@cache
+def _top_splits(d):
+    """(J, I, sign) for each 2-index J on Delta^d, with I the complement
+    of J and dx_I ^ dx_J = sign dx_0 ^ .. ^ dx_(d-1)."""
+    out = []
+    for J in itertools.combinations(range(d), 2):
+        I = tuple(i for i in range(d) if i not in J)
+        out.append((J, I, _merge(I, J)[1]))
+    return out
+
+
+def _iwedge_into(out, X, Y):
+    """out += X ^ Y for lowered forms; a constant c is the 0-form
+    {(): c}, so X ^ {(): c} is c * X."""
+    for I, x in X.items():
+        for J, y in Y.items():
+            K, sign = _merge(I, J)
+            if not sign:
+                continue
+            t = out.get(K)
+            if t is None:
+                t = out[K] = {}
+            for p1, t1 in x.items():
+                for p2, t2 in y.items():
+                    p, s = _part_mul(p1, p2)
+                    o = t.get(p)
+                    if o is None:
+                        o = t[p] = {}
+                    get = o.get
+                    s *= sign
+                    ys = [(e2, s * n2) for e2, n2 in t2.items()]
+                    for e1, n1 in t1.items():
+                        for e2, n2 in ys:
+                            e = e1 + e2
+                            o[e] = get(e, 0) + n1 * n2
+
+
+@cache
+def _int_structure(algebra):
+    """The structure constants s^c_ab, a < b, lowered once per algebra:
+    ([(a, b, [(c, s as a lowered 0-form), ...]), ...], L)."""
+    rows = [(s, (((a, b, c), 1),))
+            for a, b in itertools.combinations(range(algebra.dim), 2) for c, s in algebra.structure[a][b]]
+    parts, L = _lower(rows)
+    consts = {}
+    for p, t in parts.items():
+        for (a, b, c), n in t.items():
+            consts.setdefault((a, b), {}).setdefault(c, {})[p] = {0: n}
+    return [(a, b, [(c, {(): s}) for c, s in cs.items()]) for (a, b), cs in consts.items()], L
+
+
+def _int_tensor(rho):
+    """rho's coefficient tensor T lowered, grouped by head: ({a[:-1]:
+    [(a[-1], T[a] as a lowered 0-form), ...]}, L), the heads in sorted
+    order."""
+    parts, L = _lower((c, ((a, 1),)) for a, c in rho.tensor().items())
+    entries = {}
+    for p, t in parts.items():
+        for a, n in t.items():
+            entries.setdefault(a, {})[p] = {0: n}
+    heads = {}
+    for a in sorted(entries):
+        heads.setdefault(a[:-1], []).append((a[-1], {(): entries[a]}))
+    return heads, L
+
+
+def _int_curvature(A, w):
+    """F = dA + (1/2)[A ^ A] of one chart's connection form, lowered with
+    w-bit exponent fields: (one lowered 2-form per coordinate, L_F).
+
+    A is lowered once over its one denominator L_A; the half bracket is
+    the sum over a < b of s^c_ab A^a ^ A^b (as in curvature_form), over
+    L_F = L_s * L_A^2, and dA is scaled to that denominator."""
+    dim = A.dim
+    parts, LA = _lower((c, (((a, J, _pack(e, w)), 1),))
+                       for a, f in enumerate(A.coords) for J, p in f.comps.items() for e, c in p.terms.items())
+    coords = [{} for _ in A.coords]
+    for p, t in parts.items():
+        for (a, J, e), n in t.items():
+            coords[a].setdefault(J, {}).setdefault(p, {})[e] = n
+    pairs, Ls = _int_structure(A.algebra)
+    F = [{} for _ in A.coords]
+    scale = Ls * LA
+    mask = (1 << w) - 1
+    for f, out in zip(coords, F):
+        for (j,), x in f.items():
+            for i in range(dim):
+                K, sign = _merge((i,), (j,))
+                if not sign:
+                    continue
+                unit, shift = 1 << (w * i), w * i
+                lp = out.setdefault(K, {})
+                for p, t in x.items():
+                    o = lp.setdefault(p, {})
+                    for e, n in t.items():
+                        k = (e >> shift) & mask
+                        if k:
+                            o[e - unit] = o.get(e - unit, 0) + sign * scale * k * n
+    for a, b, cs in pairs:
+        if coords[a] and coords[b]:
+            for c, s in cs:
+                sa = {}
+                _iwedge_into(sa, coords[a], s)
+                _iwedge_into(F[c], sa, coords[b])
+    return F, Ls * LA * LA
+
+
+def _top_cell_value(rho_int, k, A):
+    """The integral of rho(F, .., F) over one 2k-cell, in one integer
+    pass from its connection form A.
+
+    Per tensor head a[:-1] the product H of its k - 1 curvature factors
+    is an int wedge, sharing the prefix with the head before it (the
+    heads are sorted), and the last factors, summed with their tensor
+    entries into one 2-form G, are fused with the integral: each part
+    of the value sums n1 * n2 * W[e1 + e2] over the monomials of
+    complementary components of H and G.  N = 2k deg A bounds the degree
+    of every product, so it fixes the exponent fields and the weight
+    table; the value is reduced once, over L_F^k * L_T * (d + N)!."""
+    heads, LT = rho_int
+    d = A.dim
+    N = 2 * k * max((p.total_degree() for f in A.coords for p in f.comps.values()), default=0)
+    F, LF = _int_curvature(A, N.bit_length())
+    W = _weights(d, N).__getitem__
+    # path[i] is the product of the first i factors of the head cur;
+    # path[0] is the unit 0-form
+    path, cur = [{(): {(0, 0): {0: 1}}}], ()
+    acc = {}
+    for head, lasts in heads.items():
+        shared = 0
+        while shared < min(len(cur), len(head)) and cur[shared] == head[shared]:
+            shared += 1
+        del path[shared + 1:]
+        for a in head[shared:]:
+            H = {}
+            _iwedge_into(H, path[-1], F[a])
+            path.append(H)
+        cur, H = head, path[-1]
+        G = {}
+        for c, t in lasts:
+            _iwedge_into(G, F[c], t)
+        for J, I, sign in _top_splits(d):
+            g, h = G.get(J), H.get(I)
+            if g is None or h is None:
+                continue
+            for ph, th in h.items():
+                for pg, tg in g.items():
+                    p, s = _part_mul(ph, pg)
+                    keys, vals = list(tg), list(tg.values())
+                    total = 0
+                    for e1, n1 in th.items():
+                        total += n1 * sum(map(mul, vals, map(W, map(e1.__add__, keys))))
+                    acc[p] = acc.get(p, 0) + sign * s * total
+    return _from_parts(acc, LF**k * LT * factorial(d + N))
+
+
 def cw_cochain(rho, D):
     """alpha = integral of the characteristic form; closed exactly.
 
-    The cochain reads only the 2k-cells, so the form is built on those
-    alone: integrate_to_cochain(cw_form(rho, D)) without the cells
-    above degree 2k.  A zero tensor gives the zero cochain with no
-    curvature computed.
+    The cochain reads only the 2k-cells, and each 2k-cell's value is
+    computed from its connection form in one integer pass
+    (_top_cell_value), with no curvature form and no top form built:
+    it equals integrate_to_cochain(cw_form(rho, D)).  A zero tensor
+    gives the zero cochain with nothing computed.
     """
     X = D.bundle.base
     deg = 2 * rho.arity
     if not rho.tensor():
         return Cochain(deg)
+    rho_int = _int_tensor(rho)
     return Cochain(deg, {
-        sid: _cw_polyform_wedge(rho, curvature_form(D.forms[sid])).integrate_top()
+        sid: _top_cell_value(rho_int, rho.arity, D.forms[sid])
         for sid in X.cells(deg) if sid in D.forms
     })
 

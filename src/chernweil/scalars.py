@@ -12,7 +12,14 @@ unreduced triples, combining denominators by their lcm as they meet
 ``_mac_int`` adds products of a Scalar and small ints, every numerator
 scaled first to the lcm of all the input denominators, so the sums are
 of plain ints (the Whitney-Bernstein extension of forms, once per call
-of it, over tables keyed by int monomial slots).  ``_reduced``
+of it, over tables keyed by int monomial slots).  ``_mac_int`` is
+``_lower``, which does that scaling and returns the int numerators per
+part (tau power, real or imaginary) over the lcm, followed by one
+reduction per output key.  The characteristic cochain's integer pass
+(``cw._top_cell_value``) takes its inputs through ``_lower`` too,
+multiplies lowered scalars part by part (``_part_mul`` gives the
+product's part and sign) and reduces its one value through
+``_from_parts``.  ``_reduced``
 is the one reduction to lowest terms (inlined in ``_from_mac``'s loop).
 ``Scalar(...)`` validates and reduces what it is given and is for input
 from outside; results built in canonical form go through the unchecked
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 TAU = 2.0 * math.pi
@@ -282,13 +290,13 @@ def _from_mac(t):
     return s
 
 
-def _mac_int(rows):
-    """The dict key -> nonzero Scalar of sum c * m over the rows (c,
-    ((key, m), ...)) of a Scalar c and int multipliers m.  Every
-    numerator is scaled once to the lcm L of the input denominators, so
-    each real and each imaginary part of each tau power sums plain ints
-    in a dict of its own, and each output triple is reduced once, by
-    gcd(a, b, L); zero sums are dropped."""
+def _lower(rows):
+    """(parts, L): L is the lcm of the denominators of the Scalars c in
+    the rows (c, ((key, m), ...)), and parts is the dict part -> {key:
+    int} of sum c * m * L over the rows, for the parts (tau power, 0 for
+    the real or 1 for the imaginary part); a sum may be 0.  Every
+    numerator is scaled once to L, so each part of each key sums plain
+    ints in a dict of its own."""
     rows = [(c.terms.items(), pairs) for c, pairs in rows]
     L = lcm(*{d for xs, _ in rows for _, (_, _, d) in xs})
     parts = {}
@@ -301,6 +309,34 @@ def _mac_int(rows):
                     get = t.get
                     for key, m in pairs:
                         t[key] = get(key, 0) + n * m
+    return parts, L
+
+
+@cache
+def _part_mul(p, q):
+    """The part of the product of the parts p and q (tau power, 0 or 1)
+    of two lowered scalars, and its sign: i * i = -1."""
+    (k1, i1), (k2, i2) = p, q
+    return (k1 + k2, i1 ^ i2), -1 if i1 & i2 else 1
+
+
+def _from_parts(t, L):
+    """The Scalar sum of n * i^im * tau^k / L over the items ((k, im), n)
+    of a lowered scalar t over the denominator L > 0: each tau power
+    reduced once, by gcd(a, b, L), zero sums dropped."""
+    ab = {}
+    for (k, im), n in t.items():
+        if n:
+            ab.setdefault(k, [0, 0])[im] = n
+    return _scalar({k: _reduced(a, b, L) for k, (a, b) in ab.items()})
+
+
+def _mac_int(rows):
+    """The dict key -> nonzero Scalar of sum c * m over the rows (c,
+    ((key, m), ...)) of a Scalar c and int multipliers m: the sums of
+    _lower over L, each output triple reduced once, by gcd(a, b, L);
+    zero sums are dropped."""
+    parts, L = _lower(rows)
     out = {}
     for (k, im), t in parts.items():
         for key, n in t.items():

@@ -122,7 +122,7 @@ def test_cw_form_zero_polynomial():
 def test_zero_tensor_skips_the_curvature(monkeypatch):
     """su2 is traceless, so symtrace:1 has no nonzero coefficient: the
     characteristic cochain and form are the curvature path's zero values,
-    with no curvature computed."""
+    with no curvature computed and no cell's integer pass entered."""
     from chernweil import cw
 
     X = boundary_sphere(2)
@@ -134,8 +134,9 @@ def test_zero_tensor_skips_the_curvature(monkeypatch):
                   for sid in X.all_cells()}
     assert all(cw_form_permutation(rho, F).is_zero() for F in curv.values())
     calls = []
-    real = cw.curvature_form
-    monkeypatch.setattr(cw, "curvature_form", lambda A: calls.append(A) or real(A))
+    for name in ("curvature_form", "_top_cell_value", "_int_curvature"):
+        real = getattr(cw, name)
+        monkeypatch.setattr(cw, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     assert cw_cochain(rho, D) == Cochain(2, {sid: f.integrate_top() for sid, f in want_forms.items() if sid.dim == 2})
     assert cw_form(rho, D).forms == want_forms
     assert calls == []
@@ -398,18 +399,23 @@ def test_quadrature_matches_exact_integral():
         assert abs(quadrature_integrate(f, 10) - f.integrate_top().to_complex()) < 1e-10
 
 
-def _degree_one_global_connection(rng, P):
+def _rational(rng):
+    return Scalar.from_rational(rng.choice((-1, 1)) * rng.randrange(1, 6), rng.randrange(1, 6))
+
+
+def _degree_one_global_connection(rng, P, scalar=_rational, extra=None):
     """A g-valued 1-form on Delta^n, n = P.base.dim, whose coefficients
-    have two terms of degree <= 1 each (numerators and denominators in
-    1..5), pulled back to every face."""
+    have two terms of degree <= 1 each, plus the monomial extra when it
+    is given, with coefficients scalar(rng) (numerators and denominators
+    in 1..5 by default), pulled back to every face."""
     X, alg = P.base, P.algebra
     n = X.dim
     monos = _monomials_up_to(n, 1)
 
     def coefficient():
-        terms = {}
-        for e in rng.sample(monos, 2):
-            terms[e] = Scalar.from_rational(rng.choice((-1, 1)) * rng.randrange(1, 6), rng.randrange(1, 6))
+        terms = {e: scalar(rng) for e in rng.sample(monos, 2)}
+        if extra is not None:
+            terms[extra] = scalar(rng)
         return Poly(n, terms)
 
     per_coord = [
@@ -419,30 +425,66 @@ def _degree_one_global_connection(rng, P):
     return Connection(P, {s: LieValuedForm(alg, s.dim, 1, [f.form(s) for f in per_coord]) for s in X.all_cells()})
 
 
+def _gaussian(rng):
+    """A coefficient with an imaginary part and a tau power in -1..1."""
+    re, im = (Fraction(rng.randrange(-5, 6), rng.randrange(1, 6)) for _ in range(2))
+    return Scalar.of(re or 1, im or 1, rng.choice((-1, 0, 1)))
+
+
+# how each case builds its connection from a seed: "global" is a
+# degree-1 form on Delta^n pulled back to every face, "gaussian" one with
+# Gaussian-rational tau-monomial coefficients, "steep" one with an extra
+# x1^300 term (so the exponent of a product needs more than 8 bits),
+# and "random" is random_connection (on Delta^4 its interior noise gives
+# A degree 4)
+_CONNECTIONS = {
+    "global": lambda P, seed: _degree_one_global_connection(random.Random(seed), P),
+    "gaussian": lambda P, seed: _degree_one_global_connection(random.Random(seed), P, _gaussian),
+    "steep": lambda P, seed: _degree_one_global_connection(random.Random(seed), P, extra=(300, 0)),
+    "random": lambda P, seed: random_connection(P, seed),
+}
+
 # (base, group, selector, connection): bases with cells above the degree
-# 2k of the class; "global" is a degree-1 form on Delta^n pulled back to
-# every face, "random" is random_connection
+# 2k of the class, then top cells of arity 1, 2 and 3 with connections
+# of every kind
 _ABOVE_2K = [
     (standard_simplex(3), "u2", "chern:1", "global"),
     (standard_simplex(4), "u2", "chern:1", "global"),
     (cylinder(boundary_sphere(2))[0].space, "u2", "chern:1", "random"),
     (product(two_disk_sphere(), two_disk_sphere()).space, "u1", "chern:1", "random"),
     (standard_simplex(5), "su2", "symtrace:2", "global"),
+    (standard_simplex(4), "so3", "symtrace:2", "global"),
+    (standard_simplex(6), "u2", "symtrace:3", "global"),
+    (standard_simplex(4), "su2", "symtrace:2", "random"),
+    (standard_simplex(4), "u2", "chern:2", "gaussian"),
+    (standard_simplex(2), "u2", "chern:1", "steep"),
 ]
 
 
-@pytest.mark.parametrize("case", _ABOVE_2K, ids=["simplex3", "simplex4", "cylinder", "sphere-squared", "simplex5"])
+@pytest.mark.parametrize("case", _ABOVE_2K, ids=[
+    "simplex3", "simplex4", "cylinder", "sphere-squared", "simplex5",
+    "so3-simplex4", "arity3-simplex6", "su2-random-simplex4", "gaussian-simplex4", "steep-simplex2",
+])
 @settings(max_examples=3, deadline=None)
 @given(st.integers(0, 2**16))
 def test_cw_cochain_reads_only_the_2k_cells(case, seed):
-    """cw_cochain builds the characteristic form on the 2k-cells alone;
-    it equals the integral of the whole form."""
+    """cw_cochain computes each 2k-cell's value in one integer pass from
+    the connection form; it equals the integral of the whole
+    characteristic form."""
     X, group, selector, kind = case
     alg = lie_algebra(group)
     P = trivial_bundle(X, alg)
-    D = _degree_one_global_connection(random.Random(seed), P) if kind == "global" else random_connection(P, seed)
+    D = _CONNECTIONS[kind](P, seed)
     rho = invariant_polynomial_from_selector(alg, selector)
     assert cw_cochain(rho, D) == integrate_to_cochain(cw_form(rho, D))
+
+
+def test_second_chern_headline_value_pinned():
+    """su2 symtrace:2 on the top cell of standard_simplex(4) with
+    random_connection(P, 0), whose interior noise gives A degree 4."""
+    P = trivial_bundle(standard_simplex(4), su2)
+    alpha = cw_cochain(invariant_polynomial_from_selector(su2, "symtrace:2"), random_connection(P, 0))
+    assert alpha.value(SimplexId(4, 0)) == Scalar.from_rational(-85915326487, 25660800000)
 
 
 @pytest.mark.parametrize(
