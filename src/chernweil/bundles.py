@@ -120,23 +120,18 @@ class LieValuedForm:
         0-forms over Delta^0 it is the bracket of g."""
         if self.algebra is not other.algebra:
             raise ValueError(f"bracket of {self.algebra.name} and {other.algebra.name} forms")
+        # the sum over (a, b) of s^c_ab A^a ^ B^b e_c, one form
+        # accumulator per coordinate c (PolyForm._wedge_into), each
+        # structure constant applied in the kernel call of its product
         acc = [{} for _ in self.coords]
-        self._bracket_over(other, itertools.product(range(self.algebra.dim), repeat=2), acc)
-        deg = self.deg + other.deg
-        return LieValuedForm(self.algebra, self.dim, deg, [_form_from_acc(self.dim, deg, t) for t in acc])
-
-    def _bracket_over(self, other, pairs, acc):
-        """Add the sum over the index pairs (a, b) of s^c_ab A^a ^ B^b e_c
-        into acc, one form accumulator per coordinate c (see
-        PolyForm._wedge_into), each structure constant applied in the
-        kernel call of its product."""
-        structure = self.algebra.structure
-        for a, b in pairs:
+        for a, b in itertools.product(range(self.algebra.dim), repeat=2):
             fa, fb = self.coords[a], other.coords[b]
             if fa.is_zero() or fb.is_zero():
                 continue
-            for c, s in structure[a][b]:
+            for c, s in self.algebra.structure[a][b]:
                 fa._wedge_into(acc[c], fb, s)
+        deg = self.deg + other.deg
+        return LieValuedForm(self.algebra, self.dim, deg, [_form_from_acc(self.dim, deg, t) for t in acc])
 
     def eval_matrix_coeffs(self, point):
         """Evaluate each form component to a float matrix at a point."""

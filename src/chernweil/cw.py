@@ -7,20 +7,20 @@ wedging the scalar parts yields the characteristic form; integrating
 over every simplex gives a closed cochain whose class is independent of
 the connection and natural under pullback.
 
-Three constructions coexist.  The cochain (cw_cochain) reads only the
-2k-cells and takes each one's value in one integer pass from the
-connection form (_top_cell_value): the curvature is built on int
-numerators over one denominator, the coefficient tensor
-T in Sym^k(g*) is contracted with it, and the last factor is fused with
-the Dirichlet integral, so neither the curvature form nor the top form
-is built.  The characteristic form itself (cw_form) contracts T with
-the curvature's coordinate 2-forms, sum_a T[a] F^a1 ^ .. ^ F^ak, on the
-cells of dimension 2k and above, where a degree-2k form can be nonzero;
-integrate_to_cochain(cw_form(rho, D)) is the cochain's oracle.  The
-form's own oracle is the brute-force alternating-sum-over-permutations
-formula on the curvature's component matrices.  The ratio of these two
-forms is a single combinatorial constant per arity, measured (never
-assumed) by calibrate_cw_constant.
+The characteristic class is built by one integer pass.  A chart's
+connection form is lowered to int numerators over one denominator, each
+monomial's exponents packed into one int (_int_coords); the curvature F
+is built on those ints (_int_curvature), and the coefficient tensor T in
+Sym^k(g*) is contracted with it, sum_a T[a] F^a1 ^ .. ^ F^ak, one head
+product at a time (_head_products).  The cochain (cw_cochain) reads only
+the 2k-cells and fuses each product's last factor with the Dirichlet
+integral (_top_cell_value); the characteristic form (cw_form) and
+curvature_form wedge the same products and unpack them (_unlower).
+integrate_to_cochain(cw_form(rho, D)), through integrate_top's own _mac
+path, is the cochain's oracle; the form's is the brute-force
+alternating-sum-over-permutations formula on the curvature's component
+matrices.  The ratio of these two forms is a single combinatorial
+constant per arity, measured (never assumed) by calibrate_cw_constant.
 """
 
 from __future__ import annotations
@@ -28,33 +28,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from math import factorial
 from operator import mul
 
 from .bundles import Connection, LieValuedForm, pullback_bundle
-from .forms import PolyForm, SimplicialForm, _form_from_acc, _merge, form_on, integrate_to_cochain
+from .forms import PolyForm, SimplicialForm, _form, _merge, form_on, integrate_to_cochain
 from .io import scalar_to_str
 from .linalg import sort_sign
-from .poly import Poly, _from_acc, _poly
-from .scalars import Scalar, _from_parts, _lower, _mac, _part_mul
+from .poly import Poly, _poly
+from .scalars import Scalar, _from_parts, _lower, _part_mul
 from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_cochain
 
 
 def curvature_form(A):
-    """F = dA + A ^ A for one chart's connection 1-form.
-
-    In coordinates A ^ A is (1/2)[A ^ A], and the (a, b) and (b, a) terms
-    of [A ^ A] are equal (s^c_ba = -s^c_ab and A^b ^ A^a = -A^a ^ A^b),
-    so it is the sum over a < b of s^c_ab A^a ^ A^b, each product once.
-    dA and that sum fill one form accumulator per coordinate, reduced
-    once.
-    """
-    acc = [{} for _ in A.coords]
-    for f, t in zip(A.coords, acc):
-        f._d_into(t)
-    A._bracket_over(A, itertools.combinations(range(A.algebra.dim), 2), acc)
-    return LieValuedForm(A.algebra, A.dim, 2, [_form_from_acc(A.dim, 2, t) for t in acc])
+    """F = dA + A ^ A for one chart's connection 1-form: the integer
+    curvature, of degree at most 2 deg A, brought back to a form."""
+    w = (2 * _degree(A)).bit_length()
+    F, L = _int_curvature(A, w)
+    return LieValuedForm(A.algebra, A.dim, 2, [_unlower(f, L, A.dim, 2, w) for f in F])
 
 
 def curvature(D, min_dim=0):
@@ -65,57 +57,47 @@ def curvature(D, min_dim=0):
 
 def _component_matrices(F):
     """Decompose a g-valued form into {index tuple: matrix of Polys}, the
-    sum of its coordinate forms times the algebra's basis matrices.
-
-    Each matrix entry is one accumulator exponent -> _mac accumulator,
-    reduced once at the end."""
-    n = F.algebra.n
-    accs = {}
+    sum of its coordinate forms times the algebra's basis matrices."""
+    n, out = F.algebra.n, {}
     for f, basis in zip(F.coords, F.algebra.basis):
-        entries = [(r, c, b.terms.items()) for r, row in enumerate(basis) for c, b in enumerate(row) if b.terms]
         for I, p in f.comps.items():
-            mat = accs.get(I)
-            if mat is None:
-                mat = accs[I] = [[{} for _ in range(n)] for _ in range(n)]
-            for r, c, ys in entries:
-                t = mat[r][c]
-                for e, x in p.terms.items():
-                    te = t.get(e)
-                    if te is None:
-                        te = t[e] = {}
-                    _mac(te, x.terms.items(), ys)
-    return {I: [[_poly(F.dim, _from_acc(t)) for t in row] for row in mat] for I, mat in accs.items()}
+            mat = out.setdefault(I, [[Poly.zero(F.dim)] * n for _ in range(n)])
+            for r, row in enumerate(basis):
+                for c, b in enumerate(row):
+                    if b.terms:
+                        mat[r][c] = mat[r][c] + p.scale(b)
+    return out
+
+
+def _check_algebra(rho, algebra):
+    if rho.algebra is not algebra:
+        raise ValueError(f"invariant polynomial of {rho.algebra.name} on a {algebra.name} connection")
 
 
 def _cw_polyform_wedge(rho, F):
-    """rho(F, .., F) with scalar parts wedged; one chart.
-
-    The contraction sum_a T[a] F^a1 ^ .. ^ F^ak of rho's coefficient
-    tensor with the curvature's coordinate 2-forms; the F^a commute, so
-    each sorted index tuple stands for all of its orderings.  The whole
-    sum fills one accumulator, T[a] applied in the kernel call of the
-    last factor; a square F^a ^ F^a takes each unordered pair of
-    components once (PolyForm._wedge_into).
-    """
-    k, dim = rho.arity, F.dim
-    unit = PolyForm.from_poly(Poly.const(dim, 1))
+    """rho(F, .., F) with scalar parts wedged; one chart: the sum of the
+    H ^ G of _head_products on the lowered F, reduced once over
+    L_F^k * L_T.  k deg F bounds the degree of every product."""
+    _check_algebra(rho, F.algebra)
+    k = rho.arity
+    w = (k * _degree(F)).bit_length()
+    Fl, LF = _int_coords(F.coords, w)
+    heads, LT = _int_tensor(rho)
     acc = {}
-    for a, c in rho.tensor().items():
-        *head, last = (F.coords[i] for i in a)
-        term = reduce(PolyForm.wedge, head[1:], head[0]) if head else unit
-        term._wedge_into(acc, last, c)
-    return _form_from_acc(dim, 2 * k, acc)
+    for H, G in _head_products(heads, Fl):
+        _iwedge_into(acc, H, G)
+    return _unlower(acc, LF**k * LT, F.dim, 2 * k, w)
 
 
 def cw_form(rho, D):
     """The degree-2k characteristic simplicial form of (rho, D).
 
-    Main path: the coefficient tensor of rho contracted with the
-    curvature's coordinate 2-forms.  A degree-2k form vanishes on cells
-    of dimension below 2k, so the curvature is computed only on the
-    others, and on none when the tensor is zero.  Closed and face
-    compatible; zero in overflow degrees rather than an error.
+    A degree-2k form vanishes on cells of dimension below 2k, so the
+    curvature is computed only on the others, and on none when the
+    tensor is zero.  Closed and face compatible; zero in overflow
+    degrees rather than an error.
     """
+    _check_algebra(rho, D.bundle.algebra)
     deg = 2 * rho.arity
     Fs = curvature(D, min_dim=deg) if rho.tensor() else {}
     return SimplicialForm(D.bundle.base, deg, {sid: _cw_polyform_wedge(rho, F) for sid, F in Fs.items()})
@@ -187,15 +169,15 @@ def calibrate_cw_constant(rho, F):
 
 
 # ---------------------------------------------------------------------------
-# the fused top-cell pass
+# the integer pass
 #
 # A lowered polynomial is a dict part -> {packed exponent: int
 # numerator} over a denominator kept beside it, the parts being those of
 # scalars._lower; a lowered form is a dict component index -> lowered
 # polynomial.  A monomial x^e on Delta^d is packed into the one int
-# sum e_i << (w * i), with the field width w read from the degree bound
-# N of the cell, so the exponents of a product are one int add that
-# never carries into the next field.
+# sum e_i << (w * i), with the field width w read from a bound N on the
+# degree of every product, so the exponents of a product are one int
+# add that never carries into the next field.
 
 
 def _pack(e, w):
@@ -236,13 +218,18 @@ def _top_splits(d):
 
 
 def _iwedge_into(out, X, Y):
-    """out += X ^ Y for lowered forms; a constant c is the 0-form
-    {(): c}, so X ^ {(): c} is c * X."""
-    for I, x in X.items():
-        for J, y in Y.items():
+    """out += X ^ Y for lowered forms, returning out; a constant c is the
+    0-form {(): c}, so X ^ {(): c} is c * X.  A square X ^ X of even
+    degree takes each unordered pair of components once, I != J twice."""
+    square = Y is X and not len(next(iter(X), ())) % 2
+    comps = list(Y.items())
+    for n, (I, x) in enumerate(X.items()):
+        for m, (J, y) in enumerate(comps[n:] if square else comps):
             K, sign = _merge(I, J)
             if not sign:
                 continue
+            if square and m:
+                sign *= 2
             t = out.get(K)
             if t is None:
                 t = out[K] = {}
@@ -259,6 +246,7 @@ def _iwedge_into(out, X, Y):
                         for e2, n2 in ys:
                             e = e1 + e2
                             o[e] = get(e, 0) + n1 * n2
+    return out
 
 
 @cache
@@ -290,20 +278,48 @@ def _int_tensor(rho):
     return heads, L
 
 
+def _degree(X):
+    return max((f.total_poly_degree() for f in X.coords), default=0)
+
+
+def _int_coords(coords, w):
+    """(one lowered form per coordinate form, their one denominator L),
+    with w-bit exponent fields."""
+    parts, L = _lower((c, (((a, J, _pack(e, w)), 1),))
+                      for a, f in enumerate(coords) for J, p in f.comps.items() for e, c in p.terms.items())
+    out = [{} for _ in coords]
+    for p, t in parts.items():
+        for (a, J, e), n in t.items():
+            out[a].setdefault(J, {}).setdefault(p, {})[e] = n
+    return out, L
+
+
+def _unlower(X, L, dim, deg, w):
+    """The PolyForm of a degree-deg lowered form X over L on Delta^dim,
+    its exponents unpacked from w-bit fields; zero sums dropped."""
+    mask = (1 << w) - 1
+    comps = {}
+    for I, x in X.items():
+        terms = {}
+        for p, t in x.items():
+            for e, n in t.items():
+                if n:
+                    terms.setdefault(tuple((e >> (w * i)) & mask for i in range(dim)), {})[p] = n
+        if terms:
+            comps[I] = _poly(dim, {e: _from_parts(t, L) for e, t in terms.items()})
+    return _form(dim, deg, comps)
+
+
 def _int_curvature(A, w):
     """F = dA + (1/2)[A ^ A] of one chart's connection form, lowered with
     w-bit exponent fields: (one lowered 2-form per coordinate, L_F).
 
-    A is lowered once over its one denominator L_A; the half bracket is
-    the sum over a < b of s^c_ab A^a ^ A^b (as in curvature_form), over
-    L_F = L_s * L_A^2, and dA is scaled to that denominator."""
+    A is lowered once, over L_A.  The (a, b) and (b, a) terms of [A ^ A]
+    are equal (s^c_ba = -s^c_ab and A^b ^ A^a = -A^a ^ A^b), so the half
+    bracket is the sum over a < b of s^c_ab A^a ^ A^b, each product
+    once, over L_F = L_s * L_A^2; dA is scaled to that denominator."""
     dim = A.dim
-    parts, LA = _lower((c, (((a, J, _pack(e, w)), 1),))
-                       for a, f in enumerate(A.coords) for J, p in f.comps.items() for e, c in p.terms.items())
-    coords = [{} for _ in A.coords]
-    for p, t in parts.items():
-        for (a, J, e), n in t.items():
-            coords[a].setdefault(J, {}).setdefault(p, {})[e] = n
+    coords, LA = _int_coords(A.coords, w)
     pairs, Ls = _int_structure(A.algebra)
     F = [{} for _ in A.coords]
     scale = Ls * LA
@@ -325,46 +341,46 @@ def _int_curvature(A, w):
     for a, b, cs in pairs:
         if coords[a] and coords[b]:
             for c, s in cs:
-                sa = {}
-                _iwedge_into(sa, coords[a], s)
-                _iwedge_into(F[c], sa, coords[b])
+                _iwedge_into(F[c], _iwedge_into({}, coords[a], s), coords[b])
     return F, Ls * LA * LA
 
 
-def _top_cell_value(rho_int, k, A):
-    """The integral of rho(F, .., F) over one 2k-cell, in one integer
-    pass from its connection form A.
-
-    Per tensor head a[:-1] the product H of its k - 1 curvature factors
-    is an int wedge, sharing the prefix with the head before it (the
-    heads are sorted), and the last factors, summed with their tensor
-    entries into one 2-form G, are fused with the integral: each part
-    of the value sums n1 * n2 * W[e1 + e2] over the monomials of
-    complementary components of H and G.  N = 2k deg A bounds the degree
-    of every product, so it fixes the exponent fields and the weight
-    table; the value is reduced once, over L_F^k * L_T * (d + N)!."""
-    heads, LT = rho_int
-    d = A.dim
-    N = 2 * k * max((p.total_degree() for f in A.coords for p in f.comps.values()), default=0)
-    F, LF = _int_curvature(A, N.bit_length())
-    W = _weights(d, N).__getitem__
+def _head_products(heads, F):
+    """(H, G) per tensor head a[:-1], the contraction being the sum of the
+    H ^ G: H the product of the head's factors, sharing its prefix with
+    the head before it (the heads are sorted) and starting from F[a]
+    itself, so that (a, a) is a square; G the head's last factors summed
+    with their tensor entries."""
     # path[i] is the product of the first i factors of the head cur;
     # path[0] is the unit 0-form
     path, cur = [{(): {(0, 0): {0: 1}}}], ()
-    acc = {}
     for head, lasts in heads.items():
         shared = 0
         while shared < min(len(cur), len(head)) and cur[shared] == head[shared]:
             shared += 1
         del path[shared + 1:]
         for a in head[shared:]:
-            H = {}
-            _iwedge_into(H, path[-1], F[a])
-            path.append(H)
-        cur, H = head, path[-1]
+            path.append(_iwedge_into({}, path[-1], F[a]) if len(path) > 1 else F[a])
+        cur = head
         G = {}
         for c, t in lasts:
             _iwedge_into(G, F[c], t)
+        yield path[-1], G
+
+
+def _top_cell_value(rho_int, k, A):
+    """The integral of rho(F, .., F) over one 2k-cell from its connection
+    form A: each part sums n1 * n2 * W[e1 + e2] over the monomials of
+    complementary components of each (H, G) of _head_products.  N = 2k
+    deg A bounds every product's degree, so it fixes the exponent fields
+    and the weights; the value is reduced once, over L_F^k L_T (d + N)!."""
+    heads, LT = rho_int
+    d = A.dim
+    N = 2 * k * _degree(A)
+    F, LF = _int_curvature(A, N.bit_length())
+    W = _weights(d, N).__getitem__
+    acc = {}
+    for H, G in _head_products(heads, F):
         for J, I, sign in _top_splits(d):
             g, h = G.get(J), H.get(I)
             if g is None or h is None:
@@ -383,12 +399,11 @@ def _top_cell_value(rho_int, k, A):
 def cw_cochain(rho, D):
     """alpha = integral of the characteristic form; closed exactly.
 
-    The cochain reads only the 2k-cells, and each 2k-cell's value is
-    computed from its connection form in one integer pass
-    (_top_cell_value), with no curvature form and no top form built:
-    it equals integrate_to_cochain(cw_form(rho, D)).  A zero tensor
-    gives the zero cochain with nothing computed.
+    Each 2k-cell's value comes from its connection form in one integer
+    pass (_top_cell_value); it equals integrate_to_cochain(cw_form(rho,
+    D)).  A zero tensor gives the zero cochain with nothing computed.
     """
+    _check_algebra(rho, D.bundle.algebra)
     X = D.bundle.base
     deg = 2 * rho.arity
     if not rho.tensor():

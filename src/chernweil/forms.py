@@ -8,10 +8,11 @@ top-degree form uses the Dirichlet monomial identity
     int_{Delta^d} x^a dV = (prod a_i!) / (d + sum a_i)!
 
 applied termwise, so no quadrature enters the main path.  All four go
-through the multiply-accumulate kernel scalars._mac: PolyForm.d
-(_d_into, which cw.curvature_form shares with the bracket) adds
+through the multiply-accumulate kernel scalars._mac: PolyForm.d adds
 sign * e_j * c per term and integrate_top adds c * e! / (d + |e|)!
-into _mac accumulators, each reduced once.
+into _mac accumulators, each reduced once.  The curvature and the
+characteristic forms are built on ints instead (cw's integer pass), so
+integrate_top is the independent check on the cochain's fused integral.
 
 PolyForm(...) validates its components and is for input from outside
 (parsers, user code).  Results canonical by construction (kernel output
@@ -158,15 +159,10 @@ class PolyForm:
         return _form(self.dim, self.deg, {I: p.scale(c) for I, p in self.comps.items()})
 
     def d(self):
-        """Exterior derivative; d o d = 0 exactly."""
+        """Exterior derivative; d o d = 0 exactly.  The term c x^e dx_I
+        gives sign * e_j * c x^(e - 1_j) dx_K for dx_j ^ dx_I = sign
+        dx_K, added by _mac into one accumulator per component."""
         acc = {}
-        self._d_into(acc)
-        return _form_from_acc(self.dim, self.deg + 1, acc)
-
-    def _d_into(self, acc):
-        """Add d(self) into an accumulator I -> (poly accumulator), as
-        _wedge_into does: the term c x^e dx_I gives sign * e_j * c
-        x^(e - 1_j) dx_K for dx_j ^ dx_I = sign dx_K, added by _mac."""
         for I, p in self.comps.items():
             for j in range(self.dim):
                 K, sign = _merge((j,), I)
@@ -184,6 +180,7 @@ class PolyForm:
                     if t is None:
                         t = tK[e2] = {}
                     _mac(t, c.terms.items(), ((0, (sign * k, 0, 1)),))
+        return _form_from_acc(self.dim, self.deg + 1, acc)
 
     def wedge(self, other):
         acc = {}
@@ -194,27 +191,18 @@ class PolyForm:
         """Add coef * (self ^ other) into an accumulator I -> (poly
         accumulator), which _form_from_acc turns into a PolyForm; every
         p*q of one output component goes into the same accumulator, and
-        coef (an int or a Scalar) is applied in the kernel call.
-
-        The square of an even-degree form (other is self) takes each
-        unordered pair of components once: dx_I ^ dx_J = dx_J ^ dx_I, so
-        the pair I != J counts twice."""
+        coef (an int or a Scalar) is applied in the kernel call."""
         if self.dim != other.dim:
             raise ValueError("wedge dimension mismatch")
-        square = other is self and self.deg % 2 == 0
-        signed = {1: coef, -1: -coef}
-        if square:
-            doubled = {1: 2 * coef, -1: -2 * coef}
-        comps = list(other.comps.items())
-        for n, (I, p) in enumerate(self.comps.items()):
-            for m, (J, q) in enumerate(comps[n:] if square else comps):
+        for I, p in self.comps.items():
+            for J, q in other.comps.items():
                 K, sign = _merge(I, J)
                 if sign == 0:
                     continue
                 t = acc.get(K)
                 if t is None:
                     t = acc[K] = {}
-                _mul_into(t, p.terms, q.terms, (doubled if square and m else signed)[sign])
+                _mul_into(t, p.terms, q.terms, coef if sign > 0 else -coef)
 
     def pullback(self, phi):
         """Pullback along a polynomial or affine map into Delta^dim.

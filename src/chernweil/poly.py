@@ -7,19 +7,20 @@ tuples; zero coefficients are pruned eagerly so equality is structural.
 
 Products of two coefficients go through the kernel scalars._mac,
 shared by Poly.__mul__, PolyForm.wedge (and so
-LieValuedForm.bracket_wedge, the curvature and the characteristic forms
-of cw), PolyForm.pullback, PolyForm.d and PolyForm.integrate_top; the
-Whitney-Bernstein transforms in forms, which multiply coefficients by
-small ints, go through the other kernel, scalars._mac_int.  Every
+LieValuedForm.bracket_wedge), PolyForm.pullback, PolyForm.d and
+PolyForm.integrate_top; the Whitney-Bernstein transforms in forms,
+which multiply coefficients by small ints, go through the other kernel,
+scalars._mac_int.  The curvature and the characteristic forms of cw
+use neither: they are built on int numerators over one denominator
+(cw's integer pass) and come back as Polys only at the end.  Every
 product c1*c2 of two coefficients' int triples is
 added, unreduced, by scalars._mac into an accumulator dict exponent ->
 {tau power: (a, b, d)}, and each output coefficient is brought to
 lowest terms once at the end (_from_acc), zero sums dropped.  No
 Scalar is built per term pair.  The coefficient of a product (a wedge
-sign, a structure constant, a tensor entry, a derivative's sign * e_j)
-is folded into the same kernel call (_mul_into's coef), not applied by
-a Poly.scale.  cw.curvature_form adds dA and the half bracket into one
-accumulator per Lie coordinate.  One slot may hold a Scalar instead of
+sign, a structure constant, a derivative's sign * e_j) is folded into
+the same kernel call (_mul_into's coef), not applied by a Poly.scale.
+One slot may hold a Scalar instead of
 an accumulator: PolyForm.pullback copies a coefficient as it is into
 a slot where its monomial's image has coefficient 1 (a unit image) and
 that gets nothing else.  Sums into a running total (Poly.__add__) add

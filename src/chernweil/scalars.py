@@ -8,18 +8,19 @@ so equal values have equal terms.  This module alone knows that layout.
 It has two multiply-accumulate kernels, which the polynomial and form
 code call: ``_mac`` adds products of two Gaussian rationals on
 unreduced triples, combining denominators by their lcm as they meet
-(products, wedges, pullbacks, d, integrals, curvature), and
+(products, wedges, pullbacks, d, integrals), and
 ``_mac_int`` adds products of a Scalar and small ints, every numerator
 scaled first to the lcm of all the input denominators, so the sums are
 of plain ints (the Whitney-Bernstein extension of forms, once per call
 of it, over tables keyed by int monomial slots).  ``_mac_int`` is
 ``_lower``, which does that scaling and returns the int numerators per
 part (tau power, real or imaginary) over the lcm, followed by one
-reduction per output key.  The characteristic cochain's integer pass
-(``cw._top_cell_value``) takes its inputs through ``_lower`` too,
-multiplies lowered scalars part by part (``_part_mul`` gives the
-product's part and sign) and reduces its one value through
-``_from_parts``.  ``_reduced``
+reduction per output key.  The integer pass of ``cw``, which builds the
+curvature, the characteristic forms and the cochain's top-cell values,
+takes its inputs through ``_lower`` too, multiplies lowered scalars
+part by part (``_part_mul`` gives the product's part and sign) and
+reduces each coefficient or value once through ``_from_parts``.
+``_reduced``
 is the one reduction to lowest terms (inlined in ``_from_mac``'s loop).
 ``Scalar(...)`` validates and reduces what it is given and is for input
 from outside; results built in canonical form go through the unchecked

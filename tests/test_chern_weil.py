@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -477,6 +478,56 @@ def test_cw_cochain_reads_only_the_2k_cells(case, seed):
     D = _CONNECTIONS[kind](P, seed)
     rho = invariant_polynomial_from_selector(alg, selector)
     assert cw_cochain(rho, D) == integrate_to_cochain(cw_form(rho, D))
+
+
+def test_invariant_polynomial_of_another_algebra_is_refused():
+    """cw_cochain, cw_form and _cw_polyform_wedge refuse an invariant
+    polynomial of another algebra than the connection's, before the
+    zero-tensor shortcut (su3 symtrace:1 has no nonzero coefficient)."""
+    from chernweil.cw import _cw_polyform_wedge
+
+    D = random_connection(trivial_bundle(standard_simplex(2), su2), 0)
+    F = curvature_form(D.forms[SimplexId(2, 0)])
+    for rho in (chern_polynomial(lie_algebra("u2"), 1), sym_trace_poly(lie_algebra("su3"), 1)):
+        for build in (lambda: cw_cochain(rho, D), lambda: cw_form(rho, D), lambda: _cw_polyform_wedge(rho, F)):
+            with pytest.raises(ValueError, match=f"{rho.algebra.name} on a su2 connection"):
+                build()
+
+
+def test_diagonal_head_takes_each_component_pair_once(monkeypatch):
+    """On the u2 symtrace:3 top cell of Delta^6, a diagonal head (a, a)
+    wedges F^a with itself (the same lowered form), and that square
+    multiplies each unordered pair of components once, to the value of
+    the wedge with a copy; the cochain still equals the integral of the
+    characteristic form."""
+    from chernweil import cw
+
+    u2 = lie_algebra("u2")
+    D = _CONNECTIONS["global"](trivial_bundle(standard_simplex(6), u2), 0)
+    rho = invariant_polynomial_from_selector(u2, "symtrace:3")
+    merges, squares = [], []
+    merge, iwedge = cw._merge, cw._iwedge_into
+
+    def counted_merge(I, J):
+        merges.append((I, J))
+        return merge(I, J)
+
+    def watched_iwedge(out, X, Y):
+        if Y is not X:
+            return iwedge(out, X, Y)
+        start = len(merges)
+        iwedge(out, X, Y)
+        squares.append((X, out, merges[start:]))
+        return out
+
+    monkeypatch.setattr(cw, "_merge", counted_merge)
+    monkeypatch.setattr(cw, "_iwedge_into", watched_iwedge)
+    alpha = cw_cochain(rho, D)
+    assert squares
+    for X, out, pairs in squares:
+        assert sorted(map(sorted, pairs)) == sorted(map(sorted, itertools.combinations_with_replacement(X, 2)))
+        assert out == iwedge({}, X, dict(X))
+    assert alpha == integrate_to_cochain(cw_form(rho, D))
 
 
 def test_second_chern_headline_value_pinned():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chernweil.bundles import Connection, LieValuedForm, random_connection, trivial_bundle
 from chernweil.cw import _cw_polyform_wedge, curvature_form, cw_form, cw_form_permutation
-from chernweil.forms import AffineMap, PolyForm, _form_from_acc, random_polyform
+from chernweil.forms import AffineMap, PolyForm, random_polyform
 from chernweil.liealg import (
     InvariantPolynomial,
     chern_polynomial,
@@ -25,7 +25,7 @@ from chernweil.liealg import (
 )
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
-from chernweil.simplicial import boundary_sphere, standard_simplex
+from chernweil.simplicial import SimplexId, boundary_sphere, standard_simplex
 from oracles import (
     canonical_violations,
     curvature_reference,
@@ -33,6 +33,7 @@ from oracles import (
     reznikov_quadrature,
     sym_trace_oracle,
 )
+from test_chern_weil import _CONNECTIONS
 from test_scalar_kernel import MODELS, POLY_MODELS, model, poly_model, to_poly, to_scalar
 
 
@@ -99,13 +100,24 @@ def connection_forms(draw, name):
     return LieValuedForm(alg, dim, 1, coords)
 
 
-@pytest.mark.parametrize("name", ALGEBRAS)
+# top-cell connection forms beside the drawn ones: x1^300 coefficients,
+# whose packed exponent fields need more than 8 bits, and
+# random_connection's interior noise, which gives A degree 4
+FIXED_CONNECTIONS = {
+    "u2-steep-simplex2": lambda: _CONNECTIONS["steep"](trivial_bundle(standard_simplex(2), lie_algebra("u2")), 0)
+    .forms[SimplexId(2, 0)],
+    "su2-random-simplex4": lambda: random_connection(trivial_bundle(standard_simplex(4), lie_algebra("su2")), 0)
+    .forms[SimplexId(4, 0)],
+}
+
+
+@pytest.mark.parametrize("name", ALGEBRAS + tuple(FIXED_CONNECTIONS))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_curvature_matches_matrix_oracle(name, data):
     # the sum over a < b of s^c_ab A^a ^ A^b against dA + A ^ A of the
     # matrix of 1-forms, decomposed in the basis
-    A = data.draw(connection_forms(name))
+    A = FIXED_CONNECTIONS[name]() if name in FIXED_CONNECTIONS else data.draw(connection_forms(name))
     assert curvature_form(A) == curvature_reference(A)
 
 
@@ -123,9 +135,10 @@ def test_lie_paths_build_canonical_values(name, data):
         {sid: A.pullback(AffineMap.from_monotone(s, dim)) for s, sid in X._subset_index.items()},
     )
     F = curvature_form(A)
-    acc = [{} for _ in range(alg.dim)]
-    A._bracket_over(F, [(0, alg.dim - 1)], acc)
-    one_pair = LieValuedForm(alg, dim, 3, [_form_from_acc(dim, 3, t) for t in acc])
+    # the bracket of the one coordinate pair (0, alg.dim - 1) of A and F
+    A0 = LieValuedForm(alg, dim, 1, [f if a == 0 else PolyForm.zero(dim, 1) for a, f in enumerate(A.coords)])
+    F1 = LieValuedForm(alg, dim, 2, [f if a == alg.dim - 1 else PolyForm.zero(dim, 2) for a, f in enumerate(F.coords)])
+    one_pair = A0.bracket_wedge(F1)
     values = [F, A.bracket_wedge(A), A.bracket_wedge(F), one_pair]
     for k in range(1, dim // 2 + 1):
         values += cw_form(sym_trace_poly(alg, k), D).forms.values()

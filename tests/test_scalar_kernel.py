@@ -301,8 +301,8 @@ def test_wedge_matches_oracle(case, c):
         assert (r.dim, r.deg) == (dim, p + q)
         assert_canonical(r)
     if p % 2 == 0:
-        # the square of an even-degree form takes each unordered pair of
-        # components once, with and without a coefficient
+        # the square of an even-degree form, where the pairs (I, J) and
+        # (J, I) add up, with and without a coefficient
         square, scaled_square = F.wedge(F), kernel_wedge(dim, 2 * p, F, F, c)
         assert form_model(square) == gr_wedge(f, f)
         assert form_model(scaled_square) == gr_form_scale(gr_wedge(f, f), c, dim)
