@@ -11,11 +11,13 @@ The characteristic class is built by one integer pass.  A chart's
 connection form is lowered to int numerators over one denominator, each
 monomial's exponents packed into one int (_int_coords); the curvature F
 is built on those ints (_int_curvature), and the coefficient tensor T in
-Sym^k(g*) is contracted with it, sum_a T[a] F^a1 ^ .. ^ F^ak, one head
-product at a time (_head_products).  The cochain (cw_cochain) reads only
-the 2k-cells and fuses each product's last factor with the Dirichlet
-integral (_top_cell_value); the characteristic form (cw_form) and
-curvature_form wedge the same products and unpack them (_unlower).
+Sym^k(g*) is contracted with it, sum_a T[a] F^a1 ^ .. ^ F^ak, each
+entry's last factor wedged on its own, so that a diagonal entry's
+F^a ^ F^a is a square (_contract).  That product is one cell's form
+(_cell_form): the cochain (cw_cochain) reads only the 2k-cells and sums
+its top component against factorial weights (_weights); the
+characteristic form (cw_form) unpacks it (_unlower), as curvature_form
+unpacks F.
 integrate_to_cochain(cw_form(rho, D)), through integrate_top's own _mac
 path, is the cochain's oracle; the form's is the brute-force
 alternating-sum-over-permutations formula on the curvature's component
@@ -30,7 +32,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from operator import mul
 
 from .bundles import Connection, LieValuedForm, pullback_bundle
 from .forms import PolyForm, SimplicialForm, _form, _merge, form_on, integrate_to_cochain
@@ -49,10 +50,9 @@ def curvature_form(A):
     return LieValuedForm(A.algebra, A.dim, 2, [_unlower(f, L, A.dim, 2, w) for f in F])
 
 
-def curvature(D, min_dim=0):
-    """Per-simplex curvature of a connection; a dict sid -> LieValuedForm
-    over the simplices of dimension at least min_dim."""
-    return {sid: curvature_form(A) for sid, A in D.forms.items() if sid.dim >= min_dim}
+def curvature(D):
+    """Per-simplex curvature of a connection; a dict sid -> LieValuedForm."""
+    return {sid: curvature_form(A) for sid, A in D.forms.items()}
 
 
 def _component_matrices(F):
@@ -75,32 +75,35 @@ def _check_algebra(rho, algebra):
 
 
 def _cw_polyform_wedge(rho, F):
-    """rho(F, .., F) with scalar parts wedged; one chart: the sum of the
-    H ^ G of _head_products on the lowered F, reduced once over
-    L_F^k * L_T.  k deg F bounds the degree of every product."""
+    """rho(F, .., F) with scalar parts wedged; one chart: _contract on
+    the lowered F, reduced once over L_F^k * L_T.  k deg F bounds the
+    degree of every product."""
     _check_algebra(rho, F.algebra)
     k = rho.arity
     w = (k * _degree(F)).bit_length()
     Fl, LF = _int_coords(F.coords, w)
     heads, LT = _int_tensor(rho)
-    acc = {}
-    for H, G in _head_products(heads, Fl):
-        _iwedge_into(acc, H, G)
-    return _unlower(acc, LF**k * LT, F.dim, 2 * k, w)
+    return _unlower(_contract(heads, Fl), LF**k * LT, F.dim, 2 * k, w)
 
 
 def cw_form(rho, D):
     """The degree-2k characteristic simplicial form of (rho, D).
 
-    A degree-2k form vanishes on cells of dimension below 2k, so the
-    curvature is computed only on the others, and on none when the
-    tensor is zero.  Closed and face compatible; zero in overflow
-    degrees rather than an error.
+    A degree-2k form vanishes on cells of dimension below 2k, so
+    _cell_form runs only on the others, and on none when the tensor is
+    zero.  Closed and face compatible; zero in overflow degrees rather
+    than an error.
     """
     _check_algebra(rho, D.bundle.algebra)
-    deg = 2 * rho.arity
-    Fs = curvature(D, min_dim=deg) if rho.tensor() else {}
-    return SimplicialForm(D.bundle.base, deg, {sid: _cw_polyform_wedge(rho, F) for sid, F in Fs.items()})
+    k = rho.arity
+    forms = {}
+    if rho.tensor():
+        rho_int = _int_tensor(rho)
+        for sid, A in D.forms.items():
+            if sid.dim >= 2 * k:
+                X, L, N = _cell_form(rho_int, k, A)
+                forms[sid] = _unlower(X, L, A.dim, 2 * k, N.bit_length())
+    return SimplicialForm(D.bundle.base, 2 * k, forms)
 
 
 def cw_form_permutation(rho, F):
@@ -204,17 +207,6 @@ def _weights(d, N):
             return num
 
     return Weights()
-
-
-@cache
-def _top_splits(d):
-    """(J, I, sign) for each 2-index J on Delta^d, with I the complement
-    of J and dx_I ^ dx_J = sign dx_0 ^ .. ^ dx_(d-1)."""
-    out = []
-    for J in itertools.combinations(range(d), 2):
-        I = tuple(i for i in range(d) if i not in J)
-        out.append((J, I, _merge(I, J)[1]))
-    return out
 
 
 def _iwedge_into(out, X, Y):
@@ -345,74 +337,54 @@ def _int_curvature(A, w):
     return F, Ls * LA * LA
 
 
-def _head_products(heads, F):
-    """(H, G) per tensor head a[:-1], the contraction being the sum of the
-    H ^ G: H the product of the head's factors, sharing its prefix with
-    the head before it (the heads are sorted) and starting from F[a]
-    itself, so that (a, a) is a square; G the head's last factors summed
-    with their tensor entries."""
-    # path[i] is the product of the first i factors of the head cur;
-    # path[0] is the unit 0-form
-    path, cur = [{(): {(0, 0): {0: 1}}}], ()
+def _contract(heads, F):
+    """sum_a T[a] F^a1 ^ .. ^ F^ak on a lowered curvature F, for the heads
+    of _int_tensor.  Per head a[:-1], H is the product of its factors,
+    starting from F[a1] itself; each last factor c adds T[a] (H ^ F[c]),
+    a square when H is F[c].  An arity-1 tensor scales F[c] itself."""
+    out = {}
     for head, lasts in heads.items():
-        shared = 0
-        while shared < min(len(cur), len(head)) and cur[shared] == head[shared]:
-            shared += 1
-        del path[shared + 1:]
-        for a in head[shared:]:
-            path.append(_iwedge_into({}, path[-1], F[a]) if len(path) > 1 else F[a])
-        cur = head
-        G = {}
+        H = F[head[0]] if head else None
+        for a in head[1:]:
+            H = _iwedge_into({}, H, F[a])
         for c, t in lasts:
-            _iwedge_into(G, F[c], t)
-        yield path[-1], G
+            _iwedge_into(out, _iwedge_into({}, H, F[c]) if head else F[c], t)
+    return out
 
 
-def _top_cell_value(rho_int, k, A):
-    """The integral of rho(F, .., F) over one 2k-cell from its connection
-    form A: each part sums n1 * n2 * W[e1 + e2] over the monomials of
-    complementary components of each (H, G) of _head_products.  N = 2k
-    deg A bounds every product's degree, so it fixes the exponent fields
-    and the weights; the value is reduced once, over L_F^k L_T (d + N)!."""
+def _cell_form(rho_int, k, A):
+    """rho(F, .., F) from one chart's connection form A, by _contract on
+    its integer curvature: (the lowered 2k-form, its denominator
+    L_F^k L_T, N), N = 2k deg A bounding the degree of every product and
+    so fixing the exponent fields."""
     heads, LT = rho_int
-    d = A.dim
     N = 2 * k * _degree(A)
     F, LF = _int_curvature(A, N.bit_length())
-    W = _weights(d, N).__getitem__
-    acc = {}
-    for H, G in _head_products(heads, F):
-        for J, I, sign in _top_splits(d):
-            g, h = G.get(J), H.get(I)
-            if g is None or h is None:
-                continue
-            for ph, th in h.items():
-                for pg, tg in g.items():
-                    p, s = _part_mul(ph, pg)
-                    keys, vals = list(tg), list(tg.values())
-                    total = 0
-                    for e1, n1 in th.items():
-                        total += n1 * sum(map(mul, vals, map(W, map(e1.__add__, keys))))
-                    acc[p] = acc.get(p, 0) + sign * s * total
-    return _from_parts(acc, LF**k * LT * factorial(d + N))
+    return _contract(heads, F), LF**k * LT, N
 
 
 def cw_cochain(rho, D):
     """alpha = integral of the characteristic form; closed exactly.
 
-    Each 2k-cell's value comes from its connection form in one integer
-    pass (_top_cell_value); it equals integrate_to_cochain(cw_form(rho,
-    D)).  A zero tensor gives the zero cochain with nothing computed.
+    Each 2k-cell's value is the top component of its _cell_form summed
+    against the weights W[e] of _weights(d, N), reduced once over
+    L (d + N)!; it equals integrate_to_cochain(cw_form(rho, D)).  A zero
+    tensor gives the zero cochain with nothing computed.
     """
     _check_algebra(rho, D.bundle.algebra)
-    X = D.bundle.base
-    deg = 2 * rho.arity
+    k = rho.arity
     if not rho.tensor():
-        return Cochain(deg)
+        return Cochain(2 * k)
     rho_int = _int_tensor(rho)
-    return Cochain(deg, {
-        sid: _top_cell_value(rho_int, rho.arity, D.forms[sid])
-        for sid in X.cells(deg) if sid in D.forms
-    })
+    values = {}
+    for sid in D.bundle.base.cells(2 * k):
+        if sid in D.forms:
+            X, L, N = _cell_form(rho_int, k, D.forms[sid])
+            W = _weights(sid.dim, N)
+            top = X.get(tuple(range(sid.dim)), {})
+            values[sid] = _from_parts({p: sum(n * W[e] for e, n in t.items()) for p, t in top.items()},
+                                      L * factorial(sid.dim + N))
+    return Cochain(2 * k, values)
 
 
 def pullback_connection(f, P, D):

@@ -12,7 +12,8 @@ through the multiply-accumulate kernel scalars._mac: PolyForm.d adds
 sign * e_j * c per term and integrate_top adds c * e! / (d + |e|)!
 into _mac accumulators, each reduced once.  The curvature and the
 characteristic forms are built on ints instead (cw's integer pass), so
-integrate_top is the independent check on the cochain's fused integral.
+integrate_top is the independent check on the cochain's integer
+integral.
 
 PolyForm(...) validates its components and is for input from outside
 (parsers, user code).  Results canonical by construction (kernel output

@@ -217,8 +217,8 @@ def polyform_to_str(f):
 
 def parse_polyform(text):
     """Read a form written by polyform_to_str; a missing header, or a
-    component given twice or out of range for the header's dim and deg,
-    raises ParseError."""
+    component that is zero, given twice or out of range for the header's
+    dim and deg, raises ParseError."""
     lines = _lines(text)
     m = re.fullmatch(rf"form v1; dim {_N}; deg {_N}", lines[0]) if lines else None
     if not m:
@@ -233,6 +233,8 @@ def parse_polyform(text):
         if I in comps:
             raise ParseError(f"component {head} given twice")
         comps[I] = parse_poly(body, dim)
+        if comps[I].is_zero():
+            raise ParseError(f"zero component in {line!r}")
     try:
         return PolyForm(dim, deg, comps)
     except ValueError as e:
@@ -264,9 +266,10 @@ _DIM_RE = re.compile(rf"dim {_N}: {_N}")
 def parse_simplicial_set(text):
     """Read a simplicial set.  The reader checks syntax only: a line
     simplicial_set_to_str does not write, a dim line out of order or
-    after a face or name line, or a face or name line given twice is a
-    parse error.  Every rule of the face table is SimplicialSet.validate's,
-    and a space it finds violations in is a parse error too."""
+    after a face or name line, a last dim line whose count is 0, or a
+    face or name line given twice is a parse error.  Every rule of the
+    face table is SimplicialSet.validate's, and a space it finds
+    violations in is a parse error too."""
     lines = _lines(text)
     if not lines or lines[0] != "simplicial-set v1":
         raise ParseError("missing simplicial-set header")
@@ -288,6 +291,9 @@ def parse_simplicial_set(text):
             counts.append(_size(m[2]))
         else:
             raise ParseError(f"bad line {line!r}")
+    if counts and not counts[-1]:
+        # SimplicialSet drops trailing zero counts, so no writer writes them
+        raise ParseError(f"last dim line 'dim {len(counts) - 1}: 0' has a count of 0")
     X = SimplicialSet(counts, faces, names)
     bad = X.validate()
     if bad:
@@ -404,8 +410,8 @@ def connection_to_str(D):
 
 def parse_connection(text, bundle):
     """Read a connection on bundle; a cell the base does not have, a Lie
-    coordinate or form component out of range, or a component given
-    twice, is a parse error."""
+    coordinate or form component out of range, or a component that is
+    zero or given twice, is a parse error."""
     lines = _lines(text)
     alg = bundle.algebra
     if _header(lines, "connection").name != alg.name:
@@ -426,6 +432,8 @@ def parse_connection(text, bundle):
         if I in comps:
             raise ParseError(f"component {m.group(4)} of coordinate {a} on {sid.dim}.{sid.index} given twice")
         comps[I] = parse_poly(m.group(5), sid.dim)
+        if comps[I].is_zero():
+            raise ParseError(f"zero component in {line!r}")
     forms = {}
     for sid in bundle.base.all_cells():
         coords = []

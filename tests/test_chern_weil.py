@@ -130,12 +130,12 @@ def test_zero_tensor_skips_the_curvature(monkeypatch):
     D = random_connection(trivial_bundle(X, su2), 0)
     rho = sym_trace_poly(su2, 1)
     assert rho.tensor() == {}
-    curv = curvature(D, min_dim=2)
+    curv = {sid: F for sid, F in curvature(D).items() if sid.dim >= 2}
     want_forms = {sid: cw._cw_polyform_wedge(rho, curv[sid]) if sid in curv else PolyForm.zero(sid.dim, 2)
                   for sid in X.all_cells()}
     assert all(cw_form_permutation(rho, F).is_zero() for F in curv.values())
     calls = []
-    for name in ("curvature_form", "_top_cell_value", "_int_curvature"):
+    for name in ("curvature_form", "_cell_form", "_int_curvature", "_contract"):
         real = getattr(cw, name)
         monkeypatch.setattr(cw, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     assert cw_cochain(rho, D) == Cochain(2, {sid: f.integrate_top() for sid, f in want_forms.items() if sid.dim == 2})
@@ -494,17 +494,24 @@ def test_invariant_polynomial_of_another_algebra_is_refused():
                 build()
 
 
-def test_diagonal_head_takes_each_component_pair_once(monkeypatch):
-    """On the u2 symtrace:3 top cell of Delta^6, a diagonal head (a, a)
-    wedges F^a with itself (the same lowered form), and that square
-    multiplies each unordered pair of components once, to the value of
-    the wedge with a copy; the cochain still equals the integral of the
-    characteristic form."""
+@pytest.mark.parametrize("group, selector, n, kind", [
+    ("u2", "symtrace:3", 6, "global"),
+    ("su2", "symtrace:2", 4, "random"),
+], ids=["u2-symtrace3-simplex6", "su2-symtrace2-simplex4"])
+def test_diagonal_head_takes_each_component_pair_once(monkeypatch, group, selector, n, kind):
+    """On the top cell of Delta^n, an entry's diagonal pair (a, a) wedges
+    F^a with itself (the same lowered form): at arity 3 the head's first
+    product, at arity 2 the entry's last wedge, so that su2 symtrace:2
+    (a diagonal tensor) wedges only squares.  Each square multiplies each
+    unordered pair of components once, to the value of the wedge with a
+    copy; the cochain still equals the integral of the characteristic
+    form."""
     from chernweil import cw
 
-    u2 = lie_algebra("u2")
-    D = _CONNECTIONS["global"](trivial_bundle(standard_simplex(6), u2), 0)
-    rho = invariant_polynomial_from_selector(u2, "symtrace:3")
+    alg = lie_algebra(group)
+    P = trivial_bundle(standard_simplex(n), alg)
+    D = random_connection(P, 0) if kind == "random" else _CONNECTIONS[kind](P, 0)
+    rho = invariant_polynomial_from_selector(alg, selector)
     merges, squares = [], []
     merge, iwedge = cw._merge, cw._iwedge_into
 
@@ -523,19 +530,27 @@ def test_diagonal_head_takes_each_component_pair_once(monkeypatch):
     monkeypatch.setattr(cw, "_merge", counted_merge)
     monkeypatch.setattr(cw, "_iwedge_into", watched_iwedge)
     alpha = cw_cochain(rho, D)
-    assert squares
+    # one square per distinct diagonal first pair: per head at arity 3,
+    # per entry at arity 2
+    assert len(squares) == len({a[:2] for a in rho.tensor() if a[0] == a[1]}) > 0
     for X, out, pairs in squares:
         assert sorted(map(sorted, pairs)) == sorted(map(sorted, itertools.combinations_with_replacement(X, 2)))
         assert out == iwedge({}, X, dict(X))
     assert alpha == integrate_to_cochain(cw_form(rho, D))
 
 
-def test_second_chern_headline_value_pinned():
-    """su2 symtrace:2 on the top cell of standard_simplex(4) with
-    random_connection(P, 0), whose interior noise gives A degree 4."""
-    P = trivial_bundle(standard_simplex(4), su2)
-    alpha = cw_cochain(invariant_polynomial_from_selector(su2, "symtrace:2"), random_connection(P, 0))
-    assert alpha.value(SimplexId(4, 0)) == Scalar.from_rational(-85915326487, 25660800000)
+@pytest.mark.parametrize("group, selector, value", [
+    ("su2", "symtrace:2", Scalar.from_rational(-85915326487, 25660800000)),
+    # a mixed tensor: one off-diagonal head and two squares
+    ("u2", "chern:2", Scalar.of(Fraction(-178997366159, 29937600000), tau_power=-2)),
+], ids=["su2-symtrace2", "u2-chern2"])
+def test_second_chern_headline_value_pinned(group, selector, value):
+    """The top cell of standard_simplex(4) with random_connection(P, 0),
+    whose interior noise gives A degree 4."""
+    alg = lie_algebra(group)
+    P = trivial_bundle(standard_simplex(4), alg)
+    alpha = cw_cochain(invariant_polynomial_from_selector(alg, selector), random_connection(P, 0))
+    assert alpha.value(SimplexId(4, 0)) == value
 
 
 @pytest.mark.parametrize(

@@ -293,3 +293,21 @@ def test_symtrace3_on_six_dim_chart_is_zero():
     F = curvature_form(A)
     assert not F.is_zero()
     assert _cw_polyform_wedge(sym_trace_poly(su2, 3), F) == PolyForm.zero(6, 6)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_arity_four_heads_match_matrix_oracle(seed):
+    # symtrace:4 has heads of three factors, each product built from
+    # F^a1 with no prefix shared with the head before it; a sparse
+    # curvature keeps the oracle's slots^4 walk to a fraction of a second
+    su2, dim = lie_algebra("su2"), 8
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(dim), 2))
+    monomials = [(0,) * dim] + [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    coords = [PolyForm(dim, 2, {I: Poly(dim, {rng.choice(monomials): Scalar.of(rng.choice([-2, -1, 1, 3]))})
+                                for I in rng.sample(pairs, 8)}) for _ in range(su2.dim)]
+    F = LieValuedForm(su2, dim, 2, coords)
+    rho = sym_trace_poly(su2, 4)
+    form = _cw_polyform_wedge(rho, F)
+    assert not form.is_zero()
+    assert form == cw_matrix_contraction(rho, F)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import random
+import re
 import shutil
 from fractions import Fraction
 from pathlib import Path
@@ -352,6 +353,8 @@ def test_dense_su2_gauge_round_trip():
 def test_parse_errors():
     with pytest.raises(cio.ParseError):
         cio.parse_simplicial_set("nonsense")
+    # the empty space is written as its header alone, and read back
+    assert cio.simplicial_set_to_str(cio.parse_simplicial_set("simplicial-set v1\n")) == "simplicial-set v1\n"
     with pytest.raises(cio.ParseError):
         cio.parse_polyform("form v2; bad")
 
@@ -891,6 +894,25 @@ def test_parse_rejects_data_off_the_base():
                  ct + ct.splitlines()[1] + "\n"):
         with pytest.raises(cio.ParseError):
             cio.parse_connection(text, P)
+
+
+# lines a reader parses but its writer never writes, since SimplicialSet
+# drops trailing zero counts and PolyForm zero components: (reader, text,
+# the line the error names)
+UNWRITTEN_LINES = {
+    "space-last-count-zero": (cio.parse_simplicial_set, "simplicial-set v1\ndim 0: 3\ndim 1: 0\n", "dim 1: 0"),
+    "space-only-count-zero": (cio.parse_simplicial_set, "simplicial-set v1\ndim 0: 0\n", "dim 0: 0"),
+    "connection-zero-component": (lambda t: cio.parse_connection(t, clutch_bundle(1)[0]),
+                                  "connection v1; group u1\nA 2.1 0 1: 0\nA 2.1 0 2: -1*tau^1*x1\n", "A 2.1 0 1: 0"),
+    "polyform-zero-component": (cio.parse_polyform, "form v1; dim 2; deg 1\ncomp 1: 0\n", "comp 1: 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITTEN_LINES))
+def test_readers_refuse_lines_no_writer_writes(case):
+    read, text, line = UNWRITTEN_LINES[case]
+    with pytest.raises(cio.ParseError, match=re.escape(repr(line))):
+        read(text)
 
 
 # structure errors inside a transition body of clutch(1): (body, message)
