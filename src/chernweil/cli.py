@@ -20,7 +20,6 @@ from . import io as cio
 from . import liealg as la
 from . import simplicial as sc
 from .forms import FaceConsistencyError
-from .poly import Poly
 from .scalars import Scalar, parse_int
 from .verify import SUITES, run_suite
 
@@ -254,25 +253,19 @@ def cmd_horn_fill(args, report):
     return report
 
 
-def _diagonal(rho):
-    """rho(x, .., x) as a polynomial in the basis coordinates of x."""
-    dim = rho.algebra.dim
-    return Poly(dim, {tuple(a.count(i) for i in range(dim)): v for a, v in rho.tensor().items()})
-
-
 def cmd_reznikov(args, report):
     if args.mode == "exact":
         raise UsageError("reznikov requires --mode float")
     if args.k < 1:
         raise UsageError(f"reznikov needs --k >= 1, got {args.k}")
     su2 = la.lie_algebra("su2")
-    rez = _diagonal(la.reznikov_pullback(su2, args.k))
+    rez = la.reznikov_pullback(su2, args.k).diagonal
     if args.k % 2:
         report.add(f"diagonal terms: {len(rez.terms)}")
         report.check("vanishing" if args.k == 1 else "odd-vanishing", rez.is_zero())
         return report
     # rho(x, .., x) = lambda tr(x^2)^(k/2)
-    trace_power = _diagonal(la.sym_trace_poly(su2, 2)) ** (args.k // 2)
+    trace_power = la.sym_trace_poly(su2, 2).diagonal ** (args.k // 2)
     top = (args.k, 0, 0)
     lam = rez.terms[top] / trace_power.terms[top]
     report.add(f"lambda: {lam.to_complex()!r}")

@@ -9,15 +9,28 @@ coordinates in the basis (LieData.decompose and element_matrix convert);
 brackets of g-valued data, constants included, are taken on
 bundles.LieValuedForm.
 
-Invariant polynomials are symmetric multilinear functionals evaluated
-on matrices; the evaluators are written against generic ring entries so
-the same code runs on exact Scalars, floats, and polynomial-valued
-matrices.  They are symmetrized traces, Chern polynomials, polarized
-polynomials, and the Reznikov functionals on su(n), n <= 4, which
-integrate products of Hamiltonians over CP^(n-1) through the exact
-moments of the unit sphere of C^n.  The Chern-Weil form is assembled
-from the exact coefficient tensor (InvariantPolynomial.tensor), which
-evaluates once on the basis.
+An invariant polynomial is held as its diagonal rho(x, .., x), one
+homogeneous Poly in the basis coordinates x; its symmetric coefficient
+tensor (InvariantPolynomial.tensor) is the Poly's terms keyed by index
+tuple.  Every selector's diagonal is a symmetric function of the
+eigenvalues of the generic element M(x) = sum_a x_a e_a, a matrix of
+Polys, read from its power sums p_j = tr(M(x)^j) by Newton's identities
+(Macdonald, "Symmetric Functions and Hall Polynomials", ch. I.2):
+
+- symtrace:k is p_k;
+- chern:k is e_k / (i tau)^k, with k e_k = sum_j (-1)^(j-1) e_(k-j) p_j;
+  the i/(2 pi) normalization is carried by the tau symbol;
+- reznikov:k, on su(n), is (2i)^k k! (n-1)! / (k+n-1)! h_k, with
+  k h_k = sum_j h_(k-j) p_j: the mean over CP^(n-1) of the product of
+  the Hamiltonians 2i z*Xz, since the moment map of i diag(lambda)
+  pushes the Fubini-Study measure to the uniform measure on the simplex
+  spanned by the lambda_j (Duistermaat-Heckman, Invent. Math. 69, 1982).
+
+polarize(algebra, p, k) calls p once, on the coordinates as Polys, and
+takes p(x) as the diagonal; a term of degree other than k is refused.
+InvariantPolynomial.eval takes elements of the algebra as matrices,
+reads their coordinates through the algebra's solver, and contracts the
+tensor.
 """
 
 from __future__ import annotations
@@ -26,10 +39,11 @@ import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
-from .linalg import PrecomputedSolver, multinomial, sort_sign
-from .scalars import TAU, Scalar, parse_int
+from .linalg import PrecomputedSolver, multinomial
+from .poly import Poly
+from .scalars import Scalar, parse_int
 
 
 class LieAlgebraError(ValueError):
@@ -45,32 +59,8 @@ class SelectorError(ValueError):
 
 
 def mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(p):
-            s = A[r][0] * B[0][c]
-            for k in range(1, m):
-                s = s + A[r][k] * B[k][c]
-            row.append(s)
-        out.append(row)
-    return out
-
-
-def trace_mul(A, B):
-    """tr(A B) = sum_{r,c} A[r][c] B[c][r], without forming A B."""
-    n = len(A)
-    s = A[0][0] * B[0][0]
-    for r in range(n):
-        for c in range(n):
-            if r or c:
-                s = s + A[r][c] * B[c][r]
-    return s
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
 
 
 def mat_sub(A, B):
@@ -78,43 +68,18 @@ def mat_sub(A, B):
 
 
 def mat_trace(A):
-    s = A[0][0]
-    for i in range(1, len(A)):
-        s = s + A[i][i]
-    return s
+    return sum(A[i][i] for i in range(len(A)))
 
 
 def scale_value(v, c):
-    """Multiply a duck-typed ring element by an exact rational or Scalar."""
-    if isinstance(v, (complex, float, int)):
-        return v * (c.to_complex() if isinstance(c, Scalar) else c.numerator / c.denominator)
-    return v * c
+    """v * c for a Scalar c and v a Scalar, a Poly or a number; a float or
+    complex v meets the complex value of c."""
+    return v * c.to_complex() if isinstance(v, (complex, float)) else v * c
 
 
-def _det(A):
-    n = len(A)
-    total = None
-    for perm in itertools.permutations(range(n)):
-        term = A[0][perm[0]]
-        for i in range(1, n):
-            term = term * A[i][perm[i]]
-        term = scale_value(term, Fraction(sort_sign(perm)[1]))
-        total = term if total is None else total + term
-    return total
-
-
-def elementary_invariant(A, k):
-    """Sum of the principal k x k minors (the degree-k coefficient of
-    the characteristic polynomial det(I + tA)); the ring's zero for k > n."""
-    n = len(A)
-    if k > n:
-        return A[0][0] * 0
-    total = None
-    for rows in itertools.combinations(range(n), k):
-        minor = [[A[r][c] for c in rows] for r in rows]
-        d = _det(minor)
-        total = d if total is None else total + d
-    return total
+def _is_zero(v):
+    """v == 0 for a Scalar, a Poly or a number."""
+    return v == 0 if isinstance(v, (complex, float, int, Fraction)) else v.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +143,10 @@ class LieData:
     [e_a, e_b] = sum s e_c, c increasing, for every ordered pair (a, b):
     antisymmetric, and empty on the diagonal.  solver is the one
     PrecomputedSolver over the flattened basis (a row per matrix entry,
-    a column per basis element); decompose and the table read through it.
-    An element is a coordinate list: decompose maps a matrix to it, and
-    element_matrix (element_matrix_float) maps it back.
+    a column per basis element); coordinates, and so decompose, eval and
+    the table, read through it.  An element is a coordinate list:
+    decompose maps a matrix to it, and element_matrix
+    (element_matrix_float) maps it back.
     """
 
     def __init__(self, name, basis):
@@ -189,6 +155,13 @@ class LieData:
         self.dim = len(basis)
         self.n = len(basis[0])
         self.solver = PrecomputedSolver([[b[r][c] for b in basis] for r in range(self.n) for c in range(self.n)])
+        # per flattened entry, the (row, entry) pairs of the solver's
+        # transform that are nonzero in its column
+        self._reads = [
+            [(r, Scalar.coerce(row[j])) for r, row in enumerate(self.solver.trans) if row[j] != 0]
+            for j in range(self.n * self.n)
+        ]
+        self._pivot_columns = dict(self.solver.pivots)
         self.structure = [[()] * self.dim for _ in range(self.dim)]
         for a, b in itertools.combinations(range(self.dim), 2):
             m = mat_sub(mat_mul(basis[a], basis[b]), mat_mul(basis[b], basis[a]))
@@ -196,20 +169,43 @@ class LieData:
             self.structure[b][a] = tuple((c, -s) for c, s in self.structure[a][b])
         self.is_abelian = not any(any(row) for row in self.structure)
 
+    def coordinates(self, matrix):
+        """The nonzero coordinates {a: x_a} of an n x n matrix in the basis.
+
+        Each nonzero entry is multiplied into the rows of the solver's
+        transform that meet it; a pivot row gives a coordinate, and a row
+        beside a zero row of the basis must come to zero.  Entries may be
+        Scalars, Polys or complex floats.  A matrix of exact entries
+        outside the complex span of the basis (the identity on su(n), a
+        symmetric matrix on so3) raises LieAlgebraError; float entries are
+        not checked.
+        """
+        rows = {}
+        for j, v in enumerate(v for row in matrix for v in row):
+            if not _is_zero(v):
+                for r, t in self._reads[j]:
+                    term = scale_value(v, t)
+                    rows[r] = rows[r] + term if r in rows else term
+        out = {}
+        for r, v in rows.items():
+            c = self._pivot_columns.get(r)
+            if c is None:
+                if not (isinstance(v, (complex, float)) or _is_zero(v)):
+                    raise LieAlgebraError("matrix not in the span of the basis")
+            elif not _is_zero(v):
+                out[c] = v
+        return out
+
     def decompose(self, matrix):
         """Exact coordinates of an n x n Scalar matrix in the basis, a list
-        of dim Scalars, read through the solver built once over the
-        flattened basis.
+        of dim Scalars, read by coordinates.
 
         Entries may be any Scalars (tau-Laurent Gaussian rationals).  The
         u(n) bases span gl(n, C), so every such matrix decomposes there;
-        a matrix outside the complex span (the identity on su(n), a
-        symmetric matrix on so3) raises LieAlgebraError.
+        a matrix outside the complex span raises LieAlgebraError.
         """
-        status, coords = self.solver.solve([v for row in matrix for v in row])
-        if status == "certificate":
-            raise LieAlgebraError("matrix not in the span of the basis")
-        return coords
+        x = self.coordinates(matrix)
+        return [Scalar.coerce(x.get(a, 0)) for a in range(self.dim)]
 
     @functools.cached_property
     def basis_float(self):
@@ -272,24 +268,34 @@ def lie_algebra(name):
 
 
 class InvariantPolynomial:
-    """Symmetric multilinear Ad-invariant functional on the algebra.
+    """Symmetric multilinear Ad-invariant functional on the algebra, held
+    as its diagonal rho(x, .., x): a Poly in the algebra.dim basis
+    coordinates x, each term of degree arity (a zero diagonal keeps its
+    arity).  A diagonal of another dimension or degree raises
+    LieAlgebraError.
 
-    eval takes arity-many arguments, each an n x n matrix given as a
-    list of rows (entries may be Scalars, numbers, or polynomial ring
-    elements; an ndarray goes in as M.tolist(), and a coordinate list
-    as algebra.element_matrix(coords)).  Any other argument raises
-    ValueError naming its slot.  The evaluator returns a single ring
+    eval takes arity-many elements of the algebra, each an n x n matrix
+    given as a list of rows (entries may be Scalars, Polys or complex
+    floats; an ndarray goes in as M.tolist(), and a coordinate list as
+    algebra.element_matrix(coords)).  Any other argument raises
+    ValueError naming its slot, and a matrix of exact entries outside
+    the algebra raises LieAlgebraError.  It returns a single ring
     element.
     """
 
-    def __init__(self, algebra, arity, evaluator, provenance):
+    def __init__(self, algebra, arity, diagonal, provenance):
+        if diagonal.dim != algebra.dim or any(sum(e) != arity for e in diagonal.terms):
+            raise LieAlgebraError(f"{provenance}: not a homogeneous polynomial of degree {arity} on {algebra.name}")
         self.algebra = algebra
         self.arity = arity
-        self._evaluator = evaluator
+        self.diagonal = diagonal
         self.provenance = provenance
         self._tensor = None
 
     def eval(self, args):
+        """rho(args): the coordinates of each argument, read by
+        algebra.coordinates, contracted with the tensor entry by entry
+        over each entry's distinct orderings."""
         if len(args) != self.arity:
             raise ValueError(f"{self.provenance} has arity {self.arity}, got {len(args)}")
         n = self.algebra.n
@@ -300,7 +306,22 @@ class InvariantPolynomial:
                 square = False
             if not square:
                 raise ValueError(f"{self.provenance}: slot {i} is not a {n} x {n} matrix")
-        return self._evaluator(args)
+        coords = [self.algebra.coordinates(a) for a in args]
+        total = args[0][0][0] * 0
+        for coef, orderings in self._contraction:
+            part = None
+            for idx in orderings:
+                term = None
+                for x, i in zip(coords, idx):
+                    v = x.get(i)
+                    if v is None:
+                        break
+                    term = v if term is None else term * v
+                else:
+                    part = term if part is None else part + term
+            if part is not None:
+                total = total + scale_value(part, coef)
+        return total
 
     def eval_diag(self, x):
         return self.eval([x] * self.arity)
@@ -310,183 +331,103 @@ class InvariantPolynomial:
 
         A dict from each sorted basis index tuple a1 <= .. <= ak to
         multinomial(a) * rho(e_a1, .., e_ak), an exact Scalar, so that
-        rho(x, .., x) = sum_a T[a] x^a1 .. x^ak; zero entries are left
-        out.  Built once from the evaluator on the basis matrices.
+        rho(x, .., x) = sum_a T[a] x^a1 .. x^ak: the diagonal's term with
+        exponent e is keyed by the tuple with e_i copies of i.  Zero
+        entries are left out, and the keys are sorted.  Built once.
         """
         if self._tensor is None:
-            basis = self.algebra.basis
-            out = {}
-            for a in itertools.combinations_with_replacement(range(self.algebra.dim), self.arity):
-                val = Scalar.coerce(self.eval([basis[i] for i in a]))
-                if not val.is_zero():
-                    out[a] = val * multinomial(Counter(a).values())
-            self._tensor = out
+            self._tensor = dict(
+                sorted((sum(((i,) * m for i, m in enumerate(e)), ()), c) for e, c in self.diagonal.terms.items())
+            )
         return self._tensor
+
+    @functools.cached_property
+    def _contraction(self):
+        """(T[a] / multinomial(a), the distinct orderings of a) per tensor
+        entry a: the full symmetric tensor, entry by entry."""
+        return [
+            (c * Fraction(1, multinomial(Counter(a).values())), sorted(set(itertools.permutations(a))))
+            for a, c in self.tensor().items()
+        ]
+
+
+@functools.cache
+def _generic_power(algebra, j):
+    """M(x)^j for the generic element M(x) = sum_a x_a e_a, an n x n
+    matrix of Polys in the algebra.dim coordinates x."""
+    if j > 1:
+        return mat_mul(_generic_power(algebra, j - 1), _generic_power(algebra, 1))
+    units = [tuple(int(i == a) for i in range(algebra.dim)) for a in range(algebra.dim)]
+    return [
+        [Poly(algebra.dim, {u: b[r][c] for u, b in zip(units, algebra.basis)}) for c in range(algebra.n)]
+        for r in range(algebra.n)
+    ]
+
+
+def _symmetric(algebra, k, sign):
+    """The degree-k symmetric function of the eigenvalues of M(x), from
+    the power sums p_i = tr(M(x)^i) by Newton's identities: e_k for
+    sign -1, with j e_j = sum_i (-1)^(i-1) e_(j-i) p_i, and h_k for
+    sign 1, with j h_j = sum_i h_(j-i) p_i."""
+    p = [mat_trace(_generic_power(algebra, i)) for i in range(1, k + 1)]
+    out = [Poly.const(algebra.dim, 1)]
+    for j in range(1, k + 1):
+        s = Poly.zero(algebra.dim)
+        for i in range(1, j + 1):
+            s = s + (out[j - i] * p[i - 1]).scale(sign ** (i - 1))
+        out.append(s.scale(Fraction(1, j)))
+    return out[k]
 
 
 def sym_trace_poly(algebra, k):
-    """(x_1,..,x_k) -> (1/k!) sum_pi tr(x_{pi(1)} ... x_{pi(k)}).
-
-    The trace is cyclic when the matrix entries commute (Scalars, Polys,
-    numbers), so the k rotations of an ordering share one trace: the
-    evaluator sums the (k-1)! orderings that start with x_1, scaled by
-    1/(k-1)!, and takes each last trace by trace_mul.
-    """
+    """(x_1,..,x_k) -> (1/k!) sum_pi tr(x_{pi(1)} ... x_{pi(k)}), whose
+    diagonal is the power sum tr(x^k)."""
     if k < 1:
         raise ValueError("sym_trace arity must be >= 1")
-
-    def evaluator(mats):
-        if k == 1:
-            return mat_trace(mats[0])
-        total = None
-        for perm in itertools.permutations(range(1, k)):
-            prod = mats[0]
-            for i in perm[:-1]:
-                prod = mat_mul(prod, mats[i])
-            t = trace_mul(prod, mats[perm[-1]])
-            total = t if total is None else total + t
-        return scale_value(total, Fraction(1, factorial(k - 1)))
-
-    return InvariantPolynomial(algebra, k, evaluator, f"symtrace:{k}")
-
-
-def _scale_by_inv_itau(v):
-    if isinstance(v, (complex, float, int)):
-        return v / (1j * TAU)
-    # Scalar and Poly both divide exactly by the monomial i*tau
-    return v * (Scalar.one() / Scalar.of(0, 1, 1))
-
-
-def _polarized(p, args, add):
-    """(1/k!) sum over nonempty S of (-1)^(k - |S|) p(sum of args in S),
-    k = len(args), sums taken with add: the symmetric multilinear form
-    whose diagonal is the degree-k homogeneous p."""
-    k = len(args)
-    total = None
-    for size in range(1, k + 1):
-        for subset in itertools.combinations(range(k), size):
-            x = args[subset[0]]
-            for i in subset[1:]:
-                x = add(x, args[i])
-            term = scale_value(p(x), Fraction((-1) ** (k - size)))
-            total = term if total is None else total + term
-    return scale_value(total, Fraction(1, factorial(k)))
+    return InvariantPolynomial(algebra, k, mat_trace(_generic_power(algebra, k)), f"symtrace:{k}")
 
 
 def chern_polynomial(algebra, k):
     """Polarized degree-k Chern polynomial on u(n)/su(n).
 
-    Defined through det(I + t X / (i tau)): the k'th coefficient is
-    polarized into a symmetric multilinear functional.  The i/(2 pi)
-    normalization is carried by the tau symbol, so on u1 the element
-    i*a*tau maps to a.
+    Its diagonal is the k'th coefficient of det(I + t X / (i tau)),
+    e_k(X) / (i tau)^k.  The i/(2 pi) normalization is carried by the
+    tau symbol, so on u1 the element i*a*tau maps to a.
     """
     if not (algebra.name.startswith("u") or algebra.name.startswith("su")):
         raise LieAlgebraError(f"chern polynomial undefined for {algebra.name}")
-
-    def evaluator(mats):
-        scaled = [[[_scale_by_inv_itau(v) for v in row] for row in m] for m in mats]
-        return _polarized(lambda m: elementary_invariant(m, k), scaled, mat_add)
-
-    return InvariantPolynomial(algebra, k, evaluator, f"chern:{k}")
+    diagonal = _symmetric(algebra, k, -1).scale(Scalar.one() / Scalar.of(0, 1, 1) ** k)
+    return InvariantPolynomial(algebra, k, diagonal, f"chern:{k}")
 
 
 def polarize(algebra, p, k):
-    """Polarize a homogeneous degree-k polynomial on the algebra.
+    """The symmetric multilinear rho with rho(x, .., x) = p(x).
 
-    p is a callable on coordinate vectors (exact Fractions supported).
-    Returns the symmetric multilinear rho with rho(x,..,x) = p(x).
-    Raises if p fails exact homogeneity probes.
+    p is called once, on the coordinates of x as Polys (Poly.var), and
+    returns a Poly.  A term of p(x) of degree other than k raises
+    LieAlgebraError, so homogeneity is decided exactly.
     """
-    probes = [
-        [Fraction(1, 2)] * algebra.dim,
-        [Fraction(2 * i + 1, 3) for i in range(algebra.dim)],
-        [Fraction((-1) ** i * (i + 2), 5) for i in range(algebra.dim)],
-    ]
-    for coords in probes:
-        for t in (2, 3):
-            lhs = p([t * c for c in coords])
-            rhs = (Fraction(t) ** k) * p(coords)
-            if lhs != rhs:
-                raise LieAlgebraError(f"polynomial is not homogeneous of degree {k}")
-
-    def evaluator(mats):
-        coord_vectors = [algebra.decompose(m) for m in mats]
-        return _polarized(p, coord_vectors, lambda v, w: [a + b for a, b in zip(v, w)])
-
-    return InvariantPolynomial(algebra, k, evaluator, f"polarized:{k}")
-
-
-def monomial_moment(alpha):
-    """E[|z^alpha|^2] for z uniform on the unit sphere of C^n, n = len(alpha).
-
-    alpha! (n-1)! / (n-1+|alpha|)! (Rudin, "Function Theory in the Unit
-    Ball of C^n", Prop. 1.4.9).
-    """
-    n = len(alpha)
-    return Fraction(prod(map(factorial, alpha)) * factorial(n - 1), factorial(n - 1 + sum(alpha)))
-
-
-@functools.cache
-def _hamiltonian_moments(n, k):
-    """(2i)^k monomial_moment(alpha) for each alpha in N^n with |alpha| = k,
-    keyed by the code sum_i alpha_i (k+1)^i."""
-    base, i2k = k + 1, Scalar.of(0, 2) ** k
-    out = {}
-    for a in itertools.combinations_with_replacement(range(n), k):
-        alpha = [a.count(i) for i in range(n)]
-        out[sum(c * base**i for i, c in enumerate(alpha))] = i2k * monomial_moment(alpha)
-    return out
+    x = [Poly.var(algebra.dim, a) for a in range(algebra.dim)]
+    return InvariantPolynomial(algebra, k, p(x), f"polarized:{k}")
 
 
 def reznikov_pullback(algebra, k):
-    """Reznikov's integrated-Hamiltonian functional on su(n), exactly.
+    """Reznikov's integrated-Hamiltonian functional on su(n), exactly:
 
-    X in su(n) generates a Hamiltonian flow on CP^(n-1) with mean-zero
-    Hamiltonian H_X([z]) = 2i z*Xz, |z| = 1.  The functional is
+        (X_1,..,X_k) -> int_{CP^(n-1)} H_1 ... H_k  w,
 
-        (X_1,..,X_k) -> int_{CP^(n-1)} H_1 ... H_k  w
-
-    with the Fubini-Study volume w normalized to mass 1, the pushforward
-    of the uniform measure on the unit sphere of C^n.  Expanding the
-    product, it is the sum over row and column tuples r, c in [n]^k of
-    prod_j 2i X_j[r_j][c_j] E[zbar^count(r) z^count(c)], and the
-    expectation vanishes unless count(r) == count(c).  The sum is
-    contracted slot by slot over the nonzero entries only, keyed by the
-    codes of the row and column counts so far, so any ring entries
-    work.  On su2 the Hopf map sends H_X to the height along the
-    rotation axis of X on S^2.
+    H_X([z]) = 2i z*Xz for |z| = 1, and w the Fubini-Study volume of
+    mass 1.  Its diagonal is (2i)^k k! (n-1)! / (k+n-1)! h_k (see the
+    module docstring).  On su2 the Hopf map sends H_X to the height
+    along the rotation axis of X on S^2.
     """
     if k < 1:
         raise ValueError("reznikov arity must be >= 1")
     if not algebra.name.startswith("su"):
         raise LieAlgebraError(f"reznikov is defined on su(n), not on {algebra.name}")
-    n, base = algebra.n, k + 1
-    moments = _hamiltonian_moments(n, k)
-
-    def evaluator(mats):
-        states = {(0, 0): 1}
-        for mat in mats:
-            entries = [
-                (base**r, base**c, v)
-                for r, row in enumerate(mat)
-                for c, v in enumerate(row)
-                if not (v == 0 if isinstance(v, (complex, float, int)) else v.is_zero())
-            ]
-            nxt = {}
-            for (rs, cs), acc in states.items():
-                for dr, dc, v in entries:
-                    key = (rs + dr, cs + dc)
-                    term = acc * v
-                    nxt[key] = nxt[key] + term if key in nxt else term
-            states = nxt
-        total = mats[0][0][0] * 0
-        for (rs, cs), acc in states.items():
-            if rs == cs:
-                total = total + scale_value(acc, moments[rs])
-        return total
-
-    return InvariantPolynomial(algebra, k, evaluator, f"reznikov:{k}")
+    n = algebra.n
+    c = Scalar.of(0, 2) ** k * Fraction(factorial(k) * factorial(n - 1), factorial(k + n - 1))
+    return InvariantPolynomial(algebra, k, _symmetric(algebra, k, 1).scale(c), f"reznikov:{k}")
 
 
 @functools.cache

@@ -110,6 +110,10 @@ class Poly:
     def __add__(self, other):
         return self._binop_add(other, +1)
 
+    def __radd__(self, other):
+        # 0 + p, so that sum() starts on Polys
+        return self if type(other) is int and other == 0 else NotImplemented
+
     def __sub__(self, other):
         return self._binop_add(other, -1)
 

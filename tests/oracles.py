@@ -9,8 +9,9 @@ the curvature itself from the matrix of the connection's 1-forms.
 Constructions the library now builds once are kept here in their older,
 separate form (horn restriction by vertex relabelling, Bernstein and
 affine coordinates and the Whitney-Bernstein basis as products of
-barycentric polynomials, the Chern and polarize loops written out), for
-the tests to compare against.
+barycentric polynomials, the Chern and polarize loops written out, the
+invariant polynomials as multilinear evaluators on matrices), for the
+tests to compare against.
 """
 
 import functools
@@ -937,32 +938,191 @@ def _flat_form(f):
 
 
 # ---------------------------------------------------------------------------
-# Polarization loops written out per functional
+# Invariant polynomials by their multilinear evaluators, the library's
+# older route: each functional evaluated on matrices, and its tensor read
+# off the basis one sorted index tuple at a time
 
 
-def chern_polynomial_reference(algebra, k):
-    """chern:k with its polarization loop written out over matrices."""
-    from chernweil.liealg import InvariantPolynomial, _scale_by_inv_itau, elementary_invariant, mat_add, scale_value
+def polynomial_from_evaluator(algebra, k, evaluator, provenance):
+    """An InvariantPolynomial read off a multilinear evaluator by the basis
+    loop: the diagonal's coefficient of x^a is multinomial(a) times
+    evaluator(e_a1, .., e_ak), for each sorted basis tuple a.  Its eval is
+    the evaluator itself, so a check that compares eval with the tensor
+    still sees a nonsymmetric or nonmultilinear evaluator."""
+    from chernweil.liealg import InvariantPolynomial
+    from chernweil.poly import Poly
+    from chernweil.scalars import Scalar
+
+    terms = {}
+    for a in itertools.combinations_with_replacement(range(algebra.dim), k):
+        val = Scalar.coerce(evaluator([algebra.basis[i] for i in a]))
+        if not val.is_zero():
+            counts = [a.count(i) for i in range(algebra.dim)]
+            terms[tuple(counts)] = val * (factorial(k) // math.prod(map(factorial, counts)))
+    rho = InvariantPolynomial(algebra, k, Poly(algebra.dim, terms), provenance)
+    rho.eval = evaluator
+    return rho
+
+
+def _scale(v, c):
+    """v * c for a ring element v and an exact rational or Scalar c; a
+    number v meets the complex value of c."""
+    if isinstance(v, (complex, float, int)):
+        return v * (c.to_complex() if hasattr(c, "terms") else c.numerator / c.denominator)
+    return v * c
+
+
+def sym_trace_evaluator(k):
+    """(1/(k-1)!) times the sum over the (k-1)! orderings of the matrices
+    that start with the first of tr(M_1 M_pi(2) .. M_pi(k)): the trace is
+    cyclic when the entries commute, so the k rotations of an ordering
+    share one trace."""
+    from chernweil.liealg import mat_mul, mat_trace
 
     def evaluator(mats):
-        scaled = [[[_scale_by_inv_itau(v) for v in row] for row in m] for m in mats]
+        total = None
+        for perm in itertools.permutations(range(1, k)):
+            prod = mats[0]
+            for i in perm:
+                prod = mat_mul(prod, mats[i])
+            t = mat_trace(prod)
+            total = t if total is None else total + t
+        return _scale(total, Fraction(1, factorial(k - 1)))
+
+    return evaluator
+
+
+def _det(A):
+    """The Leibniz sum over all permutations, signs by counted inversions."""
+    n = len(A)
+    total = None
+    for perm in itertools.permutations(range(n)):
+        term = A[0][perm[0]]
+        for i in range(1, n):
+            term = term * A[i][perm[i]]
+        inversions = sum(1 for i, j in itertools.combinations(range(n), 2) if perm[i] > perm[j])
+        term = _scale(term, Fraction((-1) ** inversions))
+        total = term if total is None else total + term
+    return total
+
+
+def elementary_invariant(A, k):
+    """Sum of the principal k x k minors (the degree-k coefficient of
+    det(I + tA)); the ring's zero for k > n."""
+    n = len(A)
+    if k > n:
+        return A[0][0] * 0
+    total = None
+    for rows in itertools.combinations(range(n), k):
+        d = _det([[A[r][c] for c in rows] for r in rows])
+        total = d if total is None else total + d
+    return total
+
+
+def chern_evaluator(k):
+    """chern:k with its polarization loop written out over matrices: each
+    entry divided by i*tau, then (1/k!) sum over nonempty S of
+    (-1)^(k-|S|) e_k(sum of the matrices in S)."""
+    from chernweil.scalars import TAU, Scalar
+
+    def inv_itau(v):
+        if isinstance(v, (complex, float, int)):
+            return v / (1j * TAU)
+        return v * (Scalar.one() / Scalar.of(0, 1, 1))
+
+    def evaluator(mats):
+        scaled = [[[inv_itau(v) for v in row] for row in m] for m in mats]
         total = None
         for size in range(1, k + 1):
             for subset in itertools.combinations(range(k), size):
                 m = scaled[subset[0]]
                 for i in subset[1:]:
-                    m = mat_add(m, scaled[i])
-                term = scale_value(elementary_invariant(m, k), Fraction((-1) ** (k - size)))
+                    m = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(m, scaled[i])]
+                term = _scale(elementary_invariant(m, k), Fraction((-1) ** (k - size)))
                 total = term if total is None else total + term
-        return scale_value(total, Fraction(1, factorial(k)))
+        return _scale(total, Fraction(1, factorial(k)))
 
-    return InvariantPolynomial(algebra, k, evaluator, f"chern:{k}")
+    return evaluator
+
+
+def monomial_moment(alpha):
+    """E[|z^alpha|^2] for z uniform on the unit sphere of C^n, n = len(alpha).
+
+    alpha! (n-1)! / (n-1+|alpha|)! (Rudin, "Function Theory in the Unit
+    Ball of C^n", Prop. 1.4.9).
+    """
+    n = len(alpha)
+    return Fraction(math.prod(map(factorial, alpha)) * factorial(n - 1), factorial(n - 1 + sum(alpha)))
+
+
+@functools.cache
+def _hamiltonian_moments(n, k):
+    """(2i)^k monomial_moment(alpha) for each alpha in N^n with |alpha| = k,
+    keyed by the code sum_i alpha_i (k+1)^i."""
+    from chernweil.scalars import Scalar
+
+    base, i2k = k + 1, Scalar.of(0, 2) ** k
+    out = {}
+    for a in itertools.combinations_with_replacement(range(n), k):
+        alpha = [a.count(i) for i in range(n)]
+        out[sum(c * base**i for i, c in enumerate(alpha))] = i2k * monomial_moment(alpha)
+    return out
+
+
+def reznikov_evaluator(n, k):
+    """The integrated-Hamiltonian functional on su(n) by sphere moments:
+    with H_j([z]) = 2i z*X_j z, the mean over the unit sphere of C^n of
+    H_1 .. H_k is the sum over row and column tuples r, c in [n]^k of
+    prod_j 2i X_j[r_j][c_j] E[zbar^count(r) z^count(c)], and the
+    expectation vanishes unless count(r) == count(c).  The sum is
+    contracted slot by slot over the nonzero entries, keyed by the codes
+    of the row and column counts so far."""
+    base = k + 1
+    moments = _hamiltonian_moments(n, k)
+
+    def evaluator(mats):
+        states = {(0, 0): 1}
+        for mat in mats:
+            entries = [
+                (base**r, base**c, v)
+                for r, row in enumerate(mat)
+                for c, v in enumerate(row)
+                if not (v == 0 if isinstance(v, (complex, float, int)) else v.is_zero())
+            ]
+            nxt = {}
+            for (rs, cs), acc in states.items():
+                for dr, dc, v in entries:
+                    key = (rs + dr, cs + dc)
+                    term = acc * v
+                    nxt[key] = nxt[key] + term if key in nxt else term
+            states = nxt
+        total = mats[0][0][0] * 0
+        for (rs, cs), acc in states.items():
+            if rs == cs:
+                total = total + _scale(acc, moments[rs])
+        return total
+
+    return evaluator
+
+
+def evaluator_reference(algebra, selector):
+    """The evaluator of a symtrace:k, chern:k or reznikov:k selector."""
+    kind, k = selector.split(":")
+    k = int(k)
+    if kind == "symtrace":
+        return sym_trace_evaluator(k)
+    return chern_evaluator(k) if kind == "chern" else reznikov_evaluator(algebra.n, k)
+
+
+def invariant_polynomial_reference(algebra, selector):
+    """The selector's polynomial with its tensor read off its evaluator."""
+    return polynomial_from_evaluator(algebra, int(selector.split(":")[1]), evaluator_reference(algebra, selector),
+                                     selector)
 
 
 def polarize_reference(algebra, p, k):
     """polarize(algebra, p, k) with its polarization loop written out over
     coordinate vectors, each sum started from the zero vector."""
-    from chernweil.liealg import InvariantPolynomial, scale_value
     from chernweil.scalars import Scalar
 
     def evaluator(mats):
@@ -973,11 +1133,11 @@ def polarize_reference(algebra, p, k):
                 v = [Scalar.zero()] * algebra.dim
                 for i in subset:
                     v = [a + b for a, b in zip(v, elems[i])]
-                term = scale_value(p(v), Fraction((-1) ** (k - size)))
+                term = _scale(p(v), Fraction((-1) ** (k - size)))
                 total = term if total is None else total + term
-        return scale_value(total, Fraction(1, factorial(k)))
+        return _scale(total, Fraction(1, factorial(k)))
 
-    return InvariantPolynomial(algebra, k, evaluator, f"polarized:{k}")
+    return polynomial_from_evaluator(algebra, k, evaluator, f"polarized:{k}")
 
 
 def check_prescription_consistency(d, prescriptions):

@@ -42,7 +42,6 @@ from chernweil.forms import (
     random_polyform,
 )
 from chernweil.liealg import (
-    InvariantPolynomial,
     chern_polynomial,
     invariant_polynomial_from_selector,
     lie_algebra,
@@ -67,7 +66,7 @@ from chernweil.simplicial import (
     two_disk_sphere,
 )
 from chernweil.verify import generic_curvature
-from oracles import bianchi_defect, boundary_chain
+from oracles import bianchi_defect, boundary_chain, polynomial_from_evaluator
 
 u1 = lie_algebra("u1")
 su2 = lie_algebra("su2")
@@ -115,7 +114,7 @@ def test_cw_form_clutch_one():
 
 def test_cw_form_zero_polynomial():
     P, D = clutch_bundle(1)
-    zero_rho = InvariantPolynomial(u1, 1, lambda mats: Poly.zero(mats[0][0][0].dim) if isinstance(mats[0][0][0], Poly) else 0, "zero")
+    zero_rho = polynomial_from_evaluator(u1, 1, lambda mats: Poly.zero(mats[0][0][0].dim) if isinstance(mats[0][0][0], Poly) else 0, "zero")
     om = cw_form(zero_rho, D)
     assert all(f.is_zero() for f in om.forms.values())
 
@@ -304,7 +303,7 @@ def test_calibration_refuses_a_nonmultilinear_evaluator():
         t = mat_trace(mat_mul(mats[0], mats[1]))
         return t * t
 
-    rho = InvariantPolynomial(su2, 2, evaluator, "tr(m0 m1)^2")
+    rho = polynomial_from_evaluator(su2, 2, evaluator, "tr(m0 m1)^2")
     F = generic_curvature(su2, 4, random.Random(0))
     with pytest.raises(ValueError, match="not proportional"):
         calibrate_cw_constant(rho, F)

@@ -14,7 +14,6 @@ from chernweil.bundles import Connection, LieValuedForm, random_connection, triv
 from chernweil.cw import _cw_polyform_wedge, curvature_form, cw_form, cw_form_permutation
 from chernweil.forms import AffineMap, PolyForm, random_polyform
 from chernweil.liealg import (
-    InvariantPolynomial,
     chern_polynomial,
     invariant_polynomial_from_selector,
     lie_algebra,
@@ -30,6 +29,7 @@ from oracles import (
     canonical_violations,
     curvature_reference,
     cw_matrix_contraction,
+    polynomial_from_evaluator,
     reznikov_quadrature,
     sym_trace_oracle,
 )
@@ -49,7 +49,7 @@ def _rhos():
     out.append(polarize(su2, lambda x: x[0] * x[0] + x[1] * x[1] + x[2] * x[2], 2))
     u2 = lie_algebra("u2")
     # tr(x) tr(y): Ad-invariant, symmetric, and not a symtrace or chern
-    out.append(InvariantPolynomial(u2, 2, lambda m: mat_trace(m[0]) * mat_trace(m[1]), "trace-product"))
+    out.append(polynomial_from_evaluator(u2, 2, lambda m: mat_trace(m[0]) * mat_trace(m[1]), "trace-product"))
     return out
 
 
@@ -59,7 +59,7 @@ RHOS = _rhos()
 REZNIKOV = [reznikov_pullback(lie_algebra("su2"), k) for k in (1, 2, 3)]
 # reznikov:2 is -4/(N(N+1)) symtrace:2 on su(N)
 REZNIKOV_TWO = {name: (reznikov_pullback(lie_algebra(name), 2), Fraction(-4, n * (n + 1)))
-                for name, n in (("su2", 2), ("su3", 3))}
+                for name, n in (("su2", 2), ("su3", 3), ("su4", 4))}
 
 COEFF = st.builds(Scalar.of, st.integers(-3, 3), st.integers(-2, 2), st.integers(-1, 1))
 
@@ -153,13 +153,8 @@ def test_tensor_contraction_matches_matrix_oracle(case):
     assert _cw_polyform_wedge(rho, F) == cw_matrix_contraction(rho, F)
 
 
-# the polarized rho decomposes its arguments in the basis, which a matrix
-# of polynomials is not in, so the permutation sum runs on these only
-SYMTRACE_AND_CHERN = [rho for rho in RHOS if rho.provenance.split(":")[0] in ("symtrace", "chern")]
-
-
 @settings(max_examples=40, deadline=None)
-@given(rho_and_curvature(SYMTRACE_AND_CHERN))
+@given(rho_and_curvature())
 def test_permutation_sum_matches_matrix_oracle(case):
     # each term of the contraction, an ordered k-tuple of increasing
     # index pairs, is 2^k of the (2k)! permutations (the order within
@@ -205,7 +200,7 @@ def test_reznikov_contraction_matches_matrix_oracle(case):
 @settings(max_examples=20, deadline=None)
 @given(rho_and_curvature([sym_trace_poly(lie_algebra(name), 2) for name in REZNIKOV_TWO]))
 def test_reznikov_two_form_is_minus_two_thirds_symtrace_two(case):
-    # -2/3 on su2, -1/3 on su3
+    # -2/3 on su2, -1/3 on su3, -1/5 on su4
     symtrace2, F = case
     rho, factor = REZNIKOV_TWO[symtrace2.algebra.name]
     assert _cw_polyform_wedge(rho, F) == _cw_polyform_wedge(symtrace2, F).scale(factor)
@@ -234,9 +229,10 @@ def test_tensor_entries():
 
 
 def test_tensor_rejects_float_functional():
+    # the oracles' basis loop reads exact tensors only
     su2 = lie_algebra("su2")
     with pytest.raises(TypeError):
-        InvariantPolynomial(su2, 2, reznikov_quadrature(2, 8), "quadrature").tensor()
+        polynomial_from_evaluator(su2, 2, reznikov_quadrature(2, 8), "quadrature").tensor()
 
 
 def test_reznikov_tensor_from_sphere_moments():

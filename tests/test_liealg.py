@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from chernweil.bundles import LieValuedForm
 from chernweil.liealg import (
-    InvariantPolynomial,
     LieAlgebraError,
     SelectorError,
     chern_polynomial,
@@ -20,7 +19,6 @@ from chernweil.liealg import (
     mat_mul,
     mat_sub,
     mat_trace,
-    monomial_moment,
     polarize,
     reznikov_pullback,
     sym_trace_poly,
@@ -30,9 +28,12 @@ from chernweil.scalars import Scalar
 from chernweil.verify import ad_exp_coords
 from oracles import (
     charpoly_coefficient_oracle,
-    chern_polynomial_reference,
+    evaluator_reference,
     finite_difference_polarization,
+    invariant_polynomial_reference,
+    monomial_moment,
     polarize_reference,
+    polynomial_from_evaluator,
     reznikov_quadrature,
 )
 
@@ -218,6 +219,20 @@ def test_eval_takes_only_n_by_n_matrices(name, selector):
     rho.eval([good] * rho.arity)
 
 
+def test_eval_refuses_matrices_outside_the_algebra():
+    # the identity is not traceless, and a symmetric matrix is not in so3
+    su2, so3 = lie_algebra("su2"), lie_algebra("so3")
+    identity = [[Scalar.one(), Scalar.zero()], [Scalar.zero(), Scalar.one()]]
+    with pytest.raises(LieAlgebraError):
+        sym_trace_poly(su2, 1).eval([identity])
+    with pytest.raises(LieAlgebraError):
+        sym_trace_poly(su2, 2).eval([su2.basis[0], identity])
+    symmetric = [[Scalar.zero(), Scalar.one(), Scalar.zero()], [Scalar.one(), Scalar.zero(), Scalar.zero()],
+                 [Scalar.zero(), Scalar.zero(), Scalar.zero()]]
+    with pytest.raises(LieAlgebraError):
+        sym_trace_poly(so3, 2).eval([symmetric, so3.basis[0]])
+
+
 def test_chern_unsupported_algebra():
     with pytest.raises(LieAlgebraError):
         chern_polynomial(lie_algebra("so3"), 1)
@@ -246,7 +261,7 @@ def test_invariance_check_rejects_nonsymmetric_evaluator():
         pair = mat_trace(mat_mul(m[0], e2)) * mat_trace(mat_mul(m[1], e1)) * 4
         return mat_trace(mat_mul(m[0], m[1])) + pair
 
-    rho = InvariantPolynomial(su2, 2, evaluator, "nonsymmetric")
+    rho = polynomial_from_evaluator(su2, 2, evaluator, "nonsymmetric")
     assert rho.tensor() == sym_trace_poly(su2, 2).tensor()
     bad = check_invariant_polynomial(rho, random.Random(0))
     assert bad is not None and "slot order" in bad
@@ -344,6 +359,17 @@ def test_reznikov_two_proportional_to_trace_form():
             assert rho.eval([x, x]) == mat_trace(mat_mul(x, x)) * lam
 
 
+@pytest.mark.parametrize("name", ["su2", "su3", "su4"])
+def test_reznikov_two_and_three_are_multiples_of_chern(name):
+    # e_1 = 0 on su(n), so h_2 = -e_2 and h_3 = e_3
+    alg = lie_algebra(name)
+    n, tau = alg.n, Scalar.tau()
+    for k, factor in [(2, Fraction(-8, n * (n + 1))), (3, Fraction(-48, n * (n + 1) * (n + 2)))]:
+        chern = chern_polynomial(alg, k).tensor()
+        assert chern or k > n
+        assert reznikov_pullback(alg, k).tensor() == {a: v * factor * tau**k for a, v in chern.items()}
+
+
 def test_reznikov_two_quadrature_order_independence():
     # independent cross-check: the sphere quadrature at two quite
     # different orders agrees with the exact functional
@@ -382,8 +408,8 @@ def test_reznikov_three_vanishes_by_antipodal_symmetry():
 
 
 def test_reznikov_exact_on_polynomial_entries():
-    # the evaluator only multiplies and adds matrix entries, so it runs
-    # on matrices of polynomials as symtrace and chern do
+    # the coordinates are read by multiplying and adding matrix entries,
+    # so eval runs on matrices of polynomials
     from chernweil.poly import Poly
 
     su2 = lie_algebra("su2")
@@ -444,16 +470,43 @@ _HOMOGENEOUS = {
     2: lambda v: _lin(v) * v[-1] + v[0] * v[0],
     3: lambda v: (_lin(v) * v[-1] + v[0] * v[0]) * v[0],
 }
-# chern:3 on the 15- and 16-dim algebras takes seconds a tensor on each side,
-# so the chern cases stop at n = 3; the polarize cases add u4 at arity 3
+# the reference chern:3 on the 15- and 16-dim algebras takes seconds a
+# tensor, so the chern cases stop at n = 3; the polarize cases add u4 at arity 3
 _POLARIZED_CASES = [(name, k) for name in ("u1", "u2", "u3", "u4", "su2", "su3", "su4") for k in (1, 2, 3)
                     if not (k == 3 and name.endswith("4"))]
+
+
+# every selector each algebra carries, k <= 4: the reference tensors of
+# su4 and u4 at k >= 3 take seconds, so those compare eval with the
+# reference evaluator on random elements instead
+_SELECTOR_CASES = [
+    (name, f"{kind}:{k}")
+    for name in ("u1", "u2", "u3", "u4", "su2", "su3", "su4", "so3")
+    for kind in ("symtrace", "chern", "reznikov")
+    if not (kind == "chern" and name == "so3") and not (kind == "reznikov" and not name.startswith("su"))
+    for k in (1, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("name,selector", _SELECTOR_CASES)
+def test_selector_matches_its_evaluator_oracle(name, selector):
+    alg = lie_algebra(name)
+    rho = invariant_polynomial_from_selector(alg, selector)
+    if alg.n < 4 or rho.arity < 3:
+        assert rho.tensor() == invariant_polynomial_reference(alg, selector).tensor()
+        return
+    oracle = evaluator_reference(alg, selector)
+    rng = random.Random(13)
+    for _ in range(3):
+        args = [alg.element_matrix([Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(alg.dim)])
+                for _ in range(rho.arity)]
+        assert rho.eval(args) == oracle(args)
 
 
 @pytest.mark.parametrize("name,k", _POLARIZED_CASES)
 def test_chern_tensor_matches_the_written_out_polarization(name, k):
     alg = lie_algebra(name)
-    assert chern_polynomial(alg, k).tensor() == chern_polynomial_reference(alg, k).tensor()
+    assert chern_polynomial(alg, k).tensor() == invariant_polynomial_reference(alg, f"chern:{k}").tensor()
 
 
 @pytest.mark.parametrize("name,k", _POLARIZED_CASES + [("u4", 3)])
