@@ -20,9 +20,10 @@ characteristic form (cw_form) unpacks it (_unlower), as curvature_form
 unpacks F.
 integrate_to_cochain(cw_form(rho, D)), through integrate_top's own _mac
 path, is the cochain's oracle; the form's is the brute-force
-alternating-sum-over-permutations formula on the curvature's component
-matrices.  The ratio of these two forms is a single combinatorial
-constant per arity, measured (never assumed) by calibrate_cw_constant.
+alternating-sum-over-permutations formula, rho contracted with the
+curvature's coordinates.  The ratio of these two forms is a single
+combinatorial constant per arity, measured (never assumed) by
+calibrate_cw_constant.
 """
 
 from __future__ import annotations
@@ -53,20 +54,6 @@ def curvature_form(A):
 def curvature(D):
     """Per-simplex curvature of a connection; a dict sid -> LieValuedForm."""
     return {sid: curvature_form(A) for sid, A in D.forms.items()}
-
-
-def _component_matrices(F):
-    """Decompose a g-valued form into {index tuple: matrix of Polys}, the
-    sum of its coordinate forms times the algebra's basis matrices."""
-    n, out = F.algebra.n, {}
-    for f, basis in zip(F.coords, F.algebra.basis):
-        for I, p in f.comps.items():
-            mat = out.setdefault(I, [[Poly.zero(F.dim)] * n for _ in range(n)])
-            for r, row in enumerate(basis):
-                for c, b in enumerate(row):
-                    if b.terms:
-                        mat[r][c] = mat[r][c] + p.scale(b)
-    return out
 
 
 def _check_algebra(rho, algebra):
@@ -117,12 +104,16 @@ def cw_form_permutation(rho, F):
     swapping its arguments, so a permutation's term is its sign times
     rho on the sorted multiset of pairs (a < b) it forms.  All (2k)!
     permutations are walked once and their integer signs summed per
-    pairing; rho is then evaluated once per pairing, on the curvature's
-    component matrices, and scaled by count / (2k)!.
+    pairing; rho is then contracted once per pairing, on the
+    curvature's coordinates grouped by 2-form index ({I: {a: F^a_I}}),
+    and scaled by count / (2k)!.
     """
     k = rho.arity
-    dim = F.dim
-    comps = _component_matrices(F)
+    dim, zero = F.dim, Poly.zero(F.dim)
+    comps = {}
+    for a, f in enumerate(F.coords):
+        for I, p in f.comps.items():
+            comps.setdefault(I, {})[a] = p
     # signed count per pairing of the slot positions 0..2k-1; a frame K
     # is increasing, so it maps sorted position pairs to sorted pairs
     counts = {}
@@ -141,12 +132,12 @@ def cw_form_permutation(rho, F):
     n_perms = factorial(2 * k)
     out = {}
     for K in itertools.combinations(range(dim), 2 * k):
-        total = Poly.zero(dim)
+        total = zero
         for key, count in counts.items():
             pairs = [(K[a], K[b]) for a, b in key]
             if any(p not in comps for p in pairs):
                 continue
-            total = total + rho.eval([comps[p] for p in pairs]).scale(Fraction(count, n_perms))
+            total = total + rho.contract([comps[p] for p in pairs], zero).scale(Fraction(count, n_perms))
         if not total.is_zero():
             out[K] = total
     return PolyForm(dim, 2 * k, out)
@@ -241,29 +232,34 @@ def _iwedge_into(out, X, Y):
     return out
 
 
+def _lower_constants(rows):
+    """({key: c as a lowered 0-form polynomial {part: {0: n}}}, L) for
+    the (key, Scalar c) rows, keys distinct: one denominator L."""
+    parts, L = _lower((c, ((key, 1),)) for key, c in rows)
+    out = {}
+    for p, t in parts.items():
+        for key, n in t.items():
+            out.setdefault(key, {})[p] = {0: n}
+    return out, L
+
+
 @cache
 def _int_structure(algebra):
     """The structure constants s^c_ab, a < b, lowered once per algebra:
-    ([(a, b, [(c, s as a lowered 0-form), ...]), ...], L)."""
-    rows = [(s, (((a, b, c), 1),))
-            for a, b in itertools.combinations(range(algebra.dim), 2) for c, s in algebra.structure[a][b]]
-    parts, L = _lower(rows)
-    consts = {}
-    for p, t in parts.items():
-        for (a, b, c), n in t.items():
-            consts.setdefault((a, b), {}).setdefault(c, {})[p] = {0: n}
-    return [(a, b, [(c, {(): s}) for c, s in cs.items()]) for (a, b), cs in consts.items()], L
+    ({(a, b): [(c, s as a lowered 0-form), ...]}, L)."""
+    consts, L = _lower_constants(((a, b, c), s) for a, b in itertools.combinations(range(algebra.dim), 2)
+                                 for c, s in algebra.structure[a][b])
+    pairs = {}
+    for (a, b, c), s in consts.items():
+        pairs.setdefault((a, b), []).append((c, {(): s}))
+    return pairs, L
 
 
 def _int_tensor(rho):
     """rho's coefficient tensor T lowered, grouped by head: ({a[:-1]:
     [(a[-1], T[a] as a lowered 0-form), ...]}, L), the heads in sorted
     order."""
-    parts, L = _lower((c, ((a, 1),)) for a, c in rho.tensor().items())
-    entries = {}
-    for p, t in parts.items():
-        for a, n in t.items():
-            entries.setdefault(a, {})[p] = {0: n}
+    entries, L = _lower_constants(rho.tensor().items())
     heads = {}
     for a in sorted(entries):
         heads.setdefault(a[:-1], []).append((a[-1], {(): entries[a]}))
@@ -330,7 +326,7 @@ def _int_curvature(A, w):
                         k = (e >> shift) & mask
                         if k:
                             o[e - unit] = o.get(e - unit, 0) + sign * scale * k * n
-    for a, b, cs in pairs:
+    for (a, b), cs in pairs.items():
         if coords[a] and coords[b]:
             for c, s in cs:
                 _iwedge_into(F[c], _iwedge_into({}, coords[a], s), coords[b])

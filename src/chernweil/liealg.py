@@ -28,9 +28,9 @@ Polys, read from its power sums p_j = tr(M(x)^j) by Newton's identities
 
 polarize(algebra, p, k) calls p once, on the coordinates as Polys, and
 takes p(x) as the diagonal; a term of degree other than k is refused.
-InvariantPolynomial.eval takes elements of the algebra as matrices,
-reads their coordinates through the algebra's solver, and contracts the
-tensor.
+InvariantPolynomial.contract contracts the tensor with coordinate dicts
+{a: x_a}; eval, its matrix boundary, reads the coordinates of elements
+of the algebra given as matrices through the algebra's solver.
 """
 
 from __future__ import annotations
@@ -274,13 +274,13 @@ class InvariantPolynomial:
     arity).  A diagonal of another dimension or degree raises
     LieAlgebraError.
 
-    eval takes arity-many elements of the algebra, each an n x n matrix
-    given as a list of rows (entries may be Scalars, Polys or complex
-    floats; an ndarray goes in as M.tolist(), and a coordinate list as
+    contract takes arity-many coordinate dicts {a: x_a} (values Scalars,
+    Polys or complex floats) and returns rho(sum_a x_a e_a, ..).  eval
+    takes elements of the algebra, each an n x n matrix given as a list
+    of rows (an ndarray goes in as M.tolist(), and a coordinate list as
     algebra.element_matrix(coords)).  Any other argument raises
     ValueError naming its slot, and a matrix of exact entries outside
-    the algebra raises LieAlgebraError.  It returns a single ring
-    element.
+    the algebra raises LieAlgebraError.
     """
 
     def __init__(self, algebra, arity, diagonal, provenance):
@@ -293,9 +293,8 @@ class InvariantPolynomial:
         self._tensor = None
 
     def eval(self, args):
-        """rho(args): the coordinates of each argument, read by
-        algebra.coordinates, contracted with the tensor entry by entry
-        over each entry's distinct orderings."""
+        """rho(args): contract on the coordinates of each argument, read
+        by algebra.coordinates, from the entries' zero."""
         if len(args) != self.arity:
             raise ValueError(f"{self.provenance} has arity {self.arity}, got {len(args)}")
         n = self.algebra.n
@@ -306,8 +305,13 @@ class InvariantPolynomial:
                 square = False
             if not square:
                 raise ValueError(f"{self.provenance}: slot {i} is not a {n} x {n} matrix")
-        coords = [self.algebra.coordinates(a) for a in args]
-        total = args[0][0][0] * 0
+        return self.contract([self.algebra.coordinates(a) for a in args], args[0][0][0] * 0)
+
+    def contract(self, coords, zero):
+        """rho on arity-many coordinate dicts {a: x_a}: the tensor
+        contracted entry by entry over each entry's distinct orderings,
+        summed from zero, the values' ring's zero."""
+        total = zero
         for coef, orderings in self._contraction:
             part = None
             for idx in orderings:
@@ -352,16 +356,16 @@ class InvariantPolynomial:
 
 
 @functools.cache
-def _generic_power(algebra, j):
-    """M(x)^j for the generic element M(x) = sum_a x_a e_a, an n x n
-    matrix of Polys in the algebra.dim coordinates x."""
-    if j > 1:
-        return mat_mul(_generic_power(algebra, j - 1), _generic_power(algebra, 1))
+def _power_sums(algebra, k):
+    """[p_1, .., p_k], p_j = tr(M(x)^j) for the generic element
+    M(x) = sum_a x_a e_a, an n x n matrix of Polys in the algebra.dim
+    coordinates x; the powers are built bottom-up, each from the last."""
     units = [tuple(int(i == a) for i in range(algebra.dim)) for a in range(algebra.dim)]
-    return [
-        [Poly(algebra.dim, {u: b[r][c] for u, b in zip(units, algebra.basis)}) for c in range(algebra.n)]
-        for r in range(algebra.n)
-    ]
+    n = range(algebra.n)
+    powers = [[[Poly(algebra.dim, {u: b[r][c] for u, b in zip(units, algebra.basis)}) for c in n] for r in n]]
+    while len(powers) < k:
+        powers.append(mat_mul(powers[-1], powers[0]))
+    return [mat_trace(m) for m in powers]
 
 
 def _symmetric(algebra, k, sign):
@@ -369,7 +373,7 @@ def _symmetric(algebra, k, sign):
     the power sums p_i = tr(M(x)^i) by Newton's identities: e_k for
     sign -1, with j e_j = sum_i (-1)^(i-1) e_(j-i) p_i, and h_k for
     sign 1, with j h_j = sum_i h_(j-i) p_i."""
-    p = [mat_trace(_generic_power(algebra, i)) for i in range(1, k + 1)]
+    p = _power_sums(algebra, k)
     out = [Poly.const(algebra.dim, 1)]
     for j in range(1, k + 1):
         s = Poly.zero(algebra.dim)
@@ -384,7 +388,7 @@ def sym_trace_poly(algebra, k):
     diagonal is the power sum tr(x^k)."""
     if k < 1:
         raise ValueError("sym_trace arity must be >= 1")
-    return InvariantPolynomial(algebra, k, mat_trace(_generic_power(algebra, k)), f"symtrace:{k}")
+    return InvariantPolynomial(algebra, k, _power_sums(algebra, k)[-1], f"symtrace:{k}")
 
 
 def chern_polynomial(algebra, k):

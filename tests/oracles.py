@@ -279,25 +279,24 @@ def cw_matrix_contraction(rho, F):
     curvature's component matrices: for every k-tuple of 2-form
     components I_1..I_k, rho(F_I1, .., F_Ik) dx^I1 ^ .. ^ dx^Ik.
 
-    Each matrix of polynomials F_I is split by monomial into exact
-    Scalar matrices first, so rho is only ever evaluated on those (a
-    polarized functional cannot decompose a matrix of polynomials).
-    Independent of the coefficient tensor the library contracts.
+    Each component F_I is split by monomial first, and each monomial's
+    coordinates are put through element_matrix, so rho is only ever
+    evaluated on exact Scalar matrices (a polarized functional cannot
+    decompose a matrix of polynomials).  Independent of the coefficient
+    tensor the library contracts.
     """
-    from chernweil.cw import _component_matrices
     from chernweil.forms import PolyForm
     from chernweil.poly import Poly
     from chernweil.scalars import Scalar
 
-    k, dim, n = rho.arity, F.dim, F.algebra.n
-    slots = []  # (2-form index, monomial, Scalar matrix)
-    for I, mat in _component_matrices(F).items():
-        by_monomial = {}
-        for r in range(n):
-            for c in range(n):
-                for e, v in mat[r][c].terms.items():
-                    by_monomial.setdefault(e, [[Scalar.zero()] * n for _ in range(n)])[r][c] = v
-        slots.extend((I, e, M) for e, M in by_monomial.items())
+    k, dim, alg = rho.arity, F.dim, F.algebra
+    by_component = {}  # 2-form index -> monomial -> coordinate list
+    for a, f in enumerate(F.coords):
+        for I, p in f.comps.items():
+            for e, v in p.terms.items():
+                by_component.setdefault(I, {}).setdefault(e, [0] * alg.dim)[a] = v
+    # (2-form index, monomial, Scalar matrix)
+    slots = [(I, e, alg.element_matrix(x)) for I, xs in by_component.items() for e, x in xs.items()]
     out = {}
     for tup in itertools.product(slots, repeat=k):
         idx = sum((I for I, _, _ in tup), ())
@@ -947,8 +946,10 @@ def polynomial_from_evaluator(algebra, k, evaluator, provenance):
     """An InvariantPolynomial read off a multilinear evaluator by the basis
     loop: the diagonal's coefficient of x^a is multinomial(a) times
     evaluator(e_a1, .., e_ak), for each sorted basis tuple a.  Its eval is
-    the evaluator itself, so a check that compares eval with the tensor
-    still sees a nonsymmetric or nonmultilinear evaluator."""
+    the evaluator itself, and its contract the evaluator on the matrices
+    sum_a x_a e_a built from zero, so a check that compares eval or
+    contract with the tensor still sees a nonsymmetric or nonmultilinear
+    evaluator."""
     from chernweil.liealg import InvariantPolynomial
     from chernweil.poly import Poly
     from chernweil.scalars import Scalar
@@ -961,6 +962,20 @@ def polynomial_from_evaluator(algebra, k, evaluator, provenance):
             terms[tuple(counts)] = val * (factorial(k) // math.prod(map(factorial, counts)))
     rho = InvariantPolynomial(algebra, k, Poly(algebra.dim, terms), provenance)
     rho.eval = evaluator
+
+    def contract(coords, zero):
+        mats = []
+        for x in coords:
+            m = [[zero] * algebra.n for _ in range(algebra.n)]
+            for a, v in x.items():
+                for r, row in enumerate(algebra.basis[a]):
+                    for c, b in enumerate(row):
+                        if b.terms:
+                            m[r][c] = m[r][c] + v * b
+            mats.append(m)
+        return evaluator(mats)
+
+    rho.contract = contract
     return rho
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from chernweil.bundles import (
 )
 from chernweil.cw import (
     ClassReport,
-    _component_matrices,
     calibrate_cw_constant,
     class_report,
     classical_agreement_check,
@@ -42,6 +42,7 @@ from chernweil.forms import (
     random_polyform,
 )
 from chernweil.liealg import (
+    LieData,
     chern_polynomial,
     invariant_polynomial_from_selector,
     lie_algebra,
@@ -85,7 +86,8 @@ def test_u1_curvature_is_dA():
     # A with matrix value i*tau*x1 dx2 has curvature i*tau dx1^dx2
     A = LieValuedForm(u1, 2, 1, [PolyForm(2, 1, {(1,): Poly.var(2, 0).scale(Scalar.tau())})])
     F = curvature_form(A)
-    assert _component_matrices(F) == {(0, 1): [[Poly.const(2, Scalar.of(0, 1, 1))]]}
+    assert F.coords == [PolyForm(2, 2, {(0, 1): Poly.const(2, Scalar.tau())})]
+    assert u1.element_matrix([Scalar.tau()]) == [[Scalar.of(0, 1, 1)]]
 
 
 def test_bianchi_exact_on_random_su2():
@@ -307,6 +309,18 @@ def test_calibration_refuses_a_nonmultilinear_evaluator():
     F = generic_curvature(su2, 4, random.Random(0))
     with pytest.raises(ValueError, match="not proportional"):
         calibrate_cw_constant(rho, F)
+
+
+def test_calibration_reads_no_coordinates_off_matrices(monkeypatch):
+    # the permutation oracle contracts rho with F's own coordinates: no
+    # curvature matrix is built for the algebra's solver to read back
+    calls = []
+    coordinates = LieData.coordinates
+    monkeypatch.setattr(LieData, "coordinates", lambda self, m: calls.append(m) or coordinates(self, m))
+    for alg, k, dim in [(u1, 1, 2), (su2, 2, 4)]:
+        F = generic_curvature(alg, dim, random.Random(3))
+        assert calibrate_cw_constant(sym_trace_poly(alg, k), F) == factorial(2 * k) // 2**k
+    assert calls == []
 
 
 def test_permutation_formula_matches_wedge_up_to_constant():

@@ -618,6 +618,14 @@ def test_python_m_chernweil():
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
+def test_cli_symtrace_far_above_the_base_dimension_is_a_usage_error():
+    # symtrace:1500 asks for M(x)^1500, which is built bottom-up, so the
+    # degree check is reached with no recursion 1500 calls deep
+    done = _python_m("chern", "--bundle", "clutch:1", "--poly", "symtrace:1500")
+    assert done.returncode == 2
+    assert done.stderr == "error: symtrace:1500 has degree 3000, above the base dimension 2\n"
+
+
 # Runs in a fresh interpreter (the test process has numpy loaded): after
 # each import and each cli.main call, the exit code and which of numpy
 # and scipy are loaded, as JSON.

@@ -219,6 +219,44 @@ def test_eval_takes_only_n_by_n_matrices(name, selector):
     rho.eval([good] * rho.arity)
 
 
+_CONTRACT_CASES = [(name, f"{kind}:{k}") for name in ("u1", "u2", "u3", "su2", "su3", "so3")
+                   for kind in ("symtrace", "chern", "reznikov") for k in (1, 2, 3)
+                   if kind == "symtrace" or (kind == "chern" and name != "so3") or (kind == "reznikov" and name[:2] == "su")]
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_scalars = st.builds(Scalar.of, _small, _small, st.integers(-1, 1))
+# Polys on Delta^1 of degree at most 2
+_polys = st.dictionaries(st.sampled_from([(0,), (1,), (2,)]), _scalars, min_size=1, max_size=2).map(
+    lambda terms: Poly(1, terms))
+
+
+def _element(alg, x, zero):
+    """sum_a x_a e_a for a coordinate dict x of Scalars or of Polys, each
+    monomial's coefficients put through element_matrix."""
+    if isinstance(zero, Scalar):
+        return alg.element_matrix([x.get(a, 0) for a in range(alg.dim)])
+    by_monomial = {}
+    for a, p in x.items():
+        for e, c in p.terms.items():
+            by_monomial.setdefault(e, [0] * alg.dim)[a] = c
+    mats = {e: alg.element_matrix(cs) for e, cs in by_monomial.items()}
+    return [[Poly(zero.dim, {e: m[r][c] for e, m in mats.items()}) for c in range(alg.n)] for r in range(alg.n)]
+
+
+@pytest.mark.parametrize("name,selector", _CONTRACT_CASES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_contract_matches_eval_on_element_matrices(name, selector, data):
+    """contract on sparse coordinate dicts is eval on the matrices
+    sum_a x_a e_a, with Scalar and with Poly values."""
+    alg = lie_algebra(name)
+    rho = invariant_polynomial_from_selector(alg, selector)
+    values, zero = data.draw(st.sampled_from([(_scalars, Scalar.zero()), (_polys, Poly.zero(1))]))
+    coords = data.draw(st.lists(st.dictionaries(st.integers(0, alg.dim - 1), values, max_size=3),
+                                min_size=rho.arity, max_size=rho.arity))
+    assert rho.contract(coords, zero) == rho.eval([_element(alg, x, zero) for x in coords])
+
+
 def test_eval_refuses_matrices_outside_the_algebra():
     # the identity is not traceless, and a symmetric matrix is not in so3
     su2, so3 = lie_algebra("su2"), lie_algebra("so3")
