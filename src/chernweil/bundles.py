@@ -772,17 +772,15 @@ def horn_fill_bundle(H, P):
     missing face is the identity, and the missing face's own data is
     forced by the cocycle conditions (all twisting is pushed into it).
     Pulling back along H.inclusion returns the input data unchanged.
-    Exact, abelian structure groups only.  Validates both its input and
-    its output with validate_bundle and raises BundleError if either
-    fails, so a returned filler is a valid bundle over Delta^n.
+    Exact, abelian structure groups only.  Validates nothing: a valid
+    input gives a valid filler (test_horn_fill_random checks this), an
+    invalid one need not, and callers that report validity (horn-fill's
+    filler-valid, verify's horn-filling) validate the filler themselves.
     """
     if not P.algebra.is_abelian:
         raise BundleError("horn filling implemented for abelian structure groups")
     if P.base != H.space:
         raise BundleError("bundle is not over the horn")
-    rep = validate_bundle(P)
-    if not rep.ok:
-        raise BundleError("input horn data does not validate: " + "; ".join(rep.failures))
 
     n, k = H.n, H.k
     alg = P.algebra
@@ -828,9 +826,6 @@ def horn_fill_bundle(H, P):
     for i in others:
         m_i = mono_skip(n - 1, {k - 1}) if i < k else mono_skip(n - 1, {k})
         out.transitions[(fk, i if i < k else i - 1)] = _through_face(out, top, i, m_i, {})
-    rep = validate_bundle(out)
-    if not rep.ok:
-        raise BundleError("internal horn filler invariant violated: " + "; ".join(rep.failures))
     return out
 
 

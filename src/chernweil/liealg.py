@@ -478,37 +478,35 @@ def check_invariant_polynomial(rho, rng):
 
     Ad-invariance of the coefficient tensor: sum_s S(.., [e_x, e_as], ..)
     is zero for every basis element e_x and index tuple a, where S is the
-    full symmetric tensor.  For the connected groups here that is
-    invariance under the group.  Then rho.eval on three draws of random
-    rational arguments, in every slot order, must equal the contraction of S,
-    which holds only for a symmetric multilinear evaluator.  Returns
-    None when rho passes, else the first failure as text.
+    full symmetric tensor, S(a) = T[a] / multinomial(a) on sorted a.  For
+    the connected groups here that is invariance under the group.  Then
+    rho.contract on three draws of random rational coordinate dicts, in
+    every slot order, must equal the contraction of S, which holds only
+    for a symmetric multilinear rho.  No matrix is built.  Returns None
+    when rho passes, else the first failure as text.
     """
     alg, k = rho.algebra, rho.arity
-    T = rho.tensor()
-
-    def S(idx):
-        a = tuple(sorted(idx))
-        return T[a] * Fraction(1, multinomial(Counter(a).values())) if a in T else Scalar.zero()
-
+    S = {a: c * Fraction(1, multinomial(Counter(a).values())) for a, c in rho.tensor().items()}
+    zero = Scalar.zero()
     for x in range(alg.dim):
         for a in itertools.combinations_with_replacement(range(alg.dim), k):
-            total = Scalar.zero()
+            total = zero
             for s in range(k):
                 for c, coef in alg.structure[x][a[s]]:
-                    total = total + coef * S(a[:s] + (c,) + a[s + 1:])
+                    total = total + coef * S.get(tuple(sorted(a[:s] + (c,) + a[s + 1:])), zero)
             if not total.is_zero():
                 return f"tensor not ad-invariant under e{x}: defect {total!r} at {a}"
     for _ in range(3):
         args = [[Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(alg.dim)] for _ in range(k)]
-        want = Scalar.zero()
+        want = zero
         for idx in itertools.product(range(alg.dim), repeat=k):
-            term = S(idx)
+            term = S.get(tuple(sorted(idx)), zero)
             for j, i in enumerate(idx):
                 term = term * args[j][i]
             want = want + term
+        coords = [{i: Scalar.coerce(v) for i, v in enumerate(arg) if v} for arg in args]
         for perm in itertools.permutations(range(k)):
-            got = rho.eval([alg.element_matrix(args[i]) for i in perm])
+            got = rho.contract([coords[i] for i in perm], zero)
             if got != want:
-                return f"eval in slot order {perm} is {got!r}, the tensor gives {want!r}"
+                return f"contraction in slot order {perm} is {got!r}, the tensor gives {want!r}"
     return None

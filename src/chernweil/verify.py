@@ -203,7 +203,8 @@ def check_polarize(seed):
     rng = random.Random(seed)
     for _ in range(20):
         coords = [Fraction(rng.randrange(-6, 7), 3) for _ in range(3)]
-        if rho.eval_diag(su2.element_matrix(coords)) != Scalar.coerce(p(coords)):
+        x = {a: Scalar.coerce(c) for a, c in enumerate(coords) if c}
+        if rho.contract([x] * rho.arity, Scalar.zero()) != Scalar.coerce(p(coords)):
             return False, "polarize/diagonal round trip failed"
     return True, "polarize o diagonal is the identity, exactly"
 
@@ -315,6 +316,9 @@ def check_horn_filling(seed):
             filled = bn.horn_fill_bundle(H, P)
         except bn.BundleError as e:
             return False, f"no filler over Lambda^{n}_{k}: {e}"
+        rep = bn.validate_bundle(filled)
+        if not rep.ok:
+            return False, f"no filler over Lambda^{n}_{k}: {rep.failures[0]}"
         back = bn.pullback_bundle(H.inclusion, filled)
         if back.transitions != P.transitions:
             return False, f"filler restriction differs on Lambda^{n}_{k}"

@@ -457,19 +457,32 @@ def test_cli_horn_fill(capsys):
     assert "PASS restriction-equality" in out and "PASS refill-stability" in out
 
 
-def test_cli_horn_fill_validates_each_bundle_once(monkeypatch, capsys):
-    """input-valid, then horn_fill_bundle on the horn and on its filler
-    (input and output each), refill likewise: five validations; the
-    filler is not validated a second time for filler-valid."""
+def _record_validations(monkeypatch):
+    """The base dimension of each bundle validate_bundle is called on."""
     from chernweil import bundles
 
     seen = []
     validate = bundles.validate_bundle
     monkeypatch.setattr(bundles, "validate_bundle", lambda P, seed=0: seen.append(P.base.dim) or validate(P, seed))
+    return seen
+
+
+def test_cli_horn_fill_validates_each_bundle_once(monkeypatch, capsys):
+    """input-valid validates the horn, and filler-valid the filler;
+    horn_fill_bundle and the refill validate nothing: two validations."""
+    seen = _record_validations(monkeypatch)
     rc = main(["horn-fill", "--n", "3", "--k", "1", "--seed", "4"])
     out = capsys.readouterr().out
     assert rc == 0 and "PASS filler-valid" in out
-    assert seen == [2, 2, 3, 2, 3]
+    assert seen == [2, 3]
+
+
+def test_cli_generate_horn_demo_validates_nothing(monkeypatch, tmp_path, capsys):
+    """generate horn-demo reports no validity, so it validates no bundle."""
+    seen = _record_validations(monkeypatch)
+    rc = main(["generate", "horn-demo", "--n", "3", "--k", "1", "--out", str(tmp_path / "h")])
+    assert rc == 0 and "PASS filler-restriction" in capsys.readouterr().out
+    assert seen == []
 
 
 def test_cli_horn_fill_out_writes_the_horn_demo_groups(tmp_path, capsys):
@@ -590,6 +603,42 @@ def test_cli_verify_reports_a_horn_filler_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "FAIL horn-filling: no filler over Lambda^2_1: filler does not validate" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def _break_top_cell_filler(monkeypatch):
+    """Make horn_fill_bundle return the real filler with its top cell's
+    face-0 transition composed with a nonconstant u1 twist: a broken
+    transition outside the horn's image."""
+    from chernweil import bundles
+
+    fill = bundles.horn_fill_bundle
+
+    def broken(H, P):
+        out = fill(H, P)
+        key = (out.base.cells(H.n)[0], 0)
+        tw = LieValuedForm.from_polys(P.algebra, [Poly(H.n - 1, {(1,) + (0,) * (H.n - 2): Scalar.from_rational(1, 3)})])
+        out.transitions[key] = bundles.TransitionMap.single(tw).compose(out.transitions[key])
+        return out
+
+    monkeypatch.setattr(bundles, "horn_fill_bundle", broken)
+
+
+def test_cli_horn_fill_reports_a_broken_filler(monkeypatch, capsys):
+    _break_top_cell_filler(monkeypatch)
+    rc = main(["horn-fill", "--n", "2", "--k", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "FAIL filler-valid\n" in captured.out and "PASS restriction-equality" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_cli_verify_validates_each_horn_filler(monkeypatch, capsys):
+    _break_top_cell_filler(monkeypatch)
+    rc = main(["verify", "--suite", "bundles"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "FAIL horn-filling: no filler over Lambda^2_1: cocycle fails on " in captured.out
     assert "Traceback" not in captured.err
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chernweil.bundles import LieValuedForm
 from chernweil.liealg import (
     LieAlgebraError,
+    LieData,
     SelectorError,
     chern_polynomial,
     check_invariant_polynomial,
@@ -25,7 +26,7 @@ from chernweil.liealg import (
 )
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
-from chernweil.verify import ad_exp_coords
+from chernweil.verify import ad_exp_coords, check_polarize
 from oracles import (
     charpoly_coefficient_oracle,
     evaluator_reference,
@@ -303,6 +304,26 @@ def test_invariance_check_rejects_nonsymmetric_evaluator():
     assert rho.tensor() == sym_trace_poly(su2, 2).tensor()
     bad = check_invariant_polynomial(rho, random.Random(0))
     assert bad is not None and "slot order" in bad
+
+
+def test_invariance_checks_build_no_matrices(monkeypatch):
+    # the checks contract coordinate dicts: no element matrix is built
+    # for the algebra's solver to read back
+    rhos = []
+    for name, k in itertools.product(["su2", "u2", "su3"], (1, 2, 3)):
+        for kind in ("symtrace", "chern", "reznikov"):
+            try:
+                rhos.append(invariant_polynomial_from_selector(lie_algebra(name), f"{kind}:{k}"))
+            except SelectorError:
+                assert kind == "reznikov" and name == "u2"
+    calls = []
+    for method in ("element_matrix", "coordinates"):
+        real = getattr(LieData, method)
+        monkeypatch.setattr(LieData, method, lambda self, m, real=real: calls.append(m) or real(self, m))
+    for rho in rhos:
+        assert check_invariant_polynomial(rho, random.Random(5)) is None, rho.provenance
+    assert check_polarize(3)[0]
+    assert calls == []
 
 
 def test_polarize_square_of_linear():
