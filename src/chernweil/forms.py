@@ -26,11 +26,20 @@ BernsteinMap), which are immutable.  Each map keeps a memo of the
 monomial forms x^e dx_I pulled back along it, so a form's pullback only
 scales and adds memo entries.  An entry with coefficient exactly 1 (a
 unit image, the shared _UNIT) copies the form's coefficient, the Scalar
-as it is, unless its output slot gets another contribution.
-AffineMap.from_monotone returns one shared map per vertex map, so every
-face and collapse map of a given shape, and its memo, is built once per
-process (AffineMap.from_monotone.cache_info() and len(map.memo) report
-them).
+as it is, unless its output slot gets another contribution.  A memo
+miss is one wedge, image(x^e) ^ image(dx_I), of two entries of the
+map's image table (map.images), filled bottom-up on first use: the
+image of x^e is the image of x^(e - 1_i) times coordinate i, i the last
+nonzero index of e, so each new monomial costs one Poly product; the
+image of dx_I, keyed ("d", I) to keep it apart from the exponents, is
+the image of dx_I[:-1] wedged with d(coordinate I[-1]).
+PolyMap.compose reads the inner map's table as well.  So len(map.images)
+next to len(map.memo) counts the exponents on the chains below the
+memo's monomials (the zero exponent included) and the prefixes of its
+differentials.  AffineMap.from_monotone returns one shared map per
+vertex map, so every face and collapse map of a given shape, and its
+memo and image table, is built once per process
+(AffineMap.from_monotone.cache_info() reports them).
 
 A SimplicialForm assigns a PolyForm to every nondegenerate simplex of a
 base simplicial set, compatibly under face pullback; degenerate
@@ -51,7 +60,10 @@ term's table into the extension.  Given an rng it adds seeded
 coefficients on interior basis functions, which vanish on every facet,
 for construct_connection and random_simplicial_form, in the same call.
 The tables key monomials (I, exponent) by ints, interned once per
-process (_slot), so _mac_int hashes ints.
+process (_slot), so _mac_int hashes ints.  Each lam^a is lam_0^a_0 read
+from the cached table _lam0_power, each power one product of the one
+below it with lam_0 = 1 - sum x, shifted by x^(a_1 .. a_d);
+_lam0_power.cache_info() reports how many powers are built.
 """
 
 from __future__ import annotations
@@ -60,10 +72,11 @@ import itertools
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from operator import add
 
 from .linalg import multinomial, sort_sign
 from .poly import Poly, _compositions, _from_acc, _mul_into, _poly
-from .scalars import Scalar, _from_mac, _mac, _mac_int
+from .scalars import Scalar, _from_mac, _mac, _mac_int, _reduced, _scalar
 from .simplicial import (
     Cochain,
     mono_skip,
@@ -276,7 +289,8 @@ class PolyMap:
 
     Map objects are immutable.  Each keeps a memo of the monomial forms
     x^e dx_I pulled back along it, so pulling back along the same map
-    again only multiplies and adds coefficients.
+    again only multiplies and adds coefficients, and a table of the
+    images those are built from (_image, _dx_image), filled on first use.
     """
 
     def __init__(self, source_dim, target_dim, coord_polys):
@@ -284,31 +298,84 @@ class PolyMap:
         self.target_dim = target_dim
         self._coords = tuple(coord_polys)
         self.memo = {}
+        self.images = {}
 
     def coords(self):
         return self._coords
 
     def compose(self, inner):
-        """self o inner, by substituting inner's coordinates into self's."""
+        """self o inner: each term c x^e of each of self's coordinates
+        adds c times inner's image of x^e into one accumulator."""
+        if inner.target_dim != self.source_dim:
+            raise ValueError("need one substitution polynomial per variable")
         src = inner.source_dim
-        inner_coords = inner.coords()
-        return PolyMap(src, self.target_dim, [c.compose(inner_coords, source_dim=src) for c in self.coords()])
+        coords = []
+        for p in self.coords():
+            acc = {}
+            for e, c in p.terms.items():
+                xs = c.terms.items()
+                for e2, y in _image(inner, e).terms.items():
+                    t = acc.get(e2)
+                    if t is None:
+                        t = acc[e2] = {}
+                    _mac(t, xs, y.terms.items())
+            coords.append(_poly(src, _from_acc(acc)))
+        return PolyMap(src, self.target_dim, coords)
 
 
 # the terms of the coefficient 1, shared by every memo entry that has it
 _UNIT = ((0, (1, 0, 1)),)
 
 
+def _image(phi, e):
+    """x^e composed with phi's coordinates, from phi.images: the image of
+    x^e is the image of x^(e - 1_i) times coordinate i, i the last
+    nonzero index of e, so each new monomial costs one Poly product.
+    The missing images below e are found first, then filled bottom-up."""
+    images = phi.images
+    todo = []
+    while e not in images:
+        i = next((i for i in reversed(range(len(e))) if e[i]), None)
+        if i is None:
+            images[e] = Poly.const(phi.source_dim, 1)
+            break
+        todo.append((e, i))
+        e = e[:i] + (e[i] - 1,) + e[i + 1:]
+    p = images[e]
+    coords = phi.coords()
+    for e, i in reversed(todo):
+        p = images[e] = p * coords[i]
+    return p
+
+
+def _dx_image(phi, I):
+    """dx_I, I nonempty, pulled back along phi, from phi.images under the
+    key ("d", I), apart from the exponents: d(coordinate I[0]) for one
+    index, else the image of dx_I[:-1] wedged with that of dx_I[-1:],
+    built once per I and filled bottom-up."""
+    images = phi.images
+    todo = []
+    while ("d", I) not in images and len(I) > 1:
+        todo.append(I)
+        I = I[:-1]
+    f = images.get(("d", I))
+    if f is None:
+        src = phi.source_dim
+        p = phi.coords()[I[0]]
+        f = images["d", I] = _form(src, 1, {(j,): q for j in range(src) if (q := p.diff(j)).terms})
+    for I in reversed(todo):
+        f = images["d", I] = f.wedge(_dx_image(phi, I[-1:]))
+    return f
+
+
 def _pull_monomial(phi, e, I):
     """x^e dx_I pulled back along phi, as a tuple of (J, e', terms of
     the coefficient as (tau power, triple) pairs, _UNIT itself for the
-    coefficient 1): compose, then wedge the differentials of the
-    coordinates."""
-    src = phi.source_dim
-    coords = phi.coords()
-    term = PolyForm.from_poly(Poly(phi.target_dim, {e: 1}).compose(coords, source_dim=src))
-    for i in I:
-        term = term.wedge(PolyForm(src, 1, {(j,): coords[i].diff(j) for j in range(src)}))
+    coefficient 1): the image of x^e wedged with the image of dx_I."""
+    p = _image(phi, e)
+    term = _form(phi.source_dim, 0, {(): p} if p.terms else {})
+    if I:
+        term = term.wedge(_dx_image(phi, I))
     out = []
     for J, p in term.comps.items():
         for e2, c in p.terms.items():
@@ -398,6 +465,7 @@ class BernsteinMap(PolyMap):
         self.control = {tuple(a): tuple(Fraction(x) for x in pt) for a, pt in control.items()}
         self._coords = None
         self.memo = {}
+        self.images = {}
 
     def is_valid(self):
         for pt in self.control.values():
@@ -595,14 +663,31 @@ def _facet_coeffs(d, i, k, r, J, mu):
     return tuple((key, c) for key, c in out.items() if c)
 
 
-def _lam_power(d, b):
-    """lam^b on Delta^d as a dict exponent -> int."""
+@cache
+def _lam0_power(d, k):
+    """lam_0^k = (1 - sum x)^k on Delta^d as a tuple of (exponent, int)
+    pairs, highest total degree first, then lexicographic: one product
+    of lam_0^(k-1) with lam_0.  The powers below k are looked up in
+    increasing order first, so a cold power fills the table bottom-up
+    instead of recursing once per power."""
+    if k == 0:
+        return (((0,) * d, 1),)
+    for j in range(1, k):
+        _lam0_power(d, j)
     out = {}
-    for g in _compositions(b[0], d + 1):
-        c = multinomial(g) * (-1) ** (b[0] - g[0])
-        e = tuple(gl + bl for gl, bl in zip(g[1:], b[1:]))
+    for e, c in _lam0_power(d, k - 1):
         out[e] = out.get(e, 0) + c
-    return out
+        for i in range(d):
+            e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+            out[e2] = out.get(e2, 0) - c
+    return tuple(sorted(out.items(), key=lambda ec: (-sum(ec[0]), ec[0])))
+
+
+def _lam_power(d, b):
+    """lam^b on Delta^d as a dict exponent -> int: lam_0^b_0 from the
+    table _lam0_power, shifted by x^(b_1 .. b_d)."""
+    shift = b[1:]
+    return {tuple(map(add, e, shift)): c for e, c in _lam0_power(d, b[0])}
 
 
 def _lam_poly(d, coeffs):
@@ -751,13 +836,15 @@ def whitney_extend(d, deg, prescriptions, rng=None):
 # random generators (seeded, for property tests and the verify suite)
 
 
+@cache
 def _monomials_up_to(dim, degree):
+    """The exponents of total degree <= degree on Delta^dim, by degree."""
     out = []
     for total in range(degree + 1):
         for e in itertools.product(range(total + 1), repeat=dim):
             if sum(e) == total:
                 out.append(e)
-    return out
+    return tuple(out)
 
 
 def random_poly(rng, dim, degree):
@@ -766,8 +853,8 @@ def random_poly(rng, dim, degree):
         if rng.randrange(2):
             num = rng.randrange(-6, 7)
             if num:
-                terms[e] = Scalar.from_rational(num, rng.randrange(1, 6))
-    return Poly(dim, terms)
+                terms[e] = _scalar({0: _reduced(num, 0, rng.randrange(1, 6))})
+    return _poly(dim, terms)
 
 
 def random_polyform(rng, dim, deg, degree=2):

@@ -7,9 +7,9 @@ tuples; zero coefficients are pruned eagerly so equality is structural.
 
 Products of two coefficients go through the kernel scalars._mac,
 shared by Poly.__mul__, PolyForm.wedge (and so
-LieValuedForm.bracket_wedge), PolyForm.pullback, PolyForm.d and
-PolyForm.integrate_top; the Whitney-Bernstein transforms in forms,
-which multiply coefficients by small ints, go through the other kernel,
+LieValuedForm.bracket_wedge), PolyForm.pullback, PolyMap.compose,
+PolyForm.d and PolyForm.integrate_top; the Whitney-Bernstein transforms
+in forms, which multiply coefficients by small ints, go through the other kernel,
 scalars._mac_int.  The curvature and the characteristic forms of cw
 use neither: they are built on int numerators over one denominator
 (cw's integer pass) and come back as Polys only at the end.  Every
@@ -168,7 +168,10 @@ class Poly:
         """Substitute polys[i] for x_{i+1}; all polys share one source dim.
 
         source_dim disambiguates the (constant) result when polys is
-        empty, i.e. when composing with a map out of Delta^0.
+        empty, i.e. when composing with a map out of Delta^0.  Each
+        term is its own chain of products; maps compose and pull back
+        through forms' per-map image tables instead, and this stays as
+        the tests' reference.
         """
         if len(polys) != self.dim:
             raise ValueError("need one substitution polynomial per variable")

@@ -9,9 +9,10 @@ the curvature itself from the matrix of the connection's 1-forms.
 Constructions the library now builds once are kept here in their older,
 separate form (horn restriction by vertex relabelling, Bernstein and
 affine coordinates and the Whitney-Bernstein basis as products of
-barycentric polynomials, the Chern and polarize loops written out, the
-invariant polynomials as multilinear evaluators on matrices), for the
-tests to compare against.
+barycentric polynomials, lam^b by its multinomial expansion, pullback
+by chained products with no image table, the Chern and polarize loops
+written out, the invariant polynomials as multilinear evaluators on
+matrices), for the tests to compare against.
 """
 
 import functools
@@ -188,9 +189,9 @@ def sympy_pullback_one_form(comp_polys, coord_exprs, src_vars):
 
 def pullback_reference(form, phi):
     """Pullback by whole-component substitution: each component p dx_I
-    becomes p(phi) dphi_i1 ^ .. ^ dphi_ik, with p composed by repeated
-    Poly multiplication and the 1-forms dphi_i wedged in turn; nothing
-    is memoised."""
+    becomes p(phi) dphi_i1 ^ .. ^ dphi_ik, with p composed by chained
+    Poly products (Poly.compose) and the 1-forms dphi_i wedged in turn;
+    nothing is memoised and no image table of phi is read."""
     from chernweil.forms import PolyForm
 
     coords = phi.coords()
@@ -830,6 +831,25 @@ def affine_coords_reference(m, target_dim):
 
 # ---------------------------------------------------------------------------
 # Whitney-Bernstein basis functions from Poly and PolyForm arithmetic
+
+
+def lam_power_reference(d, b):
+    """lam^b = (1 - sum x)^b_0 x_1^b_1 .. x_d^b_d on Delta^d as a dict
+    exponent -> int, by the multinomial expansion of lam_0^b_0: each
+    composition g of b_0 into d + 1 parts (stars and bars, in
+    lexicographic order) gives (-1)^(b_0 - g_0) multinomial(g) times
+    x^(g_1 + b_1, .., g_d + b_d)."""
+    n = b[0]
+    out = {}
+    for bars in itertools.combinations(range(n + d), d):
+        cuts = (-1,) + bars + (n + d,)
+        g = [cuts[j + 1] - cuts[j] - 1 for j in range(d + 1)]
+        c = factorial(n)
+        for gj in g:
+            c //= factorial(gj)
+        e = tuple(gj + bj for gj, bj in zip(g[1:], b[1:]))
+        out[e] = out.get(e, 0) + (-1) ** (n - g[0]) * c
+    return out
 
 
 def whitney_basis_reference(d, a, s):

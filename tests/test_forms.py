@@ -19,6 +19,7 @@ from chernweil.forms import (
     PolyMap,
     SimplicialForm,
     _from_basis,
+    _lam_power,
     check_simplicial_form,
     induced_form_on_standard_simplex,
     integrate_to_cochain,
@@ -45,6 +46,7 @@ from oracles import (
     check_coefficient_consistency,
     check_prescription_consistency,
     integrate_form_oracle,
+    lam_power_reference,
     pullback_reference,
     whitney_combination_reference,
     whitney_extend_reference,
@@ -603,6 +605,133 @@ def test_pullback_matches_reference(case):
     assert form.pullback(phi) == expected
     # the second pullback is served from the map's memo
     assert form.pullback(phi) == expected
+
+
+@st.composite
+def form_and_fresh_map(draw):
+    """A form of degree 0-2 with tau and Gaussian-rational coefficients on
+    Delta^d, and a map into Delta^d with an empty memo and image table:
+    a random Bernstein map (source and target dimension 0-3, degree <= 3),
+    or the affine map of a face (strictly increasing vertex map) or of a
+    collapse (onto and nondecreasing) built outside from_monotone's cache."""
+    kind = draw(st.sampled_from(["bernstein", "face", "collapse"]))
+    if kind == "bernstein":
+        d = draw(st.integers(0, 3))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        phi = BernsteinMap.random(rng, draw(st.integers(0, 3)), d, draw(st.integers(0, 3)))
+    elif kind == "face":
+        d = draw(st.integers(0, 3))
+        m = tuple(sorted(draw(st.sets(st.integers(0, d), min_size=1))))
+        phi = AffineMap.from_monotone.__wrapped__(m, d)
+    else:
+        d = draw(st.integers(0, 2))
+        extra = draw(st.lists(st.integers(0, d), min_size=1, max_size=3 - d))
+        phi = AffineMap.from_monotone.__wrapped__(tuple(sorted(list(range(d + 1)) + extra)), d)
+    k = draw(st.integers(0, min(d, 2)))
+    monos = [e for e in itertools.product(range(4), repeat=d) if sum(e) <= 3]
+    comps = {}
+    for I in itertools.combinations(range(d), k):
+        es = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        comps[I] = Poly(d, {e: _gaussian_tau_scalar(draw) for e in es})
+    return PolyForm(d, k, comps), phi
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_and_fresh_map(), st.data())
+def test_cold_pullback_matches_the_table_free_oracle(case, data):
+    """A pullback along a fresh map, which fills its image table, equals
+    chained products and wedged coordinate differentials; so do the warm
+    repeat and a second form that reuses part of the table."""
+    form, phi = case
+    assert not phi.memo and not phi.images
+    expected = pullback_reference(form, phi)
+    assert form.pullback(phi) == expected
+    assert form.pullback(phi) == expected
+    other = form.d() if form.deg < phi.target_dim else form.scale(data.draw(st.integers(-3, 3)))
+    assert other.pullback(phi) == pullback_reference(other, phi)
+
+
+def _pairs_of_maps(draw, mid):
+    """A map into Delta^mid and one out of it: Bernstein maps, or an
+    affine face or collapse on either side when the dimensions allow."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    outer = BernsteinMap.random(rng, mid, draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    inner = BernsteinMap.random(rng, draw(st.integers(0, 3)), mid, draw(st.integers(0, 3)))
+    if mid and draw(st.booleans()):
+        inner = AffineMap.from_monotone.__wrapped__(tuple(sorted({0, mid} | {draw(st.integers(0, mid))})), mid)
+    if draw(st.booleans()):
+        skip = draw(st.integers(0, mid + 1))
+        outer = AffineMap.from_monotone.__wrapped__(tuple(v for v in range(mid + 2) if v != skip), mid + 1)
+    return outer, inner
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_compose_substitutes_each_coordinate(data):
+    """PolyMap.compose reads the inner map's image table and equals
+    Poly.compose applied to each outer coordinate."""
+    mid = data.draw(st.integers(0, 3))
+    outer, inner = _pairs_of_maps(data.draw, mid)
+    comp = outer.compose(inner)
+    assert (comp.source_dim, comp.target_dim) == (inner.source_dim, outer.target_dim)
+    src = inner.source_dim
+    assert list(comp.coords()) == [c.compose(inner.coords(), source_dim=src) for c in outer.coords()]
+
+
+@pytest.mark.parametrize("inner_target", [1, 3])
+def test_compose_rejects_a_wrong_inner_dimension(inner_target):
+    rng = random.Random(4)
+    outer = BernsteinMap.random(rng, 2, 3, 2)
+    inner = BernsteinMap.random(rng, 1, inner_target, 1)
+    with pytest.raises(ValueError):
+        outer.compose(inner)
+    with pytest.raises(ValueError):
+        outer.coords()[0].compose(inner.coords(), source_dim=1)
+
+
+def test_fresh_map_makes_one_product_per_new_monomial_image(monkeypatch):
+    """Each monomial image x^e is the image of x^(e - 1_i) times
+    coordinate i, i the last nonzero index: a cold pullback makes one
+    Poly product per exponent on those chains and none for the zero
+    exponent, and a warm one makes none."""
+    rng = random.Random(11)
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda p, q: calls.append(q) or mul(p, q))
+    for src, tgt, deg, k in [(2, 3, 2, 1), (1, 2, 3, 0), (3, 3, 1, 2), (0, 2, 2, 0), (2, 0, 1, 0)]:
+        phi = BernsteinMap.random(rng, src, tgt, deg)
+        phi.coords()
+        form = random_polyform(rng, tgt, k, 4)
+        chains = set()
+        for p in form.comps.values():
+            for e in p.terms:
+                while any(e) and e not in chains:
+                    chains.add(e)
+                    i = max(j for j, n in enumerate(e) if n)
+                    e = e[:i] + (e[i] - 1,) + e[i + 1:]
+        calls.clear()
+        pulled = form.pullback(phi)
+        assert len(calls) == len(chains)
+        assert all(q in phi.coords() for q in calls)
+        assert {key for key in phi.images if key[:1] != ("d",) and any(key)} == chains
+        calls.clear()
+        assert form.pullback(phi) == pulled
+        assert not calls
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_lam_power_matches_the_expansion(d):
+    """lam^b from the table of powers of lam_0 has the multinomial
+    expansion's terms in the same order, which fixes the term order of
+    the forms built from it, for every |b| <= 8."""
+    rng = random.Random(d)
+    for b0 in range(9):
+        for _ in range(3):
+            rest = []
+            for _ in range(d):
+                rest.append(rng.randrange(9 - b0 - sum(rest)))
+            b = (b0,) + tuple(rest)
+            assert list(_lam_power(d, b).items()) == list(lam_power_reference(d, b).items())
 
 
 def test_affine_maps_shared_and_memoised(monkeypatch):
