@@ -28,18 +28,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .forms import (
     AffineMap,
     FaceConsistencyError,
     PolyForm,
-    _form_from_acc,
+    _wedge_sum,
     form_on,
     random_poly,
     whitney_extend,
 )
-from .poly import Poly
+from .poly import Poly, _constant
 from .scalars import Scalar
 from .simplicial import (
     SimplexId,
@@ -60,6 +61,12 @@ class BundleError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Lie-algebra-valued forms (coordinates in a fixed basis)
+
+
+@cache
+def _lowered_structure(algebra):
+    """algebra.structure with each s^c_ab lowered (poly._constant), once per algebra."""
+    return [[tuple((c, _constant(s)) for c, s in pairs) for pairs in row] for row in algebra.structure]
 
 
 class LieValuedForm:
@@ -120,18 +127,18 @@ class LieValuedForm:
         0-forms over Delta^0 it is the bracket of g."""
         if self.algebra is not other.algebra:
             raise ValueError(f"bracket of {self.algebra.name} and {other.algebra.name} forms")
-        # the sum over (a, b) of s^c_ab A^a ^ B^b e_c, one form
-        # accumulator per coordinate c (PolyForm._wedge_into), each
-        # structure constant applied in the kernel call of its product
-        acc = [{} for _ in self.coords]
+        # the sum over (a, b) of s^c_ab A^a ^ B^b e_c, one _wedge_sum per
+        # coordinate c, each structure constant folded into its pair's products
+        terms = [[] for _ in self.coords]
+        structure = _lowered_structure(self.algebra)
         for a, b in itertools.product(range(self.algebra.dim), repeat=2):
             fa, fb = self.coords[a], other.coords[b]
             if fa.is_zero() or fb.is_zero():
                 continue
-            for c, s in self.algebra.structure[a][b]:
-                fa._wedge_into(acc[c], fb, s)
+            for c, s in structure[a][b]:
+                terms[c].append((fa, fb, s))
         deg = self.deg + other.deg
-        return LieValuedForm(self.algebra, self.dim, deg, [_form_from_acc(self.dim, deg, t) for t in acc])
+        return LieValuedForm(self.algebra, self.dim, deg, [_wedge_sum(self.dim, deg, t) for t in terms])
 
     def eval_matrix_coeffs(self, point):
         """Evaluate each form component to a float matrix at a point."""

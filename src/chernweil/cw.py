@@ -8,7 +8,7 @@ over every simplex gives a closed cochain whose class is independent of
 the connection and natural under pullback.
 
 The characteristic class is built by one integer pass.  A chart's
-connection form is lowered to int numerators over one denominator, each
+connection form's stored numerators are scaled to one denominator, each
 monomial's exponents packed into one int (_int_coords); the curvature F
 is built on those ints (_int_curvature), and the coefficient tensor T in
 Sym^k(g*) is contracted with it, sum_a T[a] F^a1 ^ .. ^ F^ak, each
@@ -16,10 +16,10 @@ entry's last factor wedged on its own, so that a diagonal entry's
 F^a ^ F^a is a square (_contract).  That product is one cell's form
 (_cell_form): the cochain (cw_cochain) reads only the 2k-cells and sums
 its top component against factorial weights (_weights); the
-characteristic form (cw_form) unpacks it (_unlower), as curvature_form
-unpacks F.
-integrate_to_cochain(cw_form(rho, D)), through integrate_top's own _mac
-path, is the cochain's oracle; the form's is the brute-force
+characteristic form (cw_form) unpacks it into stored Polys (_unlower),
+as curvature_form unpacks F.  integrate_to_cochain(cw_form(rho, D)),
+through integrate_top's own factorial formula, is the cochain's oracle;
+the form's is the brute-force
 alternating-sum-over-permutations formula, rho contracted with the
 curvature's coordinates.  The ratio of these two forms is a single
 combinatorial constant per arity, measured (never assumed) by
@@ -32,14 +32,14 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 from .bundles import Connection, LieValuedForm, pullback_bundle
 from .forms import PolyForm, SimplicialForm, _form, _merge, form_on, integrate_to_cochain
 from .io import scalar_to_str
 from .linalg import sort_sign
-from .poly import Poly, _poly
-from .scalars import Scalar, _from_parts, _lower, _part_mul
+from .poly import Poly, _from_parts, _lowered, _part_mul, _reduce
+from .scalars import Scalar
 from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_cochain
 
 
@@ -165,13 +165,13 @@ def calibrate_cw_constant(rho, F):
 # ---------------------------------------------------------------------------
 # the integer pass
 #
-# A lowered polynomial is a dict part -> {packed exponent: int
-# numerator} over a denominator kept beside it, the parts being those of
-# scalars._lower; a lowered form is a dict component index -> lowered
-# polynomial.  A monomial x^e on Delta^d is packed into the one int
-# sum e_i << (w * i), with the field width w read from a bound N on the
-# degree of every product, so the exponents of a product are one int
-# add that never carries into the next field.
+# A lowered polynomial is a Poly's layout with packed exponents: a dict
+# part -> {packed exponent: int numerator} over a denominator kept beside
+# it; a lowered form is a dict component index -> lowered polynomial.  A
+# monomial x^e on Delta^d is packed into the one int sum e_i << (w * i),
+# with the field width w read from a bound N on the degree of every
+# product, so the exponents of a product are one int add that never
+# carries into the next field.
 
 
 def _pack(e, w):
@@ -235,7 +235,7 @@ def _iwedge_into(out, X, Y):
 def _lower_constants(rows):
     """({key: c as a lowered 0-form polynomial {part: {0: n}}}, L) for
     the (key, Scalar c) rows, keys distinct: one denominator L."""
-    parts, L = _lower((c, ((key, 1),)) for key, c in rows)
+    L, parts = _lowered(rows)
     out = {}
     for p, t in parts.items():
         for key, n in t.items():
@@ -271,14 +271,14 @@ def _degree(X):
 
 
 def _int_coords(coords, w):
-    """(one lowered form per coordinate form, their one denominator L),
-    with w-bit exponent fields."""
-    parts, L = _lower((c, (((a, J, _pack(e, w)), 1),))
-                      for a, f in enumerate(coords) for J, p in f.comps.items() for e, c in p.terms.items())
+    """(one lowered form per coordinate form, their one denominator L):
+    the stored numerators scaled to L, exponents packed in w-bit fields."""
+    L = lcm(*{p.L for f in coords for p in f.comps.values()})
     out = [{} for _ in coords]
-    for p, t in parts.items():
-        for (a, J, e), n in t.items():
-            out[a].setdefault(J, {}).setdefault(p, {})[e] = n
+    for f, x in zip(coords, out):
+        for J, p in f.comps.items():
+            m = L // p.L
+            x[J] = {q: {_pack(e, w): m * n for e, n in t.items()} for q, t in p.parts.items()}
     return out, L
 
 
@@ -288,13 +288,10 @@ def _unlower(X, L, dim, deg, w):
     mask = (1 << w) - 1
     comps = {}
     for I, x in X.items():
-        terms = {}
-        for p, t in x.items():
-            for e, n in t.items():
-                if n:
-                    terms.setdefault(tuple((e >> (w * i)) & mask for i in range(dim)), {})[p] = n
-        if terms:
-            comps[I] = _poly(dim, {e: _from_parts(t, L) for e, t in terms.items()})
+        p = _reduce(dim, L, {q: {tuple((e >> (w * i)) & mask for i in range(dim)): n for e, n in t.items()}
+                             for q, t in x.items()})
+        if p.parts:
+            comps[I] = p
     return _form(dim, deg, comps)
 
 

@@ -7,39 +7,34 @@ top-degree form uses the Dirichlet monomial identity
 
     int_{Delta^d} x^a dV = (prod a_i!) / (d + sum a_i)!
 
-applied termwise, so no quadrature enters the main path.  All four go
-through the multiply-accumulate kernel scalars._mac: PolyForm.d adds
-sign * e_j * c per term and integrate_top adds c * e! / (d + |e|)!
-into _mac accumulators, each reduced once.  The curvature and the
-characteristic forms are built on ints instead (cw's integer pass), so
-integrate_top is the independent check on the cochain's integer
-integral.
-
-PolyForm(...) validates its components and is for input from outside
-(parsers, user code).  Results canonical by construction (kernel output
-through _form_from_acc, sums, negations, d and scale) are built by the
-unchecked _form and are not checked again.  A wedge reads the merged
-index of each pair of components and its sign from the cache _merge.
+applied termwise, so no quadrature enters the main path.  All of them
+work on the Polys' stored int numerators (see poly), each output
+component summed over one denominator and reduced once (_reduce).  A
+wedge, and the bracket of Lie-valued forms with each structure constant
+folded into its products, is one _wedge_sum, reading each pair's merged
+index and sign from the cache _merge.  integrate_top's own factorial
+formula checks cw's integer integral.  PolyForm(...) validates its
+components and is for input from outside (parsers, user code); results
+canonical by construction are built by the unchecked _form.
 
 Pullback goes through map objects (PolyMap and its AffineMap and
 BernsteinMap), which are immutable.  Each map keeps a memo of the
-monomial forms x^e dx_I pulled back along it, so a form's pullback only
-scales and adds memo entries.  An entry with coefficient exactly 1 (a
-unit image, the shared _UNIT) copies the form's coefficient, the Scalar
-as it is, unless its output slot gets another contribution.  A memo
-miss is one wedge, image(x^e) ^ image(dx_I), of two entries of the
-map's image table (map.images), filled bottom-up on first use: the
-image of x^e is the image of x^(e - 1_i) times coordinate i, i the last
-nonzero index of e, so each new monomial costs one Poly product; the
-image of dx_I, keyed ("d", I) to keep it apart from the exponents, is
-the image of dx_I[:-1] wedged with d(coordinate I[-1]).
-PolyMap.compose reads the inner map's table as well.  So len(map.images)
-next to len(map.memo) counts the exponents on the chains below the
-memo's monomials (the zero exponent included) and the prefixes of its
-differentials.  AffineMap.from_monotone returns one shared map per
-vertex map, so every face and collapse map of a given shape, and its
-memo and image table, is built once per process
-(AffineMap.from_monotone.cache_info() reports them).
+monomial forms x^e dx_I pulled back along it, as int numerators over one
+denominator grouped by slot (output component, part), so a form's
+pullback only multiplies and adds ints.  A memo miss is one wedge,
+image(x^e) ^ image(dx_I), of two entries of the map's image table
+(map.images), filled bottom-up on first use: the image of x^e is the
+image of x^(e - 1_i) times coordinate i, i the last nonzero index of e,
+so each new monomial costs one Poly product; the image of dx_I, keyed
+("d", I) to keep it apart from the exponents, is the image of dx_I[:-1]
+wedged with d(coordinate I[-1]).  PolyMap.compose reads the inner map's
+table as well.  So len(map.images) next to len(map.memo) counts the
+exponents on the chains below the memo's monomials (the zero exponent
+included) and the prefixes of its differentials.
+AffineMap.from_monotone returns one shared map per vertex map, so every
+face and collapse map of a given shape, and its memo and image table, is
+built once per process (AffineMap.from_monotone.cache_info() reports
+them).
 
 A SimplicialForm assigns a PolyForm to every nondegenerate simplex of a
 base simplicial set, compatibly under face pullback; degenerate
@@ -54,16 +49,15 @@ intersection (compared by pullback) agree on every shared coefficient,
 so each coefficient is taken from the first given facet that holds it.
 A facet monomial's owned coefficients, already multiplied out into the
 simplex's monomials (_basis_form), are one cached table of small ints
-(_owned_table), and one call of the other kernel, scalars._mac_int,
-which adds plain ints over one common denominator, sums every facet
-term's table into the extension.  Given an rng it adds seeded
-coefficients on interior basis functions, which vanish on every facet,
-for construct_connection and random_simplicial_form, in the same call.
-The tables key monomials (I, exponent) by ints, interned once per
-process (_slot), so _mac_int hashes ints.  Each lam^a is lam_0^a_0 read
-from the cached table _lam0_power, each power one product of the one
-below it with lam_0 = 1 - sum x, shifted by x^(a_1 .. a_d);
-_lam0_power.cache_info() reports how many powers are built.
+keyed by int monomial slots (_owned_table, _slot), and one pass,
+_sum_tables, adds every facet term's numerator times its table over one
+common denominator.  Given an rng it adds seeded coefficients on
+interior basis functions, which vanish on every facet, for
+construct_connection and random_simplicial_form, in the same pass.
+Each lam^a is lam_0^a_0 read from the cached table _lam0_power, each
+power one product of the one below it with lam_0 = 1 - sum x, shifted
+by x^(a_1 .. a_d); _lam0_power.cache_info() reports how many powers are
+built.
 """
 
 from __future__ import annotations
@@ -71,12 +65,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from math import factorial
-from operator import add
+from math import factorial, lcm, prod
+from operator import add, attrgetter
 
 from .linalg import multinomial, sort_sign
-from .poly import Poly, _compositions, _from_acc, _mul_into, _poly
-from .scalars import Scalar, _from_mac, _mac, _mac_int, _reduced, _scalar
+from .poly import _ONE, _REAL, Poly, _compositions, _constant, _from_parts, _part_mul, _product_into, _reduce, _scaled
 from .simplicial import (
     Cochain,
     mono_skip,
@@ -85,6 +78,7 @@ from .simplicial import (
 
 
 _new = object.__new__
+_den = attrgetter("L")
 
 
 class DegreeMismatchError(ValueError):
@@ -152,7 +146,7 @@ class PolyForm:
                 c[I] = p
                 continue
             s = q + p
-            if s.terms:
+            if s.parts:
                 c[I] = s
             else:
                 del c[I]
@@ -165,67 +159,44 @@ class PolyForm:
         return self + (-other)
 
     def scale(self, c):
-        if type(c) is not Scalar:
-            c = Scalar.coerce(c)
-        if not c.terms:
+        const = _constant(c)
+        if not const[1]:
             return _form(self.dim, self.deg, {})
         # a nonzero multiple of a nonzero Poly is nonzero
-        return _form(self.dim, self.deg, {I: p.scale(c) for I, p in self.comps.items()})
+        return _form(self.dim, self.deg, {I: _scaled(p, const) for I, p in self.comps.items()})
 
     def d(self):
         """Exterior derivative; d o d = 0 exactly.  The term c x^e dx_I
-        gives sign * e_j * c x^(e - 1_j) dx_K for dx_j ^ dx_I = sign
-        dx_K, added by _mac into one accumulator per component."""
+        gives sign * e_j * c x^(e - 1_j) dx_K for dx_j ^ dx_I = sign dx_K,
+        over the lcm L of the components' denominators."""
+        L = lcm(*map(_den, self.comps.values()))
         acc = {}
         for I, p in self.comps.items():
+            f = L // p.L
             for j in range(self.dim):
                 K, sign = _merge((j,), I)
-                if sign == 0:
+                if not sign:
                     continue
-                for e, c in p.terms.items():
-                    k = e[j]
-                    if not k:
-                        continue
-                    tK = acc.get(K)
-                    if tK is None:
-                        tK = acc[K] = {}
-                    e2 = e[:j] + (k - 1,) + e[j + 1:]
-                    t = tK.get(e2)
-                    if t is None:
-                        t = tK[e2] = {}
-                    _mac(t, c.terms.items(), ((0, (sign * k, 0, 1)),))
-        return _form_from_acc(self.dim, self.deg + 1, acc)
+                for part, t in p.parts.items():
+                    terms = [(e[:j] + (e[j] - 1,) + e[j + 1:], sign * f * e[j] * n) for e, n in t.items() if e[j]]
+                    if terms:
+                        o = acc.setdefault(K, {}).setdefault(part, {})
+                        for e2, n in terms:
+                            o[e2] = o.get(e2, 0) + n
+        return _form_of(self.dim, self.deg + 1, L, acc)
 
     def wedge(self, other):
-        acc = {}
-        self._wedge_into(acc, other)
-        return _form_from_acc(self.dim, self.deg + other.deg, acc)
-
-    def _wedge_into(self, acc, other, coef=1):
-        """Add coef * (self ^ other) into an accumulator I -> (poly
-        accumulator), which _form_from_acc turns into a PolyForm; every
-        p*q of one output component goes into the same accumulator, and
-        coef (an int or a Scalar) is applied in the kernel call."""
         if self.dim != other.dim:
             raise ValueError("wedge dimension mismatch")
-        for I, p in self.comps.items():
-            for J, q in other.comps.items():
-                K, sign = _merge(I, J)
-                if sign == 0:
-                    continue
-                t = acc.get(K)
-                if t is None:
-                    t = acc[K] = {}
-                _mul_into(t, p.terms, q.terms, coef if sign > 0 else -coef)
+        return _wedge_sum(self.dim, self.deg + other.deg, ((self, other, (1, _ONE)),))
 
     def pullback(self, phi):
         """Pullback along a polynomial or affine map into Delta^dim.
 
-        Each term c x^e dx_I adds c times the pullback of x^e dx_I,
-        which phi's memo holds after the first time it is needed.  A
-        memo entry with coefficient exactly 1 (_UNIT) copies c, the
-        Scalar as it is, into an empty output slot; a slot that gets a
-        second contribution becomes a _mac accumulator.
+        Each term c x^e dx_I adds c times the pullback of x^e dx_I, held
+        in phi's memo after its first use.  Each slot (output component,
+        image part) sums over its first term's denominator, rescaled only
+        when a later term needs more, so a copied component keeps its own.
         """
         if phi.target_dim != self.dim:
             raise ValueError("pullback target dimension mismatch")
@@ -235,40 +206,51 @@ class PolyForm:
         memo = phi.memo
         acc = {}
         for I, p in self.comps.items():
-            for e, c in p.terms.items():
-                pulled = memo.get((e, I))
-                if pulled is None:
-                    pulled = memo[(e, I)] = _pull_monomial(phi, e, I)
-                xs = c.terms.items()
-                for J, e2, m in pulled:
-                    tJ = acc.get(J)
-                    if tJ is None:
-                        tJ = acc[J] = {}
-                    t = tJ.get(e2)
-                    if t is None:
-                        if m is _UNIT:
-                            tJ[e2] = c
-                            continue
-                        t = tJ[e2] = {}
-                    elif type(t) is Scalar:
-                        t = tJ[e2] = dict(t.terms)
-                    _mac(t, xs, m)
-        return _form_from_acc(src, self.deg, acc)
+            LI = p.L
+            for part, t in p.parts.items():
+                out = acc.setdefault(part, {})
+                for e, n in t.items():
+                    pulled = memo.get((e, I))
+                    if pulled is None:
+                        pulled = memo[(e, I)] = _pull_monomial(phi, e, I)
+                    Lm, groups = pulled
+                    d = LI * Lm
+                    for slot, entries in groups:
+                        rec = out.get(slot)
+                        if rec is None:
+                            rec = out[slot] = [d, {}]
+                        m = n if rec[0] == d else n * _rescale(rec, d)
+                        o = rec[1]
+                        get = o.get
+                        for e2, k in entries:
+                            o[e2] = get(e2, 0) + m * k
+        comps = {}
+        for part, out in acc.items():
+            for slot, (d, t) in out.items():
+                J, q = _slot_keys[slot]
+                P, s = (part, 1) if q == _REAL else _part_mul(part, q)
+                p = _reduce(src, d, {P: t if s == 1 else {e2: -n for e2, n in t.items()}})
+                c = comps.get(J)
+                if c is not None:
+                    p = c + p
+                if p.parts:
+                    comps[J] = p
+                elif c is not None:
+                    del comps[J]
+        return _form(src, self.deg, comps)
 
     def integrate_top(self):
         """Exact integral over Delta^dim of a top-degree form: each
-        c x^e adds c * e! / (dim + |e|)! into one _mac accumulator."""
+        numerator n of x^e adds n * e! * (dim + N)! / (dim + |e|)!, N the
+        top total degree, reduced once over L (dim + N)!."""
         if self.deg != self.dim:
             raise DegreeMismatchError(
                 f"integrate_top needs degree {self.dim}, got {self.deg}"
             )
-        t = {}
-        for e, c in self.component(tuple(range(self.dim))).terms.items():
-            num = 1
-            for a in e:
-                num *= factorial(a)
-            _mac(t, c.terms.items(), ((0, (num, 0, factorial(self.dim + sum(e)))),))
-        return _from_mac(t)
+        p = self.component(tuple(range(self.dim)))
+        top = factorial(self.dim + p.total_degree())
+        return _from_parts({part: sum(n * (top // factorial(self.dim + sum(e))) * prod(map(factorial, e))
+                                      for e, n in t.items()) for part, t in p.parts.items()}, p.L * top)
 
     def total_poly_degree(self):
         return max((p.total_degree() for p in self.comps.values()), default=0)
@@ -305,26 +287,19 @@ class PolyMap:
 
     def compose(self, inner):
         """self o inner: each term c x^e of each of self's coordinates
-        adds c times inner's image of x^e into one accumulator."""
+        adds c times inner's image of x^e, over one denominator."""
         if inner.target_dim != self.source_dim:
             raise ValueError("need one substitution polynomial per variable")
         src = inner.source_dim
         coords = []
         for p in self.coords():
-            acc = {}
-            for e, c in p.terms.items():
-                xs = c.terms.items()
-                for e2, y in _image(inner, e).terms.items():
-                    t = acc.get(e2)
-                    if t is None:
-                        t = acc[e2] = {}
-                    _mac(t, xs, y.terms.items())
-            coords.append(_poly(src, _from_acc(acc)))
+            rows = [(part, n, _image(inner, e)) for part, t in p.parts.items() for e, n in t.items()]
+            LM = lcm(*{q.L for _, _, q in rows})
+            out = {}
+            for part, n, q in rows:
+                _product_into(out, {part: {(0,) * src: n * (LM // q.L)}}, q.parts, _ONE)
+            coords.append(_reduce(src, p.L * LM, out))
         return PolyMap(src, self.target_dim, coords)
-
-
-# the terms of the coefficient 1, shared by every memo entry that has it
-_UNIT = ((0, (1, 0, 1)),)
 
 
 def _image(phi, e):
@@ -362,35 +337,30 @@ def _dx_image(phi, I):
     if f is None:
         src = phi.source_dim
         p = phi.coords()[I[0]]
-        f = images["d", I] = _form(src, 1, {(j,): q for j in range(src) if (q := p.diff(j)).terms})
+        f = images["d", I] = _form(src, 1, {(j,): q for j in range(src) if (q := p.diff(j)).parts})
     for I in reversed(todo):
         f = images["d", I] = f.wedge(_dx_image(phi, I[-1:]))
     return f
 
 
 def _pull_monomial(phi, e, I):
-    """x^e dx_I pulled back along phi, as a tuple of (J, e', terms of
-    the coefficient as (tau power, triple) pairs, _UNIT itself for the
-    coefficient 1): the image of x^e wedged with the image of dx_I."""
+    """x^e dx_I pulled back along phi, image(x^e) ^ image(dx_I), as (L,
+    groups): one denominator L and per component J and part q the group
+    (_slot(J, q), ((e', numerator over L), ...))."""
     p = _image(phi, e)
-    term = _form(phi.source_dim, 0, {(): p} if p.terms else {})
+    term = _form(phi.source_dim, 0, {(): p} if p.parts else {})
     if I:
         term = term.wedge(_dx_image(phi, I))
-    out = []
-    for J, p in term.comps.items():
-        for e2, c in p.terms.items():
-            m = tuple(c.terms.items())
-            out.append((J, e2, _UNIT if m == _UNIT else m))
-    return tuple(out)
+    L = lcm(*map(_den, term.comps.values()))
+    return L, tuple((_slot(J, q), tuple((e2, n * (L // p.L)) for e2, n in t.items()))
+                    for J, p in term.comps.items() for q, t in p.parts.items())
 
 
 def _form(dim, deg, comps):
     """A PolyForm over a fresh dict of strictly increasing index tuples
     and nonzero Polys on Delta^dim (no checks)."""
     f = _new(PolyForm)
-    f.dim = dim
-    f.deg = deg
-    f.comps = comps
+    f.dim, f.deg, f.comps = dim, deg, comps
     return f
 
 
@@ -401,15 +371,40 @@ def _merge(I, J):
     return sort_sign(I + J)
 
 
-def _form_from_acc(dim, deg, acc):
-    """The PolyForm of an accumulator dict I -> (poly accumulator), with
-    zero components dropped."""
-    comps = {}
-    for I, t in acc.items():
-        terms = _from_acc(t)
-        if terms:
-            comps[I] = _poly(dim, terms)
-    return _form(dim, deg, comps)
+def _rescale(rec, d):
+    """Bring the sum rec = [its denominator, its dict] to the lcm of that
+    and d; the multiplier that takes a numerator over d to it."""
+    L = lcm(rec[0], d)
+    r, rec[0] = L // rec[0], L
+    if r != 1:
+        for e in rec[1]:
+            rec[1][e] *= r
+    return L // d
+
+
+def _form_of(dim, deg, L, comps):
+    """The PolyForm of a dict I -> parts over one denominator L, each
+    component reduced on its own, zero components dropped."""
+    return _form(dim, deg, {I: p for I, t in comps.items() if (p := _reduce(dim, L, t)).parts})
+
+
+def _wedge_sum(dim, deg, terms):
+    """The sum of c * (F ^ G) over the terms (F, G, c), c lowered by
+    _constant: one pass finds each output component's pairs and the lcm of
+    their denominators, a second adds their products, sign and scaling folded."""
+    pairs, dens = [], {}
+    for F, G, (Lc, coef) in terms:
+        for I, p in F.comps.items():
+            for J, q in G.comps.items():
+                K, sign = _merge(I, J)
+                if sign:
+                    den = p.L * q.L * Lc
+                    dens[K] = lcm(dens.get(K, 1), den)
+                    pairs.append((K, sign, den, p.parts, q.parts, coef))
+    acc = {K: {} for K in dens}
+    for K, sign, den, x, y, coef in pairs:
+        _product_into(acc[K], x, y, coef, sign * (dens[K] // den))
+    return _form(dim, deg, {K: p for K, t in acc.items() if (p := _reduce(dim, dens[K], t)).parts})
 
 
 @cache
@@ -692,7 +687,7 @@ def _lam_power(d, b):
 
 def _lam_poly(d, coeffs):
     """The Poly sum c * lam^a over coeffs.items() on Delta^d."""
-    return _from_basis(d, 0, {(a, ()): Scalar.coerce(c) for a, c in coeffs.items() if c}).component(())
+    return _from_basis(d, 0, {(a, ()): c for a, c in coeffs.items() if c}).component(())
 
 
 def _dlam_wedge(d, t):
@@ -708,9 +703,10 @@ def _dlam_wedge(d, t):
     }
 
 
-# monomial slots: each (I, exponent) of a form on some Delta^d, interned
-# as an int once per process, so the rows _mac_int sums are keyed by
-# ints; _slot_keys[n] is the (I, exponent) of slot n
+# slots: each pair (I, exponent) of a form on some Delta^d, or (J, part)
+# of a pullback's memo entry, interned as an int once per process, so the
+# sums of _sum_tables and pullback are keyed by ints; _slot_keys[n] is
+# the pair of slot n
 _slots = {}
 _slot_keys = []
 
@@ -726,7 +722,7 @@ def _slot(I, e):
 @cache
 def _basis_form(d, a, s):
     """lam^a phi_s (lam^a for s == ()) on Delta^d, as a tuple of
-    (monomial slot, int) pairs, the rows _mac_int reads."""
+    (monomial slot, int) pairs, the tables _sum_tables reads."""
     comps = {}
     if not s:
         comps[()] = _lam_power(d, a)
@@ -747,7 +743,7 @@ def _owned_table(d, i, k, r, J, mu, earlier):
     """x^mu dx_J on facet i of Delta^d, as the Delta^d monomials of the
     degree-r basis functions facet i owns: those in its trace that are
     in the trace of no facet in earlier, the facets given before i.  A
-    tuple of (monomial slot, int) pairs, the rows _mac_int reads."""
+    tuple of (monomial slot, int) pairs, the tables _sum_tables reads."""
     out = {}
     for (a, s), c in _facet_coeffs(d, i, k, r, J, mu):
         if any(not a[g] and g not in s for g in earlier):
@@ -757,18 +753,31 @@ def _owned_table(d, i, k, r, J, mu, earlier):
     return tuple((n, c) for n, c in out.items() if c)
 
 
-def _form_of_slots(d, k, coeffs):
-    """The PolyForm of a dict monomial slot -> nonzero Scalar on Delta^d."""
+def _sum_tables(d, k, rows):
+    """The k-form on Delta^d summing n / L_r * i^im * tau^j times the
+    table of (monomial slot, int) pairs over the rows (L_r, (j, im), n,
+    table), each numerator scaled once to the lcm L of the L_r."""
+    L = lcm(*{r[0] for r in rows})
+    parts = {}
+    for Lr, part, n, table in rows:
+        t = parts.setdefault(part, {})
+        get = t.get
+        n *= L // Lr
+        for slot, m in table:
+            t[slot] = get(slot, 0) + n * m
     comps = {}
-    for n, c in coeffs.items():
-        I, e = _slot_keys[n]
-        comps.setdefault(I, {})[e] = c
-    return _form(d, k, {I: _poly(d, t) for I, t in comps.items()})
+    for part, t in parts.items():
+        for slot, n in t.items():
+            if n:
+                I, e = _slot_keys[slot]
+                comps.setdefault(I, {}).setdefault(part, {})[e] = n
+    return _form_of(d, k, L, comps)
 
 
 def _from_basis(d, k, coeffs):
-    """The PolyForm sum c * (basis function key) over coeffs.items(), by _mac_int."""
-    return _form_of_slots(d, k, _mac_int((c, _basis_form(d, *key)) for key, c in coeffs.items()))
+    """The PolyForm sum c * (basis function key) over coeffs.items(), by _sum_tables."""
+    return _sum_tables(d, k, [(Lc, part, n, _basis_form(d, *key))
+                              for key, c in coeffs.items() for Lc, coef in (_constant(c),) for part, n in coef])
 
 
 def whitney_extend(d, deg, prescriptions, rng=None):
@@ -786,8 +795,8 @@ def whitney_extend(d, deg, prescriptions, rng=None):
     Data that agree there agree on every shared coefficient, so each
     coefficient is copied from the first given facet whose trace holds
     it: every term of every facet adds its cached table of the monomials
-    of the basis functions its facet owns (_owned_table), all in one
-    _mac_int pass.
+    of the basis functions its facet owns (_owned_table), times its
+    numerator, all in one _sum_tables pass.
 
     With a seeded rng, random rationals are also put on the lowest-degree
     interior basis functions lam^a phi_s: s holds vertex 0 and a is 1 on
@@ -820,16 +829,17 @@ def whitney_extend(d, deg, prescriptions, rng=None):
         raise FaceConsistencyError(
             "inconsistent facet data on intersections: " + ", ".join(f"faces {i} and {j}" for i, j in bad)
         )
-    rows = [(v, _owned_table(d, i, deg, r, J, mu, tuple(facets[:n])))
-            for n, i in enumerate(facets) for J, p in prescriptions[i].comps.items() for mu, v in p.terms.items()]
+    rows = [(p.L, part, v, _owned_table(d, i, deg, r, J, mu, tuple(facets[:n])))
+            for n, i in enumerate(facets) for J, p in prescriptions[i].comps.items()
+            for part, t in p.parts.items() for mu, v in t.items()]
     if rng is not None:
         for t in itertools.combinations(range(1, d + 1), deg):
             s = (0,) + t
             a = tuple(0 if v in s else 1 for v in range(d + 1))
             num = rng.randrange(-6, 7)
             if num:
-                rows.append((Scalar.from_rational(num, rng.randrange(1, 6)), _basis_form(d, a, s)))
-    return _form_of_slots(d, deg, _mac_int(rows))
+                rows.append((rng.randrange(1, 6), _REAL, num, _basis_form(d, a, s)))
+    return _sum_tables(d, deg, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -848,13 +858,14 @@ def _monomials_up_to(dim, degree):
 
 
 def random_poly(rng, dim, degree):
-    terms = {}
+    terms = []
     for e in _monomials_up_to(dim, degree):
         if rng.randrange(2):
             num = rng.randrange(-6, 7)
             if num:
-                terms[e] = _scalar({0: _reduced(num, 0, rng.randrange(1, 6))})
-    return _poly(dim, terms)
+                terms.append((e, num, rng.randrange(1, 6)))
+    L = lcm(*{q for _, _, q in terms})
+    return _reduce(dim, L, {_REAL: {e: num * (L // q) for e, num, q in terms}})
 
 
 def random_polyform(rng, dim, deg, degree=2):

@@ -140,7 +140,7 @@ def parse_scalar(text):
 
 
 def poly_to_str(p):
-    if not p.terms:
+    if p.is_zero():
         return "0"
     bits = []
     for e, c in p.sorted_terms():
@@ -308,7 +308,7 @@ def parse_simplicial_set(text):
 
 def _is_real(p):
     """Whether no coefficient of the polynomial p has an imaginary part."""
-    return not any(b for c in p.terms.values() for _, b, _ in c.terms.values())
+    return not any(im for _, im in p.parts)
 
 
 def _lie_index(text, algebra):

@@ -1,43 +1,35 @@
 """Multivariate polynomials on the coordinate simplex.
 
 A Poly lives on Delta^d, embedded in R^d with coordinates x_1..x_d
-(indices 0-based internally).  Coefficients are Scalars, so arithmetic
-is exact.  Terms are kept in a dict keyed by exponent
-tuples; zero coefficients are pruned eagerly so equality is structural.
-
-Products of two coefficients go through the kernel scalars._mac,
-shared by Poly.__mul__, PolyForm.wedge (and so
-LieValuedForm.bracket_wedge), PolyForm.pullback, PolyMap.compose,
-PolyForm.d and PolyForm.integrate_top; the Whitney-Bernstein transforms
-in forms, which multiply coefficients by small ints, go through the other kernel,
-scalars._mac_int.  The curvature and the characteristic forms of cw
-use neither: they are built on int numerators over one denominator
-(cw's integer pass) and come back as Polys only at the end.  Every
-product c1*c2 of two coefficients' int triples is
-added, unreduced, by scalars._mac into an accumulator dict exponent ->
-{tau power: (a, b, d)}, and each output coefficient is brought to
-lowest terms once at the end (_from_acc), zero sums dropped.  No
-Scalar is built per term pair.  The coefficient of a product (a wedge
-sign, a structure constant, a derivative's sign * e_j) is folded into
-the same kernel call (_mul_into's coef), not applied by a Poly.scale.
-One slot may hold a Scalar instead of
-an accumulator: PolyForm.pullback copies a coefficient as it is into
-a slot where its monomial's image has coefficient 1 (a unit image) and
-that gets nothing else.  Sums into a running total (Poly.__add__) add
-Scalars.
-
+(indices 0-based internally).  Its exact tau-Laurent Gaussian-rational
+coefficients are stored lowered, as FLINT's fmpq_poly stores a rational
+polynomial: one denominator L > 0 and, per part (tau power, 0 for the
+real or 1 for the imaginary part), a dict exponent tuple -> nonzero int
+numerator.  gcd(L, every numerator) == 1 and no part is empty, so ==
+and hash are structural.  This module alone decides that layout.  Sums,
+products (_product_into, each product's part from the cache _part_mul),
+scalings and derivatives, and in forms d, wedge, pullback, integration
+and the Whitney-Bernstein extension, add ints over one denominator and
+reduce each result once (_reduce).  Scalars are made only at the
+boundary: the read-only view Poly.terms, built on access for writers,
+reports and exact evaluation, and integrals' values (_from_parts).
 Poly(...) validates its terms and is for input from outside; results
-canonical by construction (kernel output, sums, negations, scalings,
-derivatives) are built by the unchecked _poly.
+canonical by construction are built by the unchecked _poly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 
-from .scalars import Scalar, _from_mac, _mac
+from .scalars import TAU, Scalar, _reduced, _scalar
 
 _new = object.__new__
+_REAL = (0, 0)  # the part of the real rationals
+_ONE = ((_REAL, 1),)  # the int multipliers of the constant 1, as _product_into takes them
 
 
 def _monomial_key(exps):
@@ -46,66 +38,77 @@ def _monomial_key(exps):
 
 
 class Poly:
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "L", "parts")
 
     def __init__(self, dim, terms=None):
         self.dim = dim
-        t = {}
-        if terms:
-            for e, c in terms.items():
-                c = Scalar.coerce(c)
-                if not c.is_zero():
-                    t[tuple(e)] = c
-        self.terms = t
+        self.L, self.parts = _lowered((tuple(e), c) for e, c in (terms or {}).items())
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(dim):
-        return Poly(dim)
+        return _poly(dim, 1, {})
 
     @staticmethod
     def const(dim, c):
-        return Poly(dim, {(0,) * dim: Scalar.coerce(c)})
+        return Poly(dim, {(0,) * dim: c})
 
     @staticmethod
     def var(dim, i):
         """The coordinate x_{i+1} on Delta^dim (0-based index i)."""
-        e = [0] * dim
-        e[i] = 1
-        return Poly(dim, {tuple(e): Scalar.one()})
+        return _poly(dim, 1, {_REAL: {tuple(int(j == i) for j in range(dim)): 1}})
 
     # -- predicates / info ---------------------------------------------
 
+    @property
+    def terms(self):
+        """The read-only dict exponent -> nonzero Scalar, built on access:
+        exponents in the order of the parts, then of each part's dict."""
+        L = self.L
+        return MappingProxyType({e: _scalar({k: _reduced(a, b, L) for k, (a, b) in c.items()})
+                                 for e, c in self._by_exponent().items()})
+
+    def _by_exponent(self):
+        """{exponent: {tau power: [real, imaginary numerator]}}, in terms order."""
+        ab = {}
+        for (k, im), t in self.parts.items():
+            for e, n in t.items():
+                ab.setdefault(e, {}).setdefault(k, [0, 0])[im] = n
+        return ab
+
     def is_zero(self):
-        return not self.terms
+        return not self.parts
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for t in self.parts.values() for e in t), default=0)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.dim == other.dim and self.terms == other.terms
+        return (isinstance(other, Poly) and self.dim == other.dim and self.L == other.L
+                and self.parts == other.parts)
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self.L, frozenset((p, frozenset(t.items())) for p, t in self.parts.items())))
 
     # -- ring operations -------------------------------------------------
 
     def _binop_add(self, other, sign):
         if self.dim != other.dim:
             raise ValueError("polynomial dimension mismatch")
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            if sign < 0:
-                c = -c
-            c0 = t.get(e)
-            if c0 is not None:
-                c = c0 + c
-                if not c.terms:
-                    del t[e]
-                    continue
-            t[e] = c
-        return _poly(self.dim, t)
+        L = self.L if self.L == other.L else lcm(self.L, other.L)
+        f1, f2 = L // self.L, sign * (L // other.L)
+        out = {}
+        for p, t in self.parts.items():
+            out[p] = dict(t) if f1 == 1 else {e: f1 * n for e, n in t.items()}
+        for p, t in other.parts.items():
+            o = out.get(p)
+            if o is None:
+                out[p] = {e: f2 * n for e, n in t.items()}
+                continue
+            get = o.get
+            for e, n in t.items():
+                o[e] = get(e, 0) + f2 * n
+        return _reduce(self.dim, L, out)
 
     def __add__(self, other):
         return self._binop_add(other, +1)
@@ -118,30 +121,22 @@ class Poly:
         return self._binop_add(other, -1)
 
     def __neg__(self):
-        return _poly(self.dim, {e: -c for e, c in self.terms.items()})
+        return _poly(self.dim, self.L, {p: {e: -n for e, n in t.items()} for p, t in self.parts.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
         if self.dim != other.dim:
             raise ValueError("polynomial dimension mismatch")
-        acc = {}
-        _mul_into(acc, self.terms, other.terms)
-        return _poly(self.dim, _from_acc(acc))
+        out = {}
+        _product_into(out, self.parts, other.parts, _ONE)
+        return _reduce(self.dim, self.L * other.L, out)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        if type(c) is not Scalar:
-            c = Scalar.coerce(c)
-        if c.is_zero():
-            return Poly.zero(self.dim)
-        t = {}
-        for e, cc in self.terms.items():
-            p = cc * c
-            if not p.is_zero():
-                t[e] = p
-        return _poly(self.dim, t)
+        """c * self for a Scalar, int or Fraction c."""
+        return _scaled(self, _constant(c))
 
     def __pow__(self, n):
         if n < 0:
@@ -155,14 +150,8 @@ class Poly:
 
     def diff(self, i):
         """Partial derivative with respect to x_{i+1}."""
-        t = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            t[tuple(e2)] = c * e[i]
-        return _poly(self.dim, t)
+        return _reduce(self.dim, self.L, {p: {e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * n for e, n in t.items() if e[i]}
+                                          for p, t in self.parts.items()})
 
     def compose(self, polys, source_dim=None):
         """Substitute polys[i] for x_{i+1}; all polys share one source dim.
@@ -175,12 +164,7 @@ class Poly:
         """
         if len(polys) != self.dim:
             raise ValueError("need one substitution polynomial per variable")
-        if polys:
-            src = polys[0].dim
-        elif source_dim is not None:
-            src = source_dim
-        else:
-            src = 0
+        src = polys[0].dim if polys else source_dim or 0
         out = Poly.zero(src)
         for e, c in self.terms.items():
             term = Poly.const(src, c)
@@ -201,10 +185,21 @@ class Poly:
             out = out + v
         return out
 
+    def _complex_terms(self):
+        """(exponent, complex coefficient) in terms order, bit for bit
+        terms[e].to_complex(): n / L rounds the same rational as the
+        reduced a / d, and a sum of one tau power is 0j plus its term."""
+        L = self.L
+        if len(self.parts) == 1:
+            ((k, im), t), = self.parts.items()
+            w = TAU**k
+            return [(e, 0j + (complex((1 - im) * n / L) + 1j * complex(im * n / L)) * w) for e, n in t.items()]
+        return [(e, sum(((complex(a / L) + 1j * complex(b / L)) * TAU**k for k, (a, b) in sorted(c.items())), 0j))
+                for e, c in self._by_exponent().items()]
+
     def eval_complex(self, point):
         out = 0j
-        for e, c in self.terms.items():
-            v = c.to_complex()
+        for e, v in self._complex_terms():
             for i, k in enumerate(e):
                 if k:
                     v *= complex(point[i]) ** k
@@ -224,8 +219,8 @@ class Poly:
 
         cols = np.asarray(points, dtype=float).astype(complex).T
         out = np.zeros(cols.shape[1], dtype=complex)
-        for e, c in self.terms.items():
-            v = np.full(cols.shape[1], c.to_complex())
+        for e, c in self._complex_terms():
+            v = np.full(cols.shape[1], c)
             for i, k in enumerate(e):
                 if k:
                     v *= cols[i] ** k
@@ -236,7 +231,7 @@ class Poly:
         return sorted(self.terms.items(), key=lambda ec: _monomial_key(ec[0]))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.parts:
             return "Poly(0)"
         bits = []
         for e, c in self.sorted_terms():
@@ -249,53 +244,113 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def _poly(dim, terms):
-    """A Poly over a fresh dict of tuple keys and nonzero Scalars (no checks)."""
+def _poly(dim, L, parts):
+    """A Poly over a canonical denominator and fresh dict of parts (no checks)."""
     p = _new(Poly)
-    p.dim = dim
-    p.terms = terms
+    p.dim, p.L, p.parts = dim, L, parts
     return p
 
 
-def _mul_into(acc, terms1, terms2, coef=1):
-    """acc += coef * (terms1 * terms2) for two exponent -> Scalar dicts.
-
-    coef is an int or a Scalar.  Unless it is 1 it is multiplied, by
-    _mac and unreduced, into each coefficient of terms2 once, before the
-    term pairs are walked."""
-    if coef == 1:
-        ys = [(e2, c2.terms.items()) for e2, c2 in terms2.items()]
-    else:
-        cs = Scalar.coerce(coef).terms.items()
-        ys = []
-        for e2, c2 in terms2.items():
-            y = {}
-            _mac(y, c2.terms.items(), cs)
-            ys.append((e2, y.items()))
-    for e1, c1 in terms1.items():
-        xs = c1.terms.items()
-        for e2, y in ys:
-            e = tuple(map(add, e1, e2))
-            t = acc.get(e)
-            if t is None:
-                t = acc[e] = {}
-            _mac(t, xs, y)
+def _reduce(dim, L, parts):
+    """The Poly of the parts over L > 0, taking their dicts over: zeros and
+    empty parts dropped, then one gcd over all, divided out unless 1."""
+    g, clean = L, True
+    for t in parts.values():
+        if not t or 0 in t.values():
+            clean = False
+        if g != 1:
+            g = gcd(g, *t.values())  # a zero numerator leaves the gcd as it is
+    if not clean:
+        parts = {p: t for p, t in ((p, {e: n for e, n in t.items() if n}) for p, t in parts.items()) if t}
+    if g != 1:
+        parts = {p: {e: n // g for e, n in t.items()} for p, t in parts.items()}
+        L //= g
+    q = _new(Poly)
+    q.dim, q.L, q.parts = dim, L, parts
+    return q
 
 
-def _from_acc(acc):
-    """The key -> Scalar terms of a dict of _mac accumulators, each
-    coefficient in lowest terms, zero coefficients dropped.  A slot may
-    hold a nonzero Scalar instead (PolyForm.pullback's unit-image copy),
-    which is kept as it is."""
+def _lowered(rows):
+    """(L, parts) for the (key, c) rows, c an int, Fraction or Scalar, keys
+    distinct: L the lcm of the denominators, parts part -> {key: nonzero
+    numerator over L}, canonical since lowest terms over their lcm are."""
+    rows = [(key, xs) for key, c in rows if (xs := Scalar.coerce(c).terms.items())]
+    L = lcm(*{d for _, xs in rows for _, (_, _, d) in xs})
+    parts = {}
+    for key, xs in rows:
+        for k, (a, b, d) in xs:
+            f = L // d
+            if a:
+                parts.setdefault((k, 0), {})[key] = a * f
+            if b:
+                parts.setdefault((k, 1), {})[key] = b * f
+    return L, parts
+
+
+def _constant(c):
+    """c, an int, Fraction or Scalar, lowered: (its denominator, ((part,
+    int numerator), ...)), as _product_into takes its multipliers."""
+    if isinstance(c, (int, Fraction)):
+        return c.denominator, ((_REAL, c.numerator),) if c else ()
+    L, parts = _lowered(((0, c),))
+    return L, tuple((p, t[0]) for p, t in parts.items())
+
+
+def _scaled(p, const):
+    """The Poly c * p for a constant c lowered by _constant: each part of c
+    relabels and multiplies the numerators, over L times c's denominator."""
+    Lc, coef = const
     out = {}
-    for e, t in acc.items():
-        if type(t) is Scalar:
-            out[e] = t
-            continue
-        s = _from_mac(t)
-        if s.terms:
-            out[e] = s
-    return out
+    for p1, t in p.parts.items():
+        for p2, m in coef:
+            q, s = _part_mul(p1, p2)
+            m *= s
+            o = out.get(q)
+            if o is None:
+                out[q] = {e: m * n for e, n in t.items()}
+                continue
+            get = o.get
+            for e, n in t.items():
+                o[e] = get(e, 0) + m * n
+    return _reduce(p.dim, p.L * Lc, out)
+
+
+@cache
+def _part_mul(p, q):
+    """The part of the product of the parts p and q (tau power, 0 or 1)
+    of two lowered values, and its sign: i * i = -1."""
+    (k1, i1), (k2, i2) = p, q
+    return (k1 + k2, i1 ^ i2), -1 if i1 & i2 else 1
+
+
+def _product_into(out, parts1, parts2, coef, f=1):
+    """out[part][e1 + e2] += f * m * n1 * n2 over the parts of two lowered
+    polynomials and the (part, m) pairs of coef, a lowered constant: per
+    pair of parts, terms of parts1 outer, those of parts2 inner."""
+    for p1, t1 in parts1.items():
+        for p2, t2 in parts2.items():
+            q, s = _part_mul(p1, p2)
+            for pc, m in coef:
+                p, sc = _part_mul(q, pc)
+                m *= s * sc * f
+                o = out.setdefault(p, {})
+                get = o.get
+                ys = list(t2.items()) if m == 1 else [(e2, m * n2) for e2, n2 in t2.items()]
+                for e1, n1 in t1.items():
+                    for e2, n2 in ys:
+                        e = tuple(map(add, e1, e2))
+                        o[e] = get(e, 0) + n1 * n2
+
+
+def _from_parts(t, L):
+    """The Scalar sum of n * i^im * tau^k / L over the items ((k, im), n)
+    of a lowered value t over the denominator L > 0: each tau power
+    reduced once, by gcd(a, b, L), zero sums dropped."""
+    ab = {}
+    for (k, im), n in t.items():
+        if n:
+            ab.setdefault(k, [0, 0])[im] = n
+    return _scalar({k: _reduced(a, b, L) for k, (a, b) in ab.items()})
 
 
 def _compositions(n, parts):

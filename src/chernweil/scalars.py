@@ -4,24 +4,12 @@ A Scalar is a Laurent polynomial in one formal symbol ``tau`` (standing
 for 2*pi) whose coefficients are Gaussian rationals.  Its ``terms`` map
 each tau power to a triple of Python ints (a, b, d) meaning
 (a + b*i)/d, in lowest terms (d > 0 and gcd(a, b, d) == 1) and nonzero,
-so equal values have equal terms.  This module alone knows that layout.
-It has two multiply-accumulate kernels, which the polynomial and form
-code call: ``_mac`` adds products of two Gaussian rationals on
-unreduced triples, combining denominators by their lcm as they meet
-(products, wedges, pullbacks, d, integrals), and
-``_mac_int`` adds products of a Scalar and small ints, every numerator
-scaled first to the lcm of all the input denominators, so the sums are
-of plain ints (the Whitney-Bernstein extension of forms, once per call
-of it, over tables keyed by int monomial slots).  ``_mac_int`` is
-``_lower``, which does that scaling and returns the int numerators per
-part (tau power, real or imaginary) over the lcm, followed by one
-reduction per output key.  The integer pass of ``cw``, which builds the
-curvature, the characteristic forms and the cochain's top-cell values,
-takes its inputs through ``_lower`` too, multiplies lowered scalars
-part by part (``_part_mul`` gives the product's part and sign) and
-reduces each coefficient or value once through ``_from_parts``.
-``_reduced``
-is the one reduction to lowest terms (inlined in ``_from_mac``'s loop).
+so equal values have equal terms.  Its arithmetic adds products of
+triples through ``_mac``, combining denominators by their lcm as they
+meet, and reduces each result once through ``_from_mac``; ``_reduced``
+is the one reduction to lowest terms.  Polynomials and forms do not
+multiply Scalars: they store int numerators over one denominator (see
+``poly``), and Scalars are made only at their boundary.
 ``Scalar(...)`` validates and reduces what it is given and is for input
 from outside; results built in canonical form go through the unchecked
 ``_scalar``.  A product of two single-term scalars is formed and reduced
@@ -36,8 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
-from math import gcd, lcm
+from math import gcd
 
 TAU = 2.0 * math.pi
 
@@ -289,60 +276,3 @@ def _from_mac(t):
     s = _new(Scalar)
     s.terms = out
     return s
-
-
-def _lower(rows):
-    """(parts, L): L is the lcm of the denominators of the Scalars c in
-    the rows (c, ((key, m), ...)), and parts is the dict part -> {key:
-    int} of sum c * m * L over the rows, for the parts (tau power, 0 for
-    the real or 1 for the imaginary part); a sum may be 0.  Every
-    numerator is scaled once to L, so each part of each key sums plain
-    ints in a dict of its own."""
-    rows = [(c.terms.items(), pairs) for c, pairs in rows]
-    L = lcm(*{d for xs, _ in rows for _, (_, _, d) in xs})
-    parts = {}
-    for xs, pairs in rows:
-        for k, (a, b, d) in xs:
-            f = L // d
-            for part, n in (((k, 0), a * f), ((k, 1), b * f)):
-                if n:
-                    t = parts.setdefault(part, {})
-                    get = t.get
-                    for key, m in pairs:
-                        t[key] = get(key, 0) + n * m
-    return parts, L
-
-
-@cache
-def _part_mul(p, q):
-    """The part of the product of the parts p and q (tau power, 0 or 1)
-    of two lowered scalars, and its sign: i * i = -1."""
-    (k1, i1), (k2, i2) = p, q
-    return (k1 + k2, i1 ^ i2), -1 if i1 & i2 else 1
-
-
-def _from_parts(t, L):
-    """The Scalar sum of n * i^im * tau^k / L over the items ((k, im), n)
-    of a lowered scalar t over the denominator L > 0: each tau power
-    reduced once, by gcd(a, b, L), zero sums dropped."""
-    ab = {}
-    for (k, im), n in t.items():
-        if n:
-            ab.setdefault(k, [0, 0])[im] = n
-    return _scalar({k: _reduced(a, b, L) for k, (a, b) in ab.items()})
-
-
-def _mac_int(rows):
-    """The dict key -> nonzero Scalar of sum c * m over the rows (c,
-    ((key, m), ...)) of a Scalar c and int multipliers m: the sums of
-    _lower over L, each output triple reduced once, by gcd(a, b, L);
-    zero sums are dropped."""
-    parts, L = _lower(rows)
-    out = {}
-    for (k, im), t in parts.items():
-        for key, n in t.items():
-            if n:
-                out.setdefault(key, {}).setdefault(k, [0, 0])[im] = n
-    for key, t in out.items():
-        out[key] = _scalar({k: _reduced(a, b, L) for k, (a, b) in t.items()})
-    return out

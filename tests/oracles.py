@@ -320,8 +320,11 @@ def canonical_violations(x, where="x"):
     canonical layout, as a list of strings (empty when canonical).
 
     Scalar: int tau powers -> int triples (a, b, d) with d > 0,
-    gcd(a, b, d) == 1 and a or b nonzero.  Poly: exponent tuples of dim
-    nonnegative ints -> nonzero Scalars.  PolyForm: strictly increasing
+    gcd(a, b, d) == 1 and a or b nonzero.  Poly: an int denominator
+    L > 0 and parts (int tau power, 0 or 1) -> nonempty dicts of
+    exponent tuples of dim nonnegative ints -> nonzero int numerators,
+    with gcd(L, every numerator) == 1; its terms view holds canonical
+    nonzero Scalars.  PolyForm: strictly increasing
     deg-tuples of indices below dim -> nonzero Polys on Delta^dim.
     LieValuedForm: one such PolyForm of its dim and deg per coordinate.
     The library's unchecked constructors (_scalar, _poly, _form) trust
@@ -355,10 +358,27 @@ def canonical_violations(x, where="x"):
             else:
                 bad += canonical_violations(p, w)
     elif type(x) is Poly:
+        if not (type(x.L) is int and x.L > 0):
+            bad.append(f"{where}: denominator {x.L!r} is not a positive int")
+        numerators = []
+        for p, t in x.parts.items():
+            w = f"{where}.parts[{p!r}]"
+            if not (type(p) is tuple and len(p) == 2 and type(p[0]) is int and p[1] in (0, 1) and type(p[1]) is int):
+                bad.append(f"{w}: not a part (tau power, 0 or 1)")
+            if type(t) is not dict or not t:
+                bad.append(f"{w}: empty or not a dict")
+                continue
+            for e, n in t.items():
+                if not (type(e) is tuple and len(e) == x.dim and all(type(k) is int and k >= 0 for k in e)):
+                    bad.append(f"{w}[{e!r}]: not an exponent tuple of length {x.dim}")
+                if type(n) is not int or not n:
+                    bad.append(f"{w}[{e!r}]: numerator {n!r} is not a nonzero int")
+                else:
+                    numerators.append(n)
+        if type(x.L) is int and x.L > 0 and math.gcd(x.L, *numerators) != 1:
+            bad.append(f"{where}: denominator {x.L} shares a factor with every numerator")
         for e, c in x.terms.items():
             w = f"{where}[{e!r}]"
-            if not (type(e) is tuple and len(e) == x.dim and all(type(k) is int and k >= 0 for k in e)):
-                bad.append(f"{w}: not an exponent tuple of length {x.dim}")
             if type(c) is not Scalar:
                 bad.append(f"{w}: coefficient is not a Scalar")
             elif not c.terms:

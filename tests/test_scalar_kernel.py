@@ -14,9 +14,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chernweil.forms import AffineMap, BernsteinMap, PolyForm, _form_from_acc, whitney_extend
-from chernweil.poly import Poly
-from chernweil.scalars import TAU, Scalar, _mac_int
+from chernweil.bundles import LieValuedForm
+from chernweil.forms import AffineMap, BernsteinMap, PolyForm, _slot, _sum_tables, _wedge_sum, whitney_extend
+from chernweil.poly import Poly, _constant
+from chernweil.liealg import lie_algebra
+from chernweil.scalars import TAU, Scalar
 from oracles import (
     canonical_violations,
     gr_add,
@@ -101,22 +103,37 @@ INT_ROWS = st.lists(
 )
 
 
+# the keys as the monomials x1^0 .. x1^3 of a 0-form on Delta^1
+KEY_EXPONENTS = {key: (i,) for i, key in enumerate("abcd")}
+
+
+def table_sums(case):
+    """_sum_tables on the rows (c, ((key, m), ...)): each Scalar c lowered
+    to one row per part, its multipliers a table of monomial slots."""
+    rows = []
+    for c, pairs in case:
+        Lc, coef = _constant(c)
+        table = tuple((_slot((), KEY_EXPONENTS[key]), m) for key, m in pairs)
+        rows += [(Lc, part, n, table) for part, n in coef]
+    return _sum_tables(1, 0, rows)
+
+
 @settings(max_examples=300, deadline=None)
 @given(INT_ROWS, INT_ROWS)
 @example([(Scalar.of(Fraction(1, 3)), (("a", 2), ("b", 1)))], [(Scalar.of(Fraction(2, 3)), (("a", -1),))])
 def test_int_kernel_matches_scalar_sums(rows, more):
-    """_mac_int against the sum of c * m in plain Scalar arithmetic; the
-    rows, followed by their negation, cancel to nothing."""
+    """The int-row sums of _sum_tables against the sum of c * m in plain
+    Scalar arithmetic; the rows, followed by their negation, cancel to
+    nothing."""
     cancelled = [(c, tuple((key, -m) for key, m in pairs)) for c, pairs in rows]
     for case in (rows + more, rows + cancelled + more, rows + cancelled):
         want = {}
         for c, pairs in case:
             for key, m in pairs:
                 want[key] = want.get(key, Scalar.zero()) + c * m
-        got = _mac_int(case)
-        assert got == {key: v for key, v in want.items() if not v.is_zero()}
-        for v in got.values():
-            assert_canonical(v)
+        got = table_sums(case)
+        assert got.component(()).terms == {KEY_EXPONENTS[key]: v for key, v in want.items() if not v.is_zero()}
+        assert_canonical(got)
 
 
 @settings(max_examples=200, deadline=None)
@@ -278,10 +295,8 @@ COEFFICIENTS = st.tuples(st.integers(-2, 2).filter(bool), PARTS, PARTS.filter(bo
 
 
 def kernel_wedge(dim, deg, F, G, c):
-    """c * (F ^ G) with c applied in the kernel (_wedge_into)."""
-    acc = {}
-    F._wedge_into(acc, G, to_scalar(c))
-    return _form_from_acc(dim, deg, acc)
+    """c * (F ^ G) with c folded into the kernel's products (_wedge_sum)."""
+    return _wedge_sum(dim, deg, ((F, G, _constant(to_scalar(c))),))
 
 
 @settings(max_examples=150, deadline=None)
@@ -429,3 +444,58 @@ def test_trusted_paths_build_canonical_values(case, c):
     for r in outputs:
         assert_canonical(r)
     assert (F - F).is_zero() and F.scale(0).is_zero()
+
+
+def component_polys(x):
+    """The Poly x, or every component Poly of a PolyForm or LieValuedForm."""
+    if isinstance(x, Poly):
+        return [x]
+    if isinstance(x, PolyForm):
+        return list(x.comps.values())
+    return [p for f in x.coords for p in f.comps.values()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(trusted_cases(), POLY_MODELS, POLY_MODELS, COEFFICIENTS, st.sampled_from(["su2", "u2"]))
+def test_poly_hash_follows_equality_on_kernel_outputs(case, x, y, c, name):
+    """A polynomial out of every kernel, rebuilt from its Scalar terms by
+    the validating constructor, in their order and reversed, is == to it
+    and hashes alike: the stored layout is canonical."""
+    dim, p, q, f, f2, g, m, seed = case
+    F, F2, G = to_form(dim, p, f), to_form(dim, p, f2), to_form(dim, q, g)
+    a, b = to_poly(x), to_poly(y)
+    rng = random.Random(seed)
+    facets = {i: F.pullback(AffineMap.face(dim, i)) for i in range(dim + 1) if rng.randrange(2)}
+    alg = lie_algebra(name)
+    A = LieValuedForm(alg, dim, p, ([F, F2, F - F2, F2.scale(to_scalar(c))] * 2)[:alg.dim])
+    B = LieValuedForm(alg, dim, q, ([G, G.scale(to_scalar(c)), G, -G] * 2)[:alg.dim])
+    outputs = [
+        a * b, a * a, a + b, a - b, a - a, a.scale(to_scalar(c)), a.diff(0), a.diff(1),
+        F.d(), F.wedge(G), F.wedge(F), kernel_wedge(dim, p + q, F, G, c),
+        F.pullback(AffineMap.from_monotone(m, dim)),
+        F.pullback(BernsteinMap.random(rng, len(m) - 1, dim, rng.randrange(1, 3))),
+        whitney_extend(dim, p, facets, rng),
+        A.bracket_wedge(B), A.bracket_wedge(A),
+    ]
+    for r in outputs:
+        for P in component_polys(r):
+            for terms in (dict(P.terms), dict(reversed(list(P.terms.items())))):
+                rebuilt = Poly(P.dim, terms)
+                assert rebuilt == P and hash(rebuilt) == hash(P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(POLY_MODELS, st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
+def test_eval_complex_sums_the_terms_floats(p, point):
+    """eval_complex from the stored numerators equals, bit for bit, the sum
+    in terms order of each Scalar coefficient's to_complex() times its
+    monomial's powers, the arithmetic the verify report's floats pin."""
+    a = to_poly(p)
+    want = 0j
+    for e, c in a.terms.items():
+        v = c.to_complex()
+        for x, k in zip(point, e):
+            if k:
+                v *= complex(x) ** k
+        want += v
+    assert bits(a.eval_complex(point)) == bits(want)
