@@ -7,17 +7,20 @@ wedging the scalar parts yields the characteristic form; integrating
 over every simplex gives a closed cochain whose class is independent of
 the connection and natural under pullback.
 
-The characteristic class is built by one integer pass.  A chart's
-connection form's stored numerators are scaled to one denominator, each
-monomial's exponents packed into one int (_int_coords); the curvature F
+The characteristic class is built by one integer pass on the Polys'
+own packed keys (see poly).  A chart's connection form's stored
+numerators are scaled to one denominator (_int_coords); the curvature F
 is built on those ints (_int_curvature), and the coefficient tensor T in
 Sym^k(g*) is contracted with it, sum_a T[a] F^a1 ^ .. ^ F^ak, each
 entry's last factor wedged on its own, so that a diagonal entry's
-F^a ^ F^a is a square (_contract).  That product is one cell's form
-(_cell_form): the cochain (cw_cochain) reads only the 2k-cells and sums
-its top component against factorial weights (_weights); the
-characteristic form (cw_form) unpacks it into stored Polys (_unlower),
-as curvature_form unpacks F.  integrate_to_cochain(cw_form(rho, D)),
+F^a ^ F^a is a square (_contract).  Every product is _wedge_into's loop
+over pairs of components, each pair's terms multiplied by
+poly._product_into with the structure constant or tensor entry folded
+in as its multiplier.  That product is one cell's form (_cell_form):
+the cochain (cw_cochain) reads only the 2k-cells and sums its top
+component against factorial weights (_weights); the characteristic form
+(cw_form) reduces it into stored Polys (forms._form_of), as
+curvature_form reduces F.  integrate_to_cochain(cw_form(rho, D)),
 through integrate_top's own factorial formula, is the cochain's oracle;
 the form's is the brute-force
 alternating-sum-over-permutations formula, rho contracted with the
@@ -35,20 +38,19 @@ from functools import cache
 from math import factorial, lcm
 
 from .bundles import Connection, LieValuedForm, pullback_bundle
-from .forms import PolyForm, SimplicialForm, _form, _merge, form_on, integrate_to_cochain
+from .forms import PolyForm, SimplicialForm, _form_of, _merge, form_on, integrate_to_cochain
 from .io import scalar_to_str
 from .linalg import sort_sign
-from .poly import Poly, _from_parts, _lowered, _part_mul, _reduce
+from .poly import _CAP, _ONE, _REAL, RADIX, Poly, _degree, _exponent, _from_parts, _lowered, _product_degree, _product_into
 from .scalars import Scalar
 from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_cochain
 
 
 def curvature_form(A):
     """F = dA + A ^ A for one chart's connection 1-form: the integer
-    curvature, of degree at most 2 deg A, brought back to a form."""
-    w = (2 * _degree(A)).bit_length()
-    F, L = _int_curvature(A, w)
-    return LieValuedForm(A.algebra, A.dim, 2, [_unlower(f, L, A.dim, 2, w) for f in F])
+    curvature brought back to a form."""
+    F, L = _int_curvature(A)
+    return LieValuedForm(A.algebra, A.dim, 2, [_form_of(A.dim, 2, L, f) for f in F])
 
 
 def curvature(D):
@@ -63,14 +65,11 @@ def _check_algebra(rho, algebra):
 
 def _cw_polyform_wedge(rho, F):
     """rho(F, .., F) with scalar parts wedged; one chart: _contract on
-    the lowered F, reduced once over L_F^k * L_T.  k deg F bounds the
-    degree of every product."""
+    the lowered F, reduced once over L_F^k * L_T."""
     _check_algebra(rho, F.algebra)
-    k = rho.arity
-    w = (k * _degree(F)).bit_length()
-    Fl, LF = _int_coords(F.coords, w)
+    Fl, LF = _int_coords(F.coords)
     heads, LT = _int_tensor(rho)
-    return _unlower(_contract(heads, Fl), LF**k * LT, F.dim, 2 * k, w)
+    return _form_of(F.dim, 2 * rho.arity, LF**rho.arity * LT, _contract(heads, Fl))
 
 
 def cw_form(rho, D):
@@ -88,8 +87,8 @@ def cw_form(rho, D):
         rho_int = _int_tensor(rho)
         for sid, A in D.forms.items():
             if sid.dim >= 2 * k:
-                X, L, N = _cell_form(rho_int, k, A)
-                forms[sid] = _unlower(X, L, A.dim, 2 * k, N.bit_length())
+                X, L = _cell_form(rho_int, k, A)
+                forms[sid] = _form_of(A.dim, 2 * k, L, X)
     return SimplicialForm(D.bundle.base, 2 * k, forms)
 
 
@@ -165,34 +164,24 @@ def calibrate_cw_constant(rho, F):
 # ---------------------------------------------------------------------------
 # the integer pass
 #
-# A lowered polynomial is a Poly's layout with packed exponents: a dict
-# part -> {packed exponent: int numerator} over a denominator kept beside
-# it; a lowered form is a dict component index -> lowered polynomial.  A
-# monomial x^e on Delta^d is packed into the one int sum e_i << (w * i),
-# with the field width w read from a bound N on the degree of every
-# product, so the exponents of a product are one int add that never
-# carries into the next field.
-
-
-def _pack(e, w):
-    return sum(x << (w * i) for i, x in enumerate(e))
+# A lowered form is a dict component index -> a Poly's parts (part ->
+# {key: int numerator}), over a denominator kept beside it; a lowered
+# constant is its ((part, int numerator), ...) pairs, as
+# poly._product_into takes its multiplier.
 
 
 @cache
 def _weights(d, N):
-    """W[e] = e! * (d + N)! / (d + |e|)! for the packed exponents e of
-    total degree at most N on Delta^d (N.bit_length()-bit fields), so
-    that the integral of x^e over Delta^d is W[e] / (d + N)!.  Each
-    entry is filled on first use and kept for the life of the process."""
-    w = N.bit_length()
-    mask = (1 << w) - 1
+    """W[e] = e! * (d + N)! / (d + |e|)! for the keys e of total degree
+    at most N on Delta^d, so that the integral of x^e over Delta^d is
+    W[e] / (d + N)!.  Each entry is filled on first use and kept for the
+    life of the process."""
     top = factorial(d + N)
 
     class Weights(dict):
         def __missing__(self, key):
-            e = [(key >> (w * i)) & mask for i in range(d)]
-            num = top // factorial(d + sum(e))
-            for x in e:
+            num = top // factorial(d + key % _CAP)
+            for x in _exponent(d, key):
                 num *= factorial(x)
             self[key] = num
             return num
@@ -200,169 +189,141 @@ def _weights(d, N):
     return Weights()
 
 
-def _iwedge_into(out, X, Y):
-    """out += X ^ Y for lowered forms, returning out; a constant c is the
-    0-form {(): c}, so X ^ {(): c} is c * X.  A square X ^ X of even
-    degree takes each unordered pair of components once, I != J twice."""
+def _wedge_into(out, X, Y, coef):
+    """out += c X ^ Y for lowered forms X, Y and a lowered constant c
+    (coef), returning out: per pair of components, one _product_into.  A
+    square X ^ X of even degree takes each unordered pair of components
+    once, I != J twice."""
+    dX = _form_degree(X)
+    _product_degree(dX, dX if Y is X else _form_degree(Y))
     square = Y is X and not len(next(iter(X), ())) % 2
     comps = list(Y.items())
     for n, (I, x) in enumerate(X.items()):
         for m, (J, y) in enumerate(comps[n:] if square else comps):
             K, sign = _merge(I, J)
-            if not sign:
-                continue
-            if square and m:
-                sign *= 2
-            t = out.get(K)
-            if t is None:
-                t = out[K] = {}
-            for p1, t1 in x.items():
-                for p2, t2 in y.items():
-                    p, s = _part_mul(p1, p2)
-                    o = t.get(p)
-                    if o is None:
-                        o = t[p] = {}
-                    get = o.get
-                    s *= sign
-                    ys = [(e2, s * n2) for e2, n2 in t2.items()]
-                    for e1, n1 in t1.items():
-                        for e2, n2 in ys:
-                            e = e1 + e2
-                            o[e] = get(e, 0) + n1 * n2
+            if sign:
+                t = out.get(K)
+                if t is None:
+                    t = out[K] = {}
+                _product_into(t, x, y, coef, 2 * sign if square and m else sign)
     return out
 
 
+_UNIT = {(): {_REAL: {0: 1}}}  # the constant 0-form 1, lowered
+
+
+def _form_degree(X):
+    """The top total degree of a lowered form."""
+    return max(map(_degree, X.values()), default=0)
+
+
 def _lower_constants(rows):
-    """({key: c as a lowered 0-form polynomial {part: {0: n}}}, L) for
-    the (key, Scalar c) rows, keys distinct: one denominator L."""
+    """({key: c lowered}, L) for the (key, Scalar c) rows, keys distinct:
+    one denominator L."""
     L, parts = _lowered(rows)
     out = {}
     for p, t in parts.items():
         for key, n in t.items():
-            out.setdefault(key, {})[p] = {0: n}
+            out.setdefault(key, []).append((p, n))
     return out, L
 
 
 @cache
 def _int_structure(algebra):
     """The structure constants s^c_ab, a < b, lowered once per algebra:
-    ({(a, b): [(c, s as a lowered 0-form), ...]}, L)."""
+    ({(a, b): [(c, s lowered), ...]}, L)."""
     consts, L = _lower_constants(((a, b, c), s) for a, b in itertools.combinations(range(algebra.dim), 2)
                                  for c, s in algebra.structure[a][b])
     pairs = {}
     for (a, b, c), s in consts.items():
-        pairs.setdefault((a, b), []).append((c, {(): s}))
+        pairs.setdefault((a, b), []).append((c, s))
     return pairs, L
 
 
 def _int_tensor(rho):
     """rho's coefficient tensor T lowered, grouped by head: ({a[:-1]:
-    [(a[-1], T[a] as a lowered 0-form), ...]}, L), the heads in sorted
-    order."""
+    [(a[-1], T[a] lowered), ...]}, L), the heads in sorted order."""
     entries, L = _lower_constants(rho.tensor().items())
     heads = {}
     for a in sorted(entries):
-        heads.setdefault(a[:-1], []).append((a[-1], {(): entries[a]}))
+        heads.setdefault(a[:-1], []).append((a[-1], entries[a]))
     return heads, L
 
 
-def _degree(X):
-    return max((f.total_poly_degree() for f in X.coords), default=0)
-
-
-def _int_coords(coords, w):
+def _int_coords(coords):
     """(one lowered form per coordinate form, their one denominator L):
-    the stored numerators scaled to L, exponents packed in w-bit fields."""
+    the stored numerators scaled to L."""
     L = lcm(*{p.L for f in coords for p in f.comps.values()})
-    out = [{} for _ in coords]
-    for f, x in zip(coords, out):
-        for J, p in f.comps.items():
-            m = L // p.L
-            x[J] = {q: {_pack(e, w): m * n for e, n in t.items()} for q, t in p.parts.items()}
-    return out, L
+    return [{J: p.parts if p.L == L else {q: {e: (L // p.L) * n for e, n in t.items()} for q, t in p.parts.items()}
+             for J, p in f.comps.items()} for f in coords], L
 
 
-def _unlower(X, L, dim, deg, w):
-    """The PolyForm of a degree-deg lowered form X over L on Delta^dim,
-    its exponents unpacked from w-bit fields; zero sums dropped."""
-    mask = (1 << w) - 1
-    comps = {}
-    for I, x in X.items():
-        p = _reduce(dim, L, {q: {tuple((e >> (w * i)) & mask for i in range(dim)): n for e, n in t.items()}
-                             for q, t in x.items()})
-        if p.parts:
-            comps[I] = p
-    return _form(dim, deg, comps)
-
-
-def _int_curvature(A, w):
-    """F = dA + (1/2)[A ^ A] of one chart's connection form, lowered with
-    w-bit exponent fields: (one lowered 2-form per coordinate, L_F).
+def _int_curvature(A):
+    """F = dA + (1/2)[A ^ A] of one chart's connection form, lowered:
+    (one lowered 2-form per coordinate, L_F).
 
     A is lowered once, over L_A.  The (a, b) and (b, a) terms of [A ^ A]
     are equal (s^c_ba = -s^c_ab and A^b ^ A^a = -A^a ^ A^b), so the half
     bracket is the sum over a < b of s^c_ab A^a ^ A^b, each product
     once, over L_F = L_s * L_A^2; dA is scaled to that denominator."""
     dim = A.dim
-    coords, LA = _int_coords(A.coords, w)
+    coords, LA = _int_coords(A.coords)
     pairs, Ls = _int_structure(A.algebra)
     F = [{} for _ in A.coords]
     scale = Ls * LA
-    mask = (1 << w) - 1
     for f, out in zip(coords, F):
         for (j,), x in f.items():
             for i in range(dim):
                 K, sign = _merge((i,), (j,))
                 if not sign:
                     continue
-                unit, shift = 1 << (w * i), w * i
+                u = RADIX**i
                 lp = out.setdefault(K, {})
                 for p, t in x.items():
                     o = lp.setdefault(p, {})
                     for e, n in t.items():
-                        k = (e >> shift) & mask
+                        k = e // u % RADIX
                         if k:
-                            o[e - unit] = o.get(e - unit, 0) + sign * scale * k * n
+                            o[e - u] = o.get(e - u, 0) + sign * scale * k * n
     for (a, b), cs in pairs.items():
         if coords[a] and coords[b]:
             for c, s in cs:
-                _iwedge_into(F[c], _iwedge_into({}, coords[a], s), coords[b])
+                _wedge_into(F[c], coords[a], coords[b], s)
     return F, Ls * LA * LA
 
 
 def _contract(heads, F):
     """sum_a T[a] F^a1 ^ .. ^ F^ak on a lowered curvature F, for the heads
     of _int_tensor.  Per head a[:-1], H is the product of its factors,
-    starting from F[a1] itself; each last factor c adds T[a] (H ^ F[c]),
-    a square when H is F[c].  An arity-1 tensor scales F[c] itself."""
+    starting from F[a1] itself (the constant 1 for arity 1); each last
+    factor c adds T[a] (H ^ F[c]), a square when H is F[c]."""
     out = {}
     for head, lasts in heads.items():
-        H = F[head[0]] if head else None
+        H = F[head[0]] if head else _UNIT
         for a in head[1:]:
-            H = _iwedge_into({}, H, F[a])
+            H = _wedge_into({}, H, F[a], _ONE)
         for c, t in lasts:
-            _iwedge_into(out, _iwedge_into({}, H, F[c]) if head else F[c], t)
+            _wedge_into(out, H, F[c], t)
     return out
 
 
 def _cell_form(rho_int, k, A):
     """rho(F, .., F) from one chart's connection form A, by _contract on
     its integer curvature: (the lowered 2k-form, its denominator
-    L_F^k L_T, N), N = 2k deg A bounding the degree of every product and
-    so fixing the exponent fields."""
+    L_F^k L_T)."""
     heads, LT = rho_int
-    N = 2 * k * _degree(A)
-    F, LF = _int_curvature(A, N.bit_length())
-    return _contract(heads, F), LF**k * LT, N
+    F, LF = _int_curvature(A)
+    return _contract(heads, F), LF**k * LT
 
 
 def cw_cochain(rho, D):
     """alpha = integral of the characteristic form; closed exactly.
 
     Each 2k-cell's value is the top component of its _cell_form summed
-    against the weights W[e] of _weights(d, N), reduced once over
-    L (d + N)!; it equals integrate_to_cochain(cw_form(rho, D)).  A zero
-    tensor gives the zero cochain with nothing computed.
+    against the weights W[e] of _weights(d, N), N = 2k deg A bounding
+    its degree, reduced once over L (d + N)!; it equals
+    integrate_to_cochain(cw_form(rho, D)).  A zero tensor gives the zero
+    cochain with nothing computed.
     """
     _check_algebra(rho, D.bundle.algebra)
     k = rho.arity
@@ -372,7 +333,9 @@ def cw_cochain(rho, D):
     values = {}
     for sid in D.bundle.base.cells(2 * k):
         if sid in D.forms:
-            X, L, N = _cell_form(rho_int, k, D.forms[sid])
+            A = D.forms[sid]
+            X, L = _cell_form(rho_int, k, A)
+            N = 2 * k * max(f.total_poly_degree() for f in A.coords)
             W = _weights(sid.dim, N)
             top = X.get(tuple(range(sid.dim)), {})
             values[sid] = _from_parts({p: sum(n * W[e] for e, n in t.items()) for p, t in top.items()},

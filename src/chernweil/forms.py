@@ -66,10 +66,26 @@ import itertools
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
-from operator import add, attrgetter
+from operator import attrgetter
 
 from .linalg import multinomial, sort_sign
-from .poly import _ONE, _REAL, Poly, _compositions, _constant, _from_parts, _part_mul, _product_into, _reduce, _scaled
+from .poly import (
+    _CAP,
+    _ONE,
+    _REAL,
+    RADIX,
+    Poly,
+    _compositions,
+    _constant,
+    _exponent,
+    _from_parts,
+    _key,
+    _part_mul,
+    _product_degree,
+    _product_into,
+    _reduce,
+    _scaled,
+)
 from .simplicial import (
     Cochain,
     mono_skip,
@@ -123,7 +139,8 @@ class PolyForm:
         return PolyForm(dim, 1, {(i,): Poly.const(dim, 1)})
 
     def component(self, I):
-        return self.comps.get(tuple(I), Poly.zero(self.dim))
+        p = self.comps.get(tuple(I))
+        return Poly.zero(self.dim) if p is None else p
 
     def is_zero(self):
         return not self.comps
@@ -177,8 +194,9 @@ class PolyForm:
                 K, sign = _merge((j,), I)
                 if not sign:
                     continue
+                u = RADIX**j
                 for part, t in p.parts.items():
-                    terms = [(e[:j] + (e[j] - 1,) + e[j + 1:], sign * f * e[j] * n) for e, n in t.items() if e[j]]
+                    terms = [(e - u, sign * f * k * n) for e, n in t.items() if (k := e // u % RADIX)]
                     if terms:
                         o = acc.setdefault(K, {}).setdefault(part, {})
                         for e2, n in terms:
@@ -247,9 +265,9 @@ class PolyForm:
             raise DegreeMismatchError(
                 f"integrate_top needs degree {self.dim}, got {self.deg}"
             )
-        p = self.component(tuple(range(self.dim)))
-        top = factorial(self.dim + p.total_degree())
-        return _from_parts({part: sum(n * (top // factorial(self.dim + sum(e))) * prod(map(factorial, e))
+        d, p = self.dim, self.component(tuple(range(self.dim)))
+        top = factorial(d + p.total_degree())
+        return _from_parts({part: sum(n * (top // factorial(d + e % _CAP)) * prod(map(factorial, _exponent(d, e)))
                                       for e, n in t.items()) for part, t in p.parts.items()}, p.L * top)
 
     def total_poly_degree(self):
@@ -297,25 +315,28 @@ class PolyMap:
             LM = lcm(*{q.L for _, _, q in rows})
             out = {}
             for part, n, q in rows:
-                _product_into(out, {part: {(0,) * src: n * (LM // q.L)}}, q.parts, _ONE)
+                _product_into(out, {part: {0: n * (LM // q.L)}}, q.parts, _ONE)
             coords.append(_reduce(src, p.L * LM, out))
         return PolyMap(src, self.target_dim, coords)
 
 
 def _image(phi, e):
-    """x^e composed with phi's coordinates, from phi.images: the image of
-    x^e is the image of x^(e - 1_i) times coordinate i, i the last
-    nonzero index of e, so each new monomial costs one Poly product.
-    The missing images below e are found first, then filled bottom-up."""
+    """x^e (e a key) composed with phi's coordinates, from phi.images: the
+    image of x^e is the image of x^(e - 1_i) times coordinate i, i the
+    last nonzero index of e, the top digit of its key, so each new
+    monomial costs one Poly product.  The missing images below e are
+    found first, then filled bottom-up."""
     images = phi.images
     todo = []
     while e not in images:
-        i = next((i for i in reversed(range(len(e))) if e[i]), None)
-        if i is None:
+        if not e:
             images[e] = Poly.const(phi.source_dim, 1)
             break
+        i, u = 0, 1
+        while u * RADIX <= e:
+            i, u = i + 1, u * RADIX
         todo.append((e, i))
-        e = e[:i] + (e[i] - 1,) + e[i + 1:]
+        e -= u
     p = images[e]
     coords = phi.coords()
     for e, i in reversed(todo):
@@ -394,6 +415,7 @@ def _wedge_sum(dim, deg, terms):
     their denominators, a second adds their products, sign and scaling folded."""
     pairs, dens = [], {}
     for F, G, (Lc, coef) in terms:
+        _product_degree(F.total_poly_degree(), G.total_poly_degree())
         for I, p in F.comps.items():
             for J, q in G.comps.items():
                 K, sign = _merge(I, J)
@@ -615,7 +637,8 @@ def induced_form_on_standard_simplex(X, global_form):
 
 
 def _facet_coeffs(d, i, k, r, J, mu):
-    """x^mu dx_J on facet i of Delta^d in the degree-r basis, keyed over Delta^d.
+    """x^mu dx_J (mu a key) on facet i of Delta^d in the degree-r basis,
+    keyed over Delta^d.
 
     No solve: x^mu is homogenized with (sum lam)^(r - |mu|), dlam_J is
     rewritten as sum_{a not in J} phi_{(a, J)}, and a term lam^b phi_s
@@ -626,6 +649,7 @@ def _facet_coeffs(d, i, k, r, J, mu):
     """
     verts = [v for v in range(d + 1) if v != i]  # facet vertex j is verts[j]
     Jv = tuple(verts[j + 1] for j in J)
+    mu = _exponent(d - 1, mu)
     out = {}
 
     def add(b, s, c):
@@ -660,29 +684,29 @@ def _facet_coeffs(d, i, k, r, J, mu):
 
 @cache
 def _lam0_power(d, k):
-    """lam_0^k = (1 - sum x)^k on Delta^d as a tuple of (exponent, int)
-    pairs, highest total degree first, then lexicographic: one product
-    of lam_0^(k-1) with lam_0.  The powers below k are looked up in
-    increasing order first, so a cold power fills the table bottom-up
-    instead of recursing once per power."""
+    """lam_0^k = (1 - sum x)^k on Delta^d as a tuple of (key, int) pairs,
+    highest total degree first, then lexicographic in the exponent
+    tuples: one product of lam_0^(k-1) with lam_0.  The powers below k
+    are looked up in increasing order first, so a cold power fills the
+    table bottom-up instead of recursing once per power."""
     if k == 0:
-        return (((0,) * d, 1),)
+        return ((0, 1),)
     for j in range(1, k):
         _lam0_power(d, j)
     out = {}
     for e, c in _lam0_power(d, k - 1):
         out[e] = out.get(e, 0) + c
         for i in range(d):
-            e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+            e2 = e + RADIX**i
             out[e2] = out.get(e2, 0) - c
-    return tuple(sorted(out.items(), key=lambda ec: (-sum(ec[0]), ec[0])))
+    return tuple(sorted(out.items(), key=lambda ec: (-(ec[0] % _CAP), _exponent(d, ec[0]))))
 
 
 def _lam_power(d, b):
-    """lam^b on Delta^d as a dict exponent -> int: lam_0^b_0 from the
-    table _lam0_power, shifted by x^(b_1 .. b_d)."""
-    shift = b[1:]
-    return {tuple(map(add, e, shift)): c for e, c in _lam0_power(d, b[0])}
+    """lam^b on Delta^d as a dict key -> int: lam_0^b_0 from the table
+    _lam0_power, shifted by x^(b_1 .. b_d)."""
+    shift = _key(d, tuple(b[1:]))
+    return {e + shift: c for e, c in _lam0_power(d, b[0])}
 
 
 def _lam_poly(d, coeffs):
@@ -865,7 +889,7 @@ def random_poly(rng, dim, degree):
             if num:
                 terms.append((e, num, rng.randrange(1, 6)))
     L = lcm(*{q for _, _, q in terms})
-    return _reduce(dim, L, {_REAL: {e: num * (L // q) for e, num, q in terms}})
+    return _reduce(dim, L, {_REAL: {_key(dim, e): num * (L // q) for e, num, q in terms}})
 
 
 def random_polyform(rng, dim, deg, degree=2):

@@ -19,7 +19,7 @@ from math import gcd
 
 from .bundles import BundleData, Connection, LieValuedForm, TransitionMap
 from .forms import PolyForm
-from .poly import Poly
+from .poly import Poly, _monomial_key
 from .scalars import Scalar
 from .simplicial import SimplexId, SimplicialSet
 
@@ -140,10 +140,15 @@ def parse_scalar(text):
 
 
 def poly_to_str(p):
-    if p.is_zero():
+    return _terms_to_str(p.sorted_terms())
+
+
+def _terms_to_str(terms):
+    """poly_to_str's text of the (exponent, nonzero Scalar) pairs, in their order."""
+    if not terms:
         return "0"
     bits = []
-    for e, c in p.sorted_terms():
+    for e, c in terms:
         cs = scalar_to_str(c)
         if " + " in cs:
             cs = "{" + cs + "}"
@@ -154,27 +159,35 @@ def poly_to_str(p):
     return " + ".join(bits)
 
 
+def _read_terms(text, dim):
+    """The (exponent, Scalar) pairs of poly_to_str's text on Delta^dim, in
+    text order; text without its structure raises ValueError."""
+    terms, parts = [], []
+    for bit in text.split(" + "):
+        parts.append(bit)
+        if parts[0][:1] == "{" and "}" not in bit:
+            continue  # inside a braced coefficient
+        # scalar text holds no 'x', so the coefficient ends at the first '*x'
+        cs, x, mono = " + ".join(parts).partition("*x")
+        parts = []
+        e = [0] * dim
+        for v in mono.split("*x") if x else ():
+            i, caret, k = v.partition("^")
+            i = int(i) - 1
+            if not 0 <= i < dim:
+                raise ValueError("variable out of range")
+            e[i] = int(k) if caret else 1
+        terms.append((tuple(e), _read_scalar(cs.removeprefix("{").removesuffix("}"))))
+    return terms
+
+
 def _read_poly(text, dim):
     """The polynomial on Delta^dim of poly_to_str's text, not written
-    back; text without its structure raises ParseError."""
+    back, and its parsed (exponent, Scalar) pairs in text order; text
+    without its structure raises ParseError."""
     try:
-        terms, parts = {}, []
-        for bit in text.split(" + "):
-            parts.append(bit)
-            if parts[0][:1] == "{" and "}" not in bit:
-                continue  # inside a braced coefficient
-            # scalar text holds no 'x', so the coefficient ends at the first '*x'
-            cs, x, mono = " + ".join(parts).partition("*x")
-            parts = []
-            e = [0] * dim
-            for v in mono.split("*x") if x else ():
-                i, caret, k = v.partition("^")
-                i = int(i) - 1
-                if not 0 <= i < dim:
-                    raise ValueError("variable out of range")
-                e[i] = int(k) if caret else 1
-            terms[tuple(e)] = _read_scalar(cs.removeprefix("{").removesuffix("}"))
-        return Poly(dim, terms)
+        terms = _read_terms(text, dim)
+        return Poly(dim, dict(terms)), terms
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad polynomial {text!r}") from None
 
@@ -182,10 +195,14 @@ def _read_poly(text, dim):
 def parse_poly(text, dim):
     """Read a polynomial on Delta^dim written by poly_to_str; any other
     text, such as a missing or zero coefficient, braces around a
-    one-term coefficient, unsorted variables or terms, or '^1', raises
-    ParseError."""
-    p = _read_poly(text, dim)
-    if poly_to_str(p) != text:
+    one-term coefficient, unsorted or repeated variables or terms, or
+    '^1', raises ParseError.  The write-back check reads the parsed
+    pairs: nonzero, distinct and sorted as poly_to_str sorts them, they
+    are the Poly's sorted terms, so poly_to_str writes their text."""
+    p, terms = _read_poly(text, dim)
+    nonzero = [(e, c) for e, c in terms if c.terms]
+    keys = [_monomial_key(e) for e, _ in nonzero]
+    if _terms_to_str(nonzero) != text or keys != sorted(set(keys)):
         raise ParseError(f"bad polynomial {text!r}")
     return p
 
@@ -379,7 +396,7 @@ def parse_bundle(text, base):
                 coords = [Poly.zero(dim)] * algebra.dim
                 for bit in chunk.removeprefix("exp([").removesuffix("])").split("; "):
                     head, _, rest = bit.partition(": ")
-                    coords[_lie_index(head, algebra)] = _read_poly(rest, dim)
+                    coords[_lie_index(head, algebra)] = _read_poly(rest, dim)[0]
                 if not all(_is_real(p) for p in coords):
                     raise ParseError("a coordinate has an imaginary part")
                 factors.append(LieValuedForm.from_polys(algebra, coords))

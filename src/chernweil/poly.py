@@ -4,17 +4,34 @@ A Poly lives on Delta^d, embedded in R^d with coordinates x_1..x_d
 (indices 0-based internally).  Its exact tau-Laurent Gaussian-rational
 coefficients are stored lowered, as FLINT's fmpq_poly stores a rational
 polynomial: one denominator L > 0 and, per part (tau power, 0 for the
-real or 1 for the imaginary part), a dict exponent tuple -> nonzero int
-numerator.  gcd(L, every numerator) == 1 and no part is empty, so ==
-and hash are structural.  This module alone decides that layout.  Sums,
-products (_product_into, each product's part from the cache _part_mul),
-scalings and derivatives, and in forms d, wedge, pullback, integration
-and the Whitney-Bernstein extension, add ints over one denominator and
-reduce each result once (_reduce).  Scalars are made only at the
-boundary: the read-only view Poly.terms, built on access for writers,
-reports and exact evaluation, and integrals' values (_from_parts).
-Poly(...) validates its terms and is for input from outside; results
-canonical by construction are built by the unchecked _poly.
+real or 1 for the imaginary part), a dict key -> nonzero int numerator.
+gcd(L, every numerator) == 1 and no part is empty, so == and hash are
+structural.  This module alone decides that layout.
+
+A key is the monomial x^e packed into one int, sum e_i RADIX^i, as
+Monagan and Pearce pack exponents: a product's key is one int add, the
+exponent of x_i is the digit i in base RADIX, and the total degree is
+key % (RADIX - 1), since RADIX = 1 mod RADIX - 1.  That holds while the
+total degree is below _CAP = RADIX - 1, the bound every Poly keeps:
+Poly(...) refuses an exponent of a wrong length, a negative or non-int
+entry or a total degree of _CAP or more, and a product whose degree
+could reach _CAP raises OverflowError instead of aliasing.  The radix
+is odd and no power of two, so that the low bits of a key, which a
+dict's first probe reads (CPython hashes a small int to itself), mix
+every exponent: with RADIX = 2^16 they would hold x_1's alone, and with
+2^16 + 1 (every power = 1 mod RADIX - 1) the total degree alone.  Only
+_key and _exponent pack and unpack.
+
+Sums, products (_product_into, the one loop over term pairs; each
+product's part from the cache _part_mul), scalings and derivatives, and
+in forms d, wedge, pullback, integration and the Whitney-Bernstein
+extension, and in cw the Chern-Weil pass, add ints over one denominator
+and reduce each result once (_reduce).  Scalars and exponent tuples are
+made only at the boundary: the read-only view Poly.terms, built on
+access for writers, reports and exact evaluation, and integrals' values
+(_from_parts).  Poly(...) validates its terms and is for input from
+outside; results canonical by construction are built by the unchecked
+_poly.
 """
 
 from __future__ import annotations
@@ -22,7 +39,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import add
 from types import MappingProxyType
 
 from .scalars import TAU, Scalar, _reduced, _scalar
@@ -30,6 +46,44 @@ from .scalars import TAU, Scalar, _reduced, _scalar
 _new = object.__new__
 _REAL = (0, 0)  # the part of the real rationals
 _ONE = ((_REAL, 1),)  # the int multipliers of the constant 1, as _product_into takes them
+RADIX = 106039  # 2^16 + 40503: odd, so a key's low bits mix every exponent
+_CAP = RADIX - 1  # every total degree stays below it, and is key % _CAP
+
+
+def _key(dim, e):
+    """The key sum e_i RADIX^i of an exponent tuple e on Delta^dim;
+    ValueError for a wrong length, a negative or non-int entry or a
+    total degree of _CAP or more."""
+    if type(e) is not tuple or len(e) != dim or not all(type(x) is int and x >= 0 for x in e) or sum(e) >= _CAP:
+        raise ValueError(f"malformed exponent {e!r} on Delta^{dim}")
+    k = 0
+    for x in reversed(e):
+        k = k * RADIX + x
+    return k
+
+
+def _exponent(dim, k):
+    """The exponent tuple of the key k on Delta^dim: its base-RADIX digits."""
+    e = []
+    for _ in range(dim):
+        k, x = divmod(k, RADIX)
+        e.append(x)
+    return tuple(e)
+
+
+def _degree(parts):
+    """The top total degree of the keys of a lowered polynomial's parts."""
+    return max([max(map(_CAP.__rmod__, t), default=0) for t in parts.values()], default=0)
+
+
+def _product_degree(d1, d2):
+    """d1 + d2, the degree bound of a product of factors of total degrees
+    d1 and d2; OverflowError when it reaches _CAP, where keys would alias.
+    Every caller of _product_into that can raise the degree checks it
+    once per pair of factors."""
+    if d1 + d2 >= _CAP:
+        raise OverflowError(f"polynomial product of total degree {_CAP} or more")
+    return d1 + d2
 
 
 def _monomial_key(exps):
@@ -42,7 +96,7 @@ class Poly:
 
     def __init__(self, dim, terms=None):
         self.dim = dim
-        self.L, self.parts = _lowered((tuple(e), c) for e, c in (terms or {}).items())
+        self.L, self.parts = _lowered((_key(dim, e), c) for e, c in (terms or {}).items())
 
     # -- constructors -------------------------------------------------
 
@@ -52,12 +106,12 @@ class Poly:
 
     @staticmethod
     def const(dim, c):
-        return Poly(dim, {(0,) * dim: c})
+        return _poly(dim, *_lowered(((0, c),)))
 
     @staticmethod
     def var(dim, i):
         """The coordinate x_{i+1} on Delta^dim (0-based index i)."""
-        return _poly(dim, 1, {_REAL: {tuple(int(j == i) for j in range(dim)): 1}})
+        return _poly(dim, 1, {_REAL: {RADIX**i: 1}})
 
     # -- predicates / info ---------------------------------------------
 
@@ -65,12 +119,12 @@ class Poly:
     def terms(self):
         """The read-only dict exponent -> nonzero Scalar, built on access:
         exponents in the order of the parts, then of each part's dict."""
-        L = self.L
-        return MappingProxyType({e: _scalar({k: _reduced(a, b, L) for k, (a, b) in c.items()})
+        L, dim = self.L, self.dim
+        return MappingProxyType({_exponent(dim, e): _scalar({k: _reduced(a, b, L) for k, (a, b) in c.items()})
                                  for e, c in self._by_exponent().items()})
 
     def _by_exponent(self):
-        """{exponent: {tau power: [real, imaginary numerator]}}, in terms order."""
+        """{key: {tau power: [real, imaginary numerator]}}, in terms order."""
         ab = {}
         for (k, im), t in self.parts.items():
             for e, n in t.items():
@@ -81,7 +135,7 @@ class Poly:
         return not self.parts
 
     def total_degree(self):
-        return max((sum(e) for t in self.parts.values() for e in t), default=0)
+        return _degree(self.parts)
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.dim == other.dim and self.L == other.L
@@ -128,6 +182,7 @@ class Poly:
             return self.scale(other)
         if self.dim != other.dim:
             raise ValueError("polynomial dimension mismatch")
+        _product_degree(self.total_degree(), other.total_degree())
         out = {}
         _product_into(out, self.parts, other.parts, _ONE)
         return _reduce(self.dim, self.L * other.L, out)
@@ -150,7 +205,8 @@ class Poly:
 
     def diff(self, i):
         """Partial derivative with respect to x_{i+1}."""
-        return _reduce(self.dim, self.L, {p: {e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * n for e, n in t.items() if e[i]}
+        u = RADIX**i
+        return _reduce(self.dim, self.L, {p: {e - u: k * n for e, n in t.items() if (k := e // u % RADIX)}
                                           for p, t in self.parts.items()})
 
     def compose(self, polys, source_dim=None):
@@ -189,12 +245,14 @@ class Poly:
         """(exponent, complex coefficient) in terms order, bit for bit
         terms[e].to_complex(): n / L rounds the same rational as the
         reduced a / d, and a sum of one tau power is 0j plus its term."""
-        L = self.L
+        L, dim = self.L, self.dim
         if len(self.parts) == 1:
             ((k, im), t), = self.parts.items()
             w = TAU**k
-            return [(e, 0j + (complex((1 - im) * n / L) + 1j * complex(im * n / L)) * w) for e, n in t.items()]
-        return [(e, sum(((complex(a / L) + 1j * complex(b / L)) * TAU**k for k, (a, b) in sorted(c.items())), 0j))
+            return [(_exponent(dim, e), 0j + (complex((1 - im) * n / L) + 1j * complex(im * n / L)) * w)
+                    for e, n in t.items()]
+        return [(_exponent(dim, e), sum(((complex(a / L) + 1j * complex(b / L)) * TAU**k
+                                         for k, (a, b) in sorted(c.items())), 0j))
                 for e, c in self._by_exponent().items()]
 
     def eval_complex(self, point):
@@ -326,7 +384,8 @@ def _part_mul(p, q):
 def _product_into(out, parts1, parts2, coef, f=1):
     """out[part][e1 + e2] += f * m * n1 * n2 over the parts of two lowered
     polynomials and the (part, m) pairs of coef, a lowered constant: per
-    pair of parts, terms of parts1 outer, those of parts2 inner."""
+    pair of parts, terms of parts1 outer, those of parts2 inner.  The only
+    loop over term pairs; its callers bound the degree (_product_degree)."""
     for p1, t1 in parts1.items():
         for p2, t2 in parts2.items():
             q, s = _part_mul(p1, p2)
@@ -338,7 +397,7 @@ def _product_into(out, parts1, parts2, coef, f=1):
                 ys = list(t2.items()) if m == 1 else [(e2, m * n2) for e2, n2 in t2.items()]
                 for e1, n1 in t1.items():
                     for e2, n2 in ys:
-                        e = tuple(map(add, e1, e2))
+                        e = e1 + e2
                         o[e] = get(e, 0) + n1 * n2
 
 

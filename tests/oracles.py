@@ -321,10 +321,13 @@ def canonical_violations(x, where="x"):
 
     Scalar: int tau powers -> int triples (a, b, d) with d > 0,
     gcd(a, b, d) == 1 and a or b nonzero.  Poly: an int denominator
-    L > 0 and parts (int tau power, 0 or 1) -> nonempty dicts of
-    exponent tuples of dim nonnegative ints -> nonzero int numerators,
-    with gcd(L, every numerator) == 1; its terms view holds canonical
-    nonzero Scalars.  PolyForm: strictly increasing
+    L > 0 and parts (int tau power, 0 or 1) -> nonempty dicts of keys
+    -> nonzero int numerators, with gcd(L, every numerator) == 1; a key
+    is an int in [0, RADIX^dim) whose dim base-RADIX digits, decoded
+    here, are the exponents, each below RADIX, of total degree below
+    RADIX - 1 and equal to key % (RADIX - 1); its terms view holds
+    canonical nonzero Scalars keyed by exactly those exponents, as
+    dim-tuples of nonnegative ints.  PolyForm: strictly increasing
     deg-tuples of indices below dim -> nonzero Polys on Delta^dim.
     LieValuedForm: one such PolyForm of its dim and deg per coordinate.
     The library's unchecked constructors (_scalar, _poly, _form) trust
@@ -332,7 +335,7 @@ def canonical_violations(x, where="x"):
     """
     from chernweil.bundles import LieValuedForm
     from chernweil.forms import PolyForm
-    from chernweil.poly import Poly
+    from chernweil.poly import RADIX, Poly
     from chernweil.scalars import Scalar
 
     bad = []
@@ -360,7 +363,7 @@ def canonical_violations(x, where="x"):
     elif type(x) is Poly:
         if not (type(x.L) is int and x.L > 0):
             bad.append(f"{where}: denominator {x.L!r} is not a positive int")
-        numerators = []
+        numerators, exponents = [], set()
         for p, t in x.parts.items():
             w = f"{where}.parts[{p!r}]"
             if not (type(p) is tuple and len(p) == 2 and type(p[0]) is int and p[1] in (0, 1) and type(p[1]) is int):
@@ -369,16 +372,30 @@ def canonical_violations(x, where="x"):
                 bad.append(f"{w}: empty or not a dict")
                 continue
             for e, n in t.items():
-                if not (type(e) is tuple and len(e) == x.dim and all(type(k) is int and k >= 0 for k in e)):
-                    bad.append(f"{w}[{e!r}]: not an exponent tuple of length {x.dim}")
+                if not (type(e) is int and 0 <= e < RADIX**x.dim):
+                    bad.append(f"{w}[{e!r}]: not a key in [0, RADIX^{x.dim})")
+                else:
+                    digits, k = [], e
+                    for _ in range(x.dim):
+                        digits.append(k % RADIX)
+                        k //= RADIX
+                    if not all(0 <= k < RADIX for k in digits):
+                        bad.append(f"{w}[{e!r}]: a field is not below RADIX")
+                    if not (sum(digits) < RADIX - 1 and e % (RADIX - 1) == sum(digits)):
+                        bad.append(f"{w}[{e!r}]: total degree {sum(digits)} not below RADIX - 1 or not key % (RADIX - 1)")
+                    exponents.add(tuple(digits))
                 if type(n) is not int or not n:
                     bad.append(f"{w}[{e!r}]: numerator {n!r} is not a nonzero int")
                 else:
                     numerators.append(n)
         if type(x.L) is int and x.L > 0 and math.gcd(x.L, *numerators) != 1:
             bad.append(f"{where}: denominator {x.L} shares a factor with every numerator")
+        if set(x.terms) != exponents:
+            bad.append(f"{where}: terms view exponents are not the decoded keys")
         for e, c in x.terms.items():
             w = f"{where}[{e!r}]"
+            if not (type(e) is tuple and len(e) == x.dim and all(type(k) is int and k >= 0 for k in e)):
+                bad.append(f"{w}: not an exponent tuple of length {x.dim}")
             if type(c) is not Scalar:
                 bad.append(f"{w}: coefficient is not a Scalar")
             elif not c.terms:

@@ -515,10 +515,12 @@ def test_diagonal_head_takes_each_component_pair_once(monkeypatch, group, select
     """On the top cell of Delta^n, an entry's diagonal pair (a, a) wedges
     F^a with itself (the same lowered form): at arity 3 the head's first
     product, at arity 2 the entry's last wedge, so that su2 symtrace:2
-    (a diagonal tensor) wedges only squares.  Each square multiplies each
-    unordered pair of components once, to the value of the wedge with a
-    copy; the cochain still equals the integral of the characteristic
-    form."""
+    (a diagonal tensor) wedges only squares.  Each square, taken on its
+    own, multiplies each unordered pair of components once, to the value
+    of the wedge with a copy; the cochain still equals the integral of
+    the characteristic form.  cw's pair loop is _wedge_into, which adds
+    the entry's product into the running sum, so the spy takes the square
+    alone first."""
     from chernweil import cw
 
     alg = lie_algebra(group)
@@ -526,29 +528,28 @@ def test_diagonal_head_takes_each_component_pair_once(monkeypatch, group, select
     D = random_connection(P, 0) if kind == "random" else _CONNECTIONS[kind](P, 0)
     rho = invariant_polynomial_from_selector(alg, selector)
     merges, squares = [], []
-    merge, iwedge = cw._merge, cw._iwedge_into
+    merge, wedge = cw._merge, cw._wedge_into
 
     def counted_merge(I, J):
         merges.append((I, J))
         return merge(I, J)
 
-    def watched_iwedge(out, X, Y):
-        if Y is not X:
-            return iwedge(out, X, Y)
-        start = len(merges)
-        iwedge(out, X, Y)
-        squares.append((X, out, merges[start:]))
-        return out
+    def watched_wedge(out, X, Y, coef):
+        if Y is X:
+            start = len(merges)
+            alone = wedge({}, X, Y, coef)
+            squares.append((X, coef, alone, merges[start:]))
+        return wedge(out, X, Y, coef)
 
     monkeypatch.setattr(cw, "_merge", counted_merge)
-    monkeypatch.setattr(cw, "_iwedge_into", watched_iwedge)
+    monkeypatch.setattr(cw, "_wedge_into", watched_wedge)
     alpha = cw_cochain(rho, D)
     # one square per distinct diagonal first pair: per head at arity 3,
     # per entry at arity 2
     assert len(squares) == len({a[:2] for a in rho.tensor() if a[0] == a[1]}) > 0
-    for X, out, pairs in squares:
+    for X, coef, alone, pairs in squares:
         assert sorted(map(sorted, pairs)) == sorted(map(sorted, itertools.combinations_with_replacement(X, 2)))
-        assert out == iwedge({}, X, dict(X))
+        assert alone == wedge({}, X, dict(X), coef)
     assert alpha == integrate_to_cochain(cw_form(rho, D))
 
 

@@ -29,7 +29,7 @@ from chernweil.forms import (
     whitney_extend,
 )
 from chernweil.liealg import lie_algebra
-from chernweil.poly import Poly
+from chernweil.poly import Poly, _exponent
 from chernweil.scalars import Scalar
 from chernweil.simplicial import (
     SimplexId,
@@ -713,7 +713,7 @@ def test_fresh_map_makes_one_product_per_new_monomial_image(monkeypatch):
         pulled = form.pullback(phi)
         assert len(calls) == len(chains)
         assert all(q in phi.coords() for q in calls)
-        assert {key for key in phi.images if key[:1] != ("d",) and any(key)} == chains
+        assert {_exponent(tgt, key) for key in phi.images if type(key) is int and key} == chains
         calls.clear()
         assert form.pullback(phi) == pulled
         assert not calls
@@ -731,7 +731,7 @@ def test_lam_power_matches_the_expansion(d):
             for _ in range(d):
                 rest.append(rng.randrange(9 - b0 - sum(rest)))
             b = (b0,) + tuple(rest)
-            assert list(_lam_power(d, b).items()) == list(lam_power_reference(d, b).items())
+            assert [(_exponent(d, e), c) for e, c in _lam_power(d, b).items()] == list(lam_power_reference(d, b).items())
 
 
 def test_affine_maps_shared_and_memoised(monkeypatch):

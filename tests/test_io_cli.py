@@ -1325,3 +1325,19 @@ def test_cli_fuzz_exit_contract(fuzz_dir, argv):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith(("error:", "usage:"))
+
+
+def test_cli_connection_exponent_at_the_field_limit(tmp_path, capsys):
+    """x1^106038 has total degree RADIX - 1, which no packed key holds: the
+    connection reader refuses it, and chern exits 2 with no traceback."""
+    main(["generate", "clutch", "--n", "1", "--out", str(tmp_path)])
+    capsys.readouterr()
+    text = (tmp_path / "connection.txt").read_text()
+    bad = text.replace("A 2.1 0 2: -1*tau^1*x1\n", "A 2.1 0 2: -1*tau^1*x1^106038\n")
+    assert "x1^106038" in bad
+    (tmp_path / "degree.txt").write_text(bad)
+    argv = ["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt"),
+            "--connection", str(tmp_path / "degree.txt")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "x1^106038" in captured.err

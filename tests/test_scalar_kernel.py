@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chernweil.bundles import LieValuedForm
 from chernweil.forms import AffineMap, BernsteinMap, PolyForm, _slot, _sum_tables, _wedge_sum, whitney_extend
-from chernweil.poly import Poly, _constant
+from chernweil.poly import Poly, _constant, _key
 from chernweil.liealg import lie_algebra
 from chernweil.scalars import TAU, Scalar
 from oracles import (
@@ -109,11 +109,12 @@ KEY_EXPONENTS = {key: (i,) for i, key in enumerate("abcd")}
 
 def table_sums(case):
     """_sum_tables on the rows (c, ((key, m), ...)): each Scalar c lowered
-    to one row per part, its multipliers a table of monomial slots."""
+    to one row per part, its multipliers a table of monomial slots, each
+    the slot of the 0-form component () and the packed exponent."""
     rows = []
     for c, pairs in case:
         Lc, coef = _constant(c)
-        table = tuple((_slot((), KEY_EXPONENTS[key]), m) for key, m in pairs)
+        table = tuple((_slot((), _key(1, KEY_EXPONENTS[key])), m) for key, m in pairs)
         rows += [(Lc, part, n, table) for part, n in coef]
     return _sum_tables(1, 0, rows)
 
