@@ -41,7 +41,7 @@ from .bundles import Connection, LieValuedForm, pullback_bundle
 from .forms import PolyForm, SimplicialForm, _form_of, _merge, form_on, integrate_to_cochain
 from .io import scalar_to_str
 from .linalg import sort_sign
-from .poly import _CAP, _ONE, _REAL, RADIX, Poly, _degree, _exponent, _from_parts, _lowered, _product_degree, _product_into
+from .poly import _CAP, _ONE, _REAL, Poly, _check_degree, _degree, _exponent, _from_parts, _lowered, _product_into
 from .scalars import Scalar
 from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_cochain
 
@@ -162,12 +162,9 @@ def calibrate_cw_constant(rho, F):
 
 
 # ---------------------------------------------------------------------------
-# the integer pass
-#
-# A lowered form is a dict component index -> a Poly's parts (part ->
-# {key: int numerator}), over a denominator kept beside it; a lowered
-# constant is its ((part, int numerator), ...) pairs, as
-# poly._product_into takes its multiplier.
+# the integer pass: a lowered form is a dict component index -> a Poly's
+# parts, over a denominator kept beside it; a lowered constant is its
+# ((part, int numerator), ...) pairs, _product_into's multiplier.
 
 
 @cache
@@ -194,8 +191,7 @@ def _wedge_into(out, X, Y, coef):
     (coef), returning out: per pair of components, one _product_into.  A
     square X ^ X of even degree takes each unordered pair of components
     once, I != J twice."""
-    dX = _form_degree(X)
-    _product_degree(dX, dX if Y is X else _form_degree(Y))
+    _check_degree(sum(max(map(_degree, Z.values()), default=0) for Z in (X, Y)))
     square = Y is X and not len(next(iter(X), ())) % 2
     comps = list(Y.items())
     for n, (I, x) in enumerate(X.items()):
@@ -212,19 +208,16 @@ def _wedge_into(out, X, Y, coef):
 _UNIT = {(): {_REAL: {0: 1}}}  # the constant 0-form 1, lowered
 
 
-def _form_degree(X):
-    """The top total degree of a lowered form."""
-    return max(map(_degree, X.values()), default=0)
-
-
 def _lower_constants(rows):
-    """({key: c lowered}, L) for the (key, Scalar c) rows, keys distinct:
-    one denominator L."""
+    """({key[:-1]: [(key[-1], c lowered), ...]}, L) for the (key, Scalar c)
+    rows, keys distinct tuples, in sorted key order over one denominator L."""
     L, parts = _lowered(rows)
-    out = {}
+    coefs, out = {}, {}
     for p, t in parts.items():
         for key, n in t.items():
-            out.setdefault(key, []).append((p, n))
+            coefs.setdefault(key, []).append((p, n))
+    for key in sorted(coefs):
+        out.setdefault(key[:-1], []).append((key[-1], coefs[key]))
     return out, L
 
 
@@ -232,30 +225,25 @@ def _lower_constants(rows):
 def _int_structure(algebra):
     """The structure constants s^c_ab, a < b, lowered once per algebra:
     ({(a, b): [(c, s lowered), ...]}, L)."""
-    consts, L = _lower_constants(((a, b, c), s) for a, b in itertools.combinations(range(algebra.dim), 2)
-                                 for c, s in algebra.structure[a][b])
-    pairs = {}
-    for (a, b, c), s in consts.items():
-        pairs.setdefault((a, b), []).append((c, s))
-    return pairs, L
+    return _lower_constants(((a, b, c), s) for a, b in itertools.combinations(range(algebra.dim), 2)
+                            for c, s in algebra.structure[a][b])
 
 
 def _int_tensor(rho):
-    """rho's coefficient tensor T lowered, grouped by head: ({a[:-1]:
-    [(a[-1], T[a] lowered), ...]}, L), the heads in sorted order."""
-    entries, L = _lower_constants(rho.tensor().items())
-    heads = {}
-    for a in sorted(entries):
-        heads.setdefault(a[:-1], []).append((a[-1], entries[a]))
-    return heads, L
+    """rho's tensor T lowered, by sorted head: ({a[:-1]: [(a[-1], T[a] lowered), ...]}, L)."""
+    return _lower_constants(rho.tensor().items())
+
+
+def _over(p, L):
+    """The parts of the Poly p with its numerators scaled to L, a multiple of p.L."""
+    return p.parts if p.L == L else {q: {e: L // p.L * n for e, n in t.items()} for q, t in p.parts.items()}
 
 
 def _int_coords(coords):
     """(one lowered form per coordinate form, their one denominator L):
     the stored numerators scaled to L."""
     L = lcm(*{p.L for f in coords for p in f.comps.values()})
-    return [{J: p.parts if p.L == L else {q: {e: (L // p.L) * n for e, n in t.items()} for q, t in p.parts.items()}
-             for J, p in f.comps.items()} for f in coords], L
+    return [{J: _over(p, L) for J, p in f.comps.items()} for f in coords], L
 
 
 def _int_curvature(A):
@@ -266,30 +254,16 @@ def _int_curvature(A):
     are equal (s^c_ba = -s^c_ab and A^b ^ A^a = -A^a ^ A^b), so the half
     bracket is the sum over a < b of s^c_ab A^a ^ A^b, each product
     once, over L_F = L_s * L_A^2; dA is scaled to that denominator."""
-    dim = A.dim
     coords, LA = _int_coords(A.coords)
     pairs, Ls = _int_structure(A.algebra)
-    F = [{} for _ in A.coords]
-    scale = Ls * LA
-    for f, out in zip(coords, F):
-        for (j,), x in f.items():
-            for i in range(dim):
-                K, sign = _merge((i,), (j,))
-                if not sign:
-                    continue
-                u = RADIX**i
-                lp = out.setdefault(K, {})
-                for p, t in x.items():
-                    o = lp.setdefault(p, {})
-                    for e, n in t.items():
-                        k = e // u % RADIX
-                        if k:
-                            o[e - u] = o.get(e - u, 0) + sign * scale * k * n
+    LF = Ls * LA * LA
+    # the fresh dA of each coordinate, into which the bracket is added
+    F = [{K: _over(p, LF) for K, p in f.d().comps.items()} for f in A.coords]
     for (a, b), cs in pairs.items():
         if coords[a] and coords[b]:
             for c, s in cs:
                 _wedge_into(F[c], coords[a], coords[b], s)
-    return F, Ls * LA * LA
+    return F, LF
 
 
 def _contract(heads, F):

@@ -8,8 +8,9 @@ top-degree form uses the Dirichlet monomial identity
     int_{Delta^d} x^a dV = (prod a_i!) / (d + sum a_i)!
 
 applied termwise, so no quadrature enters the main path.  All of them
-work on the Polys' stored int numerators (see poly), each output
-component summed over one denominator and reduced once (_reduce).  A
+work on the Polys' int numerators and packed int keys (poly's one
+encoding: a shift is one int add, x_i's exponent key // RADIX^i % RADIX),
+each output component summed over one denominator and reduced once.  A
 wedge, and the bracket of Lie-valued forms with each structure constant
 folded into its products, is one _wedge_sum, reading each pair's merged
 index and sign from the cache _merge.  integrate_top's own factorial
@@ -26,11 +27,11 @@ image(x^e) ^ image(dx_I), of two entries of the map's image table
 (map.images), filled bottom-up on first use: the image of x^e is the
 image of x^(e - 1_i) times coordinate i, i the last nonzero index of e,
 so each new monomial costs one Poly product; the image of dx_I, keyed
-("d", I) to keep it apart from the exponents, is the image of dx_I[:-1]
-wedged with d(coordinate I[-1]).  PolyMap.compose reads the inner map's
-table as well.  So len(map.images) next to len(map.memo) counts the
-exponents on the chains below the memo's monomials (the zero exponent
-included) and the prefixes of its differentials.
+("d", I) apart from the int keys, is the image of dx_I[:-1] wedged with
+d(coordinate I[-1]).  PolyMap.compose reads the inner map's table too.
+So len(map.images) next to len(map.memo) counts the keys on the chains
+below the memo's monomials (0 included) and the prefixes of its
+differentials.
 AffineMap.from_monotone returns one shared map per vertex map, so every
 face and collapse map of a given shape, and its memo and image table, is
 built once per process (AffineMap.from_monotone.cache_info() reports
@@ -49,7 +50,7 @@ intersection (compared by pullback) agree on every shared coefficient,
 so each coefficient is taken from the first given facet that holds it.
 A facet monomial's owned coefficients, already multiplied out into the
 simplex's monomials (_basis_form), are one cached table of small ints
-keyed by int monomial slots (_owned_table, _slot), and one pass,
+keyed by int slots (component, key) (_owned_table, _slot), and one pass,
 _sum_tables, adds every facet term's numerator times its table over one
 common denominator.  Given an rng it adds seeded coefficients on
 interior basis functions, which vanish on every facet, for
@@ -57,7 +58,7 @@ construct_connection and random_simplicial_form, in the same pass.
 Each lam^a is lam_0^a_0 read from the cached table _lam0_power, each
 power one product of the one below it with lam_0 = 1 - sum x, shifted
 by x^(a_1 .. a_d); _lam0_power.cache_info() reports how many powers are
-built.
+built.  Its order is the exponent tuples' (_exponent), not the keys'.
 """
 
 from __future__ import annotations
@@ -69,23 +70,8 @@ from math import factorial, lcm, prod
 from operator import attrgetter
 
 from .linalg import multinomial, sort_sign
-from .poly import (
-    _CAP,
-    _ONE,
-    _REAL,
-    RADIX,
-    Poly,
-    _compositions,
-    _constant,
-    _exponent,
-    _from_parts,
-    _key,
-    _part_mul,
-    _product_degree,
-    _product_into,
-    _reduce,
-    _scaled,
-)
+from .poly import (_CAP, _ONE, _REAL, RADIX, Poly, _check_degree, _compositions, _constant, _exponent, _from_parts,
+                   _key, _part_mul, _product_into, _reduce, _scaled)
 from .simplicial import (
     Cochain,
     mono_skip,
@@ -139,8 +125,7 @@ class PolyForm:
         return PolyForm(dim, 1, {(i,): Poly.const(dim, 1)})
 
     def component(self, I):
-        p = self.comps.get(tuple(I))
-        return Poly.zero(self.dim) if p is None else p
+        return self.comps.get(tuple(I)) or Poly.zero(self.dim)
 
     def is_zero(self):
         return not self.comps
@@ -323,20 +308,17 @@ class PolyMap:
 def _image(phi, e):
     """x^e (e a key) composed with phi's coordinates, from phi.images: the
     image of x^e is the image of x^(e - 1_i) times coordinate i, i the
-    last nonzero index of e, the top digit of its key, so each new
-    monomial costs one Poly product.  The missing images below e are
-    found first, then filled bottom-up."""
+    last nonzero index of e, so each new monomial costs one Poly product.
+    The missing images below e are found first, then filled bottom-up."""
     images = phi.images
     todo = []
     while e not in images:
         if not e:
             images[e] = Poly.const(phi.source_dim, 1)
             break
-        i, u = 0, 1
-        while u * RADIX <= e:
-            i, u = i + 1, u * RADIX
+        i = max(j for j, x in enumerate(_exponent(phi.target_dim, e)) if x)
         todo.append((e, i))
-        e -= u
+        e -= RADIX**i
     p = images[e]
     coords = phi.coords()
     for e, i in reversed(todo):
@@ -415,7 +397,7 @@ def _wedge_sum(dim, deg, terms):
     their denominators, a second adds their products, sign and scaling folded."""
     pairs, dens = [], {}
     for F, G, (Lc, coef) in terms:
-        _product_degree(F.total_poly_degree(), G.total_poly_degree())
+        _check_degree(F.total_poly_degree() + G.total_poly_degree())
         for I, p in F.comps.items():
             for J, q in G.comps.items():
                 K, sign = _merge(I, J)
@@ -727,10 +709,10 @@ def _dlam_wedge(d, t):
     }
 
 
-# slots: each pair (I, exponent) of a form on some Delta^d, or (J, part)
-# of a pullback's memo entry, interned as an int once per process, so the
-# sums of _sum_tables and pullback are keyed by ints; _slot_keys[n] is
-# the pair of slot n
+# slots: each pair (I, key) of a form on some Delta^d, or (J, part) of a
+# pullback's memo entry, interned as a small int once per process, so the
+# sums of _sum_tables and pullback are keyed by small ints; _slot_keys[n]
+# is the pair of slot n
 _slots = {}
 _slot_keys = []
 

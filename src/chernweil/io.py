@@ -159,34 +159,27 @@ def _terms_to_str(terms):
     return " + ".join(bits)
 
 
-def _read_terms(text, dim):
-    """The (exponent, Scalar) pairs of poly_to_str's text on Delta^dim, in
-    text order; text without its structure raises ValueError."""
-    terms, parts = [], []
-    for bit in text.split(" + "):
-        parts.append(bit)
-        if parts[0][:1] == "{" and "}" not in bit:
-            continue  # inside a braced coefficient
-        # scalar text holds no 'x', so the coefficient ends at the first '*x'
-        cs, x, mono = " + ".join(parts).partition("*x")
-        parts = []
-        e = [0] * dim
-        for v in mono.split("*x") if x else ():
-            i, caret, k = v.partition("^")
-            i = int(i) - 1
-            if not 0 <= i < dim:
-                raise ValueError("variable out of range")
-            e[i] = int(k) if caret else 1
-        terms.append((tuple(e), _read_scalar(cs.removeprefix("{").removesuffix("}"))))
-    return terms
-
-
 def _read_poly(text, dim):
     """The polynomial on Delta^dim of poly_to_str's text, not written
     back, and its parsed (exponent, Scalar) pairs in text order; text
     without its structure raises ParseError."""
     try:
-        terms = _read_terms(text, dim)
+        terms, parts = [], []
+        for bit in text.split(" + "):
+            parts.append(bit)
+            if parts[0][:1] == "{" and "}" not in bit:
+                continue  # inside a braced coefficient
+            # scalar text holds no 'x', so the coefficient ends at the first '*x'
+            cs, x, mono = " + ".join(parts).partition("*x")
+            parts = []
+            e = [0] * dim
+            for v in mono.split("*x") if x else ():
+                i, caret, k = v.partition("^")
+                i = int(i) - 1
+                if not 0 <= i < dim:
+                    raise ValueError("variable out of range")
+                e[i] = int(k) if caret else 1
+            terms.append((tuple(e), _read_scalar(cs.removeprefix("{").removesuffix("}"))))
         return Poly(dim, dict(terms)), terms
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad polynomial {text!r}") from None
@@ -196,9 +189,8 @@ def parse_poly(text, dim):
     """Read a polynomial on Delta^dim written by poly_to_str; any other
     text, such as a missing or zero coefficient, braces around a
     one-term coefficient, unsorted or repeated variables or terms, or
-    '^1', raises ParseError.  The write-back check reads the parsed
-    pairs: nonzero, distinct and sorted as poly_to_str sorts them, they
-    are the Poly's sorted terms, so poly_to_str writes their text."""
+    '^1', raises ParseError.  Nonzero, distinct and sorted, the parsed
+    pairs are the Poly's sorted terms, and the write-back check reads them."""
     p, terms = _read_poly(text, dim)
     nonzero = [(e, c) for e, c in terms if c.terms]
     keys = [_monomial_key(e) for e, _ in nonzero]

@@ -6,29 +6,24 @@ coefficients are stored lowered, as FLINT's fmpq_poly stores a rational
 polynomial: one denominator L > 0 and, per part (tau power, 0 for the
 real or 1 for the imaginary part), a dict key -> nonzero int numerator.
 gcd(L, every numerator) == 1 and no part is empty, so == and hash are
-structural.  This module alone decides that layout.
+structural.  This module alone decides that layout.  A key is the
+monomial x^e packed into one int, sum e_i RADIX^i (Monagan-Pearce), so
+a product's key is one int add and the total degree is key % _CAP,
+_CAP = RADIX - 1; every total degree stays below _CAP.  Poly(...)
+refuses any other exponent, and a product whose degree could reach
+_CAP raises OverflowError (_check_degree) instead of aliasing keys.
+RADIX is odd and no power of two because CPython hashes a small int to
+itself and a dict's first probe reads its low bits: with RADIX = 2^16
+those hold only x_1's exponent, with 2^16 + 1 only the total degree.
+Only _key and _exponent pack and unpack.
 
-A key is the monomial x^e packed into one int, sum e_i RADIX^i, as
-Monagan and Pearce pack exponents: a product's key is one int add, the
-exponent of x_i is the digit i in base RADIX, and the total degree is
-key % (RADIX - 1), since RADIX = 1 mod RADIX - 1.  That holds while the
-total degree is below _CAP = RADIX - 1, the bound every Poly keeps:
-Poly(...) refuses an exponent of a wrong length, a negative or non-int
-entry or a total degree of _CAP or more, and a product whose degree
-could reach _CAP raises OverflowError instead of aliasing.  The radix
-is odd and no power of two, so that the low bits of a key, which a
-dict's first probe reads (CPython hashes a small int to itself), mix
-every exponent: with RADIX = 2^16 they would hold x_1's alone, and with
-2^16 + 1 (every power = 1 mod RADIX - 1) the total degree alone.  Only
-_key and _exponent pack and unpack.
-
-Sums, products (_product_into, the one loop over term pairs; each
+Sums, products (_product_into, the one loop over term pairs, each
 product's part from the cache _part_mul), scalings and derivatives, and
 in forms d, wedge, pullback, integration and the Whitney-Bernstein
-extension, and in cw the Chern-Weil pass, add ints over one denominator
-and reduce each result once (_reduce).  Scalars and exponent tuples are
-made only at the boundary: the read-only view Poly.terms, built on
-access for writers, reports and exact evaluation, and integrals' values
+extension, and cw's Chern-Weil pass, add ints over one denominator and
+reduce each result once (_reduce).  Scalars and exponent tuples are made
+only at the boundary: the read-only view Poly.terms, built on access for
+writers, reports and exact evaluation, and integrals' values
 (_from_parts).  Poly(...) validates its terms and is for input from
 outside; results canonical by construction are built by the unchecked
 _poly.
@@ -51,15 +46,11 @@ _CAP = RADIX - 1  # every total degree stays below it, and is key % _CAP
 
 
 def _key(dim, e):
-    """The key sum e_i RADIX^i of an exponent tuple e on Delta^dim;
-    ValueError for a wrong length, a negative or non-int entry or a
-    total degree of _CAP or more."""
+    """The key sum e_i RADIX^i of an exponent tuple e on Delta^dim; ValueError
+    for a wrong length, a negative or non-int entry or total degree >= _CAP."""
     if type(e) is not tuple or len(e) != dim or not all(type(x) is int and x >= 0 for x in e) or sum(e) >= _CAP:
         raise ValueError(f"malformed exponent {e!r} on Delta^{dim}")
-    k = 0
-    for x in reversed(e):
-        k = k * RADIX + x
-    return k
+    return sum(x * RADIX**i for i, x in enumerate(e))
 
 
 def _exponent(dim, k):
@@ -76,14 +67,11 @@ def _degree(parts):
     return max([max(map(_CAP.__rmod__, t), default=0) for t in parts.values()], default=0)
 
 
-def _product_degree(d1, d2):
-    """d1 + d2, the degree bound of a product of factors of total degrees
-    d1 and d2; OverflowError when it reaches _CAP, where keys would alias.
-    Every caller of _product_into that can raise the degree checks it
-    once per pair of factors."""
-    if d1 + d2 >= _CAP:
+def _check_degree(n):
+    """OverflowError if a product's degree bound n reaches _CAP, where keys
+    would alias; each caller of _product_into checks once per factor pair."""
+    if n >= _CAP:
         raise OverflowError(f"polynomial product of total degree {_CAP} or more")
-    return d1 + d2
 
 
 def _monomial_key(exps):
@@ -182,7 +170,7 @@ class Poly:
             return self.scale(other)
         if self.dim != other.dim:
             raise ValueError("polynomial dimension mismatch")
-        _product_degree(self.total_degree(), other.total_degree())
+        _check_degree(self.total_degree() + other.total_degree())
         out = {}
         _product_into(out, self.parts, other.parts, _ONE)
         return _reduce(self.dim, self.L * other.L, out)
@@ -385,7 +373,7 @@ def _product_into(out, parts1, parts2, coef, f=1):
     """out[part][e1 + e2] += f * m * n1 * n2 over the parts of two lowered
     polynomials and the (part, m) pairs of coef, a lowered constant: per
     pair of parts, terms of parts1 outer, those of parts2 inner.  The only
-    loop over term pairs; its callers bound the degree (_product_degree)."""
+    loop over term pairs; its callers bound the degree (_check_degree)."""
     for p1, t1 in parts1.items():
         for p2, t2 in parts2.items():
             q, s = _part_mul(p1, p2)
