@@ -38,10 +38,10 @@ from functools import cache
 from math import factorial, lcm
 
 from .bundles import Connection, LieValuedForm, pullback_bundle
-from .forms import PolyForm, SimplicialForm, _form_of, _merge, form_on, integrate_to_cochain
+from .forms import PolyForm, SimplicialForm, _d_into, _form_of, _merge, form_on, integrate_to_cochain
 from .io import scalar_to_str
 from .linalg import sort_sign
-from .poly import _CAP, _ONE, _REAL, Poly, _check_degree, _degree, _exponent, _from_parts, _lowered, _product_into
+from .poly import _CAP, _ONE, _REAL, Poly, _check_degree, _exponent, _from_parts, _lowered, _product_into
 from .scalars import Scalar
 from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_cochain
 
@@ -49,7 +49,7 @@ from .simplicial import Cochain, coboundary, is_coboundary, pairing, pullback_co
 def curvature_form(A):
     """F = dA + A ^ A for one chart's connection 1-form: the integer
     curvature brought back to a form."""
-    F, L = _int_curvature(A)
+    F, L, _ = _int_curvature(A, 1)
     return LieValuedForm(A.algebra, A.dim, 2, [_form_of(A.dim, 2, L, f) for f in F])
 
 
@@ -67,7 +67,7 @@ def _cw_polyform_wedge(rho, F):
     """rho(F, .., F) with scalar parts wedged; one chart: _contract on
     the lowered F, reduced once over L_F^k * L_T."""
     _check_algebra(rho, F.algebra)
-    Fl, LF = _int_coords(F.coords)
+    Fl, LF, _ = _int_coords(F.coords, rho.arity)
     heads, LT = _int_tensor(rho)
     return _form_of(F.dim, 2 * rho.arity, LF**rho.arity * LT, _contract(heads, Fl))
 
@@ -87,7 +87,7 @@ def cw_form(rho, D):
         rho_int = _int_tensor(rho)
         for sid, A in D.forms.items():
             if sid.dim >= 2 * k:
-                X, L = _cell_form(rho_int, k, A)
+                X, L, _ = _cell_form(rho_int, k, A)
                 forms[sid] = _form_of(A.dim, 2 * k, L, X)
     return SimplicialForm(D.bundle.base, 2 * k, forms)
 
@@ -190,8 +190,7 @@ def _wedge_into(out, X, Y, coef):
     """out += c X ^ Y for lowered forms X, Y and a lowered constant c
     (coef), returning out: per pair of components, one _product_into.  A
     square X ^ X of even degree takes each unordered pair of components
-    once, I != J twice."""
-    _check_degree(sum(max(map(_degree, Z.values()), default=0) for Z in (X, Y)))
+    once, I != J twice.  The callers bound the degree (_int_coords)."""
     square = Y is X and not len(next(iter(X), ())) % 2
     comps = list(Y.items())
     for n, (I, x) in enumerate(X.items()):
@@ -234,36 +233,36 @@ def _int_tensor(rho):
     return _lower_constants(rho.tensor().items())
 
 
-def _over(p, L):
-    """The parts of the Poly p with its numerators scaled to L, a multiple of p.L."""
-    return p.parts if p.L == L else {q: {e: L // p.L * n for e, n in t.items()} for q, t in p.parts.items()}
-
-
-def _int_coords(coords):
-    """(one lowered form per coordinate form, their one denominator L):
-    the stored numerators scaled to L."""
+def _int_coords(coords, k):
+    """(the coordinate forms lowered over one denominator L, L, N): N, k
+    times their top degree, bounds a product of k factors (_check_degree)."""
     L = lcm(*{p.L for f in coords for p in f.comps.values()})
-    return [{J: _over(p, L) for J, p in f.comps.items()} for f in coords], L
+    N = k * max((f.total_poly_degree() for f in coords), default=0)
+    _check_degree(N)
+    return [{J: p.parts if p.L == L else {q: {e: L // p.L * n for e, n in t.items()} for q, t in p.parts.items()}
+             for J, p in f.comps.items()} for f in coords], L, N
 
 
-def _int_curvature(A):
+def _int_curvature(A, k):
     """F = dA + (1/2)[A ^ A] of one chart's connection form, lowered:
-    (one lowered 2-form per coordinate, L_F).
+    (one lowered 2-form per coordinate, L_F, N), N = 2k deg A bounding
+    every product of k curvature factors.
 
     A is lowered once, over L_A.  The (a, b) and (b, a) terms of [A ^ A]
     are equal (s^c_ba = -s^c_ab and A^b ^ A^a = -A^a ^ A^b), so the half
     bracket is the sum over a < b of s^c_ab A^a ^ A^b, each product
     once, over L_F = L_s * L_A^2; dA is scaled to that denominator."""
-    coords, LA = _int_coords(A.coords)
+    coords, LA, N = _int_coords(A.coords, 2 * k)
     pairs, Ls = _int_structure(A.algebra)
-    LF = Ls * LA * LA
-    # the fresh dA of each coordinate, into which the bracket is added
-    F = [{K: _over(p, LF) for K, p in f.d().comps.items()} for f in A.coords]
+    F = [{} for _ in coords]
+    for f, out in zip(coords, F):
+        for J, x in f.items():
+            _d_into(out, A.dim, J, x, Ls * LA)
     for (a, b), cs in pairs.items():
         if coords[a] and coords[b]:
             for c, s in cs:
                 _wedge_into(F[c], coords[a], coords[b], s)
-    return F, LF
+    return F, Ls * LA * LA, N
 
 
 def _contract(heads, F):
@@ -284,10 +283,10 @@ def _contract(heads, F):
 def _cell_form(rho_int, k, A):
     """rho(F, .., F) from one chart's connection form A, by _contract on
     its integer curvature: (the lowered 2k-form, its denominator
-    L_F^k L_T)."""
+    L_F^k L_T, N = 2k deg A)."""
     heads, LT = rho_int
-    F, LF = _int_curvature(A)
-    return _contract(heads, F), LF**k * LT
+    F, LF, N = _int_curvature(A, k)
+    return _contract(heads, F), LF**k * LT, N
 
 
 def cw_cochain(rho, D):
@@ -307,9 +306,7 @@ def cw_cochain(rho, D):
     values = {}
     for sid in D.bundle.base.cells(2 * k):
         if sid in D.forms:
-            A = D.forms[sid]
-            X, L = _cell_form(rho_int, k, A)
-            N = 2 * k * max(f.total_poly_degree() for f in A.coords)
+            X, L, N = _cell_form(rho_int, k, D.forms[sid])
             W = _weights(sid.dim, N)
             top = X.get(tuple(range(sid.dim)), {})
             values[sid] = _from_parts({p: sum(n * W[e] for e, n in t.items()) for p, t in top.items()},

@@ -174,18 +174,7 @@ class PolyForm:
         L = lcm(*map(_den, self.comps.values()))
         acc = {}
         for I, p in self.comps.items():
-            f = L // p.L
-            for j in range(self.dim):
-                K, sign = _merge((j,), I)
-                if not sign:
-                    continue
-                u = RADIX**j
-                for part, t in p.parts.items():
-                    terms = [(e - u, sign * f * k * n) for e, n in t.items() if (k := e // u % RADIX)]
-                    if terms:
-                        o = acc.setdefault(K, {}).setdefault(part, {})
-                        for e2, n in terms:
-                            o[e2] = o.get(e2, 0) + n
+            _d_into(acc, self.dim, I, p.parts, L // p.L)
         return _form_of(self.dim, self.deg + 1, L, acc)
 
     def wedge(self, other):
@@ -372,6 +361,22 @@ def _merge(I, J):
     """sort_sign(I + J) for two component index tuples: the sorted
     index of dx_I ^ dx_J and its sign; (None, 0) when they share an index."""
     return sort_sign(I + J)
+
+
+def _d_into(acc, dim, I, parts, f):
+    """acc[K][part] += f d(x dx_I) for one component's parts x on Delta^dim:
+    sign * e_j * f * n x^(e - 1_j) dx_K for each dx_j ^ dx_I = sign dx_K."""
+    for j in range(dim):
+        K, sign = _merge((j,), I)
+        if not sign:
+            continue
+        u = RADIX**j
+        for part, t in parts.items():
+            terms = [(e - u, sign * f * k * n) for e, n in t.items() if (k := e // u % RADIX)]
+            if terms:
+                o = acc.setdefault(K, {}).setdefault(part, {})
+                for e2, n in terms:
+                    o[e2] = o.get(e2, 0) + n
 
 
 def _rescale(rec, d):

@@ -15,18 +15,16 @@ _CAP raises OverflowError (_check_degree) instead of aliasing keys.
 RADIX is odd and no power of two because CPython hashes a small int to
 itself and a dict's first probe reads its low bits: with RADIX = 2^16
 those hold only x_1's exponent, with 2^16 + 1 only the total degree.
-Only _key and _exponent pack and unpack.
+_key and _exponent alone convert keys to and from exponent tuples.
 
 Sums, products (_product_into, the one loop over term pairs, each
 product's part from the cache _part_mul), scalings and derivatives, and
-in forms d, wedge, pullback, integration and the Whitney-Bernstein
-extension, and cw's Chern-Weil pass, add ints over one denominator and
+in forms and cw every form operation, add ints over one denominator and
 reduce each result once (_reduce).  Scalars and exponent tuples are made
-only at the boundary: the read-only view Poly.terms, built on access for
-writers, reports and exact evaluation, and integrals' values
-(_from_parts).  Poly(...) validates its terms and is for input from
-outside; results canonical by construction are built by the unchecked
-_poly.
+only at the boundary: the view Poly.terms, built on access for writers,
+reports and exact evaluation, and integrals' values (_from_parts).
+Poly(...) validates its terms and is for input from outside; results
+canonical by construction are built by the unchecked _poly.
 """
 
 from __future__ import annotations

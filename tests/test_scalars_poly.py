@@ -203,10 +203,14 @@ def test_packed_product_diff_and_d_match_tuple_arithmetic(case):
 @given(st.integers(1, 3), st.integers(0, CAP - 1))
 def test_product_reaching_the_cap_raises(dim, d1):
     """A product whose total degree would reach RADIX - 1 raises
-    OverflowError instead of aliasing keys, in Poly products, wedges and
-    cw's pair loop; one degree lower is computed."""
-    from chernweil import cw
-    from chernweil.poly import _ONE
+    OverflowError instead of aliasing keys, in Poly products and wedges,
+    and in the curvature, where cw bounds every product of a chart by
+    twice its top degree; one degree lower is computed."""
+    from chernweil.bundles import LieValuedForm
+    from chernweil.cw import curvature_form
+    from chernweil.liealg import lie_algebra
+
+    su2 = lie_algebra("su2")
 
     p = Poly(dim, {(d1,) + (0,) * (dim - 1): 1})
     q = Poly(dim, {(0,) * (dim - 1) + (CAP - d1,): 1}) if d1 else None
@@ -216,6 +220,7 @@ def test_product_reaching_the_cap_raises(dim, d1):
         with pytest.raises(OverflowError):
             PolyForm.from_poly(p).wedge(PolyForm.from_poly(q))
         with pytest.raises(OverflowError):
-            cw._wedge_into({}, {(): p.parts}, {(): q.parts}, _ONE)
+            curvature_form(LieValuedForm(su2, dim, 1, [PolyForm(dim, 1, {(0,): p}), PolyForm(dim, 1, {(0,): q}),
+                                                         PolyForm.zero(dim, 1)]))
     low = Poly(dim, {(0,) * (dim - 1) + (CAP - 1 - d1,): 1})
     assert (p * low).total_degree() == CAP - 1
