@@ -187,10 +187,9 @@ def _weights(d, N):
 
 
 def _wedge_into(out, X, Y, coef):
-    """out += c X ^ Y for lowered forms X, Y and a lowered constant c
-    (coef), returning out: per pair of components, one _product_into.  A
-    square X ^ X of even degree takes each unordered pair of components
-    once, I != J twice.  The callers bound the degree (_int_coords)."""
+    """out += c X ^ Y for lowered forms X, Y and lowered constant c (coef): one
+    _product_into per pair of components, degrees bounded by _int_coords; a
+    square X ^ X of even degree takes each unordered pair once, I != J twice."""
     square = Y is X and not len(next(iter(X), ())) % 2
     comps = list(Y.items())
     for n, (I, x) in enumerate(X.items()):

@@ -364,8 +364,7 @@ def _merge(I, J):
 
 
 def _d_into(acc, dim, I, parts, f):
-    """acc[K][part] += f d(x dx_I) for one component's parts x on Delta^dim:
-    sign * e_j * f * n x^(e - 1_j) dx_K for each dx_j ^ dx_I = sign dx_K."""
+    """acc += f d(x dx_I), x one component's parts: dx_j ^ dx_I = sign dx_K gives sign e_j f n x^(e - 1_j)."""
     for j in range(dim):
         K, sign = _merge((j,), I)
         if not sign:

@@ -46,9 +46,12 @@ _CAP = RADIX - 1  # every total degree stays below it, and is key % _CAP
 def _key(dim, e):
     """The key sum e_i RADIX^i of an exponent tuple e on Delta^dim; ValueError
     for a wrong length, a negative or non-int entry or total degree >= _CAP."""
-    if type(e) is not tuple or len(e) != dim or not all(type(x) is int and x >= 0 for x in e) or sum(e) >= _CAP:
+    if type(e) is not tuple or len(e) != dim or not {*map(type, e)} <= {int} or min(e, default=0) < 0 or sum(e) >= _CAP:
         raise ValueError(f"malformed exponent {e!r} on Delta^{dim}")
-    return sum(x * RADIX**i for i, x in enumerate(e))
+    k = 0
+    for x in reversed(e):
+        k = k * RADIX + x
+    return k
 
 
 def _exponent(dim, k):
@@ -66,8 +69,7 @@ def _degree(parts):
 
 
 def _check_degree(n):
-    """OverflowError if a product's degree bound n reaches _CAP, where keys
-    would alias; each caller of _product_into checks once per factor pair."""
+    """OverflowError if a product's degree bound n reaches _CAP, where keys alias."""
     if n >= _CAP:
         raise OverflowError(f"polynomial product of total degree {_CAP} or more")
 
