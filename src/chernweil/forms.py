@@ -120,10 +120,6 @@ class PolyForm:
     def from_poly(p):
         return PolyForm(p.dim, 0, {(): p})
 
-    @staticmethod
-    def dx(dim, i):
-        return PolyForm(dim, 1, {(i,): Poly.const(dim, 1)})
-
     def component(self, I):
         return self.comps.get(tuple(I)) or Poly.zero(self.dim)
 
@@ -447,10 +443,6 @@ class AffineMap(PolyMap):
         """The degeneracy collapse s_word: Delta^top -> Delta^{top-|word|}."""
         return AffineMap.from_monotone(word_epi(word, top_dim), top_dim - len(word))
 
-    @staticmethod
-    def identity(d):
-        return AffineMap.from_monotone(tuple(range(d + 1)), d)
-
 
 class BernsteinMap(PolyMap):
     """Polynomial map Delta^k -> Delta^d in Bernstein-Bezier form.
@@ -504,8 +496,7 @@ class BernsteinMap(PolyMap):
 def form_on(forms_by_sid, fs):
     """The form a formal simplex (sid, word) carries: forms_by_sid[sid]
     pulled back along the degeneracy collapse s_word.  Works for any
-    per-simplex data with a ``pullback`` (forms, Lie-valued forms and
-    polynomials)."""
+    per-simplex data with a ``pullback``: PolyForms and LieValuedForms."""
     sid, word = fs
     f = forms_by_sid[sid]
     if not word:
@@ -524,24 +515,11 @@ class SimplicialForm:
             f = forms.get(sid)
             self.forms[sid] = f if f is not None else PolyForm.zero(sid.dim, deg)
 
-    @staticmethod
-    def zero(base, deg):
-        return SimplicialForm(base, deg, {})
-
     def form(self, sid):
         return self.forms[sid]
 
     def d(self):
         return SimplicialForm(self.base, self.deg + 1, {s: f.d() for s, f in self.forms.items()})
-
-    def wedge(self, other):
-        if other.base != self.base:
-            raise ValueError("wedge of forms over different bases")
-        return SimplicialForm(
-            self.base,
-            self.deg + other.deg,
-            {s: f.wedge(other.forms[s]) for s, f in self.forms.items()},
-        )
 
     def __eq__(self, other):
         return (
@@ -550,15 +528,6 @@ class SimplicialForm:
             and self.deg == other.deg
             and self.forms == other.forms
         )
-
-    def pullback(self, f):
-        """f^* along a simplicial map into this form's base."""
-        if f.target != self.base:
-            raise ValueError("pullback along a map into a different base")
-        out = {}
-        for sid in f.source.all_cells():
-            out[sid] = form_on(self.forms, f.assignment[sid])
-        return SimplicialForm(f.source, self.deg, out)
 
 
 def check_simplicial_form(omega):

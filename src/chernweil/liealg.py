@@ -5,7 +5,7 @@ matrices have Gaussian-rational entries, so the structure constants and
 invariant polynomial evaluations are exact whenever the inputs are.  The
 su2 basis is the halved-Pauli one, e_a = -(i/2) sigma_a, normalized so
 that [e1, e2] = e3.  A constant element of an algebra is its list of
-coordinates in the basis (LieData.decompose and element_matrix convert);
+coordinates in the basis (LieData.decompose reads it from a matrix);
 brackets of g-valued data, constants included, are taken on
 bundles.LieValuedForm.
 
@@ -145,8 +145,8 @@ class LieData:
     PrecomputedSolver over the flattened basis (a row per matrix entry,
     a column per basis element); coordinates, and so decompose, eval and
     the table, read through it.  An element is a coordinate list:
-    decompose maps a matrix to it, and element_matrix
-    (element_matrix_float) maps it back.
+    decompose maps a matrix to it, and element_matrix_float maps it
+    back to a complex matrix.
     """
 
     def __init__(self, name, basis):
@@ -221,19 +221,6 @@ class LieData:
         coords, *_ = np.linalg.lstsq(B, np.asarray(matrix, dtype=complex).flatten(), rcond=None)
         return coords
 
-    def element_matrix(self, coords):
-        """The Scalar matrix sum_a coords[a] e_a; coordinates may be any
-        exact numbers or Scalars."""
-        out = _zeros(self.n)
-        for c, b in zip(coords, self.basis):
-            c = Scalar.coerce(c)
-            if not c.is_zero():
-                for r, row in enumerate(b):
-                    for s, x in enumerate(row):
-                        if x.terms:
-                            out[r][s] = out[r][s] + x * c
-        return out
-
     def element_matrix_float(self, coords):
         import numpy as np
 
@@ -277,8 +264,7 @@ class InvariantPolynomial:
     contract takes arity-many coordinate dicts {a: x_a} (values Scalars,
     Polys or complex floats) and returns rho(sum_a x_a e_a, ..).  eval
     takes elements of the algebra, each an n x n matrix given as a list
-    of rows (an ndarray goes in as M.tolist(), and a coordinate list as
-    algebra.element_matrix(coords)).  Any other argument raises
+    of rows (an ndarray goes in as M.tolist()).  Any other argument raises
     ValueError naming its slot, and a matrix of exact entries outside
     the algebra raises LieAlgebraError.
     """
@@ -326,9 +312,6 @@ class InvariantPolynomial:
             if part is not None:
                 total = total + scale_value(part, coef)
         return total
-
-    def eval_diag(self, x):
-        return self.eval([x] * self.arity)
 
     def tensor(self):
         """The symmetric coefficient tensor, as an element of Sym^k(g*).

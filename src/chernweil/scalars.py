@@ -86,10 +86,6 @@ class Scalar:
         return Scalar.coerce(Fraction(p, q))
 
     @staticmethod
-    def i():
-        return _scalar({0: (0, 1, 1)})
-
-    @staticmethod
     def tau(power=1):
         return _scalar({power: (1, 0, 1)})
 

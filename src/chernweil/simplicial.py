@@ -249,23 +249,6 @@ class SimplicialMap:
     def __call__(self, sid):
         return self.assignment[sid]
 
-    def validate(self):
-        bad = []
-        for d in range(self.source.dim + 1):
-            for sid in self.source.cells(d):
-                if sid not in self.assignment:
-                    bad.append(f"no assignment for {sid}")
-                    continue
-                tid, word = self.assignment[sid]
-                if tid.dim + len(word) != d:
-                    bad.append(f"assignment for {sid} has wrong dimension")
-        if bad:
-            return bad
-        for (sid, i), face in self.source.faces.items():
-            if self.apply(face) != self.target.face_of(self.apply((sid, ())), i):
-                bad.append(f"does not commute with d_{i} on {sid}")
-        return bad
-
     @staticmethod
     def identity(X):
         return SimplicialMap(X, X, {sid: (sid, ()) for sid in X.all_cells()})
@@ -525,9 +508,6 @@ class Cochain:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, c):
-        return Cochain(self.dim, {sid: v * c for sid, v in self.values.items()})
 
     def __eq__(self, other):
         return isinstance(other, Cochain) and self.dim == other.dim and self.values == other.values

@@ -12,7 +12,9 @@ affine coordinates and the Whitney-Bernstein basis as products of
 barycentric polynomials, lam^b by its multinomial expansion, pullback
 by chained products with no image table, the Chern and polarize loops
 written out, the invariant polynomials as multilinear evaluators on
-matrices), for the tests to compare against.
+matrices), for the tests to compare against.  Helpers that only tests
+use live here too: element_matrix, and simplicial_map_violations, the
+checker of constructed simplicial maps.
 """
 
 import functools
@@ -58,6 +60,21 @@ def solve_or_certify_reference(matrix, rhs):
         list(map(Fraction, a)) + [Scalar.coerce(b)] + [Fraction(int(i == j)) for j in range(m)]
         for i, (a, b) in enumerate(zip(matrix, rhs))
     ]
+    pivot_cols = _gauss_jordan(rows, n)
+    for row in rows[len(pivot_cols):]:
+        if not row[n].is_zero():
+            return "certificate", row[n + 1:]
+    x = [Scalar.zero()] * n
+    for r, c in enumerate(pivot_cols):
+        x[c] = rows[r][n]
+    return "solved", x
+
+
+def _gauss_jordan(rows, n):
+    """Reduce the rows in place, pivoting on their first n columns by the
+    library's rule (columns in order, first nonzero entry at or below the
+    current row); returns the pivot columns."""
+    m = len(rows)
     pivot_cols = []
     for c in range(n):
         r = len(pivot_cols)
@@ -71,13 +88,7 @@ def solve_or_certify_reference(matrix, rhs):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivot_cols.append(c)
-    for row in rows[len(pivot_cols):]:
-        if not row[n].is_zero():
-            return "certificate", row[n + 1:]
-    x = [Scalar.zero()] * n
-    for r, c in enumerate(pivot_cols):
-        x[c] = rows[r][n]
-    return "solved", x
+    return pivot_cols
 
 
 def boundary_matrix_oracle(X, k):
@@ -103,6 +114,29 @@ def boundary_chain(X, chain):
         for r, v in columns[sid.index].items():
             out[low[r]] = out.get(low[r], 0) + c * v
     return Chain(k - 1, out)
+
+
+def simplicial_map_violations(f):
+    """Every way the SimplicialMap f fails to be a map of simplicial
+    sets, as a list of strings (empty when it is one): a generator with
+    no assignment or one of the wrong dimension, or a face map it does
+    not commute with.  The checker of the maps horn, product and
+    cylinder build."""
+    bad = []
+    for d in range(f.source.dim + 1):
+        for sid in f.source.cells(d):
+            if sid not in f.assignment:
+                bad.append(f"no assignment for {sid}")
+                continue
+            tid, word = f.assignment[sid]
+            if tid.dim + len(word) != d:
+                bad.append(f"assignment for {sid} has wrong dimension")
+    if bad:
+        return bad
+    for (sid, i), face in f.source.faces.items():
+        if f.apply(face) != f.target.face_of(f.apply((sid, ())), i):
+            bad.append(f"does not commute with d_{i} on {sid}")
+    return bad
 
 
 def betti_oracle(X, max_dim):
@@ -275,6 +309,22 @@ def winding_of_samples(values):
     return total / (2.0 * np.pi)
 
 
+def element_matrix(alg, coords):
+    """The Scalar matrix sum_a coords[a] e_a over the basis of the
+    algebra alg; the coordinates may be any exact numbers or Scalars."""
+    from chernweil.scalars import Scalar
+
+    out = [[Scalar.zero()] * alg.n for _ in range(alg.n)]
+    for c, b in zip(coords, alg.basis):
+        c = Scalar.coerce(c)
+        if not c.is_zero():
+            for r, row in enumerate(b):
+                for s, x in enumerate(row):
+                    if x.terms:
+                        out[r][s] = out[r][s] + x * c
+    return out
+
+
 def cw_matrix_contraction(rho, F):
     """rho(F, .., F) with scalar parts wedged, by evaluating rho on the
     curvature's component matrices: for every k-tuple of 2-form
@@ -297,7 +347,7 @@ def cw_matrix_contraction(rho, F):
             for e, v in p.terms.items():
                 by_component.setdefault(I, {}).setdefault(e, [0] * alg.dim)[a] = v
     # (2-form index, monomial, Scalar matrix)
-    slots = [(I, e, alg.element_matrix(x)) for I, xs in by_component.items() for e, x in xs.items()]
+    slots = [(I, e, element_matrix(alg, x)) for I, xs in by_component.items() for e, x in xs.items()]
     out = {}
     for tup in itertools.product(slots, repeat=k):
         idx = sum((I for I, _, _ in tup), ())
@@ -897,9 +947,10 @@ def whitney_basis_reference(d, a, s):
     from chernweil.poly import Poly
 
     lams = barycentric_reference(d)
-    dlams = [PolyForm.zero(d, 1)] + [PolyForm.dx(d, i) for i in range(d)]
-    for i in range(d):
-        dlams[0] = dlams[0] - PolyForm.dx(d, i)
+    dxs = [PolyForm(d, 1, {(i,): Poly.const(d, 1)}) for i in range(d)]
+    dlams = [PolyForm.zero(d, 1)] + dxs
+    for dx in dxs:
+        dlams[0] = dlams[0] - dx
     mono = Poly.const(d, 1)
     for lam, e in zip(lams, a):
         mono = mono * lam**e
@@ -936,23 +987,47 @@ def whitney_combination_reference(d, k, coeffs):
     return out
 
 
+@functools.cache
+def _reduced_facet_basis(dim, k, r):
+    """The degree-r basis of k-forms on Delta^dim (whitney_keys_reference)
+    as the columns of a matrix A over every slot (component, exponent)
+    of degree <= r + 1, reduced once as [A | I] by _gauss_jordan:
+    (keys, {slot: row}, pivot columns, the transform T with T A reduced).
+    The pivots depend on A alone, so T b is the b column that reducing
+    [A | b | I] for facet data b would give."""
+    keys = whitney_keys_reference(dim, k, r) if k <= dim else []
+    cols = [{m: c.rational_value() for m, c in _flat_form(whitney_basis_reference(dim, *key)).items()}
+            for key in keys]
+    exps = [e for e in itertools.product(range(r + 2), repeat=dim) if sum(e) <= r + 1]
+    slots = sorted((I, e) for I in itertools.combinations(range(dim), k) for e in exps)
+    m, n = len(slots), len(keys)
+    rows = [[col.get(t, Fraction(0)) for col in cols] + [Fraction(int(i == j)) for j in range(m)]
+            for i, t in enumerate(slots)]
+    pivots = _gauss_jordan(rows, n)
+    return keys, {t: i for i, t in enumerate(slots)}, pivots, [row[n:] for row in rows]
+
+
 def whitney_facet_coeffs_reference(d, k, prescriptions):
     """Each facet's data solved for by elimination in the facet's degree-r
     basis (r as whitney_extend picks it) against whitney_basis_reference
     on Delta^(d-1): a dict facet index -> {key over Delta^d: nonzero
-    coefficient}, the keys renumbered to the vertices of Delta^d."""
+    coefficient}, the keys renumbered to the vertices of Delta^d.  The
+    basis matrix is reduced once per shape (_reduced_facet_basis); data
+    whose transformed column is nonzero below the pivots lies outside the
+    basis's span."""
+    from chernweil.scalars import Scalar
+
     D = max([f.total_poly_degree() for f in prescriptions.values()] + [0])
     r = max(D, 1) if k == 0 else D
-    keys = whitney_keys_reference(d - 1, k, r) if k < d else []
-    cols = [{m: c.rational_value() for m, c in _flat_form(whitney_basis_reference(d - 1, *key)).items()}
-            for key in keys]
+    keys, row_of, pivots, T = _reduced_facet_basis(d - 1, k, r)
     out = {}
     for i, f in prescriptions.items():
-        data = _flat_form(f)
-        slots = sorted(set(data).union(*cols))
-        status, x = solve_or_certify_reference([[col.get(m, 0) for col in cols] for m in slots],
-                                               [data.get(m, 0) for m in slots])
-        assert status == "solved", f"facet {i} data outside the degree-{r} basis"
+        data = [(row_of[t], c) for t, c in _flat_form(f).items()]
+        y = [sum((c * row[j] for j, c in data), Scalar.zero()) for row in T]
+        assert all(v.is_zero() for v in y[len(pivots):]), f"facet {i} data outside the degree-{r} basis"
+        x = [Scalar.zero()] * len(keys)
+        for row, c in enumerate(pivots):
+            x[c] = y[row]
         verts = [v for v in range(d + 1) if v != i]
         out[i] = {}
         for (a, s), c in zip(keys, x):

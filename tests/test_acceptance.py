@@ -59,7 +59,7 @@ from chernweil.simplicial import (
     standard_simplex,
     two_disk_sphere,
 )
-from oracles import betti_oracle
+from oracles import betti_oracle, element_matrix
 
 u1 = lie_algebra("u1")
 su2 = lie_algebra("su2")
@@ -225,7 +225,7 @@ def test_criterion_8_invariant_polynomials():
     rng = random.Random(88)
     for _ in range(100):
         coords = [Fraction(rng.randrange(-8, 9), 4) for _ in range(3)]
-        assert rho.eval_diag(su2.element_matrix(coords)) == Scalar.coerce(p(coords))
+        assert rho.eval([element_matrix(su2, coords)] * rho.arity) == Scalar.coerce(p(coords))
     _report(8, "Ad-invariance within 1e-9 over 1000 probes; polarize/diagonal round trip exact")
 
 
@@ -236,7 +236,7 @@ def test_criterion_9_reznikov():
     rng = random.Random(99)
     lam = Fraction(-2, 3)
     for _ in range(100):
-        x = su2.element_matrix([Fraction(rng.randrange(-8, 9), rng.randrange(1, 5)) for _ in range(3)])
+        x = element_matrix(su2, [Fraction(rng.randrange(-8, 9), rng.randrange(1, 5)) for _ in range(3)])
         assert r1.eval([x]) == 0
         assert r2.eval([x, x]) == mat_trace(mat_mul(x, x)) * lam
     elapsed = time.time() - t0

@@ -50,6 +50,7 @@ from chernweil.simplicial import (
 from oracles import (
     horn_restriction_reference,
     pullback_bundle_reference,
+    simplicial_map_violations,
     transitions_equal_reference,
     validate_bundle_reference,
     winding_of_samples,
@@ -143,7 +144,7 @@ def test_pullback_composition_data_equality(inclusion_of_north):
         {V(0, 0): (V(0, 0), ()), V(0, 1): (V(0, 0), ()), V(1, 0): (V(0, 0), (0,))},
     ]:
         f = SimplicialMap(d1, d2, f_assign)
-        assert f.validate() == []
+        assert simplicial_map_violations(f) == []
         lhs = pullback_bundle(inclusion_of_north.compose(f), P)
         rhs = pullback_bundle(f, pullback_bundle(inclusion_of_north, P))
         assert lhs.data_equal(rhs)
@@ -360,7 +361,7 @@ def test_exp_skew_refuses_matrices_off_the_compact_algebras():
     with pytest.raises(ValueError):
         exp_skew(np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
-        TransitionMap.single(LieValuedForm.from_polys(lie_algebra("u1"), [Poly.const(0, Scalar.i())])).evaluate([])
+        TransitionMap.single(LieValuedForm.from_polys(lie_algebra("u1"), [Poly.const(0, Scalar.of(0, 1))])).evaluate([])
 
 
 def _torus(alg):

@@ -67,7 +67,7 @@ from chernweil.simplicial import (
     two_disk_sphere,
 )
 from chernweil.verify import generic_curvature
-from oracles import bianchi_defect, boundary_chain, polynomial_from_evaluator
+from oracles import bianchi_defect, boundary_chain, element_matrix, polynomial_from_evaluator
 
 u1 = lie_algebra("u1")
 su2 = lie_algebra("su2")
@@ -87,7 +87,7 @@ def test_u1_curvature_is_dA():
     A = LieValuedForm(u1, 2, 1, [PolyForm(2, 1, {(1,): Poly.var(2, 0).scale(Scalar.tau())})])
     F = curvature_form(A)
     assert F.coords == [PolyForm(2, 2, {(0, 1): Poly.const(2, Scalar.tau())})]
-    assert u1.element_matrix([Scalar.tau()]) == [[Scalar.of(0, 1, 1)]]
+    assert element_matrix(u1, [Scalar.tau()]) == [[Scalar.of(0, 1, 1)]]
 
 
 def test_bianchi_exact_on_random_su2():

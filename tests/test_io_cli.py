@@ -45,7 +45,7 @@ def test_scalar_round_trip():
         Scalar.of(-3, 2, 1),
         Scalar.of(1, 0, -2) + Scalar.of(0, Fraction(1, 3)),
         Scalar.from_rational(-7, 3),
-        Scalar.i(),
+        Scalar.of(0, 1),
         Scalar.of(Fraction(3, 2), Fraction(-1, 4)),
         # the exact value of a float, as apply_gauge's Ad matrix enters
         Scalar.of(Fraction(0.1), Fraction(-2.5e-7), 1),

@@ -27,14 +27,14 @@ def test_scalar_tau_arithmetic():
     assert (t / t) == Scalar.one()
     assert Scalar.one() / Scalar.of(0, 1, 1) == Scalar.of(0, -1, -1)
     assert Scalar.tau().to_complex() == TAU
-    assert (Scalar.i() * Scalar.i()) == Scalar.from_rational(-1)
+    assert (Scalar.of(0, 1) * Scalar.of(0, 1)) == Scalar.from_rational(-1)
 
 
 def test_scalar_rational_detection():
     assert Scalar.from_rational(5, 3).is_rational()
     assert Scalar.from_rational(5, 3).rational_value() == Fraction(5, 3)
     assert not Scalar.tau().is_rational()
-    assert not Scalar.i().is_rational()
+    assert not Scalar.of(0, 1).is_rational()
     with pytest.raises(ValueError):
         Scalar.tau().rational_value()
 

@@ -31,7 +31,14 @@ from chernweil.simplicial import (
     two_disk_sphere,
 )
 from chernweil.linalg import column_reduce
-from oracles import betti_oracle, boundary_chain, boundary_matrix_oracle, is_coboundary_oracle, rank_oracle
+from oracles import (
+    betti_oracle,
+    boundary_chain,
+    boundary_matrix_oracle,
+    is_coboundary_oracle,
+    rank_oracle,
+    simplicial_map_violations,
+)
 from strategies import subcomplexes
 
 
@@ -92,7 +99,7 @@ def test_horn_inclusion_valid():
     for n, k in [(2, 0), (2, 1), (3, 0), (3, 2)]:
         h = horn(n, k)
         assert h.inclusion.target == standard_simplex(n)
-        assert h.inclusion.validate() == []
+        assert simplicial_map_violations(h.inclusion) == []
 
 
 def _compose(low, high):
@@ -328,7 +335,7 @@ def _cylinder(X):
 def test_product_with_point():
     P, i0, i1 = _cylinder(standard_simplex(0))
     assert P.counts == [2, 1]
-    assert i0.validate() == [] and i1.validate() == []
+    assert simplicial_map_violations(i0) == simplicial_map_violations(i1) == []
     assert i0.assignment[SimplexId(0, 0)] != i1.assignment[SimplexId(0, 0)]
 
 
@@ -422,7 +429,7 @@ def test_product_against_counts_and_kunneth(X, Y):
         bx, by = betti_numbers(X, X.dim), betti_numbers(Y, Y.dim)
         kunneth = [sum(bx[p] * by[m - p] for p in range(len(bx)) if 0 <= m - p < len(by)) for m in range(P.dim + 1)]
         assert betti_numbers(P, P.dim) == betti_oracle(P, P.dim) == kunneth
-    assert prod.pr_x.validate() == [] and prod.pr_y.validate() == []
+    assert simplicial_map_violations(prod.pr_x) == simplicial_map_violations(prod.pr_y) == []
     assert prod.pair(prod.pr_x, prod.pr_y).assignment == SimplicialMap.identity(P).assignment
     v = SimplexId(0, 0)
     maps = [(prod.pr_x, prod.pr_y), (SimplicialMap.identity(X), SimplicialMap.constant(X, Y, v)),
@@ -432,14 +439,27 @@ def test_product_against_counts_and_kunneth(X, Y):
         maps.append((SimplicialMap.identity(X), SimplicialMap.identity(X)))
     for f, g in maps:
         h = prod.pair(f, g)
-        assert h.validate() == []
+        assert simplicial_map_violations(h) == []
         assert prod.pr_x.compose(h).assignment == f.assignment
         assert prod.pr_y.compose(h).assignment == g.assignment
 
 
 def test_chain_map_commutes(inclusion_of_north, fold_map, collapse_map, swap_map):
     for f in [inclusion_of_north, fold_map, collapse_map, swap_map]:
-        assert f.validate() == []
+        assert simplicial_map_violations(f) == []
+
+
+def test_map_checker_catches_broken_maps():
+    d1, d2 = standard_simplex(1), standard_simplex(2)
+    V = SimplexId
+    # the edge 01 goes to the edge 02, but its vertex 0 goes to vertex 1
+    swapped = SimplicialMap(d1, d2, {V(0, 0): (V(0, 1), ()), V(0, 1): (V(0, 2), ()), V(1, 0): (V(1, 1), ())})
+    assert simplicial_map_violations(swapped) != []
+    assert all("does not commute" in v for v in simplicial_map_violations(swapped))
+    missing = SimplicialMap(d1, d2, {V(0, 0): (V(0, 0), ()), V(0, 1): (V(0, 1), ())})
+    assert simplicial_map_violations(missing) == [f"no assignment for {V(1, 0)}"]
+    flat = SimplicialMap(d1, d2, {V(0, 0): (V(0, 0), ()), V(0, 1): (V(0, 1), ()), V(1, 0): (V(0, 0), ())})
+    assert simplicial_map_violations(flat) == [f"assignment for {V(1, 0)} has wrong dimension"]
 
 
 def test_homotopic_maps_cohomology(tds):
