@@ -2,24 +2,28 @@
 
 Every nondegenerate simplex carries the chart Delta^d x G; a face map
 into a simplex is a bundle map (t, g) |-> (delta_i(t), phi(t) g) for a
-group-valued transition phi, stored as an ordered product of
-exponentials of g-valued 0-forms.  Transition logs, gauges, connections
-and curvatures are all one type, LieValuedForm, in degrees 0, 0, 1
-and 2.  Degenerate simplices implicitly carry the pullback of their
-core's chart along the collapse, with identity comparison maps, so the
-whole functor is determined by finitely much data.
+group-valued transition phi, stored as an ordered product of factors:
+exponentials of g-valued 0-forms, and, on a nonabelian algebra, constant
+Cayley factors cay(h) = (I + h/2)(I - h/2)^{-1} (Weyl, The Classical
+Groups, ch. II), whose matrices are exact.  Transition logs, gauges,
+connections and curvatures are all one type, LieValuedForm, in degrees
+0, 0, 1 and 2.  Degenerate simplices implicitly carry the pullback of
+their core's chart along the collapse, with identity comparison maps, so
+the whole functor is determined by finitely much data.
 
 Connections are Lie-algebra-valued polynomial 1-forms per chart, tied
 together by the trivialized gauge rule
 
     A_face = Ad_{phi^{-1}}(delta_i^* A) + phi^{-1} d phi.
 
-For abelian groups (and for identity transitions) every check here is
-exact polynomial identity.  Otherwise Ad_phi and the differential of the
-exponential come from _exp_series, which stops at its first zero bracket
-or at order SERIES_ORDER = 6, and the checks are sampled against SAMPLE_TOL,
-with phi and d phi at each point from exp_skew: one Hermitian
-eigendecomposition per factor gives its exponential and, through the
+For abelian groups, and for transitions whose factors are all Cayley
+factors (identities included), every check here is exact: a Cayley
+factor's Ad is an exact rational matrix and it adds no log derivative.
+Otherwise Ad_phi and the differential of the exponential come from
+_exp_series, which stops at its first zero bracket or at order
+SERIES_ORDER = 6, and the checks are sampled against SAMPLE_TOL, with
+phi and d phi at each point from exp_skew: one Hermitian
+eigendecomposition per exp factor gives its exponential and, through the
 Daleckii-Krein formula, the exponential's Frechet derivatives.
 """
 
@@ -29,17 +33,20 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .forms import (
     AffineMap,
     FaceConsistencyError,
     PolyForm,
+    _combination,
     _wedge_sum,
     form_on,
     random_poly,
     whitney_extend,
 )
+from .liealg import mat_mul
+from .linalg import PrecomputedSolver
 from .poly import Poly, _constant
 from .scalars import Scalar
 from .simplicial import (
@@ -53,6 +60,7 @@ from .simplicial import (
 
 SERIES_ORDER = 6
 SAMPLE_TOL = 1e-9  # bound on the sampled float defects of the nonabelian checks
+_new = object.__new__
 
 
 class BundleError(ValueError):
@@ -151,8 +159,181 @@ class LieValuedForm:
 # transitions
 
 
+class Cayley:
+    """The constant transition factor cay(h) = (I + h/2)(I - h/2)^{-1},
+    for a constant h in a nonabelian algebra, stored by its coordinates
+    (real rationals, as an element of a compact algebra has) as key =
+    (den, nums), h_a = nums[a] / den in lowest terms: its inverse is
+    cay(-h), and a pullback keeps it.  Its exact matrix (matrix) and the
+    (L, rows) int matrix of its Ad on coordinates (ad, entry [c][b] =
+    rows[c][b] / L) are built on first use by _cayley_pair, with those of
+    cay(-h), into the dict pair, which the factor shares with its inverse
+    and its inverse's inverse: once per factor and its inverses."""
+
+    __slots__ = ("algebra", "key", "pair")
+
+    def __init__(self, algebra, h):
+        h = tuple(h)
+        if algebra.is_abelian:
+            raise BundleError(f"Cayley factors are for nonabelian algebras, not {algebra.name}")
+        if len(h) != algebra.dim or not all(type(x) in (int, Fraction) for x in h):
+            raise BundleError(f"a Cayley factor on {algebra.name} needs {algebra.dim} rational coordinates")
+        den = lcm(*(x.denominator for x in h))
+        self.algebra = algebra
+        self.key = (den, tuple(x.numerator * (den // x.denominator) for x in h))
+        self.pair = {}
+
+    @property
+    def h(self):
+        den, nums = self.key
+        return tuple(Fraction(x, den) for x in nums)
+
+    def is_zero(self):
+        return not any(self.key[1])
+
+    def __neg__(self):
+        c = _new(Cayley)
+        den, nums = self.key
+        c.algebra, c.key, c.pair = self.algebra, (den, tuple(-x for x in nums)), self.pair
+        return c
+
+    def pullback(self, amap):
+        return self
+
+    def _data(self):
+        data = self.pair.get(self.key)
+        if data is None:
+            self.pair.update(_cayley_pair(self.algebra, self.key))
+            data = self.pair[self.key]
+        return data
+
+    @property
+    def matrix(self):
+        return self._data()[0]
+
+    @property
+    def ad(self):
+        return self._data()[1]
+
+    def __eq__(self, other):
+        return isinstance(other, Cayley) and self.algebra is other.algebra and self.key == other.key
+
+    def __hash__(self):
+        return hash((self.algebra.name, self.key))
+
+    def __repr__(self):
+        return f"Cayley({self.algebra.name}, {[str(x) for x in self.h]})"
+
+
+def _gaussian(values):
+    """(D, [(re, im), ...]) for tau-free Gaussian rationals (Scalars,
+    Fractions or ints): their numerators over D, the lcm of their
+    denominators."""
+    triples = [Scalar.coerce(v).terms.get(0, (0, 0, 1)) for v in values]
+    D = lcm(*(d for _, _, d in triples))
+    return D, [(a * (D // d), b * (D // d)) for a, b, d in triples]
+
+
+@cache
+def _int_tables(algebra):
+    """(Db, basis, Dt, reads): basis[b] lists the (j, re, im) with
+    e_b = sum (re + im i) / Db E_j over the flattened matrix units E_j, and
+    reads[c] the (j, re, im) with coordinate c of a matrix M equal to
+    sum (re + im i) M_j / Dt: the row of the algebra's solver transform
+    at coordinate c's pivot."""
+    nn = algebra.n ** 2
+    Db, flat = _gaussian([v for b in algebra.basis for row in b for v in row])
+    basis = [[(j, *flat[b * nn + j]) for j in range(nn) if flat[b * nn + j] != (0, 0)] for b in range(algebra.dim)]
+    row_of = {c: r for r, c in algebra.solver.pivots}
+    Dt, flat = _gaussian([t for c in range(algebra.dim) for t in algebra.solver.trans[row_of[c]]])
+    reads = [[(j, *flat[c * nn + j]) for j in range(nn) if flat[c * nn + j] != (0, 0)] for c in range(algebra.dim)]
+    return Db, basis, Dt, reads
+
+
+def _cayley_pair(algebra, key):
+    """{key: (matrix, ad)} for cay(h) and cay(-h), h_a = nums[a] / den.
+
+    (I - h/2)^{-1} is the transform of PrecomputedSolver on I - h/2, which
+    is invertible because h is skew-Hermitian; cay(h) = 2 (I - h/2)^{-1} - I.
+    Every supported basis is skew-Hermitian, so cay(h) is unitary and
+    cay(-h) = cay(h)^H.  Column b of Ad_cay(h) holds the coordinates of
+    g e_b g^H, that of Ad_cay(-h) those of g^H e_b g; the products and
+    reads are Gaussian ints over one denominator, and a coordinate with
+    an imaginary part is a BundleError (Ad maps the real algebra to itself).
+    """
+    n, nn = algebra.n, algebra.n ** 2
+    Db, basis, Dt, reads = _int_tables(algebra)
+    den, nums = key
+    out = {}
+    # 2 den Db (I - h/2) = 2 den Db I - sum nums[a] Db e_a
+    D2 = 2 * den * Db
+    M = [[D2 * (j % (n + 1) == 0), 0] for j in range(nn)]
+    for x, e in zip(nums, basis):
+        for j, re, im in e:
+            M[j][0] -= x * re
+            M[j][1] -= x * im
+    solver = PrecomputedSolver([[Scalar({0: (*M[r * n + c], D2)}) for c in range(n)] for r in range(n)])
+    if solver.rank != n:
+        raise BundleError(f"I - h/2 is singular on {algebra.name} for h = {key}")
+    Du, U = _gaussian([v for row in solver.trans for v in row])
+    G = [(2 * re - Du * (j % (n + 1) == 0), 2 * im) for j, (re, im) in enumerate(U)]
+    Gh = [(G[c * n + r][0], -G[c * n + r][1]) for r in range(n) for c in range(n)]
+    for sign, (g, gh) in ((1, (G, Gh)), (-1, (Gh, G))):
+        cols = []
+        for e in basis:
+            # (g e_b g^H)[r][c] = sum of g[r][k] x gh[l][c] over the entries x of e_b at (k, l)
+            Y = []
+            for r in range(n):
+                for c in range(n):
+                    ya = yb = 0
+                    for j, xa, xb in e:
+                        ga, gb = g[r * n + j // n]
+                        ha, hb = gh[(j % n) * n + c]
+                        pa, pb = ga * xa - gb * xb, ga * xb + gb * xa
+                        ya += pa * ha - pb * hb
+                        yb += pa * hb + pb * ha
+                    Y.append((ya, yb))
+            col = []
+            for read in reads:
+                re = im = 0
+                for j, ta, tb in read:
+                    ya, yb = Y[j]
+                    re += ta * ya - tb * yb
+                    im += ta * yb + tb * ya
+                if im:
+                    raise BundleError(f"Ad of a Cayley factor on {algebra.name} left the real algebra")
+                col.append(re)
+            cols.append(col)
+        L = Dt * Du * Du * Db
+        q = gcd(L, *(v for col in cols for v in col))
+        ad = L // q, tuple(tuple(col[c] // q for col in cols) for c in range(algebra.dim))
+        matrix = [[Scalar({0: (*g[r * n + c], Du)}) for c in range(n)] for r in range(n)]
+        out[den, tuple(sign * x for x in nums)] = matrix, ad
+    return out
+
+
+def _ad_product(m1, m2):
+    """The (L, rows) matrix m1 m2, brought to lowest terms."""
+    (L1, A), (L2, B) = m1, m2
+    cols = list(zip(*B))
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
+    g = gcd(L1 * L2, *(v for row in rows for v in row))
+    return L1 * L2 // g, tuple(tuple(v // g for v in row) for row in rows)
+
+
+def _ad_apply(m, X):
+    """The g-valued form with coordinates (rows X) / L, one combination
+    over one denominator per coordinate (forms._combination)."""
+    L, rows = m
+    terms = [(b, f) for b, f in enumerate(X.coords) if not f.is_zero()]
+    return LieValuedForm(X.algebra, X.dim, X.deg, [
+        _combination(X.dim, X.deg, L, [(row[b], f) for b, f in terms if row[b]]) for row in rows
+    ])
+
+
 class TransitionMap:
-    """Ordered product of exponentials exp(p_1) exp(p_2) ... exp(p_r).
+    """Ordered product p_1 p_2 ... p_r of factors: exponentials exp(p) of
+    g-valued 0-forms p (LieValuedForm) and constant Cayley factors.
 
     Abelian factors are merged eagerly, which makes the representation
     canonical for u1 and keeps syntactic equality meaningful there.
@@ -179,8 +360,17 @@ class TransitionMap:
     def single(p):
         return TransitionMap(p.algebra, p.dim, [p])
 
+    @staticmethod
+    def cayley(algebra, dim, h):
+        """The constant map cay(h) on Delta^dim, h a list of rational coordinates."""
+        return TransitionMap(algebra, dim, [Cayley(algebra, h)])
+
     def is_identity(self):
         return not self.factors
+
+    def is_cayley(self):
+        """Whether every factor is a Cayley factor (so the identity is)."""
+        return all(type(f) is Cayley for f in self.factors)
 
     def pullback(self, amap):
         return TransitionMap(self.algebra, amap.source_dim, [f.pullback(amap) for f in self.factors])
@@ -199,12 +389,20 @@ class TransitionMap:
         # the constructor merges abelian factors into at most one
         return self.factors[0] if self.factors else LieValuedForm.zero(self.algebra, self.dim, 0)
 
+    def matrix(self):
+        """The exact product of the factors' matrices, for a map of Cayley factors."""
+        n = self.algebra.n
+        g = [[Scalar.of(int(r == c)) for c in range(n)] for r in range(n)]
+        for f in self.factors:
+            g = mat_mul(g, f.matrix)
+        return g
+
     def evaluate(self, point):
         import numpy as np
 
         g = np.eye(self.algebra.n, dtype=complex)
         for f in self.factors:
-            g = g @ exp_skew(_matrix_at(f, point))[0]
+            g = g @ (_float_matrix(f) if type(f) is Cayley else exp_skew(_matrix_at(f, point))[0])
         return g
 
     def __eq__(self, other):
@@ -254,6 +452,13 @@ def _matrix_at(p, point):
     return p.eval_matrix_coeffs(point).get((), np.zeros((n, n), dtype=complex))
 
 
+def _float_matrix(c):
+    """A Cayley factor's complex matrix, from its exact one."""
+    import numpy as np
+
+    return np.array([[v.to_complex() for v in row] for row in c.matrix])
+
+
 def _sample_points(dim, count, seed):
     import numpy as np
 
@@ -271,13 +476,14 @@ def transitions_equal(t1, t2, seed=0):
     """Group-level equality of two transition maps, decided in order:
 
     1. identical factor lists: equal, exactly (the same product of
-       exponentials), with no log algebra or sampling;
+       factors), with no log algebra or sampling;
     2. abelian: exact; the logs must differ by a constant in i*tau*Z
        (exp of such a constant is the identity);
-    3. otherwise: sampled matrix comparison at interior points.
+    3. both products of Cayley factors: their exact matrices are equal;
+    4. otherwise: sampled matrix comparison at interior points.
 
-    Step 1 gives the verdict steps 2 and 3 would give: a zero log
-    difference, a zero sampled deviation.
+    Step 1 gives the verdict the later steps would give: a zero log
+    difference, equal matrices, a zero sampled deviation.
     """
     if t1.algebra is not t2.algebra or t1.dim != t2.dim:
         return False
@@ -296,6 +502,8 @@ def transitions_equal(t1, t2, seed=0):
             if not q.is_rational() or q.rational_value().denominator != 1:
                 return False
         return True
+    if t1.is_cayley() and t2.is_cayley():
+        return t1.matrix() == t2.matrix()
     import numpy as np
 
     for pt in _sample_points(t1.dim, 7, seed):
@@ -382,16 +590,17 @@ class BundleReport:
 def validate_bundle(P, seed=0):
     """Cocycle/functoriality check on all composable face pairs.
 
-    The report's exact flag names the algebra's comparison mode (exact
-    for abelian groups, sampled otherwise), whichever step of
-    transitions_equal decided each pair.
+    The report's exact flag says that every pair is decided by ==: on an
+    abelian algebra, or when every transition is a product of Cayley
+    factors (identities included); otherwise pairs that reach the last
+    step of transitions_equal are sampled.
 
     The composite transitions inside the faces recur across face pairs;
     one route memo per call, keyed (simplex, monotone map), computes each
     once.
     """
     X = P.base
-    exact = P.algebra.is_abelian
+    exact = P.algebra.is_abelian or all(t.is_cayley() for t in P.transitions.values())
     failures = []
     for sid, i in X.faces:
         t = P.transitions.get((sid, i))
@@ -451,19 +660,36 @@ def _exp_series(p, X, shift):
     return out
 
 
-def right_log_derivative(t):
-    """(d phi) phi^{-1} for a product of exponentials, as a g-valued 1-form.
+def _ad(factors, X):
+    """Ad_{p_1 ... p_r} X for the factors p_1 .. p_r of a transition:
+    _exp_series for each exp factor, and each run of adjacent Cayley
+    factors as one product of their exact matrices, applied once.  Ad
+    of zero is zero, and builds no matrix."""
+    if X.is_zero():
+        return X
+    run = None
+    for p in reversed(factors):
+        if type(p) is Cayley:
+            run = p.ad if run is None else _ad_product(p.ad, run)
+            continue
+        if run is not None:
+            X, run = _ad_apply(run, X), None
+        X = _exp_series(p, X, 0)
+    return X if run is None else _ad_apply(run, X)
 
-    Exact where each factor's series stops at a zero bracket (always on
-    an abelian algebra); otherwise the series is truncated at
-    SERIES_ORDER (error O(|p|^7), which the sampled checks bound).
+
+def right_log_derivative(t):
+    """(d phi) phi^{-1} for a product of factors, as a g-valued 1-form.
+
+    A Cayley factor is constant and adds no term.  Exact where each exp
+    factor's series stops at a zero bracket (always on an abelian
+    algebra); otherwise the series is truncated at SERIES_ORDER (error
+    O(|p|^7), which the sampled checks bound).
     """
     out = LieValuedForm.zero(t.algebra, t.dim, 1)
     for r, p in enumerate(t.factors):
-        term = _exp_series(p, p.d(), 1)
-        for q in reversed(t.factors[:r]):
-            term = _exp_series(q, term, 0)
-        out = out + term
+        if type(p) is not Cayley:
+            out = out + _ad(t.factors[:r], _exp_series(p, p.d(), 1))
     return out
 
 
@@ -477,9 +703,8 @@ def gauge_prescription(P, D_forms, sid, i):
     phi = P.transitions[(sid, i)]
     if phi.is_identity():
         return f
-    for p in reversed(phi.factors):
-        f = _exp_series(p, f, 0)
-    return f - right_log_derivative(phi)
+    f = _ad(phi.factors, f)
+    return f if phi.is_cayley() else f - right_log_derivative(phi)
 
 
 @dataclass
@@ -493,23 +718,26 @@ class ConnectionReport:
 def _values_and_partials(t, points):
     """(pt, phi(pt), [d_j phi(pt) for each coordinate j]) at each point.
 
-    phi is the product of the factors' exponentials, as in
-    TransitionMap.evaluate, and each d_j phi follows by the product rule
-    from the Frechet derivative of each factor's exponential in the
-    direction d_j p, which exp_skew takes from the same eigendecomposition
-    as the exponential, exact to machine precision.  Each factor's d p
-    is taken once for all points, and a direction in which it has no
-    component costs no derivative."""
+    phi is the product of the factors, as in TransitionMap.evaluate, and
+    each d_j phi follows by the product rule from the Frechet derivative
+    of each exp factor's exponential in the direction d_j p, which
+    exp_skew takes from the same eigendecomposition as the exponential,
+    exact to machine precision; a Cayley factor is constant.  Each
+    factor's d p is taken once for all points, and a direction in which
+    it has no component costs no derivative."""
     import numpy as np
 
     n = t.algebra.n
-    dps = [p.d() for p in t.factors]
+    dps = [None if type(p) is Cayley else p.d() for p in t.factors]
     for pt in points:
         g = np.eye(n, dtype=complex)
         dg = [np.zeros((n, n), dtype=complex) for _ in range(t.dim)]
         for p, dp in zip(t.factors, dps):
-            partials = dp.eval_matrix_coeffs(pt)
-            e, derivs = exp_skew(_matrix_at(p, pt), partials.values())
+            if dp is None:
+                e, partials, derivs = _float_matrix(p), {}, []
+            else:
+                partials = dp.eval_matrix_coeffs(pt)
+                e, derivs = exp_skew(_matrix_at(p, pt), partials.values())
             dg = [x @ e for x in dg]
             for (j,), dej in zip(partials, derivs):
                 dg[j] = dg[j] + g @ dej
@@ -520,13 +748,14 @@ def _values_and_partials(t, points):
 def validate_connection(P, D, seed=0):
     """Gauge compatibility across every face map.
 
-    Exact polynomial identity when the algebra is abelian or all
-    transitions are identity; otherwise sampled numerically against the
-    defining formula A_face = Ad_{phi^{-1}}(delta_i^* A) + phi^{-1}dphi.
-    Each failure names its simplex and face, and a sampled one its defect.
+    Exact polynomial identity when the algebra is abelian or every
+    transition is a product of Cayley factors (identities included);
+    otherwise sampled numerically against the defining formula
+    A_face = Ad_{phi^{-1}}(delta_i^* A) + phi^{-1}dphi.  Each failure
+    names its simplex and face, and a sampled one its defect.
     """
     X = P.base
-    exact = P.algebra.is_abelian or all(t.is_identity() for t in P.transitions.values())
+    exact = P.algebra.is_abelian or all(t.is_cayley() for t in P.transitions.values())
     failures = []
     worst = 0.0
     for sid, i in X.faces:
@@ -698,51 +927,37 @@ def clutch_winding(P):
 
 
 def apply_gauge(P, gauges, D=None):
-    """Change every chart by a gauge map exp(h_sid).
+    """Change every chart by a gauge map g_sid.
 
-    gauges: dict sid -> g-valued 0-form on that simplex.  Transitions
-    pick up exp(-h_sid o delta_i) phi exp(h_face); a supplied connection
-    is transformed only for constant gauges (Ad by a constant matrix,
-    which leaves polynomial coefficients polynomial).  For an abelian
-    algebra Ad is the identity and the connection forms are kept as
-    they are; otherwise the matrix is computed in floats and each entry
-    enters as its exact rational.  Every supported algebra is a real
-    form with a real basis, so the matrix is real: the imaginary parts
-    the float solve leaves are noise and are dropped.
+    gauges: dict sid -> TransitionMap on that simplex (TransitionMap.single(h)
+    for exp(h)).  Transitions pick up g_sid^{-1} o delta_i, phi, g_face, in
+    one factor list.  A supplied connection is transformed only for
+    constant gauges, which leave polynomial coefficients polynomial and
+    add no log derivative: A_sid becomes Ad_{g_sid^{-1}} A_sid, exactly.
+    On an abelian algebra Ad is the identity, so a constant gauge keeps
+    the connection forms as they are; on a nonabelian one each gauge must
+    be a product of Cayley factors, whose Ad matrices are exact.
     """
     X = P.base
+    alg = P.algebra
     transitions = {}
     for (sid, i), face in X.faces.items():
-        h_here = gauges[sid].pullback(AffineMap.face(sid.dim, i))
-        h_face = form_on(gauges, face)
-        phi = P.transitions[(sid, i)]
-        transitions[(sid, i)] = TransitionMap(P.algebra, sid.dim - 1, [-h_here, *phi.factors, h_face])
-    P2 = BundleData(X, P.algebra, transitions)
+        amap = AffineMap.face(sid.dim, i)
+        # the factors of (g_sid o delta_i)^{-1}, phi, then g_face
+        factors = [-f.pullback(amap) for f in reversed(gauges[sid].factors)]
+        factors += P.transitions[(sid, i)].factors
+        factors += form_on(gauges, face).factors
+        transitions[(sid, i)] = TransitionMap(alg, sid.dim - 1, factors)
+    P2 = BundleData(X, alg, transitions)
     if D is None:
         return P2, None
-    if any(not gauges[sid].d().is_zero() for sid in X.all_cells()):
-        raise BundleError("connection gauge transform implemented for constant gauges")
-    alg = P.algebra
     if alg.is_abelian:
+        if any(not f.d().is_zero() for sid in X.all_cells() for f in gauges[sid].factors):
+            raise BundleError("connection gauge transform implemented for constant gauges")
         return P2, Connection(P2, {sid: D.forms[sid] for sid in X.all_cells()})
-    import numpy as np
-
-    forms = {}
-    for sid in X.all_cells():
-        g = TransitionMap.single(gauges[sid]).evaluate([Fraction(0)] * sid.dim)
-        gi = np.linalg.inv(g)
-        # matrix R of Ad_{g^{-1}} in the chosen basis
-        R = np.array([alg.decompose_float(gi @ bf @ g) for bf in alg.basis_float]).T.real
-        coords = []
-        for a in range(alg.dim):
-            f = PolyForm.zero(sid.dim, 1)
-            for b in range(alg.dim):
-                c = R[a, b]
-                if abs(c) > 1e-15:
-                    f = f + D.forms[sid].coords[b].scale(Fraction(c))
-            coords.append(f)
-        forms[sid] = LieValuedForm(alg, sid.dim, 1, coords)
-    return P2, Connection(P2, forms)
+    if not all(gauges[sid].is_cayley() for sid in X.all_cells()):
+        raise BundleError(f"a connection on {alg.name} is gauged only by products of Cayley factors")
+    return P2, Connection(P2, {sid: _ad(gauges[sid].inverse().factors, D.forms[sid]) for sid in X.all_cells()})
 
 
 def random_u1_bundle(X, rng):
@@ -756,7 +971,7 @@ def random_u1_bundle(X, rng):
     gauges = {}
     for sid in X.all_cells():
         p = random_poly(rng, sid.dim, 2)
-        gauges[sid] = LieValuedForm.from_polys(alg, [p])
+        gauges[sid] = TransitionMap.single(LieValuedForm.from_polys(alg, [p]))
     P, _ = apply_gauge(trivial_bundle(X, alg), gauges)
     if X.dim <= 2:
         for sid in X.cells(2):

@@ -391,6 +391,24 @@ def _form_of(dim, deg, L, comps):
     return _form(dim, deg, {I: p for I, t in comps.items() if (p := _reduce(dim, L, t)).parts})
 
 
+def _combination(dim, deg, L, terms):
+    """The form (1/L) sum m * F over the terms (m, F), m a nonzero int:
+    every numerator over L times the lcm of the components' denominators,
+    each output component reduced once."""
+    Lf = lcm(*(p.L for _, F in terms for p in F.comps.values()))
+    acc = {}
+    for m, F in terms:
+        for I, p in F.comps.items():
+            f = m * (Lf // p.L)
+            parts = acc.setdefault(I, {})
+            for part, t in p.parts.items():
+                o = parts.setdefault(part, {})
+                get = o.get
+                for e, n in t.items():
+                    o[e] = get(e, 0) + f * n
+    return _form_of(dim, deg, L * Lf, acc)
+
+
 def _wedge_sum(dim, deg, terms):
     """The sum of c * (F ^ G) over the terms (F, G, c), c lowered by
     _constant: one pass finds each output component's pairs and the lcm of

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .bundles import BundleData, Connection, LieValuedForm, TransitionMap
+from .bundles import BundleData, BundleError, Cayley, Connection, LieValuedForm, TransitionMap
 from .forms import PolyForm
 from .poly import Poly, _monomial_key
 from .scalars import Scalar
@@ -341,15 +341,58 @@ def _header(lines, kind):
         raise ParseError(str(e)) from None
 
 
+def _factor_str(p):
+    """exp([a: coordinate; ...]) for exp(p), or cay([a: coordinate; ...])
+    for a Cayley factor, over the nonzero coordinates."""
+    if type(p) is Cayley:
+        return "cay([" + "; ".join(f"{a}: {_rat_str(x.numerator, x.denominator)}" for a, x in enumerate(p.h) if x) + "])"
+    return "exp([" + "; ".join(f"{a}: {poly_to_str(f.component(()))}" for a, f in enumerate(p.coords) if not f.is_zero()) + "])"
+
+
 def _transition_str(t):
-    """'id', or each factor exp(p) as exp([a: coordinate; ...]) over the
-    nonzero coordinates, joined by ' * '."""
+    """'id', or each factor's _factor_str, joined by ' * '."""
     if t.is_identity():
         return "id"
-    return " * ".join(
-        "exp([" + "; ".join(f"{a}: {poly_to_str(f.component(()))}" for a, f in enumerate(p.coords) if not f.is_zero()) + "])"
-        for p in t.factors
-    )
+    return " * ".join(map(_factor_str, t.factors))
+
+
+def _parse_factor(chunk, algebra, dim):
+    """The factor of one _factor_str chunk, not written back.  A cay
+    coordinate must be a real rational constant, and a coordinate with
+    an imaginary part is refused in either kind (a log in the compact
+    algebra has real coordinates)."""
+    cay = chunk.startswith("cay([")
+    coords = [Poly.zero(dim)] * algebra.dim
+    for bit in chunk.removeprefix("cay([" if cay else "exp([").removesuffix("])").split("; "):
+        head, _, rest = bit.partition(": ")
+        coords[_lie_index(head, algebra)] = _read_poly(rest, dim)[0]
+    if not all(_is_real(p) for p in coords):
+        raise ParseError("a coordinate has an imaginary part")
+    if not cay:
+        return LieValuedForm.from_polys(algebra, coords)
+    values = []
+    for p in coords:
+        terms = p.terms
+        v = terms.get((0,) * dim, Scalar.zero())
+        if any(any(e) for e in terms) or not v.is_rational():
+            raise ParseError("a cay coordinate is not a rational constant")
+        values.append(v.rational_value())
+    try:
+        return Cayley(algebra, values)
+    except BundleError as e:
+        raise ParseError(str(e)) from None
+
+
+def _shared(f, cayleys):
+    """f, or the Cayley factor with its key already in cayleys, or the
+    negation of the one with the negated key."""
+    if type(f) is not Cayley:
+        return f
+    if f.key not in cayleys:
+        den, nums = f.key
+        neg = cayleys.get((den, tuple(-x for x in nums)))
+        cayleys[f.key] = f if neg is None else -neg
+    return cayleys[f.key]
 
 
 def bundle_to_str(P):
@@ -363,12 +406,17 @@ def parse_bundle(text, base):
     """Read a bundle over base; a transition for a face the base does not
     have, one given twice, a face of the base without one (bundle_to_str
     writes every face, identities as ``id``), a body that _transition_str
-    does not write back as the same text, or a factor with a coordinate
+    does not write back as the same text, a factor with a coordinate
     whose imaginary part is nonzero (its log is not in the compact
-    algebra, whose elements have real coordinates) is a parse error."""
+    algebra, whose elements have real coordinates), or a cay factor that
+    is not constant, not rational or on an abelian group is a parse
+    error."""
     lines = _lines(text)
     algebra = _header(lines, "bundle")
     transitions = {}
+    # one Cayley factor per coordinate key, and cay(-h) as -cay(h), so
+    # each gauge's matrices are built once (Cayley.pair)
+    cayleys = {}
     for line in lines[1:]:
         m = re.fullmatch(rf"transition {_N}\.{_N}\.{_N}: (.*)", line)
         if not m:
@@ -382,16 +430,9 @@ def parse_bundle(text, base):
             raise ParseError(f"{name} given twice")
         body = m.group(4)
         dim = sid.dim - 1
-        factors = []
         try:
-            for chunk in body.split(" * ") if body != "id" else ():
-                coords = [Poly.zero(dim)] * algebra.dim
-                for bit in chunk.removeprefix("exp([").removesuffix("])").split("; "):
-                    head, _, rest = bit.partition(": ")
-                    coords[_lie_index(head, algebra)] = _read_poly(rest, dim)[0]
-                if not all(_is_real(p) for p in coords):
-                    raise ParseError("a coordinate has an imaginary part")
-                factors.append(LieValuedForm.from_polys(algebra, coords))
+            factors = [_shared(_parse_factor(chunk, algebra, dim), cayleys)
+                       for chunk in (body.split(" * ") if body != "id" else ())]
         except ParseError as e:
             raise ParseError(f"{name}: {e}") from None
         t = TransitionMap(algebra, dim, factors)

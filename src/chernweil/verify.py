@@ -454,21 +454,15 @@ def check_gauge_independence(seed):
     before = cw.cw_cochain(rho, D)
     rng = random.Random(seed + 1)
     gauges = {
-        sid: bn.LieValuedForm.from_polys(
-            u2, [Poly.const(sid.dim, Scalar.from_rational(rng.randrange(-4, 5), 8)) for _ in range(4)]
-        )
+        sid: bn.TransitionMap.cayley(u2, sid.dim, [Fraction(rng.randrange(-4, 5), 8) for _ in range(4)])
         for sid in bs.all_cells()
     }
     P2, D2 = bn.apply_gauge(P, gauges, D)
-    if not bn.validate_connection(P2, D2).ok:
-        return False, "gauge-transformed connection fails compatibility"
-    after = cw.cw_cochain(rho, D2)
-    worst = max(
-        (abs(before.value(s).to_complex() - after.value(s).to_complex()) for s in bs.all_cells()),
-        default=0.0,
-    )
-    ok = worst < 1e-9
-    return ok, f"cochain values gauge-chart independent, worst drift {worst:.2e}"
+    rep = bn.validate_connection(P2, D2)
+    if not (rep.ok and rep.exact):
+        return False, "gauge-transformed connection not exactly compatible"
+    ok = cw.cw_cochain(rho, D2) == before
+    return ok, "cochain values gauge-chart independent, exactly"
 
 
 SUITES = {

@@ -734,6 +734,84 @@ def curvature_reference(A):
     ])
 
 
+def _pair_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def _pair_matmul(A, B):
+    """The product of two square matrices of (re, im) Fraction pairs."""
+    n = len(A)
+    out = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            re = im = Fraction(0)
+            for k in range(n):
+                x, y = _pair_mul(A[r][k], B[k][c])
+                re, im = re + x, im + y
+            row.append((re, im))
+        out.append(row)
+    return out
+
+
+def _basis_pairs(alg):
+    """The basis matrices of alg as (re, im) Fraction pairs."""
+    return [[[gr_scalar(s).get(0, _GR_ZERO) for s in row] for row in b] for b in alg.basis]
+
+
+def cayley_matrix_reference(alg, h):
+    """cay(h) = (I + h/2)(I - h/2)^{-1} for rational coordinates h, as
+    (re, im) Fraction pairs: the complex matrix X + iY is taken as the
+    real block matrix [[X, -Y], [Y, X]], whose inverse _gauss_jordan
+    computes on [B | I] over Fractions; no library arithmetic.  Built
+    once per (alg, h)."""
+    return _cayley_matrix_reference(alg, tuple(map(Fraction, h)))
+
+
+@functools.cache
+def _cayley_matrix_reference(alg, h):
+    n = alg.n
+    H = [[(Fraction(0), Fraction(0))] * n for _ in range(n)]
+    for x, b in zip(h, _basis_pairs(alg)):
+        H = [[(H[r][c][0] + Fraction(x) * b[r][c][0], H[r][c][1] + Fraction(x) * b[r][c][1]) for c in range(n)]
+             for r in range(n)]
+
+    def half_shift(sign):
+        return [[(Fraction(int(r == c)) + sign * H[r][c][0] / 2, sign * H[r][c][1] / 2) for c in range(n)]
+                for r in range(n)]
+
+    A = half_shift(-1)
+    block = [[A[r % n][c % n][0] if (r < n) == (c < n) else (A[r % n][c % n][1] * (1 if r >= n else -1))
+              for c in range(2 * n)] for r in range(2 * n)]
+    rows = [row + [Fraction(int(i == j)) for j in range(2 * n)] for i, row in enumerate(block)]
+    assert _gauss_jordan(rows, 2 * n) == list(range(2 * n))
+    inv = [[(rows[r][2 * n + c], rows[n + r][2 * n + c]) for c in range(n)] for r in range(n)]
+    return _pair_matmul(half_shift(1), inv)
+
+
+def cayley_ad_reference(alg, h):
+    """The rational matrix M of Ad_cay(h) on coordinates, M[c][b] the
+    coordinate c of cay(h) e_b cay(-h), read by the sympy coordinate
+    functionals; each coordinate must be real."""
+    g, gi = cayley_matrix_reference(alg, h), cayley_matrix_reference(alg, [-Fraction(x) for x in h])
+    L = _coordinate_functionals(alg.name)
+    n = alg.n
+    cols = []
+    for b in _basis_pairs(alg):
+        m = _pair_matmul(_pair_matmul(g, b), gi)
+        col = []
+        for c in range(alg.dim):
+            re = im = Fraction(0)
+            for j in range(n * n):
+                x, y = _pair_mul(L[c][j].get(0, _GR_ZERO), m[j // n][j % n])
+                re, im = re + x, im + y
+            assert im == 0, "Ad of a Cayley factor left the real algebra"
+            col.append(re)
+        cols.append(col)
+    return [[cols[b][c] for b in range(alg.dim)] for c in range(alg.dim)]
+
+
 def route_reference(P, m, sid):
     """The composite transition of the bundle P over the monotone map m
     into sid's chart, recomputed on every call: peel the largest missed
@@ -764,13 +842,15 @@ def transitions_equal_reference(t1, t2, seed=0):
     """transitions_equal with no shortcut on equal factor lists.
 
     Abelian: the summed factor logs differ, in every coordinate, by a
-    constant in tau*Z (the u1 basis is [[i]]).  Otherwise: the products
-    of float exponentials agree within SAMPLE_TOL at the same 7 sample
-    points, each product taken factor by factor here.
+    constant in tau*Z (the u1 basis is [[i]]).  Both all Cayley factors:
+    the products of cayley_matrix_reference are equal.  Otherwise: the
+    products of float exponentials and Cayley matrices agree within
+    SAMPLE_TOL at the same 7 sample points, each product taken factor by
+    factor here.
     """
     from scipy.linalg import expm
 
-    from chernweil.bundles import SAMPLE_TOL, _sample_points
+    from chernweil.bundles import SAMPLE_TOL, Cayley, _sample_points
     from chernweil.poly import Poly
     from chernweil.scalars import Scalar
 
@@ -790,9 +870,20 @@ def transitions_equal_reference(t1, t2, seed=0):
                 return False
         return True
 
+    def exact(t):
+        one = [[(Fraction(int(r == c)), Fraction(0)) for c in range(alg.n)] for r in range(alg.n)]
+        return functools.reduce(_pair_matmul, (cayley_matrix_reference(alg, f.h) for f in t.factors), one)
+
+    if all(type(f) is Cayley for t in (t1, t2) for f in t.factors):
+        return exact(t1) == exact(t2)
+
     def product_at(t, pt):
         g = np.eye(alg.n, dtype=complex)
         for f in t.factors:
+            if type(f) is Cayley:
+                g = g @ np.array([[complex(a) + 1j * complex(b) for a, b in row]
+                                  for row in cayley_matrix_reference(alg, f.h)])
+                continue
             log = np.zeros((alg.n, alg.n), dtype=complex)
             for a in range(alg.dim):
                 log = log + f.coords[a].component(()).eval_complex(pt) * alg.basis_float[a]
@@ -808,7 +899,8 @@ def transitions_equal_reference(t1, t2, seed=0):
 def validate_bundle_reference(P, seed=0):
     """validate_bundle's (ok, exact, failures), each face pair i < j of
     each cell compared through its two routes, computed with no memo
-    and compared by transitions_equal_reference."""
+    and compared by transitions_equal_reference; exact when the algebra
+    is abelian or every factor is a Cayley factor."""
     X = P.base
     failures = []
     for d in range(1, X.dim + 1):
@@ -828,7 +920,10 @@ def validate_bundle_reference(P, seed=0):
                     via_j = face_route_reference(P, sid, j, tuple(v for v in range(d) if v != i))
                     if not transitions_equal_reference(via_i, via_j, seed):
                         failures.append(f"cocycle fails on {X.name(sid)} faces ({i},{j})")
-    return not failures, P.algebra.is_abelian, failures
+    from chernweil.bundles import Cayley
+
+    exact = P.algebra.is_abelian or all(type(f) is Cayley for t in P.transitions.values() for f in t.factors)
+    return not failures, exact, failures
 
 
 def pullback_bundle_reference(f, P):

@@ -65,7 +65,7 @@ face 2.0 2 -> 0.0 s0
 """
 
 # CI's gauged su2 bundles on the boundaries of Delta^3 and Delta^4: a
-# random constant gauge on each cell.  chern validates the first on
+# random degree-1 exp gauge on each cell.  chern validates the first on
 # sampled points and refuses the second with a FaceConsistencyError.
 GAUGED_BUNDLES = """\
 import random
@@ -77,10 +77,30 @@ for n in (2, 3):
     for s in X.all_cells():
         coords = [poly.Poly.zero(s.dim)] * su2.dim
         coords[rng.randrange(su2.dim)] = forms.random_poly(rng, s.dim, 1).scale(Fraction(1, 16))
-        gauges[s] = bn.LieValuedForm.from_polys(su2, coords)
+        gauges[s] = bn.TransitionMap.single(bn.LieValuedForm.from_polys(su2, coords))
     P, _ = bn.apply_gauge(bn.trivial_bundle(X, su2), gauges)
     open(f's{n}-space.txt', 'w').write(io.simplicial_set_to_str(X))
     open(f's{n}-bundle.txt', 'w').write(io.bundle_to_str(P))
+"""
+
+# CI's Cayley-gauged su2 bundle on the boundary of Delta^4: a constant
+# Cayley gauge on each cell, coordinates randrange(-4, 5) / 8.  chern
+# builds its connection and validates it exactly.  The same gauges on
+# the boundary of Delta^3, applied to the exp-gauged bundle above, give
+# transitions with both kinds of factor, which chern validates on
+# sampled points.
+CAYLEY_BUNDLES = """\
+import random
+from fractions import Fraction
+from chernweil import io, simplicial as sc, bundles as bn, liealg
+su2 = liealg.lie_algebra('su2')
+for n, P, out in ((3, None, 'c3'), (2, 's2-bundle.txt', 'm2')):
+    X, rng = sc.boundary_sphere(n), random.Random(5)
+    gauges = {s: bn.TransitionMap.cayley(su2, s.dim, [Fraction(rng.randrange(-4, 5), 8) for _ in range(3)])
+              for s in X.all_cells()}
+    P = bn.trivial_bundle(X, su2) if P is None else io.parse_bundle(open(P).read(), X)
+    open(f'{out}-space.txt', 'w').write(io.simplicial_set_to_str(X))
+    open(f'{out}-bundle.txt', 'w').write(io.bundle_to_str(bn.apply_gauge(P, gauges)[0]))
 """
 
 # argv lists in order; a later call may read what an earlier one wrote
@@ -107,6 +127,8 @@ CALLS = [
     ["chern", "--bundle", "h/filled-bundle.txt", "--space", "h/filled-space.txt"],
     ["chern", "--bundle", "s2-bundle.txt", "--space", "s2-space.txt", "--poly", "symtrace:1"],
     ["chern", "--bundle", "s3-bundle.txt", "--space", "s3-space.txt", "--poly", "symtrace:1"],
+    ["chern", "--bundle", "c3-bundle.txt", "--space", "c3-space.txt", "--poly", "symtrace:2"],
+    ["chern", "--bundle", "m2-bundle.txt", "--space", "m2-space.txt", "--poly", "symtrace:1"],
     ["chern", "--bundle", "clutch:3"],
     ["chern", "--bundle", "clutch:1", "--poly", "symtrace:1", "--out", "chern-report.txt"],
     ["betti", "--space", "boundary-sphere:3"],
@@ -147,7 +169,8 @@ def write_inputs(workdir):
     """Write the inputs of CALLS that no CLI call writes."""
     (workdir / "point-sphere.txt").write_text(POINT_SPHERE)
     env = dict(os.environ, PYTHONPATH=str(package_dir().parent))
-    subprocess.run([sys.executable, "-c", GAUGED_BUNDLES], cwd=workdir, env=env, check=True)
+    for script in (GAUGED_BUNDLES, CAYLEY_BUNDLES):
+        subprocess.run([sys.executable, "-c", script], cwd=workdir, env=env, check=True)
 
 
 def run_calls():

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from chernweil import io as cio
 from chernweil.bundles import (
     LieValuedForm,
+    TransitionMap,
     apply_gauge,
     clutch_bundle,
     construct_connection,
     horn_fill_bundle,
     random_u1_bundle,
     trivial_bundle,
+    validate_connection,
 )
 from chernweil.cli import build_parser, main
 from chernweil.forms import PolyForm, random_poly, random_polyform
@@ -47,7 +49,7 @@ def test_scalar_round_trip():
         Scalar.from_rational(-7, 3),
         Scalar.of(0, 1),
         Scalar.of(Fraction(3, 2), Fraction(-1, 4)),
-        # the exact value of a float, as apply_gauge's Ad matrix enters
+        # the exact values of two floats: 53-bit numerators over powers of 2
         Scalar.of(Fraction(0.1), Fraction(-2.5e-7), 1),
     ]
     for s in cases:
@@ -288,15 +290,22 @@ GAUGE_COEFF = st.builds(Scalar.of, st.fractions(-2, 2, max_denominator=4), tau_p
 @st.composite
 def gauged_bundles(draw):
     """A gauge change of a trivial bundle, so each transition is
-    exp(-h o delta_i) exp(h_face), and a flag saying whether every
-    cell's gauge points along one basis direction.  Each gauge
-    coordinate is a polynomial of degree <= 2 with at most two terms.
-    Gauges along several directions give factors with several
-    coordinates; construct_connection's series on those grows to
-    megabytes of text, so only single-direction bundles get a
-    connection."""
+    g_sid^{-1} o delta_i times g_face, and a flag saying whether its
+    connection is to be built.  On a nonabelian algebra a draw may take
+    Cayley gauges, cay(h) for rational h of any size, whose connections
+    construct_connection builds exactly on every cell.  Otherwise each
+    gauge is exp(h), each coordinate of h a polynomial of degree <= 2
+    with at most two terms; gauges along several directions give
+    factors with several coordinates, and construct_connection's series
+    on those grows to megabytes of text, so only single-direction
+    bundles get a connection."""
     alg = lie_algebra(draw(st.sampled_from(["u1", "su2", "u2", "so3", "su3"])))
     X = draw(st.sampled_from(GAUGE_BASES))
+    if not alg.is_abelian and draw(st.booleans()):
+        coord = st.fractions(-50, 50, max_denominator=12)
+        gauges = {s: TransitionMap.cayley(alg, s.dim, draw(st.lists(coord, min_size=alg.dim, max_size=alg.dim)))
+                  for s in X.all_cells()}
+        return apply_gauge(trivial_bundle(X, alg), gauges)[0], True
     single = draw(st.booleans())
     directions = st.integers(0, alg.dim - 1)
     gauges = {}
@@ -307,8 +316,10 @@ def gauged_bundles(draw):
         for a in chosen_dirs:
             chosen = draw(st.lists(st.sampled_from(monomials), max_size=2, unique=True))
             polys[a] = Poly(s.dim, {e: draw(GAUGE_COEFF) for e in chosen})
-        gauges[s] = LieValuedForm.from_polys(alg, polys)
-    return apply_gauge(trivial_bundle(X, alg), gauges)[0], single
+        gauges[s] = TransitionMap.single(LieValuedForm.from_polys(alg, polys))
+    # the truncated gauge series leaves a nonabelian 3-cell's facet
+    # prescriptions unequal, and construct_connection refuses them
+    return apply_gauge(trivial_bundle(X, alg), gauges)[0], single and (X.dim < 3 or alg.is_abelian)
 
 
 def assert_bundle_round_trips(P):
@@ -322,13 +333,14 @@ def assert_bundle_round_trips(P):
 @settings(max_examples=40, deadline=None)
 @given(gauged_bundles())
 def test_multifactor_bundle_round_trip(case):
-    P, single = case
+    P, connect = case
     P2 = assert_bundle_round_trips(P)
-    if not single or (P.base.dim == 3 and not P.algebra.is_abelian):
-        # the truncated gauge series leaves a nonabelian 3-cell's facet
-        # prescriptions unequal, and construct_connection refuses them
+    if not connect:
         return
     D = construct_connection(P)
+    if not P.algebra.is_abelian and all(t.is_cayley() for t in P.transitions.values()):
+        rep = validate_connection(P, D)
+        assert rep.ok and rep.exact
     ct = cio.connection_to_str(D)
     D2 = cio.parse_connection(ct, P2)
     assert D2.forms == D.forms
@@ -342,7 +354,7 @@ def test_dense_su2_gauge_round_trip():
     su2 = lie_algebra("su2")
     rng = random.Random(2)
     gauges = {
-        s: LieValuedForm.from_polys(su2, [random_poly(rng, s.dim, 1) for _ in range(3)])
+        s: TransitionMap.single(LieValuedForm.from_polys(su2, [random_poly(rng, s.dim, 1) for _ in range(3)]))
         for s in bs.all_cells()
     }
     P, _ = apply_gauge(trivial_bundle(bs, su2), gauges)
@@ -545,7 +557,7 @@ def _gauged_su2_files(tmp_path, X, seed):
     for s in X.all_cells():
         polys = [Poly.zero(s.dim)] * su2.dim
         polys[rng.randrange(su2.dim)] = random_poly(rng, s.dim, 1).scale(Fraction(1, 16))
-        gauges[s] = LieValuedForm.from_polys(su2, polys)
+        gauges[s] = TransitionMap.single(LieValuedForm.from_polys(su2, polys))
     P, _ = apply_gauge(trivial_bundle(X, su2), gauges)
     (tmp_path / "space.txt").write_text(cio.simplicial_set_to_str(X))
     (tmp_path / "bundle.txt").write_text(cio.bundle_to_str(P))
@@ -563,6 +575,70 @@ def test_cli_chern_builds_or_refuses_a_sampled_connection(n, rc, line, tmp_path,
     captured = capsys.readouterr()
     assert line in captured.out
     assert "Traceback" not in captured.err
+
+
+def _cayley_su2_files(tmp_path, X, seed):
+    """An su2 bundle over X gauged by Cayley factors, coordinates
+    randrange(-4, 5) / 8, written as space and bundle files."""
+    tmp_path.mkdir(exist_ok=True)
+    rng = random.Random(seed)
+    su2 = lie_algebra("su2")
+    gauges = {s: TransitionMap.cayley(su2, s.dim, [Fraction(rng.randrange(-4, 5), 8) for _ in range(3)])
+              for s in X.all_cells()}
+    P, _ = apply_gauge(trivial_bundle(X, su2), gauges)
+    (tmp_path / "space.txt").write_text(cio.simplicial_set_to_str(X))
+    (tmp_path / "bundle.txt").write_text(cio.bundle_to_str(P))
+    return ["--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt")]
+
+
+def test_cli_chern_on_a_cayley_gauged_bundle_is_exact(tmp_path, capsys):
+    """Over the 3-sphere, where exp gauges leave unequal facet data, a
+    Cayley-gauged bundle gets its connection built and checked by ==."""
+    files = _cayley_su2_files(tmp_path, boundary_sphere(3), 5)
+    assert "cay([" in (tmp_path / "bundle.txt").read_text()
+    assert main(["chern", "--poly", "symtrace:2"] + files) == 0
+    captured = capsys.readouterr()
+    assert "PASS connection-valid: exact\n" in captured.out and captured.out.endswith("result: pass\n")
+    assert captured.err == ""
+
+
+def test_parse_bundle_builds_each_gauge_matrix_once(tmp_path):
+    """A gauge's Cayley factor recurs in several transitions, as cay(h)
+    and cay(-h); the reader gives them one pair of matrices to share."""
+    _cayley_su2_files(tmp_path, boundary_sphere(3), 5)
+    P = cio.parse_bundle((tmp_path / "bundle.txt").read_text(), boundary_sphere(3))
+    factors = [f for t in P.transitions.values() for f in t.factors]
+    by_key = {}
+    for f in factors:
+        assert by_key.setdefault(f.key, f) is f
+    pairs = {id(f.pair) for f in factors}
+    assert len(factors) > len(by_key) > len(pairs)
+    for f in factors:
+        den, nums = f.key
+        neg = by_key.get((den, tuple(-x for x in nums)))
+        assert neg is None or neg.pair is f.pair
+
+
+@pytest.mark.parametrize("body", [
+    "cay([0: 1/2*x1])", "cay([0: 1/2i])", "cay([0: 1*tau^1])", "cay([])", "cay([0: 0])", "cay([0: 2/4])",
+    "cay([0: 1/2; 0: 1/3])", "cay([3: 1/2])", "cay([0: 1/2]) * id", "cay([0: {1/2 + 1*tau^1}])",
+], ids=["nonconstant", "imaginary", "tau", "empty", "zero", "unreduced", "repeated", "out-of-range", "with-id",
+        "braced"])
+def test_cli_refuses_cay_factors_the_writer_does_not_write(body, tmp_path, capsys):
+    files = _cayley_su2_files(tmp_path, boundary_sphere(2), 1)
+    text = (tmp_path / "bundle.txt").read_text()
+    line = next(l for l in text.splitlines() if l.startswith("transition 2.0.0: "))
+    (tmp_path / "bundle.txt").write_text(text.replace(line, "transition 2.0.0: " + body))
+    assert main(["chern", "--poly", "symtrace:1"] + files) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: transition 2.0.0: ")
+
+
+def test_parse_bundle_refuses_cay_on_an_abelian_group():
+    P, _ = clutch_bundle(1)
+    text = cio.bundle_to_str(P).replace("exp([0: 1*tau^1*x1])", "cay([0: 1/2])")
+    with pytest.raises(cio.ParseError, match="nonabelian"):
+        cio.parse_bundle(text, P.base)
 
 
 def test_cli_generate_horn_demo_four_simplex(tmp_path, capsys):
@@ -720,11 +796,13 @@ def test_float_libraries_load_only_on_float_paths(tmp_path):
     for s in X.all_cells():
         coords = [Poly.zero(s.dim)] * su2.dim
         coords[rng.randrange(su2.dim)] = random_poly(rng, s.dim, 1).scale(Fraction(1, 16))
-        gauges[s] = LieValuedForm.from_polys(su2, coords)
+        gauges[s] = TransitionMap.single(LieValuedForm.from_polys(su2, coords))
     (tmp_path / "space.txt").write_text(cio.simplicial_set_to_str(X))
     (tmp_path / "bundle.txt").write_text(cio.bundle_to_str(apply_gauge(trivial_bundle(X, su2), gauges)[0]))
     gauged = ["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt"),
               "--poly", "symtrace:1"]
+    # a Cayley-gauged su2 bundle, whose checks are exact
+    no_float.append(["chern", "--poly", "symtrace:2"] + _cayley_su2_files(tmp_path / "cay", boundary_sphere(3), 5))
     floats = [gauged, ["verify", "--suite", "liealg"], ["verify", "--suite", "chernweil"]]
     argvs = no_float + floats
     done = subprocess.run(
