@@ -3,51 +3,47 @@
 Every nondegenerate simplex carries the chart Delta^d x G; a face map
 into a simplex is a bundle map (t, g) |-> (delta_i(t), phi(t) g) for a
 group-valued transition phi, stored as an ordered product of factors:
-exponentials of g-valued 0-forms, and, on a nonabelian algebra, constant
-Cayley factors cay(h) = (I + h/2)(I - h/2)^{-1} (Weyl, The Classical
-Groups, ch. II), whose matrices are exact.  Transition logs, gauges,
-connections and curvatures are all one type, LieValuedForm, in degrees
-0, 0, 1 and 2.  Degenerate simplices implicitly carry the pullback of
-their core's chart along the collapse, with identity comparison maps, so
-the whole functor is determined by finitely much data.
+on an abelian algebra exponentials of g-valued 0-forms, and on a
+nonabelian one constant Cayley factors cay(h) = (I + h/2)(I - h/2)^{-1}
+(Weyl, The Classical Groups, ch. II), whose matrices are exact.
+Transition logs, gauges, connections and curvatures are all one type,
+LieValuedForm, in degrees 0, 0, 1 and 2.  Degenerate simplices
+implicitly carry the pullback of their core's chart along the collapse,
+with identity comparison maps, so the whole functor is determined by
+finitely much data.
 
 Connections are Lie-algebra-valued polynomial 1-forms per chart, tied
 together by the trivialized gauge rule
 
     A_face = Ad_{phi^{-1}}(delta_i^* A) + phi^{-1} d phi.
 
-For abelian groups, and for transitions whose factors are all Cayley
-factors (identities included), every check here is exact: a Cayley
-factor's Ad is an exact rational matrix and it adds no log derivative.
-Otherwise Ad_phi and the differential of the exponential come from
-_exp_series, which stops at its first zero bracket or at order
-SERIES_ORDER = 6, and the checks are sampled against SAMPLE_TOL, with
-phi and d phi at each point from exp_skew: one Hermitian
-eigendecomposition per exp factor gives its exponential and, through the
-Daleckii-Krein formula, the exponential's Frechet derivatives.
+Every check here is decided by ==.  On an abelian algebra Ad is the
+identity and a transition is one exp factor, whose log derivative is the
+d of its log.  On a nonabelian one a transition is a product of constant
+Cayley factors: its Ad is one exact rational matrix and it adds no log
+derivative.  TransitionMap refuses an exp factor on a nonabelian
+algebra, where phi^{-1} d phi need not be polynomial.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from math import factorial, gcd, lcm
+from functools import cache, reduce
+from math import gcd, lcm
 
 from .forms import (
     AffineMap,
     FaceConsistencyError,
     PolyForm,
     _combination,
-    _wedge_sum,
     form_on,
     random_poly,
     whitney_extend,
 )
 from .liealg import mat_mul
 from .linalg import PrecomputedSolver
-from .poly import Poly, _constant
+from .poly import Poly
 from .scalars import Scalar
 from .simplicial import (
     SimplexId,
@@ -58,8 +54,6 @@ from .simplicial import (
 )
 
 
-SERIES_ORDER = 6
-SAMPLE_TOL = 1e-9  # bound on the sampled float defects of the nonabelian checks
 _new = object.__new__
 
 
@@ -69,12 +63,6 @@ class BundleError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Lie-algebra-valued forms (coordinates in a fixed basis)
-
-
-@cache
-def _lowered_structure(algebra):
-    """algebra.structure with each s^c_ab lowered (poly._constant), once per algebra."""
-    return [[tuple((c, _constant(s)) for c, s in pairs) for pairs in row] for row in algebra.structure]
 
 
 class LieValuedForm:
@@ -113,9 +101,6 @@ class LieValuedForm:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        return LieValuedForm(self.algebra, self.dim, self.deg, [f.scale(c) for f in self.coords])
-
     def __eq__(self, other):
         return (
             isinstance(other, LieValuedForm)
@@ -129,30 +114,6 @@ class LieValuedForm:
 
     def pullback(self, amap):
         return LieValuedForm(self.algebra, amap.source_dim, self.deg, [f.pullback(amap) for f in self.coords])
-
-    def bracket_wedge(self, other):
-        """[A ^ B] via the structure constants; degree adds.  On constant
-        0-forms over Delta^0 it is the bracket of g."""
-        if self.algebra is not other.algebra:
-            raise ValueError(f"bracket of {self.algebra.name} and {other.algebra.name} forms")
-        # the sum over (a, b) of s^c_ab A^a ^ B^b e_c, one _wedge_sum per
-        # coordinate c, each structure constant folded into its pair's products
-        terms = [[] for _ in self.coords]
-        structure = _lowered_structure(self.algebra)
-        for a, b in itertools.product(range(self.algebra.dim), repeat=2):
-            fa, fb = self.coords[a], other.coords[b]
-            if fa.is_zero() or fb.is_zero():
-                continue
-            for c, s in structure[a][b]:
-                terms[c].append((fa, fb, s))
-        deg = self.deg + other.deg
-        return LieValuedForm(self.algebra, self.dim, deg, [_wedge_sum(self.dim, deg, t) for t in terms])
-
-    def eval_matrix_coeffs(self, point):
-        """Evaluate each form component to a float matrix at a point."""
-        indices = {I for f in self.coords for I in f.comps}
-        return {I: self.algebra.element_matrix_float([f.component(I).eval_complex(point) for f in self.coords])
-                for I in indices}
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +293,25 @@ def _ad_apply(m, X):
 
 
 class TransitionMap:
-    """Ordered product p_1 p_2 ... p_r of factors: exponentials exp(p) of
-    g-valued 0-forms p (LieValuedForm) and constant Cayley factors.
-
-    Abelian factors are merged eagerly, which makes the representation
-    canonical for u1 and keeps syntactic equality meaningful there.
+    """Ordered product p_1 p_2 ... p_r of factors: on an abelian algebra
+    exponentials exp(p) of g-valued 0-forms p (LieValuedForm), merged
+    eagerly into at most one, which makes the representation canonical
+    for u1 and keeps syntactic equality meaningful there; on a
+    nonabelian algebra constant Cayley factors.  An exp factor on a
+    nonabelian algebra is a BundleError: its log derivative need not be
+    polynomial, so no check could be exact.
     """
 
     __slots__ = ("algebra", "dim", "factors")
 
     def __init__(self, algebra, dim, factors):
         factors = [f for f in factors if not f.is_zero()]
-        if algebra.is_abelian and len(factors) > 1:
-            total = factors[0]
-            for f in factors[1:]:
-                total = total + f
-            factors = [] if total.is_zero() else [total]
+        if algebra.is_abelian:
+            if len(factors) > 1:
+                total = reduce(LieValuedForm.__add__, factors)
+                factors = [] if total.is_zero() else [total]
+        elif any(type(f) is not Cayley for f in factors):
+            raise BundleError(f"exp factors are for abelian groups; a constant {algebra.name} factor is cay([...])")
         self.algebra = algebra
         self.dim = dim
         self.factors = factors
@@ -367,10 +331,6 @@ class TransitionMap:
 
     def is_identity(self):
         return not self.factors
-
-    def is_cayley(self):
-        """Whether every factor is a Cayley factor (so the identity is)."""
-        return all(type(f) is Cayley for f in self.factors)
 
     def pullback(self, amap):
         return TransitionMap(self.algebra, amap.source_dim, [f.pullback(amap) for f in self.factors])
@@ -397,14 +357,6 @@ class TransitionMap:
             g = mat_mul(g, f.matrix)
         return g
 
-    def evaluate(self, point):
-        import numpy as np
-
-        g = np.eye(self.algebra.n, dtype=complex)
-        for f in self.factors:
-            g = g @ (_float_matrix(f) if type(f) is Cayley else exp_skew(_matrix_at(f, point))[0])
-        return g
-
     def __eq__(self, other):
         return (
             isinstance(other, TransitionMap)
@@ -417,54 +369,6 @@ class TransitionMap:
         return f"TransitionMap({self.algebra.name}, dim={self.dim}, {len(self.factors)} factors)"
 
 
-def exp_skew(a, directions=()):
-    """(exp(a), [L(a, e) for e in directions]) for a skew-Hermitian matrix
-    a, the float value of an element of a compact algebra with real
-    coordinates; L(a, e) is the Frechet derivative of exp at a in the
-    direction e.  One Hermitian eigendecomposition 1j*a = V diag(w) V^H
-    gives both (Higham, Functions of Matrices, SIAM 2008, ch. 3): with
-    lam = -1j*w, exp(a) = V diag(e^lam) V^H, and by the Daleckii-Krein
-    formula L(a, e) = V (Phi * (V^H e V)) V^H, where the divided
-    difference Phi_jk = (e^lam_j - e^lam_k) / (lam_j - lam_k) is written
-    e^lam_k e^(i theta/2) sinc(theta/2pi), theta = Im(lam_j - lam_k), which
-    stays accurate for equal and nearly equal eigenvalues.  A matrix that
-    is not skew-Hermitian is a ValueError."""
-    import numpy as np
-
-    if np.linalg.norm(a + a.conj().T) > 1e-12 * max(1.0, np.linalg.norm(a)):
-        raise ValueError("exp_skew needs a skew-Hermitian matrix")
-    w, v = np.linalg.eigh(1j * a)
-    e = np.exp(-1j * w)
-    vh = v.conj().T
-    derivs = []
-    if directions:
-        theta = w - w[:, None]
-        phi = e * np.exp(0.5j * theta) * np.sinc(theta / (2 * np.pi))
-        derivs = [v @ (phi * (vh @ d @ v)) @ vh for d in directions]
-    return (v * e) @ vh, derivs
-
-
-def _matrix_at(p, point):
-    """A g-valued 0-form's float matrix at a point."""
-    import numpy as np
-
-    n = p.algebra.n
-    return p.eval_matrix_coeffs(point).get((), np.zeros((n, n), dtype=complex))
-
-
-def _float_matrix(c):
-    """A Cayley factor's complex matrix, from its exact one."""
-    import numpy as np
-
-    return np.array([[v.to_complex() for v in row] for row in c.matrix])
-
-
-def _sample_points(dim, count, seed):
-    import numpy as np
-
-    return [list(w[1:]) for w in np.random.default_rng(seed).dirichlet(np.ones(dim + 1), size=count)]
-
-
 def _constant_value(p):
     """The value of the polynomial p if it is constant, else None."""
     if any(any(e) for e in p.terms):
@@ -472,42 +376,34 @@ def _constant_value(p):
     return p.terms.get((0,) * p.dim, Scalar.zero())
 
 
-def transitions_equal(t1, t2, seed=0):
-    """Group-level equality of two transition maps, decided in order:
+def transitions_equal(t1, t2):
+    """Group-level equality of two transition maps, decided by == in order:
 
-    1. identical factor lists: equal, exactly (the same product of
-       factors), with no log algebra or sampling;
-    2. abelian: exact; the logs must differ by a constant in i*tau*Z
-       (exp of such a constant is the identity);
-    3. both products of Cayley factors: their exact matrices are equal;
-    4. otherwise: sampled matrix comparison at interior points.
+    1. identical factor lists: equal (the same product of factors), with
+       no log algebra and no matrix;
+    2. abelian: the logs must differ by a constant in i*tau*Z (exp of
+       such a constant is the identity);
+    3. nonabelian: the exact matrices of the two products of Cayley
+       factors are equal.
 
     Step 1 gives the verdict the later steps would give: a zero log
-    difference, equal matrices, a zero sampled deviation.
+    difference, or equal matrices.
     """
     if t1.algebra is not t2.algebra or t1.dim != t2.dim:
         return False
     if t1.factors == t2.factors:
         return True
-    alg = t1.algebra
-    if alg.is_abelian:
-        diff = t1.log_total() - t2.log_total()
-        for f in diff.coords:
-            c = _constant_value(f.component(()))
-            if c is None:
-                return False
-            # u1 coordinates multiply the basis [[i]]: exp is the identity
-            # exactly when the coordinate is an integer multiple of tau
-            q = c / Scalar.tau()
-            if not q.is_rational() or q.rational_value().denominator != 1:
-                return False
-        return True
-    if t1.is_cayley() and t2.is_cayley():
+    if not t1.algebra.is_abelian:
         return t1.matrix() == t2.matrix()
-    import numpy as np
-
-    for pt in _sample_points(t1.dim, 7, seed):
-        if np.abs(t1.evaluate(pt) - t2.evaluate(pt)).max() > SAMPLE_TOL:
+    diff = t1.log_total() - t2.log_total()
+    for f in diff.coords:
+        c = _constant_value(f.component(()))
+        if c is None:
+            return False
+        # u1 coordinates multiply the basis [[i]]: exp is the identity
+        # exactly when the coordinate is an integer multiple of tau
+        q = c / Scalar.tau()
+        if not q.is_rational() or q.rational_value().denominator != 1:
             return False
     return True
 
@@ -583,24 +479,18 @@ def _through_face(P, sid, i, m, memo):
 @dataclass
 class BundleReport:
     ok: bool
-    exact: bool
     failures: list = field(default_factory=list)
 
 
-def validate_bundle(P, seed=0):
-    """Cocycle/functoriality check on all composable face pairs.
-
-    The report's exact flag says that every pair is decided by ==: on an
-    abelian algebra, or when every transition is a product of Cayley
-    factors (identities included); otherwise pairs that reach the last
-    step of transitions_equal are sampled.
+def validate_bundle(P):
+    """Cocycle/functoriality check on all composable face pairs, each
+    decided by == (transitions_equal).
 
     The composite transitions inside the faces recur across face pairs;
     one route memo per call, keyed (simplex, monotone map), computes each
     once.
     """
     X = P.base
-    exact = P.algebra.is_abelian or all(t.is_cayley() for t in P.transitions.values())
     failures = []
     for sid, i in X.faces:
         t = P.transitions.get((sid, i))
@@ -609,7 +499,7 @@ def validate_bundle(P, seed=0):
         elif t.dim != sid.dim - 1:
             failures.append(f"transition ({sid}, {i}) has wrong domain")
     if failures:
-        return BundleReport(False, exact, failures)
+        return BundleReport(False, failures)
     memo = {}
     for d in range(2, X.dim + 1):
         for sid in X.cells(d):
@@ -618,9 +508,9 @@ def validate_bundle(P, seed=0):
                     # the two composite transitions into sid's chart over faces i < j
                     psiA = _through_face(P, sid, i, mono_skip(d - 1, {j - 1}), memo)
                     psiB = _through_face(P, sid, j, mono_skip(d - 1, {i}), memo)
-                    if not transitions_equal(psiA, psiB, seed):
+                    if not transitions_equal(psiA, psiB):
                         failures.append(f"cocycle fails on {X.name(sid)} faces ({i},{j})")
-    return BundleReport(not failures, exact, failures)
+    return BundleReport(not failures, failures)
 
 
 def pullback_bundle(f, P):
@@ -647,50 +537,13 @@ class Connection:
         self.forms = dict(forms)
 
 
-def _exp_series(p, X, shift):
-    """sum_{m <= SERIES_ORDER} ad_p^m(X) / (m + shift)!, exact when it stops
-    at a zero bracket.  shift 0 is Ad_{exp(p)} X = e^{ad_p} X; shift 1 is
-    the differential of exp, (e^{ad_p} - 1)/ad_p applied to X."""
-    out = cur = X
-    for m in range(1, SERIES_ORDER + 1):
-        cur = p.bracket_wedge(cur)
-        if cur.is_zero():
-            break
-        out = out + cur.scale(Fraction(1, factorial(m + shift)))
-    return out
-
-
 def _ad(factors, X):
-    """Ad_{p_1 ... p_r} X for the factors p_1 .. p_r of a transition:
-    _exp_series for each exp factor, and each run of adjacent Cayley
-    factors as one product of their exact matrices, applied once.  Ad
-    of zero is zero, and builds no matrix."""
-    if X.is_zero():
+    """Ad_{c_1 ... c_r} X for Cayley factors c_1 .. c_r: the one product
+    of their exact Ad matrices, applied once.  Ad of zero, or by no
+    factor, builds no matrix."""
+    if X.is_zero() or not factors:
         return X
-    run = None
-    for p in reversed(factors):
-        if type(p) is Cayley:
-            run = p.ad if run is None else _ad_product(p.ad, run)
-            continue
-        if run is not None:
-            X, run = _ad_apply(run, X), None
-        X = _exp_series(p, X, 0)
-    return X if run is None else _ad_apply(run, X)
-
-
-def right_log_derivative(t):
-    """(d phi) phi^{-1} for a product of factors, as a g-valued 1-form.
-
-    A Cayley factor is constant and adds no term.  Exact where each exp
-    factor's series stops at a zero bracket (always on an abelian
-    algebra); otherwise the series is truncated at SERIES_ORDER (error
-    O(|p|^7), which the sampled checks bound).
-    """
-    out = LieValuedForm.zero(t.algebra, t.dim, 1)
-    for r, p in enumerate(t.factors):
-        if type(p) is not Cayley:
-            out = out + _ad(t.factors[:r], _exp_series(p, p.d(), 1))
-    return out
+    return _ad_apply(reduce(_ad_product, (c.ad for c in factors)), X)
 
 
 def gauge_prescription(P, D_forms, sid, i):
@@ -698,96 +551,36 @@ def gauge_prescription(P, D_forms, sid, i):
 
     From A_face = Ad_{phi^{-1}}(delta_i^* A) + phi^{-1} d phi:
         delta_i^* A = Ad_phi(A_face) - (d phi) phi^{-1}.
+    On an abelian algebra Ad is the identity and (d phi) phi^{-1} is the
+    d of phi's log; on a nonabelian one phi is constant.
     """
     f = form_on(D_forms, P.base.face(sid, i))
     phi = P.transitions[(sid, i)]
     if phi.is_identity():
         return f
-    f = _ad(phi.factors, f)
-    return f if phi.is_cayley() else f - right_log_derivative(phi)
+    if P.algebra.is_abelian:
+        return f - phi.log_total().d()
+    return _ad(phi.factors, f)
 
 
 @dataclass
 class ConnectionReport:
     ok: bool
-    exact: bool
-    worst: float = 0.0
     failures: list = field(default_factory=list)
+    # every verdict is decided by ==; perfbench/workloads.py reads the flag
+    exact = True
 
 
-def _values_and_partials(t, points):
-    """(pt, phi(pt), [d_j phi(pt) for each coordinate j]) at each point.
-
-    phi is the product of the factors, as in TransitionMap.evaluate, and
-    each d_j phi follows by the product rule from the Frechet derivative
-    of each exp factor's exponential in the direction d_j p, which
-    exp_skew takes from the same eigendecomposition as the exponential,
-    exact to machine precision; a Cayley factor is constant.  Each
-    factor's d p is taken once for all points, and a direction in which
-    it has no component costs no derivative."""
-    import numpy as np
-
-    n = t.algebra.n
-    dps = [None if type(p) is Cayley else p.d() for p in t.factors]
-    for pt in points:
-        g = np.eye(n, dtype=complex)
-        dg = [np.zeros((n, n), dtype=complex) for _ in range(t.dim)]
-        for p, dp in zip(t.factors, dps):
-            if dp is None:
-                e, partials, derivs = _float_matrix(p), {}, []
-            else:
-                partials = dp.eval_matrix_coeffs(pt)
-                e, derivs = exp_skew(_matrix_at(p, pt), partials.values())
-            dg = [x @ e for x in dg]
-            for (j,), dej in zip(partials, derivs):
-                dg[j] = dg[j] + g @ dej
-            g = g @ e
-        yield pt, g, dg
-
-
-def validate_connection(P, D, seed=0):
-    """Gauge compatibility across every face map.
-
-    Exact polynomial identity when the algebra is abelian or every
-    transition is a product of Cayley factors (identities included);
-    otherwise sampled numerically against the defining formula
-    A_face = Ad_{phi^{-1}}(delta_i^* A) + phi^{-1}dphi.  Each failure
-    names its simplex and face, and a sampled one its defect.
-    """
+def validate_connection(P, D):
+    """Gauge compatibility across every face map, an exact polynomial
+    identity per face; each failure names its simplex and face."""
     X = P.base
-    exact = P.algebra.is_abelian or all(t.is_cayley() for t in P.transitions.values())
-    failures = []
-    worst = 0.0
-    for sid, i in X.faces:
-        actual = D.forms[sid].pullback(AffineMap.face(sid.dim, i))
-        if exact:
-            if actual != gauge_prescription(P, D.forms, sid, i):
-                failures.append(f"gauge compatibility fails at ({X.name(sid)}, {i})")
-            continue
-        defect = _sampled_gauge_defect(P, D, sid, i, actual, seed)
-        worst = max(worst, defect)
-        if defect > SAMPLE_TOL:
-            failures.append(f"gauge compatibility fails at ({X.name(sid)}, {i}), defect {defect:.2e}")
-    return ConnectionReport(not failures, exact, worst, failures)
-
-
-def _sampled_gauge_defect(P, D, sid, i, actual, seed):
-    """Largest entry of A_face - phi^{-1}(delta_i^* A)phi - phi^{-1}d phi
-    at sampled points of face i of sid; actual is delta_i^* A."""
-    import numpy as np
-
-    face_form = form_on(D.forms, P.base.face(sid, i))
-    phi = P.transitions[(sid, i)]
-    z = np.zeros((P.algebra.n, P.algebra.n), dtype=complex)
-    worst = 0.0
-    for pt, g, dg in _values_and_partials(phi, _sample_points(phi.dim, 4, seed)):
-        fv = face_form.eval_matrix_coeffs(pt)
-        av = actual.eval_matrix_coeffs(pt)
-        gi = np.linalg.inv(g)
-        for j, dgj in enumerate(dg):
-            rhs = gi @ (av.get((j,), z) @ g + dgj)
-            worst = max(worst, float(np.abs(fv.get((j,), z) - rhs).max()))
-    return worst
+    failures = [
+        f"gauge compatibility fails at ({X.name(sid)}, {i})"
+        for sid, i in X.faces
+        if D.forms[sid].pullback(AffineMap.face(sid.dim, i)) != gauge_prescription(P, D.forms, sid, i)
+    ]
+    return ConnectionReport(not failures, failures)
 
 
 def construct_connection(P, preset=None, rng=None):
@@ -800,7 +593,7 @@ def construct_connection(P, preset=None, rng=None):
     a seeded rng, whitney_extend also puts random coefficients on the
     lowest-degree interior basis functions, which randomize the output
     without touching the boundary prescriptions.  Inconsistent
-    prescriptions (from a truncated gauge series) surface as
+    prescriptions (from an invalid bundle) surface as
     FaceConsistencyError with the simplex.
     """
     X = P.base
@@ -935,8 +728,8 @@ def apply_gauge(P, gauges, D=None):
     constant gauges, which leave polynomial coefficients polynomial and
     add no log derivative: A_sid becomes Ad_{g_sid^{-1}} A_sid, exactly.
     On an abelian algebra Ad is the identity, so a constant gauge keeps
-    the connection forms as they are; on a nonabelian one each gauge must
-    be a product of Cayley factors, whose Ad matrices are exact.
+    the connection forms as they are; on a nonabelian one each gauge is
+    a product of Cayley factors, whose Ad matrices are exact.
     """
     X = P.base
     alg = P.algebra
@@ -955,8 +748,6 @@ def apply_gauge(P, gauges, D=None):
         if any(not f.d().is_zero() for sid in X.all_cells() for f in gauges[sid].factors):
             raise BundleError("connection gauge transform implemented for constant gauges")
         return P2, Connection(P2, {sid: D.forms[sid] for sid in X.all_cells()})
-    if not all(gauges[sid].is_cayley() for sid in X.all_cells()):
-        raise BundleError(f"a connection on {alg.name} is gauged only by products of Cayley factors")
     return P2, Connection(P2, {sid: _ad(gauges[sid].inverse().factors, D.forms[sid]) for sid in X.all_cells()})
 
 

@@ -123,7 +123,7 @@ def _load_bundle(args):
         raise UsageError("--space is required with a bundle file")
     X = _parse_space(args.space)
     P = cio.parse_bundle(Path(sel).read_text(), X)
-    rep = bn.validate_bundle(P, seed=args.seed)
+    rep = bn.validate_bundle(P)
     if not rep.ok:
         raise MathError("bundle validation failed: " + rep.failures[0])
     D = cio.parse_connection(Path(args.connection).read_text(), P) if args.connection else None
@@ -141,8 +141,8 @@ def cmd_chern(args, report):
         raise UsageError(f"{args.poly} has degree {2 * rho.arity}, above the base dimension {X.dim}")
     if D is None:
         D = bn.construct_connection(P)
-    crep = bn.validate_connection(P, D, seed=args.seed)
-    detail = "exact" if crep.exact else f"sampled, worst {crep.worst:.2e}"
+    crep = bn.validate_connection(P, D)
+    detail = "exact"
     if crep.failures:
         first, others = crep.failures[0], len(crep.failures) - 1
         detail += f"; {first}" + (f" and {others} more" if others else "")

@@ -408,9 +408,9 @@ def parse_bundle(text, base):
     writes every face, identities as ``id``), a body that _transition_str
     does not write back as the same text, a factor with a coordinate
     whose imaginary part is nonzero (its log is not in the compact
-    algebra, whose elements have real coordinates), or a cay factor that
-    is not constant, not rational or on an abelian group is a parse
-    error."""
+    algebra, whose elements have real coordinates), an exp factor on a
+    nonabelian group, or a cay factor that is not constant, not rational
+    or on an abelian group is a parse error."""
     lines = _lines(text)
     algebra = _header(lines, "bundle")
     transitions = {}
@@ -433,9 +433,10 @@ def parse_bundle(text, base):
         try:
             factors = [_shared(_parse_factor(chunk, algebra, dim), cayleys)
                        for chunk in (body.split(" * ") if body != "id" else ())]
-        except ParseError as e:
+            # an exp factor on a nonabelian group is a BundleError
+            t = TransitionMap(algebra, dim, factors)
+        except (ParseError, BundleError) as e:
             raise ParseError(f"{name}: {e}") from None
-        t = TransitionMap(algebra, dim, factors)
         if _transition_str(t) != body:
             raise ParseError(f"{name}: bad body {body!r}")
         transitions[(sid, i)] = t

@@ -144,9 +144,8 @@ class LieData:
     antisymmetric, and empty on the diagonal.  solver is the one
     PrecomputedSolver over the flattened basis (a row per matrix entry,
     a column per basis element); coordinates, and so decompose, eval and
-    the table, read through it.  An element is a coordinate list:
-    decompose maps a matrix to it, and element_matrix_float maps it
-    back to a complex matrix.
+    the table, read through it.  An element is a coordinate list, and
+    decompose maps a matrix to it.
     """
 
     def __init__(self, name, basis):
@@ -206,28 +205,6 @@ class LieData:
         """
         x = self.coordinates(matrix)
         return [Scalar.coerce(x.get(a, 0)) for a in range(self.dim)]
-
-    @functools.cached_property
-    def basis_float(self):
-        """The basis as complex numpy matrices, built on first float use."""
-        import numpy as np
-
-        return [np.array([[v.to_complex() for v in row] for row in b]) for b in self.basis]
-
-    def decompose_float(self, matrix):
-        import numpy as np
-
-        B = np.array([bf.flatten() for bf in self.basis_float]).T
-        coords, *_ = np.linalg.lstsq(B, np.asarray(matrix, dtype=complex).flatten(), rcond=None)
-        return coords
-
-    def element_matrix_float(self, coords):
-        import numpy as np
-
-        m = np.zeros((self.n, self.n), dtype=complex)
-        for c, b in zip(coords, self.basis_float):
-            m = m + complex(c) * b
-        return m
 
     def __repr__(self):
         return f"LieData({self.name})"

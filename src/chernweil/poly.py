@@ -243,23 +243,14 @@ class Poly:
                                          for k, (a, b) in sorted(c.items())), 0j))
                 for e, c in self._by_exponent().items()]
 
-    def eval_complex(self, point):
-        out = 0j
-        for e, v in self._complex_terms():
-            for i, k in enumerate(e):
-                if k:
-                    v *= complex(point[i]) ** k
-            out += v
-        return out
-
     def eval_complex_many(self, points):
-        """eval_complex at each row of an (n, dim) float array, as a
-        complex array; entry j equals eval_complex(points[j]) bit for bit.
+        """The polynomial's complex value at each row of an (n, dim) float
+        array, as a complex array.
 
-        Each coefficient is converted once, and the arithmetic is
-        eval_complex's in the same order: complex integer powers (which
-        numpy computes by the same repeated squaring as Python), factors
-        multiplied in coordinate order, terms added in dict order.
+        Each coefficient is converted once (_complex_terms), and each
+        value is the sum, in terms order, of its term's coefficient times
+        complex integer powers (which numpy computes by the same repeated
+        squaring as Python) multiplied in coordinate order.
         """
         import numpy as np
 

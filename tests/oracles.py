@@ -13,8 +13,10 @@ barycentric polynomials, lam^b by its multinomial expansion, pullback
 by chained products with no image table, the Chern and polarize loops
 written out, the invariant polynomials as multilinear evaluators on
 matrices), for the tests to compare against.  Helpers that only tests
-use live here too: element_matrix, and simplicial_map_violations, the
-checker of constructed simplicial maps.
+use live here too: element_matrix and its float versions, the float
+value of a u1 transition, a polynomial's complex value, the bracket of
+g-valued forms, and simplicial_map_violations, the checker of
+constructed simplicial maps.
 """
 
 import functools
@@ -194,12 +196,26 @@ def simplex_quadrature(f, dim, order=10):
     return total
 
 
+def poly_eval_complex(p, point):
+    """The complex value of the Poly p at a point: each term's complex
+    coefficient (Poly._complex_terms) times complex integer powers of
+    the coordinates, multiplied in coordinate order and summed in terms
+    order, the arithmetic of each entry of Poly.eval_complex_many."""
+    out = 0j
+    for e, v in p._complex_terms():
+        for i, k in enumerate(e):
+            if k:
+                v *= complex(point[i]) ** k
+        out += v
+    return out
+
+
 def integrate_form_oracle(form, order=10):
     """Quadrature of a top-degree PolyForm (complex float)."""
     if form.dim == 0:
-        return form.component(()).eval_complex([])
+        return poly_eval_complex(form.component(()), [])
     p = form.component(tuple(range(form.dim)))
-    return simplex_quadrature(lambda x: p.eval_complex(x), form.dim, order)
+    return simplex_quadrature(lambda x: poly_eval_complex(p, x), form.dim, order)
 
 
 def sympy_pullback_one_form(comp_polys, coord_exprs, src_vars):
@@ -294,7 +310,7 @@ def reznikov_quadrature(k, order=32):
     def evaluator(mats):
         vals = np.ones_like(X)
         for m in mats:
-            a = su2.decompose_float(m).real
+            a = decompose_float(su2, m).real
             vals = vals * (a[0] * X + a[1] * Y + a[2] * Z)
         return float(np.sum(W * vals))
 
@@ -307,6 +323,56 @@ def winding_of_samples(values):
     for a, b in zip(values, values[1:] + values[:1]):
         total += np.angle(b / a)
     return total / (2.0 * np.pi)
+
+
+@functools.cache
+def basis_float(alg):
+    """The basis of the algebra alg as complex numpy matrices."""
+    return [np.array([[v.to_complex() for v in row] for row in b]) for b in alg.basis]
+
+
+def decompose_float(alg, matrix):
+    """Least-squares coordinates of a complex matrix in the basis of alg."""
+    B = np.array([bf.flatten() for bf in basis_float(alg)]).T
+    coords, *_ = np.linalg.lstsq(B, np.asarray(matrix, dtype=complex).flatten(), rcond=None)
+    return coords
+
+
+def element_matrix_float(alg, coords):
+    """The complex matrix sum_a coords[a] e_a over the basis of alg."""
+    m = np.zeros((alg.n, alg.n), dtype=complex)
+    for c, b in zip(coords, basis_float(alg)):
+        m = m + complex(c) * b
+    return m
+
+
+def u1_transition_value(t, point):
+    """The complex value of a u1 transition at a point: the basis is
+    [[i]], so exp of the coordinate p is e^{i p(point)}."""
+    import cmath
+
+    return cmath.exp(1j * sum(poly_eval_complex(f.coords[0].component(()), point) for f in t.factors))
+
+
+def bracket_wedge(A, B):
+    """[A ^ B] of two g-valued forms via the structure constants; degree
+    adds.  On constant 0-forms over Delta^0 it is the bracket of g.  One
+    forms._wedge_sum per coordinate c, over the pairs (a, b) with each
+    s^c_ab folded into its pair's products."""
+    from chernweil.bundles import LieValuedForm
+    from chernweil.forms import _wedge_sum
+    from chernweil.poly import _constant
+
+    if A.algebra is not B.algebra:
+        raise ValueError(f"bracket of {A.algebra.name} and {B.algebra.name} forms")
+    terms = [[] for _ in A.coords]
+    for a, b in itertools.product(range(A.algebra.dim), repeat=2):
+        fa, fb = A.coords[a], B.coords[b]
+        if not (fa.is_zero() or fb.is_zero()):
+            for c, x in A.algebra.structure[a][b]:
+                terms[c].append((fa, fb, _constant(x)))
+    deg = A.deg + B.deg
+    return LieValuedForm(A.algebra, A.dim, deg, [_wedge_sum(A.dim, deg, t) for t in terms])
 
 
 def element_matrix(alg, coords):
@@ -838,19 +904,14 @@ def face_route_reference(P, sid, i, m):
     return P.transitions[(sid, i)].pullback(AffineMap.from_monotone(m, d - 1)).compose(rest)
 
 
-def transitions_equal_reference(t1, t2, seed=0):
+def transitions_equal_reference(t1, t2):
     """transitions_equal with no shortcut on equal factor lists.
 
     Abelian: the summed factor logs differ, in every coordinate, by a
-    constant in tau*Z (the u1 basis is [[i]]).  Both all Cayley factors:
-    the products of cayley_matrix_reference are equal.  Otherwise: the
-    products of float exponentials and Cayley matrices agree within
-    SAMPLE_TOL at the same 7 sample points, each product taken factor by
-    factor here.
+    constant in tau*Z (the u1 basis is [[i]]).  Nonabelian, where every
+    factor is a Cayley factor: the products of cayley_matrix_reference
+    are equal.
     """
-    from scipy.linalg import expm
-
-    from chernweil.bundles import SAMPLE_TOL, Cayley, _sample_points
     from chernweil.poly import Poly
     from chernweil.scalars import Scalar
 
@@ -874,33 +935,13 @@ def transitions_equal_reference(t1, t2, seed=0):
         one = [[(Fraction(int(r == c)), Fraction(0)) for c in range(alg.n)] for r in range(alg.n)]
         return functools.reduce(_pair_matmul, (cayley_matrix_reference(alg, f.h) for f in t.factors), one)
 
-    if all(type(f) is Cayley for t in (t1, t2) for f in t.factors):
-        return exact(t1) == exact(t2)
-
-    def product_at(t, pt):
-        g = np.eye(alg.n, dtype=complex)
-        for f in t.factors:
-            if type(f) is Cayley:
-                g = g @ np.array([[complex(a) + 1j * complex(b) for a, b in row]
-                                  for row in cayley_matrix_reference(alg, f.h)])
-                continue
-            log = np.zeros((alg.n, alg.n), dtype=complex)
-            for a in range(alg.dim):
-                log = log + f.coords[a].component(()).eval_complex(pt) * alg.basis_float[a]
-            g = g @ expm(log)
-        return g
-
-    return all(
-        np.abs(product_at(t1, pt) - product_at(t2, pt)).max() <= SAMPLE_TOL
-        for pt in _sample_points(dim, 7, seed)
-    )
+    return exact(t1) == exact(t2)
 
 
-def validate_bundle_reference(P, seed=0):
-    """validate_bundle's (ok, exact, failures), each face pair i < j of
-    each cell compared through its two routes, computed with no memo
-    and compared by transitions_equal_reference; exact when the algebra
-    is abelian or every factor is a Cayley factor."""
+def validate_bundle_reference(P):
+    """validate_bundle's (ok, failures), each face pair i < j of each
+    cell compared through its two routes, computed with no memo and
+    compared by transitions_equal_reference."""
     X = P.base
     failures = []
     for d in range(1, X.dim + 1):
@@ -918,12 +959,9 @@ def validate_bundle_reference(P, seed=0):
                     # vertex j of sid is vertex j - 1 of face i; vertex i stays i in face j
                     via_i = face_route_reference(P, sid, i, tuple(v for v in range(d) if v != j - 1))
                     via_j = face_route_reference(P, sid, j, tuple(v for v in range(d) if v != i))
-                    if not transitions_equal_reference(via_i, via_j, seed):
+                    if not transitions_equal_reference(via_i, via_j):
                         failures.append(f"cocycle fails on {X.name(sid)} faces ({i},{j})")
-    from chernweil.bundles import Cayley
-
-    exact = P.algebra.is_abelian or all(type(f) is Cayley for t in P.transitions.values() for f in t.factors)
-    return not failures, exact, failures
+    return not failures, failures
 
 
 def pullback_bundle_reference(f, P):
@@ -1412,5 +1450,5 @@ def bianchi_defect(D):
     out = {}
     for sid, A in D.forms.items():
         F = curvature_form(A)
-        out[sid] = F.d() + A.bracket_wedge(F)
+        out[sid] = F.d() + bracket_wedge(A, F)
     return out

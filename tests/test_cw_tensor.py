@@ -26,6 +26,7 @@ from chernweil.poly import Poly
 from chernweil.scalars import Scalar
 from chernweil.simplicial import SimplexId, boundary_sphere, standard_simplex
 from oracles import (
+    bracket_wedge,
     canonical_violations,
     curvature_reference,
     cw_matrix_contraction,
@@ -138,8 +139,8 @@ def test_lie_paths_build_canonical_values(name, data):
     # the bracket of the one coordinate pair (0, alg.dim - 1) of A and F
     A0 = LieValuedForm(alg, dim, 1, [f if a == 0 else PolyForm.zero(dim, 1) for a, f in enumerate(A.coords)])
     F1 = LieValuedForm(alg, dim, 2, [f if a == alg.dim - 1 else PolyForm.zero(dim, 2) for a, f in enumerate(F.coords)])
-    one_pair = A0.bracket_wedge(F1)
-    values = [F, A.bracket_wedge(A), A.bracket_wedge(F), one_pair]
+    one_pair = bracket_wedge(A0, F1)
+    values = [F, bracket_wedge(A, A), bracket_wedge(A, F), one_pair]
     for k in range(1, dim // 2 + 1):
         values += cw_form(sym_trace_poly(alg, k), D).forms.values()
     for v in values:

@@ -44,8 +44,7 @@ def test_report_stdout(argv, golden, capsys):
 
 
 def test_verify_all_seed1_stdout(capsys):
-    # pins the two float lines summed in dict order (integration-oracle,
-    # ad-exp-series), so a kernel that changes the order of a
-    # polynomial's terms fails here
+    # pins the float line summed in dict order (integration-oracle), so
+    # a kernel that changes the order of a polynomial's terms fails here
     assert main(["verify", "--suite", "all", "--seed", "1"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "verify_all_seed1.out").read_bytes()

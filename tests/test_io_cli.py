@@ -24,7 +24,7 @@ from chernweil.bundles import (
     validate_connection,
 )
 from chernweil.cli import build_parser, main
-from chernweil.forms import PolyForm, random_poly, random_polyform
+from chernweil.forms import AffineMap, PolyForm, form_on, random_poly, random_polyform
 from chernweil.liealg import lie_algebra
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
@@ -290,36 +290,24 @@ GAUGE_COEFF = st.builds(Scalar.of, st.fractions(-2, 2, max_denominator=4), tau_p
 @st.composite
 def gauged_bundles(draw):
     """A gauge change of a trivial bundle, so each transition is
-    g_sid^{-1} o delta_i times g_face, and a flag saying whether its
-    connection is to be built.  On a nonabelian algebra a draw may take
-    Cayley gauges, cay(h) for rational h of any size, whose connections
-    construct_connection builds exactly on every cell.  Otherwise each
-    gauge is exp(h), each coordinate of h a polynomial of degree <= 2
-    with at most two terms; gauges along several directions give
-    factors with several coordinates, and construct_connection's series
-    on those grows to megabytes of text, so only single-direction
-    bundles get a connection."""
+    g_sid^{-1} o delta_i times g_face.  On a nonabelian algebra each
+    gauge is a Cayley factor cay(h) for rational h of any size;
+    on u1 it is exp(h), h a polynomial of degree <= 2 with at most two
+    terms.  construct_connection builds the connections of both exactly
+    on every cell."""
     alg = lie_algebra(draw(st.sampled_from(["u1", "su2", "u2", "so3", "su3"])))
     X = draw(st.sampled_from(GAUGE_BASES))
-    if not alg.is_abelian and draw(st.booleans()):
+    if not alg.is_abelian:
         coord = st.fractions(-50, 50, max_denominator=12)
         gauges = {s: TransitionMap.cayley(alg, s.dim, draw(st.lists(coord, min_size=alg.dim, max_size=alg.dim)))
                   for s in X.all_cells()}
-        return apply_gauge(trivial_bundle(X, alg), gauges)[0], True
-    single = draw(st.booleans())
-    directions = st.integers(0, alg.dim - 1)
+        return apply_gauge(trivial_bundle(X, alg), gauges)[0]
     gauges = {}
     for s in X.all_cells():
         monomials = [e for e in itertools.product(range(3), repeat=s.dim) if sum(e) <= 2]
-        chosen_dirs = {draw(directions)} if single else draw(st.sets(directions, min_size=1))
-        polys = [Poly.zero(s.dim)] * alg.dim
-        for a in chosen_dirs:
-            chosen = draw(st.lists(st.sampled_from(monomials), max_size=2, unique=True))
-            polys[a] = Poly(s.dim, {e: draw(GAUGE_COEFF) for e in chosen})
-        gauges[s] = TransitionMap.single(LieValuedForm.from_polys(alg, polys))
-    # the truncated gauge series leaves a nonabelian 3-cell's facet
-    # prescriptions unequal, and construct_connection refuses them
-    return apply_gauge(trivial_bundle(X, alg), gauges)[0], single and (X.dim < 3 or alg.is_abelian)
+        chosen = draw(st.lists(st.sampled_from(monomials), max_size=2, unique=True))
+        gauges[s] = TransitionMap.single(LieValuedForm.from_polys(alg, [Poly(s.dim, {e: draw(GAUGE_COEFF) for e in chosen})]))
+    return apply_gauge(trivial_bundle(X, alg), gauges)[0]
 
 
 def assert_bundle_round_trips(P):
@@ -332,34 +320,50 @@ def assert_bundle_round_trips(P):
 
 @settings(max_examples=40, deadline=None)
 @given(gauged_bundles())
-def test_multifactor_bundle_round_trip(case):
-    P, connect = case
+def test_multifactor_bundle_round_trip(P):
     P2 = assert_bundle_round_trips(P)
-    if not connect:
-        return
     D = construct_connection(P)
-    if not P.algebra.is_abelian and all(t.is_cayley() for t in P.transitions.values()):
-        rep = validate_connection(P, D)
-        assert rep.ok and rep.exact
+    assert validate_connection(P, D).ok
     ct = cio.connection_to_str(D)
     D2 = cio.parse_connection(ct, P2)
     assert D2.forms == D.forms
     assert cio.connection_to_str(D2) == ct
 
 
-def test_dense_su2_gauge_round_trip():
-    """su2 gauges with random degree-1 polynomials in all three
-    coordinates, so every transition factor has three coordinates."""
+def _exp_gauged_text(group, X, rng, dense=False):
+    """The text of the gauge change of the trivial bundle over X by
+    degree-1 exp gauges, written factor by factor as bundle_to_str wrote
+    it when the reader took exp factors on every group: each transition
+    is exp(-g_sid o delta_i) * exp(g_face), zero factors left out.  Each
+    gauge is random_poly in every coordinate when dense, else in one
+    coordinate scaled by 1/16."""
+    alg = lie_algebra(group)
+    gauges = {}
+    for s in X.all_cells():
+        polys = [Poly.zero(s.dim)] * alg.dim
+        if dense:
+            polys = [random_poly(rng, s.dim, 1) for _ in range(alg.dim)]
+        else:
+            polys[rng.randrange(alg.dim)] = random_poly(rng, s.dim, 1).scale(Fraction(1, 16))
+        gauges[s] = LieValuedForm.from_polys(alg, polys)
+    lines = [f"bundle v1; group {group}"]
+    for (sid, i), face in X.faces.items():
+        factors = [-gauges[sid].pullback(AffineMap.face(sid.dim, i)), form_on(gauges, face)]
+        body = " * ".join(cio._factor_str(f) for f in factors if not f.is_zero())
+        lines.append(f"transition {sid.dim}.{sid.index}.{i}: {body or 'id'}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dense_su2_exp_gauge_file_is_refused():
+    """su2 exp gauges with random degree-1 polynomials in all three
+    coordinates, so every factor has three coordinates: the reader
+    refuses the file at its first exp factor."""
     bs = boundary_sphere(2)
-    su2 = lie_algebra("su2")
-    rng = random.Random(2)
-    gauges = {
-        s: TransitionMap.single(LieValuedForm.from_polys(su2, [random_poly(rng, s.dim, 1) for _ in range(3)]))
-        for s in bs.all_cells()
-    }
-    P, _ = apply_gauge(trivial_bundle(bs, su2), gauges)
-    assert "; 2: " in cio.bundle_to_str(P)
-    assert_bundle_round_trips(P)
+    text = _exp_gauged_text("su2", bs, random.Random(2), dense=True)
+    assert "; 2: " in text
+    with pytest.raises(cio.ParseError, match=r"^transition 1\.0\.0: exp factors are for abelian groups; "
+                                             r"a constant su2 factor is cay\(\[\.\.\.\]\)$"):
+        cio.parse_bundle(text, bs)
 
 
 def test_parse_errors():
@@ -475,7 +479,7 @@ def _record_validations(monkeypatch):
 
     seen = []
     validate = bundles.validate_bundle
-    monkeypatch.setattr(bundles, "validate_bundle", lambda P, seed=0: seen.append(P.base.dim) or validate(P, seed))
+    monkeypatch.setattr(bundles, "validate_bundle", lambda P: seen.append(P.base.dim) or validate(P))
     return seen
 
 
@@ -546,35 +550,23 @@ def test_cli_generate_horn_demo_reads_every_file_back(name, tmp_path, monkeypatc
     assert f"FAIL serialization-roundtrip: {out_dir}" in out
 
 
-def _gauged_su2_files(tmp_path, X, seed):
-    """An su2 bundle over X gauged by degree-1 gauges, each cell's along
-    one basis direction and scaled by 1/16, written as space and bundle
-    files.  Larger gauges leave the truncated series' defect above the
-    sampled tolerance on boundary_sphere(2) too."""
-    rng = random.Random(seed)
-    su2 = lie_algebra("su2")
-    gauges = {}
-    for s in X.all_cells():
-        polys = [Poly.zero(s.dim)] * su2.dim
-        polys[rng.randrange(su2.dim)] = random_poly(rng, s.dim, 1).scale(Fraction(1, 16))
-        gauges[s] = TransitionMap.single(LieValuedForm.from_polys(su2, polys))
-    P, _ = apply_gauge(trivial_bundle(X, su2), gauges)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("group", ["su2", "so3", "u2", "su3"])
+def test_cli_chern_refuses_an_exp_factor_on_a_nonabelian_group(group, n, tmp_path, capsys):
+    """An exp-gauged file over a nonabelian group, whose connection was
+    once checked on sampled points (or refused with a
+    FaceConsistencyError on a 3-cell), is a parse error naming its first
+    exp transition: exit 2, one line on stderr, no report."""
+    X = boundary_sphere(n)
     (tmp_path / "space.txt").write_text(cio.simplicial_set_to_str(X))
-    (tmp_path / "bundle.txt").write_text(cio.bundle_to_str(P))
-    return ["--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt")]
-
-
-@pytest.mark.parametrize("n, rc, line", [
-    (2, 0, "PASS connection-valid: sampled, worst "),
-    # the truncated gauge series leaves two facet prescriptions unequal
-    (3, 1, "FAIL validation: simplex 0123: inconsistent facet data on intersections: faces 1 and 2\n"),
-])
-def test_cli_chern_builds_or_refuses_a_sampled_connection(n, rc, line, tmp_path, capsys):
-    argv = ["chern", "--poly", "symtrace:1"] + _gauged_su2_files(tmp_path, boundary_sphere(n), 5)
-    assert main(argv) == rc
+    (tmp_path / "bundle.txt").write_text(_exp_gauged_text(group, X, random.Random(5)))
+    argv = ["chern", "--poly", "symtrace:1", "--bundle", str(tmp_path / "bundle.txt"),
+            "--space", str(tmp_path / "space.txt")]
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert line in captured.out
-    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: transition \d+\.\d+\.\d+: exp factors are for abelian groups; "
+                        rf"a constant {group} factor is cay\(\[\.\.\.\]\)\n", captured.err)
 
 
 def _cayley_su2_files(tmp_path, X, seed):
@@ -592,8 +584,8 @@ def _cayley_su2_files(tmp_path, X, seed):
 
 
 def test_cli_chern_on_a_cayley_gauged_bundle_is_exact(tmp_path, capsys):
-    """Over the 3-sphere, where exp gauges leave unequal facet data, a
-    Cayley-gauged bundle gets its connection built and checked by ==."""
+    """Over the 3-sphere a Cayley-gauged bundle gets its connection
+    built and checked by ==."""
     files = _cayley_su2_files(tmp_path, boundary_sphere(3), 5)
     assert "cay([" in (tmp_path / "bundle.txt").read_text()
     assert main(["chern", "--poly", "symtrace:2"] + files) == 0
@@ -790,20 +782,16 @@ def test_float_libraries_load_only_on_float_paths(tmp_path):
         ["verify", "--suite", "simplicial"],
         ["chern", "--bundle", "clutch:x"],  # a usage error, exit 2
     ]
-    # a gauged su2 bundle, whose connection checks are sampled
-    su2, rng, gauges = lie_algebra("su2"), random.Random(5), {}
+    # an exp-gauged su2 bundle, which the reader refuses, exit 2
     X = boundary_sphere(2)
-    for s in X.all_cells():
-        coords = [Poly.zero(s.dim)] * su2.dim
-        coords[rng.randrange(su2.dim)] = random_poly(rng, s.dim, 1).scale(Fraction(1, 16))
-        gauges[s] = TransitionMap.single(LieValuedForm.from_polys(su2, coords))
     (tmp_path / "space.txt").write_text(cio.simplicial_set_to_str(X))
-    (tmp_path / "bundle.txt").write_text(cio.bundle_to_str(apply_gauge(trivial_bundle(X, su2), gauges)[0]))
-    gauged = ["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt"),
-              "--poly", "symtrace:1"]
+    (tmp_path / "bundle.txt").write_text(_exp_gauged_text("su2", X, random.Random(5)))
+    no_float.append(["chern", "--bundle", str(tmp_path / "bundle.txt"), "--space", str(tmp_path / "space.txt"),
+                     "--poly", "symtrace:1"])
     # a Cayley-gauged su2 bundle, whose checks are exact
     no_float.append(["chern", "--poly", "symtrace:2"] + _cayley_su2_files(tmp_path / "cay", boundary_sphere(3), 5))
-    floats = [gauged, ["verify", "--suite", "liealg"], ["verify", "--suite", "chernweil"]]
+    no_float.append(["verify", "--suite", "liealg"])
+    floats = [["verify", "--suite", "chernweil"]]
     argvs = no_float + floats
     done = subprocess.run(
         [sys.executable, "-c", _FLOAT_LIBRARIES_SCRIPT, json.dumps(argvs)],
@@ -814,7 +802,7 @@ def test_float_libraries_load_only_on_float_paths(tmp_path):
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
     want = [["import chernweil", None, []], ["import chernweil.cli", None, []]]
-    want += [[" ".join(argv), 2 if argv[-1] == "clutch:x" else 0, []] for argv in no_float]
+    want += [[" ".join(argv), 2 if argv[-1] in ("clutch:x", "symtrace:1") else 0, []] for argv in no_float]
     # the float paths load numpy alone
     want += [[" ".join(argv), 0, ["numpy"]] for argv in floats]
     assert seen == want

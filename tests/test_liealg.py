@@ -26,10 +26,14 @@ from chernweil.liealg import (
 )
 from chernweil.poly import Poly
 from chernweil.scalars import Scalar
-from chernweil.verify import ad_exp_coords, check_polarize
+from chernweil.verify import check_ad_cayley, check_polarize
 from oracles import (
+    basis_float,
+    bracket_wedge,
     charpoly_coefficient_oracle,
+    decompose_float,
     element_matrix,
+    element_matrix_float,
     evaluator_reference,
     finite_difference_polarization,
     invariant_polynomial_reference,
@@ -44,7 +48,7 @@ def _bracket(alg, x, y):
     """[x, y] of two coordinate lists, as bracket_wedge of the constant
     0-forms on Delta^0 that carry them."""
     X, Y = (LieValuedForm.from_polys(alg, [Poly.const(0, c) for c in v]) for v in (x, y))
-    return [f.component(()).eval(()) for f in X.bracket_wedge(Y).coords]
+    return [f.component(()).eval(()) for f in bracket_wedge(X, Y).coords]
 
 
 def _unit(alg, a):
@@ -64,7 +68,7 @@ ALGEBRAS = ["u1", "su2", "so3", "su3", "su4", "u2", "u3", "u4"]
 def test_is_abelian_is_all_structure_constants_zero(name):
     alg = lie_algebra(name)
     zero = not any(entry for row in alg.structure for entry in row)
-    commute = all(np.allclose(a @ b, b @ a) for a in alg.basis_float for b in alg.basis_float)
+    commute = all(np.allclose(a @ b, b @ a) for a in basis_float(alg) for b in basis_float(alg))
     assert alg.is_abelian == zero == commute == (name == "u1")
 
 
@@ -124,31 +128,35 @@ def test_exp_lands_in_group():
         alg = lie_algebra(name)
         for _ in range(5):
             x = [Fraction(int(v * 16), 16) for v in rng.uniform(-1, 1, alg.dim)]
-            g = expm(alg.element_matrix_float(x))
+            g = expm(element_matrix_float(alg, x))
             assert np.abs(g.conj().T @ g - np.eye(len(g))).max() < 1e-10
             assert not special or abs(np.linalg.det(g) - 1.0) < 1e-10
             assert not real or np.abs(g.imag).max() < 1e-10
 
 
-def test_ad_exp_series_consistency():
-    su2 = lie_algebra("su2")
-    rng = random.Random(0)
-    worst = 0.0
-    for _ in range(50):
-        x = [Fraction(rng.randrange(-2, 3), 16) for _ in range(3)]
-        y = [Fraction(rng.randrange(-8, 9), 4) for _ in range(3)]
-        t = Fraction(rng.uniform(-1, 1))
-        gm = expm(float(t) * su2.element_matrix_float(x))
-        want = su2.decompose_float(gm @ su2.element_matrix_float(y) @ np.linalg.inv(gm))
-        got = ad_exp_coords(su2, x, y, t)
-        worst = max(worst, float(np.abs(want - got).max()))
-    assert worst < 1e-8
+def test_ad_cayley_check_locates_a_wrong_ad_column(monkeypatch):
+    """verify's ad-cayley check passes on the exact Cayley kernels and
+    names the column of an Ad matrix with one entry off by 1/L."""
+    from chernweil import bundles
+
+    assert check_ad_cayley(3)[0]
+    real = bundles._cayley_pair
+
+    def off_by_one(algebra, key):
+        out = real(algebra, key)
+        matrix, (L, rows) = out[key]
+        out[key] = matrix, (L, ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:])
+        return out
+
+    monkeypatch.setattr(bundles, "_cayley_pair", off_by_one)
+    ok, detail = check_ad_cayley(3)
+    assert not ok and detail.startswith("Ad(cay(h)) column 0 is not cay(h) e_0 cay(-h) for h = ")
 
 
 def test_mixed_algebra_bracket_rejected():
     su2, so3 = lie_algebra("su2"), lie_algebra("so3")
     with pytest.raises(ValueError, match="su2 and so3"):
-        LieValuedForm.zero(su2, 0, 0).bracket_wedge(LieValuedForm.zero(so3, 0, 0))
+        bracket_wedge(LieValuedForm.zero(su2, 0, 0), LieValuedForm.zero(so3, 0, 0))
 
 
 def test_sym_trace_u1():
@@ -193,7 +201,7 @@ def test_chern_two_su2_against_charpoly_oracle():
     from chernweil.scalars import TAU
 
     for _ in range(50):
-        M = su2.element_matrix_float(rng.uniform(-1, 1, 3))
+        M = element_matrix_float(su2, rng.uniform(-1, 1, 3))
         got = rho.eval([M.tolist(), M.tolist()])
         want = charpoly_coefficient_oracle(M / (1j * TAU), 2)
         assert abs(got - want) < 1e-9
@@ -398,7 +406,7 @@ def test_reznikov_one_vanishes():
     assert rho.tensor() == {}
     rng = np.random.default_rng(8)
     for _ in range(100):
-        m = su2.element_matrix_float(rng.uniform(-1, 1, 3))
+        m = element_matrix_float(su2, rng.uniform(-1, 1, 3))
         assert abs(rho.eval([m.tolist()])) < 1e-10
 
 
@@ -437,8 +445,8 @@ def test_reznikov_two_quadrature_order_independence():
     r_lo, r_hi = reznikov_quadrature(2, 8), reznikov_quadrature(2, 48)
     rng = np.random.default_rng(10)
     for _ in range(20):
-        a = su2.element_matrix_float(rng.uniform(-1, 1, 3))
-        b = su2.element_matrix_float(rng.uniform(-1, 1, 3))
+        a = element_matrix_float(su2, rng.uniform(-1, 1, 3))
+        b = element_matrix_float(su2, rng.uniform(-1, 1, 3))
         exact = rho.eval([a.tolist(), b.tolist()])
         assert abs(r_lo([a, b]) - exact) < 1e-12 and abs(r_hi([a, b]) - exact) < 1e-12
 
@@ -451,7 +459,7 @@ COORD = st.floats(-1, 1, allow_nan=False)
 def test_reznikov_matches_quadrature_oracle(coords):
     su2 = lie_algebra("su2")
     k = len(coords)
-    mats = [su2.element_matrix_float(c) for c in coords]
+    mats = [element_matrix_float(su2, c) for c in coords]
     assert abs(reznikov_pullback(su2, k).eval([m.tolist() for m in mats]) - reznikov_quadrature(k)(mats)) < 1e-12
 
 
@@ -462,7 +470,7 @@ def test_reznikov_three_vanishes_by_antipodal_symmetry():
     assert rho.tensor() == {}
     rng = np.random.default_rng(11)
     for _ in range(50):
-        args = [su2.element_matrix_float(rng.uniform(-1, 1, 3)) for _ in range(3)]
+        args = [element_matrix_float(su2, rng.uniform(-1, 1, 3)) for _ in range(3)]
         assert abs(rho.eval([a.tolist() for a in args])) < 1e-10
 
 
