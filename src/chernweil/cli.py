@@ -288,7 +288,8 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        # numpy's sampling generators take nonnegative seeds only
+        # random.Random seeds with |seed|, so a negative seed would repeat
+        # the run of its absolute value under another name
         sp.add_argument("--seed", type=_int_flag("--seed", signed=False), default=0)
         sp.add_argument("--out", default=None)
 

@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import cos, factorial, lcm, pi
 
 from .bundles import Connection, LieValuedForm, pullback_bundle
 from .forms import PolyForm, SimplicialForm, _d_into, _form_of, _merge, form_on, integrate_to_cochain
@@ -365,15 +366,48 @@ def naturality_check(f, P, rho, D):
 
 
 @cache
-def _duffy_grid(order, d):
-    """Nodes (an (order^d, d) array) and weights (a list of w * jac) of
-    the product Gauss-Legendre rule on [0,1]^d under the Duffy map,
-    in itertools.product order."""
-    import numpy as np
+def _gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1]: its nodes in ascending
+    order and their weights, each correctly rounded to a float.
 
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
+    Newton's method on the three-term Legendre recurrence, in 50-digit
+    decimal arithmetic, finds each positive root far below half an ulp;
+    the rule is symmetric, and for odd n the centre node is exactly 0.0."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def legendre(x):
+            """(P_n(x), P_n'(x))."""
+            p0, p1 = Decimal(1), x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            return p1, n * (x * p1 - p0) / (x * x - 1)
+
+        def weight(x):
+            return float(2 / ((1 - x * x) * legendre(x)[1] ** 2))
+
+        half = []
+        for i in range(n // 2, 0, -1):
+            x = Decimal(cos(pi * (i - 0.25) / (n + 0.5)))
+            for _ in range(100):
+                p, dp = legendre(x)
+                x -= (dx := p / dp)
+                if abs(dx) < Decimal("1e-45"):
+                    break
+            half.append((float(x), weight(x)))
+        centre = [(0.0, weight(Decimal(0)))] if n % 2 else []
+    rule = [(-x, w) for x, w in reversed(half)] + centre + half
+    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
+
+
+@cache
+def _duffy_grid(order, d):
+    """Nodes (a list of d-tuples) and weights (a list of w * jac) of the
+    product Gauss-Legendre rule on [0,1]^d under the Duffy map, in
+    itertools.product order."""
+    nodes, weights = _gauss_legendre(order)
+    nodes = [0.5 * (x + 1.0) for x in nodes]
+    weights = [0.5 * w for w in weights]
     points = []
     wjac = []
     for idx in itertools.product(range(order), repeat=d):
@@ -388,9 +422,24 @@ def _duffy_grid(order, d):
             x.append(xi)
             jac *= remaining
             remaining -= xi
-        points.append(x)
-        wjac.append(float(w * jac))
-    return np.array(points), wjac
+        points.append(tuple(x))
+        wjac.append(w * jac)
+    return points, wjac
+
+
+@cache
+def _moment(order, d, e):
+    """The product rule's value on the monomial x^e: the sum, in node
+    order, of each node's w * jac times its coordinates' powers, taken in
+    coordinate order."""
+    points, wjac = _duffy_grid(order, d)
+    total = 0.0
+    for x, v in zip(points, wjac):
+        for xi, k in zip(x, e):
+            if k:
+                v *= xi**k
+        total += v
+    return total
 
 
 def quadrature_integrate(form, order=12):
@@ -398,19 +447,15 @@ def quadrature_integrate(form, order=12):
     Gauss-Legendre rule under the Duffy (collapsed-coordinates) map.
     Independent of the exact factorial-identity path.
 
-    The nodes and weights of each (order, d) are built once and cached;
-    the integrand is evaluated on all nodes at once (eval_complex_many)
-    and the terms w*jac*f(x) are added one by one in node order, so the
-    result equals the per-node loop of tests/oracles.integrate_form_oracle
-    bit for bit.  (np.sum would add pairwise and change the last bits.)"""
+    The rule is linear, so the integral is the sum, in terms order, of
+    each term's complex coefficient (Poly._complex_terms) times the
+    rule's cached value on its monomial (_moment)."""
     d = form.dim
     if form.deg != d:
         raise ValueError("quadrature oracle needs a top-degree form")
-    points, wjac = _duffy_grid(order, d)
-    vals = form.component(tuple(range(d))).eval_complex_many(points).tolist()
-    total = 0.0 + 0.0j
-    for wj, v in zip(wjac, vals):
-        total += wj * v
+    total = 0j
+    for e, c in form.component(tuple(range(d)))._complex_terms():
+        total += c * _moment(order, d, e)
     return total
 
 

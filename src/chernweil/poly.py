@@ -243,27 +243,6 @@ class Poly:
                                          for k, (a, b) in sorted(c.items())), 0j))
                 for e, c in self._by_exponent().items()]
 
-    def eval_complex_many(self, points):
-        """The polynomial's complex value at each row of an (n, dim) float
-        array, as a complex array.
-
-        Each coefficient is converted once (_complex_terms), and each
-        value is the sum, in terms order, of its term's coefficient times
-        complex integer powers (which numpy computes by the same repeated
-        squaring as Python) multiplied in coordinate order.
-        """
-        import numpy as np
-
-        cols = np.asarray(points, dtype=float).astype(complex).T
-        out = np.zeros(cols.shape[1], dtype=complex)
-        for e, c in self._complex_terms():
-            v = np.full(cols.shape[1], c)
-            for i, k in enumerate(e):
-                if k:
-                    v *= cols[i] ** k
-            out += v
-        return out
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda ec: _monomial_key(ec[0]))
 

@@ -132,19 +132,50 @@ def check_integration(seed):
     return ok, f"factorial-identity vs quadrature, worst rel err {worst:.2e}"
 
 
-def check_bernstein_containment(seed):
-    import numpy as np
+def _simplex_points(rng, n):
+    """n uniform points (x1, x2) of Delta^2: three exponential draws
+    normalised to barycentric coordinates (x0, x1, x2)."""
+    points = []
+    for _ in range(n):
+        e0, e1, e2 = rng.expovariate(1.0), rng.expovariate(1.0), rng.expovariate(1.0)
+        s = e0 + e1 + e2
+        points.append((e1 / s, e2 / s))
+    return points
 
+
+def _real_values(polys, points):
+    """Per point, the real parts of the polynomials' values: each term's
+    complex coefficient (Poly._complex_terms) times complex integer powers
+    of the coordinates, multiplied in coordinate order and summed in terms
+    order.  Terms are evaluated on all points at once, and each column of
+    powers z_i**k is built once."""
+    cols = [list(map(complex, c)) for c in zip(*points)]
+    powers = {}
+    rows = []
+    for p in polys:
+        total = [0j] * len(points)
+        for e, c in p._complex_terms():
+            v = [c] * len(points)
+            for i, k in enumerate(e):
+                if k:
+                    if (i, k) not in powers:
+                        powers[i, k] = [z**k for z in cols[i]]
+                    v = [a * b for a, b in zip(v, powers[i, k])]
+            total = [t + a for t, a in zip(total, v)]
+        rows.append([t.real for t in total])
+    return [list(r) for r in zip(*rows)]
+
+
+def check_bernstein_containment(seed):
     rng = random.Random(seed)
-    npr = np.random.default_rng(seed)
+    # the points have their own stream, so the maps drawn from rng do not
+    # depend on how the points are drawn
+    point_rng = random.Random(seed)
     for _ in range(5):
         phi = fm.BernsteinMap.random(rng, 2, 3, 2)
         if not phi.is_valid():
             return False, "random Bernstein map has invalid control points"
-        # one draw of 200 gives the same points as 200 single draws
-        pts = npr.dirichlet(np.ones(3), size=200)[:, 1:]
-        vals = [c.eval_complex_many(pts).real.tolist() for c in phi.coords()]
-        for v in zip(*vals):
+        for v in _real_values(phi.coords(), _simplex_points(point_rng, 200)):
             if any(x < -1e-12 for x in v) or sum(v) > 1 + 1e-12:
                 return False, "image point escaped the simplex"
     return True, "Bernstein maps stay inside the target simplex (1000 samples)"

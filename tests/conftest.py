@@ -2,9 +2,10 @@ import os
 import sys
 from pathlib import Path
 
-# One BLAS/OpenMP thread, set before anything imports numpy: the float
-# paths' 2x2 and 3x3 eigh and inv calls gain nothing from threads, and
-# threaded they run several times slower beside another busy process.
+# One BLAS/OpenMP thread, set before anything imports numpy: the test
+# oracles' small eigvals, lstsq, det, inv and expm calls gain nothing from
+# threads, and threaded they run several times slower beside another
+# busy process.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

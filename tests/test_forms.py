@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernweil.bundles import random_connection, trivial_bundle, validate_connection
-from chernweil.cw import quadrature_integrate
+from chernweil.cw import _gauss_legendre, quadrature_integrate
 from chernweil.forms import (
     AffineMap,
     BernsteinMap,
@@ -45,8 +46,10 @@ from oracles import (
     bernstein_coords_reference,
     check_coefficient_consistency,
     check_prescription_consistency,
+    gauss_legendre_reference,
     integrate_form_oracle,
     lam_power_reference,
+    moment_quadrature_oracle,
     poly_eval_complex,
     pullback_reference,
     whitney_combination_reference,
@@ -200,27 +203,32 @@ def test_bernstein_validity_and_containment():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_bernstein_containment_draws_sequential_points(seed, monkeypatch):
-    """The verify check's batched draws are the points of 1000 single draws."""
+def test_bernstein_containment_draws_its_own_points(seed, monkeypatch):
+    """The verify check evaluates 5 maps on 200 points each, drawn from
+    the seed alone and inside Delta^2, and each value it tests is the
+    real part of the per-point complex oracle."""
     from chernweil import verify
 
-    default_rng = np.random.default_rng
-    drawn = []
+    real_values = verify._real_values
+    runs = []
 
-    class Recorder:
-        def __init__(self, s):
-            self.gen = default_rng(s)
+    def recorder(polys, points):
+        out = real_values(polys, points)
+        runs[-1].append((polys, points, out))
+        return out
 
-        def dirichlet(self, alpha, size=None):
-            out = self.gen.dirichlet(alpha, size)
-            drawn.append(np.reshape(out, (-1, len(alpha))))
-            return out
-
-    monkeypatch.setattr(np.random, "default_rng", Recorder)
-    assert verify.check_bernstein_containment(seed)[0]
-    gen = default_rng(seed)
-    expected = np.array([gen.dirichlet(np.ones(3)) for _ in range(1000)])
-    assert np.array_equal(np.concatenate(drawn), expected)
+    monkeypatch.setattr(verify, "_real_values", recorder)
+    for _ in range(2):
+        runs.append([])
+        assert verify.check_bernstein_containment(seed)[0]
+    first, second = runs
+    assert [len(points) for _, points, _ in first] == [200] * 5
+    assert [points for _, points, _ in first] == [points for _, points, _ in second]
+    for polys, points, out in first:
+        assert len(polys) == 3
+        for pt, vals in zip(points, out):
+            assert len(pt) == 2 and min(pt) >= 0.0 and sum(Fraction(x) for x in pt) <= 1
+            assert vals == [poly_eval_complex(c, pt).real for c in polys]
 
 
 @pytest.mark.parametrize("source_dim", range(4))
@@ -539,28 +547,33 @@ def _gaussian_tau_scalar(draw):
 
 
 @st.composite
-def top_form_and_points(draw):
+def top_forms(draw):
     """A top-degree form on Delta^d (d <= 3) whose one component has tau
-    and Gaussian-rational coefficients and exponents up to 12, and an
-    (n, d) array of float points."""
+    and Gaussian-rational coefficients and exponents up to 12."""
     d = draw(st.integers(0, 3))
     monos = [e for e in itertools.product(range(13), repeat=d) if sum(e) <= 12]
     es = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
     p = Poly(d, {e: _gaussian_tau_scalar(draw) for e in es})
-    rows = draw(st.lists(st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d), min_size=1, max_size=8))
-    return PolyForm(d, d, {tuple(range(d)): p}), np.array(rows, dtype=float).reshape(len(rows), d)
+    return PolyForm(d, d, {tuple(range(d)): p})
 
 
 @settings(max_examples=80, deadline=None)
-@given(top_form_and_points(), st.integers(1, 10))
-def test_batched_float_paths_bit_identical(form_points, order):
-    """The batched evaluator and the cached-grid quadrature give exactly the
-    floats of the per-point evaluator and the per-node oracle loop."""
-    f, X = form_points
-    p = f.component(tuple(range(f.dim)))
-    vals = p.eval_complex_many(X)
-    assert all(vals[j] == poly_eval_complex(p, list(X[j])) for j in range(len(X)))
-    assert quadrature_integrate(f, order) == integrate_form_oracle(f, order)
+@given(top_forms(), st.sampled_from([*range(1, 11), 12]))
+def test_quadrature_is_the_moment_oracle_bit_for_bit(f, order):
+    """The cached moments give exactly the floats of the oracle's own
+    per-node moment loop over mpmath's correctly rounded rule."""
+    assert quadrature_integrate(f, order) == moment_quadrature_oracle(f, order)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_gauss_legendre_rule_is_correctly_rounded(n):
+    """Bit for bit mpmath's rule rounded to float, and within 1e-13 of
+    numpy's leggauss, whose weights are off by up to tens of ulps."""
+    nodes, weights = _gauss_legendre(n)
+    assert (nodes, weights) == gauss_legendre_reference(n)
+    np_nodes, np_weights = np.polynomial.legendre.leggauss(n)
+    for ours, theirs in ((nodes, np_nodes), (weights, np_weights)):
+        assert all(math.isclose(a, b, rel_tol=1e-13, abs_tol=0.0) for a, b in zip(ours, theirs.tolist()))
 
 
 @st.composite
