@@ -35,7 +35,18 @@ differentials.
 AffineMap.from_monotone returns one shared map per vertex map, so every
 face and collapse map of a given shape, and its memo and image table, is
 built once per process (AffineMap.from_monotone.cache_info() reports
-them).
+them; AffineMap.face caches its lookup per (d, i)).
+
+A form keeps its own pullbacks along those shared maps: form.pulled,
+None until the first store, maps each AffineMap (keyed by identity) to
+the result, so a repeat pullback along it, as when a face form is
+checked from each simplex that contains it, returns that same form.  It
+lives as long as the form.  Pullbacks along a PolyMap or BernsteinMap
+are not kept: those maps are built per call, and an entry would pin the
+map and its image table to the form.  The memo relies on forms being
+immutable: nothing changes a form's comps or a Poly's parts after
+construction.  len(form.pulled or ()) counts its results, next to
+len(map.memo); == on forms ignores it.
 
 A SimplicialForm assigns a PolyForm to every nondegenerate simplex of a
 base simplicial set, compatibly under face pullback; degenerate
@@ -92,7 +103,7 @@ class FaceConsistencyError(ValueError):
 
 
 class PolyForm:
-    __slots__ = ("dim", "deg", "comps")
+    __slots__ = ("dim", "deg", "comps", "pulled")
 
     def __init__(self, dim, deg, comps=None):
         if not 0 <= deg:
@@ -111,6 +122,7 @@ class PolyForm:
             if not p.is_zero():
                 c[I] = p
         self.comps = c
+        self.pulled = None
 
     @staticmethod
     def zero(dim, deg):
@@ -185,15 +197,21 @@ class PolyForm:
         in phi's memo after its first use.  Each slot (output component,
         image part) sums over its first term's denominator, rescaled only
         when a later term needs more, so a copied component keeps its own.
+        The result along a shared AffineMap is kept in self.pulled, and a
+        repeat pullback along it returns that same form.
         """
+        kept = self.pulled
+        if kept is not None:
+            f = kept.get(phi)
+            if f is not None:
+                return f
         if phi.target_dim != self.dim:
             raise ValueError("pullback target dimension mismatch")
         src = phi.source_dim
-        if self.deg > src:
-            return _form(src, self.deg, {})
         memo = phi.memo
         acc = {}
-        for I, p in self.comps.items():
+        # a form of degree above src pulls back to zero
+        for I, p in self.comps.items() if self.deg <= src else ():
             LI = p.L
             for part, t in p.parts.items():
                 out = acc.setdefault(part, {})
@@ -225,7 +243,12 @@ class PolyForm:
                     comps[J] = p
                 elif c is not None:
                     del comps[J]
-        return _form(src, self.deg, comps)
+        f = _form(src, self.deg, comps)
+        if type(phi) is AffineMap:
+            if kept is None:
+                kept = self.pulled = {}
+            kept[phi] = f
+        return f
 
     def integrate_top(self):
         """Exact integral over Delta^dim of a top-degree form: each
@@ -348,7 +371,7 @@ def _form(dim, deg, comps):
     """A PolyForm over a fresh dict of strictly increasing index tuples
     and nonzero Polys on Delta^dim (no checks)."""
     f = _new(PolyForm)
-    f.dim, f.deg, f.comps = dim, deg, comps
+    f.dim, f.deg, f.comps, f.pulled = dim, deg, comps, None
     return f
 
 
@@ -452,8 +475,10 @@ class AffineMap(PolyMap):
     from_monotone = staticmethod(_affine_map)
 
     @staticmethod
+    @cache
     def face(d, i):
-        """The inclusion Delta^{d-1} -> Delta^d omitting vertex i."""
+        """The inclusion Delta^{d-1} -> Delta^d omitting vertex i, cached
+        per (d, i) (AffineMap.face.cache_info())."""
         return AffineMap.from_monotone(mono_skip(d, {i}), d)
 
     @staticmethod

@@ -98,6 +98,26 @@ for n, out in ((3, 'c3'), (2, 'm2')):
     open(f'{out}-bundle.txt', 'w').write(text)
 """
 
+# clutch(1) with half its winding on transition 2.1.0, so the cocycle
+# fails on the faces of cell S: chern exits 1, "bundle validation failed"
+HALF_CLUTCH = """\
+from chernweil import io, bundles as bn
+P, _ = bn.clutch_bundle(1)
+text = io.bundle_to_str(P)
+half = text.replace('transition 2.1.0: exp([0: 1*tau^1*x1])', 'transition 2.1.0: exp([0: 1/2*tau^1*x1])')
+assert half != text
+open('half-space.txt', 'w').write(io.simplicial_set_to_str(P.base))
+open('half-bundle.txt', 'w').write(half)
+"""
+
+# clutch(1)'s connection file cut to its first form line: the cells and
+# coordinates it leaves out read as zero, and chern reports FAIL
+# connection-valid with exit 1
+CUT_CONNECTION = """\
+connection v1; group u1
+A 2.1 0 1: 1*tau^1*x2
+"""
+
 # argv lists in order; a later call may read what an earlier one wrote
 CALLS = [
     *(["verify", "--suite", "all", "--seed", str(seed)] for seed in range(3)),
@@ -132,6 +152,9 @@ CALLS = [
     ["horn-fill", "--n", "3", "--k", "1", "--seed", "4", "--out", "hf"],
     ["horn-fill", "--n", "2", "--k", "0"],
     *(["reznikov", "--k", str(k), "--mode", "float"] for k in (1, 2, 3)),
+    # mathematical failures: exit 1
+    ["chern", "--bundle", "half-bundle.txt", "--space", "half-space.txt"],
+    ["chern", "--bundle", "clutch:1", "--connection", "cut-connection.txt"],
     # usage errors: exit 2 with one line on stderr
     ["betti"],
     ["reznikov", "--k", "2"],
@@ -163,8 +186,9 @@ def package_dir():
 def write_inputs(workdir):
     """Write the inputs of CALLS that no CLI call writes."""
     (workdir / "point-sphere.txt").write_text(POINT_SPHERE)
+    (workdir / "cut-connection.txt").write_text(CUT_CONNECTION)
     env = dict(os.environ, PYTHONPATH=str(package_dir().parent))
-    for script in (GAUGED_BUNDLES, CAYLEY_BUNDLES):
+    for script in (GAUGED_BUNDLES, CAYLEY_BUNDLES, HALF_CLUTCH):
         subprocess.run([sys.executable, "-c", script], cwd=workdir, env=env, check=True)
 
 

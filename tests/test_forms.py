@@ -579,8 +579,10 @@ def test_gauss_legendre_rule_is_correctly_rounded(n):
 @st.composite
 def form_and_map(draw):
     """A form of any degree on Delta^d (d <= 4) with tau and Gaussian-rational
-    coefficients, and a map into Delta^d: injective or degenerate monotone,
-    or a random Bernstein map."""
+    coefficients, and a map into Delta^d: the shared affine map of an
+    injective (faces and other inclusions) or degenerate (collapses)
+    monotone vertex map, or a random Bernstein map or the PolyMap of its
+    coordinates."""
     d = draw(st.integers(0, 4))
     k = draw(st.integers(0, d))
     monos = [e for e in itertools.product(range(3), repeat=d) if sum(e) <= 2]
@@ -589,7 +591,7 @@ def form_and_map(draw):
         es = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
         comps[I] = Poly(d, {e: _gaussian_tau_scalar(draw) for e in es})
     form = PolyForm(d, k, comps)
-    kind = draw(st.sampled_from(["injective", "degenerate", "bernstein"]))
+    kind = draw(st.sampled_from(["injective", "degenerate", "bernstein", "polynomial"]))
     if kind == "injective":
         m = tuple(sorted(draw(st.sets(st.integers(0, d), min_size=1))))
     elif kind == "degenerate":
@@ -598,20 +600,33 @@ def form_and_map(draw):
     else:
         rng = random.Random(draw(st.integers(0, 2**32)))
         phi = BernsteinMap.random(rng, draw(st.integers(0, 3)), d, draw(st.integers(1, 2)))
+        if kind == "polynomial":
+            phi = PolyMap(phi.source_dim, d, phi.coords())
         return form, phi
     phi = AffineMap.from_monotone(m, d)
     assert phi is AffineMap.from_monotone(m, d)
     return form, phi
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(form_and_map())
 def test_pullback_matches_reference(case):
+    """Pullback equals the oracle, cold and warm.  The warm result along a
+    shared affine map is the one kept in the form's memo; a Bernstein or
+    polynomial map leaves no memo entry; a form with a filled memo equals
+    a fresh equal form."""
     form, phi = case
     expected = pullback_reference(form, phi)
-    assert form.pullback(phi) == expected
-    # the second pullback is served from the map's memo
-    assert form.pullback(phi) == expected
+    cold = form.pullback(phi)
+    assert cold == expected
+    warm = form.pullback(phi)
+    assert warm == expected
+    affine = type(phi) is AffineMap
+    assert (warm is cold) == affine
+    assert form.pulled == ({phi: cold} if affine else None)
+    fresh = PolyForm(form.dim, form.deg, form.comps)
+    assert fresh.pulled is None
+    assert form == fresh and fresh == form
 
 
 @st.composite
@@ -648,12 +663,16 @@ def form_and_fresh_map(draw):
 def test_cold_pullback_matches_the_table_free_oracle(case, data):
     """A pullback along a fresh map, which fills its image table, equals
     chained products and wedged coordinate differentials; so do the warm
-    repeat and a second form that reuses part of the table."""
+    repeat, which along an affine map is the cold result itself, kept in
+    the form's memo, and a second form that reuses part of the table."""
     form, phi = case
     assert not phi.memo and not phi.images
     expected = pullback_reference(form, phi)
-    assert form.pullback(phi) == expected
-    assert form.pullback(phi) == expected
+    cold = form.pullback(phi)
+    assert cold == expected
+    warm = form.pullback(phi)
+    assert warm == expected
+    assert (warm is cold) == (type(phi) is AffineMap)
     other = form.d() if form.deg < phi.target_dim else form.scale(data.draw(st.integers(-3, 3)))
     assert other.pullback(phi) == pullback_reference(other, phi)
 
@@ -742,12 +761,17 @@ def test_lam_power_matches_the_expansion(d):
 
 
 def test_affine_maps_shared_and_memoised(monkeypatch):
-    """Repeat validations of one connection build no maps and no memo entries."""
+    """Repeat validations of one connection build no maps and no memo
+    entries, and the repeat gets each pullback from its form's memo."""
     from chernweil import forms
 
     P = trivial_bundle(boundary_sphere(2), lie_algebra("su2"))
     D = random_connection(P, 3)
+    results = []
+    pullback = PolyForm.pullback
+    monkeypatch.setattr(PolyForm, "pullback", lambda f, phi: results.append(pullback(f, phi)) or results[-1])
     assert validate_connection(P, D).ok
+    first = results[:]
     maps = [
         AffineMap.from_monotone(m, d)
         for d in range(3)
@@ -757,14 +781,18 @@ def test_affine_maps_shared_and_memoised(monkeypatch):
     sizes = [len(phi.memo) for phi in maps]
     assert sum(sizes) > 0
     before = AffineMap.from_monotone.cache_info()
+    faces = AffineMap.face.cache_info()
     built = []
     pull = forms._pull_monomial
     monkeypatch.setattr(forms, "_pull_monomial", lambda *args: built.append(args) or pull(*args))
+    results.clear()
     assert validate_connection(P, D).ok
     assert not built
     after = AffineMap.from_monotone.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
-    assert after.hits > before.hits
+    assert AffineMap.face.cache_info().hits > faces.hits
+    assert first and len(results) == len(first)
+    assert all(g is f for f, g in zip(first, results))
     assert [len(phi.memo) for phi in maps] == sizes
 
 
