@@ -22,24 +22,25 @@ component against factorial weights (_weights); the characteristic form
 (cw_form) reduces it into stored Polys (forms._form_of), as
 curvature_form reduces F.  integrate_to_cochain(cw_form(rho, D)),
 through integrate_top's own factorial formula, is the cochain's oracle;
-the form's is the brute-force
-alternating-sum-over-permutations formula, rho contracted with the
-curvature's coordinates.  The ratio of these two forms is a single
-combinatorial constant per arity, measured (never assumed) by
-calibrate_cw_constant.
+the form's is the brute-force alternating-sum-over-permutations
+formula, rho contracted with the curvature's coordinates.  The ratio of
+these two forms is a single combinatorial constant per arity, measured
+(never assumed) by calibrate_cw_constant.  classical_agreement_check
+compares the pairing, by ==, with the iterated integral of the form's
+top components (iterated_integrate: one-variable moments by Fubini,
+sharing no formula with integrate_top).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
-from math import cos, factorial, lcm, pi
+from math import comb, factorial, lcm
 
 from .bundles import Connection, LieValuedForm, pullback_bundle
-from .forms import PolyForm, SimplicialForm, _d_into, _form_of, _merge, form_on, integrate_to_cochain
+from .forms import DegreeMismatchError, PolyForm, SimplicialForm, _d_into, _form_of, _merge, form_on, integrate_to_cochain
 from .io import scalar_to_str
 from .linalg import sort_sign
 from .poly import _CAP, _ONE, _REAL, Poly, _check_degree, _exponent, _from_parts, _lowered, _product_into
@@ -362,116 +363,48 @@ def naturality_check(f, P, rho, D):
 
 
 # ---------------------------------------------------------------------------
-# quadrature oracle for the classical comparison
+# the iterated integral, for the classical comparison
 
 
 @cache
-def _gauss_legendre(n):
-    """The n-point Gauss-Legendre rule on [-1, 1]: its nodes in ascending
-    order and their weights, each correctly rounded to a float.
-
-    Newton's method on the three-term Legendre recurrence, in 50-digit
-    decimal arithmetic, finds each positive root far below half an ulp;
-    the rule is symmetric, and for odd n the centre node is exactly 0.0."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-
-        def legendre(x):
-            """(P_n(x), P_n'(x))."""
-            p0, p1 = Decimal(1), x
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            return p1, n * (x * p1 - p0) / (x * x - 1)
-
-        def weight(x):
-            return float(2 / ((1 - x * x) * legendre(x)[1] ** 2))
-
-        half = []
-        for i in range(n // 2, 0, -1):
-            x = Decimal(cos(pi * (i - 0.25) / (n + 0.5)))
-            for _ in range(100):
-                p, dp = legendre(x)
-                x -= (dx := p / dp)
-                if abs(dx) < Decimal("1e-45"):
-                    break
-            half.append((float(x), weight(x)))
-        centre = [(0.0, weight(Decimal(0)))] if n % 2 else []
-    rule = [(-x, w) for x, w in reversed(half)] + centre + half
-    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
+def _fubini_moment(e):
+    """The integral of x^e over Delta^d, d = len(e), by Fubini: fixing
+    x_1 = t leaves the simplex (1 - t) Delta^(d-1), on which x^e' (e' =
+    e[1:]) integrates to (1 - t)^(|e'| + d - 1) times its moment on
+    Delta^(d-1); so the moment is int_0^1 t^a (1 - t)^b dt, a = e[0],
+    b = |e'| + d - 1, expanded binomially, times that moment.  No
+    factorial identity is used, so it is independent of integrate_top."""
+    if not e:
+        return Fraction(1)  # Delta^0 is one point of volume 1
+    a, rest = e[0], e[1:]
+    b = sum(rest) + len(rest)
+    return sum(Fraction((-1) ** j * comb(b, j), a + j + 1) for j in range(b + 1)) * _fubini_moment(rest)
 
 
-@cache
-def _duffy_grid(order, d):
-    """Nodes (a list of d-tuples) and weights (a list of w * jac) of the
-    product Gauss-Legendre rule on [0,1]^d under the Duffy map, in
-    itertools.product order."""
-    nodes, weights = _gauss_legendre(order)
-    nodes = [0.5 * (x + 1.0) for x in nodes]
-    weights = [0.5 * w for w in weights]
-    points = []
-    wjac = []
-    for idx in itertools.product(range(order), repeat=d):
-        w = 1.0
-        for i in idx:
-            w *= weights[i]
-        x = []
-        remaining = 1.0
-        jac = 1.0
-        for i in idx:
-            xi = nodes[i] * remaining
-            x.append(xi)
-            jac *= remaining
-            remaining -= xi
-        points.append(tuple(x))
-        wjac.append(w * jac)
-    return points, wjac
-
-
-@cache
-def _moment(order, d, e):
-    """The product rule's value on the monomial x^e: the sum, in node
-    order, of each node's w * jac times its coordinates' powers, taken in
-    coordinate order."""
-    points, wjac = _duffy_grid(order, d)
-    total = 0.0
-    for x, v in zip(points, wjac):
-        for xi, k in zip(x, e):
-            if k:
-                v *= xi**k
-        total += v
-    return total
-
-
-def quadrature_integrate(form, order=12):
-    """Float integral of a top-degree form over Delta^d by a product
-    Gauss-Legendre rule under the Duffy (collapsed-coordinates) map.
-    Independent of the exact factorial-identity path.
-
-    The rule is linear, so the integral is the sum, in terms order, of
-    each term's complex coefficient (Poly._complex_terms) times the
-    rule's cached value on its monomial (_moment)."""
-    d = form.dim
-    if form.deg != d:
-        raise ValueError("quadrature oracle needs a top-degree form")
-    total = 0j
-    for e, c in form.component(tuple(range(d)))._complex_terms():
-        total += c * _moment(order, d, e)
-    return total
+def iterated_integrate(form):
+    """Exact integral over Delta^dim of a top-degree form: each
+    coefficient of its top component times its monomial's _fubini_moment."""
+    if form.deg != form.dim:
+        raise DegreeMismatchError(f"iterated_integrate needs degree {form.dim}, got {form.deg}")
+    terms = form.component(tuple(range(form.dim))).terms
+    return sum((c * _fubini_moment(e) for e, c in terms.items()), Scalar.zero())
 
 
 def classical_agreement_check(P, D, rho, cycle):
-    """Simplicial pairing vs the independent global quadrature.
+    """Simplicial pairing vs the iterated integral of the curvature
+    integrand, both exact and compared by ==.
 
     The characteristic form is built once and integrated both ways: the
-    exact cochain paired with the cycle, and the quadrature of its top
-    component on each cycle cell."""
+    cochain of integrate_top's factorial identity paired with the cycle,
+    and the sum over the cycle's cells of its coefficient times the
+    iterated_integrate of the cell's top component."""
     omega = cw_form(rho, D)
     simplicial = pairing(integrate_to_cochain(omega), cycle)
-    classical = 0.0 + 0.0j
-    for sid, c in cycle.coeffs.items():
-        classical += float(c) * quadrature_integrate(omega.form(sid))
-    diff = abs(simplicial.to_complex() - classical)
-    return VerdictReport(diff <= 1e-8, f"|simplicial - classical| = {diff:.3e}"), simplicial, classical
+    classical = sum((iterated_integrate(omega.form(sid)) * c for sid, c in cycle.coeffs.items()), Scalar.zero())
+    same = simplicial == classical
+    detail = "simplicial == classical" if same else (
+        f"simplicial {scalar_to_str(simplicial)} != classical {scalar_to_str(classical)}")
+    return VerdictReport(same, detail), simplicial, classical
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from functools import cache
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .scalars import TAU, Scalar, _reduced, _scalar
+from .scalars import Scalar, _reduced, _scalar
 
 _new = object.__new__
 _REAL = (0, 0)  # the part of the real rationals
@@ -228,20 +228,6 @@ class Poly:
                     v = v * Scalar.coerce(point[i]) ** k
             out = out + v
         return out
-
-    def _complex_terms(self):
-        """(exponent, complex coefficient) in terms order, bit for bit
-        terms[e].to_complex(): n / L rounds the same rational as the
-        reduced a / d, and a sum of one tau power is 0j plus its term."""
-        L, dim = self.L, self.dim
-        if len(self.parts) == 1:
-            ((k, im), t), = self.parts.items()
-            w = TAU**k
-            return [(_exponent(dim, e), 0j + (complex((1 - im) * n / L) + 1j * complex(im * n / L)) * w)
-                    for e, n in t.items()]
-        return [(_exponent(dim, e), sum(((complex(a / L) + 1j * complex(b / L)) * TAU**k
-                                         for k, (a, b) in sorted(c.items())), 0j))
-                for e, c in self._by_exponent().items()]
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda ec: _monomial_key(ec[0]))

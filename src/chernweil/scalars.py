@@ -75,9 +75,10 @@ class Scalar:
 
     @staticmethod
     def of(re=0, im=0, tau_power=0):
-        """re + im*i times tau^tau_power, for ints, Fractions or floats."""
-        if type(re) is not int or type(im) is not int:
-            re, im = Fraction(re), Fraction(im)
+        """re + im*i times tau^tau_power, for ints or Fractions; any other
+        type raises TypeError, as Scalar.coerce does."""
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError(f"cannot make a Scalar of {type(re)} and {type(im)}")
         q1, q2 = re.denominator, im.denominator
         return Scalar({tau_power: (re.numerator * q2, im.numerator * q1, q1 * q2)})
 

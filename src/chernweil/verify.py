@@ -15,7 +15,8 @@ from . import cw
 from . import forms as fm
 from . import liealg as la
 from . import simplicial as sc
-from .poly import Poly
+from .linalg import multinomial
+from .poly import Poly, _compositions
 from .scalars import Scalar
 
 
@@ -121,64 +122,42 @@ def check_pullback_functorial(seed):
 
 def check_integration(seed):
     rng = random.Random(seed)
-    worst = 0.0
     for _ in range(60):
         dim = rng.choice([1, 2, 3])
         f = fm.random_polyform(rng, dim, dim, 3)
-        exact = f.integrate_top().to_complex()
-        quad = cw.quadrature_integrate(f, order=8)
-        worst = max(worst, abs(exact - quad) / max(1.0, abs(exact)))
-    ok = worst < 1e-9
-    return ok, f"factorial-identity vs quadrature, worst rel err {worst:.2e}"
+        if f.integrate_top() != cw.iterated_integrate(f):
+            return False, f"factorial identity != iterated integral on Delta^{dim}"
+    return True, "factorial identity == iterated integral on 60 random top forms, exactly"
 
 
-def _simplex_points(rng, n):
-    """n uniform points (x1, x2) of Delta^2: three exponential draws
-    normalised to barycentric coordinates (x0, x1, x2)."""
-    points = []
-    for _ in range(n):
-        e0, e1, e2 = rng.expovariate(1.0), rng.expovariate(1.0), rng.expovariate(1.0)
-        s = e0 + e1 + e2
-        points.append((e1 / s, e2 / s))
-    return points
-
-
-def _real_values(polys, points):
-    """Per point, the real parts of the polynomials' values: each term's
-    complex coefficient (Poly._complex_terms) times complex integer powers
-    of the coordinates, multiplied in coordinate order and summed in terms
-    order.  Terms are evaluated on all points at once, and each column of
-    powers z_i**k is built once."""
-    cols = [list(map(complex, c)) for c in zip(*points)]
-    powers = {}
-    rows = []
-    for p in polys:
-        total = [0j] * len(points)
-        for e, c in p._complex_terms():
-            v = [c] * len(points)
-            for i, k in enumerate(e):
-                if k:
-                    if (i, k) not in powers:
-                        powers[i, k] = [z**k for z in cols[i]]
-                    v = [a * b for a, b in zip(v, powers[i, k])]
-            total = [t + a for t, a in zip(total, v)]
-        rows.append([t.real for t in total])
-    return [list(r) for r in zip(*rows)]
+def _bernstein_coefficients(p, r):
+    """The degree-r Bernstein coefficients b_a (|a| = r) of a Poly p on
+    Delta^k of total degree at most r, p = sum_a multinomial(a) b_a lam^a
+    with lam_0 = 1 - sum x (Farouki-Rajan 1988): each x^e is homogenised,
+    x^e (lam_0 + x_1 + .. + x_k)^(r - |e|), and the coefficient of lam^a
+    is divided by multinomial(a)."""
+    k = p.dim
+    out = {a: Scalar.zero() for a in _compositions(r, k + 1)}
+    for e, c in p.terms.items():
+        for m in _compositions(r - sum(e), k + 1):
+            a = (m[0],) + tuple(x + y for x, y in zip(m[1:], e))
+            out[a] = out[a] + c * multinomial(m)
+    return {a: b / multinomial(a) for a, b in out.items()}
 
 
 def check_bernstein_containment(seed):
     rng = random.Random(seed)
-    # the points have their own stream, so the maps drawn from rng do not
-    # depend on how the points are drawn
-    point_rng = random.Random(seed)
     for _ in range(5):
         phi = fm.BernsteinMap.random(rng, 2, 3, 2)
         if not phi.is_valid():
             return False, "random Bernstein map has invalid control points"
-        for v in _real_values(phi.coords(), _simplex_points(point_rng, 200)):
-            if any(x < -1e-12 for x in v) or sum(v) > 1 + 1e-12:
-                return False, "image point escaped the simplex"
-    return True, "Bernstein maps stay inside the target simplex (1000 samples)"
+        # the image is the convex hull of the control points: containment
+        # holds at every point once each coordinate is their Bernstein form
+        for l, p in enumerate(phi.coords()):
+            control = {a: pt[l] for a, pt in phi.control.items()}
+            if p.total_degree() > phi.degree or _bernstein_coefficients(p, phi.degree) != control:
+                return False, f"coordinate {l} is not the Bernstein form of the control points"
+    return True, "Bernstein coefficients == control points inside the target simplex, exactly"
 
 
 def check_stokes(seed):
@@ -431,9 +410,9 @@ def check_classical_agreement(seed):
     Pt = bn.trivial_bundle(sc.two_disk_sphere(), u1)
     Dt = bn.Connection(Pt, {s: bn.LieValuedForm.zero(u1, s.dim, 1) for s in Pt.base.all_cells()})
     verdict, simp, classical = cw.classical_agreement_check(Pt, Dt, c1, sc.fundamental_cycle_two_disk(Pt.base))
-    if not verdict.ok or abs(classical) > 1e-12:
+    if not verdict.ok or not classical.is_zero():
         return False, "trivial bundle classical comparison failed"
-    return True, "simplicial pairing matches the quadrature of the curvature integrand"
+    return True, "simplicial pairing == iterated integral of the curvature integrand, exactly"
 
 
 def generic_curvature(alg, dim, rng):

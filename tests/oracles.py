@@ -25,7 +25,6 @@ import math
 from fractions import Fraction
 from math import factorial
 
-import mpmath
 import numpy as np
 import sympy
 
@@ -198,12 +197,13 @@ def simplex_quadrature(f, dim, order=10):
 
 
 def poly_eval_complex(p, point):
-    """The complex value of the Poly p at a point: each term's complex
-    coefficient (Poly._complex_terms) times complex integer powers of
-    the coordinates, multiplied in coordinate order and summed in terms
-    order, the arithmetic of each point of verify._real_values."""
+    """The complex value of the Poly p at a point: each term's
+    coefficient's to_complex() times complex integer powers of the
+    coordinates, multiplied in coordinate order and summed in terms
+    order."""
     out = 0j
-    for e, v in p._complex_terms():
+    for e, c in p.terms.items():
+        v = c.to_complex()
         for i, k in enumerate(e):
             if k:
                 v *= complex(point[i]) ** k
@@ -217,60 +217,6 @@ def integrate_form_oracle(form, order=10):
         return poly_eval_complex(form.component(()), [])
     p = form.component(tuple(range(form.dim)))
     return simplex_quadrature(lambda x: poly_eval_complex(p, x), form.dim, order)
-
-
-@functools.cache
-def gauss_legendre_reference(n):
-    """The n-point Gauss-Legendre rule on [-1, 1] from mpmath at 60
-    digits, nodes ascending: the i-th root cos(theta) of P_n by a
-    bracketing findroot on Bruns' interval (i - 1/2) pi / (n + 1/2) <
-    theta < i pi / (n + 1/2) (Szego, Orthogonal Polynomials, 6.21.5; the
-    middle root of an odd P_n is 0), and its weight
-    2 (1 - x^2) / (n P_{n-1}(x))^2, both rounded to the nearest float."""
-    with mpmath.workdps(60):
-        rule = []
-        for i in range(n, 0, -1):
-            if 2 * i == n + 1:
-                x = mpmath.mpf(0)
-            else:
-                lo, hi = (mpmath.cos(mpmath.pi * j / (n + mpmath.mpf(1) / 2)) for j in (i, i - mpmath.mpf(1) / 2))
-                x = mpmath.findroot(lambda t: mpmath.legendre(n, t), (lo, hi), solver="anderson")
-            w = 2 * (1 - x**2) / (n * mpmath.legendre(n - 1, x)) ** 2
-            rule.append((float(x), float(w)))
-    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
-
-
-def moment_quadrature_oracle(form, order):
-    """The float arithmetic of cw.quadrature_integrate from mpmath's
-    rule, node by node: per term of the top component, in terms order,
-    its complex coefficient times the rule's value on its monomial, that
-    value summed over the Duffy product nodes in itertools.product order
-    as w * jac times the coordinates' powers in coordinate order."""
-    d = form.dim
-    nodes, weights = gauss_legendre_reference(order)
-    nodes = [0.5 * (x + 1.0) for x in nodes]
-    weights = [0.5 * w for w in weights]
-    total = 0j
-    for e, c in form.component(tuple(range(d)))._complex_terms():
-        moment = 0.0
-        for idx in itertools.product(range(order), repeat=d):
-            v = 1.0
-            for i in idx:
-                v *= weights[i]
-            remaining = 1.0
-            jac = 1.0
-            x = []
-            for i in idx:
-                x.append(nodes[i] * remaining)
-                jac *= remaining
-                remaining -= x[-1]
-            v *= jac
-            for xi, k in zip(x, e):
-                if k:
-                    v *= xi**k
-            moment += v
-        total += c * moment
-    return total
 
 
 def sympy_pullback_one_form(comp_polys, coord_exprs, src_vars):

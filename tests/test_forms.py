@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -9,8 +8,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chernweil import verify
 from chernweil.bundles import random_connection, trivial_bundle, validate_connection
-from chernweil.cw import _gauss_legendre, quadrature_integrate
+from chernweil.cw import iterated_integrate
 from chernweil.forms import (
     AffineMap,
     BernsteinMap,
@@ -46,10 +46,8 @@ from oracles import (
     bernstein_coords_reference,
     check_coefficient_consistency,
     check_prescription_consistency,
-    gauss_legendre_reference,
     integrate_form_oracle,
     lam_power_reference,
-    moment_quadrature_oracle,
     poly_eval_complex,
     pullback_reference,
     whitney_combination_reference,
@@ -169,7 +167,7 @@ def test_integrals_on_the_point(c):
     its constant, with no special case for dimension 0."""
     f = PolyForm(0, 0, {(): Poly.const(0, c)})
     assert f.integrate_top() == c
-    assert quadrature_integrate(f) == c.to_complex()
+    assert iterated_integrate(f) == c
 
 
 def test_integrate_top_against_quadrature():
@@ -203,32 +201,42 @@ def test_bernstein_validity_and_containment():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_bernstein_containment_draws_its_own_points(seed, monkeypatch):
-    """The verify check evaluates 5 maps on 200 points each, drawn from
-    the seed alone and inside Delta^2, and each value it tests is the
-    real part of the per-point complex oracle."""
-    from chernweil import verify
+def test_bernstein_coefficients_invert_the_control_points(seed):
+    """The Bernstein coefficients of each coordinate of the product-basis
+    oracle's polynomials are the map's control points, exactly, for
+    source dim 1-3 and degree 1-3."""
+    rng = random.Random(seed)
+    for source_dim in (1, 2, 3):
+        for degree in (1, 2, 3):
+            phi = BernsteinMap.random(rng, source_dim, 3, degree)
+            for l, p in enumerate(bernstein_coords_reference(phi)):
+                assert verify._bernstein_coefficients(p, degree) == {a: pt[l] for a, pt in phi.control.items()}
 
-    real_values = verify._real_values
-    runs = []
 
-    def recorder(polys, points):
-        out = real_values(polys, points)
-        runs[-1].append((polys, points, out))
-        return out
+def _nudge_first_coordinate(monkeypatch):
+    coords = BernsteinMap.coords
+    monkeypatch.setattr(BernsteinMap, "coords", lambda self: (
+        coords(self)[0] + Poly.var(self.source_dim, 0).scale(Fraction(1, 10**9)),) + coords(self)[1:])
 
-    monkeypatch.setattr(verify, "_real_values", recorder)
-    for _ in range(2):
-        runs.append([])
-        assert verify.check_bernstein_containment(seed)[0]
-    first, second = runs
-    assert [len(points) for _, points, _ in first] == [200] * 5
-    assert [points for _, points, _ in first] == [points for _, points, _ in second]
-    for polys, points, out in first:
-        assert len(polys) == 3
-        for pt, vals in zip(points, out):
-            assert len(pt) == 2 and min(pt) >= 0.0 and sum(Fraction(x) for x in pt) <= 1
-            assert vals == [poly_eval_complex(c, pt).real for c in polys]
+
+def _shift_integrals_on_delta3(monkeypatch):
+    integrate_top = PolyForm.integrate_top
+    monkeypatch.setattr(PolyForm, "integrate_top", lambda self: integrate_top(self) + (
+        Fraction(1, 10**12) if self.dim == 3 else 0))
+
+
+@pytest.mark.parametrize("mutate, check, detail", [
+    (_nudge_first_coordinate, verify.check_bernstein_containment,
+     "coordinate 0 is not the Bernstein form of the control points"),
+    (_shift_integrals_on_delta3, verify.check_integration, "factorial identity != iterated integral on Delta^3"),
+], ids=["bernstein-containment", "integration-oracle"])
+def test_exact_checks_catch_tiny_defects(mutate, check, detail, monkeypatch):
+    """A defect far below the old float tolerances fails the == checks: a
+    Bernstein coordinate nudged by 1e-9 x1, and integrate_top off by
+    1e-12 on Delta^3."""
+    mutate(monkeypatch)
+    for seed in range(3):
+        assert check(seed) == (False, detail)
 
 
 @pytest.mark.parametrize("source_dim", range(4))
@@ -558,22 +566,11 @@ def top_forms(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(top_forms(), st.sampled_from([*range(1, 11), 12]))
-def test_quadrature_is_the_moment_oracle_bit_for_bit(f, order):
-    """The cached moments give exactly the floats of the oracle's own
-    per-node moment loop over mpmath's correctly rounded rule."""
-    assert quadrature_integrate(f, order) == moment_quadrature_oracle(f, order)
-
-
-@pytest.mark.parametrize("n", range(1, 17))
-def test_gauss_legendre_rule_is_correctly_rounded(n):
-    """Bit for bit mpmath's rule rounded to float, and within 1e-13 of
-    numpy's leggauss, whose weights are off by up to tens of ulps."""
-    nodes, weights = _gauss_legendre(n)
-    assert (nodes, weights) == gauss_legendre_reference(n)
-    np_nodes, np_weights = np.polynomial.legendre.leggauss(n)
-    for ours, theirs in ((nodes, np_nodes), (weights, np_weights)):
-        assert all(math.isclose(a, b, rel_tol=1e-13, abs_tol=0.0) for a, b in zip(ours, theirs.tolist()))
+@given(top_forms())
+def test_iterated_integral_is_integrate_top(f):
+    """The Fubini moments and the factorial identity give the same exact
+    integral of Gaussian tau-Laurent coefficients."""
+    assert iterated_integrate(f) == f.integrate_top()
 
 
 @st.composite

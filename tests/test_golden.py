@@ -44,7 +44,7 @@ def test_report_stdout(argv, golden, capsys):
 
 
 def test_verify_all_seed1_stdout(capsys):
-    # pins the float line summed in dict order (integration-oracle), so
-    # a kernel that changes the order of a polynomial's terms fails here
+    # every check's detail line, each decided by ==, so a changed check
+    # or a reworded verdict fails here
     assert main(["verify", "--suite", "all", "--seed", "1"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "verify_all_seed1.out").read_bytes()

@@ -792,8 +792,8 @@ def test_float_libraries_load_only_on_float_paths(tmp_path):
                      "--poly", "symtrace:1"])
     # a Cayley-gauged su2 bundle, whose checks are exact
     no_float.append(["chern", "--poly", "symtrace:2"] + _cayley_su2_files(tmp_path / "cay", boundary_sphere(3), 5))
-    # the float cross-checks (quadrature, Bernstein containment) run on
-    # Python floats
+    # every verify check is exact: integration, Bernstein containment and
+    # the classical comparison included
     no_float += [["verify", "--suite", suite] for suite in ("liealg", "chernweil", "forms", "all")]
     done = subprocess.run(
         [sys.executable, "-c", _FLOAT_LIBRARIES_SCRIPT, json.dumps(no_float)],

@@ -33,7 +33,6 @@ from oracles import (
     gr_pullback_monotone,
     gr_to_complex,
     gr_wedge,
-    poly_eval_complex,
 )
 
 PARTS = st.sampled_from([Fraction(0)] * 4 + [Fraction(v, q) for v in (-4, -1, 1, 2, 3) for q in (1, 2, 3, 6)])
@@ -485,20 +484,3 @@ def test_poly_hash_follows_equality_on_kernel_outputs(case, x, y, c, name):
             for terms in (dict(P.terms), dict(reversed(list(P.terms.items())))):
                 rebuilt = Poly(P.dim, terms)
                 assert rebuilt == P and hash(rebuilt) == hash(P)
-
-
-@settings(max_examples=150, deadline=None)
-@given(POLY_MODELS, st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
-def test_eval_complex_sums_the_terms_floats(p, point):
-    """eval_complex from the stored numerators equals, bit for bit, the sum
-    in terms order of each Scalar coefficient's to_complex() times its
-    monomial's powers, the arithmetic the verify report's floats pin."""
-    a = to_poly(p)
-    want = 0j
-    for e, c in a.terms.items():
-        v = c.to_complex()
-        for x, k in zip(point, e):
-            if k:
-                v *= complex(x) ** k
-        want += v
-    assert bits(poly_eval_complex(a, point)) == bits(want)

@@ -53,6 +53,17 @@ def test_scalar_rejects_floats():
     assert Scalar.tau().to_complex() == TAU
 
 
+@pytest.mark.parametrize("x", [0.5, 1e-300, "1/3", 1j], ids=["half", "tiny", "string", "imaginary"])
+def test_scalar_of_refuses_what_coerce_refuses(x):
+    """Scalar.of takes ints and Fractions only, as coerce does: a float
+    would be taken at its binary value, a string parsed."""
+    with pytest.raises(TypeError):
+        Scalar.coerce(x)
+    for args in ((x,), (0, x)):
+        with pytest.raises(TypeError):
+            Scalar.of(*args)
+
+
 def test_scalar_division_restrictions():
     with pytest.raises(ValueError):
         (Scalar.one()) / (Scalar.one() + Scalar.tau())
