@@ -261,11 +261,11 @@ def cmd_reznikov(args, report):
         report.add(f"diagonal terms: {len(rez.terms)}")
         report.check("vanishing" if args.k == 1 else "odd-vanishing", rez.is_zero())
         return report
-    # rho(x, .., x) = lambda tr(x^2)^(k/2)
+    # rho(x, .., x) = lambda tr(x^2)^(k/2), lambda = (-2)^(k/2)/(k+1) rational
     trace_power = la.sym_trace_poly(su2, 2).diagonal ** (args.k // 2)
     top = (args.k, 0, 0)
     lam = rez.terms[top] / trace_power.terms[top]
-    report.add(f"lambda: {lam.to_complex()!r}")
+    report.add(f"lambda: {complex(lam.rational_value())!r}")
     report.check("proportional-to-trace-form" if args.k == 2 else "evaluated", rez == trace_power * lam)
     return report
 

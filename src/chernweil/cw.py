@@ -390,7 +390,7 @@ def iterated_integrate(form):
     return sum((c * _fubini_moment(e) for e, c in terms.items()), Scalar.zero())
 
 
-def classical_agreement_check(P, D, rho, cycle):
+def classical_agreement_check(D, rho, cycle):
     """Simplicial pairing vs the iterated integral of the curvature
     integrand, both exact and compared by ==.
 

@@ -6,10 +6,11 @@ serialization doubles as a canonical form (string equality iff value
 equality).  The writers alone decide that spelling: each reader parses
 the structure of a token, builds its value, and accepts the token only
 when the writer writes that value back as the same text; any other text
-is a ParseError.  Numerals are read by int() alone (never Fraction() or
-float()), so every reader is linear in its text and no value outgrows
-it; what int() reads but str() does not write, such as '+1', '1_0' or
-non-ASCII digits, fails the write-back.
+is a ParseError.  Numerals are read by int() alone (never Fraction(),
+nor any reader of decimal points or exponents), so every reader is
+linear in its text and no value outgrows it; what int() reads but str()
+does not write, such as '+1', '1_0' or non-ASCII digits, fails the
+write-back.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ Supported algebras: u1, su2, so3, and un / sun for n <= 4.  Basis
 matrices have Gaussian-rational entries, so the structure constants and
 invariant polynomial evaluations are exact whenever the inputs are.  The
 su2 basis is the halved-Pauli one, e_a = -(i/2) sigma_a, normalized so
-that [e1, e2] = e3.  A constant element of an algebra is its list of
-coordinates in the basis (LieData.decompose reads it from a matrix);
-brackets of g-valued data, constants included, are taken on
-bundles.LieValuedForm.
+that [e1, e2] = e3.  Entries are exact throughout: a matrix entry is a
+Scalar, an int, a Fraction or a Poly, and any other entry raises
+TypeError.  A constant element of an algebra is its coordinates in the
+basis (LieData.coordinates reads them from a matrix); brackets of
+g-valued data, constants included, are taken on bundles.LieValuedForm.
 
 An invariant polynomial is held as its diagonal rho(x, .., x), one
 homogeneous Poly in the basis coordinates x; its symmetric coefficient
@@ -71,17 +72,6 @@ def mat_trace(A):
     return sum(A[i][i] for i in range(len(A)))
 
 
-def scale_value(v, c):
-    """v * c for a Scalar c and v a Scalar, a Poly or a number; a float or
-    complex v meets the complex value of c."""
-    return v * c.to_complex() if isinstance(v, (complex, float)) else v * c
-
-
-def _is_zero(v):
-    """v == 0 for a Scalar, a Poly or a number."""
-    return v == 0 if isinstance(v, (complex, float, int, Fraction)) else v.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # algebras
 
@@ -143,9 +133,8 @@ class LieData:
     [e_a, e_b] = sum s e_c, c increasing, for every ordered pair (a, b):
     antisymmetric, and empty on the diagonal.  solver is the one
     PrecomputedSolver over the flattened basis (a row per matrix entry,
-    a column per basis element); coordinates, and so decompose, eval and
-    the table, read through it.  An element is a coordinate list, and
-    decompose maps a matrix to it.
+    a column per basis element); coordinates, and so eval and the table,
+    read through it.
     """
 
     def __init__(self, name, basis):
@@ -164,7 +153,7 @@ class LieData:
         self.structure = [[()] * self.dim for _ in range(self.dim)]
         for a, b in itertools.combinations(range(self.dim), 2):
             m = mat_sub(mat_mul(basis[a], basis[b]), mat_mul(basis[b], basis[a]))
-            self.structure[a][b] = tuple((c, s) for c, s in enumerate(self.decompose(m)) if not s.is_zero())
+            self.structure[a][b] = tuple(sorted(self.coordinates(m).items()))
             self.structure[b][a] = tuple((c, -s) for c, s in self.structure[a][b])
         self.is_abelian = not any(any(row) for row in self.structure)
 
@@ -173,38 +162,29 @@ class LieData:
 
         Each nonzero entry is multiplied into the rows of the solver's
         transform that meet it; a pivot row gives a coordinate, and a row
-        beside a zero row of the basis must come to zero.  Entries may be
-        Scalars, Polys or complex floats.  A matrix of exact entries
-        outside the complex span of the basis (the identity on su(n), a
-        symmetric matrix on so3) raises LieAlgebraError; float entries are
-        not checked.
+        beside a zero row of the basis must come to zero.  Entries are
+        Polys or what Scalar.coerce takes, and any other entry raises
+        TypeError.  The u(n) bases span gl(n, C); a matrix outside the
+        complex span of the basis (the identity on su(n), a symmetric
+        matrix on so3) raises LieAlgebraError.
         """
         rows = {}
         for j, v in enumerate(v for row in matrix for v in row):
-            if not _is_zero(v):
+            if not isinstance(v, Poly):
+                v = Scalar.coerce(v)
+            if not v.is_zero():
                 for r, t in self._reads[j]:
-                    term = scale_value(v, t)
+                    term = v * t
                     rows[r] = rows[r] + term if r in rows else term
         out = {}
         for r, v in rows.items():
             c = self._pivot_columns.get(r)
             if c is None:
-                if not (isinstance(v, (complex, float)) or _is_zero(v)):
+                if not v.is_zero():
                     raise LieAlgebraError("matrix not in the span of the basis")
-            elif not _is_zero(v):
+            elif not v.is_zero():
                 out[c] = v
         return out
-
-    def decompose(self, matrix):
-        """Exact coordinates of an n x n Scalar matrix in the basis, a list
-        of dim Scalars, read by coordinates.
-
-        Entries may be any Scalars (tau-Laurent Gaussian rationals).  The
-        u(n) bases span gl(n, C), so every such matrix decomposes there;
-        a matrix outside the complex span raises LieAlgebraError.
-        """
-        x = self.coordinates(matrix)
-        return [Scalar.coerce(x.get(a, 0)) for a in range(self.dim)]
 
     def __repr__(self):
         return f"LieData({self.name})"
@@ -238,12 +218,12 @@ class InvariantPolynomial:
     arity).  A diagonal of another dimension or degree raises
     LieAlgebraError.
 
-    contract takes arity-many coordinate dicts {a: x_a} (values Scalars,
-    Polys or complex floats) and returns rho(sum_a x_a e_a, ..).  eval
-    takes elements of the algebra, each an n x n matrix given as a list
-    of rows (an ndarray goes in as M.tolist()).  Any other argument raises
-    ValueError naming its slot, and a matrix of exact entries outside
-    the algebra raises LieAlgebraError.
+    contract takes arity-many coordinate dicts {a: x_a} (values Scalars
+    or Polys) and returns rho(sum_a x_a e_a, ..).  eval takes elements of
+    the algebra, each an n x n matrix given as a list of rows of exact
+    entries, read by algebra.coordinates.  Any other argument raises
+    ValueError naming its slot, an entry that is not exact raises
+    TypeError, and a matrix outside the algebra raises LieAlgebraError.
     """
 
     def __init__(self, algebra, arity, diagonal, provenance):
@@ -287,7 +267,7 @@ class InvariantPolynomial:
                 else:
                     part = term if part is None else part + term
             if part is not None:
-                total = total + scale_value(part, coef)
+                total = total + part * coef
         return total
 
     def tensor(self):

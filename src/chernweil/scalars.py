@@ -16,17 +16,14 @@ from outside; results built in canonical form go through the unchecked
 directly, without an accumulator.  This is enough to carry the
 i/(2*pi) normalizations of Chern classes through every computation
 without rounding, so integrality statements can be tested with ``==``.
-Floats are not Scalars: ``to_complex`` substitutes tau = 2*pi when a
-numeric value is wanted.
+``coerce`` takes ints, Fractions and Scalars and refuses every other
+type, so no inexact number enters a computation.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from math import gcd
-
-TAU = 2.0 * math.pi
 
 
 def parse_int(text, signed=True):
@@ -204,14 +201,6 @@ class Scalar:
         return hash(frozenset(self.terms.items()))
 
     # -- conversion ----------------------------------------------------
-
-    def to_complex(self):
-        # summed in tau-power order, so equal scalars give equal floats;
-        # int / int is correctly rounded, as float(Fraction) is
-        return sum(
-            ((complex(a / d) + 1j * complex(b / d)) * TAU**k for k, (a, b, d) in sorted(self.terms.items())),
-            0j,
-        )
 
     def __repr__(self):
         if not self.terms:

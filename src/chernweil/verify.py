@@ -402,14 +402,12 @@ def check_classical_agreement(seed):
     c1 = la.chern_polynomial(u1, 1)
     for n in [-2, 1, 3]:
         P, D = bn.clutch_bundle(n)
-        verdict, simp, classical = cw.classical_agreement_check(
-            P, D, c1, sc.fundamental_cycle_two_disk(P.base)
-        )
+        verdict, simp, classical = cw.classical_agreement_check(D, c1, sc.fundamental_cycle_two_disk(P.base))
         if not verdict.ok:
             return False, f"clutch({n}): {verdict.detail}"
     Pt = bn.trivial_bundle(sc.two_disk_sphere(), u1)
     Dt = bn.Connection(Pt, {s: bn.LieValuedForm.zero(u1, s.dim, 1) for s in Pt.base.all_cells()})
-    verdict, simp, classical = cw.classical_agreement_check(Pt, Dt, c1, sc.fundamental_cycle_two_disk(Pt.base))
+    verdict, simp, classical = cw.classical_agreement_check(Dt, c1, sc.fundamental_cycle_two_disk(Pt.base))
     if not verdict.ok or not classical.is_zero():
         return False, "trivial bundle classical comparison failed"
     return True, "simplicial pairing == iterated integral of the curvature integrand, exactly"

@@ -196,14 +196,20 @@ def simplex_quadrature(f, dim, order=10):
     return total
 
 
+def scalar_to_complex(s):
+    """The complex value of a library Scalar at tau = 2 pi, through its
+    dict model and gr_to_complex."""
+    return gr_to_complex(gr_scalar(s), 2 * math.pi)
+
+
 def poly_eval_complex(p, point):
     """The complex value of the Poly p at a point: each term's
-    coefficient's to_complex() times complex integer powers of the
+    coefficient's scalar_to_complex times complex integer powers of the
     coordinates, multiplied in coordinate order and summed in terms
     order."""
     out = 0j
     for e, c in p.terms.items():
-        v = c.to_complex()
+        v = scalar_to_complex(c)
         for i, k in enumerate(e):
             if k:
                 v *= complex(point[i]) ** k
@@ -329,7 +335,7 @@ def winding_of_samples(values):
 @functools.cache
 def basis_float(alg):
     """The basis of the algebra alg as complex numpy matrices."""
-    return [np.array([[v.to_complex() for v in row] for row in b]) for b in alg.basis]
+    return [np.array([[scalar_to_complex(v) for v in row] for row in b]) for b in alg.basis]
 
 
 def decompose_float(alg, matrix):
@@ -390,6 +396,15 @@ def element_matrix(alg, coords):
                     if x.terms:
                         out[r][s] = out[r][s] + x * c
     return out
+
+
+def coordinate_list(alg, matrix):
+    """The coordinates of a matrix in the basis of alg as a list of dim
+    Scalars, zeros included, read by alg.coordinates."""
+    from chernweil.scalars import Scalar
+
+    x = alg.coordinates(matrix)
+    return [x.get(a, Scalar.zero()) for a in range(alg.dim)]
 
 
 def cw_matrix_contraction(rho, F):
@@ -1249,7 +1264,7 @@ def _scale(v, c):
     """v * c for a ring element v and an exact rational or Scalar c; a
     number v meets the complex value of c."""
     if isinstance(v, (complex, float, int)):
-        return v * (c.to_complex() if hasattr(c, "terms") else c.numerator / c.denominator)
+        return v * (scalar_to_complex(c) if hasattr(c, "terms") else c.numerator / c.denominator)
     return v * c
 
 
@@ -1304,11 +1319,11 @@ def chern_evaluator(k):
     """chern:k with its polarization loop written out over matrices: each
     entry divided by i*tau, then (1/k!) sum over nonempty S of
     (-1)^(k-|S|) e_k(sum of the matrices in S)."""
-    from chernweil.scalars import TAU, Scalar
+    from chernweil.scalars import Scalar
 
     def inv_itau(v):
         if isinstance(v, (complex, float, int)):
-            return v / (1j * TAU)
+            return v / (2j * math.pi)
         return v * (Scalar.one() / Scalar.of(0, 1, 1))
 
     def evaluator(mats):
@@ -1407,7 +1422,7 @@ def polarize_reference(algebra, p, k):
     from chernweil.scalars import Scalar
 
     def evaluator(mats):
-        elems = [algebra.decompose(m) for m in mats]
+        elems = [coordinate_list(algebra, m) for m in mats]
         total = None
         for size in range(1, k + 1):
             for subset in itertools.combinations(range(k), size):

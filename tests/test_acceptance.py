@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from chernweil.bundles import (
     LieValuedForm,
     clutch_bundle,
@@ -59,7 +57,7 @@ from chernweil.simplicial import (
     standard_simplex,
     two_disk_sphere,
 )
-from oracles import betti_oracle, bracket_wedge, element_matrix, element_matrix_float
+from oracles import betti_oracle, bracket_wedge, cayley_matrix_reference, element_matrix
 
 u1 = lie_algebra("u1")
 su2 = lie_algebra("su2")
@@ -204,19 +202,26 @@ def test_criterion_8_invariant_polynomials():
         ("chern:1", chern_polynomial(su2, 1)),
         ("chern:2", chern_polynomial(su2, 2)),
     ]
-    for name, rho in polys:
-        rng = np.random.default_rng(88)
-        worst = 0.0
-        for _ in range(1000):
-            args = [element_matrix_float(su2, rng.uniform(-1, 1, 3)) for _ in range(rho.arity)]
-            base = complex(rho.eval([a.tolist() for a in args]))
-            from scipy.linalg import expm
 
-            g = expm(element_matrix_float(su2, rng.uniform(-1, 1, 3)))
-            gi = np.linalg.inv(g)
-            v = complex(rho.eval([(g @ a @ gi).tolist() for a in args]))
-            worst = max(worst, abs(v - base) / (1.0 + abs(base)))
-        assert worst <= 1e-9, (name, worst)
+    def rational_coords(rng):
+        # in [-1, 1], multiples of 1/64
+        return [Fraction(rng.randint(-64, 64), 64) for _ in range(3)]
+
+    def scalar_matrix(pairs):
+        return [[Scalar.of(re, im) for re, im in row] for row in pairs]
+
+    # each probe conjugates three elements by cay(h), and each polynomial
+    # is evaluated on as many of them as its arity
+    rng = random.Random(88)
+    for _ in range(1000):
+        h = rational_coords(rng)
+        g = scalar_matrix(cayley_matrix_reference(su2, h))
+        gi = scalar_matrix(cayley_matrix_reference(su2, [-x for x in h]))
+        args = [element_matrix(su2, rational_coords(rng)) for _ in range(3)]
+        moved = [mat_mul(mat_mul(g, a), gi) for a in args]
+        for name, rho in polys:
+            k = rho.arity
+            assert rho.eval(moved[:k]) == rho.eval(args[:k]), (name, h)
 
     def p(v):
         return v[0] ** 2 * v[1] + 3 * v[2] ** 3
@@ -226,7 +231,7 @@ def test_criterion_8_invariant_polynomials():
     for _ in range(100):
         coords = [Fraction(rng.randrange(-8, 9), 4) for _ in range(3)]
         assert rho.eval([element_matrix(su2, coords)] * rho.arity) == Scalar.coerce(p(coords))
-    _report(8, "Ad-invariance within 1e-9 over 1000 probes; polarize/diagonal round trip exact")
+    _report(8, "Ad-invariance under exact Cayley conjugation over 1000 probes; polarize/diagonal round trip exact")
 
 
 def test_criterion_9_reznikov():

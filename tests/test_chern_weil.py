@@ -250,9 +250,7 @@ def test_classical_agreement_clutch():
     rho = chern_polynomial(u1, 1)
     for n in [-2, 1, 4]:
         P, D = clutch_bundle(n)
-        verdict, simp, classical = classical_agreement_check(
-            P, D, rho, fundamental_cycle_two_disk(P.base)
-        )
+        verdict, simp, classical = classical_agreement_check(D, rho, fundamental_cycle_two_disk(P.base))
         assert verdict.ok
         assert simp == Scalar.from_rational(n)
         assert classical == Scalar.from_rational(n)
@@ -262,7 +260,7 @@ def test_classical_agreement_trivial():
     X = two_disk_sphere()
     P = trivial_bundle(X, u1)
     D = Connection(P, {s: LieValuedForm.zero(u1, s.dim, 1) for s in X.all_cells()})
-    verdict, simp, classical = classical_agreement_check(P, D, chern_polynomial(u1, 1), fundamental_cycle_two_disk(X))
+    verdict, simp, classical = classical_agreement_check(D, chern_polynomial(u1, 1), fundamental_cycle_two_disk(X))
     assert verdict.ok and simp.is_zero() and classical.is_zero()
 
 
@@ -273,7 +271,7 @@ def test_classical_agreement_swap_orientation(swap_map):
     Ps = pullback_bundle(swap_map, P)
     Ds = pullback_connection(swap_map, P, D)
     z = fundamental_cycle_two_disk(Ps.base)
-    verdict, simp, classical = classical_agreement_check(Ps, Ds, rho, z)
+    verdict, simp, classical = classical_agreement_check(Ds, rho, z)
     assert verdict.ok
     assert simp == Scalar.from_rational(-1)
     assert classical == Scalar.from_rational(-1)

@@ -1,7 +1,9 @@
-"""Exact, float-free CLI outputs pinned to files in tests/golden.
+"""CLI outputs pinned to files in tests/golden.
 
 The files were written by an earlier version of the program; any change
 to scalar arithmetic or serialisation that moves one byte fails here.
+Every value is exact but the lambda line of reznikov --mode float, the
+one float the program prints.
 """
 
 from pathlib import Path
@@ -36,6 +38,8 @@ def test_generate_horn_demo_files(tmp_path, monkeypatch, capsys):
         (["chern", "--bundle", "clutch:2", "--poly", "chern:1"], "chern_clutch2_chern1.out"),
         (["clutch", "--n", "3"], "clutch_n3.out"),
         (["horn-fill", "--n", "3", "--k", "1", "--seed", "4"], "horn_fill_n3k1_seed4.out"),
+        (["reznikov", "--k", "2", "--mode", "float"], "reznikov_k2_float.out"),
+        (["reznikov", "--k", "4", "--mode", "float"], "reznikov_k4_float.out"),
     ],
 )
 def test_report_stdout(argv, golden, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -31,7 +32,6 @@ from oracles import (
     basis_float,
     bracket_wedge,
     charpoly_coefficient_oracle,
-    decompose_float,
     element_matrix,
     element_matrix_float,
     evaluator_reference,
@@ -41,6 +41,7 @@ from oracles import (
     polarize_reference,
     polynomial_from_evaluator,
     reznikov_quadrature,
+    scalar_to_complex,
 )
 
 
@@ -49,6 +50,11 @@ def _bracket(alg, x, y):
     0-forms on Delta^0 that carry them."""
     X, Y = (LieValuedForm.from_polys(alg, [Poly.const(0, c) for c in v]) for v in (x, y))
     return [f.component(()).eval(()) for f in bracket_wedge(X, Y).coords]
+
+
+def _rational_coords(rng, n):
+    """n rational coordinates in [-1, 1], each a multiple of 1/64."""
+    return [Fraction(rng.randint(-64, 64), 64) for _ in range(n)]
 
 
 def _unit(alg, a):
@@ -197,13 +203,12 @@ def test_chern_one_su2_traceless():
 def test_chern_two_su2_against_charpoly_oracle():
     su2 = lie_algebra("su2")
     rho = chern_polynomial(su2, 2)
-    rng = np.random.default_rng(3)
-    from chernweil.scalars import TAU
-
+    rng = random.Random(3)
     for _ in range(50):
-        M = element_matrix_float(su2, rng.uniform(-1, 1, 3))
-        got = rho.eval([M.tolist(), M.tolist()])
-        want = charpoly_coefficient_oracle(M / (1j * TAU), 2)
+        x = _rational_coords(rng, 3)
+        M = element_matrix(su2, x)
+        got = scalar_to_complex(rho.eval([M, M]))
+        want = charpoly_coefficient_oracle(element_matrix_float(su2, x) / (2j * math.pi), 2)
         assert abs(got - want) < 1e-9
 
 
@@ -211,7 +216,10 @@ def test_chern_two_su2_against_charpoly_oracle():
                                            ("u1", "chern:1"), ("so3", "symtrace:2"), ("su3", "reznikov:3")])
 def test_eval_takes_only_n_by_n_matrices(name, selector):
     """A coordinate list, a non-square matrix and a square matrix of the
-    wrong size each raise ValueError naming the slot they fill."""
+    wrong size each raise ValueError naming the slot they fill.  A float,
+    a complex or a numpy float entry raises TypeError from eval and from
+    coordinates, as does the float identity on su2, which is outside the
+    algebra."""
     alg = lie_algebra(name)
     rho = invariant_polynomial_from_selector(alg, selector)
     n, good = alg.n, alg.basis[0]
@@ -225,6 +233,21 @@ def test_eval_takes_only_n_by_n_matrices(name, selector):
             args = [good] * rho.arity
             args[slot] = bad
             with pytest.raises(ValueError, match=f"^{selector}: slot {slot} is not a {n} x {n} matrix$"):
+                rho.eval(args)
+    inexact = []
+    for x in (0.5, 0.5j, np.float64(0.5)):
+        m = [list(row) for row in good]
+        m[0][0] = x
+        inexact.append(m)
+    if name == "su2":
+        inexact.append([[1.0, 0.0], [0.0, 1.0]])
+    for bad in inexact:
+        with pytest.raises(TypeError):
+            alg.coordinates(bad)
+        for slot in range(rho.arity):
+            args = [good] * rho.arity
+            args[slot] = bad
+            with pytest.raises(TypeError):
                 rho.eval(args)
     rho.eval([good] * rho.arity)
 
@@ -404,10 +427,9 @@ def test_reznikov_one_vanishes():
     su2 = lie_algebra("su2")
     rho = reznikov_pullback(su2, 1)
     assert rho.tensor() == {}
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     for _ in range(100):
-        m = element_matrix_float(su2, rng.uniform(-1, 1, 3))
-        assert abs(rho.eval([m.tolist()])) < 1e-10
+        assert rho.eval([element_matrix(su2, _rational_coords(rng, 3))]) == 0
 
 
 def test_reznikov_two_proportional_to_trace_form():
@@ -443,15 +465,15 @@ def test_reznikov_two_quadrature_order_independence():
     su2 = lie_algebra("su2")
     rho = reznikov_pullback(su2, 2)
     r_lo, r_hi = reznikov_quadrature(2, 8), reznikov_quadrature(2, 48)
-    rng = np.random.default_rng(10)
+    rng = random.Random(10)
     for _ in range(20):
-        a = element_matrix_float(su2, rng.uniform(-1, 1, 3))
-        b = element_matrix_float(su2, rng.uniform(-1, 1, 3))
-        exact = rho.eval([a.tolist(), b.tolist()])
+        x, y = _rational_coords(rng, 3), _rational_coords(rng, 3)
+        exact = scalar_to_complex(rho.eval([element_matrix(su2, x), element_matrix(su2, y)]))
+        a, b = element_matrix_float(su2, x), element_matrix_float(su2, y)
         assert abs(r_lo([a, b]) - exact) < 1e-12 and abs(r_hi([a, b]) - exact) < 1e-12
 
 
-COORD = st.floats(-1, 1, allow_nan=False)
+COORD = st.fractions(-1, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -459,8 +481,8 @@ COORD = st.floats(-1, 1, allow_nan=False)
 def test_reznikov_matches_quadrature_oracle(coords):
     su2 = lie_algebra("su2")
     k = len(coords)
-    mats = [element_matrix_float(su2, c) for c in coords]
-    assert abs(reznikov_pullback(su2, k).eval([m.tolist() for m in mats]) - reznikov_quadrature(k)(mats)) < 1e-12
+    exact = scalar_to_complex(reznikov_pullback(su2, k).eval([element_matrix(su2, c) for c in coords]))
+    assert abs(exact - reznikov_quadrature(k)([element_matrix_float(su2, c) for c in coords])) < 1e-12
 
 
 def test_reznikov_three_vanishes_by_antipodal_symmetry():
@@ -468,10 +490,9 @@ def test_reznikov_three_vanishes_by_antipodal_symmetry():
     su2 = lie_algebra("su2")
     rho = reznikov_pullback(su2, 3)
     assert rho.tensor() == {}
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(50):
-        args = [element_matrix_float(su2, rng.uniform(-1, 1, 3)) for _ in range(3)]
-        assert abs(rho.eval([a.tolist() for a in args])) < 1e-10
+        assert rho.eval([element_matrix(su2, _rational_coords(rng, 3)) for _ in range(3)]) == 0
 
 
 def test_reznikov_exact_on_polynomial_entries():
